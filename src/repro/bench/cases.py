@@ -498,7 +498,6 @@ def _register_substrate_table_memory_case(label: str, tables: str, n: int = 128)
             # the full build; the traced pass then sees the real
             # footprint, not a cache hit.
             substrate.__dict__.pop("_compiled_step_tables", None)
-            substrate.__dict__.pop("_compiled_landmark_tables", None)
             return compile_substrate_tables(substrate, tables)
 
         return run

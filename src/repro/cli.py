@@ -1227,6 +1227,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
+    if getattr(args, "pairs", 0) < 0:
+        raise SystemExit(f"--pairs must be >= 0, got {args.pairs}")
     return args.func(args)
 
 

@@ -27,8 +27,8 @@ class TableTooLargeError(GraphError):
     """Raised instead of silently allocating an ``(n, n)`` table when
     ``n`` exceeds the dense-table threshold.
 
-    Dense structures (``CSRGraph.dense_weights()``,
-    ``DistanceOracle.first_hop_matrix()``) are quadratic in memory; above
+    Dense structures (``DistanceOracle.first_hop_matrix()``) are
+    quadratic in memory; above
     :func:`repro.graph.limits.dense_table_max_n` they would OOM a
     laptop-class host long before numpy reported anything useful.  The
     blocked/landmark table family (``--tables blocked``) is the supported

@@ -87,8 +87,8 @@ _DENSE_W_MAX_N = 1024
 #: Scratch buffers up to this many bytes stay cached on the degree
 #: classes between engine runs (repeat builds on the same graph skip
 #: the allocator's mmap + page-fault path); larger scratch is
-#: released when :func:`apsp_matrices` returns so big graphs don't
-#: pin tens of MiB of dead temporaries.
+#: released when an APSP call finishes so big graphs don't pin tens
+#: of MiB of dead temporaries.
 _SCRATCH_KEEP_BYTES = 8_000_000
 
 
@@ -329,70 +329,93 @@ def _min_sweep(
     return nd
 
 
-def min_distances(
-    csr: CSRGraph, classes: Optional[_DegreeClasses] = None
+def _warm_start(
+    csr: CSRGraph, classes: _DegreeClasses, src: np.ndarray
 ) -> np.ndarray:
-    """The plain ``(n, n)`` minimum distance matrix (no canonical
-    tie-breaking; used as the engine's warm start and useful on its
-    own for analyses that need distances but not trees).
+    """Plain minimum distances (no canonical tie-breaking) from each
+    source in ``src``: a fresh ``(len(src), n)`` float64 array.
 
-    Uses :mod:`scipy.sparse.csgraph` when installed; otherwise falls
-    back to batched Bellman-Ford sweeps, which converge in
-    (hop-diameter) sweeps.
+    Uses :mod:`scipy.sparse.csgraph` when installed, else batched
+    Bellman-Ford sweeps, which converge in (hop-diameter) sweeps.
+    Dijkstra treats every source independently, so a row is the same
+    float whichever source set it is computed in — and the canonical
+    sweep's unique fixpoint (module docstring) makes the downstream
+    result independent of the warm start anyway.
     """
     n = csr.n
-    d = np.full((n, n), np.inf, dtype=np.float64)
-    np.fill_diagonal(d, 0.0)
-    if csr.m == 0:
-        return d
-    classes = classes or _degree_classes(csr)
+    rows = np.arange(src.shape[0])
     if _sp_dijkstra is not None:
         if classes._sp_matrix is None:
             classes._sp_matrix = _sp_csr_matrix(
                 (csr.out_weights, csr.out_heads, csr.out_indptr),
                 shape=(n, n),
             )
-        return np.asarray(_sp_dijkstra(classes._sp_matrix), dtype=np.float64)
-    src = np.arange(n)
-    for _sweep in range(n + 1):
-        nd = _min_sweep(d, classes, src)
-        if np.array_equal(nd, d):
-            return d
-        d = nd
-    raise GraphError("batched min-distance sweeps did not converge")
-
-
-def _min_distances_block(
-    csr: CSRGraph, classes: _DegreeClasses, lo: int, hi: int
-) -> np.ndarray:
-    """Rows ``lo:hi`` of the minimum distance matrix, computed without
-    materializing the other rows (the warm start for one source block).
-
-    Dijkstra treats every source independently, so these rows are the
-    identical floats :func:`min_distances` would place at ``[lo:hi]`` —
-    and even if a warm start ever differed, the canonical sweep's
-    unique fixpoint (module docstring) makes the downstream result
-    independent of it.
-    """
-    n = csr.n
-    src = np.arange(lo, hi)
-    if _sp_dijkstra is not None:
-        if classes._sp_matrix is None:
-            classes._sp_matrix = _sp_csr_matrix(
-                (csr.out_weights, csr.out_heads, csr.out_indptr),
-                shape=(n, n),
-            )
-        return np.asarray(
+        d = np.asarray(
             _sp_dijkstra(classes._sp_matrix, indices=src), dtype=np.float64
         )
-    d = np.full((hi - lo, n), np.inf, dtype=np.float64)
-    d[np.arange(hi - lo), src] = 0.0
+        d[rows, src] = 0.0
+        return d
+    d = np.full((src.shape[0], n), np.inf, dtype=np.float64)
+    d[rows, src] = 0.0
     for _sweep in range(n + 1):
         nd = _min_sweep(d, classes, src)
         if np.array_equal(nd, d):
             return d
         d = nd
     raise GraphError("batched min-distance sweeps did not converge")
+
+
+def min_distances(csr: CSRGraph) -> np.ndarray:
+    """The plain ``(n, n)`` minimum distance matrix (no canonical
+    tie-breaking; the engine's warm start, and useful on its own for
+    analyses that need distances but not trees)."""
+    return _warm_start(csr, _degree_classes(csr), np.arange(csr.n))
+
+
+def _apsp_row_blocks(
+    csr: CSRGraph,
+    sources: np.ndarray,
+    block_rows: Optional[int],
+    tie_eps: float,
+    chunk_elems: int,
+):
+    """The row-set kernel behind every APSP entry point.
+
+    Yields ``(lo, hi, d, parent)`` for consecutive slices
+    ``sources[lo:hi]`` of ``block_rows`` sources (by default as many as
+    keep the sweep temporaries near ``chunk_elems`` elements): a warm
+    start, then canonical sweeps until the distances stop changing.  A
+    sweep's parents are a pure function of its input distances, so
+    stable distances certify the fixpoint.  ``parent`` lives in
+    reusable scratch and is only valid until the next block.
+    """
+    n = csr.n
+    if not vectorized_engine_supported(csr):
+        raise GraphError(
+            "vectorized APSP requires edge weights that dominate both "
+            f"the tie tolerance ({tie_eps}) and the float spacing at "
+            f"the graph's distance scale; got min weight "
+            f"{csr.min_weight()}; use the python engine"
+        )
+    classes = _degree_classes(csr)
+    padded_m = sum(t.size for t in classes.tails)
+    block = block_rows or max(
+        1, min(sources.shape[0], int(chunk_elems // max(padded_m, 1)))
+    )
+    try:
+        for lo in range(0, sources.shape[0], block):
+            src = sources[lo:lo + block]
+            d = _warm_start(csr, classes, src)
+            for _sweep in range(n + 2):
+                nd, parent = _canonical_sweep(d, classes, n, src, tie_eps)
+                if np.array_equal(nd, d):
+                    break
+                d[...] = nd
+            else:  # pragma: no cover - backstop, unreachable for valid input
+                raise GraphError("batched APSP did not converge")
+            yield lo, lo + src.shape[0], d, parent
+    finally:
+        classes.release_scratch_if_large()
 
 
 def apsp_blocks(
@@ -408,9 +431,8 @@ def apsp_blocks(
     reproduces :func:`apsp_matrices` bit-for-bit (the canonical sweep
     for a source block reads only that block's rows, and its fixpoint
     is unique — see the module docstring), but peak memory is
-    ``O(block_rows * n)`` instead of ``O(n^2)``.  This is the
-    backbone of the blocked compiled-table family: at n = 10^5 the
-    dense matrices would be 80 GB each, while a 64-row block is 50 MB.
+    ``O(block_rows * n)`` instead of ``O(n^2)``: at n = 10^5 the dense
+    matrices would be 80 GB each, while a 64-row block is 50 MB.
 
     Args:
         csr: the CSR adjacency snapshot.
@@ -421,70 +443,12 @@ def apsp_blocks(
         tie_eps: tie tolerance (see module docstring).
         chunk_elems: memory cap used by the default block heuristic.
     """
-    n = csr.n
-    if csr.m == 0:
-        block = block_rows or max(1, n)
-        for lo in range(0, max(n, 0), block):
-            hi = min(n, lo + block)
-            d_blk = np.full((hi - lo, n), np.inf, dtype=np.float64)
-            d_blk[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
-            yield lo, hi, d_blk, np.full((hi - lo, n), -1, dtype=np.int64)
-        return
-    if not vectorized_engine_supported(csr):
-        raise GraphError(
-            "vectorized APSP requires edge weights that dominate both "
-            f"the tie tolerance ({tie_eps}) and the float spacing at "
-            f"the graph's distance scale; got min weight "
-            f"{csr.min_weight()}; use the python engine"
-        )
     if block_rows is not None and block_rows < 1:
         raise GraphError(f"block_rows must be >= 1, got {block_rows}")
-    classes = _degree_classes(csr)
-    padded_m = sum(t.size for t in classes.tails)
-    block = block_rows or max(1, min(n, int(chunk_elems // max(padded_m, 1))))
-    try:
-        for lo in range(0, n, block):
-            hi = min(n, lo + block)
-            src = np.arange(lo, hi)
-            d_blk = _min_distances_block(csr, classes, lo, hi)
-            d_blk[np.arange(hi - lo), src] = 0.0
-            for _sweep in range(n + 2):
-                nd, npar = _canonical_sweep(d_blk, classes, n, src, tie_eps)
-                if np.array_equal(nd, d_blk):
-                    # npar lives in reusable scratch — hand out a copy
-                    yield lo, hi, d_blk, npar.copy()
-                    break
-                d_blk[...] = nd
-            else:  # pragma: no cover - backstop, unreachable for valid input
-                raise GraphError("batched APSP did not converge")
-    finally:
-        classes.release_scratch_if_large()
-
-
-def _min_distances_rows(
-    csr: CSRGraph, classes: _DegreeClasses, src: np.ndarray
-) -> np.ndarray:
-    """Warm-start minimum distances for an arbitrary ordered source
-    set (the scattered-source sibling of :func:`_min_distances_block`).
-    """
-    n = csr.n
-    if _sp_dijkstra is not None:
-        if classes._sp_matrix is None:
-            classes._sp_matrix = _sp_csr_matrix(
-                (csr.out_weights, csr.out_heads, csr.out_indptr),
-                shape=(n, n),
-            )
-        return np.asarray(
-            _sp_dijkstra(classes._sp_matrix, indices=src), dtype=np.float64
-        )
-    d = np.full((src.shape[0], n), np.inf, dtype=np.float64)
-    d[np.arange(src.shape[0]), src] = 0.0
-    for _sweep in range(n + 1):
-        nd = _min_sweep(d, classes, src)
-        if np.array_equal(nd, d):
-            return d
-        d = nd
-    raise GraphError("batched min-distance sweeps did not converge")
+    for lo, hi, d, parent in _apsp_row_blocks(
+        csr, np.arange(csr.n), block_rows, tie_eps, chunk_elems
+    ):
+        yield lo, hi, d, parent.copy()
 
 
 def apsp_rows(
@@ -519,46 +483,16 @@ def apsp_rows(
         GraphError: when :func:`vectorized_engine_supported` is false.
     """
     n = csr.n
-    src_all = np.asarray(sources, dtype=np.int64).reshape(-1)
-    b = src_all.shape[0]
-    if np.any((src_all < 0) | (src_all >= n)):
+    src = np.asarray(sources, dtype=np.int64).reshape(-1)
+    if np.any((src < 0) | (src >= n)):
         raise GraphError(f"apsp_rows sources out of range [0, {n})")
-    d_out = np.empty((b, n), dtype=np.float64)
-    p_out = np.empty((b, n), dtype=np.int64)
-    if b == 0:
-        return d_out, p_out
-    if csr.m == 0:
-        d_out.fill(np.inf)
-        d_out[np.arange(b), src_all] = 0.0
-        p_out.fill(-1)
-        return d_out, p_out
-    if not vectorized_engine_supported(csr):
-        raise GraphError(
-            "vectorized APSP requires edge weights that dominate both "
-            f"the tie tolerance ({tie_eps}) and the float spacing at "
-            f"the graph's distance scale; got min weight "
-            f"{csr.min_weight()}; use the python engine"
-        )
-    classes = _degree_classes(csr)
-    padded_m = sum(t.size for t in classes.tails)
-    block = max(1, min(b, int(chunk_elems // max(padded_m, 1))))
-    try:
-        for lo in range(0, b, block):
-            hi = min(b, lo + block)
-            src = src_all[lo:hi]
-            d_blk = _min_distances_rows(csr, classes, src)
-            d_blk[np.arange(hi - lo), src] = 0.0
-            for _sweep in range(n + 2):
-                nd, npar = _canonical_sweep(d_blk, classes, n, src, tie_eps)
-                if np.array_equal(nd, d_blk):
-                    d_out[lo:hi] = d_blk
-                    p_out[lo:hi] = npar
-                    break
-                d_blk[...] = nd
-            else:  # pragma: no cover - backstop, unreachable for valid input
-                raise GraphError("batched APSP did not converge")
-    finally:
-        classes.release_scratch_if_large()
+    d_out = np.empty((src.shape[0], n), dtype=np.float64)
+    p_out = np.empty((src.shape[0], n), dtype=np.int64)
+    for lo, hi, d, parent in _apsp_row_blocks(
+        csr, src, None, tie_eps, chunk_elems
+    ):
+        d_out[lo:hi] = d
+        p_out[lo:hi] = parent
     return d_out, p_out
 
 
@@ -590,38 +524,4 @@ def apsp_matrices(
             (:func:`vectorized_engine_supported` is then false and the
             caller should use the sequential engine).
     """
-    n = csr.n
-    parent = np.full((n, n), -1, dtype=np.int64)
-    if csr.m == 0:
-        d = np.full((n, n), np.inf, dtype=np.float64)
-        np.fill_diagonal(d, 0.0)
-        return d, parent
-    if not vectorized_engine_supported(csr):
-        raise GraphError(
-            "vectorized APSP requires edge weights that dominate both "
-            f"the tie tolerance ({tie_eps}) and the float spacing at "
-            f"the graph's distance scale; got min weight "
-            f"{csr.min_weight()}; use the python engine"
-        )
-    classes = _degree_classes(csr)
-    d = min_distances(csr, classes)
-    np.fill_diagonal(d, 0.0)
-    # Pad rows per the padded edge count so chunks bound peak memory.
-    padded_m = sum(t.size for t in classes.tails)
-    block = max(1, min(n, int(chunk_elems // max(padded_m, 1))))
-    for lo in range(0, n, block):
-        hi = min(n, lo + block)
-        src = np.arange(lo, hi)
-        d_blk = d[lo:hi]
-        # A sweep's parents are a pure function of its input distances,
-        # so stability of the distances alone certifies the fixpoint.
-        for _sweep in range(n + 2):
-            nd, npar = _canonical_sweep(d_blk, classes, n, src, tie_eps)
-            if np.array_equal(nd, d_blk):
-                parent[lo:hi] = npar
-                break
-            d_blk[...] = nd
-        else:  # pragma: no cover - backstop, unreachable for valid input
-            raise GraphError("batched APSP did not converge")
-    classes.release_scratch_if_large()
-    return d, parent
+    return apsp_rows(csr, np.arange(csr.n), tie_eps, chunk_elems)

@@ -1,19 +1,19 @@
-"""Source-blocked first-hop table construction.
+"""First-hop rows, folded from canonical parent trees.
 
 The compiled routing engine's shortest-path tables answer "from ``s``,
-which neighbor starts the canonical shortest path to ``v``?".  The
-dense answer — :meth:`DistanceOracle.first_hop_matrix` — is one
-``(n, n)`` int32 matrix, which caps the system around n ≈ few·10³.
-This module provides the blocked alternative: the same rows, produced
-one source block at a time from the streaming APSP generator
-(:func:`repro.graph.apsp.apsp_blocks`), so peak memory during
-construction is ``O(block_rows · n)`` and each finished block can be
-persisted (and later mmap-rehydrated) independently.
+which neighbor starts the canonical shortest path to ``v``?".
+:func:`first_hops_for_sources` is the one fold behind every such
+table: the dense :meth:`DistanceOracle.first_hop_matrix`, the per-block
+rows of the blocked table family
+(:meth:`DistanceOracle.first_hop_block`), and the rows incremental
+repair refreshes.  :func:`iter_first_hop_blocks` streams the same rows
+from source-blocked APSP (:func:`repro.graph.apsp.apsp_blocks`)
+without an oracle, so peak memory is ``O(block_rows · n)``.
 
-Row ``s`` of a block is a pure function of source ``s``'s parent tree,
-so concatenating blocks of *any* size — 1, ``n``, or anything that
-does not divide ``n`` — reproduces the monolithic matrix bit-for-bit;
-the hypothesis suite in ``tests/test_blocked_tables.py`` asserts this.
+Row ``s`` is a pure function of source ``s``'s parent tree, so
+concatenating blocks of *any* size — 1, ``n``, or anything that does
+not divide ``n`` — reproduces the monolithic matrix bit-for-bit; the
+hypothesis suite in ``tests/test_blocked_tables.py`` asserts this.
 """
 
 from __future__ import annotations
@@ -37,41 +37,21 @@ def default_block_rows(n: int) -> int:
     return max(1, min(max(n, 1), _BLOCK_ELEMS // max(n, 1)))
 
 
-def first_hops_from_parents(parent_rows: np.ndarray, lo: int) -> np.ndarray:
-    """First-hop rows for sources ``lo:lo + b`` from their parent trees.
-
-    Args:
-        parent_rows: ``(b, n)`` canonical tree parents (``parent[i, v]``
-            is ``v``'s parent in the tree rooted at source ``lo + i``;
-            ``-1`` for the source and unreachable vertices).
-        lo: the first source id covered by the rows.
-
-    Returns:
-        ``(b, n)`` int32 with entry ``[i, v]`` the first hop on the
-        canonical path ``lo + i -> v`` (``-1`` on the diagonal and for
-        unreachable targets) — the same pointer-doubling fold
-        :meth:`DistanceOracle.first_hop_matrix` runs on the full
-        matrix, restricted to these rows (each row is self-contained,
-        so the restriction is exact).
-    """
-    b = np.asarray(parent_rows).shape[0]
-    return first_hops_for_sources(
-        parent_rows, np.arange(lo, lo + b, dtype=np.int32)
-    )
-
-
 def first_hops_for_sources(
     parent_rows: np.ndarray, sources: np.ndarray
 ) -> np.ndarray:
-    """First-hop rows for an *arbitrary* ordered source set.
+    """First-hop rows for an ordered source set, folded from their
+    canonical parent trees.
 
-    The scattered-source sibling of :func:`first_hops_from_parents`
-    (which it implements): row ``i`` of the result is the first-hop
-    row of source ``sources[i]``, folded from ``parent_rows[i]`` by
-    the identical pointer-doubling recursion — each row is a pure
-    function of its own tree, so the scattered restriction is exact.
-    The incremental repair protocol (:mod:`repro.graph.repair`) uses
-    this to refresh only the first-hop rows a delta invalidated.
+    Row ``i`` of the ``(b, n)`` int32 result is the first hop on the
+    canonical path ``sources[i] -> v`` for every ``v`` (``-1`` at the
+    source itself and for unreachable targets), folded from
+    ``parent_rows[i]`` by pointer doubling.  Each row is a pure
+    function of its own tree, so any source set — the whole vertex
+    range (:meth:`DistanceOracle.first_hop_matrix`), one block
+    (:meth:`DistanceOracle.first_hop_block`), or the scattered rows a
+    delta invalidated (:mod:`repro.graph.repair`) — yields the same
+    rows bit for bit.
     """
     parent = np.asarray(parent_rows, dtype=np.int32)
     b, n = parent.shape
@@ -104,4 +84,4 @@ def iter_first_hop_blocks(
     bit-for-bit for any ``block_rows``.
     """
     for lo, hi, _d, parent in apsp_blocks(csr, block_rows=block_rows):
-        yield lo, hi, first_hops_from_parents(parent, lo)
+        yield lo, hi, first_hops_for_sources(parent, np.arange(lo, hi))

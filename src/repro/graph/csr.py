@@ -27,7 +27,6 @@ import weakref
 import numpy as np
 
 from repro.graph.digraph import Digraph
-from repro.graph.limits import check_dense_table
 
 # One snapshot per frozen graph: a frozen Digraph's topology can never
 # change, so its CSR form is built once and shared (the key is weak so
@@ -36,18 +35,61 @@ _SNAPSHOT_CACHE: "weakref.WeakKeyDictionary[Digraph, CSRGraph]" = (
     weakref.WeakKeyDictionary()
 )
 
-# Dense (n, n) weight matrices, one per snapshot (built on first use by
-# the vectorized routing engine; dies with its snapshot).
-_DENSE_WEIGHT_CACHE: "weakref.WeakKeyDictionary[CSRGraph, object]" = (
+# Edge weights as a PairTable, one per snapshot: the O(m) lookup the
+# vectorized engine charges per-sweep hop costs through.
+_PAIR_LOOKUP_CACHE: "weakref.WeakKeyDictionary[CSRGraph, PairTable]" = (
     weakref.WeakKeyDictionary()
 )
 
-# Sorted (tail * n + head) edge keys + aligned weights, one per
-# snapshot: the O(m) sparse replacement for the dense weight matrix
-# used by the vectorized engine's per-sweep cost charging.
-_PAIR_LOOKUP_CACHE: "weakref.WeakKeyDictionary[CSRGraph, object]" = (
-    weakref.WeakKeyDictionary()
-)
+
+class PairTable:
+    """A sparse ``(n, n)`` table stored as sorted ``row * n + col``
+    int64 keys with aligned ``values``.
+
+    ``table[rows, cols]`` gathers like the dense matrix it stands in
+    for — ``values`` where the pair is stored, ``missing`` elsewhere —
+    by binary search, in O(entries) memory.  Keys are unique and
+    sorted, so the form is canonical: store round-trips rehydrate the
+    same bytes.
+    """
+
+    __slots__ = ("n", "keys", "values", "missing")
+
+    def __init__(self, n: int, keys: np.ndarray, values: np.ndarray, missing=-1):
+        self.n = int(n)
+        self.keys = keys
+        self.values = values
+        self.missing = missing
+
+    @classmethod
+    def from_entries(
+        cls, n: int, keys: np.ndarray, values: np.ndarray, missing=-1
+    ) -> "PairTable":
+        """Pack entries ``keys[i] -> values[i]`` given in any order.
+        Repeated keys collapse to one entry (callers give them equal
+        values)."""
+        order = np.argsort(keys)
+        keys = keys[order]
+        first = np.ones(keys.shape[0], dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        return cls(n, keys[first], values[order][first], missing)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the keys and values."""
+        return int(self.keys.nbytes) + int(self.values.nbytes)
+
+    def __getitem__(self, index) -> np.ndarray:
+        rows, cols = index
+        queries = (
+            np.asarray(rows, dtype=np.int64) * np.int64(self.n)
+            + np.asarray(cols, dtype=np.int64)
+        )
+        if self.keys.shape[0] == 0:
+            return np.full(queries.shape[0], self.missing, self.values.dtype)
+        pos = np.searchsorted(self.keys, queries)
+        np.minimum(pos, self.keys.shape[0] - 1, out=pos)
+        return np.where(self.keys[pos] == queries, self.values[pos], self.missing)
 
 
 class CSRGraph:
@@ -231,61 +273,25 @@ class CSRGraph:
             return float("inf")
         return float(self.out_weights.min())
 
-    def dense_weights(self) -> np.ndarray:
-        """The ``(n, n)`` dense weight matrix (``nan`` where no edge),
-        built once per snapshot and shared read-only.
-
-        Values are the exact float64 weights :meth:`Digraph.weight`
-        returns.  Raises :class:`~repro.exceptions.TableTooLargeError`
-        above the configured dense-table threshold instead of OOMing;
-        use :meth:`pair_weights` for O(m)-memory lookups at any scale.
-        """
-        check_dense_table(self.n, "weight matrix")
-        cached = _DENSE_WEIGHT_CACHE.get(self)
-        if cached is None:
-            w = np.full((self.n, self.n), np.nan, dtype=np.float64)
-            tails = np.repeat(
-                np.arange(self.n, dtype=np.int64), self.out_degrees()
-            )
-            w[tails, self.out_heads] = self.out_weights
-            w.flags.writeable = False
-            cached = _DENSE_WEIGHT_CACHE[self] = w
-        return cached
-
     def pair_weights(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
         """Weights of the ``(tails[i], heads[i])`` edges, ``nan`` where
         no such edge exists.
 
-        Sparse counterpart of ``dense_weights()[tails, heads]``: edges
-        are keyed as ``tail * n + head`` in a sorted int64 array built
-        once per snapshot (O(m) memory), and queries resolve by binary
-        search.  Values are the identical float64 objects, so swapping
-        this in for the dense gather leaves batched cost accumulation
-        bit-equal.
+        Edges are held in a :class:`PairTable` built once per snapshot
+        (O(m) memory) and queries resolve by binary search.  Values are
+        the exact float64 weights :meth:`Digraph.weight` returns, so
+        batched cost accumulation is bit-equal to the per-hop sums.
         """
         lookup = _PAIR_LOOKUP_CACHE.get(self)
         if lookup is None:
             edge_tails = np.repeat(
                 np.arange(self.n, dtype=np.int64), self.out_degrees()
             )
-            keys = edge_tails * np.int64(self.n) + self.out_heads
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            values = self.out_weights[order]
-            keys.flags.writeable = False
-            values.flags.writeable = False
-            lookup = _PAIR_LOOKUP_CACHE[self] = (keys, values)
-        keys, values = lookup
-        queries = (
-            np.asarray(tails, dtype=np.int64) * np.int64(self.n)
-            + np.asarray(heads, dtype=np.int64)
-        )
-        if keys.shape[0] == 0:
-            return np.full(queries.shape[0], np.nan, dtype=np.float64)
-        pos = np.searchsorted(keys, queries)
-        np.minimum(pos, keys.shape[0] - 1, out=pos)
-        found = keys[pos] == queries
-        return np.where(found, values[pos], np.nan)
+            lookup = _PAIR_LOOKUP_CACHE[self] = PairTable.from_entries(
+                self.n, edge_tails * np.int64(self.n) + self.out_heads,
+                self.out_weights, missing=np.nan,
+            )
+        return lookup[tails, heads]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRGraph(n={self.n}, m={self.m})"

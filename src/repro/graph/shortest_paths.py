@@ -401,23 +401,7 @@ class DistanceOracle:
                 self._first_hop = entry.arrays["first"]
                 return self._first_hop
         t0 = time.perf_counter()
-        n = self.n
-        parent = np.asarray(self._parent, dtype=np.int32)
-        rows = np.arange(n, dtype=np.int32)[:, None]
-        cols = np.arange(n, dtype=np.int32)[None, :].repeat(n, axis=0)
-        # F[u, v] = v where parent[u, v] == u, else F[u, parent[u, v]];
-        # resolve the recursion with jump pointers (log diameter
-        # rounds of take_along_axis instead of n^2 chain walks).
-        first = np.where(parent == rows, cols, -1).astype(np.int32)
-        jump = np.where(parent >= 0, parent, cols)
-        while True:
-            hop = np.take_along_axis(first, jump, axis=1)
-            progressed = (first < 0) & (hop >= 0)
-            if not progressed.any():
-                break  # only the diagonal (its parent is -1) remains
-            first = np.where(progressed, hop, first)
-            jump = np.take_along_axis(jump, jump, axis=1)
-        np.fill_diagonal(first, -1)
+        first = self.first_hop_block(0, self.n)
         first.flags.writeable = False
         self._first_hop = first
         if store is not None:
@@ -434,11 +418,9 @@ class DistanceOracle:
         ``O((hi - lo) * n)`` peak memory from the cached parent trees
         (each row is a pure function of its own tree, so the block is
         bit-identical to the corresponding dense slice)."""
-        from repro.graph.blocked import first_hops_from_parents
+        from repro.graph.blocked import first_hops_for_sources
 
-        return first_hops_from_parents(
-            np.asarray(self._parent[lo:hi], dtype=np.int32), lo
-        )
+        return first_hops_for_sources(self._parent[lo:hi], np.arange(lo, hi))
 
     def _first_hop_store_key(self):
         """``(store, key)`` for the persisted first-hop matrix, or

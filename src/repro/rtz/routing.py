@@ -305,14 +305,13 @@ class RTZStretch3:
     def __getstate__(self):
         """Pickle the substrate *without* its compiled step tables.
 
-        The dense :class:`~repro.runtime.engine.SubstrateStepTables`
-        cache (three ``(n, n)``-shaped arrays) is rebuilt worker-side
-        from the substrate's own structures on the first compile, so
-        process-pool shard execution never ships it.
+        The :class:`~repro.runtime.engine.SubstrateStepTables` cache
+        (per table family; ``(n, n)``-shaped in dense storage) is
+        rebuilt worker-side from the substrate's own structures on the
+        first compile, so process-pool shard execution never ships it.
         """
         state = dict(self.__dict__)
         state.pop("_compiled_step_tables", None)
-        state.pop("_compiled_landmark_tables", None)
         return state
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ headers, Python everywhere.  Under traffic that is the last scalar
 bottleneck — a workload of ``10^5`` journeys executes ``10^6+``
 interpreted forwarding decisions.
 
-This module *compiles* a built scheme's forwarding function into dense
+This module *compiles* a built scheme's forwarding function into
 numpy decision tables over the graph's CSR snapshot and executes whole
 workloads as **frontier sweeps**: every in-flight packet advances one
 hop per sweep via array gathers, so the per-hop cost is a few vector
@@ -20,8 +20,9 @@ A scheme opts in by implementing
 :class:`CompiledRoutes`:
 
 * ``tables`` — a :class:`StepTables` giving the *within-leg* decision
-  function as dense next-vertex arrays (ports resolved through
-  ``head_of_port`` at compile time);
+  function as next-vertex lookups ``table[at, target]`` (ports
+  resolved through ``head_of_port`` at compile time); the table family
+  only decides how each table stores its entries (:data:`TABLE_FAMILIES`);
 * ``plan(sources, dests)`` — a :class:`JourneyPlan` describing each
   journey as two legs (outbound, acknowledgment), each a short list of
   :class:`Segment` s (e.g. ``s -> dictionary node``, then
@@ -48,12 +49,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import HopLimitExceeded, RoutingError, TableLookupError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, PairTable
 from repro.graph.digraph import Digraph
 from repro.graph.limits import dense_table_max_n
 from repro.runtime.simulator import (  # noqa: F401  (re-export)
@@ -68,9 +69,10 @@ PHASE_DIRECT = 0
 PHASE_UP = 1
 PHASE_DOWN = 2
 
-#: Compiled-table families: ``dense`` is the original (n, n) matrices,
-#: ``blocked`` the sparse/blocked structures (BlockedNextHop /
-#: LandmarkTables), ``auto`` picks by graph size.
+#: Compiled-table families: ``dense`` stores each step table as
+#: ``(n, n)`` matrices, ``blocked`` as row blocks and sorted pair
+#: tables with o(n²) memory; ``auto`` picks by graph size.  Both make
+#: identical decisions.
 TABLE_FAMILIES = ("auto", "dense", "blocked")
 
 
@@ -96,7 +98,7 @@ def resolve_table_family(tables: str, n: int) -> str:
 # step tables: the compiled within-leg decision function
 # ----------------------------------------------------------------------
 class StepTables:
-    """Vectorized within-leg forwarding over dense next-vertex arrays.
+    """Vectorized within-leg forwarding over next-vertex tables.
 
     Subclasses implement :meth:`begin_phase` (the leg's first decision
     mode, mirroring the scheme's ``begin_leg``) and :meth:`step` (one
@@ -120,41 +122,44 @@ class StepTables:
         raise NotImplementedError
 
 
-class DenseNextHop(StepTables):
-    """Single-matrix step tables: ``next[u, target]`` is the next
-    vertex (full-table schemes; also the looping-stub test double)."""
+def _pack_pairs(n: int, chunks, tables: str, dtype):
+    """Store a table walk's entries the way the family ``tables`` names.
 
-    def __init__(self, next_vertex: np.ndarray):
-        self.next_vertex = next_vertex
-
-    def begin_phase(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
-        return np.zeros(at.shape[0], dtype=np.int8)
-
-    def step(
-        self, at: np.ndarray, target: np.ndarray, phase: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        nxt = self.next_vertex[at, target]
-        if (nxt < 0).any():
-            bad = int(np.flatnonzero(nxt < 0)[0])
-            raise TableLookupError(
-                f"no compiled next hop at vertex {int(at[bad])} toward "
-                f"{int(target[bad])}"
-            )
-        return nxt, phase
+    ``chunks`` yields ``(keys, values)`` lists, entry ``[u, v]`` keyed
+    ``u * n + v`` — its flat index in an ``(n, n)`` matrix.  ``dense``
+    writes each chunk into such a matrix as it arrives; ``blocked``
+    sorts them all into a :class:`~repro.graph.csr.PairTable`.  Absent
+    pairs read ``False`` in a bool table and ``-1`` otherwise, so either
+    storage answers ``table[at, target]`` identically.
+    """
+    missing = False if dtype is bool else -1
+    if tables == "dense":
+        mat = np.full((n, n), missing, dtype=dtype)
+        flat = mat.reshape(-1)
+        for keys, values in chunks:
+            flat[keys] = values
+        return mat
+    keys, values = zip(*(
+        (np.asarray(k, dtype=np.int64), np.asarray(v, dtype=dtype))
+        for k, v in chunks
+    ))
+    return PairTable.from_entries(
+        n, np.concatenate(keys), np.concatenate(values), missing
+    )
 
 
 class BlockedNextHop(StepTables):
-    """Row-blocked first-hop step tables (the sparse ``DenseNextHop``).
+    """Next-hop step tables: ``next[u, target]`` is the next vertex
+    (full-table schemes; also the looping-stub test doubles).
 
-    The ``(n, n)`` next-vertex matrix is split into row blocks of
+    The ``(n, n)`` next-vertex matrix is held as row blocks of
     ``block_rows`` sources each; block ``b`` holds rows
-    ``[b * block_rows, min(n, (b + 1) * block_rows))``.  Blocks are
-    built by streaming source-blocked APSP (never materializing the
-    full matrix) and persisted individually, so later processes
-    memory-map exactly the blocks they touch.  Lookups gather per
-    block but return results in the original batch order, so the
-    decision function — values, phases, and the first-failure error —
-    is bit-identical to :class:`DenseNextHop`.
+    ``[b * block_rows, min(n, (b + 1) * block_rows))``.  Dense storage
+    is the one-block case, gathered in one step; blocked storage keeps
+    each block separately persistable, so later processes memory-map
+    exactly the blocks they touch.  Lookups return results in batch
+    order either way, so the decision function — values, phases, and
+    the first-failure error — does not depend on the block geometry.
     """
 
     def __init__(self, n: int, block_rows: int, blocks: Sequence[np.ndarray]):
@@ -172,12 +177,15 @@ class BlockedNextHop(StepTables):
     def step(
         self, at: np.ndarray, target: np.ndarray, phase: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        nxt = np.empty(at.shape[0], dtype=np.int64)
-        bidx = at // self.block_rows
-        for b in np.unique(bidx):
-            sel = bidx == b
-            block = self.blocks[int(b)]
-            nxt[sel] = block[at[sel] - int(b) * self.block_rows, target[sel]]
+        if len(self.blocks) == 1:
+            nxt = self.blocks[0][at, target]
+        else:
+            nxt = np.empty(at.shape[0], dtype=np.int64)
+            bidx = at // self.block_rows
+            for b in np.unique(bidx):
+                sel = bidx == b
+                block = self.blocks[int(b)]
+                nxt[sel] = block[at[sel] - int(b) * self.block_rows, target[sel]]
         if (nxt < 0).any():
             bad = int(np.flatnonzero(nxt < 0)[0])
             raise TableLookupError(
@@ -187,17 +195,30 @@ class BlockedNextHop(StepTables):
         return nxt, phase
 
 
+def compile_next_hop(oracle, tables: str = "dense") -> BlockedNextHop:
+    """Next-hop step tables of full-table forwarding in the given
+    family: ``dense`` is one block holding the oracle's memoized
+    first-hop matrix (persisted under ``first-hop``, and patched
+    row-wise by incremental repair); ``blocked`` is
+    :func:`compile_blocked_next_hop`'s per-block rows."""
+    if tables == "blocked":
+        return compile_blocked_next_hop(oracle)
+    return BlockedNextHop(oracle.n, oracle.n, [oracle.first_hop_matrix()])
+
+
 def compile_blocked_next_hop(
     oracle, block_rows: Optional[int] = None
 ) -> BlockedNextHop:
     """Build :class:`BlockedNextHop` tables from a distance oracle,
     one source block at a time.
 
-    Each block is computed via :meth:`DistanceOracle.first_hop_block`
-    (peak memory ``O(block_rows * n)``) and, when the artifact store is
-    active, persisted under its own ``first-hop-block`` key — keyed by
-    (graph content hash, block geometry) — so warm processes
-    memory-map blocks instead of recomputing them.
+    Each block is folded from the oracle's parent rows via
+    :meth:`DistanceOracle.first_hop_block` (peak memory
+    ``O(block_rows * n)`` beyond the oracle itself) and, when the
+    artifact store is active, persisted under its own
+    ``first-hop-block`` key — keyed by (graph content hash, block
+    geometry) — so warm processes memory-map blocks instead of
+    recomputing them.
     """
     from repro.graph.blocked import default_block_rows
 
@@ -249,39 +270,80 @@ def compile_blocked_next_hop(
 class SubstrateStepTables(StepTables):
     """Compiled Lemma 2 substrate legs (direct / up-tree / down-tree).
 
+    ``direct_next`` and ``down_next`` are read as ``table[at, target]``
+    and hold ``-1`` where there is no entry.  Dense storage keeps them
+    as ``(n, n)`` int32 matrices; blocked storage as
+    :class:`~repro.graph.csr.PairTable` s — the paper's landmark
+    factorization in o(n²) memory.
+
     Attributes:
-        direct_next: ``(n, n)`` int32 — next vertex on the direct
-            (cluster) path toward ``target``, ``-1`` when ``at`` has no
-            direct entry.
+        direct_next: next vertex on the direct (cluster) path toward
+            ``target``; present exactly when ``target`` is in ``at``'s
+            cluster, the membership test ``begin_leg`` makes (Θ(n·√n)
+            entries for the balanced RTZ clusters).
         up_next: ``(n, C)`` int32 — next vertex toward landmark
-            (column = landmark index), ``-1`` at the landmark itself.
-        down_next: ``(n, n)`` int32 — next vertex from ``at`` toward
-            ``target`` inside ``OutTree(center(target))``; only slots
-            on canonical ``center -> target`` paths are populated.
+            (column = landmark index), ``-1`` at the landmark itself;
+            O(n·√n), so dense in both storages.
+        down_next: next vertex from ``at`` toward ``target`` inside
+            ``OutTree(center(target))``; only slots on canonical
+            ``center -> target`` paths are populated (O(n · avg path
+            length) entries).
         center_of: ``(n,)`` int32 — ``a(v)``, the home landmark vertex.
         center_idx: ``(n,)`` int32 — column of ``a(v)`` in ``up_next``.
-        has_direct: ``(n, n)`` bool — the cluster membership test
-            ``begin_leg`` makes.
     """
 
     def __init__(
         self,
-        direct_next: np.ndarray,
+        direct_next,
         up_next: np.ndarray,
-        down_next: np.ndarray,
+        down_next,
         center_of: np.ndarray,
         center_idx: np.ndarray,
-        has_direct: np.ndarray,
     ):
         self.direct_next = direct_next
         self.up_next = up_next
         self.down_next = down_next
         self.center_of = center_of
         self.center_idx = center_idx
-        self.has_direct = has_direct
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """The persisted form: a pair table stores ``<leg>_keys`` and
+        ``<leg>_next``, a matrix ``<leg>_next`` alone."""
+        out = {
+            "up_next": self.up_next,
+            "center_of": self.center_of,
+            "center_idx": self.center_idx,
+        }
+        for leg in ("direct", "down"):
+            table = getattr(self, f"{leg}_next")
+            if isinstance(table, PairTable):
+                out[f"{leg}_keys"] = table.keys
+                table = table.values
+            out[f"{leg}_next"] = table
+        return out
+
+    @classmethod
+    def from_arrays(
+        cls, n: int, arrays: Dict[str, np.ndarray]
+    ) -> "SubstrateStepTables":
+        """Inverse of :meth:`arrays`."""
+
+        def table(leg: str):
+            nxt = arrays[f"{leg}_next"]
+            keys = arrays.get(f"{leg}_keys")
+            return nxt if keys is None else PairTable(n, keys, nxt)
+
+        return cls(
+            table("direct"), arrays["up_next"], table("down"),
+            arrays["center_of"], arrays["center_idx"],
+        )
+
+    def nbytes(self) -> int:
+        """Bytes across every table (the o(n²) claim is testable)."""
+        return sum(int(arr.nbytes) for arr in self.arrays().values())
 
     def begin_phase(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
-        direct = (at == target) | self.has_direct[at, target]
+        direct = (at == target) | (self.direct_next[at, target] >= 0)
         at_center = at == self.center_of[target]
         return np.where(
             direct, PHASE_DIRECT, np.where(at_center, PHASE_DOWN, PHASE_UP)
@@ -314,135 +376,41 @@ class SubstrateStepTables(StepTables):
         return nxt, phase
 
 
-def _sorted_pair_lookup(
-    keys: np.ndarray,
-    values: np.ndarray,
-    at: np.ndarray,
-    target: np.ndarray,
-    n: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Query a sorted ``(u * n + v) -> next`` table by binary search.
+#: Store (kind, version) of each family's substrate tables.  Dense
+#: entries are version 2: their layout has no ``has_direct`` matrix
+#: (``direct_next >= 0`` is the membership test), so older ones miss.
+_SUBSTRATE_STORE_KINDS = {
+    "dense": ("substrate-tables", 2),
+    "blocked": ("landmark-tables", 1),
+}
 
-    Returns ``(next_vertices, found)`` with ``-1`` where the pair has
-    no entry — the sparse analogue of gathering a ``-1``-filled dense
-    matrix at ``[at, target]``.
+
+def compile_substrate_tables(
+    substrate, tables: str = "dense"
+) -> SubstrateStepTables:
+    """Compile an :class:`~repro.rtz.routing.RTZStretch3` substrate's
+    three forwarding structures into step tables of the given family.
+
+    One walk of the substrate collects the direct and down-tree
+    entries; ``dense`` scatters them into ``(n, n)`` matrices and
+    ``blocked`` packs them into sorted pair tables.  Both make
+    identical decisions — the family only changes memory.
+
+    Results are cached on the substrate per family
+    (``_compiled_step_tables``), so every scheme sharing one substrate
+    (stretch-6, its variant, wild names, the RTZ baseline —
+    deduplicated by :func:`repro.rtz.routing.shared_substrate`)
+    compiles it at most once per family.
+
+    When the artifact store is active (:func:`repro.store.default_store`)
+    the arrays are persisted keyed by ``(graph content hash, landmark
+    set)`` — a pure function of those two, so no seed enters the key —
+    and later compiles (other processes, pool shard workers rehydrating
+    a pickled scheme) memory-map them instead of rebuilding.
     """
-    queries = at.astype(np.int64) * np.int64(n) + target.astype(np.int64)
-    if keys.shape[0] == 0:
-        return (
-            np.full(queries.shape[0], -1, dtype=np.int64),
-            np.zeros(queries.shape[0], dtype=bool),
-        )
-    pos = np.searchsorted(keys, queries)
-    np.minimum(pos, keys.shape[0] - 1, out=pos)
-    found = keys[pos] == queries
-    nxt = np.where(found, values[pos], -1).astype(np.int64)
-    return nxt, found
-
-
-class LandmarkTables(StepTables):
-    """Landmark-factored substrate step tables with o(n²) memory.
-
-    Same decision function as :class:`SubstrateStepTables` — the paper's
-    Lemma 2 direct / up-tree / down-tree factorization — but the two
-    quadratic matrices become sorted sparse pair tables:
-
-    * ``direct`` holds one entry per cluster membership (Θ(n·√n) for
-      the balanced RTZ clusters), replacing both ``direct_next`` and
-      ``has_direct``;
-    * ``down`` holds one entry per (ancestor, descendant) slot on a
-      canonical ``center(v) -> v`` path — at most one entry per
-      (vertex on path, v), i.e. O(n · avg path length);
-    * ``up_next`` stays dense at ``(n, C)`` = O(n·√n).
-
-    Every lookup returns the identical int32 next-vertex values the
-    dense tables hold, so routing is bit-identical across families.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        direct_keys: np.ndarray,
-        direct_next: np.ndarray,
-        down_keys: np.ndarray,
-        down_next: np.ndarray,
-        up_next: np.ndarray,
-        center_of: np.ndarray,
-        center_idx: np.ndarray,
-    ):
-        self.n = int(n)
-        self.direct_keys = direct_keys
-        self.direct_next = direct_next
-        self.down_keys = down_keys
-        self.down_next = down_next
-        self.up_next = up_next
-        self.center_of = center_of
-        self.center_idx = center_idx
-
-    def nbytes(self) -> int:
-        """Bytes across every table (the o(n²) claim is testable)."""
-        return sum(
-            int(arr.nbytes)
-            for arr in (
-                self.direct_keys, self.direct_next, self.down_keys,
-                self.down_next, self.up_next, self.center_of,
-                self.center_idx,
-            )
-        )
-
-    def begin_phase(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
-        _, has_direct = _sorted_pair_lookup(
-            self.direct_keys, self.direct_next, at, target, self.n
-        )
-        direct = (at == target) | has_direct
-        at_center = at == self.center_of[target]
-        return np.where(
-            direct, PHASE_DIRECT, np.where(at_center, PHASE_DOWN, PHASE_UP)
-        ).astype(np.int8)
-
-    def step(
-        self, at: np.ndarray, target: np.ndarray, phase: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        center = self.center_of[target]
-        phase = np.where(
-            (phase == PHASE_UP) & (at == center), PHASE_DOWN, phase
-        ).astype(np.int8)
-        direct_nxt, _ = _sorted_pair_lookup(
-            self.direct_keys, self.direct_next, at, target, self.n
-        )
-        down_nxt, _ = _sorted_pair_lookup(
-            self.down_keys, self.down_next, at, target, self.n
-        )
-        nxt = np.where(
-            phase == PHASE_DIRECT,
-            direct_nxt,
-            np.where(
-                phase == PHASE_UP,
-                self.up_next[at, self.center_idx[target]],
-                down_nxt,
-            ),
-        )
-        if (nxt < 0).any():
-            bad = int(np.flatnonzero(nxt < 0)[0])
-            raise TableLookupError(
-                f"no compiled substrate entry at vertex {int(at[bad])} "
-                f"toward {int(target[bad])} (phase {int(phase[bad])})"
-            )
-        return nxt, phase
-
-
-def compile_landmark_tables(substrate) -> LandmarkTables:
-    """Compile a substrate into :class:`LandmarkTables` (the blocked /
-    sparse family counterpart of :func:`compile_substrate_tables`).
-
-    Cached on the substrate (``_compiled_landmark_tables``) and, when
-    the artifact store is active, persisted under a
-    ``landmark-tables`` key so warm processes memory-map the sorted
-    pair tables instead of rebuilding them.
-    """
-    cached = getattr(substrate, "_compiled_landmark_tables", None)
-    if cached is not None:
-        return cached
+    cache = substrate.__dict__.setdefault("_compiled_step_tables", {})
+    if tables in cache:
+        return cache[tables]
     g: Digraph = substrate.metric.oracle.graph
     n = g.n
     centers = substrate.centers
@@ -452,31 +420,27 @@ def compile_landmark_tables(substrate) -> LandmarkTables:
     store = default_store()
     store_key = None
     if store is not None and g.frozen:
+        kind, version = _SUBSTRATE_STORE_KINDS[tables]
         store_key = StoreKey(
-            "landmark-tables",
-            1,
+            kind,
+            version,
             {"graph": graph_content_hash(g), "centers": [int(c) for c in centers]},
         )
         entry = store.get(store_key)
         if entry is not None and entry.arrays["up_next"].shape == (
             n, len(centers),
         ):
-            a = entry.arrays
-            tables = LandmarkTables(
-                n, a["direct_keys"], a["direct_next"],
-                a["down_keys"], a["down_next"], a["up_next"],
-                a["center_of"], a["center_idx"],
-            )
-            substrate._compiled_landmark_tables = tables
-            return tables
+            cache[tables] = SubstrateStepTables.from_arrays(n, entry.arrays)
+            return cache[tables]
     t0 = time.perf_counter()
-    cindex = {c: i for i, c in enumerate(centers)}
 
-    direct_pairs: List[Tuple[int, int]] = []
-    for u in range(n):
-        for v, port in substrate._direct[u].items():
-            direct_pairs.append((u * n + v, g.head_of_port(u, port)))
-    direct_keys, direct_next = _pack_pair_table(direct_pairs)
+    def direct():
+        for u in range(n):
+            ports = substrate._direct[u]
+            yield (
+                [u * n + v for v in ports],
+                [g.head_of_port(u, port) for port in ports.values()],
+            )
 
     up_next = np.full((n, len(centers)), -1, dtype=np.int32)
     for ci, c in enumerate(centers):
@@ -486,171 +450,37 @@ def compile_landmark_tables(substrate) -> LandmarkTables:
                 continue
             up_next[u, ci] = g.head_of_port(u, in_tree.next_port(u))
 
-    center_of = np.empty(n, dtype=np.int32)
-    center_idx = np.empty(n, dtype=np.int32)
-    down_pairs: List[Tuple[int, int]] = []
-    parents = {
-        c: substrate.metric.oracle.forward_tree_parents(c) for c in centers
-    }
-    for v in range(n):
-        c = substrate.assignment.home_center(v)
-        center_of[v] = c
-        center_idx[v] = cindex[c]
-        par = parents[c]
-        x = v
-        while x != c:
-            p = par[x]
-            down_pairs.append((p * n + v, x))
-            x = p
-
-    down_keys, down_next = _pack_pair_table(down_pairs)
-    tables = LandmarkTables(
-        n, direct_keys, direct_next, down_keys, down_next,
-        up_next, center_of, center_idx,
-    )
-    substrate._compiled_landmark_tables = tables
-    if store_key is not None:
-        store.put(
-            store_key,
-            {
-                "direct_keys": direct_keys,
-                "direct_next": direct_next,
-                "down_keys": down_keys,
-                "down_next": down_next,
-                "up_next": up_next,
-                "center_of": center_of,
-                "center_idx": center_idx,
-            },
-            meta={"centers": len(centers)},
-            build_seconds=time.perf_counter() - t0,
-        )
-    return tables
-
-
-def _pack_pair_table(
-    pairs: List[Tuple[int, int]],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sort ``(key, next_vertex)`` pairs into aligned lookup arrays.
-
-    Keys are unique by construction (one entry per table slot), so the
-    sorted form is canonical — store round-trips rehydrate the exact
-    same bytes.
-    """
-    if not pairs:
-        return (
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32),
-        )
-    arr = np.asarray(pairs, dtype=np.int64)
-    order = np.argsort(arr[:, 0], kind="stable")
-    keys = np.ascontiguousarray(arr[order, 0])
-    values = np.ascontiguousarray(arr[order, 1].astype(np.int32))
-    return keys, values
-
-
-def compile_substrate_tables(substrate, tables: str = "dense") -> StepTables:
-    """Compile an :class:`~repro.rtz.routing.RTZStretch3` substrate's
-    three forwarding structures into step tables.
-
-    ``tables="dense"`` yields the original :class:`SubstrateStepTables`
-    (three ``(n, n)`` arrays); ``tables="blocked"`` dispatches to
-    :func:`compile_landmark_tables`, the o(n²) landmark-factored form.
-    Both make identical decisions — the family only changes memory.
-
-    The dense result is cached on the substrate object, so every scheme
-    sharing one substrate (stretch-6, its variant, wild names, the RTZ
-    baseline — deduplicated by :func:`repro.rtz.routing.shared_substrate`)
-    compiles it exactly once.
-
-    When the artifact store is active (:func:`repro.store.default_store`)
-    the six dense arrays are persisted keyed by ``(graph content hash,
-    landmark set)`` — a pure function of those two, so no seed enters
-    the key — and later compiles (other processes, pool shard workers
-    rehydrating a pickled scheme) memory-map them instead of rebuilding.
-    """
-    if tables == "blocked":
-        return compile_landmark_tables(substrate)
-    cached = getattr(substrate, "_compiled_step_tables", None)
-    if cached is not None:
-        return cached
-    g: Digraph = substrate.metric.oracle.graph
-    n = g.n
-    centers = substrate.centers
-
-    from repro.store import StoreKey, default_store, graph_content_hash
-
-    store = default_store()
-    store_key = None
-    if store is not None and g.frozen:
-        store_key = StoreKey(
-            "substrate-tables",
-            1,
-            {"graph": graph_content_hash(g), "centers": [int(c) for c in centers]},
-        )
-        entry = store.get(store_key)
-        if entry is not None and entry.arrays["direct_next"].shape == (n, n):
-            a = entry.arrays
-            tables = SubstrateStepTables(
-                a["direct_next"], a["up_next"], a["down_next"],
-                a["center_of"], a["center_idx"], a["has_direct"],
-            )
-            substrate._compiled_step_tables = tables
-            return tables
-    t0 = time.perf_counter()
+    home = [substrate.assignment.home_center(v) for v in range(n)]
     cindex = {c: i for i, c in enumerate(centers)}
-
-    direct_next = np.full((n, n), -1, dtype=np.int32)
-    has_direct = np.zeros((n, n), dtype=bool)
-    for u in range(n):
-        for v, port in substrate._direct[u].items():
-            direct_next[u, v] = g.head_of_port(u, port)
-            has_direct[u, v] = True
-
-    up_next = np.full((n, len(centers)), -1, dtype=np.int32)
-    for ci, c in enumerate(centers):
-        in_tree = substrate._in_trees[c]
-        for u in range(n):
-            if u == c:
-                continue
-            up_next[u, ci] = g.head_of_port(u, in_tree.next_port(u))
-
-    # Down-tree entries are only ever consulted on canonical
-    # center(v) -> v paths, so populate exactly those.
-    center_of = np.empty(n, dtype=np.int32)
-    center_idx = np.empty(n, dtype=np.int32)
-    down_next = np.full((n, n), -1, dtype=np.int32)
     parents = {
         c: substrate.metric.oracle.forward_tree_parents(c) for c in centers
     }
-    for v in range(n):
-        c = substrate.assignment.home_center(v)
-        center_of[v] = c
-        center_idx[v] = cindex[c]
-        par = parents[c]
-        x = v
-        while x != c:
-            p = par[x]
-            down_next[p, v] = x
-            x = p
 
-    tables = SubstrateStepTables(
-        direct_next, up_next, down_next, center_of, center_idx, has_direct
+    def down():
+        # Down-tree entries are only ever consulted on canonical
+        # center(v) -> v paths, so populate exactly those: walking up
+        # from v, each parent's entry toward v is the vertex below it.
+        for v, c in enumerate(home):
+            path = [v]
+            while path[-1] != c:
+                path.append(parents[c][path[-1]])
+            yield [p * n + v for p in path[1:]], path[:-1]
+
+    step = cache[tables] = SubstrateStepTables(
+        _pack_pairs(n, direct(), tables, np.int32),
+        up_next,
+        _pack_pairs(n, down(), tables, np.int32),
+        np.array(home, dtype=np.int32),
+        np.array([cindex[c] for c in home], dtype=np.int32),
     )
-    substrate._compiled_step_tables = tables
     if store_key is not None:
         store.put(
             store_key,
-            {
-                "direct_next": direct_next,
-                "up_next": up_next,
-                "down_next": down_next,
-                "center_of": center_of,
-                "center_idx": center_idx,
-                "has_direct": has_direct,
-            },
+            step.arrays(),
             meta={"centers": len(centers)},
             build_seconds=time.perf_counter() - t0,
         )
-    return tables
+    return step
 
 
 # ----------------------------------------------------------------------
@@ -717,49 +547,29 @@ def constant_bits(value: int, batch: int) -> np.ndarray:
     return np.full(batch, int(value), dtype=np.int64)
 
 
-class DenseKnowledge:
-    """Planner inputs for the dictionary-based schemes, dense form:
-    an ``(n, n)`` bool "holds the destination's label locally" matrix
-    plus the (already sub-quadratic) block-pointer tables."""
+class Knowledge:
+    """Planner inputs for the dictionary-based schemes.
 
-    def __init__(
-        self, knows: np.ndarray, block_ptr: np.ndarray, bov: np.ndarray
-    ):
-        self._knows = knows
+    ``known[u, v]`` — does ``u`` hold ``v``'s label locally — is an
+    ``(n, n)`` bool matrix in dense storage, a
+    :class:`~repro.graph.csr.PairTable` in blocked storage (one int64
+    key and one bool per (node, known destination) pair, Θ(n·√n) for
+    the paper's table sizes).  The block-pointer tables are already
+    sub-quadratic.
+    """
+
+    def __init__(self, known, block_ptr: np.ndarray, bov: np.ndarray):
+        self.known = known
         self.block_ptr = block_ptr
         self.block_of_vertex = bov
 
     def local(self, sources: np.ndarray, dests: np.ndarray) -> np.ndarray:
         """Whether each source holds its destination's label locally."""
-        return self._knows[sources, dests]
+        return self.known[sources, dests]
 
     def dict_node(self, sources: np.ndarray, dests: np.ndarray) -> np.ndarray:
         """The dictionary holder each source consults for its dest."""
         return self.block_ptr[sources, self.block_of_vertex[dests]]
-
-
-class SparseKnowledge(DenseKnowledge):
-    """Same planner answers from a sorted membership-key set instead of
-    the ``(n, n)`` bool matrix: each (node, known destination) pair is
-    one int64 key, Θ(n·√n) total for the paper's table sizes."""
-
-    def __init__(
-        self, n: int, keys: np.ndarray, block_ptr: np.ndarray, bov: np.ndarray
-    ):
-        super().__init__(None, block_ptr, bov)
-        self.n = int(n)
-        self.keys = keys
-
-    def local(self, sources: np.ndarray, dests: np.ndarray) -> np.ndarray:
-        queries = (
-            sources.astype(np.int64) * np.int64(self.n)
-            + dests.astype(np.int64)
-        )
-        if self.keys.shape[0] == 0:
-            return np.zeros(queries.shape[0], dtype=bool)
-        pos = np.searchsorted(self.keys, queries)
-        np.minimum(pos, self.keys.shape[0] - 1, out=pos)
-        return self.keys[pos] == queries
 
 
 def compile_knowledge(
@@ -770,7 +580,7 @@ def compile_knowledge(
     num_blocks: int,
     block_of_vertex,
     tables: str = "dense",
-) -> DenseKnowledge:
+) -> Knowledge:
     """Planner inputs shared by the dictionary-based schemes.
 
     Args:
@@ -784,33 +594,23 @@ def compile_knowledge(
             (case 2).
         num_blocks: size of the block space.
         block_of_vertex: vertex -> responsible block index.
-        tables: ``"dense"`` builds the ``(n, n)`` bool matrix;
-            ``"blocked"`` builds the sorted-key :class:`SparseKnowledge`
-            (identical answers, Θ(table entries) memory).
-
-    Returns:
-        A :class:`DenseKnowledge` (or :class:`SparseKnowledge`).
+        tables: table family of the ``known`` membership table
+            (identical answers; ``blocked`` uses Θ(table entries)
+            memory).
     """
     block_ptr = np.full((n, num_blocks), -1, dtype=np.int64)
     for u in range(n):
         for b, holder in block_ptr_tables[u].items():
             block_ptr[u, b] = holder
     bov = np.array([block_of_vertex(v) for v in range(n)], dtype=np.int64)
-    if tables == "blocked":
-        raw_keys = [
-            u * n + resolve(key)
-            for table in label_tables
-            for u in range(n)
-            for key in table[u]
-        ]
-        keys = np.unique(np.asarray(raw_keys, dtype=np.int64))
-        return SparseKnowledge(n, keys, block_ptr, bov)
-    knows = np.zeros((n, n), dtype=bool)
-    for table in label_tables:
-        for u in range(n):
-            for key in table[u]:
-                knows[u, resolve(key)] = True
-    return DenseKnowledge(knows, block_ptr, bov)
+
+    def known():
+        for table in label_tables:
+            for u in range(n):
+                keys = [u * n + resolve(key) for key in table[u]]
+                yield keys, [True] * len(keys)
+
+    return Knowledge(_pack_pairs(n, known(), tables, bool), block_ptr, bov)
 
 
 # ----------------------------------------------------------------------

@@ -128,29 +128,12 @@ class RoutingScheme(abc.ABC):
         by graph size via
         :func:`repro.runtime.engine.resolve_table_family`.
         """
-        import inspect
-
         from repro.runtime.engine import resolve_table_family
 
         family = resolve_table_family(tables, self.graph.n)
-        cache = getattr(self, "_compiled_routes", None)
-        if cache is None:
-            cache = self._compiled_routes = {}
+        cache = self.__dict__.setdefault("_compiled_routes", {})
         if family not in cache:
-            try:
-                accepts_family = (
-                    "tables" in inspect.signature(self.compile_tables).parameters
-                )
-            except (TypeError, ValueError):  # pragma: no cover - C callables
-                accepts_family = False
-            if accepts_family:
-                cache[family] = self.compile_tables(tables=family)
-            elif family == "dense":
-                # Pre-family compile_tables() overrides only know how to
-                # build dense tables.
-                cache[family] = self.compile_tables()
-            else:
-                cache[family] = None
+            cache[family] = self.compile_tables(tables=family)
         return cache[family]
 
     def __getstate__(self):

@@ -83,18 +83,14 @@ class ShortestPathScheme(RoutingScheme):
     # ------------------------------------------------------------------
     def compile_tables(self, tables: str = "dense"):
         """Next-hop tables: one leg per direction, headers of constant
-        shape (``mode``/``dest``/``src``).  ``tables="dense"`` builds
-        the monolithic first-hop matrix; ``tables="blocked"`` streams
-        per-source row blocks (:class:`BlockedNextHop`) so peak memory
-        never reaches n²."""
+        shape (``mode``/``dest``/``src``)."""
         import numpy as np
 
         from repro.runtime.engine import (
             CompiledRoutes,
-            DenseNextHop,
             JourneyPlan,
             Segment,
-            compile_blocked_next_hop,
+            compile_next_hop,
             constant_bits,
         )
         from repro.runtime.scheme import NEW_PACKET, RETURN_PACKET
@@ -110,10 +106,7 @@ class ShortestPathScheme(RoutingScheme):
         b_out = header_bits(out, n)
         b_ret = header_bits(ret, n)
         b_back = header_bits(back, n)
-        if tables == "blocked":
-            step_tables = compile_blocked_next_hop(self._oracle)
-        else:
-            step_tables = DenseNextHop(self._oracle.first_hop_matrix())
+        step_tables = compile_next_hop(self._oracle, tables)
 
         def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
             batch = sources.shape[0]

@@ -216,7 +216,7 @@ class StretchSixScheme(RoutingScheme):
     def _compiled_knowledge(self, tables: str = "dense"):
         """Planner inputs: does ``u`` hold ``R3(v)`` locally (cases 1/3
         of Fig. 3) and the per-source dictionary-node matrix (case 2),
-        dense or sorted-key sparse per the table family."""
+        stored per the table family."""
         from repro.runtime.engine import compile_knowledge
 
         return compile_knowledge(
@@ -268,8 +268,7 @@ def compile_fig3_routes(
             ``make_return_header``.
         outbound_mode: the scheme's outbound header mode tag.
         inbound_mode: the scheme's inbound header mode tag.
-        knowledge: a :class:`repro.runtime.engine.DenseKnowledge` (or
-            sparse subclass) from
+        knowledge: a :class:`repro.runtime.engine.Knowledge` from
             :func:`repro.runtime.engine.compile_knowledge`.
         tables: compiled-table family for the substrate step tables.
     """

@@ -2,8 +2,9 @@
 
 The persistence tier beneath :class:`repro.api.Network`'s in-memory
 artifact cache: oracle distance/parent matrices, RTZ substrate arrays,
-and compiled decision tables (:class:`~repro.runtime.engine.DenseNextHop`
-first-hop matrices, :class:`~repro.runtime.engine.SubstrateStepTables`)
+and compiled decision tables (first-hop matrices and blocks behind
+:class:`~repro.runtime.engine.BlockedNextHop`,
+:class:`~repro.runtime.engine.SubstrateStepTables`)
 serialize to memory-mappable ``.npz`` blobs with JSON sidecar
 manifests, keyed by ``(graph content hash, seed, params, schema
 version)``.  CLI runs, bench runs, process-pool shard workers, and a

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +249,12 @@ class TestSpecsListing:
         for spec in all_specs():
             assert spec.summary
             assert spec.bound_text != "?"
+
+
+def test_readme_python_api_example_runs(capsys):
+    """The README's Python API example runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Python API\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(example, "README.md", "exec"), {})
+    assert "stretch6" in capsys.readouterr().out

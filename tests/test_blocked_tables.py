@@ -12,9 +12,9 @@ halves down:
 * property (hypothesis): for *any* block size — 1, ``n``, non-dividing —
   blocked APSP block concatenation equals the monolithic matrices
   bit-for-bit, and per-block store artifacts rehydrate bit-identically;
-* limits: ``dense_weights()`` / ``first_hop_matrix()`` raise
-  :class:`TableTooLargeError` above the ``REPRO_DENSE_MAX_N`` threshold
-  instead of OOMing, and ``--tables auto`` flips to blocked there;
+* limits: ``first_hop_matrix()`` raises :class:`TableTooLargeError`
+  above the ``REPRO_DENSE_MAX_N`` threshold instead of OOMing, and
+  ``--tables auto`` flips to blocked there;
 * memory: landmark-factored substrate tables stay o(n²).
 """
 
@@ -33,11 +33,16 @@ from repro.exceptions import (
     GraphError,
     HopLimitExceeded,
     RoutingError,
+    TableLookupError,
     TableTooLargeError,
 )
-from repro.graph.apsp import apsp_blocks, apsp_matrices
-from repro.graph.blocked import default_block_rows, iter_first_hop_blocks
-from repro.graph.csr import CSRGraph
+from repro.graph.apsp import apsp_blocks, apsp_matrices, apsp_rows
+from repro.graph.blocked import (
+    default_block_rows,
+    first_hops_for_sources,
+    iter_first_hop_blocks,
+)
+from repro.graph.csr import CSRGraph, PairTable
 from repro.graph.digraph import Digraph
 from repro.graph.generators import random_strongly_connected
 from repro.graph.limits import (
@@ -46,15 +51,14 @@ from repro.graph.limits import (
 )
 from repro.graph.shortest_paths import DistanceOracle
 from repro.runtime.engine import (
+    PHASE_DIRECT,
+    PHASE_DOWN,
     TABLE_FAMILIES,
     BlockedNextHop,
     CompiledRoutes,
-    DenseNextHop,
     JourneyPlan,
-    LandmarkTables,
     Segment,
     compile_blocked_next_hop,
-    compile_landmark_tables,
     compile_substrate_tables,
     constant_bits,
     resolve_table_family,
@@ -238,7 +242,7 @@ class BlockCrossingLoopingScheme(RoutingScheme):
                 6, 2, [next_vertex[lo:lo + 2] for lo in range(0, 6, 2)]
             )
         else:
-            step = DenseNextHop(next_vertex)
+            step = BlockedNextHop(6, 6, [next_vertex])
 
         def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
             batch = sources.shape[0]
@@ -292,6 +296,28 @@ def test_blocked_lookup_error_matches_dense():
         phase = compiled.tables.begin_phase(at, target)
         with pytest.raises(Exception, match="no compiled next hop at vertex 2"):
             compiled.tables.step(at, target, phase)
+    # substrate legs: a missing direct entry and a missing down-tree
+    # entry, looked up in both storages
+    substrate = Network.from_family("random", 16, seed=5).rtz()
+    dense = compile_substrate_tables(substrate, "dense")
+    off_diagonal = ~np.eye(16, dtype=bool)
+    missing = {
+        PHASE_DIRECT: np.argwhere((dense.direct_next < 0) & off_diagonal)[0],
+        PHASE_DOWN: np.argwhere((dense.down_next < 0) & off_diagonal)[0],
+    }
+    for leg_phase, (at, target) in missing.items():
+        expected = (
+            f"no compiled substrate entry at vertex {at} toward {target} "
+            f"(phase {leg_phase})"
+        )
+        for tables in ("dense", "blocked"):
+            step = compile_substrate_tables(substrate, tables)
+            with pytest.raises(TableLookupError) as exc:
+                step.step(
+                    np.array([at]), np.array([target]),
+                    np.array([leg_phase], dtype=np.int8),
+                )
+            assert str(exc.value) == expected
 
 
 # ----------------------------------------------------------------------
@@ -312,7 +338,8 @@ def _graph(n: int, seed: int) -> Digraph:
 def test_apsp_blocks_concat_equals_monolithic(n, block_rows, seed):
     """Block size 1, n, and non-dividing sizes all reproduce the
     monolithic APSP matrices bit-for-bit."""
-    csr = CSRGraph.from_digraph(_graph(n, seed))
+    graph = _graph(n, seed)
+    csr = CSRGraph.from_digraph(graph)
     d, parent = apsp_matrices(csr)
     los, his, d_blocks, p_blocks = [], [], [], []
     for lo, hi, d_blk, p_blk in apsp_blocks(csr, block_rows=block_rows):
@@ -329,6 +356,14 @@ def test_apsp_blocks_concat_equals_monolithic(n, block_rows, seed):
     assert d_cat.dtype == d.dtype and p_cat.dtype == parent.dtype
     assert np.array_equal(d_cat, d)  # bit-identical floats (no inf here)
     assert np.array_equal(p_cat, parent)
+    # ... and so do scattered rows: shuffled, with repeats
+    rng = random.Random(seed * 100 + block_rows)
+    sources = [rng.randrange(n) for _ in range(n + 3)]
+    d_rows, p_rows = apsp_rows(csr, sources)
+    assert np.array_equal(d_rows, d[sources])
+    assert np.array_equal(p_rows, parent[sources])
+    first = DistanceOracle(graph).first_hop_matrix()
+    assert np.array_equal(first_hops_for_sources(p_rows, sources), first[sources])
 
 
 @settings(max_examples=20, deadline=None)
@@ -385,16 +420,17 @@ def test_landmark_tables_store_round_trip(net):
     with tempfile.TemporaryDirectory(prefix="repro-lmk-") as root:
         store = ArtifactStore(root)
         with store_override(store):
-            substrate.__dict__.pop("_compiled_landmark_tables", None)
-            built = compile_landmark_tables(substrate)
+            substrate.__dict__.pop("_compiled_step_tables", None)
+            built = compile_substrate_tables(substrate, "blocked")
             assert store.puts == 1
-            substrate.__dict__.pop("_compiled_landmark_tables", None)
-            rehydrated = compile_landmark_tables(substrate)
+            substrate.__dict__.pop("_compiled_step_tables", None)
+            rehydrated = compile_substrate_tables(substrate, "blocked")
             assert store.puts == 1  # served from the store, not rebuilt
-    substrate.__dict__.pop("_compiled_landmark_tables", None)
+    substrate.__dict__.pop("_compiled_step_tables", None)
     assert rehydrated is not built
+    assert set(built.arrays()) == set(arrays)
     for name in arrays:
-        a, b = getattr(built, name), getattr(rehydrated, name)
+        a, b = built.arrays()[name], rehydrated.arrays()[name]
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
@@ -404,16 +440,12 @@ def test_landmark_tables_store_round_trip(net):
 
 
 class TestDenseTableLimit:
-    def test_dense_weights_raises_above_threshold(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DENSE_MAX_N", "8")
-        csr = CSRGraph.from_digraph(_graph(12, seed=2))
-        with pytest.raises(TableTooLargeError, match="REPRO_DENSE_MAX_N"):
-            csr.dense_weights()
-
     def test_first_hop_matrix_raises_above_threshold(self, monkeypatch):
         monkeypatch.setenv("REPRO_DENSE_MAX_N", "8")
         oracle = DistanceOracle(_graph(12, seed=2))
         with pytest.raises(TableTooLargeError, match="--tables blocked"):
+            oracle.first_hop_matrix()
+        with pytest.raises(TableTooLargeError, match="REPRO_DENSE_MAX_N"):
             oracle.first_hop_matrix()
         # the streaming path keeps working at the same size
         block = oracle.first_hop_block(0, 4)
@@ -431,8 +463,8 @@ class TestDenseTableLimit:
 
     def test_within_threshold_still_builds(self, monkeypatch):
         monkeypatch.setenv("REPRO_DENSE_MAX_N", "12")
-        csr = CSRGraph.from_digraph(_graph(12, seed=2))
-        assert csr.dense_weights().shape == (12, 12)
+        oracle = DistanceOracle(_graph(12, seed=2))
+        assert oracle.first_hop_matrix().shape == (12, 12)
 
 
 # ----------------------------------------------------------------------
@@ -442,7 +474,10 @@ class TestDenseTableLimit:
 
 def test_pair_weights_matches_dense(net):
     csr = CSRGraph.from_digraph(net.graph)
-    dense = csr.dense_weights()
+    dense = np.full((net.n, net.n), np.nan)
+    for u in range(net.n):
+        for v, w in net.graph.out_neighbors(u):
+            dense[u, v] = w
     tails, heads = np.divmod(np.arange(net.n * net.n), net.n)
     sparse = csr.pair_weights(tails, heads)
     expected = dense[tails, heads]
@@ -461,20 +496,17 @@ def test_default_block_rows_bounds():
 def test_landmark_tables_are_subquadratic(net):
     """The o(n²) claim, asserted at an affordable n: the landmark
     factorization must undercut even one dense int32 ``(n, n)`` matrix
-    (the dense substrate family holds two of those plus a bool mask)."""
+    (the dense substrate family holds two of those)."""
     big = Network.from_family("random", 128, seed=7)
     scheme = big.build_scheme("stretch6")
-    scheme.rtz.__dict__.pop("_compiled_landmark_tables", None)
-    tables = compile_landmark_tables(scheme.rtz)
-    assert isinstance(tables, LandmarkTables)
+    scheme.rtz.__dict__.pop("_compiled_step_tables", None)
+    tables = compile_substrate_tables(scheme.rtz, "blocked")
+    assert isinstance(tables.direct_next, PairTable)
+    assert isinstance(tables.down_next, PairTable)
     n = big.n
     assert tables.nbytes() < 4 * n * n
     dense = compile_substrate_tables(scheme.rtz, "dense")
-    dense_bytes = (
-        dense.direct_next.nbytes + dense.down_next.nbytes
-        + dense.up_next.nbytes + dense.has_direct.nbytes
-    )
-    assert tables.nbytes() < dense_bytes / 2
+    assert tables.nbytes() < dense.nbytes() / 2
 
 
 def test_blocked_next_hop_nbytes_counts_blocks():

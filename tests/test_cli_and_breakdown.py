@@ -146,6 +146,12 @@ class TestCLI:
         # the error names the registered choices
         assert "stretch6" in str(exc.value)
 
+    @pytest.mark.parametrize("command", ["fig1", "stretch", "traffic", "report"])
+    def test_negative_pairs_exits_with_one_line(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "12", "--pairs", "-3"])
+        assert str(exc.value) == "--pairs must be >= 0, got -3"
+
     def test_engine_flag(self, capsys):
         rc = main(["stretch", "--engine", "python", "--n", "12",
                    "--pairs", "20"])

@@ -136,11 +136,20 @@ class TestDifferential:
 
     def test_without_scipy_warm_start(self, monkeypatch):
         # The numpy-only fallback (batched Bellman-Ford warm start)
-        # must stay bit-identical too.
+        # must stay bit-identical too, through every APSP entry point.
         monkeypatch.setattr(apsp, "_sp_dijkstra", None)
         for family in ("random", "cycle", "layered"):
             g = standard_families(20, seed=4)[family]
             _assert_engines_identical(g)
+            csr = CSRGraph.from_digraph(g)
+            d, parent = apsp_matrices(csr)
+            sources = [7, 0, 7, g.n - 1, 3]
+            d_rows, p_rows = apsp.apsp_rows(csr, sources)
+            assert np.array_equal(d_rows, d[sources])
+            assert np.array_equal(p_rows, parent[sources])
+            blocks = list(apsp.apsp_blocks(csr, block_rows=6))
+            assert np.array_equal(np.concatenate([b[2] for b in blocks]), d)
+            assert np.array_equal(np.concatenate([b[3] for b in blocks]), parent)
 
     def test_min_distances_matches_oracle(self):
         g = random_strongly_connected(24, rng=random.Random(5))
@@ -202,18 +211,11 @@ class TestCSRGraph:
         assert csr.min_weight() == float("inf")
 
 
-def test_dense_weights_match_digraph():
-    from repro.graph.csr import CSRGraph
-    from repro.graph.generators import random_strongly_connected
-
+def test_pair_weights_match_digraph():
     g = random_strongly_connected(24, rng=random.Random(5))
     csr = CSRGraph.from_digraph(g)
-    w = csr.dense_weights()
-    assert w.shape == (g.n, g.n)
-    assert not w.flags.writeable
-    assert csr.dense_weights() is w  # cached per snapshot
-    import numpy as np
-
+    tails, heads = np.divmod(np.arange(g.n * g.n), g.n)
+    w = csr.pair_weights(tails, heads).reshape(g.n, g.n)
     edges = 0
     for u in range(g.n):
         for (v, wt) in g.out_neighbors(u):

@@ -21,8 +21,8 @@ from repro.api import Network, scheme_names
 from repro.exceptions import HopLimitExceeded, RoutingError
 from repro.graph.digraph import Digraph
 from repro.runtime.engine import (
+    BlockedNextHop,
     CompiledRoutes,
-    DenseNextHop,
     JourneyPlan,
     Segment,
     constant_bits,
@@ -177,7 +177,7 @@ class LoopingScheme(RoutingScheme):
     def table_entries(self, vertex: int) -> int:
         return 1
 
-    def compile_tables(self) -> CompiledRoutes:
+    def compile_tables(self, tables: str = "dense") -> CompiledRoutes:
         bits = header_bits({"mode": "new", "dest": 0}, self._g.n)
         next_vertex = np.full((4, 4), -1, dtype=np.int64)
         next_vertex[0, :] = 1
@@ -196,7 +196,9 @@ class LoopingScheme(RoutingScheme):
                 ],
             )
 
-        return CompiledRoutes(self._g, DenseNextHop(next_vertex), planner)
+        n = self._g.n
+        step = BlockedNextHop(n, n, [next_vertex])
+        return CompiledRoutes(self._g, step, planner)
 
 
 @pytest.mark.parametrize("engine", ["python", "vectorized"])
@@ -265,7 +267,7 @@ class InboundLoopingScheme(RoutingScheme):
     def table_entries(self, vertex: int) -> int:
         return 1
 
-    def compile_tables(self) -> CompiledRoutes:
+    def compile_tables(self, tables: str = "dense") -> CompiledRoutes:
         bits = header_bits({"mode": "new", "dest": 0}, self._g.n)
         next_vertex = np.full((6, 6), -1, dtype=np.int64)
         for i in range(5):
@@ -288,7 +290,9 @@ class InboundLoopingScheme(RoutingScheme):
                 ],
             )
 
-        return CompiledRoutes(self._g, DenseNextHop(next_vertex), planner)
+        n = self._g.n
+        step = BlockedNextHop(n, n, [next_vertex])
+        return CompiledRoutes(self._g, step, planner)
 
 
 def test_inbound_loop_messages_name_the_failing_leg():

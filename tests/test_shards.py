@@ -353,9 +353,9 @@ class _SlowCompileScheme(ShortestPathScheme):
 
     COMPILE_SLEEP_S = 0.25
 
-    def compile_tables(self):
+    def compile_tables(self, tables="dense"):
         time.sleep(self.COMPILE_SLEEP_S)
-        return super().compile_tables()
+        return super().compile_tables(tables)
 
 
 class TestElapsedExcludesCompile:
