@@ -12,13 +12,13 @@ import random
 from conftest import banner, cached_instance
 
 from repro.graph.shortest_paths import path_length
-from repro.rtz.routing import shared_substrate
+from repro.rtz.routing import RTZStretch3
 
 
 def test_lemma2_leg_bounds(benchmark):
     inst = cached_instance("random", 48, seed=0)
     n = inst.graph.n
-    rtz = shared_substrate(inst.metric, random.Random(1))
+    rtz = RTZStretch3(inst.metric, random.Random(1))
     g = inst.graph
 
     def run():
@@ -57,7 +57,7 @@ def test_rtz_table_shape(benchmark):
         for n in sizes:
             g = random_strongly_connected(n, rng=random.Random(n))
             inst = Instance.prepare(g, seed=n)
-            rtz = shared_substrate(inst.metric, random.Random(n + 1))
+            rtz = RTZStretch3(inst.metric, random.Random(n + 1))
             max_entries = max(rtz.table_entries(u) for u in range(n))
             points.append((n, max_entries))
         return points
@@ -84,7 +84,7 @@ def test_center_cluster_balance(benchmark):
     n = inst.graph.n
 
     def run():
-        rtz = shared_substrate(inst.metric, random.Random(5))
+        rtz = RTZStretch3(inst.metric, random.Random(5))
         return (
             len(rtz.centers),
             rtz.assignment.mean_cluster_size(),

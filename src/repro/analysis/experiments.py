@@ -123,9 +123,10 @@ def fig1_comparison(
             all pairs).
         k: tradeoff parameter for the generalized schemes.
         factories: override the scheme set.
-        instance: a pre-built instance of the same graph (e.g. from
-            :meth:`repro.api.Network.instance`), reusing its cached
-            oracle/naming/metric instead of re-preparing them.
+        instance: a pre-built instance of the same graph (e.g.
+            assembled from a :class:`repro.api.Network`'s ``oracle()``,
+            ``naming()`` and ``metric()``), reused instead of
+            re-preparing them.
 
     Returns:
         One :class:`SchemeRow` per scheme, in Fig. 1 order.

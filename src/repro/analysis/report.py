@@ -22,7 +22,7 @@ from repro.covers.sparse_cover import DoubleTreeCover
 from repro.dictionary.distribution import BlockDistribution
 from repro.graph.digraph import Digraph
 from repro.naming.blocks import BlockSpace
-from repro.rtz.routing import shared_substrate
+from repro.rtz.routing import RTZStretch3
 from repro.runtime.sizing import log2_squared
 from repro.schemes.stretch6 import StretchSixScheme
 
@@ -41,9 +41,9 @@ def generate_report(
         seed: controls naming/scheme randomness.
         sample_pairs: pairs sampled per stretch measurement.
         k: tradeoff parameter for the generalized schemes.
-        instance: a pre-built instance of the same graph (e.g. from
-            :meth:`repro.api.Network.instance`) to reuse its cached
-            oracle/naming/metric.
+        instance: a pre-built instance of the same graph (as for
+            :func:`~repro.analysis.experiments.fig1_comparison`) to
+            reuse its oracle/naming/metric.
 
     Returns:
         Markdown text; every claimed inequality is asserted before the
@@ -115,7 +115,7 @@ def generate_report(
     lines.append("")
 
     # Lemma 2 substrate
-    rtz = shared_substrate(inst.metric, random.Random(seed + 2))
+    rtz = RTZStretch3(inst.metric, random.Random(seed + 2))
     max_tab = max(rtz.table_entries(u) for u in range(n))
     lines.append("## Lemma 2 — substrate tables")
     lines.append("")

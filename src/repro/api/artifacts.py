@@ -18,7 +18,9 @@ is dominated by shortest-path work (the oracle's APSP, the substrate's
 reverse Dijkstras and cluster scan) are persisted.  Naming permutations,
 metrics (views over the oracle), and the cover hierarchies either cost
 microseconds to rebuild or hold deeply nested structures whose
-flattening would outweigh the build; they stay memory-only.
+flattening would outweigh the build; they stay memory-only.  Compiled
+decision tables are not artifacts at all: each process recompiles them
+from its built schemes.
 """
 
 from __future__ import annotations
@@ -297,9 +299,9 @@ def _load_rtz(network: "Network", entry: "LoadedArtifact"):
     load=_load_rtz,
 )
 def _build_rtz(net: "Network", center_count: Optional[int] = None):
-    from repro.rtz.routing import shared_substrate
+    from repro.rtz.routing import RTZStretch3
 
-    return shared_substrate(
+    return RTZStretch3(
         net.metric(),
         net.derive_rng("rtz", {"centers": center_count}),
         center_count=center_count,

@@ -34,7 +34,7 @@ from repro.api.stats import ArtifactCacheStats, NetworkStats, RepairStats
 from repro.exceptions import GraphError
 from repro.graph.delta import GraphDelta
 from repro.graph.digraph import Digraph
-from repro.graph.generators import standard_families
+from repro.graph.generators import FAMILY_NAMES, standard_family
 from repro.graph.roundtrip import RoundtripMetric
 from repro.graph.shortest_paths import DistanceOracle
 from repro.naming.hashing import HashedNaming
@@ -72,7 +72,9 @@ class Network:
             :func:`repro.store.store_override` take effect without
             rebuilding the network; an explicit
             :class:`~repro.store.ArtifactStore` pins one; ``None``
-            disables persistence for this network.
+            disables persistence for this network.  It is the only
+            store the network's work touches: compiled decision tables
+            are never persisted.
         tables: default compiled-table family for this network's
             routers (``"dense"`` / ``"blocked"`` / ``"auto"``; see
             :func:`repro.runtime.engine.resolve_table_family`).
@@ -148,10 +150,10 @@ class Network:
         """Build a network over one of the standard graph families.
 
         Args:
-            family: family name (``random`` / ``cycle`` / ``torus`` /
-                ``asym-torus`` / ``dht`` / ``layered`` / ``scale-free``).
+            family: family name (one of {families}).
             n: approximate graph size (grid families round).
-            seed: master seed (also seeds the generator).
+            seed: master seed (also seeds the generator, as
+                :func:`~repro.graph.generators.standard_family`).
             engine: distance-oracle engine.
             store: persistence tier (see the constructor).
             tables: default compiled-table family (see the constructor).
@@ -159,14 +161,14 @@ class Network:
         Raises:
             GraphError: for an unknown family (choices listed).
         """
-        families = standard_families(n, seed=seed)
-        if family not in families:
-            raise GraphError(
-                f"unknown family {family!r}; choose from {sorted(families)}"
-            )
         return cls(
-            families[family], seed=seed, engine=engine, store=store,
-            tables=tables,
+            standard_family(family, n, seed), seed=seed, engine=engine,
+            store=store, tables=tables,
+        )
+
+    if from_family.__func__.__doc__:  # None under ``python -OO``
+        from_family.__func__.__doc__ = from_family.__func__.__doc__.format(
+            families=", ".join(f"``{name}``" for name in FAMILY_NAMES)
         )
 
     # ------------------------------------------------------------------
@@ -437,8 +439,7 @@ class Network:
         """The shared Lemma 2 stretch-3 substrate.
 
         All substrate-based schemes built through this network reuse
-        one instance (also deduplicated process-wide by landmark set
-        via :func:`repro.rtz.routing.shared_substrate`).
+        this one instance, and with it its compiled step tables.
         """
         return self.artifact("rtz", center_count=center_count)
 

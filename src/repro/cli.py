@@ -40,6 +40,7 @@ from repro.api.network import ENGINES
 from repro.api.stats import SessionStats
 from repro.distributed.preprocessing import DistributedPreprocessing
 from repro.exceptions import GraphError, ReproError, RoutingError
+from repro.graph.generators import FAMILY_NAMES
 from repro.runtime.engine import TABLE_FAMILIES
 from repro.runtime.scheme import RoutingScheme
 from repro.runtime.traffic import (
@@ -787,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--family",
             default="random",
-            help="graph family (random/cycle/torus/asym-torus/dht/layered)",
+            help="graph family (" + "/".join(FAMILY_NAMES) + ")",
         )
         p.add_argument("--k", type=int, default=2, help="tradeoff parameter")
         p.add_argument(

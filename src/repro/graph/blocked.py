@@ -27,7 +27,7 @@ from repro.graph.csr import CSRGraph
 
 #: Target entries per first-hop block: 1 << 22 int32 entries is 16 MiB,
 #: small enough to stream on a laptop at n = 10^5 yet big enough that
-#: per-block overhead (store round-trips, sweep dispatch) stays noise.
+#: per-block overhead (the per-block fold and gather dispatch) stays noise.
 _BLOCK_ELEMS = 1 << 22
 
 

@@ -596,39 +596,82 @@ def bidirect(g: Digraph, rng: Optional[random.Random] = None) -> Digraph:
 # The standard benchmark suite
 # ----------------------------------------------------------------------
 
-GeneratorFn = Callable[[int, random.Random], Digraph]
+def _side(n: int) -> int:
+    """Grid families round ``n`` to the nearest square side (>= 2)."""
+    return max(2, int(round(n ** 0.5)))
 
-#: Family names :func:`standard_families` builds, in registry order.
-#: Kept as a plain tuple so spec validation (:mod:`repro.scenarios`)
-#: can list the choices without eagerly generating nine graphs.
-FAMILY_NAMES = (
-    "random", "cycle", "torus", "asym-torus", "dht", "layered",
-    "scale-free", "power-law", "grid-shortcuts",
-)
+
+#: One builder per standard family, ``(n, rng, params) -> Digraph``,
+#: in registry order; ``params`` are extra generator keywords.  Grid
+#: families use ``_side(n)`` squared vertices and ``layered`` uses
+#: ``max(2, n // 8)`` layers of 8.
+_FAMILY_BUILDERS: Dict[str, Callable[[int, random.Random, dict], Digraph]] = {
+    "random": lambda n, rng, kw: random_strongly_connected(n, rng=rng, **kw),
+    "cycle": lambda n, rng, kw: directed_cycle(n, rng=rng, **kw),
+    "torus": lambda n, rng, kw: bidirected_torus(
+        _side(n), _side(n), rng=rng, **kw
+    ),
+    "asym-torus": lambda n, rng, kw: asymmetric_torus(
+        _side(n), _side(n), rng=rng, **kw
+    ),
+    "dht": lambda n, rng, kw: random_dht_overlay(n, rng=rng, **kw),
+    "layered": lambda n, rng, kw: layered_random(
+        max(2, n // 8), 8, rng=rng, **kw
+    ),
+    "scale-free": lambda n, rng, kw: scale_free_directed(n, rng=rng, **kw),
+    "power-law": lambda n, rng, kw: power_law_directed(n, rng=rng, **kw),
+    "grid-shortcuts": lambda n, rng, kw: grid_with_shortcuts(
+        _side(n), _side(n), rng=rng, **kw
+    ),
+}
+
+#: The standard family names, in registry order.
+FAMILY_NAMES = tuple(_FAMILY_BUILDERS)
+
+
+def _family_builder(family: str):
+    builder = _FAMILY_BUILDERS.get(family)
+    if builder is None:
+        raise GraphError(
+            f"unknown family {family!r}; choose from {sorted(FAMILY_NAMES)}"
+        )
+    return builder
+
+
+def build_family(
+    family: str, n: int, rng: random.Random, params: Optional[dict] = None
+) -> Digraph:
+    """One graph of a standard family at size about ``n``, drawn from
+    ``rng`` (``params`` are extra generator keywords).
+
+    Raises:
+        GraphError: for an unknown family (choices listed), or a
+            parameter value the generator rejects.
+        TypeError: for a parameter the generator does not take.
+    """
+    return _family_builder(family)(n, rng, params or {})
+
+
+def standard_family(family: str, n: int, seed: int = 0) -> Digraph:
+    """``standard_families(n, seed)[family]``, without building the
+    other families: family ``i`` (in :data:`FAMILY_NAMES` order) draws
+    from ``random.Random(seed + i)``.
+
+    Raises:
+        GraphError: for an unknown family (choices listed).
+    """
+    builder = _family_builder(family)
+    return builder(n, random.Random(seed + FAMILY_NAMES.index(family)), {})
 
 
 def standard_families(n: int, seed: int = 0) -> Dict[str, Digraph]:
-    """The benchmark suite: one representative graph per family at
-    size about ``n`` (grid-like families round to the nearest shape).
+    """The benchmark suite: :func:`standard_family` for every family
+    at size about ``n`` (grid-like families round to the nearest shape).
 
     Returns:
         Mapping family name -> frozen digraph.
     """
-    side = max(2, int(round(n ** 0.5)))
-    layers = max(2, n // 8)
-    return {
-        "random": random_strongly_connected(n, rng=random.Random(seed)),
-        "cycle": directed_cycle(n, rng=random.Random(seed + 1)),
-        "torus": bidirected_torus(side, side, rng=random.Random(seed + 2)),
-        "asym-torus": asymmetric_torus(side, side, rng=random.Random(seed + 3)),
-        "dht": random_dht_overlay(n, rng=random.Random(seed + 4)),
-        "layered": layered_random(layers, 8, rng=random.Random(seed + 5)),
-        "scale-free": scale_free_directed(n, rng=random.Random(seed + 6)),
-        "power-law": power_law_directed(n, rng=random.Random(seed + 7)),
-        "grid-shortcuts": grid_with_shortcuts(
-            side, side, rng=random.Random(seed + 8)
-        ),
-    }
+    return {name: standard_family(name, n, seed) for name in FAMILY_NAMES}
 
 
 def verify_generator_output(g: Digraph) -> None:

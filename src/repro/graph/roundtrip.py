@@ -60,15 +60,6 @@ class RoundtripMetric:
         self._ids = list(ids)
         self._init_cache: dict[int, List[int]] = {}
 
-    def __getstate__(self):
-        """Pickle without the per-process shared-substrate cache
-        (:func:`repro.rtz.routing.shared_substrate` hangs it on the
-        metric): shipping a scheme to a pool worker must not drag every
-        substrate ever built on this metric along with it."""
-        state = dict(self.__dict__)
-        state.pop("_rtz_substrate_cache", None)
-        return state
-
     @property
     def oracle(self) -> DistanceOracle:
         """The underlying distance oracle."""

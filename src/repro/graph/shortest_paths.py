@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 import weakref
 from typing import Dict, List, Sequence, Tuple
 
@@ -394,23 +393,9 @@ class DistanceOracle:
         cached = getattr(self, "_first_hop", None)
         if cached is not None:
             return cached
-        store, store_key = self._first_hop_store_key()
-        if store is not None:
-            entry = store.get(store_key)
-            if entry is not None and entry.arrays["first"].shape == (self.n, self.n):
-                self._first_hop = entry.arrays["first"]
-                return self._first_hop
-        t0 = time.perf_counter()
         first = self.first_hop_block(0, self.n)
         first.flags.writeable = False
         self._first_hop = first
-        if store is not None:
-            store.put(
-                store_key,
-                {"first": first},
-                meta={"engine": self._engine},
-                build_seconds=time.perf_counter() - t0,
-            )
         return first
 
     def first_hop_block(self, lo: int, hi: int) -> np.ndarray:
@@ -421,23 +406,6 @@ class DistanceOracle:
         from repro.graph.blocked import first_hops_for_sources
 
         return first_hops_for_sources(self._parent[lo:hi], np.arange(lo, hi))
-
-    def _first_hop_store_key(self):
-        """``(store, key)`` for the persisted first-hop matrix, or
-        ``(None, None)`` when persistence is off or the graph is not
-        frozen.  The key is engine- and seed-free: the matrix is a pure
-        function of the (content-hashed) graph."""
-        if not self._g.frozen:
-            return None, None
-        from repro.store import StoreKey, default_store, graph_content_hash
-
-        store = default_store()
-        if store is None:
-            return None, None
-        key = StoreKey(
-            "first-hop", 1, {"graph": graph_content_hash(self._g)}
-        )
-        return store, key
 
     def diameter(self) -> float:
         """One-way diameter ``max d(u, v)``."""

@@ -77,10 +77,8 @@ class RTZStretch3:
         metric: roundtrip metric of the graph.
         rng: landmark sampling randomness.
         center_count: landmark count override (default ``ceil(sqrt n)``).
-        centers: explicit landmark set; when given, ``rng`` and
-            ``center_count`` are ignored (used by
-            :func:`shared_substrate` to build from pre-sampled
-            landmarks).
+        centers: explicit landmark set (sorted on entry); when given,
+            ``rng`` and ``center_count`` are ignored.
     """
 
     def __init__(
@@ -268,9 +266,7 @@ class RTZStretch3:
         Skips every shortest-path computation the constructor performs
         (the reverse Dijkstras and the O(n^2) cluster scan); only the
         cheap deterministic derivations (out-tree DFS numbering,
-        labels) run.  The result is bit-identical to a fresh build and
-        is registered in :func:`shared_substrate`'s per-metric cache so
-        subsequent scheme builds reuse it.
+        labels) run.  The result is bit-identical to a fresh build.
         """
         oracle = metric.oracle
         g = oracle.graph
@@ -299,7 +295,6 @@ class RTZStretch3:
             self._labels.append(
                 R3Label(dest=v, center=c, addr=self._out_trees[c].address_of(v))
             )
-        _adopt_shared(metric, self)
         return self
 
     def __getstate__(self):
@@ -333,62 +328,3 @@ class RTZStretch3:
         n = self._metric.n
         return 12.0 * math.sqrt(n) * max(1.0, math.log2(n))
 
-
-# ----------------------------------------------------------------------
-# shared-substrate cache
-# ----------------------------------------------------------------------
-# Every scheme that rides on the Lemma 2 substrate (stretch-6, its
-# variant, the wild-name scheme, and the RTZ baseline) historically
-# built its own RTZStretch3 unless a ``substrate=`` kwarg was threaded
-# through by hand.  shared_substrate() deduplicates those builds: the
-# landmark set is sampled first (consuming the caller's rng exactly as
-# a fresh construction would, so downstream draws are unchanged), and
-# the expensive tree/table construction is reused whenever the same
-# metric and landmark set come around again.
-#
-# The cache lives on the metric object itself (not in a module-level
-# WeakKeyDictionary): a substrate strongly references its metric, so a
-# weak-keyed mapping would pin every entry forever, whereas the
-# metric -> cache -> substrate -> metric cycle here is ordinary
-# garbage once the metric's last external reference drops.
-_CACHE_ATTR = "_rtz_substrate_cache"
-
-
-def _adopt_shared(metric: RoundtripMetric, substrate: "RTZStretch3") -> None:
-    """Register a substrate in the per-metric shared cache (idempotent;
-    an existing entry for the same landmark set wins)."""
-    per_metric: Optional[Dict[Tuple[int, ...], RTZStretch3]] = getattr(
-        metric, _CACHE_ATTR, None
-    )
-    if per_metric is None:
-        per_metric = {}
-        setattr(metric, _CACHE_ATTR, per_metric)
-    per_metric.setdefault(tuple(substrate.assignment.centers), substrate)
-
-
-def shared_substrate(
-    metric: RoundtripMetric,
-    rng: Optional[random.Random] = None,
-    center_count: Optional[int] = None,
-) -> RTZStretch3:
-    """A cached :class:`RTZStretch3` for ``metric``.
-
-    Identical ``(metric, sampled landmark set)`` pairs share one
-    substrate object; distinct rngs (hence distinct landmark sets) get
-    distinct substrates, so results are bit-identical to building
-    fresh.  This is the default construction path of the scheme
-    wrappers; pass ``substrate=`` explicitly to bypass it.  Cache
-    entries die with their metric.
-    """
-    centers = tuple(sample_centers(metric.n, rng, center_count))
-    per_metric: Optional[Dict[Tuple[int, ...], RTZStretch3]] = getattr(
-        metric, _CACHE_ATTR, None
-    )
-    if per_metric is None:
-        per_metric = {}
-        setattr(metric, _CACHE_ATTR, per_metric)
-    substrate = per_metric.get(centers)
-    if substrate is None:
-        substrate = RTZStretch3(metric, centers=centers)
-        per_metric[centers] = substrate
-    return substrate

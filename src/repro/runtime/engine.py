@@ -47,7 +47,6 @@ every registered scheme on every workload kind.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -155,11 +154,11 @@ class BlockedNextHop(StepTables):
     The ``(n, n)`` next-vertex matrix is held as row blocks of
     ``block_rows`` sources each; block ``b`` holds rows
     ``[b * block_rows, min(n, (b + 1) * block_rows))``.  Dense storage
-    is the one-block case, gathered in one step; blocked storage keeps
-    each block separately persistable, so later processes memory-map
-    exactly the blocks they touch.  Lookups return results in batch
-    order either way, so the decision function — values, phases, and
-    the first-failure error — does not depend on the block geometry.
+    is the one-block case, gathered in one step; blocked storage
+    builds and holds one array per block, so no single ``(n, n)``
+    array is ever allocated.  Lookups return results in batch order
+    either way, so the decision function — values, phases, and the
+    first-failure error — does not depend on the block geometry.
     """
 
     def __init__(self, n: int, block_rows: int, blocks: Sequence[np.ndarray]):
@@ -198,9 +197,8 @@ class BlockedNextHop(StepTables):
 def compile_next_hop(oracle, tables: str = "dense") -> BlockedNextHop:
     """Next-hop step tables of full-table forwarding in the given
     family: ``dense`` is one block holding the oracle's memoized
-    first-hop matrix (persisted under ``first-hop``, and patched
-    row-wise by incremental repair); ``blocked`` is
-    :func:`compile_blocked_next_hop`'s per-block rows."""
+    first-hop matrix (patched row-wise by incremental repair);
+    ``blocked`` is :func:`compile_blocked_next_hop`'s per-block rows."""
     if tables == "blocked":
         return compile_blocked_next_hop(oracle)
     return BlockedNextHop(oracle.n, oracle.n, [oracle.first_hop_matrix()])
@@ -213,56 +211,19 @@ def compile_blocked_next_hop(
     one source block at a time.
 
     Each block is folded from the oracle's parent rows via
-    :meth:`DistanceOracle.first_hop_block` (peak memory
-    ``O(block_rows * n)`` beyond the oracle itself) and, when the
-    artifact store is active, persisted under its own
-    ``first-hop-block`` key — keyed by (graph content hash, block
-    geometry) — so warm processes memory-map blocks instead of
-    recomputing them.
+    :meth:`DistanceOracle.first_hop_block`, so the fold's working
+    memory is ``O(block_rows * n)``.
     """
     from repro.graph.blocked import default_block_rows
 
     n = oracle.n
-    g = oracle.graph
     if block_rows is None:
         block_rows = default_block_rows(n)
     block_rows = max(1, min(max(n, 1), int(block_rows)))
-
-    store = None
-    ghash = None
-    if g.frozen:
-        from repro.store import default_store, graph_content_hash
-
-        store = default_store()
-        if store is not None:
-            ghash = graph_content_hash(g)
-
     blocks: List[np.ndarray] = []
     for lo in range(0, n, block_rows):
-        hi = min(n, lo + block_rows)
-        store_key = None
-        if store is not None:
-            from repro.store import StoreKey
-
-            store_key = StoreKey(
-                "first-hop-block",
-                1,
-                {"graph": ghash, "rows": block_rows, "lo": lo},
-            )
-            entry = store.get(store_key)
-            if entry is not None and entry.arrays["first"].shape == (hi - lo, n):
-                blocks.append(entry.arrays["first"])
-                continue
-        t0 = time.perf_counter()
-        block = oracle.first_hop_block(lo, hi)
+        block = oracle.first_hop_block(lo, min(n, lo + block_rows))
         block.flags.writeable = False
-        if store_key is not None:
-            store.put(
-                store_key,
-                {"first": block},
-                meta={"lo": lo, "rows": block_rows},
-                build_seconds=time.perf_counter() - t0,
-            )
         blocks.append(block)
     return BlockedNextHop(n, block_rows, blocks)
 
@@ -307,8 +268,8 @@ class SubstrateStepTables(StepTables):
         self.center_idx = center_idx
 
     def arrays(self) -> Dict[str, np.ndarray]:
-        """The persisted form: a pair table stores ``<leg>_keys`` and
-        ``<leg>_next``, a matrix ``<leg>_next`` alone."""
+        """Every backing array by name: a pair table contributes
+        ``<leg>_keys`` and ``<leg>_next``, a matrix ``<leg>_next`` alone."""
         out = {
             "up_next": self.up_next,
             "center_of": self.center_of,
@@ -321,22 +282,6 @@ class SubstrateStepTables(StepTables):
                 table = table.values
             out[f"{leg}_next"] = table
         return out
-
-    @classmethod
-    def from_arrays(
-        cls, n: int, arrays: Dict[str, np.ndarray]
-    ) -> "SubstrateStepTables":
-        """Inverse of :meth:`arrays`."""
-
-        def table(leg: str):
-            nxt = arrays[f"{leg}_next"]
-            keys = arrays.get(f"{leg}_keys")
-            return nxt if keys is None else PairTable(n, keys, nxt)
-
-        return cls(
-            table("direct"), arrays["up_next"], table("down"),
-            arrays["center_of"], arrays["center_idx"],
-        )
 
     def nbytes(self) -> int:
         """Bytes across every table (the o(n²) claim is testable)."""
@@ -376,15 +321,6 @@ class SubstrateStepTables(StepTables):
         return nxt, phase
 
 
-#: Store (kind, version) of each family's substrate tables.  Dense
-#: entries are version 2: their layout has no ``has_direct`` matrix
-#: (``direct_next >= 0`` is the membership test), so older ones miss.
-_SUBSTRATE_STORE_KINDS = {
-    "dense": ("substrate-tables", 2),
-    "blocked": ("landmark-tables", 1),
-}
-
-
 def compile_substrate_tables(
     substrate, tables: str = "dense"
 ) -> SubstrateStepTables:
@@ -398,15 +334,9 @@ def compile_substrate_tables(
 
     Results are cached on the substrate per family
     (``_compiled_step_tables``), so every scheme sharing one substrate
-    (stretch-6, its variant, wild names, the RTZ baseline —
-    deduplicated by :func:`repro.rtz.routing.shared_substrate`)
+    (stretch-6, its variant, wild names, the RTZ baseline — all reading
+    one :class:`~repro.api.network.Network`'s ``rtz`` artifact)
     compiles it at most once per family.
-
-    When the artifact store is active (:func:`repro.store.default_store`)
-    the arrays are persisted keyed by ``(graph content hash, landmark
-    set)`` — a pure function of those two, so no seed enters the key —
-    and later compiles (other processes, pool shard workers rehydrating
-    a pickled scheme) memory-map them instead of rebuilding.
     """
     cache = substrate.__dict__.setdefault("_compiled_step_tables", {})
     if tables in cache:
@@ -414,25 +344,6 @@ def compile_substrate_tables(
     g: Digraph = substrate.metric.oracle.graph
     n = g.n
     centers = substrate.centers
-
-    from repro.store import StoreKey, default_store, graph_content_hash
-
-    store = default_store()
-    store_key = None
-    if store is not None and g.frozen:
-        kind, version = _SUBSTRATE_STORE_KINDS[tables]
-        store_key = StoreKey(
-            kind,
-            version,
-            {"graph": graph_content_hash(g), "centers": [int(c) for c in centers]},
-        )
-        entry = store.get(store_key)
-        if entry is not None and entry.arrays["up_next"].shape == (
-            n, len(centers),
-        ):
-            cache[tables] = SubstrateStepTables.from_arrays(n, entry.arrays)
-            return cache[tables]
-    t0 = time.perf_counter()
 
     def direct():
         for u in range(n):
@@ -473,13 +384,6 @@ def compile_substrate_tables(
         np.array(home, dtype=np.int32),
         np.array([cindex[c] for c in home], dtype=np.int32),
     )
-    if store_key is not None:
-        store.put(
-            store_key,
-            step.arrays(),
-            meta={"centers": len(centers)},
-            build_seconds=time.perf_counter() - t0,
-        )
     return step
 
 

@@ -773,29 +773,15 @@ _WORKER_CTX = None
 
 
 def _shard_worker_init(
-    scheme, hop_limit, engine, kind, r_matrix, store_root=None,
-    tables="auto",
+    scheme, hop_limit, engine, kind, r_matrix, tables="auto",
 ) -> None:
-    """Per-worker setup: build the simulator and rehydrate the compiled
-    decision tables (the pickled scheme arrives without them — see
-    :meth:`repro.runtime.scheme.RoutingScheme.__getstate__`).  Compile
-    time is billed to worker startup, never to a shard's ``elapsed_s``.
-
-    ``store_root`` pins the worker to the parent's artifact-store
-    configuration: when set, the compile path memory-maps persisted
-    :class:`~repro.runtime.engine.SubstrateStepTables` / first-hop
-    matrices from that store — sharing pages with the parent and every
-    sibling worker — instead of re-deriving them from the shipped
-    scheme; when ``None`` (the parent ran store-less) workers disable
-    theirs too, so a run's store traffic is decided in exactly one
-    place.
+    """Per-worker setup: build the simulator and recompile the decision
+    tables from the shipped scheme (the pickled scheme arrives without
+    them — see :meth:`repro.runtime.scheme.RoutingScheme.__getstate__`);
+    workers never touch the artifact store.  Compile time is billed to
+    worker startup, never to a shard's ``elapsed_s``.
     """
     global _WORKER_CTX
-    from repro.store import ArtifactStore, set_default_store
-
-    set_default_store(
-        ArtifactStore(store_root) if store_root is not None else None
-    )
     sim = Simulator(scheme, hop_limit=hop_limit, tables=tables)
     sim.resolve_engine(engine)  # warms the compiled-routes cache
     _WORKER_CTX = (sim, engine, kind, r_matrix)
@@ -945,17 +931,10 @@ def run_workload(
             # error surfaces, regardless of which worker failed first.
             parts = [f.result() for f in futures]
     else:
-        from repro.store import default_store
-
-        parent_store = default_store()
-        store_root = None if parent_store is None else str(parent_store.root)
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_shard_worker_init,
-            initargs=(
-                scheme, hop_limit, resolved, kind, r_matrix, store_root,
-                tables,
-            ),
+            initargs=(scheme, hop_limit, resolved, kind, r_matrix, tables),
         ) as pool:
             futures = [pool.submit(_shard_worker_run, c) for c in chunks]
             parts = [f.result() for f in futures]

@@ -32,18 +32,7 @@ from repro.api.network import Network
 from repro.api.registry import get_spec
 from repro.exceptions import GraphError
 from repro.graph.digraph import Digraph
-from repro.graph.generators import (
-    asymmetric_torus,
-    bidirected_torus,
-    directed_cycle,
-    grid_with_shortcuts,
-    layered_random,
-    power_law_directed,
-    random_dht_overlay,
-    random_strongly_connected,
-    scale_free_directed,
-    snapshot_from_edgelist,
-)
+from repro.graph.generators import build_family, snapshot_from_edgelist
 from repro.graph.shortest_paths import DistanceOracle
 from repro.runtime.churn import materialize_delta
 from repro.runtime.traffic import (
@@ -94,26 +83,8 @@ def build_scenario_graph(spec: ScenarioSpec) -> Digraph:
             f"{t} {h} {w!r}" for t, h, w in g.edges
         )
         return snapshot_from_edgelist(text, rng=rng)
-    n = g.n or 0
-    side = max(2, int(round(n ** 0.5)))
-    layers = max(2, n // 8)
-    builders = {
-        "random": lambda: random_strongly_connected(n, rng=rng, **g.params),
-        "cycle": lambda: directed_cycle(n, rng=rng, **g.params),
-        "torus": lambda: bidirected_torus(side, side, rng=rng, **g.params),
-        "asym-torus": lambda: asymmetric_torus(
-            side, side, rng=rng, **g.params
-        ),
-        "dht": lambda: random_dht_overlay(n, rng=rng, **g.params),
-        "layered": lambda: layered_random(layers, 8, rng=rng, **g.params),
-        "scale-free": lambda: scale_free_directed(n, rng=rng, **g.params),
-        "power-law": lambda: power_law_directed(n, rng=rng, **g.params),
-        "grid-shortcuts": lambda: grid_with_shortcuts(
-            side, side, rng=rng, **g.params
-        ),
-    }
     try:
-        return builders[g.family]()
+        return build_family(g.family, g.n or 0, rng, g.params)
     except (TypeError, GraphError) as exc:
         # TypeError: an unknown keyword; GraphError: a rejected value.
         raise ScenarioError(

@@ -30,7 +30,7 @@ from repro.runtime.scheme import (
     RoutingScheme,
 )
 from repro.api.registry import register_scheme
-from repro.rtz.routing import RTZStretch3, shared_substrate
+from repro.rtz.routing import RTZStretch3
 
 #: internal modes
 _OUT = "o3"
@@ -59,9 +59,7 @@ class RTZBaselineScheme(RoutingScheme):
     ):
         self._metric = metric
         self._naming = naming
-        self.rtz = (
-            substrate if substrate is not None else shared_substrate(metric, rng)
-        )
+        self.rtz = substrate if substrate is not None else RTZStretch3(metric, rng)
 
     @property
     def graph(self) -> Digraph:

@@ -41,7 +41,7 @@ from repro.runtime.scheme import (
     RoutingScheme,
 )
 from repro.api.registry import ParamSpec, register_scheme
-from repro.rtz.routing import R3Label, RTZStretch3, shared_substrate
+from repro.rtz.routing import R3Label, RTZStretch3
 
 #: internal modes (Fig. 3's Outbound/Inbound)
 _OUTBOUND = "s6o"
@@ -84,9 +84,7 @@ class StretchSixScheme(RoutingScheme):
             )
         self._metric = metric
         self._naming = naming
-        self.rtz = (
-            substrate if substrate is not None else shared_substrate(metric, rng)
-        )
+        self.rtz = substrate if substrate is not None else RTZStretch3(metric, rng)
         self.blocks: BlockSpace = sqrt_block_space(n)
         self.distribution = BlockDistribution(
             metric, self.blocks, rng, blocks_per_node=blocks_per_node

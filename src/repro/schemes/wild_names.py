@@ -46,7 +46,7 @@ from repro.runtime.scheme import (
     RoutingScheme,
 )
 from repro.api.registry import ParamSpec, register_scheme
-from repro.rtz.routing import R3Label, RTZStretch3, shared_substrate
+from repro.rtz.routing import R3Label, RTZStretch3
 
 _OUTBOUND = "w6o"
 _INBOUND = "w6i"
@@ -84,9 +84,7 @@ class WildNameStretchSix(RoutingScheme):
             )
         self._metric = metric
         self._hashed = hashed
-        self.rtz = (
-            substrate if substrate is not None else shared_substrate(metric, rng)
-        )
+        self.rtz = substrate if substrate is not None else RTZStretch3(metric, rng)
         self.blocks: BlockSpace = sqrt_block_space(n)
         self.distribution = BlockDistribution(
             metric, self.blocks, rng, blocks_per_node=blocks_per_node

@@ -1,14 +1,14 @@
 """Content-addressed on-disk artifact store.
 
 The persistence tier beneath :class:`repro.api.Network`'s in-memory
-artifact cache: oracle distance/parent matrices, RTZ substrate arrays,
-and compiled decision tables (first-hop matrices and blocks behind
-:class:`~repro.runtime.engine.BlockedNextHop`,
-:class:`~repro.runtime.engine.SubstrateStepTables`)
-serialize to memory-mappable ``.npz`` blobs with JSON sidecar
+artifact cache, and read or written only through
+:meth:`repro.api.Network.artifact`: the oracle's distance/parent
+matrices (kind ``oracle``) and the RTZ substrate's arrays (kind
+``rtz``) serialize to memory-mappable ``.npz`` blobs with JSON sidecar
 manifests, keyed by ``(graph content hash, seed, params, schema
-version)``.  CLI runs, bench runs, process-pool shard workers, and a
-future serve daemon all share the same bytes with zero rebuild.
+version)``.  CLI runs, bench runs and the serve daemon share the same
+bytes with zero rebuild; compiled decision tables are rebuilt from
+those two in each process.
 
 See :mod:`repro.store.store` for the durability story (atomic writes,
 checksum verification with quarantine-and-rebuild, LRU eviction) and
@@ -27,12 +27,10 @@ from repro.store.store import (
     STORE_ENV,
     StoreEntry,
     StoreStats,
-    clear_default_store,
     default_cache_dir,
     default_store,
     format_bytes,
     parse_size,
-    set_default_store,
     store_override,
 )
 
@@ -46,14 +44,12 @@ __all__ = [
     "StoreEntry",
     "StoreKey",
     "StoreStats",
-    "clear_default_store",
     "default_cache_dir",
     "default_store",
     "format_bytes",
     "graph_content_hash",
     "parse_size",
     "read_npz_mapped",
-    "set_default_store",
     "store_override",
     "write_npz",
 ]

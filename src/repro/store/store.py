@@ -467,7 +467,7 @@ class ArtifactStore:
 # process-default store
 # ----------------------------------------------------------------------
 _UNSET = object()
-#: explicit override installed by :func:`set_default_store`; wins over env
+#: explicit override installed by :func:`store_override`; wins over env
 _OVERRIDE: Any = _UNSET
 #: one instance per (root, max_bytes) so counters aggregate per process
 _INSTANCES: Dict[Tuple[str, Optional[int]], ArtifactStore] = {}
@@ -487,8 +487,7 @@ def default_store() -> Optional[ArtifactStore]:
     Resolution order (environment is re-read on every call, so tests
     and CLI flags can flip it without import-order games):
 
-    1. an explicit :func:`set_default_store` / :func:`store_override`
-       value, when installed;
+    1. an explicit :func:`store_override` value, when installed;
     2. ``REPRO_STORE`` set to a falsy value (``0``/``false``/``no``/
        ``off``/empty) disables the store entirely;
     3. otherwise a store rooted at ``REPRO_CACHE_DIR`` (default
@@ -512,25 +511,11 @@ def default_store() -> Optional[ArtifactStore]:
     return store
 
 
-def set_default_store(store: Optional[ArtifactStore]) -> None:
-    """Install an explicit process-default store (``None`` disables
-    persistence).  Pool shard workers use this to adopt the parent's
-    store configuration regardless of their inherited environment."""
-    global _OVERRIDE
-    _OVERRIDE = store
-
-
-def clear_default_store() -> None:
-    """Drop any :func:`set_default_store` override; environment-driven
-    resolution resumes."""
-    global _OVERRIDE
-    _OVERRIDE = _UNSET
-
-
 @contextlib.contextmanager
 def store_override(store: Optional[ArtifactStore]):
-    """Scoped :func:`set_default_store` — bench cold cases run under
-    ``store_override(None)`` so they measure true cold builds."""
+    """Scoped process-default store (``None`` disables persistence) —
+    bench cold cases run under ``store_override(None)`` so they measure
+    true cold builds."""
     global _OVERRIDE
     previous = _OVERRIDE
     _OVERRIDE = store

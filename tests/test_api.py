@@ -30,7 +30,6 @@ from repro.api import (
 from repro.exceptions import ConstructionError, GraphError
 from repro.graph.digraph import Digraph
 from repro.graph.generators import bidirected_torus, random_strongly_connected
-from repro.rtz.routing import shared_substrate
 
 
 def make_network(family: str = "random", n: int = 20, seed: int = 0) -> Network:
@@ -182,17 +181,6 @@ class TestNetwork:
 
 
 class TestSharedSubstrate:
-    def test_identical_rng_shares_object(self, small_metric):
-        a = shared_substrate(small_metric, random.Random(3))
-        b = shared_substrate(small_metric, random.Random(3))
-        assert a is b
-
-    def test_distinct_rng_distinct_substrate(self, small_metric):
-        a = shared_substrate(small_metric, random.Random(3))
-        b = shared_substrate(small_metric, random.Random(4))
-        if a.centers != b.centers:  # overwhelmingly likely
-            assert a is not b
-
     def test_explicit_substrate_kwarg_still_wins(self, small_metric):
         from repro.naming.permutation import random_naming
         from repro.rtz.routing import RTZStretch3

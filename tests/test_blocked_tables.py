@@ -21,7 +21,6 @@ halves down:
 from __future__ import annotations
 
 import random
-import tempfile
 
 import numpy as np
 import pytest
@@ -67,7 +66,6 @@ from repro.runtime.scheme import Decision, Forward, Header, RoutingScheme
 from repro.runtime.simulator import Simulator
 from repro.runtime.sizing import header_bits
 from repro.runtime.traffic import generate_workload, run_workload
-from repro.store import ArtifactStore, store_override
 
 N = 32
 PAIRS = 48
@@ -386,52 +384,6 @@ def test_first_hop_blocks_concat_equals_matrix(n, block_rows, seed):
     # ... and the oracle's own per-block slices agree.
     lo = min(1, n - 1)
     assert np.array_equal(oracle.first_hop_block(lo, n), full[lo:n])
-
-
-@settings(max_examples=10, deadline=None)
-@given(block_rows=st.integers(min_value=1, max_value=30))
-def test_blocked_next_hop_store_round_trip(block_rows):
-    """Per-block artifacts rehydrate bit-identically from a cold store."""
-    graph = _graph(24, seed=11)
-    oracle = DistanceOracle(graph)
-    with tempfile.TemporaryDirectory(prefix="repro-blk-") as root:
-        store = ArtifactStore(root)
-        with store_override(store):
-            built = compile_blocked_next_hop(oracle, block_rows=block_rows)
-            puts = store.puts
-            rehydrated = compile_blocked_next_hop(
-                oracle, block_rows=block_rows
-            )
-        assert puts == len(built.blocks) > 0
-        assert store.puts == puts  # second compile is all hits
-        assert rehydrated.block_rows == built.block_rows
-        assert len(rehydrated.blocks) == len(built.blocks)
-        for a, b in zip(built.blocks, rehydrated.blocks):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-
-
-def test_landmark_tables_store_round_trip(net):
-    scheme = net.build_scheme("stretch6")
-    substrate = scheme.rtz
-    arrays = (
-        "direct_keys", "direct_next", "down_keys", "down_next",
-        "up_next", "center_of", "center_idx",
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-lmk-") as root:
-        store = ArtifactStore(root)
-        with store_override(store):
-            substrate.__dict__.pop("_compiled_step_tables", None)
-            built = compile_substrate_tables(substrate, "blocked")
-            assert store.puts == 1
-            substrate.__dict__.pop("_compiled_step_tables", None)
-            rehydrated = compile_substrate_tables(substrate, "blocked")
-            assert store.puts == 1  # served from the store, not rebuilt
-    substrate.__dict__.pop("_compiled_step_tables", None)
-    assert rehydrated is not built
-    assert set(built.arrays()) == set(arrays)
-    for name in arrays:
-        a, b = built.arrays()[name], rehydrated.arrays()[name]
-        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ shedding), the HTTP transport (keep-alive, unknown endpoints), the
 tentpole acceptance criteria — eight concurrent clients whose coalesced
 responses are bit-identical to direct ``Router.route_many`` calls, and
 graceful ``/reload`` under load with zero dropped requests and correct
-generation tagging — plus the satellite regressions: the per-label
-build lock in :class:`~repro.api.Network` and the no-DeprecationWarning
+generation tagging — plus a reload whose build raises, the per-label
+build lock in :class:`~repro.api.Network`, and the no-DeprecationWarning
 guarantee on CLI paths.
 """
 
@@ -536,6 +536,52 @@ def test_delta_reload_validation_in_process():
         assert status == 400
         status, raw = await app.dispatch("GET", "/healthz", b"")
         assert decode_body(raw)["generation"] == 1
+
+    asyncio.run(main())
+
+
+def test_reload_whose_build_raises_keeps_serving_in_process():
+    """A /reload whose build raises (an unknown family) is a structured
+    400 listing the families; the old generation keeps answering
+    /healthz and /route_many, and the next valid reload still swaps."""
+    from repro.graph.generators import FAMILY_NAMES
+
+    app = build_app(small_config())
+    pairs = make_pairs(6, n=24, seed=3)
+    expected = [
+        route_key(r)
+        for r in Network.from_family("random", 24, seed=0, store=None)
+        .router("stretch6").route_many(pairs)
+    ]
+    route_body = {"pairs": [[s, t] for s, t in pairs]}
+
+    async def main():
+        status, raw = await app.dispatch(
+            "POST", "/reload", json.dumps({"family": "smallworld"}).encode()
+        )
+        assert status == 400
+        with pytest.raises(ProtocolError) as err:
+            decode_body(raw)
+        assert err.value.code == "bad-request"
+        assert "unknown family 'smallworld'" in str(err.value)
+        for family in FAMILY_NAMES:
+            assert repr(family) in str(err.value)
+        status, raw = await app.dispatch("GET", "/healthz", b"")
+        assert status == 200
+        assert decode_body(raw)["generation"] == 1
+        status, raw = await app.dispatch(
+            "POST", "/route_many", json.dumps(route_body).encode()
+        )
+        assert status == 200, raw
+        generation, routes = decode_results(decode_body(raw))
+        assert generation == 1
+        assert [route_key(r) for r in routes] == expected
+        status, raw = await app.dispatch(
+            "POST", "/reload", json.dumps({"seed": 9}).encode()
+        )
+        assert status == 200, raw
+        doc = decode_body(raw)
+        assert (doc["old_generation"], doc["generation"]) == (1, 2)
 
     asyncio.run(main())
 

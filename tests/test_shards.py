@@ -341,12 +341,6 @@ class TestPickleCheapCompiledSchemes:
         b = run_workload(clone, workload, oracle=net.oracle())
         assert_bit_identical(a, b)
 
-    def test_substrate_cache_not_shipped_with_metric(self, net):
-        scheme = net.build_scheme("stretch6")
-        assert hasattr(scheme.metric, "_rtz_substrate_cache")
-        clone = pickle.loads(pickle.dumps(scheme))
-        assert not hasattr(clone.metric, "_rtz_substrate_cache")
-
 
 class _SlowCompileScheme(ShortestPathScheme):
     """Test double: a scheme whose table compilation is visibly slow."""

@@ -4,8 +4,8 @@ Covers the store primitives (keys, mmap-able npz blobs, atomic
 put/get, quarantine, LRU eviction), the :class:`repro.api.Network`
 two-tier lookup (memory -> store -> build-and-persist), bit-identity
 of rehydrated artifacts for every storable kind, concurrent writers,
-the engine-level persistence hooks (substrate step tables, first-hop
-matrix), the unified stats family, and the CLI surface
+store isolation (compiling and routing persists nothing outside
+``Network.artifact``), the unified stats family, and the CLI surface
 (``--cache-dir`` / ``--no-store`` / ``repro store ...`` / warm-start
 ``repro traffic``).
 """
@@ -463,34 +463,37 @@ class TestRehydrationBitIdentity:
 
 
 # ----------------------------------------------------------------------
-# engine-level persistence hooks
+# store isolation: only Network.artifact touches a store
 # ----------------------------------------------------------------------
-class TestEngineHooks:
-    def test_substrate_tables_roundtrip(self, graph, store):
-        from repro.runtime.engine import compile_substrate_tables
+#: every registered scheme that compiles decision tables
+COMPILED_SCHEMES = (
+    "shortest_path", "rtz", "stretch6", "stretch6_via_source", "wild_names",
+)
 
-        with store_override(store):
-            cold = Network(graph, seed=5, store=store)
-            rtz_cold = cold.rtz()
-            tables_cold = compile_substrate_tables(rtz_cold)
-            assert any(e.kind == "substrate-tables" for e in store.entries())
 
-            warm = Network(graph, seed=5, store=store)
-            tables_warm = compile_substrate_tables(warm.rtz())
-        assert np.array_equal(
-            tables_warm.direct_next, tables_cold.direct_next
-        )
-        assert np.array_equal(tables_warm.up_next, tables_cold.up_next)
-        assert np.array_equal(tables_warm.down_next, tables_cold.down_next)
-
-    def test_first_hop_matrix_roundtrip(self, graph, store):
-        with store_override(store):
-            cold = Network(graph, seed=5, store=store).oracle()
-            first_cold = cold.first_hop_matrix()
-            assert any(e.kind == "first-hop" for e in store.entries())
-            warm = Network(graph, seed=5, store=store).oracle()
-            first_warm = warm.first_hop_matrix()
-        assert np.array_equal(np.asarray(first_warm), np.asarray(first_cold))
+class TestStoreIsolation:
+    def test_compiled_schemes_persist_only_through_network(
+        self, graph, tmp_path, monkeypatch
+    ):
+        """Compiling and routing writes nothing to the environment's
+        store, and only the ``oracle`` and ``rtz`` artifacts to the
+        store a network was given."""
+        env_root = tmp_path / "env"
+        env_root.mkdir()
+        monkeypatch.setenv("REPRO_STORE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(env_root))
+        pinned = ArtifactStore(tmp_path / "pinned")
+        pairs = [(s, (3 * s + 1) % graph.n) for s in range(graph.n)]
+        for tables in ("dense", "blocked"):
+            for store in (pinned, None):
+                net = Network(graph, seed=5, store=store, tables=tables)
+                for name in COMPILED_SCHEMES:
+                    router = net.router(name)
+                    assert router.resolve_engine() == "vectorized", name
+                    assert router.resolve_tables() == tables, name
+                    assert len(router.route_many(pairs)) == len(pairs)
+        assert list(env_root.iterdir()) == []
+        assert {e.kind for e in pinned.entries()} == {"oracle", "rtz"}
 
 
 # ----------------------------------------------------------------------
