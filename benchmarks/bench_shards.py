@@ -1,15 +1,15 @@
-"""Sharded parallel workload execution: multi-core scaling benchmark.
+"""Sharded workload execution: multi-core scaling benchmark.
 
 The serving story ("millions of users, as fast as the hardware
 allows") needs more than a fast single-threaded engine: it needs the
-workload to *scale out*.  ``run_workload(shards=, jobs=)`` splits a
-workload into fixed-boundary shards, executes them on a worker pool
-(process pool for the GIL-bound python engine, released-GIL numpy
-sweeps on threads for the vectorized engine), and merges the per-shard
-summaries deterministically.
+workload to *scale out*.  ``run_workload(shard_size=, jobs=)`` splits a
+workload into fixed-boundary shards, runs the GIL-bound python
+engine's shards on a process pool when ``jobs > 1`` (the vectorized
+engine's shards run serially), and merges the per-shard summaries
+deterministically.
 
-This benchmark sweeps the jobs axis on both executors, re-checks the
-determinism contract (every jobs value yields the bit-identical
+This benchmark sweeps the jobs axis on the python engine, re-checks
+the determinism contract (every jobs value yields the bit-identical
 summary), and asserts the headline target: **>= 2.5x throughput at
 jobs=4 on the python engine at n >= 256** — gated on the host actually
 having >= 4 cores (and skipped in smoke mode, like every other
@@ -54,14 +54,13 @@ def _key(summary):
     )
 
 
-def _sweep(scheme, wl, engine, executor, shards):
+def _sweep(scheme, wl, engine, shard_size):
     """Wall-clock one run per jobs value; return [(jobs, seconds, summary)]."""
     rows = []
     for jobs in JOBS_SWEEP:
         t0 = time.perf_counter()
         summary = run_workload(
-            scheme, wl, engine=engine, shards=shards,
-            jobs=jobs, executor="serial" if jobs == 1 else executor,
+            scheme, wl, engine=engine, shard_size=shard_size, jobs=jobs,
         )
         rows.append((jobs, time.perf_counter() - t0, summary))
     return rows
@@ -89,8 +88,8 @@ def test_python_engine_process_scaling(benchmark):
     wl = generate_workload("uniform", net.n, pairs, rng=random.Random(23))
     banner(f"sharded python-engine scaling via process pool "
            f"(n={net.n}, {pairs} pairs, {shards} shards, {CORES} cores)")
-    rows = _sweep(scheme, wl, "python", "processes", shards)
-    _report("python engine, process executor", rows)
+    rows = _sweep(scheme, wl, "python", pairs // shards)
+    _report("python engine, process pool", rows)
 
     # Determinism: every jobs value produced the bit-identical summary.
     keys = {_key(s) for (_j, _t, s) in rows}
@@ -112,26 +111,3 @@ def test_python_engine_process_scaling(benchmark):
         iterations=1,
     )
 
-
-def test_vectorized_engine_thread_sharding(benchmark):
-    """Thread-pool sharding on the vectorized engine: numpy sweeps
-    release the GIL, so shards overlap without pickling anything.  The
-    contract here is determinism + no pathological slowdown; the
-    vectorized engine is already near memory-bandwidth-bound."""
-    net = cached_network("random", 256, seed=0)
-    pairs = 120 if SMOKE else 4000
-    shards = 4 if SMOKE else 8
-    scheme = net.build_scheme("stretch6")
-    wl = generate_workload("uniform", net.n, pairs, rng=random.Random(29))
-    run_workload(scheme, wl.pairs[:4], engine="vectorized")  # warm compile
-    banner(f"sharded vectorized-engine scaling via threads "
-           f"(n={net.n}, {pairs} pairs, {shards} shards)")
-    rows = _sweep(scheme, wl, "vectorized", "threads", shards)
-    _report("vectorized engine, thread executor", rows)
-    assert len({_key(s) for (_j, _t, s) in rows}) == 1
-
-    benchmark.pedantic(
-        get_case("shard/stretch6/vectorized/threads").setup(BENCH_CONTEXT),
-        rounds=1,
-        iterations=1,
-    )

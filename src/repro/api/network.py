@@ -507,8 +507,6 @@ class Network:
         scheme: Union[str, "RoutingScheme"],
         hop_limit: Optional[int] = None,
         engine: Optional[str] = None,
-        jobs: Optional[int] = None,
-        executor: Optional[str] = None,
         tables: Optional[str] = None,
         **params: Any,
     ) -> "Router":
@@ -520,13 +518,12 @@ class Network:
             hop_limit: per-leg hop budget override.
             engine: execution-engine override for batched serving
                 (defaults to this network's engine knob).
-            jobs: default worker count for sharded workload serving
-                (see :meth:`repro.api.router.Router.serve_workload`).
-            executor: default shard executor (``serial`` / ``threads``
-                / ``processes``; ``None`` auto-selects per engine).
             tables: compiled-table family override (defaults to this
                 network's tables knob).
             **params: forwarded to :meth:`build_scheme` for names.
+
+        Sharded serving takes ``shard_size``/``jobs`` per call
+        (:meth:`repro.api.router.Router.serve_workload`).
         """
         from repro.api.router import Router
 
@@ -537,7 +534,5 @@ class Network:
             oracle=self.oracle(),
             hop_limit=hop_limit,
             engine=engine or self._engine,
-            jobs=jobs,
-            executor=executor,
             tables=tables or self._tables,
         )

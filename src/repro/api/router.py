@@ -130,15 +130,13 @@ class Router:
             (``"auto"`` / ``"vectorized"`` / ``"python"``; ``"auto"``
             compiles the scheme's tables when it can and falls back to
             the hop-by-hop simulator when it cannot).
-        jobs: default worker count for sharded workload serving
-            (``None``/``1`` = serial; see
-            :func:`repro.runtime.traffic.run_workload`).
-        executor: default shard executor (``"serial"`` / ``"threads"``
-            / ``"processes"``; ``None`` auto-selects per engine).
         tables: compiled-table family for the vectorized engine
             (``"dense"`` / ``"blocked"`` / ``"auto"``; ``"auto"`` picks
             dense under the size threshold, blocked above it.  All
             families serve bit-identical results).
+
+    Sharding is per call: :meth:`serve_workload` takes ``shard_size``
+    and ``jobs``.
     """
 
     def __init__(
@@ -147,8 +145,6 @@ class Router:
         oracle: Optional[DistanceOracle] = None,
         hop_limit: Optional[int] = None,
         engine: str = "auto",
-        jobs: Optional[int] = None,
-        executor: Optional[str] = None,
         tables: str = "auto",
     ):
         self._scheme = scheme
@@ -157,8 +153,6 @@ class Router:
         self._hop_limit = hop_limit
         self._engine = engine
         self._table_family = tables
-        self._jobs = jobs
-        self._executor = executor
         self._queries = 0
         self._total_cost = 0.0
         self._total_hops = 0
@@ -278,38 +272,31 @@ class Router:
         self,
         workload: Union[Workload, Sequence[Tuple[int, int]]],
         engine: Optional[str] = None,
-        shards: Optional[int] = None,
         shard_size: Optional[int] = None,
         jobs: Optional[int] = None,
-        executor: Optional[str] = None,
     ) -> TrafficSummary:
         """Route a traffic workload and return the aggregate summary.
 
         Delegates to :func:`repro.runtime.traffic.run_workload` on the
-        resolved execution engine; ``shards``/``shard_size``/``jobs``/
-        ``executor`` (defaulting to the session's construction-time
-        values) enable sharded parallel execution with the same
-        bit-identical-summary guarantee.  The session counters absorb
-        the batch, with the shard count recorded per engine (see
-        :meth:`stats`).
+        resolved execution engine; ``shard_size``/``jobs`` enable
+        sharded execution (a process pool for the python engine with
+        ``jobs > 1``) with the same bit-identical-summary guarantee.
+        The session counters absorb the batch, with the shard count
+        recorded per engine (see :meth:`stats`).
         """
         resolved = self.resolve_engine(engine)
-        jobs = jobs if jobs is not None else self._jobs
-        executor = executor if executor is not None else self._executor
         summary = run_workload(
             self._scheme,
             workload,
             oracle=self._oracle,
             hop_limit=self._hop_limit,
             engine=resolved,
-            shards=shards,
             shard_size=shard_size,
             jobs=jobs,
-            executor=executor,
             tables=self._table_family,
         )
         executed_shards = num_shards(
-            summary.pairs, shards=shards, shard_size=shard_size, jobs=jobs
+            summary.pairs, shard_size=shard_size, jobs=jobs
         )
         self._account_batch(
             resolved, summary.pairs, summary.elapsed_s, shards=executed_shards

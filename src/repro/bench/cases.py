@@ -11,8 +11,9 @@ Each case names one kernel the repo's perf story depends on:
   kernels the paper's experiments time;
 * **traffic** — whole-workload batched execution across schemes ×
   workload shapes × engines × families;
-* **shard** — parallel sharded execution across executors and job
-  counts;
+* **shard** — sharded python-engine execution, serial versus the
+  process pool that :func:`~repro.runtime.traffic.resolve_executor`
+  picks for ``jobs > 1``;
 * **store** — the on-disk artifact store's warm-start path: cold
   build-and-persist versus rehydrating the same artifact from a warm
   store (each case owns an explicit temporary
@@ -47,7 +48,7 @@ import tempfile
 from repro.bench.registry import DEFAULT_TOLERANCE, bench_case
 from repro.bench.runner import BenchContext
 from repro.graph.shortest_paths import DistanceOracle
-from repro.runtime.traffic import run_workload
+from repro.runtime.traffic import resolve_executor, run_workload
 from repro.rtz.routing import RTZStretch3
 
 
@@ -246,64 +247,44 @@ _register_traffic_case(
 
 
 # ----------------------------------------------------------------------
-# shard axis: parallel sharded execution (mirrors bench_shards.py)
+# shard axis: sharded python-engine execution (mirrors bench_shards.py)
 # ----------------------------------------------------------------------
 
 def _register_shard_case(
-    name: str,
-    engine: str,
-    executor: str,
-    jobs: int,
-    n: int = 256,
-    pairs: int = 8000,
-    smoke_pairs: int = 120,
-    shards: int = 16,
-    smoke_shards: int = 4,
-    seed: int = 23,
-    tolerance: float = DEFAULT_TOLERANCE,
+    name: str, jobs: int, tolerance: float = DEFAULT_TOLERANCE,
 ):
-    # The declared executor/jobs run everywhere — a pool on a 1-core
-    # host is merely slow, never degraded to serial — so the recorded
-    # tags always describe what was measured and the trajectory shape
-    # does not depend on the recording host's core count.
+    # The declared jobs run everywhere — a pool on a 1-core host is
+    # merely slow, never degraded to serial — so the recorded tags
+    # always describe what was measured and the trajectory shape does
+    # not depend on the recording host's core count.
+    executor = resolve_executor("python", jobs)
+    n, pairs, shards = 256, 8000, 16
+
     @bench_case(
         name,
         axis="shard",
-        summary=(f"sharded {engine}-engine workload, {executor} executor, "
+        summary=(f"sharded python-engine workload, {executor} executor, "
                  f"jobs={jobs} (random, n={n}, {pairs} pairs)"),
         tolerance=tolerance,
-        tags={"scheme": "stretch6", "engine": engine, "executor": executor,
+        tags={"scheme": "stretch6", "engine": "python", "executor": executor,
               "jobs": str(jobs), "family": "random"},
     )
     def _setup(ctx: BenchContext):
         net = ctx.network("random", n)
         scheme = net.build_scheme("stretch6")
-        wl = ctx.workload("uniform", net, pairs, smoke_pairs=smoke_pairs,
-                          seed=seed)
-        n_shards = ctx.count(shards, smoke_shards)
-        if engine == "vectorized":
-            run_workload(scheme, wl.pairs[:4], engine="vectorized")
+        wl = ctx.workload("uniform", net, pairs, smoke_pairs=120, seed=23)
+        shard_size = len(wl) // ctx.count(shards, 4)
         return lambda: run_workload(
-            scheme, wl, engine=engine, shards=n_shards,
-            jobs=jobs, executor=executor,
+            scheme, wl, engine="python", shard_size=shard_size, jobs=jobs,
         )
 
     return _setup
 
 
-_register_shard_case(
-    "shard/stretch6/python/serial", "python", "serial", jobs=1,
-)
+_register_shard_case("shard/stretch6/python/serial", jobs=1)
 # Pool spin-up dominates the smoke-sized runs and varies widely across
 # hosts; the wider bands still catch a collapsed pool path.
-_register_shard_case(
-    "shard/stretch6/python/processes", "python", "processes", jobs=4,
-    tolerance=4.0,
-)
-_register_shard_case(
-    "shard/stretch6/vectorized/threads", "vectorized", "threads", jobs=4,
-    pairs=4000, shards=8, seed=29, tolerance=3.0,
-)
+_register_shard_case("shard/stretch6/python/processes", jobs=4, tolerance=4.0)
 
 
 # ----------------------------------------------------------------------

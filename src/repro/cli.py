@@ -35,11 +35,11 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.stretch import stretch_distribution
 from repro.analysis.tables import breakdown
-from repro.api import Network, UnknownSchemeError, all_specs, get_spec
+from repro.api import Network, all_specs, get_spec
 from repro.api.network import ENGINES
 from repro.api.stats import SessionStats
 from repro.distributed.preprocessing import DistributedPreprocessing
-from repro.exceptions import GraphError, ReproError, RoutingError
+from repro.exceptions import GraphError, ReproError
 from repro.graph.generators import FAMILY_NAMES
 from repro.runtime.engine import TABLE_FAMILIES
 from repro.runtime.scheme import RoutingScheme
@@ -74,16 +74,13 @@ def _configure_store(args: argparse.Namespace) -> None:
 def _network(args: argparse.Namespace) -> Network:
     """The shared facade for one CLI invocation."""
     _configure_store(args)
-    try:
-        return Network.from_family(
-            args.family,
-            args.n,
-            seed=args.seed,
-            engine=getattr(args, "engine", "auto"),
-            tables=getattr(args, "tables", "auto"),
-        )
-    except GraphError as exc:
-        raise SystemExit(str(exc))
+    return Network.from_family(
+        args.family,
+        args.n,
+        seed=args.seed,
+        engine=getattr(args, "engine", "auto"),
+        tables=getattr(args, "tables", "auto"),
+    )
 
 
 def _instance(net: Network) -> Instance:
@@ -97,10 +94,7 @@ def _build_scheme(
 ) -> Tuple[RoutingScheme, float]:
     """Build one registered scheme (passing ``--k`` where accepted) and
     return it with its claimed stretch bound."""
-    try:
-        spec = get_spec(label)
-    except UnknownSchemeError as exc:
-        raise SystemExit(str(exc))
+    spec = get_spec(label)
     params = {"k": args.k} if spec.accepts("k") else {}
     scheme = net.build_scheme(spec.name, **params)
     return scheme, spec.stretch_bound(scheme)
@@ -197,11 +191,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         build_s = time.perf_counter() - t0
         router = net.router(scheme, engine=args.engine)
         routers.append(router)
-        try:
-            resolved = router.resolve_engine()
-            executor = resolve_executor(resolved, args.jobs)
-        except (GraphError, RoutingError) as exc:
-            raise SystemExit(str(exc))
+        resolved = router.resolve_engine()
         summary = router.serve_workload(
             workload, shard_size=args.shard_size, jobs=args.jobs
         )
@@ -220,7 +210,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
                 len(workload), shard_size=args.shard_size, jobs=args.jobs
             )
             # A single-shard plan executes monolithically — no pool.
-            shown = executor if shards > 1 else "serial"
+            shown = resolve_executor(resolved, args.jobs) if shards > 1 else "serial"
             print(f"sharding   : {shards} shards, "
                   f"jobs={args.jobs or 1} ({shown})")
         print(summary.format())
@@ -245,10 +235,7 @@ def _traffic_events(
     per scheme, printing the per-epoch stretch trajectory."""
     from repro.runtime.churn import load_timeline, run_timeline
 
-    try:
-        timeline = load_timeline(args.events)
-    except GraphError as exc:
-        raise SystemExit(str(exc))
+    timeline = load_timeline(args.events)
     failures = 0
     for i, label in enumerate(labels):
         t0 = time.perf_counter()
@@ -256,14 +243,11 @@ def _traffic_events(
         build_s = time.perf_counter() - t0
         spec = get_spec(label)
         params = {"k": args.k} if spec.accepts("k") else {}
-        try:
-            summary, final = run_timeline(
-                net, spec.name, timeline, params=params,
-                engine=args.engine, shard_size=args.shard_size,
-                jobs=args.jobs, tables=args.tables,
-            )
-        except (GraphError, RoutingError) as exc:
-            raise SystemExit(str(exc))
+        summary, final = run_timeline(
+            net, spec.name, timeline, params=params,
+            engine=args.engine, shard_size=args.shard_size,
+            jobs=args.jobs, tables=args.tables,
+        )
         if i:
             print()
         print(f"scheme     : {scheme.name} on {args.family} (n={net.n})")
@@ -331,10 +315,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     if action == "show":
         import json as _json
 
-        try:
-            spec = load_scenario(args.spec)
-        except ScenarioError as exc:
-            raise SystemExit(str(exc))
+        spec = load_scenario(args.spec)
         print(_json.dumps(spec.to_doc(), indent=2, sort_keys=True))
         return 0
     if action == "run":
@@ -343,13 +324,10 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
         failures = 0
         for i, source in enumerate(args.spec):
-            try:
-                spec = load_scenario(source)
-                if args.smoke:
-                    spec = spec.smoke()
-                result = run_scenario(spec, jobs=args.jobs)
-            except (ScenarioError, GraphError, RoutingError) as exc:
-                raise SystemExit(str(exc))
+            spec = load_scenario(source)
+            if args.smoke:
+                spec = spec.smoke()
+            result = run_scenario(spec, jobs=args.jobs)
             if i:
                 print()
             print(result.format())
@@ -370,10 +348,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"{', '.join(bench.AXES)}"
             )
         patterns.append(axis)
-    try:
-        cases = bench.select_cases(patterns)
-    except bench.UnknownCaseError as exc:
-        raise SystemExit(str(exc))
+    cases = bench.select_cases(patterns)
     smoke = True if args.smoke else None  # None: read REPRO_BENCH_SMOKE
     ctx = bench.BenchContext(smoke=smoke, seed=args.seed)
     if args.list:
@@ -404,12 +379,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             "--check and --rebaseline are mutually exclusive: check "
             "first, then re-anchor deliberately"
         )
-    try:
-        run = bench.run_cases(
-            cases, ctx, repeats=args.repeats, warmup=args.warmup, progress=show
-        )
-    except ReproError as exc:
-        raise SystemExit(str(exc))
+    run = bench.run_cases(
+        cases, ctx, repeats=args.repeats, warmup=args.warmup, progress=show
+    )
     path = bench.write_artifact(run, args.out)
     print(f"\nartifact: {path}")
 
@@ -436,10 +408,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         return 0
     if not args.check:
         return 0
-    try:
-        comparison = bench.compare_to_baseline(run, args.baseline)
-    except bench.BenchArtifactError as exc:
-        raise SystemExit(str(exc))
+    comparison = bench.compare_to_baseline(run, args.baseline)
     print()
     print(comparison.format())
     if not comparison.ok:
@@ -522,12 +491,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
     labels = [s.strip() for s in args.scheme.split(",") if s.strip()]
     if not labels:
         raise SystemExit("no scheme given")
-    schemes = []
-    for label in labels:
-        try:
-            schemes.append(get_spec(label).name)
-        except UnknownSchemeError as exc:
-            raise SystemExit(str(exc))
+    schemes = [get_spec(label).name for label in labels]
+    for flag, value in (("--max-inflight", args.max_inflight),
+                        ("--max-batch", args.max_batch),
+                        ("--max-queue", args.max_queue)):
+        if value < 1:
+            raise SystemExit(f"{flag} must be >= 1, got {value}")
+    if not 0 <= args.port <= 65535:
+        raise SystemExit(f"--port must be in 0..65535, got {args.port}")
     if args.linger_ms < 0:
         raise SystemExit(f"--linger-ms must be >= 0, got {args.linger_ms}")
     config = ServeConfig(
@@ -544,10 +515,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         linger_s=args.linger_ms / 1000.0,
     )
-    try:
-        return serve_forever(config)
-    except (GraphError, ReproError) as exc:
-        raise SystemExit(str(exc))
+    return serve_forever(config)
 
 
 def _read_pair_file(path: str) -> list:
@@ -587,7 +555,7 @@ def _format_route_line(s: int, t: int, route) -> str:
 
 
 def cmd_client(args: argparse.Namespace) -> int:
-    from repro.serve import ProtocolError, ServeClient, ServeConnectionError
+    from repro.serve import ProtocolError, ServeClient
 
     try:
         client = ServeClient(host=args.host, port=args.port,
@@ -630,14 +598,9 @@ def cmd_client(args: argparse.Namespace) -> int:
             return _client_batch(args, client)
         if action == "workload":
             if getattr(args, "scenario", None):
-                from repro.scenarios import ScenarioError
-
-                try:
-                    generation, summary = client.workload(
-                        scenario=args.scenario, scheme=args.scheme
-                    )
-                except ScenarioError as exc:
-                    raise SystemExit(str(exc))
+                generation, summary = client.workload(
+                    scenario=args.scenario, scheme=args.scheme
+                )
             else:
                 generation, summary = client.workload(
                     args.kind, args.pairs, seed=args.seed, scheme=args.scheme
@@ -686,8 +649,6 @@ def cmd_client(args: argparse.Namespace) -> int:
         if choices:
             detail += f"\nchoices: {', '.join(map(str, choices))}"
         raise SystemExit(detail)
-    except ServeConnectionError as exc:
-        raise SystemExit(str(exc))
 
 
 def _client_batch(args: argparse.Namespace, client) -> int:
@@ -707,10 +668,7 @@ def _client_batch(args: argparse.Namespace, client) -> int:
             engine=getattr(args, "engine", "auto"),
             tables=getattr(args, "tables", "auto"),
         )
-        try:
-            results = net.router(args.scheme or "stretch6").route_many(pairs)
-        except (GraphError, RoutingError, UnknownSchemeError) as exc:
-            raise SystemExit(str(exc))
+        results = net.router(args.scheme or "stretch6").route_many(pairs)
         for (s, t), route in zip(pairs, results):
             print(_format_route_line(s, t, route))
         return 0
@@ -874,9 +832,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="parallel shard workers (process pool for the python "
-        "engine, threads for the vectorized engine); the summary is "
-        "bit-identical for any value",
+        help="parallel shard workers: a process pool for the python "
+        "engine, serial shards for the vectorized engine; the summary "
+        "is bit-identical for any value",
     )
     p.add_argument(
         "--shard-size",
@@ -1226,11 +1184,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.  A library error (any :class:`ReproError`)
+    exits 1 with its message as the one line printed."""
     args = build_parser().parse_args(argv)
     if getattr(args, "pairs", 0) < 0:
         raise SystemExit(f"--pairs must be >= 0, got {args.pairs}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":

@@ -248,19 +248,6 @@ def repair_oracle(
     return new_oracle, result
 
 
-def rebuild_report(delta: GraphDelta, n: int, seconds: float) -> RepairReport:
-    """The accounting record for a keyed full rebuild (the fallback
-    path): every row recomputed, none reused."""
-    return RepairReport(
-        ops=len(delta.ops),
-        rows_recomputed=n,
-        rows_reused=0,
-        entries_changed=0,
-        full_rebuild=True,
-        seconds=seconds,
-    )
-
-
 __all__: List[str] = [
     "RepairReport",
     "RepairedAPSP",
@@ -268,5 +255,4 @@ __all__: List[str] = [
     "delta_supports_repair",
     "repair_apsp",
     "repair_oracle",
-    "rebuild_report",
 ]

@@ -334,8 +334,60 @@ def materialize_delta(
 
 
 # ----------------------------------------------------------------------
-# the timeline runner
+# the epoch step and the timeline runner
 # ----------------------------------------------------------------------
+
+def evolve_epoch(
+    network, events: Sequence[Mapping[str, Any]], seed: int, index: int
+) -> Tuple[Any, Optional[GraphDelta]]:
+    """Step ``network`` across epoch ``index``'s events.
+
+    The events materialize against the current generation's graph from
+    ``random.Random(f"{seed}|churn|{index}")`` and the network evolves
+    across the resulting delta (incremental oracle repair where the
+    protocol applies).  Returns ``(network, delta)``; a quiet epoch
+    returns the input network and ``None``.  Shared by
+    :func:`run_timeline` and the scenario runner, so both walk the same
+    generation chain from the same seed.
+    """
+    if not events:
+        return network, None
+    delta = materialize_delta(
+        network.graph, events, random.Random(f"{seed}|churn|{index}")
+    )
+    return network.evolve(delta), delta
+
+
+def attach_epoch_row(
+    part: TrafficSummary, index: int, network, delta: Optional[GraphDelta]
+) -> TrafficSummary:
+    """``part`` (one epoch's summary, routed on ``network``) with its
+    :class:`~repro.runtime.traffic.EpochStretch` row attached.
+
+    The row's repair mode is ``"none"`` for a quiet epoch, else
+    ``"incremental"`` or ``"rebuild"`` as the network's repair stats
+    record how the oracle crossed ``delta``.
+    """
+    if delta is None:
+        repair = "none"
+    else:
+        stats = network.stats().repair
+        repair = (
+            "incremental" if stats is not None and stats.incremental
+            else "rebuild"
+        )
+    row = EpochStretch(
+        index=index,
+        generation=network.generation,
+        pairs=part.pairs,
+        events=tuple(delta.op_names()) if delta is not None else (),
+        repair=repair,
+        mean_stretch=part.mean_stretch,
+        max_stretch=part.max_stretch,
+        worst_pair=part.worst_pair,
+    )
+    return replace(part, epochs=(row,))
+
 
 def run_timeline(
     network,
@@ -344,20 +396,18 @@ def run_timeline(
     params: Optional[Dict[str, Any]] = None,
     hop_limit: Optional[int] = None,
     engine: str = "auto",
-    shards: Optional[int] = None,
     shard_size: Optional[int] = None,
     jobs: Optional[int] = None,
-    executor: Optional[str] = None,
     tables: str = "auto",
 ) -> Tuple[TrafficSummary, Any]:
     """Run a churn timeline end to end.
 
-    Per epoch: materialize the epoch's events into a delta, evolve the
-    network (``network.evolve`` — incremental oracle repair where the
-    protocol applies), rebuild the scheme on the new generation, and
-    route the epoch's workload.  The per-epoch summaries merge into a
-    single :class:`TrafficSummary` carrying one
-    :class:`~repro.runtime.traffic.EpochStretch` row per epoch.
+    Per epoch: step the network across the epoch's events
+    (:func:`evolve_epoch`), rebuild the scheme on the new generation,
+    and route the epoch's workload.  The per-epoch summaries merge into
+    a single :class:`TrafficSummary` carrying one
+    :class:`~repro.runtime.traffic.EpochStretch` row per epoch
+    (:func:`attach_epoch_row`).
 
     Args:
         network: the generation-1 :class:`~repro.api.network.Network`.
@@ -365,10 +415,9 @@ def run_timeline(
         timeline: a :class:`Timeline` (or anything
             :func:`load_timeline` accepts).
         params: scheme build parameters (e.g. ``{"k": 2}``).
-        hop_limit / engine / shards / shard_size / jobs / executor /
-            tables: forwarded to :func:`~repro.runtime.traffic.run_workload`
-            per epoch, with the same bit-identical-across-``jobs``
-            guarantee.
+        hop_limit / engine / shard_size / jobs / tables: forwarded to
+            :func:`~repro.runtime.traffic.run_workload` per epoch, with
+            the same bit-identical-across-``jobs`` guarantee.
 
     Returns:
         ``(summary, final_network)`` — the merged summary and the last
@@ -380,14 +429,7 @@ def run_timeline(
     net = network
     parts = []
     for i, epoch in enumerate(timeline.epochs):
-        delta = None
-        if epoch.events:
-            delta = materialize_delta(
-                net.graph, epoch.events,
-                random.Random(f"{timeline.seed}|churn|{i}"),
-            )
-        if delta is not None:
-            net = net.evolve(delta)
+        net, delta = evolve_epoch(net, epoch.events, timeline.seed, i)
         kind = epoch.workload or timeline.workload
         workload = generate_workload(
             kind, net.n, epoch.pairs,
@@ -397,28 +439,9 @@ def run_timeline(
         built = net.build_scheme(scheme, **params)
         part = run_workload(
             built, workload, oracle=net.oracle(), hop_limit=hop_limit,
-            engine=engine, shards=shards, shard_size=shard_size, jobs=jobs,
-            executor=executor, tables=tables,
+            engine=engine, shard_size=shard_size, jobs=jobs, tables=tables,
         )
-        if delta is None:
-            repair = "none"
-        else:
-            stats = net.stats().repair
-            repair = (
-                "incremental" if stats is not None and stats.incremental
-                else "rebuild"
-            )
-        row = EpochStretch(
-            index=i,
-            generation=net.generation,
-            pairs=part.pairs,
-            events=tuple(delta.op_names()) if delta is not None else (),
-            repair=repair,
-            mean_stretch=part.mean_stretch,
-            max_stretch=part.max_stretch,
-            worst_pair=part.worst_pair,
-        )
-        parts.append(replace(part, epochs=(row,)))
+        parts.append(attach_epoch_row(part, i, net, delta))
     return TrafficSummary.merge(parts), net
 
 
@@ -427,6 +450,8 @@ __all__ = [
     "EpochSpec",
     "TIMELINE_VERSION",
     "Timeline",
+    "attach_epoch_row",
+    "evolve_epoch",
     "load_timeline",
     "materialize_delta",
     "materialize_event",

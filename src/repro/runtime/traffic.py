@@ -14,13 +14,15 @@ makes heavy-traffic scenarios a first-class workload:
   :meth:`repro.runtime.simulator.Simulator.roundtrip_many` and
   aggregates cost, stretch, hop, and header statistics into one
   :class:`TrafficSummary`;
-* sharded parallel execution: :func:`plan_shards` splits a workload
-  into fixed-boundary chunks and :func:`run_workload` executes them
-  concurrently (``jobs=``/``executor=``), combining the per-shard
-  results through :meth:`TrafficSummary.merge`.  The shard partition
-  depends only on the workload length and the shard parameters — never
-  on ``jobs`` — so the merged summary is bit-identical across worker
-  counts and executors (see :func:`run_workload`).
+* sharded execution: :func:`plan_shards` splits a workload into
+  fixed-boundary chunks of ``shard_size`` pairs and :func:`run_workload`
+  routes them, on a process pool when :func:`resolve_executor` picks
+  one (the python engine with ``jobs > 1``) and serially otherwise,
+  combining the per-shard results through
+  :meth:`TrafficSummary.merge`.  The shard partition depends only on
+  the workload length and ``shard_size`` — never on ``jobs`` — so the
+  merged summary is bit-identical across worker counts (see
+  :func:`run_workload`).
 
 Exposed on the command line as ``python -m repro.cli traffic``
 (``--jobs`` / ``--shard-size``).
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -50,9 +52,6 @@ WORKLOAD_KINDS = (
     "uniform", "hotspot", "adversarial", "mixed",
     "zipf", "flash-crowd", "diurnal",
 )
-
-#: Shard executors understood by :func:`run_workload`.
-EXECUTORS = ("serial", "threads", "processes")
 
 #: Pairs per shard when parallelism is requested (``jobs=``) without an
 #: explicit partition.  Fixed — independent of ``jobs`` — so any worker
@@ -390,8 +389,8 @@ def generate_workload(
 class EpochStretch:
     """Per-epoch stretch row of a churn-timeline run.
 
-    A timeline run (:func:`repro.runtime.churn.run_timeline`, or
-    ``run_workload(events=...)``) routes one workload batch per epoch,
+    A timeline run (:func:`repro.runtime.churn.run_timeline`, or a
+    scenario's phase walk) routes one workload batch per epoch,
     mutating the topology between batches.  Each epoch contributes one
     of these rows to :attr:`TrafficSummary.epochs`, so the aggregate
     summary keeps the stretch trajectory across generations instead of
@@ -521,7 +520,7 @@ class TrafficSummary:
         larger part (so ``worst_pair`` matches the concatenated run's
         first-wins argmax), and ``elapsed_s`` adds.  This is the
         aggregation path sharded execution uses to combine per-shard
-        results (:func:`run_workload` with ``shards=``/``jobs=``).
+        results (:func:`run_workload` with ``shard_size=``/``jobs=``).
 
         Stretch columns have *partial-coverage* semantics: parts
         measured without an oracle carry ``nan`` stretch, and the merge
@@ -616,47 +615,26 @@ class TrafficSummary:
 
 def plan_shards(
     total: int,
-    shards: Optional[int] = None,
     shard_size: Optional[int] = None,
     parallel: bool = False,
 ) -> List[Tuple[int, int]]:
     """Fixed shard boundaries ``[(lo, hi), ...]`` covering ``range(total)``.
 
-    The partition is a pure function of ``(total, shards, shard_size)``
-    — deliberately independent of the worker count — so a workload
-    executed with any ``jobs`` value aggregates the *same* per-shard
-    summaries in the same order:
-
-    * ``shards=k`` — ``min(k, total)`` contiguous chunks of balanced
-      size (the first ``total % k`` chunks hold one extra pair);
-    * ``shard_size=m`` — contiguous chunks of ``m`` pairs (last one
-      short);
-    * neither, with ``parallel=True`` — chunks of
-      :data:`DEFAULT_SHARD_SIZE`;
-    * neither, serial — one chunk (the monolithic legacy path).
+    Contiguous chunks of ``shard_size`` pairs (the last one short);
+    without ``shard_size``, chunks of :data:`DEFAULT_SHARD_SIZE` for a
+    parallel run (``parallel=True``) and one chunk for a serial one.
+    The partition is a pure function of ``(total, shard_size,
+    parallel)`` — deliberately independent of the worker count — so a
+    workload executed with any ``jobs`` value aggregates the *same*
+    per-shard summaries in the same order.
 
     Raises:
-        GraphError: for ``shards``/``shard_size`` below 1, or both
-            given at once.
+        GraphError: for ``shard_size`` below 1.
     """
-    if shards is not None and shard_size is not None:
-        raise GraphError("pass shards or shard_size, not both")
-    if shards is not None and shards < 1:
-        raise GraphError(f"shards must be >= 1, got {shards}")
     if shard_size is not None and shard_size < 1:
         raise GraphError(f"shard_size must be >= 1, got {shard_size}")
     if total <= 0:
         return [(0, 0)]
-    if shards is not None:
-        k = min(shards, total)
-        base, rem = divmod(total, k)
-        bounds = []
-        lo = 0
-        for i in range(k):
-            hi = lo + base + (1 if i < rem else 0)
-            bounds.append((lo, hi))
-            lo = hi
-        return bounds
     size = shard_size if shard_size is not None else (
         DEFAULT_SHARD_SIZE if parallel else total
     )
@@ -665,42 +643,28 @@ def plan_shards(
 
 def num_shards(
     total: int,
-    shards: Optional[int] = None,
     shard_size: Optional[int] = None,
     jobs: Optional[int] = None,
 ) -> int:
     """How many shards :func:`run_workload` executes for these
     parameters (the accounting-side view of :func:`plan_shards`,
     keeping the ``jobs``-requests-a-partition rule in one place)."""
-    return len(plan_shards(
-        total, shards=shards, shard_size=shard_size,
-        parallel=jobs is not None,
-    ))
+    return len(plan_shards(total, shard_size=shard_size, parallel=jobs is not None))
 
 
-def resolve_executor(
-    engine: str, jobs: Optional[int], executor: Optional[str] = None
-) -> str:
-    """The concrete shard executor :func:`run_workload` would use.
+def resolve_executor(engine: str, jobs: Optional[int]) -> str:
+    """The shard executor :func:`run_workload` uses for a multi-shard
+    plan: ``"processes"`` for the python engine with ``jobs > 1``,
+    ``"serial"`` otherwise.
 
-    ``None`` auto-selects: ``"serial"`` for ``jobs`` of ``None``/``1``;
-    otherwise ``"processes"`` for the python engine (pure-Python
-    forwarding is GIL-bound, so real parallelism needs a process pool)
-    and ``"threads"`` for the vectorized engine (its numpy sweeps
-    release the GIL, and threads skip pickling entirely).
-
-    Raises:
-        GraphError: for an unknown executor name.
+    Pure-Python forwarding is GIL-bound, so only a process pool runs
+    its shards in parallel.  The vectorized engine's shards run
+    serially: its batches are short numpy sweeps, and a thread pool
+    measured no faster than the serial loop.
     """
-    if executor is not None:
-        if executor not in EXECUTORS:
-            raise GraphError(
-                f"unknown executor {executor!r}; choose from {EXECUTORS}"
-            )
-        return executor
-    if jobs is None or jobs <= 1:
-        return "serial"
-    return "processes" if engine == "python" else "threads"
+    if engine == "python" and jobs is not None and jobs > 1:
+        return "processes"
+    return "serial"
 
 
 def _summarize(
@@ -795,17 +759,13 @@ def _shard_worker_run(pairs: Sequence[Tuple[int, int]]) -> TrafficSummary:
 
 def run_workload(
     scheme,
-    workload: Optional[Workload | Sequence[Tuple[int, int]]] = None,
+    workload: Workload | Sequence[Tuple[int, int]],
     oracle: Optional[DistanceOracle] = None,
     hop_limit: Optional[int] = None,
     engine: str = "auto",
-    shards: Optional[int] = None,
     shard_size: Optional[int] = None,
     jobs: Optional[int] = None,
-    executor: Optional[str] = None,
     tables: str = "auto",
-    events=None,
-    network=None,
 ) -> TrafficSummary:
     """Route a whole workload — optionally sharded and in parallel —
     and aggregate the statistics.
@@ -815,11 +775,11 @@ def run_workload(
     per-shard summaries are combined with :meth:`TrafficSummary.merge`
     in shard order.  Because the partition never depends on ``jobs``
     and each shard's float summation order is fixed, the result is
-    **bit-identical across worker counts and executors** (only
-    ``elapsed_s`` — physical time — varies; it sums the per-shard
-    routing times).  One-time :meth:`RoutingScheme.compile_tables` work
-    is excluded from ``elapsed_s`` on every path, so per-shard
-    throughput is comparable across engines.
+    **bit-identical across worker counts** (only ``elapsed_s`` —
+    physical time — varies; it sums the per-shard routing times).
+    One-time :meth:`RoutingScheme.compile_tables` work is excluded from
+    ``elapsed_s`` on every path, so per-shard throughput is comparable
+    across engines.
 
     Args:
         scheme: the scheme under load (already constructed).
@@ -830,66 +790,34 @@ def run_workload(
             ``"vectorized"`` / ``"python"``, see
             :meth:`Simulator.roundtrip_many`); summaries are identical
             across engines.
-        shards: split into this many balanced contiguous chunks.
-        shard_size: split into chunks of this many pairs (mutually
-            exclusive with ``shards``).  When neither is given, a
-            parallel run (``jobs=``) uses :data:`DEFAULT_SHARD_SIZE`
+        shard_size: split into chunks of this many pairs.  Without it,
+            a parallel run (``jobs=``) uses :data:`DEFAULT_SHARD_SIZE`
             and a serial run stays monolithic.
-        jobs: worker count for parallel shard execution (``None``/``1``
-            = serial).
-        executor: ``"serial"`` / ``"threads"`` / ``"processes"``;
-            ``None`` auto-selects per :func:`resolve_executor`.  The
-            process pool ships the scheme to each worker once (pickle
-            excludes compiled tables; workers rehydrate them from their
-            own CSR snapshot) and each shard ships only its pairs.
-            Each call spins up (and tears down) its own pool, so
-            worker startup — like table compilation — is never billed
-            to ``elapsed_s``; amortize it by serving large workloads
-            per call rather than many tiny ones.
+        jobs: worker count (``None``/``1`` = serial).  A multi-shard
+            plan on the python engine (the *resolved* engine, so
+            ``"auto"`` on a scheme that cannot compile counts) with
+            ``jobs > 1`` runs on a process pool; everything else runs
+            serially (:func:`resolve_executor`).  The pool ships the
+            scheme to each worker once (pickle excludes compiled
+            tables; workers rehydrate them from their own CSR snapshot)
+            and each shard ships only its pairs.  Each call spins up
+            (and tears down) its own pool, so worker startup — like
+            table compilation — is never billed to ``elapsed_s``;
+            amortize it by serving large workloads per call rather than
+            many tiny ones.
         tables: compiled-table family for the vectorized engine
             (``"dense"`` / ``"blocked"`` / ``"auto"``); summaries are
             identical across families.
-        events: a churn :class:`~repro.runtime.churn.Timeline` (or its
-            JSON doc / file path).  Switches to timeline mode: the run
-            interleaves routing batches with deterministic seeded
-            topology mutations through ``network.evolve``, and the
-            summary carries per-epoch stretch rows
-            (:attr:`TrafficSummary.epochs`).  In this mode ``scheme``
-            is a registered scheme *label*, ``network`` is required,
-            ``workload``/``oracle`` must be omitted (the timeline
-            defines the traffic), and the run delegates to
-            :func:`repro.runtime.churn.run_timeline`.
-        network: the generation-1 :class:`~repro.api.network.Network`
-            the timeline starts from (timeline mode only).
 
     Raises:
         GraphError: if any pair has ``source == destination``
             (roundtrip stretch is undefined there), or for invalid
-            shard/executor parameters.
+            ``shard_size``/``jobs``.
         RoutingError: propagated from the simulator on any failure; a
             failing journey raises the same error the serial run's
             first (input-order) failure would, even when a later shard
             fails faster.
     """
-    if events is not None:
-        from repro.runtime.churn import run_timeline
-
-        if network is None:
-            raise GraphError("run_workload(events=...) needs network=")
-        if workload is not None or oracle is not None:
-            raise GraphError(
-                "run_workload(events=...) defines its traffic from the "
-                "timeline; do not pass workload= or oracle="
-            )
-        summary, _net = run_timeline(
-            network, scheme, events,
-            hop_limit=hop_limit, engine=engine, shards=shards,
-            shard_size=shard_size, jobs=jobs, executor=executor,
-            tables=tables,
-        )
-        return summary
-    if workload is None:
-        raise GraphError("run_workload needs a workload (or events=)")
     if isinstance(workload, Workload):
         kind, pairs = workload.kind, workload.pairs
     else:
@@ -902,40 +830,27 @@ def run_workload(
     if jobs is not None and jobs < 1:
         raise GraphError(f"jobs must be >= 1, got {jobs}")
     bounds = plan_shards(
-        len(pairs), shards=shards, shard_size=shard_size,
-        parallel=jobs is not None,
+        len(pairs), shard_size=shard_size, parallel=jobs is not None
     )
     sim = Simulator(scheme, hop_limit=hop_limit, tables=tables)
     resolved = sim.resolve_engine(engine)  # compiles outside the timed region
-    # Auto-select the executor from the *resolved* engine: "auto" on a
-    # non-compilable scheme must get the process pool, not GIL-bound
-    # threads.
-    executor = resolve_executor(resolved, jobs, executor)
     r_matrix = oracle.r_matrix if oracle is not None else None
     if len(bounds) == 1:
         return _execute_shard(sim, resolved, kind, pairs, r_matrix)
     chunks = [pairs[lo:hi] for lo, hi in bounds]
-    workers = min(jobs or 1, len(chunks))
-    if executor == "serial" or workers == 1:
+    if resolve_executor(resolved, jobs) == "serial":
         parts = [
             _execute_shard(sim, resolved, kind, c, r_matrix) for c in chunks
         ]
-    elif executor == "threads":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_execute_shard, sim, resolved, kind, c, r_matrix)
-                for c in chunks
-            ]
-            # Collecting in shard order reproduces the serial run's
-            # first-failure semantics: the earliest failing shard's
-            # error surfaces, regardless of which worker failed first.
-            parts = [f.result() for f in futures]
     else:
         with ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=min(jobs, len(chunks)),
             initializer=_shard_worker_init,
             initargs=(scheme, hop_limit, resolved, kind, r_matrix, tables),
         ) as pool:
             futures = [pool.submit(_shard_worker_run, c) for c in chunks]
+            # Collecting in shard order reproduces the serial run's
+            # first-failure semantics: the earliest failing shard's
+            # error surfaces, regardless of which worker failed first.
             parts = [f.result() for f in futures]
     return TrafficSummary.merge(parts)

@@ -2,9 +2,9 @@
 
 One :func:`run_scenario` call covers the spec's whole execution matrix.
 Per cell (scheme x engine x tables) the runner walks the phase
-sequence once — materializing churn events against the current
-generation and evolving the network exactly like
-:func:`repro.runtime.churn.run_timeline` — then routes every phase
+sequence once — stepping the network across each phase's churn
+events with :func:`repro.runtime.churn.evolve_epoch`, the step
+:func:`~repro.runtime.churn.run_timeline` takes — then routes every phase
 once per ``jobs`` value and **verifies the summaries bit-identical
 across the jobs axis** before reporting a single merged summary with
 one :class:`~repro.runtime.traffic.EpochStretch` row per phase.
@@ -16,15 +16,15 @@ module), ``{seed}|phase|{i}`` for its pairs — and every
 :func:`~repro.runtime.traffic.run_workload` call pins
 ``shard_size=SCENARIO_SHARD_SIZE``, so the shard partition (hence the
 float summation order) never depends on the worker count.  The same
-spec therefore produces the same summary on any ``--jobs`` value, any
-executor, and any engine/table family the matrix declares equivalent.
+spec therefore produces the same summary on any ``--jobs`` value and
+any engine/table family the matrix declares equivalent.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -34,9 +34,8 @@ from repro.exceptions import GraphError
 from repro.graph.digraph import Digraph
 from repro.graph.generators import build_family, snapshot_from_edgelist
 from repro.graph.shortest_paths import DistanceOracle
-from repro.runtime.churn import materialize_delta
+from repro.runtime.churn import attach_epoch_row, evolve_epoch
 from repro.runtime.traffic import (
-    EpochStretch,
     TrafficSummary,
     Workload,
     generate_workload,
@@ -256,14 +255,7 @@ def _phase_plan(
                   tables=tables)
     plan: List[Tuple[Network, Optional[Any], Workload]] = []
     for i, phase in enumerate(spec.phases):
-        delta = None
-        if phase.events:
-            delta = materialize_delta(
-                net.graph, phase.events,
-                random.Random(f"{spec.seed}|churn|{i}"),
-            )
-        if delta is not None:
-            net = net.evolve(delta)
+        net, delta = evolve_epoch(net, phase.events, spec.seed, i)
         workload = phase_workload(
             phase, i, spec.seed, net.n, oracle=net.oracle()
         )
@@ -298,26 +290,7 @@ def _run_cell(
                 built, workload, oracle=net.oracle(), engine=engine,
                 shard_size=SCENARIO_SHARD_SIZE, jobs=jobs, tables=tables,
             )
-            if delta is None:
-                repair = "none"
-            else:
-                rstats = net.stats().repair
-                repair = (
-                    "incremental"
-                    if rstats is not None and rstats.incremental
-                    else "rebuild"
-                )
-            row = EpochStretch(
-                index=i,
-                generation=net.generation,
-                pairs=part.pairs,
-                events=tuple(delta.op_names()) if delta is not None else (),
-                repair=repair,
-                mean_stretch=part.mean_stretch,
-                max_stretch=part.max_stretch,
-                worst_pair=part.worst_pair,
-            )
-            parts.append(replace(part, epochs=(row,)))
+            parts.append(attach_epoch_row(part, i, net, delta))
         summaries.append(TrafficSummary.merge(parts))
     fingerprints = {summary_fingerprint(s) for s in summaries}
     if len(fingerprints) > 1:

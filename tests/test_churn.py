@@ -47,7 +47,6 @@ from repro.runtime.churn import (
     materialize_delta,
     run_timeline,
 )
-from repro.runtime.traffic import run_workload
 
 
 def _grid_graph(n: int, seed: int, extra: int = 0) -> Digraph:
@@ -616,32 +615,14 @@ class TestRunTimeline:
             EpochSpec(pairs=24, events=({"op": "reweight"},)),
             EpochSpec(pairs=24, events=({"op": "link_down"}, {"op": "link_up"})),
         ))
-        summaries = []
-        for jobs in (1, 2, 4):
-            summary, _ = run_timeline(
-                self._network(), "stretch6", timeline,
-                shard_size=8, jobs=jobs,
-            )
-            # wall-clock is the one field allowed to differ
-            summaries.append(replace(summary, elapsed_s=0.0))
-        assert summaries[0] == summaries[1] == summaries[2]
-
-    def test_run_workload_events_delegation(self):
-        net = self._network(seed=41)
-        timeline = Timeline(seed=2, workload="uniform", epochs=(
-            EpochSpec(pairs=10, events=({"op": "reweight"},)),
-        ))
-        summary = run_workload("stretch6", events=timeline, network=net)
-        assert summary.pairs == 10
-        assert len(summary.epochs) == 1
-
-    def test_run_workload_events_needs_network(self):
-        with pytest.raises(GraphError, match="network"):
-            run_workload("stretch6", events=_TIMELINE_DOC)
-
-    def test_run_workload_rejects_events_plus_workload(self):
-        net = self._network(seed=42)
-        with pytest.raises(GraphError, match="do not pass"):
-            run_workload(
-                "stretch6", workload=[], events=_TIMELINE_DOC, network=net
-            )
+        # "python" runs jobs 2 and 4 on the process pool
+        for engine in ("auto", "python"):
+            summaries = []
+            for jobs in (1, 2, 4):
+                summary, _ = run_timeline(
+                    self._network(), "stretch6", timeline,
+                    engine=engine, shard_size=8, jobs=jobs,
+                )
+                # wall-clock is the one field allowed to differ
+                summaries.append(replace(summary, elapsed_s=0.0))
+            assert summaries[0] == summaries[1] == summaries[2], engine

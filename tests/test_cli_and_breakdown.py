@@ -152,6 +152,41 @@ class TestCLI:
             main([command, "--n", "12", "--pairs", "-3"])
         assert str(exc.value) == "--pairs must be >= 0, got -3"
 
+    @pytest.mark.parametrize("argv,message", [
+        (["covers", "--n", "12", "--scale", "0"],
+         "scale d must be positive, got 0.0"),
+        (["fig1", "--n", "12", "--k", "1"],
+         "ExStretch requires k >= 2, got 1"),
+        (["report", "--n", "12", "--k", "1"],
+         "ExStretch requires k >= 2, got 1"),
+        (["stretch", "--n", "12", "--scheme", "exstretch", "--k", "1"],
+         "hierarchy requires k >= 2, got 1"),
+        (["tables", "--n", "12", "--scheme", "polystretch", "--k", "1"],
+         "hierarchy requires k >= 2, got 1"),
+        (["traffic", "--n", "12", "--scheme", "exstretch", "--k", "1"],
+         "hierarchy requires k >= 2, got 1"),
+        (["store", "gc", "--max-bytes", "garbage"],
+         "cannot parse size 'garbage'"),
+        (["serve", "--max-inflight", "0"], "--max-inflight must be >= 1, got 0"),
+        (["serve", "--max-batch", "0"], "--max-batch must be >= 1, got 0"),
+        (["serve", "--max-queue", "0"], "--max-queue must be >= 1, got 0"),
+        (["serve", "--port", "70000"], "--port must be in 0..65535, got 70000"),
+    ], ids=[
+        "covers-scale", "fig1-k", "report-k", "stretch-k", "tables-k",
+        "traffic-k", "store-gc-max-bytes", "serve-max-inflight",
+        "serve-max-batch", "serve-max-queue", "serve-port",
+    ])
+    def test_bad_flag_value_exits_with_one_line(
+        self, argv, message, tmp_path, monkeypatch
+    ):
+        """A library error or an out-of-range flag ends in a one-line
+        SystemExit (exit 1), never a traceback."""
+        monkeypatch.setenv("REPRO_STORE", "1")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value) == message
+
     def test_engine_flag(self, capsys):
         rc = main(["stretch", "--engine", "python", "--n", "12",
                    "--pairs", "20"])

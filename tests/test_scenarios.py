@@ -311,13 +311,17 @@ def test_phase_workload_is_seed_deterministic():
 
 
 def test_run_scenario_jobs_override_is_bit_identical():
+    # The 300-pair phase spans two SCENARIO_SHARD_SIZE shards, so the
+    # python cell's jobs=4 run crosses the process pool.
     doc = minimal_doc(
         graph={"family": "random", "n": 24},
         workload={"phases": [
             {"kind": "uniform", "pairs": 40},
             {"kind": "hotspot", "pairs": 40,
              "events": [{"op": "reweight"}]},
+            {"kind": "uniform", "pairs": 300},
         ]},
+        matrix={"engines": ["auto", "python"]},
     )
     r1 = run_scenario(doc, jobs=1, store=None)
     r4 = run_scenario(doc, jobs=4, store=None)

@@ -1,17 +1,18 @@
-"""Sharded parallel workload execution (``run_workload`` with
-``shards=``/``jobs=``/``executor=``).
+"""Sharded workload execution (``run_workload`` with
+``shard_size=``/``jobs=``).
 
 The determinism contract under test: the shard partition is a pure
-function of the workload length and the shard parameters — never of
-the worker count — and per-shard summaries merge in shard order, so
-``run_workload(shards=k, jobs=j)`` is bit-identical to the serial
-sharded run for every ``j`` and every executor, on both engines.  Only
-``elapsed_s`` (physical time) may differ.
+function of the workload length and ``shard_size`` — never of the
+worker count — and per-shard summaries merge in shard order, so
+``run_workload(shard_size=m, jobs=j)`` is bit-identical to the serial
+sharded run for every ``j``, on both engines.  ``jobs > 1`` runs the
+python engine's shards on a process pool and everything else serially
+(``resolve_executor``).  Only ``elapsed_s`` (physical time) may differ.
 
 Also covered: merge-over-any-chunking equals the monolithic summary
 (hypothesis), ``HopLimitExceeded`` first-failure ordering across shard
-boundaries, pickle-cheapness of compiled schemes for the process
-executor, and compile-time exclusion from ``elapsed_s``.
+boundaries, pickle-cheapness of every registered scheme for the
+process pool, and compile-time exclusion from ``elapsed_s``.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from repro.schemes.shortest_path import ShortestPathScheme
 
 N = 24
 
-#: every TrafficSummary field that must be bit-identical across
-#: executors/jobs (elapsed_s is physical time and excluded)
+#: every TrafficSummary field that must be bit-identical across jobs
+#: values (elapsed_s is physical time and excluded)
 DETERMINISTIC_FIELDS = (
     "kind", "pairs", "total_cost", "total_hops", "mean_cost", "mean_hops",
     "max_hops", "max_header_bits", "mean_stretch", "max_stretch",
@@ -77,15 +78,8 @@ def workload(net):
 
 
 class TestPlanShards:
-    def test_balanced_contiguous(self):
-        assert plan_shards(10, shards=3) == [(0, 4), (4, 7), (7, 10)]
-        assert plan_shards(9, shards=3) == [(0, 3), (3, 6), (6, 9)]
-
     def test_shard_size(self):
         assert plan_shards(10, shard_size=4) == [(0, 4), (4, 8), (8, 10)]
-
-    def test_more_shards_than_pairs(self):
-        assert plan_shards(2, shards=5) == [(0, 1), (1, 2)]
 
     def test_empty_and_serial_defaults(self):
         assert plan_shards(0) == [(0, 0)]
@@ -100,48 +94,49 @@ class TestPlanShards:
 
     def test_rejects_invalid(self):
         with pytest.raises(GraphError):
-            plan_shards(10, shards=2, shard_size=3)
-        with pytest.raises(GraphError):
-            plan_shards(10, shards=0)
-        with pytest.raises(GraphError):
             plan_shards(10, shard_size=0)
 
     def test_resolve_executor(self):
         assert resolve_executor("python", None) == "serial"
+        assert resolve_executor("python", 1) == "serial"
         assert resolve_executor("vectorized", 1) == "serial"
         assert resolve_executor("python", 4) == "processes"
-        assert resolve_executor("vectorized", 4) == "threads"
-        assert resolve_executor("python", 4, "threads") == "threads"
-        with pytest.raises(GraphError):
-            resolve_executor("python", 4, "fibers")
+        assert resolve_executor("vectorized", 4) == "serial"
 
 
 class TestShardedEqualsSerial:
-    """run_workload(shards=k, jobs=j) == the serial sharded run,
+    """run_workload(shard_size=m, jobs=j) == the serial sharded run,
     field-for-field, for every registered scheme on both engines."""
 
     @pytest.mark.parametrize("engine", ["auto", "python"])
     @pytest.mark.parametrize("scheme_name", scheme_names())
     def test_threads_match_serial(self, net, workload, scheme_name, engine):
+        """jobs=3 against serial.  The python engine (and "auto" on a
+        scheme that cannot compile) runs the shards on the process
+        pool; compiled schemes under "auto" run them serially.  The
+        name dates from the removed thread executor and is kept so the
+        test id stays stable."""
         scheme = net.build_scheme(scheme_name)
         serial = run_workload(
-            scheme, workload, oracle=net.oracle(), engine=engine, shards=5,
+            scheme, workload, oracle=net.oracle(), engine=engine,
+            shard_size=10,
         )
-        threaded = run_workload(
-            scheme, workload, oracle=net.oracle(), engine=engine, shards=5,
-            jobs=3, executor="threads",
+        parallel = run_workload(
+            scheme, workload, oracle=net.oracle(), engine=engine,
+            shard_size=10, jobs=3,
         )
-        assert_bit_identical(serial, threaded)
+        assert_bit_identical(serial, parallel)
 
-    @pytest.mark.parametrize("engine", ["vectorized", "python"])
+    @pytest.mark.parametrize("engine", ["python"])
     def test_processes_match_serial(self, net, workload, engine):
         scheme = net.build_scheme("stretch6")
         serial = run_workload(
-            scheme, workload, oracle=net.oracle(), engine=engine, shards=4,
+            scheme, workload, oracle=net.oracle(), engine=engine,
+            shard_size=12,
         )
         forked = run_workload(
-            scheme, workload, oracle=net.oracle(), engine=engine, shards=4,
-            jobs=2, executor="processes",
+            scheme, workload, oracle=net.oracle(), engine=engine,
+            shard_size=12, jobs=2,
         )
         assert_bit_identical(serial, forked)
 
@@ -149,9 +144,8 @@ class TestShardedEqualsSerial:
         self, net, workload, monkeypatch
     ):
         """engine='auto' on a scheme that cannot compile resolves to
-        the python engine, so the auto-selected executor must be the
-        process pool (not GIL-bound threads) — and the scheme must
-        survive the pickle trip."""
+        the python engine, so jobs=2 must take the process pool — and
+        the scheme must survive the pickle trip."""
         import repro.runtime.traffic as traffic_mod
 
         used = []
@@ -167,23 +161,24 @@ class TestShardedEqualsSerial:
         scheme = net.build_scheme("exstretch")
         assert Simulator(scheme).resolve_engine("auto") == "python"
         serial = run_workload(
-            scheme, workload, oracle=net.oracle(), shards=3,
+            scheme, workload, oracle=net.oracle(), shard_size=16,
         )
         parallel = run_workload(
-            scheme, workload, oracle=net.oracle(), shards=3, jobs=2,
+            scheme, workload, oracle=net.oracle(), shard_size=16, jobs=2,
         )
         assert used == ["processes"]
         assert_bit_identical(serial, parallel)
 
     def test_jobs_values_agree_on_default_partition(self, net):
         """The default parallel partition depends on the workload only,
-        so any jobs value yields the bit-identical summary."""
+        so any jobs value yields the bit-identical summary (jobs 2 and 4
+        on the python engine's process pool)."""
         scheme = net.build_scheme("rtz")
         pairs = uniform_pairs(net.n, DEFAULT_SHARD_SIZE + 40, random.Random(3))
         wl = Workload("uniform", pairs)
         runs = [
             run_workload(
-                scheme, wl, oracle=net.oracle(), jobs=j, executor="threads"
+                scheme, wl, oracle=net.oracle(), engine="python", jobs=j
             )
             for j in (1, 2, 4)
         ]
@@ -199,7 +194,7 @@ class TestShardedEqualsSerial:
         scheme = net.build_scheme("stretch6")
         mono = run_workload(scheme, workload, oracle=net.oracle())
         sharded = run_workload(
-            scheme, workload, oracle=net.oracle(), shards=6, jobs=2,
+            scheme, workload, oracle=net.oracle(), shard_size=8, jobs=2,
         )
         assert sharded.kind == mono.kind
         assert sharded.pairs == mono.pairs
@@ -299,22 +294,23 @@ class TestHopLimitAcrossShards:
 
         return LoopingScheme()
 
-    @pytest.mark.parametrize("engine", ["python", "vectorized"])
-    @pytest.mark.parametrize(
-        "executor,jobs", [("serial", None), ("threads", 2), ("processes", 2)]
-    )
-    def test_first_failure_is_input_order(self, engine, executor, jobs):
+    @pytest.mark.parametrize("executor,jobs,engine", [
+        ("serial", None, "python"),
+        ("serial", None, "vectorized"),
+        ("processes", 2, "python"),
+        ("serial", 2, "vectorized"),
+    ])
+    def test_first_failure_is_input_order(self, executor, jobs, engine):
         scheme = self._looping_scheme()
-        if executor == "processes" and engine == "vectorized":
-            pytest.skip("covered by threads; keep the fork matrix small")
+        assert resolve_executor(engine, jobs) == executor
         pairs = [(1, 3), (0, 3), (0, 3), (0, 3)]
         sim = Simulator(scheme, hop_limit=12)
         with pytest.raises(HopLimitExceeded) as ref:
             sim.roundtrip_many(pairs, engine=engine)
         with pytest.raises(HopLimitExceeded) as exc:
             run_workload(
-                scheme, pairs, hop_limit=12, engine=engine, shards=2,
-                jobs=jobs, executor=executor,
+                scheme, pairs, hop_limit=12, engine=engine, shard_size=2,
+                jobs=jobs,
             )
         assert str(exc.value) == str(ref.value)
         assert "from 1 to 3" in str(exc.value)
@@ -341,6 +337,21 @@ class TestPickleCheapCompiledSchemes:
         b = run_workload(clone, workload, oracle=net.oracle())
         assert_bit_identical(a, b)
 
+    @pytest.mark.parametrize("engine", ["auto", "python"])
+    @pytest.mark.parametrize("scheme_name", scheme_names())
+    def test_every_scheme_pickles_and_clone_routes_identically(
+        self, net, workload, scheme_name, engine
+    ):
+        """The pool pickles the scheme into each worker under every
+        start method (spawn and forkserver included), so every
+        registered scheme must survive the trip and route
+        bit-identically afterwards."""
+        scheme = net.build_scheme(scheme_name)
+        clone = pickle.loads(pickle.dumps(scheme))
+        a = run_workload(scheme, workload, oracle=net.oracle(), engine=engine)
+        b = run_workload(clone, workload, oracle=net.oracle(), engine=engine)
+        assert_bit_identical(a, b)
+
 
 class _SlowCompileScheme(ShortestPathScheme):
     """Test double: a scheme whose table compilation is visibly slow."""
@@ -365,21 +376,14 @@ class TestElapsedExcludesCompile:
 
 class TestRouterShardAccounting:
     def test_engine_stats_count_shards(self, net, workload):
-        router = net.router("stretch6", jobs=2)
-        router.serve_workload(workload, shards=4)
+        router = net.router("stretch6")
+        router.serve_workload(workload, shard_size=12, jobs=2)
         info = router.stats().as_dict()
         assert info["vectorized"]["batches"] == 1
         assert info["vectorized"]["pairs"] == len(workload)
         assert info["vectorized"]["shards"] == 4
         assert info["python"]["shards"] == 0
         assert "shards" in router.accounting().format()
-
-    def test_session_default_jobs_and_override(self, net, workload):
-        router = net.router("stretch6", jobs=2, executor="threads")
-        a = router.serve_workload(workload, shards=3)
-        b = router.serve_workload(workload, shards=3, jobs=1)
-        assert_bit_identical(a, b)
-        assert router.stats().as_dict()["vectorized"]["shards"] == 6
 
     def test_single_queries_count_one_shard(self, net):
         router = net.router("stretch6")
@@ -389,15 +393,22 @@ class TestRouterShardAccounting:
 
 class TestShardCLI:
     def test_jobs_flag_prints_sharding(self, capsys):
+        """The line names the executor resolve_executor picks: the
+        process pool for the python engine, serial shards for the
+        vectorized one."""
         from repro.cli import main
 
-        rc = main([
-            "traffic", "--n", "20", "--pairs", "60", "--scheme", "stretch6",
-            "--jobs", "2", "--shard-size", "16",
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "sharding   : 4 shards, jobs=2 (threads)" in out
+        for engine, executor in (
+            ("vectorized", "serial"), ("python", "processes"),
+        ):
+            rc = main([
+                "traffic", "--n", "20", "--pairs", "60",
+                "--scheme", "stretch6", "--engine", engine,
+                "--jobs", "2", "--shard-size", "16",
+            ])
+            out = capsys.readouterr().out
+            assert rc == 0
+            assert f"sharding   : 4 shards, jobs=2 ({executor})" in out
 
     def test_single_shard_plan_prints_serial(self, capsys):
         """200 pairs < the 512-pair default shard: the plan collapses
