@@ -34,8 +34,11 @@ import math
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.exceptions import ConstructionError
-from repro.graph.roundtrip import RoundtripMetric
+from repro.graph.blocked import default_block_rows
+from repro.graph.roundtrip import RoundtripMetric, level_size
 from repro.naming.blocks import BlockSpace
 
 
@@ -83,10 +86,9 @@ class BlockDistribution:
             set(rng.sample(range(num_blocks), min(blocks_per_node, num_blocks)))
             for _ in range(n)
         ]
+        # level -> holders(level) matrix, derived from ``sets``
+        self._holder_cache: Dict[int, np.ndarray] = {}
         self.patches_applied = self._patch_uncovered()
-        # Cache (vertex, level) -> {prefix -> holder} lookup maps used
-        # by the routing schemes.
-        self._holder_cache: Dict[Tuple[int, int], Dict[Tuple[int, ...], int]] = {}
 
     # ------------------------------------------------------------------
     # Lemma 4 guarantee
@@ -117,18 +119,63 @@ class BlockDistribution:
             self._blocks.block_has_prefix(b, tau) for b in self.sets[holder]
         )
 
+    def _prefix_span(self, i: int) -> int:
+        """Blocks per level-``i`` prefix: block ``b`` has the ``i``-prefix
+        numbered ``b // span`` (its first ``i`` base-``q`` digits)."""
+        return self._blocks.q ** (self._blocks.k - 1 - i)
+
+    def _first_holders(self, i: int) -> np.ndarray:
+        """``(n, P_i)`` int32: entry ``[v, p]`` is the first node of
+        ``N_i(v)`` holding a block with ``i``-prefix ``p``, ``-1`` where
+        none does, computed from the current ``sets``."""
+        n = self._metric.n
+        num_blocks = self._blocks.num_blocks()
+        span = self._prefix_span(i)
+        stored = np.zeros((n, num_blocks), dtype=bool)
+        for v, blocks in enumerate(self.sets):
+            stored[v, list(blocks)] = True
+        # held[w, p]: w holds a block whose i-prefix is p
+        held = np.logical_or.reduceat(
+            stored, np.arange(0, num_blocks, span), axis=1
+        )
+        nbhd = self._metric.neighborhoods(
+            level_size(n, i, self._blocks.k)
+        )
+        out = np.empty((n, held.shape[1]), dtype=np.int32)
+        step = default_block_rows(n, nbhd.shape[1] * held.shape[1])
+        for lo in range(0, n, step):
+            rows = nbhd[lo:lo + step]
+            inside = held[rows]
+            first = np.take_along_axis(rows, inside.argmax(axis=1), axis=1)
+            out[lo:lo + step] = np.where(inside.any(axis=1), first, -1)
+        return out
+
     def _patch_uncovered(self) -> int:
-        """Deterministically repair any uncovered requirement."""
+        """Deterministically repair any uncovered requirement.
+
+        Requirements are checked in ``(v, i, tau)`` order against the
+        sets as patched so far.  Patches only add blocks, so one covered
+        before any patch stays covered: only the ones the sampled sets
+        leave uncovered are replayed.
+        """
+        uncovered = sorted(
+            (int(v), i, int(p))
+            for i in range(self._blocks.k)
+            for v, p in zip(*np.nonzero(self.holders(i) < 0))
+        )
         patches = 0
-        for v, i, tau in self._iter_requirements():
+        for v, i, p in uncovered:
+            first_block = p * self._prefix_span(i)
+            tau = self._blocks.block_prefix(first_block)[:i]
             nbhd = self._neighborhood(v, i)
             if any(self._covers(w, tau) for w in nbhd):
                 continue
             # Give a block with prefix tau to the least-loaded neighbor.
-            candidates = self._blocks.blocks_with_prefix(tau)
             target = min(nbhd, key=lambda w: (len(self.sets[w]), w))
-            self.sets[target].add(candidates[0])
+            self.sets[target].add(first_block)
             patches += 1
+        if patches:
+            self._holder_cache.clear()
         return patches
 
     # ------------------------------------------------------------------
@@ -157,11 +204,24 @@ class BlockDistribution:
         """All vertices storing ``block``."""
         return [v for v in range(self._metric.n) if block in self.sets[v]]
 
+    def holders(self, i: int) -> np.ndarray:
+        """The level-``i`` first-holder matrix, read-only ``(n, P_i)``
+        int32: entry ``[v, p]`` is the first node of ``N_i(v)`` (in
+        ``Init_v`` order, i.e. the closest) holding a block whose
+        ``i``-prefix is ``p`` (prefixes numbered as base-``q``
+        integers), ``-1`` where the requirement is uncovered."""
+        cached = self._holder_cache.get(i)
+        if cached is None:
+            cached = self._first_holders(i)
+            cached.flags.writeable = False
+            self._holder_cache[i] = cached
+        return cached
+
     def holder_in_neighborhood(
         self, v: int, i: int, tau: Tuple[int, ...]
     ) -> int:
         """The first node of ``N_i(v)`` (in ``Init_v`` order, i.e. the
-        closest) holding a block with prefix ``tau``.
+        closest) holding a block with the length-``i`` prefix ``tau``.
 
         This is the lookup the routing schemes perform; Lemma 4
         guarantees existence.
@@ -170,17 +230,21 @@ class BlockDistribution:
             ConstructionError: if coverage is violated (cannot happen
                 after patching; kept as an invariant check).
         """
-        key = (v, i)
-        cache = self._holder_cache.get(key)
-        if cache is not None and tau in cache:
-            return cache[tau]
-        for w in self._neighborhood(v, i):
-            if self._covers(w, tau):
-                self._holder_cache.setdefault(key, {})[tau] = w
-                return w
-        raise ConstructionError(
-            f"coverage violated: no holder of prefix {tau} in N_{i}({v})"
-        )
+        q = self._blocks.q
+        if len(tau) != i or not all(0 <= digit < q for digit in tau):
+            raise ConstructionError(
+                f"prefix {tau} is not a level-{i} prefix over base {q}"
+            )
+        p = 0
+        for digit in tau:
+            p = p * q + digit
+        holders = self.holders(i)
+        holder = int(holders[v, p]) if p < holders.shape[1] else -1
+        if holder < 0:
+            raise ConstructionError(
+                f"coverage violated: no holder of prefix {tau} in N_{i}({v})"
+            )
+        return holder
 
     def nearest_holder(self, v: int, tau: Tuple[int, ...]) -> int:
         """The globally closest node to ``v`` (by ``Init_v``) holding a

@@ -31,10 +31,12 @@ from repro.graph.csr import CSRGraph
 _BLOCK_ELEMS = 1 << 22
 
 
-def default_block_rows(n: int) -> int:
-    """Source rows per block so one block holds ~:data:`_BLOCK_ELEMS`
-    entries (always at least 1, at most ``n``)."""
-    return max(1, min(max(n, 1), _BLOCK_ELEMS // max(n, 1)))
+def default_block_rows(n: int, width: Optional[int] = None) -> int:
+    """Rows per block of an ``n``-row table with ``width`` entries per
+    row (default ``n``) so one block holds ~:data:`_BLOCK_ELEMS` entries
+    (always at least 1, at most ``n``)."""
+    width = n if width is None else width
+    return max(1, min(max(n, 1), _BLOCK_ELEMS // max(width, 1)))
 
 
 def first_hops_for_sources(

@@ -628,12 +628,32 @@ _FAMILY_BUILDERS: Dict[str, Callable[[int, random.Random, dict], Digraph]] = {
 #: The standard family names, in registry order.
 FAMILY_NAMES = tuple(_FAMILY_BUILDERS)
 
+#: Smallest ``n`` each family builds: below 2 vertices a single-vertex
+#: family would need a self-loop, and a torus needs sides of at least 3
+#: (``_side(n) >= 3``) so wrap-around edges differ from grid edges.  The
+#: grid and layered families round small ``n`` up to their smallest shape.
+_FAMILY_MIN_N: Dict[str, int] = {
+    "random": 2,
+    "cycle": 2,
+    "torus": 7,
+    "asym-torus": 7,
+    "dht": 2,
+    "layered": 1,
+    "scale-free": 2,
+    "power-law": 2,
+    "grid-shortcuts": 1,
+}
 
-def _family_builder(family: str):
+
+def _family_builder(family: str, n: int):
     builder = _FAMILY_BUILDERS.get(family)
     if builder is None:
         raise GraphError(
             f"unknown family {family!r}; choose from {sorted(FAMILY_NAMES)}"
+        )
+    if n < _FAMILY_MIN_N[family]:
+        raise GraphError(
+            f"family {family!r} needs n >= {_FAMILY_MIN_N[family]}, got {n}"
         )
     return builder
 
@@ -645,11 +665,12 @@ def build_family(
     ``rng`` (``params`` are extra generator keywords).
 
     Raises:
-        GraphError: for an unknown family (choices listed), or a
-            parameter value the generator rejects.
+        GraphError: for an unknown family (choices listed), an ``n``
+            below the family's smallest size, or a parameter value the
+            generator rejects.
         TypeError: for a parameter the generator does not take.
     """
-    return _family_builder(family)(n, rng, params or {})
+    return _family_builder(family, n)(n, rng, params or {})
 
 
 def standard_family(family: str, n: int, seed: int = 0) -> Digraph:
@@ -658,9 +679,10 @@ def standard_family(family: str, n: int, seed: int = 0) -> Digraph:
     from ``random.Random(seed + i)``.
 
     Raises:
-        GraphError: for an unknown family (choices listed).
+        GraphError: for an unknown family (choices listed), or an ``n``
+            below the family's smallest size.
     """
-    builder = _family_builder(family)
+    builder = _family_builder(family, n)
     return builder(n, random.Random(seed + FAMILY_NAMES.index(family)), {})
 
 

@@ -27,20 +27,37 @@ pass the naming's id list so the structure stays topology-independent.
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.exceptions import GraphError
+from repro.graph.blocked import default_block_rows
 from repro.graph.shortest_paths import DistanceOracle
+
+
+def level_size(n: int, i: int, k: int) -> int:
+    """``ceil(n^{i/k})`` in exact integer arithmetic: the smallest
+    ``s >= 0`` with ``s**k >= n**i``.
+
+    The float form ``math.ceil(n ** (i / k))`` is one too large at some
+    perfect powers (``32 ** (4 / 5)`` evaluates to ``16.000000000000004``).
+    """
+    target = n ** i
+    s = int(round(n ** (i / k)))
+    while s ** k < target:
+        s += 1
+    while s > 0 and (s - 1) ** k >= target:
+        s -= 1
+    return s
 
 
 class RoundtripMetric:
     """Roundtrip-metric structure over a :class:`DistanceOracle`.
 
-    Precomputes ``Init_v`` for every ``v`` lazily and caches it, since
-    the order is consulted many times during scheme construction.
+    Neighborhoods (prefixes of ``Init_v``) are computed for all ``v`` at
+    once per prefix length by :meth:`neighborhoods` and cached, since
+    scheme construction consults them for every node.
 
     Args:
         oracle: all-pairs distance oracle of the digraph.
@@ -58,7 +75,14 @@ class RoundtripMetric:
                 f"ids must have length n={n}, got {len(ids)}"
             )
         self._ids = list(ids)
-        self._init_cache: dict[int, List[int]] = {}
+        self._neighborhoods: Dict[int, np.ndarray] = {}
+
+    def __getstate__(self):
+        """Pickle without the cached neighborhood arrays (derived from
+        the oracle; rebuilt on first use)."""
+        state = dict(self.__dict__)
+        state["_neighborhoods"] = {}
+        return state
 
     @property
     def oracle(self) -> DistanceOracle:
@@ -100,38 +124,77 @@ class RoundtripMetric:
         The first element is always ``v`` itself (its roundtrip distance
         to itself is 0 and weights are positive).
         """
-        cached = self._init_cache.get(v)
-        if cached is None:
-            cached = sorted(range(self.n), key=lambda u: self.order_key(v, u))
-            self._init_cache[v] = cached
-        return list(cached)
+        return self.neighborhood(v, self.n)
 
     # ------------------------------------------------------------------
     # neighborhoods
     # ------------------------------------------------------------------
+    def neighborhoods(self, size: int) -> np.ndarray:
+        """The first ``size`` nodes of every ``Init_v``: a read-only
+        ``(n, size)`` int32 array whose row ``v`` lists them in
+        ``<_v`` order (``size`` is clamped to ``n``; cached per size).
+
+        Each row equals ``sorted(range(n), key=lambda u:
+        order_key(v, u))[:size]``.  Per row, :func:`numpy.partition`
+        finds the ``size``-th smallest ``r(v, .)``; every member of the
+        prefix lies at or below it, so only those candidates are sorted,
+        by one stable :func:`numpy.lexsort` over (row, ``r(v, u)``,
+        ``d(u, v)``, id).  Rows are processed in blocks of
+        :func:`~repro.graph.blocked.default_block_rows` so transient
+        memory stays ``O(block * n)``.
+        """
+        if size < 0:
+            raise GraphError(f"neighborhood size must be >= 0, got {size}")
+        size = min(size, self.n)
+        cached = self._neighborhoods.get(size)
+        if cached is None:
+            cached = self._init_prefixes(size)
+            cached.flags.writeable = False
+            self._neighborhoods[size] = cached
+        return cached
+
+    def _init_prefixes(self, size: int) -> np.ndarray:
+        n = self.n
+        out = np.empty((n, size), dtype=np.int32)
+        if size == 0:
+            return out
+        r = self._oracle.r_matrix
+        d = self._oracle.d_matrix
+        ids = np.asarray(self._ids, dtype=np.int64)
+        step = default_block_rows(n)
+        for lo in range(0, n, step):
+            block = r[lo:lo + step]
+            kth = np.partition(block, size - 1, axis=1)[:, size - 1]
+            rows, cols = np.nonzero(block <= kth[:, None])
+            order = np.lexsort(
+                (ids[cols], d[cols, rows + lo], block[rows, cols], rows)
+            )
+            cols = cols[order]
+            starts = np.concatenate(([0], np.cumsum(np.bincount(rows))[:-1]))
+            out[lo:lo + step] = cols[starts[:, None] + np.arange(size)]
+        return out
+
     def neighborhood(self, v: int, size: int) -> List[int]:
         """First ``size`` nodes of ``Init_v`` (the paper's ``N`` balls).
 
         ``size`` is clamped to ``n``.
         """
-        if size < 0:
-            raise GraphError(f"neighborhood size must be >= 0, got {size}")
-        return self.init_order(v)[: min(size, self.n)]
+        return self.neighborhoods(size)[v].tolist()
 
     def sqrt_neighborhood(self, v: int) -> List[int]:
         """Section 2's ``N(v)``: the first ``ceil(sqrt(n))`` nodes."""
-        return self.neighborhood(v, int(math.ceil(math.sqrt(self.n))))
+        return self.level_neighborhood(v, 1, 2)
 
     def level_neighborhood(self, v: int, i: int, k: int) -> List[int]:
-        """Section 3's ``N_i(v)``: the first ``ceil(n^{i/k})`` nodes.
+        """Section 3's ``N_i(v)``: the first ``ceil(n^{i/k})`` nodes
+        (:func:`level_size`).
 
         ``N_0(v)`` is ``{v}`` (the first node of ``Init_v``) and
         ``N_k(v)`` is all of ``V``.
         """
         if not (0 <= i <= k):
             raise GraphError(f"level i={i} out of range [0, {k}]")
-        size = int(math.ceil(self.n ** (i / k)))
-        return self.neighborhood(v, size)
+        return self.neighborhood(v, level_size(self.n, i, k))
 
     def ball(self, v: int, radius: float) -> List[int]:
         """Section 4's ``N^d(v)``: all ``w`` with ``r(v, w) <= radius``."""

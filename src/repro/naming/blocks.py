@@ -19,6 +19,7 @@ import math
 from typing import List, Tuple
 
 from repro.exceptions import NamingError
+from repro.graph.roundtrip import level_size
 
 
 class BlockSpace:
@@ -30,7 +31,8 @@ class BlockSpace:
             ``sqrt(n)`` blocks.
 
     Attributes:
-        q: the alphabet size ``ceil(n^{1/k})``.
+        q: the alphabet size ``ceil(n^{1/k})``
+            (:func:`~repro.graph.roundtrip.level_size`).
     """
 
     def __init__(self, n: int, k: int):
@@ -40,14 +42,7 @@ class BlockSpace:
             raise NamingError(f"k must be >= 1, got {k}")
         self._n = n
         self._k = k
-        # Smallest q with q**k >= n (ceil of the k-th root, computed
-        # robustly against float error).
-        q = max(1, int(round(n ** (1.0 / k))))
-        while q ** k < n:
-            q += 1
-        while q > 1 and (q - 1) ** k >= n:
-            q -= 1
-        self._q = q
+        self._q = level_size(n, 1, k)
 
     @property
     def n(self) -> int:

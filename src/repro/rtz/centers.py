@@ -18,7 +18,10 @@ import math
 import random
 from typing import List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.exceptions import ConstructionError
+from repro.graph.blocked import default_block_rows
 from repro.graph.roundtrip import RoundtripMetric
 
 
@@ -60,15 +63,12 @@ class CenterAssignment:
             raise ConstructionError("landmark set A must be non-empty")
         self._metric = metric
         self.centers: List[int] = sorted(set(centers))
-        n = metric.n
-        self._home: List[int] = []
-        self._r_to_a: List[float] = []
-        for v in range(n):
-            best = min(
-                self.centers, key=lambda c: (metric.r(v, c), c)
-            )
-            self._home.append(best)
-            self._r_to_a.append(metric.r(v, best))
+        # argmin takes the first minimum and the centers ascend, so a
+        # tie goes to the smaller landmark: the (r(v, c), c) minimum
+        r = metric.oracle.r_matrix
+        home = np.asarray(self.centers)[np.argmin(r[:, self.centers], axis=1)]
+        self._home: List[int] = home.tolist()
+        self._r_to_a: List[float] = r[np.arange(metric.n), home].tolist()
         # cluster membership is O(n^2) to enumerate and only needed on
         # the build path (direct tables, size accounting); computed
         # lazily so store-rehydrated assignments never pay for it
@@ -103,15 +103,19 @@ class CenterAssignment:
         """``C(v)`` for every ``v``: ``u in C(v)`` iff ``r(u, v) <
         r(v, A)`` (lazily computed, cached)."""
         if self._clusters is None:
-            metric = self._metric
+            n = self._metric.n
+            r = self._metric.oracle.r_matrix
+            bound = np.asarray(self._r_to_a) - 1e-12
             clusters: List[Set[int]] = []
-            for v in range(metric.n):
-                bound = self._r_to_a[v]
-                clusters.append({
-                    u
-                    for u in range(metric.n)
-                    if u != v and metric.r(u, v) < bound - 1e-12
-                })
+            step = default_block_rows(n)
+            for lo in range(0, n, step):
+                hi = min(n, lo + step)
+                # row v - lo of ``inside`` is column v of r: r(u, v) < bound
+                inside = (r[:, lo:hi] < bound[lo:hi]).T
+                inside[np.arange(hi - lo), np.arange(lo, hi)] = False
+                clusters.extend(
+                    set(np.flatnonzero(row).tolist()) for row in inside
+                )
             self._clusters = clusters
         return self._clusters
 

@@ -477,44 +477,34 @@ class Knowledge:
 
 
 def compile_knowledge(
-    n: int,
-    label_tables: Sequence[Sequence],
-    resolve,
-    block_ptr_tables: Sequence[dict],
-    num_blocks: int,
-    block_of_vertex,
+    known: Sequence[np.ndarray],
+    block_ptr: np.ndarray,
+    block_of_vertex: np.ndarray,
     tables: str = "dense",
 ) -> Knowledge:
     """Planner inputs shared by the dictionary-based schemes.
 
     Args:
-        n: vertex count.
-        label_tables: per-node key->label dicts whose *keys* mean
-            "this node holds the destination's label locally" (the
-            Fig. 3 cases 1 and 3 tables, in any keying).
-        resolve: key -> destination vertex (the scheme's name/wild
-            resolution).
-        block_ptr_tables: per-node block-index -> holder-vertex dicts
+        known: per node ``u``, the vertices whose labels ``u`` holds
+            locally (the Fig. 3 cases 1 and 3 tables; repeats allowed).
+        block_ptr: ``(n, B)`` holder vertex of each block per node
             (case 2).
-        num_blocks: size of the block space.
-        block_of_vertex: vertex -> responsible block index.
+        block_of_vertex: ``(n,)`` the block responsible for each vertex.
         tables: table family of the ``known`` membership table
             (identical answers; ``blocked`` uses Θ(table entries)
             memory).
     """
-    block_ptr = np.full((n, num_blocks), -1, dtype=np.int64)
-    for u in range(n):
-        for b, holder in block_ptr_tables[u].items():
-            block_ptr[u, b] = holder
-    bov = np.array([block_of_vertex(v) for v in range(n)], dtype=np.int64)
-
-    def known():
-        for table in label_tables:
-            for u in range(n):
-                keys = [u * n + resolve(key) for key in table[u]]
-                yield keys, [True] * len(keys)
-
-    return Knowledge(_pack_pairs(n, known(), tables, bool), block_ptr, bov)
+    n = len(known)
+    chunks = (
+        (np.add(vertices, u * n, dtype=np.int64),
+         np.ones(len(vertices), dtype=bool))
+        for u, vertices in enumerate(known)
+    )
+    return Knowledge(
+        _pack_pairs(n, chunks, tables, bool),
+        np.asarray(block_ptr, dtype=np.int64),
+        np.asarray(block_of_vertex, dtype=np.int64),
+    )
 
 
 # ----------------------------------------------------------------------

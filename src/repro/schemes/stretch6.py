@@ -23,12 +23,15 @@ header), each bounded by ``r + d``, giving stretch 6 (Lemma 3).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from itertools import chain
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.dictionary.distribution import BlockDistribution
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.digraph import Digraph
-from repro.graph.roundtrip import RoundtripMetric
+from repro.graph.roundtrip import RoundtripMetric, level_size
 from repro.naming.blocks import BlockSpace, sqrt_block_space
 from repro.naming.permutation import Naming
 from repro.runtime.scheme import (
@@ -90,25 +93,18 @@ class StretchSixScheme(RoutingScheme):
             metric, self.blocks, rng, blocks_per_node=blocks_per_node
         )
 
-        # (1) neighborhood labels: per node, name -> R3 label.
-        self._near: List[Dict[int, R3Label]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for v in metric.sqrt_neighborhood(u):
-                self._near[u][naming.name_of(v)] = self.rtz.label(v)
-        # (2) block pointers: per node, block index -> dictionary vertex.
-        self._block_ptr: List[Dict[int, int]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for b in range(self.blocks.num_blocks()):
-                tau = self.blocks.block_prefix(b)
-                holder = self.distribution.holder_in_neighborhood(u, 1, tau)
-                self._block_ptr[u][b] = holder
-        # (3) dictionary slices: per node, name -> R3 label for every
-        # name in every stored block.
-        self._dict: List[Dict[int, R3Label]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for b in self.distribution.blocks_of(u):
-                for j in self.blocks.block_members(b):
-                    self._dict[u][j] = self.rtz.label(naming.vertex_of(j))
+        # (1) neighborhood labels, (2) block pointers and (3) dictionary
+        # slices, keyed by name; block b's slice holds the labels of the
+        # vertices named by its members.
+        names = np.asarray(naming.all_names(), dtype=np.int64)
+        vertex_of_name = np.argsort(names).astype(np.int32)
+        self._block_vertices = [
+            vertex_of_name[self.blocks.block_members(b)]
+            for b in range(self.blocks.num_blocks())
+        ]
+        self._near, self._block_ptr, self._dict = fig3_tables(
+            self, names, self._block_vertices
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -211,28 +207,12 @@ class StretchSixScheme(RoutingScheme):
     # ------------------------------------------------------------------
     # compiled execution
     # ------------------------------------------------------------------
-    def _compiled_knowledge(self, tables: str = "dense"):
-        """Planner inputs: does ``u`` hold ``R3(v)`` locally (cases 1/3
-        of Fig. 3) and the per-source dictionary-node matrix (case 2),
-        stored per the table family."""
-        from repro.runtime.engine import compile_knowledge
-
-        return compile_knowledge(
-            self._metric.n,
-            (self._near, self._dict),
-            self.vertex_of,
-            self._block_ptr,
-            self.blocks.num_blocks(),
-            lambda v: self.blocks.block_of(self.name_of(v)),
-            tables=tables,
-        )
-
     def compile_tables(self, tables: str = "dense"):
         """Outbound = optional dictionary segment + destination
         segment; the header is structurally constant within each
         (``dict_node`` is an id until the lookup, ``None`` after)."""
         return compile_fig3_routes(
-            self, _OUTBOUND, _INBOUND, self._compiled_knowledge(tables),
+            self, _OUTBOUND, _INBOUND, fig3_knowledge(self, tables),
             tables=tables,
         )
 
@@ -248,6 +228,85 @@ class StretchSixScheme(RoutingScheme):
         )
 
 
+def fig3_tables(scheme, keys: np.ndarray, block_vertices: Sequence[np.ndarray]):
+    """Fig. 3's per-node tables (1)-(3) from the construction's arrays.
+
+    Both the permutation-name scheme and the wild-name variant store
+    the same three tables and differ only in the key a vertex is
+    addressed by.
+
+    Args:
+        scheme: a scheme exposing ``_metric``, ``rtz`` and its
+            ``distribution`` (a ``k = 2`` :class:`BlockDistribution`).
+        keys: ``(n,)`` int64, the key (name) of each vertex.
+        block_vertices: per block, the vertices whose labels its
+            dictionary slice holds, in entry order.
+
+    Returns:
+        ``(near, block_ptr, dictionary)``: per node, key -> ``R3``
+        label over ``N(u)``; block index -> the closest holder of the
+        block in ``N(u)``; key -> ``R3`` label over every block of
+        ``S_u``.
+
+    Raises:
+        ConstructionError: if some block has no holder in some ``N(u)``
+            (Lemma 1; cannot happen after patching).
+    """
+    n = scheme._metric.n
+    labels = np.empty(n, dtype=object)
+    labels[:] = [scheme.rtz.label(v) for v in range(n)]
+    near_v = scheme._metric.neighborhoods(level_size(n, 1, 2))
+    near = [
+        dict(zip(row_keys, row_labels))
+        for row_keys, row_labels in zip(
+            keys[near_v].tolist(), labels[near_v].tolist()
+        )
+    ]
+    holders = scheme.distribution.holders(1)
+    if (holders < 0).any():
+        u, b = (int(x[0]) for x in np.nonzero(holders < 0))
+        raise ConstructionError(
+            f"coverage violated: no holder of block {b} in N({u})"
+        )
+    block_ptr = [dict(enumerate(row)) for row in holders.tolist()]
+    entries = [
+        list(zip(keys[verts].tolist(), labels[verts].tolist()))
+        for verts in block_vertices
+    ]
+    dictionary = [
+        dict(chain.from_iterable(
+            entries[b] for b in scheme.distribution.blocks_of(u)
+        ))
+        for u in range(n)
+    ]
+    return near, block_ptr, dictionary
+
+
+def fig3_knowledge(scheme, tables: str = "dense"):
+    """Planner inputs for a scheme built by :func:`fig3_tables` (which
+    keeps the ``block_vertices`` it passed as ``_block_vertices``): does
+    ``u`` hold ``R3(v)`` locally (cases 1/3 of Fig. 3: ``v`` in ``N(u)``
+    or in one of ``u``'s stored blocks) and the per-source
+    dictionary-node matrix (case 2), stored per the table family."""
+    from repro.runtime.engine import compile_knowledge
+
+    n = scheme._metric.n
+    near_v = scheme._metric.neighborhoods(level_size(n, 1, 2))
+    block_vertices = scheme._block_vertices
+    known = [
+        np.concatenate([near_v[u]] + [
+            block_vertices[b] for b in scheme.distribution.sets[u]
+        ])
+        for u in range(n)
+    ]
+    block_of_vertex = np.empty(n, dtype=np.int64)
+    for b, verts in enumerate(block_vertices):
+        block_of_vertex[verts] = b
+    return compile_knowledge(
+        known, scheme.distribution.holders(1), block_of_vertex, tables
+    )
+
+
 def compile_fig3_routes(
     scheme, outbound_mode: str, inbound_mode: str, knowledge,
     tables: str = "dense",
@@ -258,8 +317,8 @@ def compile_fig3_routes(
     Both the permutation-name scheme and the wild-name variant route
     identically — an optional dictionary segment then the destination
     segment outbound, a single acknowledgment segment back — differing
-    only in their mode tags and in how the planner's ``knowledge``
-    matrices were keyed.
+    only in their mode tags and in which vertices their blocks hold
+    (the planner's ``knowledge``, from :func:`fig3_knowledge`).
 
     Args:
         scheme: a built scheme exposing ``rtz``, ``graph``, and
@@ -270,8 +329,6 @@ def compile_fig3_routes(
             :func:`repro.runtime.engine.compile_knowledge`.
         tables: compiled-table family for the substrate step tables.
     """
-    import numpy as np
-
     from repro.runtime.engine import (
         CompiledRoutes,
         JourneyPlan,

@@ -26,7 +26,7 @@ from repro.runtime.scheme import (
     RETURN_PACKET,
 )
 from repro.rtz.routing import R3Label
-from repro.schemes.stretch6 import StretchSixScheme
+from repro.schemes.stretch6 import StretchSixScheme, fig3_knowledge
 
 #: variant modes: dictionary roundtrip out / back, then final trip
 _TO_DICT = "v6d"
@@ -146,7 +146,7 @@ class StretchSixViaSourceScheme(StretchSixScheme):
         b_ret_direct = header_bits(self.make_return_header(direct), n)
         b_ret_fetched = header_bits(self.make_return_header(fetched_out), n)
         step_tables = compile_substrate_tables(self.rtz, tables)
-        knowledge = self._compiled_knowledge(tables)
+        knowledge = fig3_knowledge(self, tables)
 
         def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
             batch = sources.shape[0]

@@ -28,7 +28,9 @@ the slots — the constant blow-up the paper claims, measured by
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.dictionary.distribution import BlockDistribution
 from repro.exceptions import ConstructionError, TableLookupError
@@ -47,6 +49,7 @@ from repro.runtime.scheme import (
 )
 from repro.api.registry import ParamSpec, register_scheme
 from repro.rtz.routing import R3Label, RTZStretch3
+from repro.schemes.stretch6 import compile_fig3_routes, fig3_knowledge, fig3_tables
 
 _OUTBOUND = "w6o"
 _INBOUND = "w6i"
@@ -90,30 +93,22 @@ class WildNameStretchSix(RoutingScheme):
             metric, self.blocks, rng, blocks_per_node=blocks_per_node
         )
 
-        # (1) neighborhood labels keyed by WILD name.
-        self._near: List[Dict[int, R3Label]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for v in metric.sqrt_neighborhood(u):
-                self._near[u][hashed.wild_of_vertex(v)] = self.rtz.label(v)
-        # (2) block pointers over hash slots.
-        self._block_ptr: List[Dict[int, int]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for b in range(self.blocks.num_blocks()):
-                tau = self.blocks.block_prefix(b)
-                self._block_ptr[u][b] = self.distribution.holder_in_neighborhood(
-                    u, 1, tau
-                )
-        # (3) dictionary slices: for every stored block, every slot in
-        # it, and every vertex in the slot's bucket, one entry keyed by
-        # the vertex's wild name.
-        self._dict: List[Dict[int, R3Label]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for b in self.distribution.blocks_of(u):
-                for slot in self.blocks.block_members(b):
-                    for vertex in hashed.bucket(slot):
-                        self._dict[u][
-                            hashed.wild_of_vertex(vertex)
-                        ] = self.rtz.label(vertex)
+        # Fig. 3's tables keyed by WILD name: a block's dictionary slice
+        # holds, for every slot in it, every vertex in the slot's bucket.
+        self._block_vertices = [
+            np.asarray(
+                [v for slot in self.blocks.block_members(b)
+                 for v in hashed.bucket(slot)],
+                dtype=np.int32,
+            )
+            for b in range(self.blocks.num_blocks())
+        ]
+        wild = np.asarray(
+            [hashed.wild_of_vertex(v) for v in range(n)], dtype=np.int64
+        )
+        self._near, self._block_ptr, self._dict = fig3_tables(
+            self, wild, self._block_vertices
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -216,22 +211,11 @@ class WildNameStretchSix(RoutingScheme):
     # ------------------------------------------------------------------
     def compile_tables(self, tables: str = "dense"):
         """Identical journey shape to the permutation-name scheme —
-        only the planner's knowledge matrices are keyed through the
-        wild-name hash reduction."""
-        from repro.runtime.engine import compile_knowledge
-        from repro.schemes.stretch6 import compile_fig3_routes
-
-        knowledge = compile_knowledge(
-            self._metric.n,
-            (self._near, self._dict),
-            self._hashed.resolve,
-            self._block_ptr,
-            self.blocks.num_blocks(),
-            lambda v: self.blocks.block_of(self._hashed.slot_of_vertex(v)),
-            tables=tables,
-        )
+        only the vertices each block holds come through the wild-name
+        hash reduction."""
         return compile_fig3_routes(
-            self, _OUTBOUND, _INBOUND, knowledge, tables=tables
+            self, _OUTBOUND, _INBOUND, fig3_knowledge(self, tables),
+            tables=tables,
         )
 
     # ------------------------------------------------------------------

@@ -13,14 +13,61 @@ from repro.graph.generators import (
     directed_cycle,
     random_strongly_connected,
 )
-from repro.graph.roundtrip import RoundtripMetric
+from repro.graph.roundtrip import RoundtripMetric, level_size
 from repro.graph.shortest_paths import DistanceOracle
 from repro.naming.blocks import BlockSpace, sqrt_block_space
+from repro.naming.permutation import random_naming
 
 
 def make_metric(n: int, seed: int) -> RoundtripMetric:
     g = random_strongly_connected(n, rng=random.Random(seed))
     return RoundtripMetric(DistanceOracle(g))
+
+
+def scalar_distribution(metric, bs, rng, blocks_per_node):
+    """The Lemma 4 sample-then-patch procedure as a scan over every
+    ``(v, i, tau)`` requirement, with neighborhoods sorted by
+    ``order_key``: the reference the array construction must equal.
+    Returns ``(sets, patches, first_holders)``, where
+    ``first_holders[(v, i, tau)]`` is the closest holder after patching."""
+    n, k = metric.n, bs.k
+    num_blocks = bs.num_blocks()
+    if blocks_per_node is None:
+        blocks_per_node = min(num_blocks, int(3 * math.log(max(n, 2))) + 1)
+    sets = [
+        set(rng.sample(range(num_blocks), min(blocks_per_node, num_blocks)))
+        for _ in range(n)
+    ]
+    prefixes = [
+        list(dict.fromkeys(bs.block_prefix(b)[:i] for b in range(num_blocks)))
+        for i in range(k)
+    ]
+    orders = [
+        sorted(range(n), key=lambda u: metric.order_key(v, u))
+        for v in range(n)
+    ]
+
+    def neighborhood(v, i):
+        return orders[v][:level_size(n, i, k)]
+
+    def covers(w, tau):
+        return any(bs.block_has_prefix(b, tau) for b in sets[w])
+
+    patches = 0
+    for v in range(n):
+        for i in range(k):
+            for tau in prefixes[i]:
+                nbhd = neighborhood(v, i)
+                if any(covers(w, tau) for w in nbhd):
+                    continue
+                target = min(nbhd, key=lambda w: (len(sets[w]), w))
+                sets[target].add(bs.blocks_with_prefix(tau)[0])
+                patches += 1
+    first_holders = {
+        (v, i, tau): next(w for w in neighborhood(v, i) if covers(w, tau))
+        for v in range(n) for i in range(k) for tau in prefixes[i]
+    }
+    return sets, patches, first_holders
 
 
 class TestLemma1SqrtCase:
@@ -65,6 +112,28 @@ class TestLemma1SqrtCase:
 
 
 class TestLemma4GeneralK:
+    @pytest.mark.parametrize("blocks_per_node", [1, None])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_scalar_patch_loop(self, k: int, blocks_per_node):
+        n = 30
+        for seed in range(3):
+            g = random_strongly_connected(n, rng=random.Random(100 + seed))
+            ids = random_naming(n, random.Random(seed)).all_names()
+            metric = RoundtripMetric(DistanceOracle(g), ids=ids)
+            bs = BlockSpace(n, k)
+            dist = BlockDistribution(
+                metric, bs, random.Random(seed), blocks_per_node
+            )
+            sets, patches, first_holders = scalar_distribution(
+                metric, bs, random.Random(seed), blocks_per_node
+            )
+            assert dist.sets == sets
+            assert dist.patches_applied == patches
+            for (v, i, tau), holder in first_holders.items():
+                assert dist.holder_in_neighborhood(v, i, tau) == holder
+            if blocks_per_node == 1:
+                assert patches > 0
+
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_coverage_all_levels(self, k: int):
         n = 40

@@ -171,10 +171,20 @@ class TestCLI:
         (["serve", "--max-batch", "0"], "--max-batch must be >= 1, got 0"),
         (["serve", "--max-queue", "0"], "--max-queue must be >= 1, got 0"),
         (["serve", "--port", "70000"], "--port must be in 0..65535, got 70000"),
+        (["traffic", "--family", "torus", "--n", "-3"],
+         "family 'torus' needs n >= 7, got -3"),
+        (["traffic", "--family", "asym-torus", "--n", "6"],
+         "family 'asym-torus' needs n >= 7, got 6"),
+        (["traffic", "--family", "random", "--n", "1"],
+         "family 'random' needs n >= 2, got 1"),
+        (["traffic", "--family", "layered", "--n", "0"],
+         "family 'layered' needs n >= 1, got 0"),
     ], ids=[
         "covers-scale", "fig1-k", "report-k", "stretch-k", "tables-k",
         "traffic-k", "store-gc-max-bytes", "serve-max-inflight",
         "serve-max-batch", "serve-max-queue", "serve-port",
+        "traffic-torus-negative-n", "traffic-asym-torus-small-n",
+        "traffic-random-one-vertex", "traffic-layered-zero-n",
     ])
     def test_bad_flag_value_exits_with_one_line(
         self, argv, message, tmp_path, monkeypatch

@@ -14,8 +14,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.generators import random_strongly_connected
-from repro.graph.roundtrip import RoundtripMetric
+from repro.graph.generators import (
+    bidirected_torus,
+    directed_cycle,
+    random_strongly_connected,
+)
+from repro.graph.roundtrip import RoundtripMetric, level_size
 from repro.graph.scc import is_strongly_connected
 from repro.graph.shortest_paths import DistanceOracle, dijkstra, path_length
 from repro.naming.permutation import random_naming
@@ -27,9 +31,40 @@ graph_params = st.tuples(
 )
 
 
+#: unit-weight graphs, where roundtrip distances tie everywhere
+tie_heavy_graphs = st.one_of(
+    st.integers(min_value=2, max_value=30).map(directed_cycle),
+    st.tuples(
+        st.integers(min_value=3, max_value=6),
+        st.integers(min_value=3, max_value=6),
+    ).map(lambda shape: bidirected_torus(*shape)),
+)
+
+
 def make_graph(params):
     n, deg, seed = params
     return random_strongly_connected(n, avg_out_degree=deg, rng=random.Random(seed))
+
+
+def named_metric(g, name_seed) -> RoundtripMetric:
+    naming = random_naming(g.n, random.Random(name_seed))
+    return RoundtripMetric(DistanceOracle(g), ids=naming.all_names())
+
+
+def assert_neighborhoods_match_order_key(metric: RoundtripMetric) -> None:
+    """Every row of the array kernel equals the scalar definition: the
+    first ``size`` vertices sorted by :meth:`RoundtripMetric.order_key`."""
+    n = metric.n
+    orders = [
+        sorted(range(n), key=lambda u: metric.order_key(v, u))
+        for v in range(n)
+    ]
+    for size in (0, 1, level_size(n, 1, 2), n):
+        rows = metric.neighborhoods(size)
+        assert rows.shape == (n, size)
+        assert not rows.flags.writeable
+        for v in range(n):
+            assert rows[v].tolist() == orders[v][:size]
 
 
 class TestGraphProperties:
@@ -75,6 +110,31 @@ class TestGraphProperties:
             assert sorted(order) == list(range(g.n))
             keys = [metric.order_key(v, u) for u in order]
             assert keys == sorted(keys)
+
+    @given(graph_params, st.integers())
+    @settings(max_examples=20, deadline=None)
+    def test_neighborhoods_match_order_key(self, params, name_seed):
+        assert_neighborhoods_match_order_key(
+            named_metric(make_graph(params), name_seed)
+        )
+
+    @given(tie_heavy_graphs, st.integers())
+    @settings(max_examples=20, deadline=None)
+    def test_neighborhoods_match_order_key_under_ties(self, g, name_seed):
+        assert_neighborhoods_match_order_key(named_metric(g, name_seed))
+
+    def test_neighborhoods_match_order_key_across_row_blocks(self, monkeypatch):
+        """Row blocks of two or three rows, none dividing ``n``."""
+        import repro.graph.blocked as blocked
+
+        monkeypatch.setattr(blocked, "_BLOCK_ELEMS", 64)
+        for seed, g in enumerate((
+            directed_cycle(23),
+            bidirected_torus(4, 5),
+            random_strongly_connected(29, rng=random.Random(3)),
+        )):
+            assert blocked.default_block_rows(g.n) < g.n
+            assert_neighborhoods_match_order_key(named_metric(g, seed))
 
     @given(graph_params)
     @settings(max_examples=20, deadline=None)

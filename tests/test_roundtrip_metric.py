@@ -117,6 +117,9 @@ class TestNeighborhoods:
         assert len(small_metric.level_neighborhood(0, k, k)) == n
         size1 = len(small_metric.level_neighborhood(0, 1, k))
         assert size1 == int(math.ceil(n ** (1 / 3)))
+        # ceil(32^{4/5}) is exactly 16 (the float power reads 16.000...04)
+        cycle = RoundtripMetric(DistanceOracle(directed_cycle(32)))
+        assert len(cycle.level_neighborhood(0, 4, 5)) == 16
 
     def test_level_out_of_range(self, small_metric: RoundtripMetric):
         with pytest.raises(GraphError):

@@ -60,6 +60,27 @@ class TestCenters:
                 else:
                     assert assign.in_cluster(u, v) == (metric.r(u, v) < bound - 1e-12)
 
+    def test_matches_scalar_definitions_under_ties(self):
+        """On a unit-weight torus many landmarks tie: a tie goes to the
+        smaller landmark, as the scalar ``(r(v, c), c)`` minimum says."""
+        metric = make_metric(bidirected_torus(5, 6))
+        n = metric.n
+        for seed in range(3):
+            centers = sample_centers(n, random.Random(seed))
+            assign = CenterAssignment(metric, centers)
+            ties = 0
+            for v in range(n):
+                home = min(centers, key=lambda c: (metric.r(v, c), c))
+                nearest = [c for c in centers if metric.r(v, c) == metric.r(v, home)]
+                ties += len(nearest) > 1
+                assert assign.home_center(v) == home
+                assert assign.r_to_centers(v) == metric.r(v, home)
+                assert assign.cluster(v) == {
+                    u for u in range(n)
+                    if u != v and metric.r(u, v) < metric.r(v, home) - 1e-12
+                }
+            assert ties > 0
+
     def test_cluster_path_closure(self):
         for seed in range(4):
             metric = metric_for(16, 10 + seed)

@@ -321,19 +321,30 @@ class TestPickleCheapCompiledSchemes:
     decision tables must stay out of the payload and rehydrate
     worker-side from the CSR snapshot."""
 
-    def test_compiled_cache_dropped_and_rehydrated(self, net, workload):
-        scheme = net.build_scheme("stretch6")
+    @pytest.mark.parametrize("scheme_name", scheme_names())
+    def test_compiled_cache_dropped_and_rehydrated(
+        self, net, workload, scheme_name
+    ):
+        scheme = net.build_scheme(scheme_name)
         before = pickle.dumps(scheme)
-        assert scheme.compiled_routes() is not None
-        assert "_compiled_step_tables" in scheme.rtz.__dict__
+        # the waypoint-stack schemes have no compiled form
+        compiled = scheme.compiled_routes()
+        assert (compiled is None) == (scheme_name in ("exstretch", "polystretch"))
+        rtz = getattr(scheme, "rtz", None)
+        if rtz is not None:
+            assert "_compiled_step_tables" in rtz.__dict__
+        a = run_workload(scheme, workload, oracle=net.oracle())
         after = pickle.dumps(scheme)
-        # compiling must not grow the wire size at all
+        # neither compiling nor routing may grow the wire size at all
+        # (no compiled tables, memoized first hops or metric caches)
         assert after == before
         clone = pickle.loads(after)
         assert "_compiled_routes" not in clone.__dict__
-        assert "_compiled_step_tables" not in clone.rtz.__dict__
+        if rtz is not None:
+            assert "_compiled_step_tables" not in clone.rtz.__dict__
+        oracle = getattr(clone, "_oracle", None) or clone._metric.oracle
+        assert oracle.cached_first_hops() is None
         # the rehydrated clone routes bit-identically
-        a = run_workload(scheme, workload, oracle=net.oracle())
         b = run_workload(clone, workload, oracle=net.oracle())
         assert_bit_identical(a, b)
 
