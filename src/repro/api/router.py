@@ -279,8 +279,8 @@ class Router:
 
         Delegates to :func:`repro.runtime.traffic.run_workload` on the
         resolved execution engine; ``shard_size``/``jobs`` enable
-        sharded execution (a process pool for the python engine with
-        ``jobs > 1``) with the same bit-identical-summary guarantee.
+        sharded execution with the same bit-identical-summary
+        guarantee.
         The session counters absorb the batch, with the shard count
         recorded per engine (see :meth:`stats`).
         """

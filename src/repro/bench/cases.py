@@ -11,9 +11,8 @@ Each case names one kernel the repo's perf story depends on:
   kernels the paper's experiments time;
 * **traffic** — whole-workload batched execution across schemes ×
   workload shapes × engines × families;
-* **shard** — sharded python-engine execution, serial versus the
-  process pool that :func:`~repro.runtime.traffic.resolve_executor`
-  picks for ``jobs > 1``;
+* **shard** — sharded python-engine execution: a workload split
+  into fixed-boundary shards, routed one after another;
 * **store** — the on-disk artifact store's warm-start path: cold
   build-and-persist versus rehydrating the same artifact from a warm
   store (each case owns an explicit temporary
@@ -45,10 +44,10 @@ from __future__ import annotations
 import random
 import tempfile
 
-from repro.bench.registry import DEFAULT_TOLERANCE, bench_case
+from repro.bench.registry import bench_case
 from repro.bench.runner import BenchContext
 from repro.graph.shortest_paths import DistanceOracle
-from repro.runtime.traffic import resolve_executor, run_workload
+from repro.runtime.traffic import run_workload
 from repro.rtz.routing import RTZStretch3
 
 
@@ -234,7 +233,8 @@ _register_traffic_case(
 _register_traffic_case(
     "traffic/rtz/mixed/vectorized", "rtz", "mixed", "vectorized",
 )
-# Stack-header schemes cannot compile; "auto" takes the python path.
+# The stack-header scheme compiles to double-tree segments; "auto"
+# routes it on the vectorized engine.
 _register_traffic_case(
     "traffic/exstretch_k2/uniform/auto", "exstretch", "uniform", "auto",
     pairs=1000, smoke_pairs=100, k=2,
@@ -250,41 +250,25 @@ _register_traffic_case(
 # shard axis: sharded python-engine execution (mirrors bench_shards.py)
 # ----------------------------------------------------------------------
 
-def _register_shard_case(
-    name: str, jobs: int, tolerance: float = DEFAULT_TOLERANCE,
-):
-    # The declared jobs run everywhere — a pool on a 1-core host is
-    # merely slow, never degraded to serial — so the recorded tags
-    # always describe what was measured and the trajectory shape does
-    # not depend on the recording host's core count.
-    executor = resolve_executor("python", jobs)
-    n, pairs, shards = 256, 8000, 16
+_SHARD_N, _SHARD_PAIRS, _SHARDS = 256, 8000, 16
 
-    @bench_case(
-        name,
-        axis="shard",
-        summary=(f"sharded python-engine workload, {executor} executor, "
-                 f"jobs={jobs} (random, n={n}, {pairs} pairs)"),
-        tolerance=tolerance,
-        tags={"scheme": "stretch6", "engine": "python", "executor": executor,
-              "jobs": str(jobs), "family": "random"},
+
+@bench_case(
+    "shard/stretch6/python/serial",
+    axis="shard",
+    summary=(f"sharded python-engine workload, jobs=1 "
+             f"(random, n={_SHARD_N}, {_SHARD_PAIRS} pairs)"),
+    tags={"scheme": "stretch6", "engine": "python", "jobs": "1",
+          "family": "random"},
+)
+def _shard_serial(ctx: BenchContext):
+    net = ctx.network("random", _SHARD_N)
+    scheme = net.build_scheme("stretch6")
+    wl = ctx.workload("uniform", net, _SHARD_PAIRS, smoke_pairs=120, seed=23)
+    shard_size = len(wl) // ctx.count(_SHARDS, 4)
+    return lambda: run_workload(
+        scheme, wl, engine="python", shard_size=shard_size, jobs=1,
     )
-    def _setup(ctx: BenchContext):
-        net = ctx.network("random", n)
-        scheme = net.build_scheme("stretch6")
-        wl = ctx.workload("uniform", net, pairs, smoke_pairs=120, seed=23)
-        shard_size = len(wl) // ctx.count(shards, 4)
-        return lambda: run_workload(
-            scheme, wl, engine="python", shard_size=shard_size, jobs=jobs,
-        )
-
-    return _setup
-
-
-_register_shard_case("shard/stretch6/python/serial", jobs=1)
-# Pool spin-up dominates the smoke-sized runs and varies widely across
-# hosts; the wider bands still catch a collapsed pool path.
-_register_shard_case("shard/stretch6/python/processes", jobs=4, tolerance=4.0)
 
 
 # ----------------------------------------------------------------------

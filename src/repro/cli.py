@@ -47,7 +47,6 @@ from repro.runtime.traffic import (
     WORKLOAD_KINDS,
     generate_workload,
     num_shards,
-    resolve_executor,
 )
 from repro.store import (
     CACHE_DIR_ENV,
@@ -209,10 +208,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
             shards = num_shards(
                 len(workload), shard_size=args.shard_size, jobs=args.jobs
             )
-            # A single-shard plan executes monolithically — no pool.
-            shown = resolve_executor(resolved, args.jobs) if shards > 1 else "serial"
-            print(f"sharding   : {shards} shards, "
-                  f"jobs={args.jobs or 1} ({shown})")
+            print(f"sharding   : {shards} shards, jobs={args.jobs or 1}")
         print(summary.format())
         if summary.pairs == 0:
             print("\nempty workload; nothing to route")
@@ -832,9 +828,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="parallel shard workers: a process pool for the python "
-        "engine, serial shards for the vectorized engine; the summary "
-        "is bit-identical for any value",
+        help="request the default 512-pair shard partition; shards run "
+        "one after another and the summary is bit-identical for any "
+        "value",
     )
     p.add_argument(
         "--shard-size",
@@ -884,7 +880,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="override the spec's jobs axis with one worker count; the "
+        help="override the spec's jobs axis with one value; the "
         "summary is bit-identical for any value",
     )
     sp.add_argument(

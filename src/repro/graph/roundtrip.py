@@ -77,13 +77,6 @@ class RoundtripMetric:
         self._ids = list(ids)
         self._neighborhoods: Dict[int, np.ndarray] = {}
 
-    def __getstate__(self):
-        """Pickle without the cached neighborhood arrays (derived from
-        the oracle; rebuilt on first use)."""
-        state = dict(self.__dict__)
-        state["_neighborhoods"] = {}
-        return state
-
     @property
     def oracle(self) -> DistanceOracle:
         """The underlying distance oracle."""

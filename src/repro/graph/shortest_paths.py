@@ -274,14 +274,6 @@ class DistanceOracle:
             _ORACLE_CACHE[g] = weakref.ref(self)
         return self
 
-    def __getstate__(self):
-        """Pickle without the memoized first-hop matrix (derived from
-        the parent trees; :meth:`first_hop_matrix` rebuilds it on first
-        use), so a compiled scheme ships no bigger than a fresh one."""
-        state = dict(self.__dict__)
-        state.pop("_first_hop", None)
-        return state
-
     @property
     def graph(self) -> Digraph:
         """The underlying digraph."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -77,8 +77,6 @@ class RTZStretch3:
         metric: roundtrip metric of the graph.
         rng: landmark sampling randomness.
         center_count: landmark count override (default ``ceil(sqrt n)``).
-        centers: explicit landmark set (sorted on entry); when given,
-            ``rng`` and ``center_count`` are ignored.
     """
 
     def __init__(
@@ -86,17 +84,14 @@ class RTZStretch3:
         metric: RoundtripMetric,
         rng: Optional[random.Random] = None,
         center_count: Optional[int] = None,
-        centers: Optional[Sequence[int]] = None,
     ):
         self._metric = metric
         oracle = metric.oracle
         g = oracle.graph
         n = g.n
-        if centers is None:
-            centers = sample_centers(n, rng, center_count)
-        else:
-            centers = sorted(centers)
-        self.assignment = CenterAssignment(metric, centers)
+        self.assignment = CenterAssignment(
+            metric, sample_centers(n, rng, center_count)
+        )
 
         # Per-landmark tree structures spanning all of V.
         self._in_trees: Dict[int, ToRootPointers] = {}
@@ -296,18 +291,6 @@ class RTZStretch3:
                 R3Label(dest=v, center=c, addr=self._out_trees[c].address_of(v))
             )
         return self
-
-    def __getstate__(self):
-        """Pickle the substrate *without* its compiled step tables.
-
-        The :class:`~repro.runtime.engine.SubstrateStepTables` cache
-        (per table family; ``(n, n)``-shaped in dense storage) is
-        rebuilt worker-side from the substrate's own structures on the
-        first compile, so process-pool shard execution never ships it.
-        """
-        state = dict(self.__dict__)
-        state.pop("_compiled_step_tables", None)
-        return state
 
     # ------------------------------------------------------------------
     # size accounting

@@ -34,8 +34,8 @@ first-class workload:
 
 Everything is seeded: event materialization draws from
 ``random.Random(f"{seed}|churn|{i}")`` and epoch pairs from
-``random.Random(f"{seed}|pairs|{i}")``, both independent of the shard
-worker count, so a timeline run is bit-identical across ``--jobs``
+``random.Random(f"{seed}|pairs|{i}")``, both independent of
+``--jobs``, so a timeline run is bit-identical across ``--jobs``
 values (the same guarantee static workloads already make).
 
 Exposed on the command line as ``repro traffic --events FILE``.

@@ -29,11 +29,26 @@ A scheme opts in by implementing
   ``dictionary node -> t``) with the per-segment forwarded-header bit
   size precomputed from representative headers.
 
-This covers every scheme whose headers, between segment boundaries,
-carry a *structurally constant* payload (a fixed set of fields whose
-bit sizes do not depend on the packet's position).  Schemes with
-growing headers — the ExStretch/PolynomialStretch waypoint stacks —
-return ``None`` and transparently fall back to the Python simulator.
+This covers every scheme whose header changes only at segment
+boundaries (waypoints), so every registered scheme compiles:
+
+* the stretch-6 family and the RTZ baseline route each segment over
+  the Lemma 2 substrate (:class:`SubstrateStepTables`);
+* ExStretch and PolynomialStretch route each segment inside one
+  Theorem 13 double tree, named per packet by the segment's ``tree``
+  (:class:`DoubleTreeStepTables`): up the in-pointers to the root,
+  then down the out-tree by Lemma 14 interval rows.  Their growing
+  waypoint stacks change the header only at waypoints, so each
+  segment's bit size is fixed by the stack depth at plan time.
+
+A leg normally ends when its last segment reaches its target.  A plan
+may flag a leg (:attr:`JourneyPlan.ends_on_arrival`) to end the first
+time the packet *stands on* the leg's last target, even mid-segment:
+ExStretch's acknowledgment delivers whenever it walks over the
+source, whatever is still on its stack.
+
+A scheme whose ``compile_tables`` returns ``None`` runs on the Python
+simulator; ``engine="auto"`` resolves to it only then.
 
 Bit-identical by construction
 -----------------------------
@@ -99,18 +114,29 @@ def resolve_table_family(tables: str, n: int) -> str:
 class StepTables:
     """Vectorized within-leg forwarding over next-vertex tables.
 
-    Subclasses implement :meth:`begin_phase` (the leg's first decision
-    mode, mirroring the scheme's ``begin_leg``) and :meth:`step` (one
-    forwarding decision for a batch of packets *not yet at their
-    target*)."""
+    Subclasses implement :meth:`begin_phase` (the segment's first
+    decision mode, mirroring the scheme's ``begin_leg``) and
+    :meth:`step` (one forwarding decision for a batch of packets *not
+    yet at their target*).  ``tree`` is the per-packet tree index of
+    the current segment (:attr:`Segment.tree`), or ``None`` when the
+    plan names no trees; tables that route without trees ignore it."""
 
-    def begin_phase(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """Initial phase for packets starting a leg at ``at`` toward
-        ``target`` (int8 array)."""
+    def begin_phase(
+        self,
+        at: np.ndarray,
+        target: np.ndarray,
+        tree: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Initial phase for packets starting a segment at ``at``
+        toward ``target`` (int8 array)."""
         raise NotImplementedError
 
     def step(
-        self, at: np.ndarray, target: np.ndarray, phase: np.ndarray
+        self,
+        at: np.ndarray,
+        target: np.ndarray,
+        phase: np.ndarray,
+        tree: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """One decision per packet: ``(next_vertex, new_phase)``.
 
@@ -170,12 +196,10 @@ class BlockedNextHop(StepTables):
         """Bytes resident across all currently-loaded blocks."""
         return sum(int(blk.nbytes) for blk in self.blocks)
 
-    def begin_phase(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
+    def begin_phase(self, at, target, tree=None) -> np.ndarray:
         return np.zeros(at.shape[0], dtype=np.int8)
 
-    def step(
-        self, at: np.ndarray, target: np.ndarray, phase: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def step(self, at, target, phase, tree=None):
         if len(self.blocks) == 1:
             nxt = self.blocks[0][at, target]
         else:
@@ -287,16 +311,14 @@ class SubstrateStepTables(StepTables):
         """Bytes across every table (the o(n²) claim is testable)."""
         return sum(int(arr.nbytes) for arr in self.arrays().values())
 
-    def begin_phase(self, at: np.ndarray, target: np.ndarray) -> np.ndarray:
+    def begin_phase(self, at, target, tree=None) -> np.ndarray:
         direct = (at == target) | (self.direct_next[at, target] >= 0)
         at_center = at == self.center_of[target]
         return np.where(
             direct, PHASE_DIRECT, np.where(at_center, PHASE_DOWN, PHASE_UP)
         ).astype(np.int8)
 
-    def step(
-        self, at: np.ndarray, target: np.ndarray, phase: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def step(self, at, target, phase, tree=None):
         # TO_CENTER flips to DOWN_TREE on arrival at the landmark,
         # within the same decision (exactly as leg_step does).
         center = self.center_of[target]
@@ -387,6 +409,151 @@ def compile_substrate_tables(
     return step
 
 
+class DoubleTreeStepTables(StepTables):
+    """Compiled Theorem 13 double-tree hops (Sections 3 and 4).
+
+    A segment toward ``target`` inside tree ``tree`` goes up the tree's
+    in-pointers to its root, then down the out-tree by the Lemma 14
+    child-interval rows — the decisions of
+    :meth:`~repro.rtz.spanner.HandshakeSpanner.hop_step` and
+    :meth:`~repro.schemes.polystretch.PolynomialStretchScheme._tree_step`.
+    Trees are indexed in :meth:`~repro.covers.hierarchy.TreeHierarchy.all_trees`
+    order.  Every table holds one entry per row the trees themselves
+    store, keyed ``tree * n + vertex`` and searched by binary search, so
+    both table families share this one storage.
+
+    Attributes:
+        n: vertex count (the key stride).
+        tree_ids: ``(T,)`` global tree id per tree index (ascending).
+        root: ``(T,)`` root vertex per tree index.
+        up_next: :class:`~repro.graph.csr.PairTable` — next vertex
+            toward the root per (tree, vertex) with an in-pointer.
+        dfs: :class:`~repro.graph.csr.PairTable` — each out-tree
+            vertex's DFS number (its tree address) per (tree, vertex).
+        row_keys: sorted ``(tree * n + vertex) * n + lo`` — one row per
+            child interval ``[lo, hi)`` stored at ``vertex``.
+        row_hi: ``hi`` per row.
+        row_next: the child (next vertex) per row.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        tree_ids: np.ndarray,
+        root: np.ndarray,
+        up_next: PairTable,
+        dfs: PairTable,
+        row_keys: np.ndarray,
+        row_hi: np.ndarray,
+        row_next: np.ndarray,
+    ):
+        self.n = int(n)
+        self.tree_ids = tree_ids
+        self.root = root
+        self.up_next = up_next
+        self.dfs = dfs
+        self.row_keys = row_keys
+        self.row_hi = row_hi
+        self.row_next = row_next
+
+    def tree_index(self, tree_ids) -> np.ndarray:
+        """Tree indices of global tree ids (compile-time helper)."""
+        ids = np.asarray(tree_ids, dtype=np.int64)
+        idx = np.searchsorted(self.tree_ids, ids)
+        np.minimum(idx, self.tree_ids.shape[0] - 1, out=idx)
+        if (self.tree_ids[idx] != ids).any():
+            bad = int(ids[self.tree_ids[idx] != ids][0])
+            raise TableLookupError(f"tree {bad} is not in the hierarchy")
+        return idx
+
+    def begin_phase(self, at, target, tree=None) -> np.ndarray:
+        return np.where(at == self.root[tree], PHASE_DOWN, PHASE_UP).astype(
+            np.int8
+        )
+
+    def _down(self, at, target, tree) -> np.ndarray:
+        """The child of ``at`` whose interval holds ``target``'s DFS
+        number (``-1`` where there is none)."""
+        n = self.n
+        d = self.dfs[tree, target].astype(np.int64)
+        node = tree * n + at
+        pos = np.searchsorted(self.row_keys, node * n + d, side="right") - 1
+        ok = (d >= 0) & (pos >= 0)
+        np.maximum(pos, 0, out=pos)
+        ok &= (self.row_keys[pos] // n == node) & (d < self.row_hi[pos])
+        return np.where(ok, self.row_next[pos], -1)
+
+    def step(self, at, target, phase, tree=None):
+        # UP flips to DOWN at the root within the same decision, as in
+        # HandshakeSpanner.hop_step.
+        phase = np.where(
+            (phase == PHASE_UP) & (at == self.root[tree]), PHASE_DOWN, phase
+        ).astype(np.int8)
+        up = phase == PHASE_UP
+        nxt = np.empty(at.shape[0], dtype=np.int64)
+        nxt[up] = self.up_next[tree[up], at[up]]
+        down = ~up
+        nxt[down] = self._down(at[down], target[down], tree[down])
+        if (nxt < 0).any():
+            bad = int(np.flatnonzero(nxt < 0)[0])
+            raise TableLookupError(
+                f"no compiled tree entry at vertex {int(at[bad])} toward "
+                f"{int(target[bad])} in tree "
+                f"{int(self.tree_ids[tree[bad]])} (phase {int(phase[bad])})"
+            )
+        return nxt, phase
+
+
+def compile_tree_tables(hierarchy) -> DoubleTreeStepTables:
+    """Compile every double tree of a
+    :class:`~repro.covers.hierarchy.TreeHierarchy` into one
+    :class:`DoubleTreeStepTables`.
+
+    The result is cached on the hierarchy (``_compiled_tree_tables``):
+    ExStretch's spanner and PolynomialStretch read the same
+    :meth:`~repro.api.network.Network.hierarchy`, so it compiles once,
+    for both table families.
+    """
+    cached = hierarchy.__dict__.get("_compiled_tree_tables")
+    if cached is not None:
+        return cached
+    g: Digraph = hierarchy.metric.oracle.graph
+    n = g.n
+    trees = list(hierarchy.all_trees())
+    up_keys, up_next, dfs_keys, dfs_vals = [], [], [], []
+    row_keys, row_hi, row_next = [], [], []
+    for i, tree in enumerate(trees):
+        base = i * n
+        for v, port in tree.in_pointers.ports().items():
+            up_keys.append(base + v)
+            up_next.append(g.head_of_port(v, port))
+        for v, dfs in tree.out_tree.dfs_numbers().items():
+            dfs_keys.append(base + v)
+            dfs_vals.append(dfs)
+        for v, lo, hi, port in tree.out_tree.interval_rows():
+            row_keys.append((base + v) * n + lo)
+            row_hi.append(hi)
+            row_next.append(g.head_of_port(v, port))
+    order = np.argsort(np.asarray(row_keys, dtype=np.int64))
+    tables = hierarchy.__dict__["_compiled_tree_tables"] = DoubleTreeStepTables(
+        n,
+        np.array([t.tree_id for t in trees], dtype=np.int64),
+        np.array([t.root for t in trees], dtype=np.int64),
+        PairTable.from_entries(
+            n, np.asarray(up_keys, dtype=np.int64),
+            np.asarray(up_next, dtype=np.int32),
+        ),
+        PairTable.from_entries(
+            n, np.asarray(dfs_keys, dtype=np.int64),
+            np.asarray(dfs_vals, dtype=np.int32),
+        ),
+        np.asarray(row_keys, dtype=np.int64)[order],
+        np.asarray(row_hi, dtype=np.int32)[order],
+        np.asarray(row_next, dtype=np.int32)[order],
+    )
+    return tables
+
+
 # ----------------------------------------------------------------------
 # journey plans
 # ----------------------------------------------------------------------
@@ -400,10 +567,14 @@ class Segment:
             dictionary detour needed).
         fwd_bits: ``(B,)`` int64 bit size of the header attached to
             every ``Forward`` decision made during this segment.
+        tree: optional ``(B,)`` int64 per-packet tree index the
+            segment routes in (:class:`DoubleTreeStepTables`); ``None``
+            for tables that route without trees.
     """
 
     target: np.ndarray
     fwd_bits: np.ndarray
+    tree: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -411,10 +582,16 @@ class JourneyPlan:
     """A compiled batch: two legs (outbound, acknowledgment), each a
     list of segments, plus each leg's *initial* header bit size (the
     header as injected / as returned by the destination host, measured
-    before any forwarding decision)."""
+    before any forwarding decision).
+
+    Every packet has at least one present segment per leg; a leg's
+    *last target* is the target of its last present segment.
+    ``ends_on_arrival[leg]`` ends that leg the first time the packet
+    stands on its last target, even mid-segment (default: never)."""
 
     legs: List[List[Segment]]
     leg_init_bits: List[np.ndarray]
+    ends_on_arrival: Optional[Sequence[bool]] = None
 
 
 class CompiledRoutes:
@@ -510,6 +687,40 @@ def compile_knowledge(
 # ----------------------------------------------------------------------
 # the frontier-sweep executor
 # ----------------------------------------------------------------------
+def _flatten_plan(plan: JourneyPlan, batch: int):
+    """Compact a plan's ``(segments, batch)`` rows into one flat,
+    packet-major list of *present* segments.
+
+    Returns ``(target, bits, tree, stop)``: per flat segment its
+    target, forwarded-header bits and tree index (``tree`` is ``None``
+    when no segment names one), and ``stop[leg, p]``, the flat index one
+    past packet ``p``'s last segment of ``leg``.  Packet ``p``'s
+    segments occupy ``[stop[-1, p - 1], stop[-1, p])`` in leg order.
+    """
+    rows = [seg for leg in plan.legs for seg in leg]
+    leg_of_row = np.array(
+        [li for li, leg in enumerate(plan.legs) for _ in leg], dtype=np.int64
+    )
+    target = np.stack([seg.target for seg in rows], axis=1).astype(np.int64)
+    present = target >= 0
+    counts = np.stack(
+        [present[:, leg_of_row == li].sum(axis=1)
+         for li in range(len(plan.legs))],
+        axis=1,
+    )
+    if (counts == 0).any():
+        raise RoutingError("compiled plan gives a packet a leg with no segment")
+    bits = np.stack([seg.fwd_bits for seg in rows], axis=1).astype(np.int64)
+    tree = None
+    if any(seg.tree is not None for seg in rows):
+        no_tree = np.full(batch, -1, dtype=np.int64)
+        tree = np.stack(
+            [no_tree if seg.tree is None else seg.tree for seg in rows], axis=1
+        ).astype(np.int64)[present]
+    stop = np.cumsum(counts.reshape(-1)).reshape(counts.shape).T
+    return target[present], bits[present], tree, stop
+
+
 def run_roundtrips(
     compiled: CompiledRoutes,
     pairs: Sequence[Tuple[int, int]],
@@ -546,26 +757,20 @@ def run_roundtrips(
     csr = CSRGraph.from_digraph(compiled.graph)
 
     num_legs = len(plan.legs)
-    # Flatten the per-leg segment lists into (num_segs, batch) matrices;
-    # leg_of_seg maps a flat segment index to its leg (with a sentinel
-    # row so "past the last segment" reads as leg ``num_legs``).
-    target_mat = np.stack(
-        [seg.target for leg in plan.legs for seg in leg]
-    ).astype(np.int64)
-    bits_mat = np.stack(
-        [seg.fwd_bits for leg in plan.legs for seg in leg]
-    ).astype(np.int64)
-    leg_of_seg = np.array(
-        [li for li, leg in enumerate(plan.legs) for _ in leg] + [num_legs],
-        dtype=np.int64,
-    )
+    seg_target, seg_bits, seg_tree, stop = _flatten_plan(plan, batch)
+    # Each leg's last target (the Python simulator's ``expect_end``):
+    # hop-limit errors name the failing *leg*'s endpoints exactly as
+    # _run_leg does, and flagged legs end on standing there.
+    leg_end = seg_target[stop - 1]
+    ends_on_arrival = np.zeros(num_legs, dtype=bool)
+    if plan.ends_on_arrival is not None:
+        ends_on_arrival[:] = plan.ends_on_arrival
+    early = bool(ends_on_arrival.any())
     init_bits = np.stack(plan.leg_init_bits).astype(np.int64)
-    num_segs = target_mat.shape[0]
 
-    pidx = np.arange(batch, dtype=np.int64)
+    cur = np.concatenate(([0], stop[-1, :-1]))  # flat segment per packet
+    cur_leg = np.zeros(batch, dtype=np.int64)
     at = sources.copy()
-    cur_seg = np.zeros(batch, dtype=np.int64)
-    phase = np.zeros(batch, dtype=np.int8)
     active = np.ones(batch, dtype=bool)
 
     leg_cost = np.zeros(batch, dtype=np.float64)
@@ -582,19 +787,19 @@ def run_roundtrips(
     log_leg: List[np.ndarray] = []
     log_vert: List[np.ndarray] = []
 
-    # Aim every packet at its first segment.
-    first_tgt = target_mat[0]
-    present = first_tgt >= 0
-    if present.any():
-        phase[present] = tables.begin_phase(at[present], first_tgt[present])
+    def trees(c: np.ndarray) -> Optional[np.ndarray]:
+        return None if seg_tree is None else seg_tree[c]
 
-    # Per-leg destination (the Python simulator's ``expect_end``): the
-    # last segment of each leg is always present, so hop-limit errors
-    # can name the failing *leg*'s endpoints exactly as _run_leg does.
-    leg_end = np.stack([leg[-1].target for leg in plan.legs])
+    def aim(p: np.ndarray) -> None:
+        c = cur[p]
+        phase[p] = tables.begin_phase(at[p], seg_target[c], trees(c))
+
+    # Aim every packet at its first segment.
+    phase = np.zeros(batch, dtype=np.int8)
+    aim(np.arange(batch))
     failed = np.full(batch, -1, dtype=np.int64)  # leg id at failure
 
-    while active.any():
+    while True:
         # --- hop budget: the simulator allows a leg at most
         # ``hop_limit + 1`` forwarding decisions; a packet that has
         # forwarded hop_limit + 1 times without delivering is a loop
@@ -604,57 +809,60 @@ def run_roundtrips(
         # and keep sweeping — the raise below picks the same pair.
         over = active & (leg_hops > hop_limit)
         if over.any():
-            failed[over] = leg_of_seg[cur_seg[over]]
+            failed[over] = cur_leg[over]
             active &= ~over
-            if not active.any():
-                break
         # --- segment/leg transitions: packets sitting at their current
-        # segment's endpoint (or whose segment is absent for them)
-        # advance without consuming a hop, exactly like the scheme's
-        # same-call header reprocessing at a dictionary node.
+        # segment's endpoint (or, on a flagged leg, at the leg's last
+        # target) advance without consuming a hop, exactly like the
+        # scheme's same-call header reprocessing at a waypoint.
         while True:
-            tgt = target_mat[np.minimum(cur_seg, num_segs - 1), pidx]
-            pend = active & ((tgt == -1) | (tgt == at))
-            if not pend.any():
+            ap = np.flatnonzero(active)
+            arrived = seg_target[cur[ap]] == at[ap]
+            if early:
+                lg = cur_leg[ap]
+                ends = ends_on_arrival[lg] & (at[ap] == leg_end[lg, ap])
+                arrived |= ends
+            if not arrived.any():
                 break
-            old_leg = leg_of_seg[cur_seg[pend]]
-            cur_seg[pend] += 1
-            new_leg = leg_of_seg[cur_seg[pend]]
-            crossed = new_leg != old_leg
+            pend = ap[arrived]
+            lg = cur_leg[pend]
+            leg_stop = stop[lg, pend]
+            nxt_seg = cur[pend] + 1
+            if early:
+                nxt_seg = np.where(ends[arrived], leg_stop, nxt_seg)
+            cur[pend] = nxt_seg
+            crossed = nxt_seg == leg_stop
             if crossed.any():
-                cp = pidx[pend][crossed]
-                out_cost[old_leg[crossed], cp] = leg_cost[cp]
-                out_bits[old_leg[crossed], cp] = leg_bits[cp]
-                finished = new_leg[crossed] >= num_legs
-                done_p = cp[finished]
-                active[done_p] = False
+                cp = pend[crossed]
+                old_leg = lg[crossed]
+                out_cost[old_leg, cp] = leg_cost[cp]
+                out_bits[old_leg, cp] = leg_bits[cp]
+                new_leg = old_leg + 1
+                finished = new_leg >= num_legs
+                active[cp[finished]] = False
                 open_p = cp[~finished]
                 if open_p.shape[0]:
-                    olids = new_leg[crossed][~finished]
+                    olids = new_leg[~finished]
+                    cur_leg[open_p] = olids
                     leg_cost[open_p] = 0.0
                     leg_hops[open_p] = 0
                     leg_bits[open_p] = init_bits[olids, open_p]
                     leg_start[olids, open_p] = at[open_p]
-            # Re-aim packets that advanced into a live, present segment.
-            moved = pend & active
-            if moved.any():
-                tgt2 = target_mat[cur_seg[moved], pidx[moved]]
-                aim_p = pidx[moved][tgt2 >= 0]
-                if aim_p.shape[0]:
-                    phase[aim_p] = tables.begin_phase(
-                        at[aim_p], target_mat[cur_seg[aim_p], aim_p]
-                    )
-        if not active.any():
+            # Re-aim packets that advanced into a live segment.
+            moved = pend[active[pend]]
+            if moved.shape[0]:
+                aim(moved)
+        if not ap.shape[0]:
             break
         # --- one synchronized hop for every in-flight packet.
-        ap = pidx[active]
-        tgt = target_mat[cur_seg[ap], ap]
-        nxt, new_phase = tables.step(at[ap], tgt, phase[ap])
-        leg_cost[ap] += csr.pair_weights(at[ap], nxt)
+        c = cur[ap]
+        here = at[ap]
+        nxt, new_phase = tables.step(here, seg_target[c], phase[ap], trees(c))
+        leg_cost[ap] += csr.pair_weights(here, nxt)
         leg_hops[ap] += 1
-        leg_bits[ap] = np.maximum(leg_bits[ap], bits_mat[cur_seg[ap], ap])
+        leg_bits[ap] = np.maximum(leg_bits[ap], seg_bits[c])
         log_idx.append(ap)
-        log_leg.append(leg_of_seg[cur_seg[ap]])
+        log_leg.append(cur_leg[ap])
         log_vert.append(nxt.astype(np.int64))
         at[ap] = nxt
         phase[ap] = new_phase
@@ -682,39 +890,26 @@ def _assemble_traces(
     log_leg: List[np.ndarray],
     log_vert: List[np.ndarray],
 ) -> List[RoundtripTrace]:
-    """Reconstruct per-packet hop-by-hop traces from the sweep log."""
-    if log_idx:
-        idx = np.concatenate(log_idx)
-        leg = np.concatenate(log_leg)
-        vert = np.concatenate(log_vert)
-    else:
-        idx = np.empty(0, dtype=np.int64)
-        leg = np.empty(0, dtype=np.int64)
-        vert = np.empty(0, dtype=np.int64)
-    paths: List[List[List[int]]] = [
-        [[int(leg_start[li, p])] for li in range(num_legs)]
-        for p in range(batch)
-    ]
-    if idx.shape[0]:
-        # Stable sort by (packet, leg) keeps sweep order in each group.
-        order = np.argsort(idx * num_legs + leg, kind="stable")
-        idx, leg, vert = idx[order], leg[order], vert[order]
-        keys = idx * num_legs + leg
-        boundaries = np.flatnonzero(np.diff(keys)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [keys.shape[0]]))
-        for s, e in zip(starts, ends):
-            paths[int(idx[s])][int(leg[s])].extend(vert[s:e].tolist())
+    """Reconstruct per-packet hop-by-hop traces from the sweep log.
 
-    traces = []
-    for p in range(batch):
-        legs = [
-            LegTrace(
-                path=paths[p][li],
-                cost=float(out_cost[li, p]),
-                max_header_bits=int(out_bits[li, p]),
-            )
-            for li in range(num_legs)
-        ]
-        traces.append(RoundtripTrace(outbound=legs[0], inbound=legs[1]))
-    return traces
+    Each leg's start vertex leads its (packet, leg) group, so after a
+    stable sort by group every path is one contiguous slice."""
+    groups = np.arange(batch * num_legs, dtype=np.int64)
+    keys = np.concatenate([groups] + [
+        idx * num_legs + leg for idx, leg in zip(log_idx, log_leg)
+    ])
+    verts = np.concatenate([leg_start.T.reshape(-1)] + log_vert)
+    # A stable sort keeps the start first and sweep order after it.
+    verts = verts[np.argsort(keys, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(keys, minlength=groups.shape[0])).tolist()
+    legs = [
+        LegTrace(verts[lo:hi], cost, bits)
+        for lo, hi, cost, bits in zip(
+            [0] + ends[:-1], ends,
+            out_cost.T.reshape(-1).tolist(), out_bits.T.reshape(-1).tolist(),
+        )
+    ]
+    return [
+        RoundtripTrace(outbound=out, inbound=back)
+        for out, back in zip(legs[0::num_legs], legs[1::num_legs])
+    ]

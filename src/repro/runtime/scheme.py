@@ -114,10 +114,11 @@ class RoutingScheme(abc.ABC):
         (``"dense"`` or ``"blocked"``).
 
         Returns a :class:`repro.runtime.engine.CompiledRoutes` when the
-        scheme's headers are segment-wise structurally constant (see
-        :mod:`repro.runtime.engine`), or ``None`` — the default — when
-        they are not; the simulator then transparently falls back to
-        hop-by-hop Python execution.
+        scheme's header changes only at segment boundaries (see
+        :mod:`repro.runtime.engine`); every registered scheme does.
+        The default returns ``None``: such a scheme runs on the
+        hop-by-hop Python simulator, and an explicit
+        ``engine="vectorized"`` request is refused.
         """
         return None
 
@@ -135,21 +136,6 @@ class RoutingScheme(abc.ABC):
         if family not in cache:
             cache[family] = self.compile_tables(tables=family)
         return cache[family]
-
-    def __getstate__(self):
-        """Pickle the scheme *without* its compiled-routes cache.
-
-        :class:`~repro.runtime.engine.CompiledRoutes` holds dense
-        ``(n, n)`` decision tables and planner closures — heavy on the
-        wire and unpicklable.  Dropping the cache keeps schemes
-        pickle-cheap for process-pool shard execution
-        (:func:`repro.runtime.traffic.run_workload`): each worker
-        rehydrates the tables from its own CSR snapshot on the first
-        :meth:`compiled_routes` call.
-        """
-        state = dict(self.__dict__)
-        state.pop("_compiled_routes", None)
-        return state
 
     # ------------------------------------------------------------------
     # table accounting

@@ -82,12 +82,15 @@ class Simulator:
 
     Args:
         scheme: the routing scheme under test.
-        hop_limit: per-leg hop budget; defaults to ``8 * n + 64``, far
-            above any correct scheme's needs but small enough to catch
-            loops quickly.
+        hop_limit: per-leg hop budget; ``None`` (the default) means
+            ``8 * n + 64``, far above any correct scheme's needs but
+            small enough to catch loops quickly.  ``0`` allows no hop.
         tables: compiled-table family for the vectorized engine —
             ``"dense"``, ``"blocked"``, or ``"auto"`` (default; picks
             by graph size).  All families route bit-identically.
+
+    Raises:
+        RoutingError: for a negative ``hop_limit``.
     """
 
     def __init__(
@@ -96,9 +99,13 @@ class Simulator:
         hop_limit: Optional[int] = None,
         tables: str = "auto",
     ):
+        if hop_limit is not None and hop_limit < 0:
+            raise RoutingError(f"hop_limit must be >= 0, got {hop_limit}")
         self._scheme = scheme
         self._g = scheme.graph
-        self._hop_limit = hop_limit or (8 * self._g.n + 64)
+        self._hop_limit = (
+            8 * self._g.n + 64 if hop_limit is None else hop_limit
+        )
         self._tables = tables
 
     def _run_leg(
@@ -167,8 +174,8 @@ class Simulator:
 
         ``"auto"`` resolves to ``"vectorized"`` exactly when the scheme
         compiles (see
-        :meth:`~repro.runtime.scheme.RoutingScheme.compile_tables`),
-        ``"python"`` otherwise.
+        :meth:`~repro.runtime.scheme.RoutingScheme.compile_tables`;
+        every registered scheme does), ``"python"`` otherwise.
 
         Raises:
             RoutingError: for an unknown engine name, or for an

@@ -16,13 +16,11 @@ makes heavy-traffic scenarios a first-class workload:
   :class:`TrafficSummary`;
 * sharded execution: :func:`plan_shards` splits a workload into
   fixed-boundary chunks of ``shard_size`` pairs and :func:`run_workload`
-  routes them, on a process pool when :func:`resolve_executor` picks
-  one (the python engine with ``jobs > 1``) and serially otherwise,
-  combining the per-shard results through
-  :meth:`TrafficSummary.merge`.  The shard partition depends only on
-  the workload length and ``shard_size`` — never on ``jobs`` — so the
-  merged summary is bit-identical across worker counts (see
-  :func:`run_workload`).
+  routes them one after another, combining the per-shard results
+  through :meth:`TrafficSummary.merge`.  The shard partition depends
+  only on the workload length, ``shard_size`` and whether ``jobs`` was
+  given — never on its value — so the merged summary is bit-identical
+  across ``jobs`` values (see :func:`run_workload`).
 
 Exposed on the command line as ``python -m repro.cli traffic``
 (``--jobs`` / ``--shard-size``).
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -40,7 +37,6 @@ import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.shortest_paths import DistanceOracle
-from repro.runtime.scheme import RoutingScheme
 from repro.runtime.simulator import Simulator
 
 #: Workload kinds understood by :func:`generate_workload`.  The last
@@ -53,9 +49,9 @@ WORKLOAD_KINDS = (
     "zipf", "flash-crowd", "diurnal",
 )
 
-#: Pairs per shard when parallelism is requested (``jobs=``) without an
-#: explicit partition.  Fixed — independent of ``jobs`` — so any worker
-#: count produces the same shard boundaries, hence the same summary.
+#: Pairs per shard when ``jobs=`` is given without an explicit
+#: partition.  Fixed — independent of the ``jobs`` value — so every
+#: value produces the same shard boundaries, hence the same summary.
 DEFAULT_SHARD_SIZE = 512
 
 
@@ -621,12 +617,12 @@ def plan_shards(
     """Fixed shard boundaries ``[(lo, hi), ...]`` covering ``range(total)``.
 
     Contiguous chunks of ``shard_size`` pairs (the last one short);
-    without ``shard_size``, chunks of :data:`DEFAULT_SHARD_SIZE` for a
-    parallel run (``parallel=True``) and one chunk for a serial one.
+    without ``shard_size``, chunks of :data:`DEFAULT_SHARD_SIZE` when
+    ``parallel`` is set (a run given ``jobs``) and one chunk otherwise.
     The partition is a pure function of ``(total, shard_size,
-    parallel)`` — deliberately independent of the worker count — so a
-    workload executed with any ``jobs`` value aggregates the *same*
-    per-shard summaries in the same order.
+    parallel)`` — never of the ``jobs`` value — so a workload executed
+    with any ``jobs`` value aggregates the *same* per-shard summaries
+    in the same order.
 
     Raises:
         GraphError: for ``shard_size`` below 1.
@@ -652,21 +648,6 @@ def num_shards(
     return len(plan_shards(total, shard_size=shard_size, parallel=jobs is not None))
 
 
-def resolve_executor(engine: str, jobs: Optional[int]) -> str:
-    """The shard executor :func:`run_workload` uses for a multi-shard
-    plan: ``"processes"`` for the python engine with ``jobs > 1``,
-    ``"serial"`` otherwise.
-
-    Pure-Python forwarding is GIL-bound, so only a process pool runs
-    its shards in parallel.  The vectorized engine's shards run
-    serially: its batches are short numpy sweeps, and a thread pool
-    measured no faster than the serial loop.
-    """
-    if engine == "python" and jobs is not None and jobs > 1:
-        return "processes"
-    return "serial"
-
-
 def _summarize(
     kind: str,
     pairs: Sequence[Tuple[int, int]],
@@ -677,24 +658,25 @@ def _summarize(
     """Aggregate one (shard's) trace batch into a :class:`TrafficSummary`.
 
     ``r_matrix`` is the oracle's roundtrip-distance matrix (or ``None``
-    for no stretch columns); workers receive the bare matrix so the
-    process executor never ships a whole :class:`DistanceOracle`.
+    for no stretch columns).
     """
     if not traces:
         return TrafficSummary(
             kind, 0, 0.0, 0, 0.0, 0.0, 0, 0, float("nan"), float("nan"),
             (-1, -1), elapsed,
         )
-    total_cost = sum(t.total_cost for t in traces)
-    total_hops = sum(t.total_hops for t in traces)
+    costs = [t.total_cost for t in traces]
+    hops = [t.total_hops for t in traces]
+    total_cost = sum(costs)
+    total_hops = sum(hops)
     max_bits = max(t.max_header_bits for t in traces)
     mean_stretch = max_stretch = float("nan")
     worst_pair = (-1, -1)
     if r_matrix is not None:
-        stretches = [
-            t.total_cost / float(r_matrix[s, v])
-            for t, (s, v) in zip(traces, pairs)
-        ]
+        # Elementwise float64 division rounds exactly as the scalar
+        # one; the sums below stay sequential Python sums.
+        sources, dests = np.array(pairs, dtype=np.int64).T
+        stretches = (np.array(costs) / r_matrix[sources, dests]).tolist()
         mean_stretch = sum(stretches) / len(stretches)
         worst = max(range(len(stretches)), key=stretches.__getitem__)
         max_stretch = stretches[worst]
@@ -706,7 +688,7 @@ def _summarize(
         total_hops=total_hops,
         mean_cost=total_cost / len(traces),
         mean_hops=total_hops / len(traces),
-        max_hops=max(t.total_hops for t in traces),
+        max_hops=max(hops),
         max_header_bits=max_bits,
         mean_stretch=mean_stretch,
         max_stretch=max_stretch,
@@ -730,33 +712,6 @@ def _execute_shard(
     return _summarize(kind, pairs, traces, r_matrix, elapsed)
 
 
-# Process-executor worker state, installed once per worker by
-# :func:`_shard_worker_init` (via the pool initializer) so each
-# submitted shard ships only its pair chunk.
-_WORKER_CTX = None
-
-
-def _shard_worker_init(
-    scheme, hop_limit, engine, kind, r_matrix, tables="auto",
-) -> None:
-    """Per-worker setup: build the simulator and recompile the decision
-    tables from the shipped scheme (the pickled scheme arrives without
-    them — see :meth:`repro.runtime.scheme.RoutingScheme.__getstate__`);
-    workers never touch the artifact store.  Compile time is billed to
-    worker startup, never to a shard's ``elapsed_s``.
-    """
-    global _WORKER_CTX
-    sim = Simulator(scheme, hop_limit=hop_limit, tables=tables)
-    sim.resolve_engine(engine)  # warms the compiled-routes cache
-    _WORKER_CTX = (sim, engine, kind, r_matrix)
-
-
-def _shard_worker_run(pairs: Sequence[Tuple[int, int]]) -> TrafficSummary:
-    """Execute one shard inside a pool worker."""
-    sim, engine, kind, r_matrix = _WORKER_CTX
-    return _execute_shard(sim, engine, kind, pairs, r_matrix)
-
-
 def run_workload(
     scheme,
     workload: Workload | Sequence[Tuple[int, int]],
@@ -767,19 +722,19 @@ def run_workload(
     jobs: Optional[int] = None,
     tables: str = "auto",
 ) -> TrafficSummary:
-    """Route a whole workload — optionally sharded and in parallel —
-    and aggregate the statistics.
+    """Route a whole workload — optionally sharded — and aggregate the
+    statistics.
 
     The workload is split into fixed-boundary chunks by
     :func:`plan_shards`, each shard is routed as one batch, and the
     per-shard summaries are combined with :meth:`TrafficSummary.merge`
-    in shard order.  Because the partition never depends on ``jobs``
-    and each shard's float summation order is fixed, the result is
-    **bit-identical across worker counts** (only ``elapsed_s`` —
-    physical time — varies; it sums the per-shard routing times).
-    One-time :meth:`RoutingScheme.compile_tables` work is excluded from
-    ``elapsed_s`` on every path, so per-shard throughput is comparable
-    across engines.
+    in shard order.  Because the partition never depends on the
+    ``jobs`` value and each shard's float summation order is fixed, the
+    result is **bit-identical across ``jobs`` values** (only
+    ``elapsed_s`` — physical time — varies; it sums the per-shard
+    routing times).  One-time :meth:`RoutingScheme.compile_tables` work
+    is excluded from ``elapsed_s``, so per-shard throughput is
+    comparable across engines.
 
     Args:
         scheme: the scheme under load (already constructed).
@@ -791,20 +746,13 @@ def run_workload(
             :meth:`Simulator.roundtrip_many`); summaries are identical
             across engines.
         shard_size: split into chunks of this many pairs.  Without it,
-            a parallel run (``jobs=``) uses :data:`DEFAULT_SHARD_SIZE`
-            and a serial run stays monolithic.
-        jobs: worker count (``None``/``1`` = serial).  A multi-shard
-            plan on the python engine (the *resolved* engine, so
-            ``"auto"`` on a scheme that cannot compile counts) with
-            ``jobs > 1`` runs on a process pool; everything else runs
-            serially (:func:`resolve_executor`).  The pool ships the
-            scheme to each worker once (pickle excludes compiled
-            tables; workers rehydrate them from their own CSR snapshot)
-            and each shard ships only its pairs.  Each call spins up
-            (and tears down) its own pool, so worker startup — like
-            table compilation — is never billed to ``elapsed_s``;
-            amortize it by serving large workloads per call rather than
-            many tiny ones.
+            a run given ``jobs`` uses :data:`DEFAULT_SHARD_SIZE` and
+            one without stays monolithic.
+        jobs: any value ``>= 1`` requests the default partition
+            above; it starts no workers.  Shards run one after another
+            in this process, since every registered scheme compiles to
+            the vectorized engine.  Kept for ``repro traffic --jobs``
+            and the ``repro-scenario/1`` jobs axis.
         tables: compiled-table family for the vectorized engine
             (``"dense"`` / ``"blocked"`` / ``"auto"``); summaries are
             identical across families.
@@ -814,9 +762,8 @@ def run_workload(
             (roundtrip stretch is undefined there), or for invalid
             ``shard_size``/``jobs``.
         RoutingError: propagated from the simulator on any failure; a
-            failing journey raises the same error the serial run's
-            first (input-order) failure would, even when a later shard
-            fails faster.
+            failing journey raises the same error the unsharded run's
+            first (input-order) failure would.
     """
     if isinstance(workload, Workload):
         kind, pairs = workload.kind, workload.pairs
@@ -837,20 +784,7 @@ def run_workload(
     r_matrix = oracle.r_matrix if oracle is not None else None
     if len(bounds) == 1:
         return _execute_shard(sim, resolved, kind, pairs, r_matrix)
-    chunks = [pairs[lo:hi] for lo, hi in bounds]
-    if resolve_executor(resolved, jobs) == "serial":
-        parts = [
-            _execute_shard(sim, resolved, kind, c, r_matrix) for c in chunks
-        ]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(chunks)),
-            initializer=_shard_worker_init,
-            initargs=(scheme, hop_limit, resolved, kind, r_matrix, tables),
-        ) as pool:
-            futures = [pool.submit(_shard_worker_run, c) for c in chunks]
-            # Collecting in shard order reproduces the serial run's
-            # first-failure semantics: the earliest failing shard's
-            # error surfaces, regardless of which worker failed first.
-            parts = [f.result() for f in futures]
-    return TrafficSummary.merge(parts)
+    return TrafficSummary.merge([
+        _execute_shard(sim, resolved, kind, pairs[lo:hi], r_matrix)
+        for lo, hi in bounds
+    ])

@@ -15,7 +15,7 @@ through tagged streams — ``{seed}|graph`` for the generator,
 module), ``{seed}|phase|{i}`` for its pairs — and every
 :func:`~repro.runtime.traffic.run_workload` call pins
 ``shard_size=SCENARIO_SHARD_SIZE``, so the shard partition (hence the
-float summation order) never depends on the worker count.  The same
+float summation order) never depends on the ``jobs`` value.  The same
 spec therefore produces the same summary on any ``--jobs`` value and
 any engine/table family the matrix declares equivalent.
 """
@@ -51,7 +51,7 @@ from repro.scenarios.spec import (
 
 #: Fixed pairs-per-shard for every scenario workload call.  Pinned —
 #: independent of the jobs axis — so the shard partition and float
-#: summation order are identical for any worker count, which is what
+#: summation order are identical for any ``jobs`` value, which is what
 #: makes the cross-``jobs`` bit-identity check meaningful.
 SCENARIO_SHARD_SIZE = 256
 

@@ -29,7 +29,11 @@ Per-node storage (Section 3.3), at node ``u``:
 from __future__ import annotations
 
 import random
+from itertools import chain
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.dictionary.distribution import BlockDistribution
 from repro.exceptions import ConstructionError, TableLookupError
@@ -307,6 +311,164 @@ class ExStretchScheme(RoutingScheme):
         out["label"] = rev
         out["phase"] = self.spanner.begin_hop(at, rev)
         return out
+
+    # ------------------------------------------------------------------
+    # compiled execution
+    # ------------------------------------------------------------------
+    def compile_tables(self, tables: str = "dense"):
+        """Every hop between waypoints is one double-tree segment
+        (:class:`~repro.runtime.engine.DoubleTreeStepTables`); the
+        planner resolves each pair's waypoint ladder — the ``_near``
+        shortcut, then up to ``k`` passes over the prefix and final
+        rows — with array lookups, and the acknowledgment replays the
+        stack in reverse.  Header bits depend only on the stack depth.
+        The tables are the same for both families."""
+        from repro.graph.csr import PairTable
+        from repro.runtime.engine import (
+            CompiledRoutes,
+            JourneyPlan,
+            Segment,
+            compile_tree_tables,
+            constant_bits,
+        )
+        from repro.runtime.sizing import header_bits
+        from repro.rtz.spanner import UP
+        from repro.tree_routing.fixed_port import TreeAddress
+
+        steps = compile_tree_tables(self.spanner.hierarchy)
+        n, k, q = self.graph.n, self.k, self.blocks.q
+        names = np.array(
+            [self.name_of(v) for v in range(n)], dtype=np.int64
+        )
+        vertex_of = np.empty(n, dtype=np.int64)
+        vertex_of[names] = np.arange(n)
+
+        def flatten(rows):
+            """Per-node dicts as (owner of each entry, keys, values)."""
+            owner = np.repeat(
+                np.arange(n, dtype=np.int64), [len(row) for row in rows]
+            )
+            keys = list(chain.from_iterable(rows))
+            return owner, keys, list(chain.from_iterable(
+                row.values() for row in rows
+            ))
+
+        def tree_index(labels) -> np.ndarray:
+            """The tree of each R2 label (``-1`` for ``None``)."""
+            trees = np.full(len(labels), -1, dtype=np.int64)
+            trees[np.fromiter(map(bool, labels), bool, len(labels))] = (
+                steps.tree_index(np.fromiter(
+                    map(attrgetter("tree_id"), filter(None, labels)), np.int64
+                ))
+            )
+            return trees
+
+        owner, near_names, near_labels = flatten(self._near)
+        near = PairTable.from_entries(
+            n, owner * n + vertex_of[near_names], tree_index(near_labels)
+        )
+        # One row table for every hop of the ladder, keyed (u, col):
+        # hop h = i + 1 < k reads the prefix row of level i at
+        # col = i * q^k + (value of the h-digit prefix); hop k reads the
+        # final row at col = (k - 1) * q^k + name.
+        width = q ** k
+        owner_p, prefixes, rows = flatten(self._rows)
+        cols = []
+        for prefix, i in prefixes:
+            value = 0
+            for digit in prefix:
+                value = value * q + digit
+            cols.append(i * width + value)
+        owner_f, final_names, finals = flatten(self._final)
+        keys = np.concatenate([
+            owner_p * (k * width) + np.asarray(cols, dtype=np.int64),
+            owner_f * (k * width) + (k - 1) * width
+            + np.asarray(final_names, dtype=np.int64),
+        ])
+        entries = rows + finals
+        row_next = PairTable.from_entries(
+            k * width, keys,
+            np.fromiter(map(itemgetter(0), entries), np.int64, len(entries)),
+        )
+        row_tree = PairTable.from_entries(
+            k * width, keys, tree_index(list(map(itemgetter(1), entries)))
+        )
+
+        label = R2Label(0, TreeAddress(0, 0), TreeAddress(0, 0))
+
+        def bits(mode: str, depth: int) -> int:
+            return header_bits({
+                "mode": mode, "dest": 0, "src_id": 0, "hop": 0,
+                "stack": [(0, label)] * depth, "next_id": 0,
+                "label": label, "phase": UP,
+            }, n)
+
+        b_fresh = header_bits(self.new_packet_header(0), n)
+        b_out = [bits(_OUTBOUND, d) for d in range(k + 1)]
+        b_ret = np.array([bits(RETURN_PACKET, d) for d in range(k + 1)])
+        b_in = np.array([bits(_INBOUND, d) for d in range(k + 1)])
+
+        def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
+            batch = sources.shape[0]
+            if (sources == dests).any():
+                raise TableLookupError("packet injected at its own destination")
+            # way[p, j] is waypoint v_j (v_0 = s); hop_tree[p, j] the
+            # tree of the hop v_j -> v_{j+1}; depth[p] the stack depth.
+            way = np.full((batch, k + 1), -1, dtype=np.int64)
+            way[:, 0] = sources
+            hop_tree = np.full((batch, k), -1, dtype=np.int64)
+            depth = np.zeros(batch, dtype=np.int64)
+            shortcut = near[sources, dests]
+            hit = shortcut >= 0
+            way[hit, 1] = dests[hit]
+            hop_tree[hit, 0] = shortcut[hit]
+            depth[hit] = 1
+            live = np.flatnonzero(~hit)
+            for hop in range(1, k + 1):
+                if not live.shape[0]:
+                    break
+                at = way[live, depth[live]]
+                t = dests[live]
+                col = (hop - 1) * width + names[t] // q ** (k - hop)
+                nxt, tree = row_next[at, col], row_tree[at, col]
+                if (nxt < 0).any():
+                    bad = int(np.flatnonzero(nxt < 0)[0])
+                    raise TableLookupError(
+                        f"row for name {int(names[t[bad]])} at hop {hop} "
+                        f"missing at {int(at[bad])}"
+                    )
+                # A self-waypoint adds no segment; reaching t delivers.
+                move = nxt != at
+                m = live[move]
+                way[m, depth[m] + 1] = nxt[move]
+                hop_tree[m, depth[m]] = tree[move]
+                depth[m] += 1
+                live = live[~(move & (nxt == t))]
+            outbound = [
+                Segment(way[:, j + 1], constant_bits(b_out[j + 1], batch),
+                        tree=hop_tree[:, j])
+                for j in range(k)
+            ]
+            # The acknowledgment pops the stack: segment i returns to
+            # v_j, j = depth - 1 - i, in the tree of hop v_j -> v_{j+1}.
+            inbound = []
+            pidx = np.arange(batch)
+            for i in range(k):
+                j = depth - 1 - i
+                jj = np.maximum(j, 0)
+                inbound.append(Segment(
+                    np.where(j >= 0, way[pidx, jj], -1), b_in[jj],
+                    tree=hop_tree[pidx, jj],
+                ))
+            return JourneyPlan(
+                legs=[outbound, inbound],
+                leg_init_bits=[constant_bits(b_fresh, batch), b_ret[depth]],
+                # forward() delivers the acknowledgment whenever it
+                # stands on the source, whatever is left on the stack.
+                ends_on_arrival=[False, True],
+            )
+
+        return CompiledRoutes(self.graph, steps, planner, family=tables)
 
     # ------------------------------------------------------------------
     # accounting

@@ -26,7 +26,11 @@ the packet returns to the source and the search restarts one level up
 from __future__ import annotations
 
 import random
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.api.registry import ParamSpec, register_scheme
 from repro.covers.double_tree import DoubleTree
@@ -176,6 +180,8 @@ class PolynomialStretchScheme(RoutingScheme):
     def forward(self, at: int, header: Header) -> Decision:
         mode = header["mode"]
         if mode == NEW_PACKET:
+            if self.name_of(at) == header["dest"]:
+                raise TableLookupError("packet injected at its own destination")
             header = self._start_level(at, header["dest"], level=0)
         elif mode == RETURN_PACKET:
             header = self._start_return(at, header)
@@ -287,6 +293,115 @@ class PolynomialStretchScheme(RoutingScheme):
         if phase == _DOWN:
             return tree.out_tree.next_port(at, target), _DOWN
         raise TableLookupError(f"unknown tree phase {phase!r}")
+
+    # ------------------------------------------------------------------
+    # compiled execution
+    # ------------------------------------------------------------------
+    def compile_tables(self, tables: str = "dense"):
+        """Every hop between waypoints is one double-tree segment
+        (:class:`~repro.runtime.engine.DoubleTreeStepTables`).  The
+        planner runs Fig. 11's search with array lookups: per level, at
+        most ``k + 1`` passes over the rows keyed (tree, node, h, tau);
+        a miss sends the packet back to the source in the same tree and
+        climbs one level.  The acknowledgment is one segment back to
+        the source in the tree that succeeded.  Every forwarded header
+        has the same bit size, and the tables are the same for both
+        families."""
+        from repro.graph.csr import PairTable
+        from repro.runtime.engine import (
+            CompiledRoutes,
+            JourneyPlan,
+            Segment,
+            compile_tree_tables,
+            constant_bits,
+        )
+        from repro.runtime.sizing import header_bits
+
+        steps = compile_tree_tables(self.hierarchy)
+        n, k, q = self.graph.n, self.k, self.blocks.q
+        names = np.array([self.name_of(v) for v in range(n)], dtype=np.int64)
+        digits = (names[:, None] // q ** np.arange(k - 1, -1, -1)) % q
+        home = steps.tree_index(np.array(self._home_id, dtype=np.int64))
+        # Rows keyed (tree index * n + u, h * q + tau) -> nearest match.
+        owners = np.array(list(self._rows), dtype=np.int64).reshape(-1, 2)
+        node = np.repeat(
+            steps.tree_index(owners[:, 0]) * n + owners[:, 1],
+            [len(rows) for rows in self._rows.values()],
+        )
+        h_tau = np.array(
+            list(chain.from_iterable(self._rows.values())), dtype=np.int64
+        ).reshape(-1, 2)
+        matches = chain.from_iterable(
+            rows.values() for rows in self._rows.values()
+        )
+        match = PairTable.from_entries(
+            k * q, node * (k * q) + h_tau[:, 0] * q + h_tau[:, 1],
+            np.fromiter(map(itemgetter(0), matches), np.int64, len(node)),
+        )
+
+        addr = TreeAddress(0, 0)
+        enroute = {
+            "mode": _ENROUTE, "dest": 0, "src_id": 0, "src_addr": addr,
+            "level": 0, "tree_id": 0, "returning": False, "next_id": 0,
+            "next_addr": addr, "phase": _UP,
+        }
+        inbound = dict(enroute, mode=_INBOUND)
+        b_fresh = header_bits(self.new_packet_header(0), n)
+        b_fwd = header_bits(enroute, n)
+        b_ret = header_bits(self.make_return_header(enroute), n)
+        b_in = header_bits(inbound, n)
+
+        def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
+            batch = sources.shape[0]
+            if (sources == dests).any():
+                raise TableLookupError("packet injected at its own destination")
+            segments = []
+            found_in = np.full(batch, -1, dtype=np.int64)
+            for level in range(self.hierarchy.num_levels):
+                live = np.flatnonzero(found_in < 0)
+                if not live.shape[0]:
+                    break
+                tree = home[sources, level]
+                at = sources.copy()
+                for _pass in range(k + 1):
+                    if not live.shape[0]:
+                        break
+                    c, t = at[live], dests[live]
+                    h = np.cumprod(digits[c] == digits[t], axis=1).sum(axis=1)
+                    tau = digits[t, h]  # h < k: c is not t
+                    v = match[tree[live] * n + c, h * q + tau]
+                    hit = v >= 0
+                    # A miss away from the source returns to it (a
+                    # miss at the source climbs without moving).
+                    back = ~hit & (c != sources[live])
+                    target = np.full(batch, -1, dtype=np.int64)
+                    target[live[hit]] = v[hit]
+                    target[live[back]] = sources[live[back]]
+                    if hit.any() or back.any():
+                        segments.append(Segment(
+                            target, constant_bits(b_fwd, batch), tree=tree
+                        ))
+                    at[live[hit]] = v[hit]
+                    done = live[hit][v[hit] == t[hit]]
+                    found_in[done] = tree[done]
+                    live = live[hit & (v != t)]
+            if (found_in < 0).any():
+                raise TableLookupError(
+                    "search exhausted all levels; hierarchy is broken"
+                )
+            return JourneyPlan(
+                legs=[
+                    segments,
+                    [Segment(sources.copy(), constant_bits(b_in, batch),
+                             tree=found_in)],
+                ],
+                leg_init_bits=[
+                    constant_bits(b_fresh, batch),
+                    constant_bits(b_ret, batch),
+                ],
+            )
+
+        return CompiledRoutes(self.graph, steps, planner, family=tables)
 
     # ------------------------------------------------------------------
     # accounting

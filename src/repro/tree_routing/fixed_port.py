@@ -28,7 +28,7 @@ paths into the root.  :class:`DoubleTreeRouter` in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.digraph import Digraph
@@ -185,6 +185,18 @@ class OutTreeRouter:
             f"{self._tree_id}"
         )
 
+    def dfs_numbers(self) -> Dict[int, int]:
+        """Every tree vertex's DFS number (its address), by vertex."""
+        return dict(self._dfs_of)
+
+    def interval_rows(self) -> Iterator[Tuple[int, int, int, int]]:
+        """Every stored child row as ``(vertex, lo, hi, port)``: at
+        ``vertex``, a target with DFS number in ``[lo, hi)`` leaves on
+        ``port``."""
+        for v, table in self._tables.items():
+            for lo, hi, port in table.child_rows:
+                yield v, lo, hi, port
+
     def route(self, source: int, target: int) -> List[int]:
         """Full vertex path from ``source`` down to ``target``
         (preprocessing-time helper; packet-time movement goes through
@@ -275,6 +287,10 @@ class ToRootPointers:
     def contains(self, v: int) -> bool:
         """Whether ``v`` has a pointer (the root trivially counts)."""
         return v == self._root or v in self._port
+
+    def ports(self) -> Dict[int, int]:
+        """Each non-root vertex's port toward the root, by vertex."""
+        return dict(self._port)
 
     def next_port(self, at: int) -> Optional[int]:
         """Port toward the root, or ``None`` at the root."""

@@ -381,11 +381,10 @@ class TestBenchCLI:
                   "--check", "--rebaseline"])
 
     def test_shard_cases_declare_what_they_measure(self):
-        # Tags must describe the executed shape on every host: the
-        # declared executor/jobs run even on a 1-core machine.
-        case = bench.get_case("shard/stretch6/python/processes")
-        assert case.tag_dict()["executor"] == "processes"
-        assert case.tag_dict()["jobs"] == "4"
+        # Tags must describe the executed shape, and a run records them.
+        case = bench.get_case("shard/stretch6/python/serial")
+        assert case.tag_dict()["engine"] == "python"
+        assert case.tag_dict()["jobs"] == "1"
         summary = bench.run_cases(
             [case], bench.BenchContext(smoke=True), repeats=1, warmup=0
         ).results[0]

@@ -610,12 +610,11 @@ class TestRunTimeline:
 
     def test_bit_identical_across_jobs(self):
         """The churn acceptance bar: a timeline run is bit-identical
-        across worker counts at a fixed shard plan."""
+        across jobs values at a fixed shard plan."""
         timeline = Timeline(seed=11, workload="mixed", epochs=(
             EpochSpec(pairs=24, events=({"op": "reweight"},)),
             EpochSpec(pairs=24, events=({"op": "link_down"}, {"op": "link_up"})),
         ))
-        # "python" runs jobs 2 and 4 on the process pool
         for engine in ("auto", "python"):
             summaries = []
             for jobs in (1, 2, 4):

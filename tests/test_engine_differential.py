@@ -5,27 +5,34 @@ The vectorized engine (:mod:`repro.runtime.engine`) claims *bit
 identity* with the reference simulator — same paths, same float costs,
 same hop counts, same max header bits, same aggregate summaries, same
 hop-limit behaviour.  This suite asserts that claim for every
-registered scheme, every workload kind, and two graph families, plus
-:class:`HopLimitExceeded` parity on a deliberately looping scheme.
+registered scheme, every workload kind, and two graph families; for
+the double-tree schemes (ExStretch, PolynomialStretch) on all nine
+graph families and both table families; plus
+:class:`HopLimitExceeded` and :class:`TableLookupError` parity on
+looping schemes, tight hop budgets and deleted table rows.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.api import Network, scheme_names
-from repro.exceptions import HopLimitExceeded, RoutingError
+from repro.api.router import Router
+from repro.exceptions import HopLimitExceeded, RoutingError, TableLookupError
 from repro.graph.digraph import Digraph
+from repro.graph.generators import FAMILY_NAMES
 from repro.runtime.engine import (
     BlockedNextHop,
     CompiledRoutes,
     JourneyPlan,
     Segment,
     constant_bits,
+    run_roundtrips,
 )
 from repro.runtime.scheme import (
     Decision,
@@ -40,20 +47,15 @@ from repro.runtime.traffic import (
     generate_workload,
     run_workload,
 )
+from repro.schemes.shortest_path import ShortestPathScheme
 
 N = 32
 FAMILIES = ("random", "torus")
 PAIRS = 48
 
 #: schemes that must compile (falling back would silently weaken the
-#: differential suite to python-vs-python)
-COMPILED = {
-    "shortest_path",
-    "rtz",
-    "stretch6",
-    "stretch6_via_source",
-    "wild_names",
-}
+#: differential suite to python-vs-python): every registered one
+COMPILED = set(scheme_names())
 
 
 @pytest.fixture(scope="module", params=FAMILIES)
@@ -127,8 +129,17 @@ def test_empty_batch_both_engines(net):
     assert sim.roundtrip_many([], engine="vectorized") == []
 
 
+class UncompilableScheme(ShortestPathScheme):
+    """Shortest-path forwarding without a compiled form (the default
+    ``compile_tables``); every registered scheme has one."""
+
+    def compile_tables(self, tables: str = "dense"):
+        return None
+
+
 def test_strict_vectorized_rejects_uncompilable(net):
-    sim = Simulator(net.build_scheme("exstretch"))
+    sim = Simulator(UncompilableScheme(net.oracle(), net.naming()))
+    assert sim.resolve_engine("auto") == "python"
     with pytest.raises(RoutingError, match="does not support"):
         sim.roundtrip_many([(0, 1)], engine="vectorized")
 
@@ -346,3 +357,189 @@ def test_mixed_workload_stretch_consistency(net):
         assert info[other]["pairs"] == 0
     assert results["python"] == results["vectorized"]
     assert all(math.isfinite(s) for (_, _, _, s) in results["python"])
+
+
+# ----------------------------------------------------------------------
+# double-tree schemes: all nine families, both table families
+# ----------------------------------------------------------------------
+#: ExStretch (k, blocks_per_node) and PolynomialStretch k.  A budget of
+#: one block per node makes ExStretch's acknowledgment walk over the
+#: source before its stack is empty on many pairs (none on ``cycle``).
+DOUBLE_TREE = (
+    ("exstretch", {"k": 2}),
+    ("exstretch", {"k": 3}),
+    ("exstretch", {"k": 2, "blocks_per_node": 1}),
+    ("exstretch", {"k": 3, "blocks_per_node": 1}),
+    ("polystretch", {"k": 2}),
+    ("polystretch", {"k": 3}),
+)
+DOUBLE_TREE_IDS = [
+    "-".join([name] + [f"{k}={v}" for k, v in params.items()])
+    for name, params in DOUBLE_TREE
+]
+
+_FAMILY_NETS = {}
+
+
+def family_net(family: str) -> Network:
+    if family not in _FAMILY_NETS:
+        _FAMILY_NETS[family] = Network.from_family(family, N, seed=3)
+    return _FAMILY_NETS[family]
+
+
+def sample_pairs(n: int, count: int, seed: int):
+    rng = random.Random(seed)
+    every = [(s, t) for s in range(n) for t in range(n) if s != t]
+    return rng.sample(every, min(count, len(every)))
+
+
+@pytest.mark.parametrize("scheme_name,params", DOUBLE_TREE, ids=DOUBLE_TREE_IDS)
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_double_tree_schemes_bit_identical(family, scheme_name, params):
+    net = family_net(family)
+    scheme = net.build_scheme(scheme_name, **params)
+    pairs = sample_pairs(net.n, 580, seed=17)
+    py = Simulator(scheme).roundtrip_many(pairs, engine="python")
+    workload = generate_workload(
+        "mixed", net.n, 64, rng=random.Random(5), oracle=net.oracle()
+    )
+    ref = run_workload(
+        scheme, workload, oracle=net.oracle(), engine="python",
+        shard_size=16, jobs=2,
+    )
+    for tables in ("dense", "blocked"):
+        sim = Simulator(scheme, tables=tables)
+        assert sim.resolve_engine("auto") == "vectorized"
+        assert sim.resolve_tables() == tables
+        assert_traces_equal(py, sim.roundtrip_many(pairs, engine="auto"))
+        vec = run_workload(
+            scheme, workload, oracle=net.oracle(), engine="vectorized",
+            shard_size=16, jobs=2, tables=tables,
+        )
+        assert replace(vec, elapsed_s=0.0) == replace(ref, elapsed_s=0.0)
+
+
+def test_exstretch_acknowledgment_ends_on_standing_at_the_source():
+    """forward() delivers the acknowledgment the first time it stands
+    on the source, whatever is left on its stack.  The plan flags the
+    inbound leg for that; without the flag the same batch routes
+    differently, so the sample really exercises the rule."""
+    net = family_net("random")
+    scheme = net.build_scheme("exstretch", k=2, blocks_per_node=1)
+    pairs = sample_pairs(net.n, 400, seed=23)
+    compiled = scheme.compiled_routes()
+    hop_limit = 8 * net.n + 64
+    py = Simulator(scheme).roundtrip_many(pairs, engine="python")
+    assert_traces_equal(py, run_roundtrips(compiled, pairs, hop_limit))
+
+    def unflagged(sources, dests):
+        return replace(compiled.plan(sources, dests), ends_on_arrival=None)
+
+    bare = CompiledRoutes(compiled.graph, compiled.tables, unflagged)
+    routed = run_roundtrips(bare, pairs, hop_limit)
+    assert sum(a != b for a, b in zip(py, routed)) > 0
+
+
+# ----------------------------------------------------------------------
+# failure paths: deleted rows and tight hop budgets
+# ----------------------------------------------------------------------
+def both_engines_raise(scheme, pairs, error):
+    """Route ``pairs`` on each engine; both must raise ``error``.
+    Returns the two messages."""
+    messages = []
+    for engine in ("python", "vectorized"):
+        with pytest.raises(error) as exc:
+            Simulator(scheme).roundtrip_many(pairs, engine=engine)
+        messages.append(str(exc.value))
+    return messages
+
+
+@pytest.mark.parametrize("scheme_name", ["exstretch", "polystretch"])
+def test_pair_at_its_own_destination_raises_on_both_engines(net, scheme_name):
+    scheme = net.build_scheme(scheme_name)
+    both_engines_raise(scheme, [(0, 1), (2, 2)], TableLookupError)
+
+
+def test_deleted_exstretch_prefix_row_raises_on_both_engines():
+    net = Network.from_family("random", N, seed=3, store=None)
+    scheme = net.build_scheme("exstretch", k=2)
+    s = 0
+    t = next(
+        v for v in range(1, net.n)
+        if scheme.name_of(v) not in scheme._near[s]
+    )
+    prefix = scheme.blocks.digits(scheme.name_of(t))[:1]
+    del scheme._rows[s][(prefix, 0)]
+    both_engines_raise(scheme, [(1, 0), (s, t)], TableLookupError)
+
+
+def test_deleted_tree_row_raises_on_both_engines():
+    """Remove the in-pointer that a batch's first hop climbs; the
+    double tree can no longer forward there on either engine."""
+    probe = Network.from_family("random", N, seed=3, store=None)
+    compiled = probe.build_scheme("polystretch", k=2).compiled_routes()
+    pairs = sample_pairs(probe.n, 40, seed=29)
+    sources = np.array([s for s, _ in pairs], dtype=np.int64)
+    dests = np.array([t for _, t in pairs], dtype=np.int64)
+    outbound = compiled.plan(sources, dests).legs[0]
+    steps = compiled.tables
+    # The first pair whose first segment starts below its tree's root.
+    for i, s in enumerate(sources.tolist()):
+        tree = next(seg.tree[i] for seg in outbound if seg.target[i] >= 0)
+        if s != steps.root[tree]:
+            break
+    tree_id = int(steps.tree_ids[tree])
+
+    net = Network.from_family("random", N, seed=3, store=None)
+    scheme = net.build_scheme("polystretch", k=2)
+    pointers = scheme.hierarchy.tree_by_id(tree_id).in_pointers
+    del pointers._port[s]
+    both_engines_raise(scheme, pairs, TableLookupError)
+
+
+@pytest.mark.parametrize(
+    "scheme_name,params",
+    [("stretch6", {}), ("exstretch", {"k": 2}), ("polystretch", {"k": 2})],
+    ids=["stretch6", "exstretch", "polystretch"],
+)
+def test_hop_budget_of_the_longest_leg(net, scheme_name, params):
+    """A budget equal to the longest leg routes on both engines; one
+    less raises the same message on both."""
+    scheme = net.build_scheme(scheme_name, **params)
+    pairs = sample_pairs(net.n, 60, seed=31)
+    traces = Simulator(scheme).roundtrip_many(pairs, engine="python")
+    longest = max(
+        max(t.outbound.hops, t.inbound.hops) for t in traces
+    )
+    for engine in ("python", "vectorized"):
+        sim = Simulator(scheme, hop_limit=longest)
+        assert_traces_equal(traces, sim.roundtrip_many(pairs, engine=engine))
+    messages = []
+    for engine in ("python", "vectorized"):
+        sim = Simulator(scheme, hop_limit=longest - 1)
+        with pytest.raises(HopLimitExceeded) as exc:
+            sim.roundtrip_many(pairs, engine=engine)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert f"exceeded {longest - 1} hops" in messages[0]
+
+
+@pytest.mark.parametrize("engine", ["python", "vectorized"])
+def test_hop_limit_zero_allows_no_hop(net, engine):
+    """``0`` is a budget, not "use the default": any s != t needs at
+    least one hop, so every journey raises."""
+    scheme = net.build_scheme("stretch6")
+    sim = Simulator(scheme, hop_limit=0)
+    for pair in ((0, 5), (3, 1)):
+        with pytest.raises(HopLimitExceeded, match="exceeded 0 hops"):
+            sim.roundtrip_many([pair], engine=engine)
+
+
+def test_negative_hop_limit_rejected_at_construction(net):
+    scheme = net.build_scheme("stretch6")
+    with pytest.raises(RoutingError, match="hop_limit"):
+        Simulator(scheme, hop_limit=-1)
+    with pytest.raises(RoutingError, match="hop_limit"):
+        Router(scheme, hop_limit=-1)
+    with pytest.raises(RoutingError, match="hop_limit"):
+        run_workload(scheme, [(0, 5)], hop_limit=-1)

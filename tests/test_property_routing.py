@@ -26,9 +26,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.api import Network  # noqa: E402
 
-#: schemes exercised (fast builders; the slower hierarchy-based schemes
-#: get their property coverage from tests/test_property_schemes.py)
-SCHEMES = ("shortest_path", "rtz", "stretch6", "wild_names")
+#: schemes exercised, the double-tree schemes included (both compile;
+#: tests/test_property_schemes.py adds scheme-specific properties)
+SCHEMES = (
+    "shortest_path", "rtz", "stretch6", "wild_names", "exstretch",
+    "polystretch",
+)
 
 _SIZES = (12, 16, 24)
 _FAMILIES = ("random", "dht")

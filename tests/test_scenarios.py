@@ -311,8 +311,8 @@ def test_phase_workload_is_seed_deterministic():
 
 
 def test_run_scenario_jobs_override_is_bit_identical():
-    # The 300-pair phase spans two SCENARIO_SHARD_SIZE shards, so the
-    # python cell's jobs=4 run crosses the process pool.
+    # The 300-pair phase spans two SCENARIO_SHARD_SIZE shards, so each
+    # cell's jobs=4 run merges more than one shard.
     doc = minimal_doc(
         graph={"family": "random", "n": 24},
         workload={"phases": [

@@ -3,22 +3,20 @@
 
 The determinism contract under test: the shard partition is a pure
 function of the workload length and ``shard_size`` — never of the
-worker count — and per-shard summaries merge in shard order, so
-``run_workload(shard_size=m, jobs=j)`` is bit-identical to the serial
-sharded run for every ``j``, on both engines.  ``jobs > 1`` runs the
-python engine's shards on a process pool and everything else serially
-(``resolve_executor``).  Only ``elapsed_s`` (physical time) may differ.
+``jobs`` value — and per-shard summaries merge in shard order, so
+``run_workload(shard_size=m, jobs=j)`` is bit-identical to the same
+run without ``jobs`` for every ``j``, on both engines.  Shards run
+one after another in the calling process.  Only ``elapsed_s``
+(physical time) may differ.
 
 Also covered: merge-over-any-chunking equals the monolithic summary
 (hypothesis), ``HopLimitExceeded`` first-failure ordering across shard
-boundaries, pickle-cheapness of every registered scheme for the
-process pool, and compile-time exclusion from ``elapsed_s``.
+boundaries, and compile-time exclusion from ``elapsed_s``.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 import random
 import time
 
@@ -35,7 +33,6 @@ from repro.runtime.traffic import (
     Workload,
     generate_workload,
     plan_shards,
-    resolve_executor,
     run_workload,
     uniform_pairs,
 )
@@ -96,13 +93,6 @@ class TestPlanShards:
         with pytest.raises(GraphError):
             plan_shards(10, shard_size=0)
 
-    def test_resolve_executor(self):
-        assert resolve_executor("python", None) == "serial"
-        assert resolve_executor("python", 1) == "serial"
-        assert resolve_executor("vectorized", 1) == "serial"
-        assert resolve_executor("python", 4) == "processes"
-        assert resolve_executor("vectorized", 4) == "serial"
-
 
 class TestShardedEqualsSerial:
     """run_workload(shard_size=m, jobs=j) == the serial sharded run,
@@ -111,11 +101,9 @@ class TestShardedEqualsSerial:
     @pytest.mark.parametrize("engine", ["auto", "python"])
     @pytest.mark.parametrize("scheme_name", scheme_names())
     def test_threads_match_serial(self, net, workload, scheme_name, engine):
-        """jobs=3 against serial.  The python engine (and "auto" on a
-        scheme that cannot compile) runs the shards on the process
-        pool; compiled schemes under "auto" run them serially.  The
-        name dates from the removed thread executor and is kept so the
-        test id stays stable."""
+        """jobs=3 against no jobs, on the same shard_size partition.
+        The name dates from the removed thread executor and is kept so
+        the test id stays stable."""
         scheme = net.build_scheme(scheme_name)
         serial = run_workload(
             scheme, workload, oracle=net.oracle(), engine=engine,
@@ -127,52 +115,9 @@ class TestShardedEqualsSerial:
         )
         assert_bit_identical(serial, parallel)
 
-    @pytest.mark.parametrize("engine", ["python"])
-    def test_processes_match_serial(self, net, workload, engine):
-        scheme = net.build_scheme("stretch6")
-        serial = run_workload(
-            scheme, workload, oracle=net.oracle(), engine=engine,
-            shard_size=12,
-        )
-        forked = run_workload(
-            scheme, workload, oracle=net.oracle(), engine=engine,
-            shard_size=12, jobs=2,
-        )
-        assert_bit_identical(serial, forked)
-
-    def test_auto_engine_uncompilable_scheme_uses_process_pool(
-        self, net, workload, monkeypatch
-    ):
-        """engine='auto' on a scheme that cannot compile resolves to
-        the python engine, so jobs=2 must take the process pool — and
-        the scheme must survive the pickle trip."""
-        import repro.runtime.traffic as traffic_mod
-
-        used = []
-
-        class RecordingPool(traffic_mod.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                used.append("processes")
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(
-            traffic_mod, "ProcessPoolExecutor", RecordingPool
-        )
-        scheme = net.build_scheme("exstretch")
-        assert Simulator(scheme).resolve_engine("auto") == "python"
-        serial = run_workload(
-            scheme, workload, oracle=net.oracle(), shard_size=16,
-        )
-        parallel = run_workload(
-            scheme, workload, oracle=net.oracle(), shard_size=16, jobs=2,
-        )
-        assert used == ["processes"]
-        assert_bit_identical(serial, parallel)
-
     def test_jobs_values_agree_on_default_partition(self, net):
-        """The default parallel partition depends on the workload only,
-        so any jobs value yields the bit-identical summary (jobs 2 and 4
-        on the python engine's process pool)."""
+        """The default jobs partition depends on the workload only, so
+        any jobs value yields the bit-identical summary."""
         scheme = net.build_scheme("rtz")
         pairs = uniform_pairs(net.n, DEFAULT_SHARD_SIZE + 40, random.Random(3))
         wl = Workload("uniform", pairs)
@@ -286,23 +231,22 @@ class TestMergeAnyChunking:
 
 
 class TestHopLimitAcrossShards:
-    """A failing journey must surface the *serial first-failure* error
-    even when a later shard fails faster in parallel."""
+    """A failing journey must surface the *first-failure* error of the
+    unsharded batch, whichever shard it falls in."""
 
     def _looping_scheme(self):
         from test_engine_differential import LoopingScheme
 
         return LoopingScheme()
 
-    @pytest.mark.parametrize("executor,jobs,engine", [
-        ("serial", None, "python"),
-        ("serial", None, "vectorized"),
-        ("processes", 2, "python"),
-        ("serial", 2, "vectorized"),
+    @pytest.mark.parametrize("jobs,engine", [
+        pytest.param(None, "python", id="serial-None-python"),
+        pytest.param(None, "vectorized", id="serial-None-vectorized"),
+        pytest.param(2, "python", id="serial-2-python"),
+        pytest.param(2, "vectorized", id="serial-2-vectorized"),
     ])
-    def test_first_failure_is_input_order(self, executor, jobs, engine):
+    def test_first_failure_is_input_order(self, jobs, engine):
         scheme = self._looping_scheme()
-        assert resolve_executor(engine, jobs) == executor
         pairs = [(1, 3), (0, 3), (0, 3), (0, 3)]
         sim = Simulator(scheme, hop_limit=12)
         with pytest.raises(HopLimitExceeded) as ref:
@@ -314,54 +258,6 @@ class TestHopLimitAcrossShards:
             )
         assert str(exc.value) == str(ref.value)
         assert "from 1 to 3" in str(exc.value)
-
-
-class TestPickleCheapCompiledSchemes:
-    """Process-pool shard execution ships schemes by pickle; compiled
-    decision tables must stay out of the payload and rehydrate
-    worker-side from the CSR snapshot."""
-
-    @pytest.mark.parametrize("scheme_name", scheme_names())
-    def test_compiled_cache_dropped_and_rehydrated(
-        self, net, workload, scheme_name
-    ):
-        scheme = net.build_scheme(scheme_name)
-        before = pickle.dumps(scheme)
-        # the waypoint-stack schemes have no compiled form
-        compiled = scheme.compiled_routes()
-        assert (compiled is None) == (scheme_name in ("exstretch", "polystretch"))
-        rtz = getattr(scheme, "rtz", None)
-        if rtz is not None:
-            assert "_compiled_step_tables" in rtz.__dict__
-        a = run_workload(scheme, workload, oracle=net.oracle())
-        after = pickle.dumps(scheme)
-        # neither compiling nor routing may grow the wire size at all
-        # (no compiled tables, memoized first hops or metric caches)
-        assert after == before
-        clone = pickle.loads(after)
-        assert "_compiled_routes" not in clone.__dict__
-        if rtz is not None:
-            assert "_compiled_step_tables" not in clone.rtz.__dict__
-        oracle = getattr(clone, "_oracle", None) or clone._metric.oracle
-        assert oracle.cached_first_hops() is None
-        # the rehydrated clone routes bit-identically
-        b = run_workload(clone, workload, oracle=net.oracle())
-        assert_bit_identical(a, b)
-
-    @pytest.mark.parametrize("engine", ["auto", "python"])
-    @pytest.mark.parametrize("scheme_name", scheme_names())
-    def test_every_scheme_pickles_and_clone_routes_identically(
-        self, net, workload, scheme_name, engine
-    ):
-        """The pool pickles the scheme into each worker under every
-        start method (spawn and forkserver included), so every
-        registered scheme must survive the trip and route
-        bit-identically afterwards."""
-        scheme = net.build_scheme(scheme_name)
-        clone = pickle.loads(pickle.dumps(scheme))
-        a = run_workload(scheme, workload, oracle=net.oracle(), engine=engine)
-        b = run_workload(clone, workload, oracle=net.oracle(), engine=engine)
-        assert_bit_identical(a, b)
 
 
 class _SlowCompileScheme(ShortestPathScheme):
@@ -404,14 +300,11 @@ class TestRouterShardAccounting:
 
 class TestShardCLI:
     def test_jobs_flag_prints_sharding(self, capsys):
-        """The line names the executor resolve_executor picks: the
-        process pool for the python engine, serial shards for the
-        vectorized one."""
+        """The line reports the shard plan and the jobs value, the same
+        on both engines."""
         from repro.cli import main
 
-        for engine, executor in (
-            ("vectorized", "serial"), ("python", "processes"),
-        ):
+        for engine in ("vectorized", "python"):
             rc = main([
                 "traffic", "--n", "20", "--pairs", "60",
                 "--scheme", "stretch6", "--engine", engine,
@@ -419,7 +312,7 @@ class TestShardCLI:
             ])
             out = capsys.readouterr().out
             assert rc == 0
-            assert f"sharding   : 4 shards, jobs=2 ({executor})" in out
+            assert "sharding   : 4 shards, jobs=2\n" in out
 
     def test_single_shard_plan_prints_serial(self, capsys):
         """200 pairs < the 512-pair default shard: the plan collapses
@@ -432,7 +325,7 @@ class TestShardCLI:
         ])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "sharding   : 1 shards, jobs=4 (serial)" in out
+        assert "sharding   : 1 shards, jobs=4\n" in out
 
     @pytest.mark.parametrize("engine", ["vectorized", "python"])
     def test_parallel_summary_identical_to_serial(self, engine, capsys):

@@ -376,11 +376,23 @@ class TestTrafficCLI:
         assert rc == 0
         assert expected in out
 
-    def test_traffic_strict_vectorized_rejects_uncompilable(self, capsys):
-        """exstretch carries a waypoint stack: explicit --engine
-        vectorized must exit cleanly, not crash."""
+    def test_traffic_strict_vectorized_rejects_uncompilable(
+        self, capsys, monkeypatch
+    ):
+        """A scheme without a compiled form: explicit --engine
+        vectorized must exit cleanly, not crash.  Every registered
+        scheme compiles, so the test registers a stub."""
+        from test_engine_differential import UncompilableScheme
+
+        from repro.api import registry
+
+        registry._ensure_builtin_schemes()
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        registry.register_scheme("uncompilable")(
+            lambda net, rng: UncompilableScheme(net.oracle(), net.naming())
+        )
         with pytest.raises(SystemExit, match="does not support"):
             main([
                 "traffic", "--n", "20", "--pairs", "10",
-                "--scheme", "exstretch", "--engine", "vectorized",
+                "--scheme", "uncompilable", "--engine", "vectorized",
             ])
