@@ -2,19 +2,23 @@
 
 The paper notes tables can be computed centrally in time proportional
 to all-pairs shortest paths.  This experiment times each stage of the
-pipeline (APSP oracle, metric, substrate, scheme tables) so the
-dominant term is visible, benchmarks the full stretch-6 build, and
-pits the vectorized CSR engine against the legacy per-source Dijkstra
-loop head-to-head (E11c).
+pipeline (APSP oracle, metric, substrate, stretch-6 tables, cover
+hierarchy, ExStretch tables) so the dominant term is visible,
+benchmarks the full stretch-6 build, and pits the vectorized CSR engine
+against the legacy per-source Dijkstra loop head-to-head (E11c).
 
 Every stage after the APSP is array operations over the oracle's
 ``(n, n)`` matrices: all ``Init_v`` orders come from one
 :meth:`~repro.graph.roundtrip.RoundtripMetric.neighborhoods` call, the
 Lemma 4 coverage from one first-holder matrix per level, and the
-stretch-6 tables from those arrays.  What stays per-vertex Python is the
-substrate's per-landmark trees (out-tree numbering and reverse
-Dijkstras), so at n = 1024 the APSP and the substrate dominate and the
-stretch-6 tables take about a tenth of a second.
+stretch-6 tables from those arrays.  Every in-tree (the substrate's
+landmarks, the cover hierarchy's roots) comes from one
+:meth:`~repro.graph.shortest_paths.DistanceOracle.in_tree_rows` call,
+and the ExStretch tables from the hierarchy's best-tree matrix.  What
+stays per-vertex Python is the out-tree numbering, the PartialCover
+rounds and one ``R2Label`` object per ExStretch table entry, so at
+n = 1024 the APSP and the substrate dominate the stretch-6 pipeline and
+the stretch-6 tables take about a tenth of a second.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import time
 from conftest import SMOKE, banner, bench_n
 
 from repro.analysis.experiments import Instance
+from repro.covers.hierarchy import TreeHierarchy
 from repro.graph.apsp import apsp_matrices
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import random_strongly_connected
@@ -34,6 +39,8 @@ from repro.graph.roundtrip import RoundtripMetric
 from repro.graph.shortest_paths import DistanceOracle, dijkstra
 from repro.naming.permutation import random_naming
 from repro.rtz.routing import RTZStretch3
+from repro.rtz.spanner import HandshakeSpanner
+from repro.schemes.exstretch import ExStretchScheme
 from repro.schemes.stretch6 import StretchSixScheme
 
 
@@ -54,10 +61,19 @@ def test_pipeline_stage_times(benchmark):
         t3 = time.perf_counter()
         StretchSixScheme(metric, naming, substrate=rtz)
         t4 = time.perf_counter()
+        hierarchy = TreeHierarchy(metric, 2)
+        t5 = time.perf_counter()
+        ExStretchScheme(
+            metric, naming, k=2, rng=random.Random(4),
+            spanner=HandshakeSpanner(metric, 2, hierarchy=hierarchy),
+        )
+        t6 = time.perf_counter()
         stages["apsp oracle"] = t1 - t0
         stages["metric + orders"] = t2 - t1
         stages["rtz substrate"] = t3 - t2
         stages["stretch6 tables"] = t4 - t3
+        stages["cover hierarchy"] = t5 - t4
+        stages["exstretch tables"] = t6 - t5
         return stages
 
     benchmark.pedantic(run, rounds=1, iterations=1)

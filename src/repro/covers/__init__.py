@@ -9,6 +9,7 @@ from repro.covers.sparse_cover import (
     CoverResult,
     DoubleTreeCover,
     cover,
+    cover_load_bound,
     verify_cover_properties,
 )
 
@@ -21,5 +22,6 @@ __all__ = [
     "CoverResult",
     "DoubleTreeCover",
     "cover",
+    "cover_load_bound",
     "verify_cover_properties",
 ]

@@ -5,7 +5,9 @@ Given a cluster ``C`` with center ``v = RTCenter(C)``:
 * ``OutTree(C)`` is a shortest-paths tree rooted at ``v`` spanning the
   cluster (routes ``v -> x`` optimally);
 * ``InTree(C)`` consists of a shortest path from every member to ``v``
-  (routes ``x -> v`` optimally);
+  (routes ``x -> v`` optimally): the canonical in-tree row into ``v``
+  (:meth:`~repro.graph.shortest_paths.DistanceOracle.in_tree_rows`)
+  pruned to the members' paths;
 * ``DoubleTree(C)`` is their union, and
   ``RTHeight(T) = max over members of r(root, x)``.
 
@@ -17,21 +19,35 @@ the out-tree (cost ``d(root, y)``), for a total of at most
 Trees are built from the *global* shortest-path trees of ``G`` pruned
 to the cluster; intermediate (Steiner) vertices on root paths are
 retained and carry routing state, which the size accounting charges to
-them (see DESIGN.md, modeling decisions).
+them (see DESIGN.md, modeling decisions).  Pruning walks only the
+members' root paths, so a tree costs time proportional to its size, not
+to ``n``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.exceptions import ConstructionError
-from repro.graph.shortest_paths import DistanceOracle, dijkstra
+from repro.graph.shortest_paths import DistanceOracle
 from repro.tree_routing.fixed_port import (
     OutTreeRouter,
     ToRootPointers,
     TreeAddress,
     build_out_tree,
 )
+
+
+def in_tree_lists(
+    oracle: DistanceOracle, roots: Iterable[int]
+) -> Dict[int, List[int]]:
+    """The in-tree row into each distinct root, as a list, from one
+    :meth:`~repro.graph.shortest_paths.DistanceOracle.in_tree_rows`
+    call."""
+    distinct = sorted(set(roots))
+    return dict(zip(distinct, oracle.in_tree_rows(distinct).tolist()))
 
 
 class DoubleTree:
@@ -43,6 +59,10 @@ class DoubleTree:
         tree_id: identifier used in addresses.
         center: the root; computed as ``RTCenter(members)`` when
             omitted.
+        in_tree: the in-tree row into ``center`` as a list (a row of
+            :meth:`~repro.graph.shortest_paths.DistanceOracle.in_tree_rows`);
+            computed when omitted.  A cover passes rows it computed for
+            all its roots at once.
 
     Attributes:
         members: sorted cluster members.
@@ -55,6 +75,7 @@ class DoubleTree:
         members: Sequence[int],
         tree_id: int,
         center: Optional[int] = None,
+        in_tree: Optional[Sequence[int]] = None,
     ):
         if len(members) == 0:
             raise ConstructionError("double tree over empty member set")
@@ -65,8 +86,6 @@ class DoubleTree:
         g = oracle.graph
         if center is None:
             # RTCenter over the members, by the global roundtrip metric.
-            import numpy as np
-
             idx = np.fromiter(self.members, dtype=np.int64)
             sub = oracle.r_matrix[np.ix_(idx, idx)]
             center = int(idx[int(np.argmin(sub.max(axis=1)))])
@@ -80,18 +99,17 @@ class DoubleTree:
         self._out = build_out_tree(
             g, self.root, parents, tree_id=tree_id, restrict_to=self.members
         )
-        # InTree: reverse Dijkstra gives each vertex its successor
-        # toward the root; prune to paths from members.
-        _dist, succ = dijkstra(g, self.root, reverse=True)
+        # InTree: each vertex's successor toward the root, pruned to
+        # the members' paths.
+        if in_tree is None:
+            in_tree = oracle.in_tree_rows([self.root])[0].tolist()
         keep: Set[int] = set()
         for v in self.members:
             x = v
             while x != self.root and x not in keep:
                 keep.add(x)
-                x = succ[x]
-        pruned = [succ[v] if v in keep else -1 for v in range(g.n)]
-        pruned[self.root] = -1
-        self._in = ToRootPointers(g, self.root, pruned)
+                x = in_tree[x]
+        self._in = ToRootPointers(g, self.root, in_tree, vertices=sorted(keep))
 
     # ------------------------------------------------------------------
     @property

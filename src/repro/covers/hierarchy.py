@@ -5,7 +5,13 @@ Theorem 13 cover at scale ``2^i``; every vertex designates its *home
 double-tree* per level (the tree containing its entire ``2^i``-ball).
 The PolynomialStretch scheme searches levels bottom-up; the
 HandshakeSpanner (``repro.rtz.spanner``) picks the globally cheapest
-tree containing a pair.
+tree containing a pair, read from one ``(n, n)`` best-tree matrix
+(:meth:`TreeHierarchy.best_tree_indices`).
+
+Every level's cover is computed first, so the in-trees of all levels
+come from one
+:meth:`~repro.graph.shortest_paths.DistanceOracle.in_tree_rows` call
+over the distinct roots, shared across levels.
 
 Tree identifiers are globally unique across levels: level ``i`` uses
 ids ``i * LEVEL_STRIDE + j``.
@@ -16,8 +22,10 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Optional
 
-from repro.covers.double_tree import DoubleTree
-from repro.covers.sparse_cover import DoubleTreeCover
+import numpy as np
+
+from repro.covers.double_tree import DoubleTree, in_tree_lists
+from repro.covers.sparse_cover import DoubleTreeCover, cover
 from repro.exceptions import ConstructionError
 from repro.graph.roundtrip import RoundtripMetric
 
@@ -43,13 +51,20 @@ class TreeHierarchy:
         self._k = k
         rt_diam = metric.oracle.rt_diameter()
         self.num_levels = max(1, int(math.ceil(math.log2(max(rt_diam, 2.0)))) + 1)
-        self.levels: List[DoubleTreeCover] = []
-        for i in range(self.num_levels):
-            self.levels.append(
-                DoubleTreeCover(
-                    metric, k, float(2 ** i), tree_id_base=i * LEVEL_STRIDE
-                )
+        scales = [float(2 ** i) for i in range(self.num_levels)]
+        raws = [cover(metric, k, d) for d in scales]
+        in_rows = in_tree_lists(
+            metric.oracle, (c for raw in raws for c in raw.centers)
+        )
+        self.levels: List[DoubleTreeCover] = [
+            DoubleTreeCover(
+                metric, k, d, tree_id_base=i * LEVEL_STRIDE,
+                raw=raw, in_rows=in_rows,
             )
+            for i, (d, raw) in enumerate(zip(scales, raws))
+        ]
+        self._trees: List[DoubleTree] = [t for cov in self.levels for t in cov.trees]
+        self._best: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -82,9 +97,8 @@ class TreeHierarchy:
         return self.levels[level].home_tree(v)
 
     def all_trees(self) -> Iterator[DoubleTree]:
-        """Iterate every tree across all levels."""
-        for cov in self.levels:
-            yield from cov.trees
+        """Iterate every tree across all levels (in tree-id order)."""
+        return iter(self._trees)
 
     # ------------------------------------------------------------------
     # pair queries (used by the handshake spanner)
@@ -102,27 +116,51 @@ class TreeHierarchy:
             f"no level's home tree of {u} contains {v}; hierarchy is broken"
         )
 
+    def best_tree_indices(self) -> np.ndarray:
+        """The read-only ``(n, n)`` int32 best-tree matrix: entry
+        ``[u, v]`` is the position in :meth:`all_trees` of the tree
+        containing both ``u`` and ``v`` (as members) whose via-root
+        roundtrip ``r(u, root) + r(root, v)`` is cheapest, ``-1`` where
+        no tree contains both.  Built on first use and cached.
+
+        The matrix is an exact fold over the trees in tree-id order:
+        per tree, the costs ``r[m, root][:, None] + r[root, m][None, :]``
+        over its members ``m`` replace the current best wherever
+        ``cost < best - 1e-12``.  Per pair that is the same float64
+        arithmetic, visiting order and rule as a scan of the trees
+        containing both vertices, so ties resolve to the same tree.
+        """
+        if self._best is None:
+            r = self._metric.oracle.r_matrix
+            n = r.shape[0]
+            best_cost = np.full(n * n, np.inf)
+            best = np.full(n * n, -1, dtype=np.int32)
+            for i, t in enumerate(self._trees):
+                m = np.asarray(t.members, dtype=np.int64)
+                cost = (r[m, t.root][:, None] + r[t.root, m][None, :]).ravel()
+                cells = (m[:, None] * n + m[None, :]).ravel()
+                better = cost < best_cost[cells] - 1e-12
+                cells = cells[better]
+                best_cost[cells] = cost[better]
+                best[cells] = i
+            self._best = best.reshape(n, n)
+            self._best.flags.writeable = False
+        return self._best
+
     def best_tree_for_pair(self, u: int, v: int) -> DoubleTree:
         """The tree containing both ``u`` and ``v`` (as members) whose
-        via-root roundtrip ``r(u, root) + r(root, v)`` is cheapest.
+        via-root roundtrip ``r(u, root) + r(root, v)`` is cheapest
+        (:meth:`best_tree_indices`).
 
         This is the "most convenient double tree" of the paper's
         ``R2(u, v)`` handshake (Section 3.3).
         """
-        best: Optional[DoubleTree] = None
-        best_cost = math.inf
-        for cov in self.levels:
-            for t in cov.trees_containing(u):
-                if not t.contains(v):
-                    continue
-                c = t.roundtrip_cost(u, v)
-                if c < best_cost - 1e-12:
-                    best, best_cost = t, c
-        if best is None:
+        index = int(self.best_tree_indices()[u, v])
+        if index < 0:
             raise ConstructionError(
                 f"no double tree contains both {u} and {v}; hierarchy is broken"
             )
-        return best
+        return self._trees[index]
 
     # ------------------------------------------------------------------
     # guarantees / accounting

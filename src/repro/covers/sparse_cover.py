@@ -16,14 +16,20 @@ vertex's ball, which Section 4's scheme routes in first.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, List, Optional
 
-from repro.covers.double_tree import DoubleTree
+from repro.covers.double_tree import DoubleTree, in_tree_lists
 from repro.covers.partial_cover import partial_cover
 from repro.exceptions import ConstructionError
-from repro.graph.roundtrip import RoundtripMetric
+from repro.graph.roundtrip import RoundtripMetric, level_size
+
+
+def cover_load_bound(n: int, k: int) -> int:
+    """Theorem 10(3)'s per-vertex load bound ``2 k n^{1/k}``, with
+    ``ceil(n^{1/k})`` in exact integers
+    (:func:`~repro.graph.roundtrip.level_size`)."""
+    return 2 * k * level_size(n, 1, k)
 
 
 @dataclass(frozen=True)
@@ -35,11 +41,13 @@ class CoverResult:
         home_cluster: vertex -> index into ``clusters`` of the region
             that covered the vertex's ball ``N^d(v)``.
         rounds: number of ``PartialCover`` invocations used.
+        centers: ``centers[i]`` is ``RTCenter(clusters[i])``.
     """
 
     clusters: List[FrozenSet[int]]
     home_cluster: Dict[int, int]
     rounds: int
+    centers: List[int]
 
 
 def cover(metric: RoundtripMetric, k: int, d: float) -> CoverResult:
@@ -52,7 +60,8 @@ def cover(metric: RoundtripMetric, k: int, d: float) -> CoverResult:
             ``RTDiam(G)``; larger values are harmless).
 
     Returns:
-        A :class:`CoverResult` whose clusters satisfy Theorem 10.
+        A :class:`CoverResult` whose clusters satisfy Theorem 10, with
+        each cluster's center.
     """
     if k < 2:
         raise ConstructionError(f"cover construction requires k >= 2, got {k}")
@@ -73,45 +82,52 @@ def cover(metric: RoundtripMetric, k: int, d: float) -> CoverResult:
         for local_index in result.covered:
             owner = remaining[local_index]
             home_cluster[owner] = offset + result.covering_region[local_index]
+        covered = set(result.covered)
         remaining = [
-            remaining[i]
-            for i in range(len(remaining))
-            if i not in set(result.covered)
+            owner for i, owner in enumerate(remaining) if i not in covered
         ]
-        if rounds > 4 * k * int(math.ceil(n ** (1.0 / k))) + 8:
+        if rounds > 4 * k * level_size(n, 1, k) + 8:
             raise ConstructionError(
                 "cover construction exceeded its iteration bound; "
                 "this indicates a PartialCover bug"
             )
-    return CoverResult(clusters, home_cluster, rounds)
+    centers = [metric.rt_center(members) for members in clusters]
+    return CoverResult(clusters, home_cluster, rounds, centers)
 
 
 def verify_cover_properties(
     metric: RoundtripMetric, k: int, d: float, result: CoverResult
 ) -> None:
-    """Assert Theorem 10's three properties (test/benchmark helper)."""
+    """Check Theorem 10's three properties (test/benchmark helper).
+
+    Raises:
+        ConstructionError: on the first violated property.
+    """
     n = metric.n
     # Property 1: every ball inside its home cluster.
     for v in range(n):
         ball = set(metric.ball(v, d))
         home = result.clusters[result.home_cluster[v]]
-        assert ball <= home, f"ball of {v} escapes its home cluster"
+        if not ball <= home:
+            raise ConstructionError(f"ball of {v} escapes its home cluster")
     # Property 2: radius blow-up.
     bound = (2 * k - 1) * d + 1e-9
     for members in result.clusters:
-        assert metric.rt_radius(sorted(members)) <= bound, (
-            f"cluster radius {metric.rt_radius(sorted(members))} exceeds "
-            f"(2k-1)d = {bound}"
-        )
+        radius = metric.rt_radius(sorted(members))
+        if not radius <= bound:
+            raise ConstructionError(
+                f"cluster radius {radius} exceeds (2k-1)d = {bound}"
+            )
     # Property 3: per-vertex load.
-    load_bound = 2 * k * math.ceil(n ** (1.0 / k))
+    load_bound = cover_load_bound(n, k)
     loads = [0] * n
     for members in result.clusters:
         for v in members:
             loads[v] += 1
-    assert max(loads) <= load_bound, (
-        f"vertex load {max(loads)} exceeds 2k n^(1/k) = {load_bound}"
-    )
+    if not max(loads) <= load_bound:
+        raise ConstructionError(
+            f"vertex load {max(loads)} exceeds 2k n^(1/k) = {load_bound}"
+        )
 
 
 class DoubleTreeCover:
@@ -123,6 +139,11 @@ class DoubleTreeCover:
         d: scale (ball radius).
         tree_id_base: starting tree identifier (levels in a hierarchy
             use disjoint id ranges).
+        raw: this scale's :func:`cover`, when already computed.
+        in_rows: in-tree rows by root (:func:`in_tree_lists`) holding
+            at least this cover's centers; computed for them when
+            omitted.  A hierarchy computes one for every level's centers
+            at once.
     """
 
     def __init__(
@@ -131,15 +152,23 @@ class DoubleTreeCover:
         k: int,
         d: float,
         tree_id_base: int = 0,
+        raw: Optional[CoverResult] = None,
+        in_rows: Optional[Dict[int, List[int]]] = None,
     ):
         self._metric = metric
         self._k = k
         self._d = d
-        raw = cover(metric, k, d)
+        if raw is None:
+            raw = cover(metric, k, d)
+        if in_rows is None:
+            in_rows = in_tree_lists(metric.oracle, raw.centers)
         self.rounds = raw.rounds
         self.trees: List[DoubleTree] = [
-            DoubleTree(metric.oracle, sorted(members), tree_id_base + i)
-            for i, members in enumerate(raw.clusters)
+            DoubleTree(
+                metric.oracle, sorted(members), tree_id_base + i,
+                center=c, in_tree=in_rows[c],
+            )
+            for i, (members, c) in enumerate(zip(raw.clusters, raw.centers))
         ]
         self._by_id: Dict[int, DoubleTree] = {t.tree_id: t for t in self.trees}
         self._home: Dict[int, DoubleTree] = {
@@ -182,24 +211,34 @@ class DoubleTreeCover:
         return max(len(ts) for ts in self._membership.values())
 
     def load_bound(self) -> int:
-        """Theorem 13(3)'s bound ``2 k n^{1/k}``."""
-        return 2 * self._k * math.ceil(self._metric.n ** (1.0 / self._k))
+        """Theorem 13(3)'s bound ``2 k n^{1/k}`` (:func:`cover_load_bound`)."""
+        return cover_load_bound(self._metric.n, self._k)
 
     def height_bound(self) -> float:
         """Theorem 13(2)'s bound ``(2k - 1) d``."""
         return (2 * self._k - 1) * self._d
 
     def verify(self) -> None:
-        """Assert all three Theorem 13 properties on the built trees."""
+        """Check all three Theorem 13 properties on the built trees.
+
+        Raises:
+            ConstructionError: on the first violated property.
+        """
         for v in range(self._metric.n):
             ball = set(self._metric.ball(v, self._d))
             home = self.home_tree(v)
-            assert ball <= set(home.members), (
-                f"home tree of {v} misses part of its ball"
-            )
+            if not ball <= set(home.members):
+                raise ConstructionError(
+                    f"home tree of {v} misses part of its ball"
+                )
         bound = self.height_bound() + 1e-9
         for t in self.trees:
-            assert t.rt_height() <= bound, (
-                f"tree {t.tree_id} height {t.rt_height()} > {bound}"
+            if not t.rt_height() <= bound:
+                raise ConstructionError(
+                    f"tree {t.tree_id} height {t.rt_height()} > {bound}"
+                )
+        if not self.max_vertex_load() <= self.load_bound():
+            raise ConstructionError(
+                f"vertex load {self.max_vertex_load()} exceeds "
+                f"2k n^(1/k) = {self.load_bound()}"
             )
-        assert self.max_vertex_load() <= self.load_bound()

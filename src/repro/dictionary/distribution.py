@@ -42,6 +42,29 @@ from repro.graph.roundtrip import RoundtripMetric, level_size
 from repro.naming.blocks import BlockSpace
 
 
+def first_holders(order: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """``(n, P)`` int32: entry ``[v, p]`` is the first node of
+    ``order[v]`` whose row of ``held`` is set in column ``p``, ``-1``
+    where none is.
+
+    ``order`` is an ``(n, size)`` array of node prefixes (a
+    :meth:`~repro.graph.roundtrip.RoundtripMetric.neighborhoods`
+    result) and ``held`` an ``(n, P)`` bool matrix; each entry is an
+    ``argmax`` over ``held[order[v], p]``.  Rows are processed in blocks
+    of :func:`~repro.graph.blocked.default_block_rows`, so the
+    ``(block, size, P)`` transient stays near the block budget.
+    """
+    n = order.shape[0]
+    out = np.empty((n, held.shape[1]), dtype=np.int32)
+    step = default_block_rows(n, order.shape[1] * held.shape[1])
+    for lo in range(0, n, step):
+        rows = order[lo:lo + step]
+        inside = held[rows]
+        first = np.take_along_axis(rows, inside.argmax(axis=1), axis=1)
+        out[lo:lo + step] = np.where(inside.any(axis=1), first, -1)
+    return out
+
+
 class BlockDistribution:
     """Assignment of dictionary blocks to nodes satisfying Lemma 4.
 
@@ -138,17 +161,9 @@ class BlockDistribution:
         held = np.logical_or.reduceat(
             stored, np.arange(0, num_blocks, span), axis=1
         )
-        nbhd = self._metric.neighborhoods(
-            level_size(n, i, self._blocks.k)
+        return first_holders(
+            self._metric.neighborhoods(level_size(n, i, self._blocks.k)), held
         )
-        out = np.empty((n, held.shape[1]), dtype=np.int32)
-        step = default_block_rows(n, nbhd.shape[1] * held.shape[1])
-        for lo in range(0, n, step):
-            rows = nbhd[lo:lo + step]
-            inside = held[rows]
-            first = np.take_along_axis(rows, inside.argmax(axis=1), axis=1)
-            out[lo:lo + step] = np.where(inside.any(axis=1), first, -1)
-        return out
 
     def _patch_uncovered(self) -> int:
         """Deterministically repair any uncovered requirement.

@@ -41,6 +41,12 @@ _PAIR_LOOKUP_CACHE: "weakref.WeakKeyDictionary[CSRGraph, PairTable]" = (
     weakref.WeakKeyDictionary()
 )
 
+# The edge-reversed snapshot, one per snapshot: the in-tree kernel
+# (DistanceOracle.in_tree_rows) runs the forward APSP over it.
+_REVERSED_CACHE: "weakref.WeakKeyDictionary[CSRGraph, CSRGraph]" = (
+    weakref.WeakKeyDictionary()
+)
+
 
 class PairTable:
     """A sparse ``(n, n)`` table stored as sorted ``row * n + col``
@@ -245,6 +251,19 @@ class CSRGraph:
         graph.  Retrieve that graph via :attr:`source` on the result.
         """
         return CSRGraph.from_digraph(self.source.apply_delta(delta))
+
+    def reversed_graph(self) -> "CSRGraph":
+        """The snapshot with every edge reversed: the out and in arrays
+        swapped, built once per snapshot.  A shortest path from ``v`` in
+        the reversed graph is a shortest path into ``v`` here, with each
+        vertex's in-edges in this snapshot's order."""
+        rev = _REVERSED_CACHE.get(self)
+        if rev is None:
+            rev = _REVERSED_CACHE[self] = CSRGraph(
+                self.n, self.in_indptr, self.in_tails, self.in_weights,
+                self.out_indptr, self.out_heads, self.out_weights,
+            )
+        return rev
 
     # ------------------------------------------------------------------
     # convenience queries (primarily for tests and debugging)

@@ -193,7 +193,7 @@ class RoundtripMetric:
         """Section 4's ``N^d(v)``: all ``w`` with ``r(v, w) <= radius``."""
         row = self._oracle.r_matrix[v]
         members = np.nonzero(row <= radius + 1e-12)[0]
-        return [int(w) for w in members]
+        return members.tolist()
 
     def radius_of_kth(self, v: int, size: int) -> float:
         """Roundtrip distance from ``v`` to the last node of

@@ -45,6 +45,7 @@ from repro.exceptions import GraphError, NotStronglyConnectedError
 from repro.graph.apsp import (
     TIE_EPS,
     apsp_matrices,
+    apsp_rows,
     vectorized_engine_supported,
 )
 from repro.graph.csr import CSRGraph
@@ -339,6 +340,28 @@ class DistanceOracle:
         ``source`` (``parent[v]`` precedes ``v`` on the path
         ``source -> v``)."""
         return list(self._parent[source])
+
+    def in_tree_rows(self, roots) -> np.ndarray:
+        """Canonical in-trees into each of ``roots``: a ``(len(roots),
+        n)`` int64 array whose row ``i`` equals
+        ``dijkstra(g, roots[i], reverse=True)[1]`` — the successor of
+        every vertex on its canonical path into the root, ``-1`` at the
+        root.
+
+        One :func:`~repro.graph.apsp.apsp_rows` call over the reversed
+        CSR snapshot (:meth:`CSRGraph.reversed_graph`).  Where the
+        vectorized engine's tie-break is not exact for the graph's
+        weights (:func:`vectorized_engine_supported`), the rows come
+        from the python Dijkstras, as the oracle itself falls back.
+        """
+        roots = np.asarray(roots, dtype=np.int64).reshape(-1)
+        csr = CSRGraph.from_digraph(self._g)
+        if vectorized_engine_supported(csr):
+            return apsp_rows(csr.reversed_graph(), roots)[1]
+        rows = np.empty((roots.shape[0], self.n), dtype=np.int64)
+        for i, root in enumerate(roots.tolist()):
+            rows[i] = dijkstra(self._g, root, reverse=True)[1]
+        return rows
 
     def parent_matrix(self) -> np.ndarray:
         """The full ``(n, n)`` int64 canonical parent matrix (row ``s``

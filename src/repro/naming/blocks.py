@@ -15,7 +15,6 @@ changes no bound by more than a constant factor.
 
 from __future__ import annotations
 
-import math
 from typing import List, Tuple
 
 from repro.exceptions import NamingError
@@ -187,6 +186,7 @@ def sqrt_block_space(n: int) -> BlockSpace:
 
 
 def block_count_bound(n: int, k: int) -> int:
-    """Upper bound ``ceil(n^{(k-1)/k})`` on the number of blocks, used
-    by size assertions in tests and benchmarks."""
-    return int(math.ceil(n ** ((k - 1) / k))) + 1
+    """Upper bound ``ceil(n^{(k-1)/k}) + 1`` on the number of blocks,
+    used by size assertions in tests and benchmarks (the root in exact
+    integers, :func:`~repro.graph.roundtrip.level_size`)."""
+    return level_size(n, k - 1, k) + 1

@@ -5,7 +5,9 @@ defining properties (see DESIGN.md, substitutions):
 
 * landmarks ``A`` (about ``sqrt(n)`` of them); per landmark ``c`` a
   full in-pointer structure (optimal ``x -> c``) and out-tree (optimal
-  ``c -> x`` by interval routing);
+  ``c -> x`` by interval routing).  The in-pointers of all landmarks
+  come from one
+  :meth:`~repro.graph.shortest_paths.DistanceOracle.in_tree_rows` call;
 * clusters ``C(v) = {u : r(u, v) < r(v, A)}``; every member stores a
   direct next-hop for ``v`` along the canonical shortest path.  The
   cluster is closed under shortest-path suffixes, so hop-by-hop direct
@@ -36,7 +38,6 @@ import numpy as np
 
 from repro.exceptions import TableLookupError
 from repro.graph.roundtrip import RoundtripMetric
-from repro.graph.shortest_paths import dijkstra
 from repro.rtz.centers import CenterAssignment, sample_centers
 from repro.runtime.sizing import id_bits
 from repro.tree_routing.fixed_port import (
@@ -96,11 +97,11 @@ class RTZStretch3:
         # Per-landmark tree structures spanning all of V.
         self._in_trees: Dict[int, ToRootPointers] = {}
         self._out_trees: Dict[int, OutTreeRouter] = {}
-        for idx, c in enumerate(self.assignment.centers):
+        centers = self.assignment.centers
+        in_rows = oracle.in_tree_rows(centers).tolist()
+        for idx, (c, succ) in enumerate(zip(centers, in_rows)):
             parents = oracle.forward_tree_parents(c)
             self._out_trees[c] = OutTreeRouter(g, c, parents, tree_id=idx)
-            _dist, succ = dijkstra(g, c, reverse=True)
-            succ[c] = -1
             self._in_trees[c] = ToRootPointers(g, c, succ)
 
         # Direct tables: direct[u][v] = port toward v, for u in C(v).
@@ -218,7 +219,7 @@ class RTZStretch3:
         The arrays capture exactly the parts whose reconstruction is
         expensive or rng-dependent: the landmark set, the home-center
         assignment, and the two table families that needed shortest-path
-        computations (in-tree successors from the reverse Dijkstras,
+        computations (in-tree successors from the in-tree kernel,
         direct next-hop ports from the cluster scan).  Out-trees and
         labels are *not* serialized — :meth:`from_arrays` re-derives
         them from the oracle's canonical forward trees, which is cheap
@@ -259,7 +260,7 @@ class RTZStretch3:
         """Rehydrate a substrate from :meth:`to_arrays` output.
 
         Skips every shortest-path computation the constructor performs
-        (the reverse Dijkstras and the O(n^2) cluster scan); only the
+        (the in-tree kernel and the O(n^2) cluster scan); only the
         cheap deterministic derivations (out-tree DFS numbering,
         labels) run.  The result is bit-identical to a fresh build.
         """

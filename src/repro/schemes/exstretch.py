@@ -31,14 +31,14 @@ from __future__ import annotations
 import random
 from itertools import chain
 from operator import attrgetter, itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.dictionary.distribution import BlockDistribution
+from repro.dictionary.distribution import BlockDistribution, first_holders
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.digraph import Digraph
-from repro.graph.roundtrip import RoundtripMetric
+from repro.graph.roundtrip import RoundtripMetric, level_size
 from repro.naming.blocks import BlockSpace
 from repro.naming.permutation import Naming
 from repro.runtime.scheme import (
@@ -97,64 +97,92 @@ class ExStretchScheme(RoutingScheme):
             metric, self.blocks, rng, blocks_per_node=blocks_per_node
         )
 
-        # (2) close-neighbor handshakes: name -> R2.
-        self._near: List[Dict[int, R2Label]] = [dict() for _ in range(n)]
-        for u in range(n):
-            for v in metric.level_neighborhood(u, 1, k):
-                if v != u:
-                    self._near[u][naming.name_of(v)] = self.spanner.r2(u, v)
-        # Invert the distribution once: prefix -> set of holder vertices
-        # (a node holds a prefix when some block of S'_w extends it).
-        holders_of_prefix: Dict[Tuple[int, ...], set] = {}
-        for w in range(n):
-            for b in self.distribution.augmented_blocks_of(w, naming.name_of(w)):
-                pref = self.blocks.block_prefix(b)
-                for i in range(1, k):
-                    holders_of_prefix.setdefault(pref[:i], set()).add(w)
-        # (3a) prefix rows: (prefix, level) -> (waypoint vertex, R2).
-        # Rows are keyed by the *target* (i+1)-prefix they resolve,
-        # which is equivalent to the paper's (own block, i, tau) keying
-        # but avoids storing duplicate rows for blocks sharing prefixes.
-        self._rows: List[Dict[Tuple[Tuple[int, ...], int], Tuple[int, R2Label]]] = [
-            dict() for _ in range(n)
-        ]
-        # (3b) final rows: full name -> (dest vertex, R2).
-        self._final: List[Dict[int, Tuple[int, R2Label]]] = [
-            dict() for _ in range(n)
-        ]
-        for u in range(n):
-            own_blocks = self.distribution.augmented_blocks_of(
-                u, naming.name_of(u)
-            )
-            for b in own_blocks:
-                pref = self.blocks.block_prefix(b)
-                for i in range(k - 1):
-                    for tau in range(self.blocks.q):
-                        target = pref[:i] + (tau,)
-                        key = (target, i)
-                        if key in self._rows[u]:
-                            continue
-                        holder_set = holders_of_prefix.get(target)
-                        if not holder_set:
-                            continue
-                        v = self._nearest_in(u, holder_set)
-                        label = self.spanner.r2(u, v) if v != u else None
-                        self._rows[u][key] = (v, label)
-                for tau in range(self.blocks.q):
-                    full = pref + (tau,)
-                    name = self.blocks.from_digits(full)
-                    if not self.blocks.is_name(name):
-                        continue
-                    v = naming.vertex_of(name)
-                    label = self.spanner.r2(u, v) if v != u else None
-                    self._final[u][name] = (v, label)
+        self._near, self._rows, self._final = self._build_tables()
 
-    def _nearest_in(self, u: int, candidates: set) -> int:
-        """First vertex of ``Init_u`` belonging to ``candidates``."""
-        for w in self._metric.init_order(u):
-            if w in candidates:
-                return w
-        raise ConstructionError("empty candidate set")  # pragma: no cover
+    def _build_tables(self):
+        """Storage rules 2, 3a and 3b as array operations.
+
+        Returns per-node dicts: ``_near[u]`` maps ``name(v) -> R2(u, v)``
+        for ``v`` in ``N_1(u)``; ``_rows[u]`` maps ``(target, i)`` to
+        ``(v, R2(u, v))`` for every ``(i+1)``-digit ``target`` extending
+        the ``i``-prefix of a block of ``S'_u`` that some node holds, ``v``
+        the first such holder in ``Init_u``; ``_final[u]`` maps every
+        name of a block of ``S'_u`` to ``(vertex, R2)``.  Labels are
+        ``None`` where the row's vertex is ``u`` itself.
+        """
+        metric, naming, blocks = self._metric, self._naming, self.blocks
+        n, k, q = metric.n, self.k, blocks.q
+        names = np.asarray(naming.all_names(), dtype=np.int64)
+        vertex_of = np.empty(n, dtype=np.int64)
+        vertex_of[names] = np.arange(n)
+        # S'_u = S_u + own block, as an (n, blocks) matrix
+        num_blocks = blocks.num_blocks()
+        aug = np.zeros((n, num_blocks), dtype=bool)
+        for u, held in enumerate(self.distribution.sets):
+            aug[u, list(held)] = True
+        aug[np.arange(n), names // q] = True
+
+        # (2) close neighbors: N_1(u) minus u, in Init_u order.
+        near = metric.neighborhoods(level_size(n, 1, k))
+        near_u = np.repeat(np.arange(n), near.shape[1])
+        near_v = near.ravel().astype(np.int64)
+        keep = near_v != near_u
+        near_u, near_v = near_u[keep], near_v[keep]
+
+        # (3a) prefix rows, level by level.  Rows are keyed by the
+        # *target* (i+1)-prefix they resolve, which is equivalent to the
+        # paper's (own block, i, tau) keying but stores no duplicate
+        # rows for blocks sharing prefixes.
+        init = metric.neighborhoods(n)
+        row_u, row_v, row_keys = [], [], []
+        for i in range(k - 1):
+            span = q ** (k - 2 - i)  # blocks per (i+1)-prefix
+            # held[w, p]: w holds a block whose (i+1)-prefix is p;
+            # own[u, p]: u holds a block whose i-prefix is p
+            held = np.logical_or.reduceat(
+                aug, np.arange(0, num_blocks, span), axis=1
+            )
+            own = np.logical_or.reduceat(
+                aug, np.arange(0, num_blocks, span * q), axis=1
+            )
+            targets = np.arange(held.shape[1])
+            us, ps = np.nonzero(own[:, targets // q] & held.any(axis=0))
+            row_u.append(us)
+            row_v.append(first_holders(init, held)[us, ps].astype(np.int64))
+            keys = [
+                (blocks.block_prefix(p * span)[:i + 1], i)
+                for p in targets.tolist()
+            ]
+            row_keys.extend(map(keys.__getitem__, ps.tolist()))
+        order = np.argsort(np.concatenate(row_u), kind="stable")
+        row_u = np.concatenate(row_u)[order]
+        row_v = np.concatenate(row_v)[order]
+        row_keys = list(map(row_keys.__getitem__, order.tolist()))
+
+        # (3b) final rows: every name of every block of S'_u.  Block b
+        # holds the names [b q, min(b q + q, n)); laid end to end, entry
+        # t of the range starting at offset o is start + (t - o).
+        final_u, final_b = np.nonzero(aug)
+        starts = final_b * q
+        sizes = np.minimum(starts + q, n) - starts
+        offsets = np.cumsum(sizes) - sizes
+        final_names = np.repeat(starts - offsets, sizes) + np.arange(sizes.sum())
+        final_u = np.repeat(final_u, sizes)
+        final_v = vertex_of[final_names]
+
+        us = np.concatenate([near_u, row_u, final_u])
+        vs = np.concatenate([near_v, row_v, final_v])
+        moves = us != vs
+        labels = np.full(us.shape[0], None, dtype=object)
+        labels[moves] = self.spanner.r2_labels(us[moves], vs[moves])
+        labels = labels.tolist()
+        a, b = near_u.shape[0], near_u.shape[0] + row_u.shape[0]
+        return (
+            _per_node(n, near_u, names[near_v].tolist(), labels[:a]),
+            _per_node(n, row_u, row_keys, list(zip(row_v.tolist(), labels[a:b]))),
+            _per_node(n, final_u, final_names.tolist(),
+                      list(zip(final_v.tolist(), labels[b:]))),
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -480,6 +508,15 @@ class ExStretchScheme(RoutingScheme):
             + len(self._final[vertex])
             + self.spanner.table_entries(vertex)
         )
+
+
+def _per_node(n: int, owner: np.ndarray, keys: list, values: list) -> List[dict]:
+    """One dict per node from entries sorted by ``owner``."""
+    bounds = np.searchsorted(owner, np.arange(n + 1)).tolist()
+    return [
+        dict(zip(keys[lo:hi], values[lo:hi]))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 @register_scheme(

@@ -28,7 +28,7 @@ paths into the root.  :class:`DoubleTreeRouter` in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.digraph import Digraph
@@ -77,20 +77,30 @@ class OutTreeRouter:
         parents: ``parents[v]`` is the tree parent of ``v``; ``-1`` both
             for the root and for vertices *not* in this tree.
         tree_id: identifier baked into addresses.
+        vertices: the vertices whose ``parents`` entries are read
+            (default all of ``G``); a tree pruned to a member set passes
+            the vertices it keeps, so building it costs O(tree), not
+            O(n).
 
     Raises:
         ConstructionError: if a parent edge is missing from ``G`` or the
             parent structure has a cycle.
     """
 
-    def __init__(self, g: Digraph, root: int, parents: Sequence[int], tree_id: int):
+    def __init__(
+        self,
+        g: Digraph,
+        root: int,
+        parents: Sequence[int],
+        tree_id: int,
+        vertices: Optional[Iterable[int]] = None,
+    ):
         self._g = g
         self._root = root
         self._tree_id = tree_id
-        n = g.n
         children: Dict[int, List[int]] = {}
         members = [root]
-        for v in range(n):
+        for v in range(g.n) if vertices is None else vertices:
             p = parents[v]
             if v == root or p == -1:
                 continue
@@ -248,9 +258,7 @@ def build_out_tree(
             if x == root:
                 break
             x = parents[x]
-    pruned = [parents[v] if v in keep else -1 for v in range(g.n)]
-    pruned[root] = -1
-    return OutTreeRouter(g, root, pruned, tree_id)
+    return OutTreeRouter(g, root, parents, tree_id, vertices=keep)
 
 
 class ToRootPointers:
@@ -261,15 +269,24 @@ class ToRootPointers:
         g: the digraph.
         root: root vertex.
         parents_to_root: ``parents_to_root[v]`` is the *successor* of
-            ``v`` on its path to the root (from a reverse Dijkstra), or
-            ``-1`` for vertices outside the structure.
+            ``v`` on its path to the root (a row of
+            :meth:`~repro.graph.shortest_paths.DistanceOracle.in_tree_rows`),
+            or ``-1`` for vertices outside the structure.
+        vertices: the vertices whose entries are read (default all of
+            ``G``); a pruned in-tree passes the vertices it keeps.
     """
 
-    def __init__(self, g: Digraph, root: int, parents_to_root: Sequence[int]):
+    def __init__(
+        self,
+        g: Digraph,
+        root: int,
+        parents_to_root: Sequence[int],
+        vertices: Optional[Iterable[int]] = None,
+    ):
         self._g = g
         self._root = root
         self._port: Dict[int, int] = {}
-        for v in range(g.n):
+        for v in range(g.n) if vertices is None else vertices:
             succ = parents_to_root[v]
             if v == root or succ == -1:
                 continue

@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import repro
 from repro.covers.double_tree import DoubleTree
 from repro.covers.hierarchy import TreeHierarchy
 from repro.covers.partial_cover import partial_cover
 from repro.covers.sparse_cover import (
     DoubleTreeCover,
     cover,
+    cover_load_bound,
     verify_cover_properties,
 )
 from repro.exceptions import ConstructionError
+from repro.graph.digraph import Digraph
 from repro.graph.generators import (
     bidirected_torus,
     directed_cycle,
@@ -27,6 +36,49 @@ from repro.graph.shortest_paths import DistanceOracle
 def make_metric(n: int, seed: int) -> RoundtripMetric:
     g = random_strongly_connected(n, rng=random.Random(seed))
     return RoundtripMetric(DistanceOracle(g))
+
+
+def scalar_best_tree(h: TreeHierarchy, u: int, v: int):
+    """The per-pair scan the best-tree matrix replaces: the trees
+    containing ``u`` level by level, keeping a tree whose via-root
+    roundtrip beats the best so far by more than ``1e-12``."""
+    best, best_cost = None, math.inf
+    for cov in h.levels:
+        for t in cov.trees_containing(u):
+            if not t.contains(v):
+                continue
+            c = t.roundtrip_cost(u, v)
+            if c < best_cost - 1e-12:
+                best, best_cost = t, c
+    return best
+
+
+def decimal_torus(side: int, seed: int) -> Digraph:
+    """A bidirected torus whose weights are drawn from a few decimals:
+    equal real path sums then round to floats one ulp apart, so some
+    pairs have trees whose costs differ by less than the ``1e-12``
+    tie window without being equal."""
+    rng = random.Random(seed)
+    g = Digraph(side * side)
+    for r in range(side):
+        for c in range(side):
+            u = r * side + c
+            for v in (r * side + (c + 1) % side, ((r + 1) % side) * side + c):
+                g.add_edge(u, v, rng.choice([0.1, 0.2, 0.3, 0.7]))
+                g.add_edge(v, u, rng.choice([0.1, 0.2, 0.3, 0.7]))
+    return g.freeze()
+
+
+def tree_state(t: DoubleTree) -> tuple:
+    """Everything a double tree routes with."""
+    return (
+        t.tree_id,
+        t.root,
+        t.members,
+        sorted(t.in_pointers.ports().items()),
+        sorted(t.out_tree.dfs_numbers().items()),
+        sorted(t.out_tree.interval_rows()),
+    )
 
 
 class TestDoubleTree:
@@ -95,6 +147,20 @@ class TestDoubleTree:
         assert len(involved) == 8  # whole cycle participates
         assert t.contains(4) and not t.contains(3)
         assert sum(t.table_entries_at(v) for v in range(8)) > 0
+
+    @pytest.mark.parametrize("graph", ["random", "cycle", "torus"])
+    def test_standalone_tree_equals_cover_tree(self, graph: str):
+        # A cover hands each tree its center and a shared in-tree row;
+        # a tree built alone computes both itself.
+        g = {
+            "random": random_strongly_connected(30, rng=random.Random(9)),
+            "cycle": directed_cycle(16),
+            "torus": bidirected_torus(4, 5),
+        }[graph]
+        metric = RoundtripMetric(DistanceOracle(g))
+        for t in TreeHierarchy(metric, 2).all_trees():
+            alone = DoubleTree(metric.oracle, t.members, t.tree_id)
+            assert tree_state(alone) == tree_state(t)
 
     def test_roundtrip_cost_symmetric_bound(self):
         metric = make_metric(14, 8)
@@ -184,6 +250,38 @@ class TestCover:
         with pytest.raises(ConstructionError):
             cover(metric, 2, 0.0)
 
+    def test_cover_records_cluster_centers(self):
+        metric = make_metric(24, 31)
+        res = cover(metric, 2, 4.0)
+        assert res.centers == [metric.rt_center(c) for c in res.clusters]
+
+    def test_load_bound_uses_exact_roots(self):
+        # 3125 = 5^5: the float form ceil(3125 ** (1/5)) is 6, not 5
+        assert cover_load_bound(3125, 5) == 50
+        assert cover_load_bound(24, 2) == 2 * 2 * 5
+        metric = make_metric(24, 32)
+        assert DoubleTreeCover(metric, 2, 4.0).load_bound() == 20
+
+    def test_violations_raise_construction_error(self):
+        metric = make_metric(24, 33)
+        res = cover(metric, 2, 4.0)
+        # vertex 0's home cluster loses vertex 0 itself
+        home = res.home_cluster[0]
+        clusters = list(res.clusters)
+        clusters[home] = clusters[home] - {0}
+        with pytest.raises(ConstructionError, match="ball of 0 escapes"):
+            verify_cover_properties(
+                metric, 2, 4.0, dataclasses.replace(res, clusters=clusters)
+            )
+        whole = cover(metric, 2, metric.oracle.rt_diameter() + 1)
+        with pytest.raises(ConstructionError, match="cluster radius"):
+            verify_cover_properties(metric, 2, 1.0, whole)
+        with pytest.raises(ConstructionError, match="vertex load"):
+            verify_cover_properties(
+                metric, 2, 4.0,
+                dataclasses.replace(res, clusters=res.clusters * 21),
+            )
+
     def test_huge_scale_single_cluster(self):
         metric = make_metric(12, 11)
         res = cover(metric, 2, metric.oracle.rt_diameter() + 1)
@@ -232,12 +330,63 @@ class TestDoubleTreeCover:
             for t in dtc.trees_containing(v):
                 assert t.contains(v)
 
+    def test_tampered_height_bound_raises(self):
+        dtc = DoubleTreeCover(make_metric(20, 34), 2, 4.0)
+        dtc.height_bound = lambda: -1.0
+        with pytest.raises(ConstructionError, match="height"):
+            dtc.verify()
+
+    def test_tampered_home_members_raise(self):
+        dtc = DoubleTreeCover(make_metric(20, 35), 2, 4.0)
+        home = dtc.home_tree(0)
+        home.members = [v for v in home.members if v != 0]
+        with pytest.raises(ConstructionError, match="home tree of 0"):
+            dtc.verify()
+
+    def test_tampered_load_bound_raises(self):
+        dtc = DoubleTreeCover(make_metric(20, 36), 2, 4.0)
+        dtc.load_bound = lambda: 0
+        with pytest.raises(ConstructionError, match="vertex load"):
+            dtc.verify()
+
+    def test_verification_survives_python_O(self):
+        # ``python -O`` strips asserts; the checks must still run.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import random\n"
+            "from repro.covers.sparse_cover import DoubleTreeCover\n"
+            "from repro.exceptions import ConstructionError\n"
+            "from repro.graph.generators import random_strongly_connected\n"
+            "from repro.graph.roundtrip import RoundtripMetric\n"
+            "from repro.graph.shortest_paths import DistanceOracle\n"
+            "g = random_strongly_connected(16, rng=random.Random(1))\n"
+            "dtc = DoubleTreeCover(RoundtripMetric(DistanceOracle(g)), 2, 4.0)\n"
+            "dtc.height_bound = lambda: -1.0\n"
+            "try:\n"
+            "    dtc.verify()\n"
+            "except ConstructionError:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"
+
 
 class TestHierarchy:
     def test_all_levels_verify(self):
         metric = make_metric(18, 18)
         h = TreeHierarchy(metric, 2)
         h.verify()
+
+    def test_tampered_level_raises(self):
+        h = TreeHierarchy(make_metric(18, 43), 2)
+        h.levels[-1].height_bound = lambda: -1.0
+        with pytest.raises(ConstructionError, match="height"):
+            h.verify()
 
     def test_level_count_matches_diameter(self):
         metric = make_metric(18, 19)
@@ -271,6 +420,43 @@ class TestHierarchy:
                     continue
                 t = h.best_tree_for_pair(u, v)
                 assert t.contains(u) and t.contains(v)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "graph", ["random", "random2", "cycle", "torus", "decimal-torus"]
+    )
+    def test_best_tree_matrix_matches_scalar_scan(self, graph: str, k: int):
+        # Unit-weight cycles and tori tie many trees on the same cost;
+        # the decimal torus has near-ties inside the tie window.
+        g = {
+            "random": random_strongly_connected(28, rng=random.Random(40)),
+            "random2": random_strongly_connected(
+                24, rng=random.Random(41), w_lo=0.1, w_hi=0.3
+            ),
+            "cycle": directed_cycle(18),
+            "torus": bidirected_torus(5, 5),
+            "decimal-torus": decimal_torus(5, 1),
+        }[graph]
+        h = TreeHierarchy(RoundtripMetric(DistanceOracle(g)), k)
+        trees = list(h.all_trees())
+        best = h.best_tree_indices()
+        assert best.shape == (g.n, g.n) and not best.flags.writeable
+        for u in range(g.n):
+            for v in range(g.n):
+                ref = scalar_best_tree(h, u, v)
+                assert trees[best[u, v]] is ref
+                assert h.best_tree_for_pair(u, v) is ref
+
+    def test_pair_in_no_tree_raises(self):
+        metric = make_metric(16, 42)
+        h = TreeHierarchy(metric, 2)
+        # keep only the finest level, whose clusters miss most pairs
+        h._trees = list(h.levels[0].trees)
+        best = h.best_tree_indices()
+        u, v = (int(x[0]) for x in np.nonzero(best < 0))
+        assert scalar_best_tree(h, u, v) is not None  # other levels hold it
+        with pytest.raises(ConstructionError, match="no double tree"):
+            h.best_tree_for_pair(u, v)
 
     def test_best_tree_cost_within_bound(self):
         metric = make_metric(16, 23)

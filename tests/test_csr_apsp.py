@@ -16,7 +16,11 @@ import pytest
 
 from repro.exceptions import GraphError, NotStronglyConnectedError
 from repro.graph import apsp
-from repro.graph.apsp import apsp_matrices, min_distances
+from repro.graph.apsp import (
+    apsp_matrices,
+    min_distances,
+    vectorized_engine_supported,
+)
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import Digraph
 from repro.graph.generators import (
@@ -28,6 +32,43 @@ from repro.graph.shortest_paths import DistanceOracle, dijkstra
 
 FAMILIES = sorted(standard_families(8))
 SEEDS = (0, 1, 2)
+
+
+def _huge_weight_graph() -> Digraph:
+    """At distance scales where the float ulp exceeds small edge
+    weights, the batched tie window and the sequential fold can
+    disagree; the vectorized engine must decline this graph."""
+    g = Digraph(6)
+    g.add_edge(0, 4, 0.5e16)
+    g.add_edge(4, 3, 0.5e16)
+    g.add_edge(0, 5, 0.9e16)
+    g.add_edge(5, 2, 0.1e16)
+    g.add_edge(2, 3, 1.0)
+    g.add_edge(0, 1, 1.0)
+    # close into one SCC with heavy return edges
+    g.add_edge(1, 0, 1.0)
+    g.add_edge(3, 0, 1.0)
+    return g.freeze()
+
+
+def _drift_prone_graphs(seed: int):
+    """Sums of weights like 0.1 + 0.2 round differently per path
+    order, exercising the tie-window logic."""
+    yield random_strongly_connected(
+        24, rng=random.Random(seed + 40), w_lo=0.1, w_hi=0.3
+    )
+    yield bidirected_torus(5, 5, rng=random.Random(seed + 50),
+                           w_lo=0.5, w_hi=2.0)
+
+
+def _assert_in_trees_match_dijkstra(g: Digraph) -> None:
+    roots = list(range(g.n))[::-1]
+    rows = DistanceOracle(g).in_tree_rows(roots)
+    assert rows.shape == (g.n, g.n)
+    for root, row in zip(roots, rows.tolist()):
+        assert row == dijkstra(g, root, reverse=True)[1], (
+            f"in-tree into {root} differs"
+        )
 
 
 def _assert_engines_identical(g: Digraph) -> None:
@@ -51,15 +92,8 @@ class TestDifferential:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_weighted_drift_prone_graphs(self, seed: int):
-        # Sums of weights like 0.1 + 0.2 round differently per path
-        # order, exercising the tie-window logic.
-        g = random_strongly_connected(
-            24, rng=random.Random(seed + 40), w_lo=0.1, w_hi=0.3
-        )
-        _assert_engines_identical(g)
-        g = bidirected_torus(5, 5, rng=random.Random(seed + 50),
-                             w_lo=0.5, w_hi=2.0)
-        _assert_engines_identical(g)
+        for g in _drift_prone_graphs(seed):
+            _assert_engines_identical(g)
 
     def test_matches_raw_dijkstra(self):
         g = random_strongly_connected(30, rng=random.Random(3))
@@ -94,20 +128,8 @@ class TestDifferential:
             DistanceOracle(triangle, engine="fortran")
 
     def test_huge_weight_scale_falls_back_to_python(self):
-        # At distance scales where the float ulp exceeds small edge
-        # weights, the batched tie window and the sequential fold can
-        # disagree; the auto engine must detect this and fall back.
-        g = Digraph(6)
-        g.add_edge(0, 4, 0.5e16)
-        g.add_edge(4, 3, 0.5e16)
-        g.add_edge(0, 5, 0.9e16)
-        g.add_edge(5, 2, 0.1e16)
-        g.add_edge(2, 3, 1.0)
-        g.add_edge(0, 1, 1.0)
-        # close into one SCC with heavy return edges
-        g.add_edge(1, 0, 1.0)
-        g.add_edge(3, 0, 1.0)
-        g.freeze()
+        # the auto engine must detect the graph and fall back
+        g = _huge_weight_graph()
         oracle = DistanceOracle(g)
         assert oracle.engine == "python"
         ref = DistanceOracle(g, engine="python")
@@ -170,6 +192,47 @@ class TestDifferential:
         assert ref.diameter() == vec.diameter()
         assert ref.rt_diameter() == vec.rt_diameter()
 
+
+
+class TestInTreeRows:
+    """``DistanceOracle.in_tree_rows`` against the reverse Dijkstra it
+    replaces, row for row."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_standard_families_match_reverse_dijkstra(
+        self, family: str, seed: int
+    ):
+        _assert_in_trees_match_dijkstra(standard_families(26, seed=seed)[family])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_weighted_drift_prone_graphs(self, seed: int):
+        for g in _drift_prone_graphs(seed):
+            _assert_in_trees_match_dijkstra(g)
+
+    def test_huge_weight_scale_falls_back_to_python(self):
+        g = _huge_weight_graph()
+        assert not vectorized_engine_supported(CSRGraph.from_digraph(g))
+        _assert_in_trees_match_dijkstra(g)
+
+    def test_scattered_and_repeated_roots(self):
+        g = random_strongly_connected(20, rng=random.Random(6))
+        oracle = DistanceOracle(g)
+        full = oracle.in_tree_rows(range(g.n))
+        roots = [7, 0, 7, 19, 3]
+        assert np.array_equal(oracle.in_tree_rows(roots), full[roots])
+        assert oracle.in_tree_rows([]).shape == (0, g.n)
+
+    def test_reversed_snapshot(self, small_random: Digraph):
+        csr = CSRGraph.from_digraph(small_random)
+        rev = csr.reversed_graph()
+        assert rev is csr.reversed_graph()
+        assert np.array_equal(rev.out_indptr, csr.in_indptr)
+        assert np.array_equal(rev.out_heads, csr.in_tails)
+        assert np.array_equal(rev.in_indptr, csr.out_indptr)
+        assert np.array_equal(rev.in_tails, csr.out_heads)
+        assert np.array_equal(rev.in_targets,
+                              np.repeat(np.arange(csr.n), csr.out_degrees()))
 
 class TestCSRGraph:
     def test_roundtrips_adjacency(self, small_random: Digraph):

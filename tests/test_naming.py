@@ -168,6 +168,8 @@ class TestBlockSpace:
     def test_bound_helper(self):
         assert block_count_bound(36, 2) >= BlockSpace(36, 2).num_blocks()
         assert block_count_bound(100, 3) >= BlockSpace(100, 3).num_blocks()
+        # 32 ** (4 / 5) is 16.000000000000004 in floats; the root is 16
+        assert block_count_bound(32, 5) == 17
 
     @given(
         st.integers(min_value=2, max_value=500),

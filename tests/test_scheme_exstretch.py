@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from repro.api import Network
 from repro.exceptions import ConstructionError
+from repro.graph import blocked
 from repro.graph.generators import (
     bidirected_torus,
     directed_cycle,
@@ -28,6 +30,96 @@ def build(g, k=2, naming_seed=0, rng_seed=1):
     metric = RoundtripMetric(oracle, ids=naming.all_names())
     scheme = ExStretchScheme(metric, naming, k=k, rng=random.Random(rng_seed))
     return oracle, naming, scheme
+
+
+def scalar_tables(scheme):
+    """Storage rules 2, 3a and 3b entry by entry, as the scheme built
+    them before its array construction: one ``r2`` call per label and a
+    walk along ``Init_u`` per prefix row.  The reference the array
+    tables are checked against."""
+    metric, naming, k = scheme.metric, scheme._naming, scheme.k
+    blocks, spanner = scheme.blocks, scheme.spanner
+    dist = scheme.distribution
+    n = metric.n
+    near = [dict() for _ in range(n)]
+    for u in range(n):
+        for v in metric.level_neighborhood(u, 1, k):
+            if v != u:
+                near[u][naming.name_of(v)] = spanner.r2(u, v)
+    holders_of_prefix = {}
+    for w in range(n):
+        for b in dist.augmented_blocks_of(w, naming.name_of(w)):
+            pref = blocks.block_prefix(b)
+            for i in range(1, k):
+                holders_of_prefix.setdefault(pref[:i], set()).add(w)
+    rows = [dict() for _ in range(n)]
+    final = [dict() for _ in range(n)]
+    for u in range(n):
+        for b in dist.augmented_blocks_of(u, naming.name_of(u)):
+            pref = blocks.block_prefix(b)
+            for i in range(k - 1):
+                for tau in range(blocks.q):
+                    target = pref[:i] + (tau,)
+                    key = (target, i)
+                    if key in rows[u]:
+                        continue
+                    holder_set = holders_of_prefix.get(target)
+                    if not holder_set:
+                        continue
+                    v = next(w for w in metric.init_order(u) if w in holder_set)
+                    rows[u][key] = (v, spanner.r2(u, v) if v != u else None)
+            for tau in range(blocks.q):
+                name = blocks.from_digits(pref + (tau,))
+                if not blocks.is_name(name):
+                    continue
+                v = naming.vertex_of(name)
+                final[u][name] = (v, spanner.r2(u, v) if v != u else None)
+    return near, rows, final
+
+
+class TestArrayTables:
+    """The array-built tables equal the scalar loop, entry for entry."""
+
+    @pytest.mark.parametrize("blocks_per_node", [None, 1])
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("family", ["random", "cycle", "torus", "dht"])
+    def test_matches_scalar_loop(self, family, seed, k, blocks_per_node):
+        net = Network.from_family(family, 30, seed=seed, store=None)
+        scheme = net.build_scheme("exstretch", k=k, blocks_per_node=blocks_per_node)
+        near, rows, final = scalar_tables(scheme)
+        assert scheme._near == near
+        assert scheme._rows == rows
+        assert scheme._final == final
+
+    def test_matches_scalar_loop_across_split_row_blocks(self, monkeypatch):
+        # a tiny block budget splits every row-blocked kernel
+        monkeypatch.setattr(blocked, "_BLOCK_ELEMS", 64)
+        net = Network.from_family("random", 27, seed=3, store=None)
+        scheme = net.build_scheme("exstretch", k=3, blocks_per_node=1)
+        assert blocked.default_block_rows(27, 27 * 3) == 1
+        near, rows, final = scalar_tables(scheme)
+        assert scheme._near == near
+        assert scheme._rows == rows
+        assert scheme._final == final
+
+    def test_labels_share_tree_addresses(self):
+        # each (tree, vertex) address is one object, however many
+        # labels carry it
+        scheme = Network.from_family("random", 30, seed=1, store=None) \
+            .build_scheme("exstretch", k=2)
+        labels = [label for row in scheme._near for label in row.values()]
+        labels += [
+            label
+            for table in (scheme._rows, scheme._final)
+            for row in table
+            for _v, label in row.values()
+            if label is not None
+        ]
+        seen = {}
+        for label in labels:
+            for addr in (label.addr_from, label.addr_to):
+                assert seen.setdefault(addr, addr) is addr
 
 
 class TestDeliveryAndStretch:
