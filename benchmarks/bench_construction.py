@@ -14,11 +14,15 @@ Lemma 4 coverage from one first-holder matrix per level, and the
 stretch-6 tables from those arrays.  Every in-tree (the substrate's
 landmarks, the cover hierarchy's roots) comes from one
 :meth:`~repro.graph.shortest_paths.DistanceOracle.in_tree_rows` call,
-and the ExStretch tables from the hierarchy's best-tree matrix.  What
-stays per-vertex Python is the out-tree numbering, the PartialCover
-rounds and one ``R2Label`` object per ExStretch table entry, so at
-n = 1024 the APSP and the substrate dominate the stretch-6 pipeline and
-the stretch-6 tables take about a tenth of a second.
+the substrate's landmark out-trees from one
+:func:`~repro.tree_routing.fixed_port.tree_intervals` call, its direct
+entries from one cluster scan and one parent-row walk, and the
+ExStretch tables from the hierarchy's best-tree matrix.  The substrate
+line breaks down into those out-tree intervals and direct entries;
+its compile into step tables is a stage of its own.  What stays
+Python is the PartialCover rounds, one ``OutTreeRouter`` per double
+tree and one ``R2Label`` object per ExStretch table entry, so at
+n = 1024 the APSP dominates the stretch-6 pipeline.
 """
 
 from __future__ import annotations
@@ -33,21 +37,24 @@ from conftest import SMOKE, banner, bench_n
 from repro.analysis.experiments import Instance
 from repro.covers.hierarchy import TreeHierarchy
 from repro.graph.apsp import apsp_matrices
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, edge_ports
 from repro.graph.generators import random_strongly_connected
 from repro.graph.roundtrip import RoundtripMetric
 from repro.graph.shortest_paths import DistanceOracle, dijkstra
 from repro.naming.permutation import random_naming
 from repro.rtz.routing import RTZStretch3
 from repro.rtz.spanner import HandshakeSpanner
+from repro.runtime.engine import compile_substrate_tables
 from repro.schemes.exstretch import ExStretchScheme
 from repro.schemes.stretch6 import StretchSixScheme
+from repro.tree_routing.fixed_port import tree_intervals
 
 
 def test_pipeline_stage_times(benchmark):
     n = bench_n(64)
     g = random_strongly_connected(n, rng=random.Random(1))
     stages = {}
+    substrate = {}
 
     def run():
         t0 = time.perf_counter()
@@ -59,21 +66,34 @@ def test_pipeline_stage_times(benchmark):
         t2 = time.perf_counter()
         rtz = RTZStretch3(metric, random.Random(3))
         t3 = time.perf_counter()
-        StretchSixScheme(metric, naming, substrate=rtz)
+        compile_substrate_tables(rtz, "dense")
         t4 = time.perf_counter()
-        hierarchy = TreeHierarchy(metric, 2)
+        StretchSixScheme(metric, naming, substrate=rtz)
         t5 = time.perf_counter()
+        hierarchy = TreeHierarchy(metric, 2)
+        t6 = time.perf_counter()
         ExStretchScheme(
             metric, naming, k=2, rng=random.Random(4),
             spanner=HandshakeSpanner(metric, 2, hierarchy=hierarchy),
         )
-        t6 = time.perf_counter()
+        t7 = time.perf_counter()
         stages["apsp oracle"] = t1 - t0
         stages["metric + orders"] = t2 - t1
         stages["rtz substrate"] = t3 - t2
-        stages["stretch6 tables"] = t4 - t3
-        stages["cover hierarchy"] = t5 - t4
-        stages["exstretch tables"] = t6 - t5
+        stages["rtz compile"] = t4 - t3
+        stages["stretch6 tables"] = t5 - t4
+        stages["cover hierarchy"] = t6 - t5
+        stages["exstretch tables"] = t7 - t6
+        # two of the substrate's passes, re-run on its own landmarks
+        centers = rtz.centers
+        s0 = time.perf_counter()
+        tree_intervals(g, oracle.parent_rows(centers), centers)
+        s1 = time.perf_counter()
+        u, v = rtz.assignment.cluster_pairs()
+        edge_ports(g, u, oracle.next_hops(u, v))
+        s2 = time.perf_counter()
+        substrate["intervals"] = s1 - s0
+        substrate["direct entries"] = s2 - s1
         return stages
 
     benchmark.pedantic(run, rounds=1, iterations=1)
@@ -82,6 +102,9 @@ def test_pipeline_stage_times(benchmark):
     for label, secs in stages.items():
         print(f"  {label:<18}: {secs * 1000:8.1f} ms "
               f"({100 * secs / total:4.1f}%)")
+        if label == "rtz substrate":
+            for part, part_secs in substrate.items():
+                print(f"  {'- ' + part:<18}: {part_secs * 1000:8.1f} ms")
     print(f"  {'total':<18}: {total * 1000:8.1f} ms")
 
 

@@ -41,6 +41,12 @@ _PAIR_LOOKUP_CACHE: "weakref.WeakKeyDictionary[CSRGraph, PairTable]" = (
     weakref.WeakKeyDictionary()
 )
 
+# Fixed ports as PairTables, one pair per frozen graph: the vectorized
+# Digraph.port_of and Digraph.head_of_port of the array-built tables.
+_PORT_CACHE: "weakref.WeakKeyDictionary[Digraph, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
+
 # The edge-reversed snapshot, one per snapshot: the in-tree kernel
 # (DistanceOracle.in_tree_rows) runs the forward APSP over it.
 _REVERSED_CACHE: "weakref.WeakKeyDictionary[CSRGraph, CSRGraph]" = (
@@ -96,6 +102,47 @@ class PairTable:
         pos = np.searchsorted(self.keys, queries)
         np.minimum(pos, self.keys.shape[0] - 1, out=pos)
         return np.where(self.keys[pos] == queries, self.values[pos], self.missing)
+
+
+def _port_lookups(g: Digraph) -> "tuple[PairTable, PairTable]":
+    """``(port by tail * n + head, head by tail * stride + port)``,
+    built once per frozen graph from :meth:`Digraph.edges`."""
+    cached = _PORT_CACHE.get(g)
+    if cached is None:
+        edges = np.array(
+            [(e.tail, e.head, e.port) for e in g.edges()], dtype=np.int64
+        ).reshape(-1, 3)
+        tails, heads, ports = edges.T
+        stride = int(ports.max()) + 1 if ports.size else 1
+        cached = _PORT_CACHE[g] = (
+            PairTable.from_entries(g.n, tails * np.int64(g.n) + heads, ports),
+            PairTable.from_entries(stride, tails * np.int64(stride) + ports, heads),
+        )
+    return cached
+
+
+def _lookup(table: PairTable, n: int, rows, cols) -> np.ndarray:
+    """``table[rows, cols]``, ``-1`` wherever a row is not one of the
+    ``n`` vertices or a column is outside the key stride: there the
+    key ``row * stride + col`` would alias another row's entry."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    ok = (rows >= 0) & (rows < n) & (cols >= 0) & (cols < table.n)
+    found = table[np.where(ok, rows, 0), np.where(ok, cols, 0)]
+    return np.where(ok, found, -1)
+
+
+def edge_ports(g: Digraph, tails, heads) -> np.ndarray:
+    """:meth:`Digraph.port_of` for every ``(tails[i], heads[i])`` at
+    once (int64, ``-1`` where ``g`` has no such edge), by binary search
+    over one O(m) table per frozen graph."""
+    return _lookup(_port_lookups(g)[0], g.n, tails, heads)
+
+
+def port_heads(g: Digraph, tails, ports) -> np.ndarray:
+    """:meth:`Digraph.head_of_port` for every ``(tails[i], ports[i])``
+    at once (int64, ``-1`` where the tail has no such port)."""
+    return _lookup(_port_lookups(g)[1], g.n, tails, ports)
 
 
 class CSRGraph:

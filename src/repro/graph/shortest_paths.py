@@ -161,6 +161,16 @@ def path_length(g: Digraph, path: Sequence[int]) -> float:
     return total
 
 
+def _read_only_parents(parent: np.ndarray) -> np.ndarray:
+    """``parent`` as a read-only int32 matrix: a view when it already is
+    int32 (a memory-mapped store blob is not copied), one cast
+    otherwise.  The caller's own array stays writeable."""
+    parent = np.asarray(parent)
+    parent = parent.astype(np.int32) if parent.dtype != np.int32 else parent.view()
+    parent.flags.writeable = False
+    return parent
+
+
 class DistanceOracle:
     """All-pairs distances with the derived roundtrip metric.
 
@@ -171,8 +181,10 @@ class DistanceOracle:
     * ``r`` — the roundtrip matrix ``r[u, v] = d[u, v] + d[v, u]``
       (Section 1.1: the minimum cost of a directed tour from ``u``
       through ``v`` back to ``u``),
-    * forward shortest-path-tree parents from every source, used to
-      extract canonical shortest paths without re-running Dijkstra.
+    * forward shortest-path-tree parents from every source, one
+      read-only ``(n, n)`` int32 matrix (row ``s`` is the out-tree
+      rooted at ``s``), used to extract canonical shortest paths
+      without re-running Dijkstra.
 
     Args:
         g: the digraph (must be strongly connected).
@@ -214,10 +226,10 @@ class DistanceOracle:
                     f"vertex unreachable from {s}; graph must be strongly connected"
                 )
             self._d = d
-            self._parent: List[List[int]] = pmat.tolist()
+            self._parent = _read_only_parents(pmat)
         else:
             self._d = np.empty((n, n), dtype=np.float64)
-            self._parent = []
+            pmat = np.empty((n, n), dtype=np.int32)
             for s in range(n):
                 dist, parent = dijkstra(g, s)
                 if any(x == INF for x in dist):
@@ -225,7 +237,8 @@ class DistanceOracle:
                         f"vertex unreachable from {s}; graph must be strongly connected"
                     )
                 self._d[s, :] = dist
-                self._parent.append(parent)
+                pmat[s, :] = parent
+            self._parent = _read_only_parents(pmat)
         self._r = self._d + self._d.T
         if g.frozen:
             _ORACLE_CACHE[g] = weakref.ref(self)
@@ -245,9 +258,9 @@ class DistanceOracle:
         out of a memory-mapped ``.npz`` blob, so the distance matrix is
         shared read-only between every process that loads the entry.
         The roundtrip matrix is derived with the same ``d + d.T`` the
-        constructor uses, and ``parent`` rows are converted to the
-        plain-list form the path walkers expect — a rehydrated oracle is
-        bit-identical to a fresh build (asserted in
+        constructor uses, and an int32 ``parent`` (the store's blob
+        dtype) is held as a read-only view, not copied — a rehydrated
+        oracle is bit-identical to a fresh build (asserted in
         ``tests/test_store.py``).
 
         Args:
@@ -269,7 +282,7 @@ class DistanceOracle:
         self._g = g
         self._engine = str(engine)
         self._d = d
-        self._parent = parent.tolist()
+        self._parent = _read_only_parents(parent)
         self._r = self._d + self._d.T
         if g.frozen:
             _ORACLE_CACHE[g] = weakref.ref(self)
@@ -314,7 +327,7 @@ class DistanceOracle:
         path = [v]
         parent = self._parent[u]
         while path[-1] != u:
-            p = parent[path[-1]]
+            p = parent.item(path[-1])
             if p == -1:
                 raise GraphError(f"no path {u} -> {v}")
             path.append(p)
@@ -329,17 +342,48 @@ class DistanceOracle:
         # Walk up from v until the parent is u.
         parent = self._parent[u]
         x = v
-        while parent[x] != u:
-            x = parent[x]
-            if x == -1:
+        while True:
+            p = parent.item(x)
+            if p == u:
+                return x
+            if p == -1:
                 raise GraphError(f"no path {u} -> {v}")
+            x = p
+
+    def next_hops(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """:meth:`next_hop` for every ``(sources[i], targets[i])`` pair
+        at once (int64; ``sources[i] != targets[i]``): all pairs walk up
+        their source's parent row together, one gather per step of the
+        longest path.
+
+        Raises:
+            GraphError: if some target is unreachable from its source.
+        """
+        src = np.asarray(sources, dtype=np.int64)
+        dst = np.asarray(targets, dtype=np.int64)
+        x = dst.copy()
+        up = self._parent[src, x].astype(np.int64)
+        todo = np.flatnonzero(up != src)
+        while todo.size:
+            if (up[todo] < 0).any():
+                bad = todo[up[todo] < 0][0]
+                raise GraphError(f"no path {src[bad]} -> {dst[bad]}")
+            x[todo] = up[todo]
+            up[todo] = self._parent[src[todo], x[todo]]
+            todo = todo[up[todo] != src[todo]]
         return x
 
     def forward_tree_parents(self, source: int) -> List[int]:
         """Parents of the canonical shortest-path out-tree rooted at
         ``source`` (``parent[v]`` precedes ``v`` on the path
         ``source -> v``)."""
-        return list(self._parent[source])
+        return self._parent[source].tolist()
+
+    def parent_rows(self, sources) -> np.ndarray:
+        """The canonical out-trees rooted at each of ``sources``: a
+        fresh ``(len(sources), n)`` int32 array of parent rows (``-1``
+        at the root)."""
+        return self._parent[np.asarray(sources, dtype=np.int64).reshape(-1)]
 
     def in_tree_rows(self, roots) -> np.ndarray:
         """Canonical in-trees into each of ``roots``: a ``(len(roots),
@@ -368,7 +412,7 @@ class DistanceOracle:
         is the out-tree rooted at ``s``; freshly allocated).  This is
         the array form the incremental repair protocol
         (:mod:`repro.graph.repair`) edits row-wise."""
-        return np.asarray(self._parent, dtype=np.int64)
+        return self._parent.astype(np.int64)
 
     def cached_first_hops(self) -> "np.ndarray | None":
         """The memoized dense first-hop matrix, or ``None`` when

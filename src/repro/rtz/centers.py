@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -99,23 +99,33 @@ class CenterAssignment:
         self._clusters = None
         return self
 
+    def cluster_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every ``(u, v)`` with ``u in C(v)``, i.e. ``r(u, v) < r(v, A)
+        - 1e-12``, as two int64 arrays sorted by ``(u, v)``: one
+        comparison per row block of ``r``."""
+        n = self._metric.n
+        r = self._metric.oracle.r_matrix
+        bound = np.asarray(self._r_to_a) - 1e-12
+        us, vs = [], []
+        step = default_block_rows(n)
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            inside = r[lo:hi] < bound
+            inside[np.arange(hi - lo), np.arange(lo, hi)] = False
+            u, v = np.nonzero(inside)
+            us.append(u + lo)
+            vs.append(v)
+        return (
+            np.concatenate(us).astype(np.int64),
+            np.concatenate(vs).astype(np.int64),
+        )
+
     def _cluster_sets(self) -> List[Set[int]]:
-        """``C(v)`` for every ``v``: ``u in C(v)`` iff ``r(u, v) <
-        r(v, A)`` (lazily computed, cached)."""
+        """``C(v)`` for every ``v`` (lazily computed, cached)."""
         if self._clusters is None:
-            n = self._metric.n
-            r = self._metric.oracle.r_matrix
-            bound = np.asarray(self._r_to_a) - 1e-12
-            clusters: List[Set[int]] = []
-            step = default_block_rows(n)
-            for lo in range(0, n, step):
-                hi = min(n, lo + step)
-                # row v - lo of ``inside`` is column v of r: r(u, v) < bound
-                inside = (r[:, lo:hi] < bound[lo:hi]).T
-                inside[np.arange(hi - lo), np.arange(lo, hi)] = False
-                clusters.extend(
-                    set(np.flatnonzero(row).tolist()) for row in inside
-                )
+            clusters: List[Set[int]] = [set() for _ in range(self._metric.n)]
+            for u, v in zip(*(a.tolist() for a in self.cluster_pairs())):
+                clusters[v].add(u)
             self._clusters = clusters
         return self._clusters
 
@@ -149,19 +159,41 @@ class CenterAssignment:
         return sum(len(c) for c in self._cluster_sets()) / self._metric.n
 
     def verify_cluster_path_closure(self) -> None:
-        """Assert the closure property direct routing relies on: for
+        """Check the closure property direct routing relies on: for
         ``u`` in ``C(v)``, every vertex on the canonical shortest
         ``u -> v`` path is in ``C(v)`` too.
 
         (Proof: for ``x`` on a shortest ``u -> v`` path,
         ``d(x,v) <= d(u,v) - d(u,x)`` and ``d(v,x) <= d(v,u) + d(u,x)``,
         so ``r(x,v) <= r(u,v) < r(v,A)``.)
+
+        Raises:
+            ConstructionError: naming a violating path.
         """
-        oracle = self._metric.oracle
-        clusters = self._cluster_sets()
-        for v in range(self._metric.n):
-            for u in clusters[v]:
-                for x in oracle.path(u, v)[1:-1]:
-                    assert x in clusters[v], (
-                        f"closure violated: {x} on path {u}->{v} not in C({v})"
-                    )
+        u, v = self.cluster_pairs()
+        n = self._metric.n
+        check_cluster_closure(n, u * n + v, self._metric.oracle.next_hops(u, v))
+
+
+def check_cluster_closure(n: int, keys: np.ndarray, nxt: np.ndarray) -> None:
+    """The closure check over direct entries, in one pass: the entry
+    for ``(u, v)`` (sorted ``keys``, ``u * n + v``) leads to the next
+    vertex ``nxt`` on the ``u -> v`` path, which must be ``v`` or hold
+    an entry for ``v`` itself.  By induction every vertex of the path
+    then holds one, so hop-by-hop direct forwarding cannot get stuck.
+
+    Raises:
+        ConstructionError: naming the first entry that leads nowhere.
+    """
+    v = keys % n
+    onward = np.flatnonzero(nxt != v)
+    want = nxt[onward] * n + v[onward]
+    pos = np.minimum(np.searchsorted(keys, want), max(keys.shape[0] - 1, 0))
+    bad = np.flatnonzero(keys[pos] != want)
+    if bad.size:
+        i = onward[bad[0]]
+        raise ConstructionError(
+            f"cluster closure violated: {int(nxt[i])} on the path "
+            f"{int(keys[i] // n)} -> {int(v[i])} holds no direct entry "
+            f"for {int(v[i])}"
+        )

@@ -7,13 +7,19 @@ defining properties (see DESIGN.md, substitutions):
   full in-pointer structure (optimal ``x -> c``) and out-tree (optimal
   ``c -> x`` by interval routing).  The in-pointers of all landmarks
   come from one
-  :meth:`~repro.graph.shortest_paths.DistanceOracle.in_tree_rows` call;
+  :meth:`~repro.graph.shortest_paths.DistanceOracle.in_tree_rows` call,
+  the out-trees' DFS intervals from one
+  :func:`~repro.tree_routing.fixed_port.tree_intervals` call;
 * clusters ``C(v) = {u : r(u, v) < r(v, A)}``; every member stores a
   direct next-hop for ``v`` along the canonical shortest path.  The
   cluster is closed under shortest-path suffixes, so hop-by-hop direct
-  forwarding is well defined;
+  forwarding is well defined (checked on every build and rehydrate);
 * the label ``R3(v) = (v, a(v), addr_{OutTree(a(v))}(v))`` of
   ``O(log n)`` bits.
+
+Every table is held once, as arrays: the compiled engine
+(:func:`~repro.runtime.engine.compile_substrate_tables`) and the python
+reference engine (:meth:`RTZStretch3.leg_step`) read the same ones.
 
 Routing a leg ``x -> y`` given ``R3(y)``:
 
@@ -36,15 +42,16 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import TableLookupError
+from repro.exceptions import ConstructionError, TableLookupError
+from repro.graph.csr import edge_ports, port_heads
 from repro.graph.roundtrip import RoundtripMetric
-from repro.rtz.centers import CenterAssignment, sample_centers
-from repro.runtime.sizing import id_bits
-from repro.tree_routing.fixed_port import (
-    OutTreeRouter,
-    ToRootPointers,
-    TreeAddress,
+from repro.rtz.centers import (
+    CenterAssignment,
+    check_cluster_closure,
+    sample_centers,
 )
+from repro.runtime.sizing import id_bits
+from repro.tree_routing.fixed_port import TreeAddress, tree_intervals
 
 #: leg-forwarding modes
 DIRECT = "dir"
@@ -78,6 +85,10 @@ class RTZStretch3:
         metric: roundtrip metric of the graph.
         rng: landmark sampling randomness.
         center_count: landmark count override (default ``ceil(sqrt n)``).
+
+    Landmark ``i`` is ``centers[i]``; every per-landmark array has one
+    row per landmark in that order, and the out-tree addresses carry
+    ``i`` as their ``tree_id``.
     """
 
     def __init__(
@@ -86,37 +97,102 @@ class RTZStretch3:
         rng: Optional[random.Random] = None,
         center_count: Optional[int] = None,
     ):
-        self._metric = metric
         oracle = metric.oracle
-        g = oracle.graph
-        n = g.n
+        self._metric = metric
         self.assignment = CenterAssignment(
-            metric, sample_centers(n, rng, center_count)
+            metric, sample_centers(oracle.n, rng, center_count)
+        )
+        # direct tables: u in C(v) stores the port toward v, sorted by (u, v)
+        u, v = self.assignment.cluster_pairs()
+        nxt = oracle.next_hops(u, v)
+        self._build(
+            oracle.in_tree_rows(self.assignment.centers),
+            u * oracle.n + v,
+            nxt,
+            edge_ports(oracle.graph, u, nxt),
         )
 
-        # Per-landmark tree structures spanning all of V.
-        self._in_trees: Dict[int, ToRootPointers] = {}
-        self._out_trees: Dict[int, OutTreeRouter] = {}
-        centers = self.assignment.centers
-        in_rows = oracle.in_tree_rows(centers).tolist()
-        for idx, (c, succ) in enumerate(zip(centers, in_rows)):
-            parents = oracle.forward_tree_parents(c)
-            self._out_trees[c] = OutTreeRouter(g, c, parents, tree_id=idx)
-            self._in_trees[c] = ToRootPointers(g, c, succ)
+    def _build(
+        self,
+        in_succ: np.ndarray,
+        direct_keys: np.ndarray,
+        direct_next: np.ndarray,
+        direct_port: np.ndarray,
+    ) -> None:
+        """Derive every table from the in-tree successor rows, the
+        direct entries and the oracle's out-trees, checking each.
 
-        # Direct tables: direct[u][v] = port toward v, for u in C(v).
-        self._direct: List[Dict[int, int]] = [dict() for _ in range(n)]
-        for v in range(n):
-            for u in self.assignment.cluster(v):
-                nxt = oracle.next_hop(u, v)
-                self._direct[u][v] = g.port_of(u, nxt)
+        Raises:
+            ConstructionError: on an in-tree or out-tree edge missing
+                from the graph, a vertex cut off from a landmark,
+                unsorted direct entries, or a cluster-closure violation.
+        """
+        oracle = self._metric.oracle
+        g = oracle.graph
+        n = self._n = g.n
+        centers = np.asarray(self.assignment.centers, dtype=np.int64)
+        count = centers.shape[0]
+        vertex = np.arange(n, dtype=np.int64)
 
-        self._labels: List[R3Label] = []
-        for v in range(n):
-            c = self.assignment.home_center(v)
-            self._labels.append(
-                R3Label(dest=v, center=c, addr=self._out_trees[c].address_of(v))
+        # in-trees: each vertex's successor toward every landmark
+        in_succ = np.asarray(in_succ, dtype=np.int64)
+        if in_succ.shape != (count, n):
+            raise ConstructionError(
+                f"in-tree rows have shape {in_succ.shape}, expected {(count, n)}"
             )
+        tail = np.broadcast_to(vertex, in_succ.shape)
+        ptr = tail != centers[:, None]
+        in_port = np.full(in_succ.shape, -1, dtype=np.int64)
+        in_port[ptr] = edge_ports(g, tail[ptr], in_succ[ptr])
+        if (in_port[ptr] < 0).any():
+            ci, x = np.argwhere(ptr & (in_port < 0))[0]
+            raise ConstructionError(
+                f"in-tree edge ({x}, {in_succ[ci, x]}) toward landmark "
+                f"{centers[ci]} not present in the digraph"
+            )
+        self._in_succ = in_succ
+        self._in_port = in_port
+
+        # out-trees: the landmarks' canonical parent rows, numbered at once
+        parent = oracle.parent_rows(centers)
+        dfs, end = tree_intervals(g, parent, centers)
+        ci, x = np.nonzero(ptr)
+        p = parent[ci, x].astype(np.int64)
+        row_keys = (ci * n + p) * n + dfs[ci, x]
+        order = np.argsort(row_keys)
+        self._out_parent = parent
+        self._row_keys = row_keys[order]
+        self._row_hi = end[ci, x][order]
+        self._row_port = edge_ports(g, p, x)[order]
+
+        # direct entries
+        direct_keys = np.asarray(direct_keys, dtype=np.int64)
+        if (direct_keys[1:] <= direct_keys[:-1]).any():
+            raise ConstructionError("direct entries are not sorted by (u, v)")
+        check_cluster_closure(n, direct_keys, direct_next)
+        self._direct_keys = direct_keys
+        self._direct_next = np.asarray(direct_next, dtype=np.int64)
+        self._direct_port = np.asarray(direct_port, dtype=np.int64)
+
+        home = np.asarray(self.assignment._home, dtype=np.int64)
+        self._home_idx = np.searchsorted(centers, home)
+        self._labels: List[R3Label] = [
+            R3Label(dest=v, center=c, addr=TreeAddress(i, d))
+            for v, (c, i, d) in enumerate(zip(
+                home.tolist(),
+                self._home_idx.tolist(),
+                dfs[self._home_idx, vertex].tolist(),
+            ))
+        ]
+        # rows per node: direct entries, in-pointers, 2 + 3 per child
+        # row in every out-tree, and its own label
+        self._entries: List[int] = (
+            np.bincount(direct_keys // n, minlength=n)
+            + np.count_nonzero(in_port >= 0, axis=0)
+            + 2 * count
+            + 3 * np.bincount(p, minlength=n)
+            + 3
+        ).tolist()
 
     # ------------------------------------------------------------------
     @property
@@ -134,9 +210,16 @@ class RTZStretch3:
         the TINN dictionary layer."""
         return self._labels[v]
 
+    def _direct_at(self, u: int, v: int) -> int:
+        """Position of ``u``'s direct entry for ``v``, or ``-1``."""
+        key = u * self._n + v
+        keys = self._direct_keys
+        pos = keys.searchsorted(key)
+        return pos if pos < keys.shape[0] and keys.item(pos) == key else -1
+
     def has_direct(self, u: int, v: int) -> bool:
         """Whether ``u`` stores a direct next-hop for ``v``."""
-        return v in self._direct[u]
+        return self._direct_at(u, v) >= 0
 
     # ------------------------------------------------------------------
     # leg forwarding (pure local decisions)
@@ -171,23 +254,39 @@ class RTZStretch3:
         if at == label.dest:
             return None, mode
         if mode == DIRECT:
-            try:
-                return self._direct[at][label.dest], DIRECT
-            except KeyError as exc:
+            pos = self._direct_at(at, label.dest)
+            if pos < 0:
                 raise TableLookupError(
                     f"direct entry for {label.dest} missing at {at} "
                     "(cluster closure violated?)"
-                ) from exc
+                )
+            return self._direct_port.item(pos), DIRECT
+        tree = label.addr.tree_id
         if mode == TO_CENTER:
             if at == label.center:
                 mode = DOWN_TREE
             else:
-                return self._in_trees[label.center].next_port(at), TO_CENTER
+                port = self._in_port.item(tree, at)
+                if port < 0:
+                    raise TableLookupError(
+                        f"vertex {at} has no pointer toward root {label.center}"
+                    )
+                return port, TO_CENTER
         if mode == DOWN_TREE:
-            port = self._out_trees[label.center].next_port(at, label.addr)
-            if port is None:  # pragma: no cover - dest check above
-                return None, DOWN_TREE
-            return port, DOWN_TREE
+            # the child row at ``at`` whose interval holds the target
+            n = self._n
+            node = tree * n + at
+            dfs = label.addr.dfs
+            pos = self._row_keys.searchsorted(node * n + dfs, side="right") - 1
+            if (
+                pos < 0
+                or self._row_keys.item(pos) // n != node
+                or dfs >= self._row_hi.item(pos)
+            ):
+                raise TableLookupError(
+                    f"target dfs {dfs} not under vertex {at} in tree {tree}"
+                )
+            return self._row_port.item(pos), DOWN_TREE
         raise TableLookupError(f"unknown leg mode {mode!r}")
 
     def route_leg(self, x: int, y: int) -> List[int]:
@@ -220,37 +319,20 @@ class RTZStretch3:
         expensive or rng-dependent: the landmark set, the home-center
         assignment, and the two table families that needed shortest-path
         computations (in-tree successors from the in-tree kernel,
-        direct next-hop ports from the cluster scan).  Out-trees and
-        labels are *not* serialized — :meth:`from_arrays` re-derives
-        them from the oracle's canonical forward trees, which is cheap
-        and deterministic.
+        direct ports from the cluster scan, sorted by ``(u, v)``).
+        Out-trees and labels are *not* serialized — :meth:`from_arrays`
+        re-derives them from the oracle's canonical forward trees with
+        one :func:`~repro.tree_routing.fixed_port.tree_intervals` call.
         """
-        g = self._metric.oracle.graph
-        n = g.n
-        centers = self.assignment.centers
-        in_succ = np.full((len(centers), n), -1, dtype=np.int64)
-        for idx, c in enumerate(centers):
-            tree = self._in_trees[c]
-            for v in range(n):
-                port = tree.next_port(v) if v != c else None
-                if port is not None:
-                    in_succ[idx, v] = g.head_of_port(v, port)
-        direct_u: List[int] = []
-        direct_v: List[int] = []
-        direct_port: List[int] = []
-        for u in range(n):
-            for v, port in sorted(self._direct[u].items()):
-                direct_u.append(u)
-                direct_v.append(v)
-                direct_port.append(port)
+        n = self._n
         return {
-            "centers": np.asarray(centers, dtype=np.int64),
+            "centers": np.asarray(self.assignment.centers, dtype=np.int64),
             "home": np.asarray(self.assignment._home, dtype=np.int64),
             "r_to_a": np.asarray(self.assignment._r_to_a, dtype=np.float64),
-            "in_succ": in_succ,
-            "direct_u": np.asarray(direct_u, dtype=np.int64),
-            "direct_v": np.asarray(direct_v, dtype=np.int64),
-            "direct_port": np.asarray(direct_port, dtype=np.int64),
+            "in_succ": self._in_succ,
+            "direct_u": self._direct_keys // n,
+            "direct_v": self._direct_keys % n,
+            "direct_port": self._direct_port,
         }
 
     @classmethod
@@ -259,38 +341,34 @@ class RTZStretch3:
     ) -> "RTZStretch3":
         """Rehydrate a substrate from :meth:`to_arrays` output.
 
-        Skips every shortest-path computation the constructor performs
-        (the in-tree kernel and the O(n^2) cluster scan); only the
-        cheap deterministic derivations (out-tree DFS numbering,
-        labels) run.  The result is bit-identical to a fresh build.
+        Skips the in-tree kernel and the O(n^2) cluster scan; each
+        direct entry's next vertex is read back through its stored
+        port.  The out-tree intervals and labels are re-derived as the
+        constructor derives them, and the same checks run, so an
+        inconsistent entry raises :class:`ConstructionError` (the store
+        then quarantines it and rebuilds).  The result is bit-identical
+        to a fresh build.
         """
-        oracle = metric.oracle
-        g = oracle.graph
-        n = g.n
         self = cls.__new__(cls)
         self._metric = metric
-        centers = [int(c) for c in arrays["centers"]]
+        g = metric.oracle.graph
         self.assignment = CenterAssignment.restore(
-            metric, centers, arrays["home"], arrays["r_to_a"]
+            metric, arrays["centers"], arrays["home"], arrays["r_to_a"]
         )
-        self._in_trees = {}
-        self._out_trees = {}
-        in_succ = arrays["in_succ"]
-        for idx, c in enumerate(self.assignment.centers):
-            parents = oracle.forward_tree_parents(c)
-            self._out_trees[c] = OutTreeRouter(g, c, parents, tree_id=idx)
-            self._in_trees[c] = ToRootPointers(g, c, in_succ[idx].tolist())
-        self._direct = [dict() for _ in range(n)]
-        for u, v, port in zip(
-            arrays["direct_u"], arrays["direct_v"], arrays["direct_port"]
-        ):
-            self._direct[int(u)][int(v)] = int(port)
-        self._labels = []
-        for v in range(n):
-            c = self.assignment.home_center(v)
-            self._labels.append(
-                R3Label(dest=v, center=c, addr=self._out_trees[c].address_of(v))
+        u = np.asarray(arrays["direct_u"], dtype=np.int64)
+        port = np.asarray(arrays["direct_port"], dtype=np.int64)
+        nxt = port_heads(g, u, port)
+        if (nxt < 0).any():
+            i = int(np.flatnonzero(nxt < 0)[0])
+            raise ConstructionError(
+                f"stored direct port {port[i]} does not exist at vertex {u[i]}"
             )
+        self._build(
+            arrays["in_succ"],
+            u * g.n + np.asarray(arrays["direct_v"], dtype=np.int64),
+            nxt,
+            port,
+        )
         return self
 
     # ------------------------------------------------------------------
@@ -299,16 +377,10 @@ class RTZStretch3:
     def table_entries(self, u: int) -> int:
         """Rows stored at ``u``: direct entries, per-landmark pointers
         and interval rows, plus its own label."""
-        total = len(self._direct[u])
-        for c in self.assignment.centers:
-            total += self._in_trees[c].table_entries_at(u)
-            total += self._out_trees[c].table_entries_at(u)
-        total += 3  # own label (dest, center, addr)
-        return total
+        return self._entries[u]
 
     def expected_entry_bound(self) -> float:
         """The ``~O(sqrt(n))`` shape: ``c * sqrt(n) * log(n)`` with a
         generous constant, used by size benchmarks."""
         n = self._metric.n
         return 12.0 * math.sqrt(n) * max(1.0, math.log2(n))
-

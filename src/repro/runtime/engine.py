@@ -349,8 +349,11 @@ def compile_substrate_tables(
     """Compile an :class:`~repro.rtz.routing.RTZStretch3` substrate's
     three forwarding structures into step tables of the given family.
 
-    One walk of the substrate collects the direct and down-tree
-    entries; ``dense`` scatters them into ``(n, n)`` matrices and
+    Every table comes from the substrate's arrays: ``up_next`` is its
+    in-tree successor rows transposed, ``direct_next`` its direct
+    entries with their next vertices, and ``down_next`` one walk of
+    every ``v`` up its home landmark's parent row, all at once.
+    ``dense`` scatters the entries into ``(n, n)`` matrices and
     ``blocked`` packs them into sorted pair tables.  Both make
     identical decisions — the family only changes memory.
 
@@ -363,48 +366,37 @@ def compile_substrate_tables(
     cache = substrate.__dict__.setdefault("_compiled_step_tables", {})
     if tables in cache:
         return cache[tables]
-    g: Digraph = substrate.metric.oracle.graph
-    n = g.n
-    centers = substrate.centers
+    n = substrate.metric.n
+    home_idx = substrate._home_idx
+    centers = np.asarray(substrate.centers, dtype=np.int64)
+    home = centers[home_idx]
+    parent = substrate._out_parent
 
-    def direct():
-        for u in range(n):
-            ports = substrate._direct[u]
-            yield (
-                [u * n + v for v in ports],
-                [g.head_of_port(u, port) for port in ports.values()],
-            )
-
-    up_next = np.full((n, len(centers)), -1, dtype=np.int32)
-    for ci, c in enumerate(centers):
-        in_tree = substrate._in_trees[c]
-        for u in range(n):
-            if u == c:
-                continue
-            up_next[u, ci] = g.head_of_port(u, in_tree.next_port(u))
-
-    home = [substrate.assignment.home_center(v) for v in range(n)]
-    cindex = {c: i for i, c in enumerate(centers)}
-    parents = {
-        c: substrate.metric.oracle.forward_tree_parents(c) for c in centers
-    }
-
-    def down():
-        # Down-tree entries are only ever consulted on canonical
-        # center(v) -> v paths, so populate exactly those: walking up
-        # from v, each parent's entry toward v is the vertex below it.
-        for v, c in enumerate(home):
-            path = [v]
-            while path[-1] != c:
-                path.append(parents[c][path[-1]])
-            yield [p * n + v for p in path[1:]], path[:-1]
+    # Down-tree entries are only ever consulted on canonical
+    # center(v) -> v paths, so populate exactly those: walking up from
+    # v, each parent's entry toward v is the vertex below it.
+    at = np.arange(n, dtype=np.int64)
+    down_keys, down_next = [at[:0]], [at[:0]]
+    walking = np.flatnonzero(at != home)
+    while walking.size:
+        above = parent[home_idx[walking], at[walking]].astype(np.int64)
+        down_keys.append(above * n + walking)
+        down_next.append(at[walking])
+        at[walking] = above
+        walking = walking[above != home[walking]]
 
     step = cache[tables] = SubstrateStepTables(
-        _pack_pairs(n, direct(), tables, np.int32),
-        up_next,
-        _pack_pairs(n, down(), tables, np.int32),
-        np.array(home, dtype=np.int32),
-        np.array([cindex[c] for c in home], dtype=np.int32),
+        _pack_pairs(
+            n, [(substrate._direct_keys, substrate._direct_next)],
+            tables, np.int32,
+        ),
+        np.ascontiguousarray(substrate._in_succ.T, dtype=np.int32),
+        _pack_pairs(
+            n, [(np.concatenate(down_keys), np.concatenate(down_next))],
+            tables, np.int32,
+        ),
+        home.astype(np.int32),
+        home_idx.astype(np.int32),
     )
     return step
 

@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+import numpy as np
+
 from repro.api.registry import register_scheme
+from repro.graph.blocked import default_block_rows
+from repro.graph.csr import edge_ports
 from repro.graph.digraph import Digraph
 from repro.graph.shortest_paths import DistanceOracle
 from repro.naming.permutation import Naming
@@ -38,14 +42,19 @@ class ShortestPathScheme(RoutingScheme):
         self._oracle = oracle
         self._naming = naming
         g = oracle.graph
-        # table[u][dest_name] = port
-        self._table: List[Dict[int, int]] = [dict() for _ in range(g.n)]
-        for u in range(g.n):
-            for t in range(g.n):
-                if u == t:
-                    continue
-                nxt = oracle.next_hop(u, t)
-                self._table[u][naming.name_of(t)] = g.port_of(u, nxt)
+        n = g.n
+        names = [naming.name_of(t) for t in range(n)]
+        # table[u][dest_name] = port of the first hop, one row block of
+        # the first-hop matrix at a time
+        self._table: List[Dict[int, int]] = []
+        step = default_block_rows(n)
+        for lo in range(0, n, step):
+            first = oracle.first_hop_block(lo, min(n, lo + step))
+            tails = np.repeat(np.arange(lo, lo + first.shape[0]), n)
+            ports = edge_ports(g, tails, first.reshape(-1))
+            for u, row in enumerate(ports.reshape(first.shape).tolist(), lo):
+                del row[u]
+                self._table.append(dict(zip(names[:u] + names[u + 1:], row)))
 
     @property
     def graph(self) -> Digraph:
@@ -84,8 +93,6 @@ class ShortestPathScheme(RoutingScheme):
     def compile_tables(self, tables: str = "dense"):
         """Next-hop tables: one leg per direction, headers of constant
         shape (``mode``/``dest``/``src``)."""
-        import numpy as np
-
         from repro.runtime.engine import (
             CompiledRoutes,
             JourneyPlan,

@@ -5,6 +5,13 @@ from repro.tree_routing.fixed_port import (
     ToRootPointers,
     TreeAddress,
     build_out_tree,
+    tree_intervals,
 )
 
-__all__ = ["OutTreeRouter", "ToRootPointers", "TreeAddress", "build_out_tree"]
+__all__ = [
+    "OutTreeRouter",
+    "ToRootPointers",
+    "TreeAddress",
+    "build_out_tree",
+    "tree_intervals",
+]

@@ -23,6 +23,11 @@ the companion *in-structure* is simply a next-hop pointer per node
 toward the root (used to route node -> root), built from shortest
 paths into the root.  :class:`DoubleTreeRouter` in
 ``repro.covers.double_tree`` combines the two.
+
+:func:`tree_intervals` numbers many spanning out-trees at once with
+array operations, exactly as :class:`OutTreeRouter` numbers each one;
+the Lemma 2 substrate (:mod:`repro.rtz.routing`) builds its landmark
+out-trees with it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.exceptions import ConstructionError, TableLookupError
+from repro.graph.csr import edge_ports
 from repro.graph.digraph import Digraph
 
 
@@ -231,6 +239,93 @@ class OutTreeRouter:
         if table is None:
             return 0
         return 2 + 3 * len(table.child_rows)
+
+
+def _root_path_sums(
+    up: np.ndarray, child: np.ndarray, weight: np.ndarray
+) -> np.ndarray:
+    """Sum of ``weight`` over each flat vertex and its ancestors below
+    the root, by pointer jumping (``up`` maps a root, the one vertex
+    that is not a ``child``, to itself; its weight is 0).
+
+    Raises:
+        ConstructionError: if some vertex never reaches a root, which
+            means the parent structure has a cycle.
+    """
+    total = weight.copy()
+    for _ in range(up.shape[0].bit_length() + 1):
+        if not child[up].any():
+            return total
+        total += total[up]
+        up = up[up]
+    raise ConstructionError("parent structure contains a cycle")
+
+
+def tree_intervals(
+    g: Digraph, parent_rows, roots
+) -> Tuple[np.ndarray, np.ndarray]:
+    """DFS intervals of ``T`` spanning out-trees, all at once.
+
+    Row ``t`` of ``parent_rows`` is an out-tree over every vertex of
+    ``g`` rooted at ``roots[t]`` (``-1`` at the root).  Returns the
+    ``(T, n)`` int64 DFS entry numbers and exclusive subtree ends,
+    children visited in ascending vertex order: exactly
+    :meth:`OutTreeRouter.dfs_numbers` and the ``[lo, hi)`` of its
+    :meth:`~OutTreeRouter.interval_rows`.
+
+    The trees are numbered together: depths by pointer jumping, subtree
+    sizes by one ``np.add.at`` per depth level (deepest first), each
+    child's offset among its siblings by an exclusive cumulative sum in
+    ``(tree, parent, child)`` order, and entry numbers as sums of
+    ``1 + offset`` along every root path.
+
+    Raises:
+        ConstructionError: if a parent edge is missing from ``g``, a
+            vertex is cut off from its root, or the parents form a
+            cycle (:class:`OutTreeRouter`'s checks).
+    """
+    parent = np.asarray(parent_rows, dtype=np.int64)
+    roots = np.asarray(roots, dtype=np.int64).reshape(-1)
+    trees, n = parent.shape
+    vertex = np.tile(np.arange(n, dtype=np.int64), trees)
+    base = np.repeat(np.arange(trees, dtype=np.int64) * n, n)
+    par = parent.reshape(-1)
+    child = vertex != np.repeat(roots, n)
+    cut = child & (par < 0)
+    if cut.any():
+        v = int(np.flatnonzero(cut)[0])
+        raise ConstructionError(
+            f"vertex {v % n} is cut off from root {int(roots[v // n])}"
+        )
+    missing = edge_ports(g, par[child], vertex[child]) < 0
+    if missing.any():
+        v = int(np.flatnonzero(child)[np.flatnonzero(missing)[0]])
+        raise ConstructionError(
+            f"tree edge ({int(par[v])}, {v % n}) not present in the digraph"
+        )
+    # flat parent index; a root points at itself
+    up = base + np.where(child, par, vertex)
+    depth = _root_path_sums(up, child, child.astype(np.int64))
+    # subtree sizes, deepest level first
+    by_depth = np.argsort(depth, kind="stable")
+    starts = np.searchsorted(depth[by_depth], np.arange(int(depth.max()) + 2))
+    size = np.ones(trees * n, dtype=np.int64)
+    for level in range(starts.shape[0] - 2, 0, -1):
+        idx = by_depth[starts[level]:starts[level + 1]]
+        np.add.at(size, up[idx], size[idx])
+    # siblings in ascending vertex order: the flat order is (tree,
+    # vertex), so a stable sort by parent gives (tree, parent, child)
+    kids = np.flatnonzero(child)
+    kids = kids[np.argsort(up[kids], kind="stable")]
+    sizes = size[kids]
+    before = np.cumsum(sizes) - sizes
+    first = np.ones(kids.shape[0], dtype=bool)
+    first[1:] = up[kids[1:]] != up[kids[:-1]]
+    group = np.maximum.accumulate(np.where(first, np.arange(kids.shape[0]), 0))
+    step = np.zeros(trees * n, dtype=np.int64)
+    step[kids] = 1 + before - before[group]
+    dfs = _root_path_sums(up, child, step)
+    return dfs.reshape(trees, n), (dfs + size).reshape(trees, n)
 
 
 def build_out_tree(

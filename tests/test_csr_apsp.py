@@ -21,7 +21,7 @@ from repro.graph.apsp import (
     min_distances,
     vectorized_engine_supported,
 )
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, edge_ports, port_heads
 from repro.graph.digraph import Digraph
 from repro.graph.generators import (
     bidirected_torus,
@@ -285,3 +285,35 @@ def test_pair_weights_match_digraph():
             assert w[u, v] == wt  # exact float identity
             edges += 1
     assert np.isnan(w).sum() == g.n * g.n - edges
+
+
+class TestPortLookups:
+    """``edge_ports`` / ``port_heads`` against ``Digraph.port_of`` /
+    ``head_of_port`` (adversarial port numbers, every pair)."""
+
+    def test_match_scalar_lookups(self):
+        g = Digraph(6)
+        rng = random.Random(3)
+        for tail in range(6):
+            for head in rng.sample([h for h in range(6) if h != tail], 3):
+                g.add_edge(tail, head, 1.0)
+        g.freeze(port_rng=random.Random(4))
+        tails, heads = np.divmod(np.arange(-6, 48), 6)
+        want = [
+            g.port_of(t, h) if 0 <= t < 6 and g.has_edge(t, h) else -1
+            for t, h in zip(tails.tolist(), heads.tolist())
+        ]
+        assert edge_ports(g, tails, heads).tolist() == want
+        top = max(max(g.ports(u)) for u in range(6)) + 3
+        tails, ports = np.divmod(np.arange(-top, 7 * top), top)
+        ports -= 1
+        want = [
+            g.head_of_port(t, p) if 0 <= t < 6 and p in g.ports(t) else -1
+            for t, p in zip(tails.tolist(), ports.tolist())
+        ]
+        assert port_heads(g, tails, ports).tolist() == want
+
+    def test_edgeless_graph(self):
+        g = Digraph(1).freeze()
+        assert edge_ports(g, [0], [0]).tolist() == [-1]
+        assert port_heads(g, [0], [0]).tolist() == [-1]

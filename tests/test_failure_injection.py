@@ -64,7 +64,11 @@ class TestCorruptedTables:
                 path = inst.oracle.path(u, v)
                 if len(path) > 2:
                     mid = path[1]
-                    del rtz._direct[mid][v]
+                    # the direct table is three aligned arrays sorted
+                    # by (u, v); drop mid's entry for v from all three
+                    keep = rtz._direct_keys != mid * inst.graph.n + v
+                    for name in ("_direct_keys", "_direct_next", "_direct_port"):
+                        setattr(rtz, name, getattr(rtz, name)[keep])
                     with pytest.raises(TableLookupError):
                         rtz.route_leg(u, v)
                     return

@@ -2,23 +2,47 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from typing import Dict, List
 
+import numpy as np
 import pytest
 
-from repro.exceptions import ConstructionError
+import repro
+from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.generators import (
+    FAMILY_NAMES,
     asymmetric_torus,
     bidirected_torus,
     directed_cycle,
     random_dht_overlay,
     random_strongly_connected,
+    standard_family,
 )
 from repro.graph.roundtrip import RoundtripMetric
 from repro.graph.shortest_paths import DistanceOracle, path_length
-from repro.rtz.centers import CenterAssignment, sample_centers
-from repro.rtz.routing import RTZStretch3
+from repro.rtz.centers import (
+    CenterAssignment,
+    check_cluster_closure,
+    sample_centers,
+)
+from repro.rtz.routing import (
+    DIRECT,
+    DOWN_TREE,
+    TO_CENTER,
+    R3Label,
+    RTZStretch3,
+)
 from repro.rtz.spanner import HandshakeSpanner
+from repro.runtime.engine import (
+    SubstrateStepTables,
+    _pack_pairs,
+    compile_substrate_tables,
+)
+from repro.tree_routing.fixed_port import OutTreeRouter, ToRootPointers
 
 
 def make_metric(g) -> RoundtripMetric:
@@ -292,3 +316,307 @@ class TestHandshakeSpanner:
         metric = metric_for(12, 160)
         sp = HandshakeSpanner(metric, k=2)
         assert sum(sp.table_entries(v) for v in range(12)) > 0
+
+
+# ----------------------------------------------------------------------
+# the array-built substrate against its scalar definition
+# ----------------------------------------------------------------------
+class ScalarRTZ:
+    """The Lemma 2 substrate built one entry at a time: per-landmark
+    :class:`OutTreeRouter` / :class:`ToRootPointers`, clusters from
+    their scalar definition, one ``next_hop`` + ``port_of`` per direct
+    entry and one label per vertex — the reference the array build in
+    :class:`RTZStretch3` must reproduce bit for bit."""
+
+    def __init__(self, metric, rng=None, center_count=None):
+        oracle = metric.oracle
+        g = oracle.graph
+        n = g.n
+        self.metric = metric
+        self.assignment = CenterAssignment(
+            metric, sample_centers(n, rng, center_count)
+        )
+        centers = self.assignment.centers
+        self.in_trees: Dict[int, ToRootPointers] = {}
+        self.out_trees: Dict[int, OutTreeRouter] = {}
+        in_rows = oracle.in_tree_rows(centers).tolist()
+        for idx, (c, succ) in enumerate(zip(centers, in_rows)):
+            parents = oracle.forward_tree_parents(c)
+            self.out_trees[c] = OutTreeRouter(g, c, parents, tree_id=idx)
+            self.in_trees[c] = ToRootPointers(g, c, succ)
+        self.direct: List[Dict[int, int]] = [dict() for _ in range(n)]
+        for v in range(n):
+            bound = self.assignment.r_to_centers(v) - 1e-12
+            for u in range(n):
+                if u != v and metric.r(u, v) < bound:
+                    self.direct[u][v] = g.port_of(u, oracle.next_hop(u, v))
+        self.labels = []
+        for v in range(n):
+            c = self.assignment.home_center(v)
+            self.labels.append(
+                R3Label(dest=v, center=c, addr=self.out_trees[c].address_of(v))
+            )
+
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        g = self.metric.oracle.graph
+        n = g.n
+        centers = self.assignment.centers
+        in_succ = np.full((len(centers), n), -1, dtype=np.int64)
+        for idx, c in enumerate(centers):
+            for v in range(n):
+                port = self.in_trees[c].next_port(v) if v != c else None
+                if port is not None:
+                    in_succ[idx, v] = g.head_of_port(v, port)
+        rows = [
+            (u, v, port)
+            for u in range(n)
+            for v, port in sorted(self.direct[u].items())
+        ]
+        direct = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+        return {
+            "centers": np.asarray(centers, dtype=np.int64),
+            "home": np.asarray(self.assignment._home, dtype=np.int64),
+            "r_to_a": np.asarray(self.assignment._r_to_a, dtype=np.float64),
+            "in_succ": in_succ,
+            "direct_u": direct[:, 0].copy(),
+            "direct_v": direct[:, 1].copy(),
+            "direct_port": direct[:, 2].copy(),
+        }
+
+    def table_entries(self, u: int) -> int:
+        total = len(self.direct[u])
+        for c in self.assignment.centers:
+            total += self.in_trees[c].table_entries_at(u)
+            total += self.out_trees[c].table_entries_at(u)
+        return total + 3
+
+    def route_leg(self, x: int, y: int) -> List[int]:
+        g = self.metric.oracle.graph
+        label = self.labels[y]
+        if x == y or y in self.direct[x]:
+            mode = DIRECT
+        elif x == label.center:
+            mode = DOWN_TREE
+        else:
+            mode = TO_CENTER
+        at, path = x, [x]
+        while at != y:
+            if mode == DIRECT:
+                port = self.direct[at][y]
+            elif mode == TO_CENTER and at != label.center:
+                port = self.in_trees[label.center].next_port(at)
+            else:
+                mode = DOWN_TREE
+                port = self.out_trees[label.center].next_port(at, label.addr)
+            at = g.head_of_port(at, port)
+            path.append(at)
+        return path
+
+    def compile(self, tables: str) -> SubstrateStepTables:
+        """The per-vertex compile walk the array compile replaces."""
+        g = self.metric.oracle.graph
+        n = g.n
+        centers = self.assignment.centers
+
+        def direct():
+            for u in range(n):
+                ports = self.direct[u]
+                yield (
+                    [u * n + v for v in ports],
+                    [g.head_of_port(u, port) for port in ports.values()],
+                )
+
+        up_next = np.full((n, len(centers)), -1, dtype=np.int32)
+        for ci, c in enumerate(centers):
+            for u in range(n):
+                if u != c:
+                    up_next[u, ci] = g.head_of_port(
+                        u, self.in_trees[c].next_port(u)
+                    )
+        home = [self.assignment.home_center(v) for v in range(n)]
+        cindex = {c: i for i, c in enumerate(centers)}
+        parents = {
+            c: self.metric.oracle.forward_tree_parents(c) for c in centers
+        }
+
+        def down():
+            for v, c in enumerate(home):
+                path = [v]
+                while path[-1] != c:
+                    path.append(parents[c][path[-1]])
+                yield [p * n + v for p in path[1:]], path[:-1]
+
+        return SubstrateStepTables(
+            _pack_pairs(n, direct(), tables, np.int32),
+            up_next,
+            _pack_pairs(n, down(), tables, np.int32),
+            np.array(home, dtype=np.int32),
+            np.array([cindex[c] for c in home], dtype=np.int32),
+        )
+
+
+def assert_same_arrays(got: Dict[str, np.ndarray], want: Dict[str, np.ndarray]):
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert np.array_equal(got[key], want[key]), key
+
+
+def assert_matches_reference(rtz: RTZStretch3, ref: ScalarRTZ) -> None:
+    n = rtz.metric.n
+    assert_same_arrays(rtz.to_arrays(), ref.to_arrays())
+    labels = [rtz.label(v) for v in range(n)]
+    assert labels == ref.labels
+    assert repr(labels) == repr(ref.labels)  # plain ints, not numpy scalars
+    assert [rtz.table_entries(v) for v in range(n)] == [
+        ref.table_entries(v) for v in range(n)
+    ]
+    for x in range(n):
+        for y in range(n):
+            assert rtz.has_direct(x, y) == (y in ref.direct[x])
+            assert rtz.route_leg(x, y) == ref.route_leg(x, y), (x, y)
+    for tables in ("dense", "blocked"):
+        assert_same_arrays(
+            compile_substrate_tables(rtz, tables).arrays(),
+            ref.compile(tables).arrays(),
+        )
+
+
+def family_metric(family: str, seed: int, n: int = 30) -> RoundtripMetric:
+    return make_metric(standard_family(family, n, seed=seed))
+
+
+class TestArraySubstrate:
+    @pytest.mark.parametrize("seed", range(1, 4))
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_matches_scalar_reference(self, family: str, seed: int):
+        metric = family_metric(family, seed)
+        assert_matches_reference(
+            RTZStretch3(metric, random.Random(seed)),
+            ScalarRTZ(metric, random.Random(seed)),
+        )
+
+    @pytest.mark.parametrize("family", ["random", "cycle", "torus"])
+    @pytest.mark.parametrize("count", ["one", "all"])
+    def test_one_and_all_landmarks(self, family: str, count: str):
+        metric = family_metric(family, 2)
+        center_count = 1 if count == "one" else metric.n
+        assert_matches_reference(
+            RTZStretch3(metric, random.Random(5), center_count=center_count),
+            ScalarRTZ(metric, random.Random(5), center_count=center_count),
+        )
+
+    def test_split_row_blocks(self, monkeypatch):
+        import repro.graph.blocked as blocked
+
+        metric = family_metric("scale-free", 1)
+        ref = ScalarRTZ(metric, random.Random(7))
+        # about 3 rows per block of the cluster scan
+        monkeypatch.setattr(blocked, "_BLOCK_ELEMS", 3 * metric.n)
+        assert blocked.default_block_rows(metric.n) == 3
+        assert_matches_reference(RTZStretch3(metric, random.Random(7)), ref)
+
+    @pytest.mark.parametrize("family", ["random", "cycle", "asym-torus"])
+    def test_rehydrate_equals_fresh_build(self, family: str):
+        metric = family_metric(family, 3)
+        fresh = RTZStretch3(metric, random.Random(4))
+        stored = {k: v.copy() for k, v in fresh.to_arrays().items()}
+        again = RTZStretch3.from_arrays(metric, stored)
+        assert_matches_reference(again, ScalarRTZ(metric, random.Random(4)))
+
+    def test_missing_landmark_pointer_is_a_lookup_error(self):
+        metric = family_metric("random", 1)
+        rtz = RTZStretch3(metric, random.Random(1))
+        label = rtz.label(0)
+        x = next(v for v in range(1, metric.n)
+                 if v != label.center and not rtz.has_direct(v, 0))
+        rtz._in_port = rtz._in_port.copy()
+        rtz._in_port[label.addr.tree_id, x] = -1
+        with pytest.raises(TableLookupError):
+            rtz.route_leg(x, 0)
+
+
+def drop_closing_entry(rtz: RTZStretch3) -> Dict[str, np.ndarray]:
+    """``rtz.to_arrays()`` without one direct entry that another entry
+    forwards through, so the stored table is no longer closed."""
+    n = rtz.metric.n
+    keys, nxt = rtz._direct_keys, rtz._direct_next
+    onward = np.flatnonzero(nxt != keys % n)
+    assert onward.size, "no multi-hop direct entry to break"
+    i = int(onward[0])
+    j = int(np.searchsorted(keys, nxt[i] * n + keys[i] % n))
+    return {
+        k: np.delete(v, j) if k.startswith("direct_") else v
+        for k, v in rtz.to_arrays().items()
+    }
+
+
+class TestClusterClosureCheck:
+    def test_build_checks_closure(self, monkeypatch):
+        import repro.rtz.routing as routing
+
+        calls = []
+        monkeypatch.setattr(
+            routing, "check_cluster_closure",
+            lambda *a: calls.append(a) or check_cluster_closure(*a),
+        )
+        metric = family_metric("random", 1)
+        rtz = RTZStretch3(metric, random.Random(2))
+        RTZStretch3.from_arrays(metric, rtz.to_arrays())
+        assert len(calls) == 2
+
+    def test_removed_entry_raises(self):
+        metric = family_metric("random", 1)
+        rtz = RTZStretch3(metric, random.Random(2))
+        with pytest.raises(ConstructionError, match="cluster closure"):
+            RTZStretch3.from_arrays(metric, drop_closing_entry(rtz))
+
+    def test_unsorted_entries_rejected(self):
+        metric = family_metric("random", 1)
+        arrays = RTZStretch3(metric, random.Random(2)).to_arrays()
+        for key in ("direct_u", "direct_v", "direct_port"):
+            arrays[key] = arrays[key][::-1].copy()
+        with pytest.raises(ConstructionError, match="sorted"):
+            RTZStretch3.from_arrays(metric, arrays)
+
+    def test_unknown_direct_port_rejected(self):
+        metric = family_metric("random", 1)
+        g = metric.oracle.graph
+        arrays = RTZStretch3(metric, random.Random(2)).to_arrays()
+        u = int(arrays["direct_u"][0])
+        arrays["direct_port"] = arrays["direct_port"].copy()
+        arrays["direct_port"][0] = max(g.ports(u)) + 1
+        with pytest.raises(ConstructionError, match="does not exist"):
+            RTZStretch3.from_arrays(metric, arrays)
+
+    def test_check_survives_python_O(self):
+        # ``python -O`` strips asserts; the closure check must still run.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, REPRO_STORE="off")
+        code = (
+            "import random\n"
+            "import numpy as np\n"
+            "from repro.exceptions import ConstructionError\n"
+            "from repro.graph.generators import standard_family\n"
+            "from repro.graph.roundtrip import RoundtripMetric\n"
+            "from repro.graph.shortest_paths import DistanceOracle\n"
+            "from repro.rtz.routing import RTZStretch3\n"
+            "metric = RoundtripMetric(DistanceOracle(standard_family('random', 30, seed=1)))\n"
+            "rtz = RTZStretch3(metric, random.Random(2))\n"
+            "n = metric.n\n"
+            "keys, nxt = rtz._direct_keys, rtz._direct_next\n"
+            "i = int(np.flatnonzero(nxt != keys % n)[0])\n"
+            "j = int(np.searchsorted(keys, nxt[i] * n + keys[i] % n))\n"
+            "arrays = {k: np.delete(v, j) if k.startswith('direct_') else v\n"
+            "          for k, v in rtz.to_arrays().items()}\n"
+            "try:\n"
+            "    RTZStretch3.from_arrays(metric, arrays)\n"
+            "except ConstructionError:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"

@@ -7,8 +7,10 @@ import random
 import pytest
 
 from repro.graph.generators import (
+    FAMILY_NAMES,
     directed_cycle,
     random_strongly_connected,
+    standard_family,
 )
 from repro.graph.roundtrip import RoundtripMetric
 from repro.graph.shortest_paths import DistanceOracle
@@ -82,3 +84,44 @@ class TestRTZBaseline:
         rtz = RTZStretch3(metric, random.Random(0))
         scheme = RTZBaselineScheme(metric, identity_naming(12), substrate=rtz)
         assert scheme.rtz is rtz
+
+
+class TestShortestPathTables:
+    """The first-hop-row build against the per-pair loop it replaces."""
+
+    @staticmethod
+    def scalar_tables(oracle, naming):
+        g = oracle.graph
+        return [
+            {
+                naming.name_of(t): g.port_of(u, oracle.next_hop(u, t))
+                for t in range(g.n)
+                if t != u
+            }
+            for u in range(g.n)
+        ]
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got == want
+        assert [list(row) for row in got] == [list(row) for row in want]
+
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_table_equals_next_hop_loop(self, family: str):
+        g = standard_family(family, 30, seed=1)
+        oracle = DistanceOracle(g)
+        naming = random_naming(g.n, random.Random(3))
+        self.assert_same(
+            ShortestPathScheme(oracle, naming)._table,
+            self.scalar_tables(oracle, naming),
+        )
+
+    def test_split_row_blocks(self, monkeypatch):
+        import repro.graph.blocked as blocked
+
+        g = random_strongly_connected(29, rng=random.Random(2))
+        oracle = DistanceOracle(g)
+        naming = random_naming(g.n, random.Random(4))
+        want = self.scalar_tables(oracle, naming)
+        monkeypatch.setattr(blocked, "_BLOCK_ELEMS", 4 * g.n)
+        self.assert_same(ShortestPathScheme(oracle, naming)._table, want)

@@ -11,8 +11,10 @@ import pytest
 from repro.exceptions import GraphError, NotStronglyConnectedError
 from repro.graph.digraph import Digraph
 from repro.graph.generators import (
+    FAMILY_NAMES,
     directed_cycle,
     random_strongly_connected,
+    standard_family,
 )
 from repro.graph.shortest_paths import (
     DistanceOracle,
@@ -247,3 +249,78 @@ class TestDistanceOracle:
             for v in range(6):
                 if u != v:
                     assert first[u, v] == (u + 1) % 6
+
+
+class TestParentMatrix:
+    """The oracle's canonical out-trees are one read-only ``(n, n)``
+    int32 matrix, whichever constructor made it."""
+
+    @staticmethod
+    def assert_read_only_int32(oracle: DistanceOracle) -> None:
+        parent = oracle._parent
+        assert parent.dtype == np.int32
+        assert parent.shape == (oracle.n, oracle.n)
+        assert not parent.flags.writeable
+        with pytest.raises(ValueError):
+            parent[0, 0] = 0
+
+    def test_every_constructor(self, small_random: Digraph):
+        vec = DistanceOracle(small_random, engine="vectorized")
+        ref = DistanceOracle(small_random, engine="python")
+        int64 = DistanceOracle.from_arrays(
+            small_random, vec.d_matrix, vec.parent_matrix()
+        )
+        for oracle in (vec, ref, int64):
+            self.assert_read_only_int32(oracle)
+            assert np.array_equal(oracle._parent, vec._parent)
+        assert vec.parent_matrix().dtype == np.int64
+        assert vec.forward_tree_parents(3) == vec.parent_matrix()[3].tolist()
+
+    def test_from_arrays_leaves_caller_array_writeable(
+        self, small_random: Digraph
+    ):
+        vec = DistanceOracle(small_random)
+        mine = vec.parent_matrix().astype(np.int32)
+        oracle = DistanceOracle.from_arrays(small_random, vec.d_matrix, mine)
+        assert np.shares_memory(oracle._parent, mine)
+        assert mine.flags.writeable
+        self.assert_read_only_int32(oracle)
+
+    def test_store_blob_is_not_copied(self, tmp_path, small_random: Digraph):
+        from repro.api.artifacts import get_artifact_spec
+        from repro.api.network import Network
+        from repro.store import ArtifactStore
+
+        store = ArtifactStore(tmp_path / "store")
+        Network(small_random, store=store).oracle()
+        net = Network(small_random, store=store)
+        entry = store.get(get_artifact_spec("oracle").store_key(net, {}))
+        assert isinstance(entry.arrays["parent"], np.memmap)
+        oracle = get_artifact_spec("oracle").load(net, entry)
+        assert np.shares_memory(oracle._parent, entry.arrays["parent"])
+        self.assert_read_only_int32(oracle)
+
+
+def list_walk_path(parents, u: int, v: int) -> list:
+    """Today's path walk over one tree's parents as a Python list."""
+    path = [v]
+    while path[-1] != u:
+        path.append(parents[path[-1]])
+    path.reverse()
+    return path
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_path_and_next_hop_equal_list_walk(family: str):
+    oracle = DistanceOracle(standard_family(family, 24, seed=2))
+    n = oracle.n
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    for u, v in pairs:
+        path = list_walk_path(oracle.forward_tree_parents(u), u, v)
+        assert oracle.path(u, v) == path
+        assert oracle.next_hop(u, v) == path[1]
+        assert all(type(x) is int for x in oracle.path(u, v))
+    u, v = np.array(pairs).T
+    hops = oracle.next_hops(u, v)
+    assert hops.tolist() == [oracle.next_hop(a, b) for a, b in pairs]
+    assert oracle.next_hops(u[:0], v[:0]).shape == (0,)

@@ -382,6 +382,40 @@ class TestNetworkStoreTier:
         assert store.quarantined == 1
         assert oracle.d_matrix.shape == (graph.n, graph.n)
 
+    @pytest.mark.parametrize("corrupt", ["in_succ", "direct_port"])
+    def test_inconsistent_rtz_entry_quarantined_and_rebuilt(
+        self, graph, store, corrupt
+    ):
+        n = graph.n
+        pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+        cold = Network(graph, seed=3, store=None).router("rtz")
+        want = [(r.cost, r.hops, r.trace.outbound.path, r.trace.inbound.path)
+                for r in cold.route_many(pairs)]
+        Network(graph, seed=3, store=store).rtz()
+        net = Network(graph, seed=3, store=store)
+        spec = get_artifact_spec("rtz")
+        key = spec.store_key(net, spec.validate_params({}))
+        entry = store.get(key)
+        # valid checksum, inconsistent with the graph: re-put the entry
+        # with one table entry no edge or port backs
+        arrays = {k: np.array(v) for k, v in entry.arrays.items()}
+        if corrupt == "in_succ":
+            centers = set(arrays["centers"].tolist())
+            v = next(x for x in range(n) if x not in centers)
+            arrays["in_succ"][0, v] = next(
+                x for x in range(n) if x != v and not graph.has_edge(v, x)
+            )
+        else:
+            u = int(arrays["direct_u"][0])
+            arrays["direct_port"][0] = max(graph.ports(u)) + 1
+        store.put(key, arrays, meta=entry.manifest["meta"])
+        got = [(r.cost, r.hops, r.trace.outbound.path, r.trace.inbound.path)
+               for r in net.router("rtz").route_many(pairs)]
+        counters = net.stats().cache.as_dict()["rtz"]
+        assert store.quarantined == 1
+        assert (counters["builds"], counters["store_hits"]) == (1, 0)
+        assert got == want
+
     def test_seed_enters_keys_except_oracle(self, graph, store):
         a = Network(graph, seed=1, store=store)
         b = Network(graph, seed=2, store=store)

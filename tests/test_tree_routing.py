@@ -4,17 +4,24 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.digraph import Digraph
-from repro.graph.generators import random_strongly_connected
+from repro.graph.generators import (
+    FAMILY_NAMES,
+    bidirected_torus,
+    random_strongly_connected,
+    standard_family,
+)
 from repro.graph.shortest_paths import DistanceOracle, dijkstra
 from repro.tree_routing.fixed_port import (
     OutTreeRouter,
     ToRootPointers,
     TreeAddress,
     build_out_tree,
+    tree_intervals,
 )
 
 
@@ -209,3 +216,70 @@ class TestToRootPointers:
         pointers = ToRootPointers(g, 0, shortest_path_in_pointers(g, 0))
         assert pointers.table_entries_at(0) == 0
         assert all(pointers.table_entries_at(v) == 1 for v in range(1, 10))
+
+
+def _triangle_with_chords() -> Digraph:
+    g = Digraph(4)
+    for tail, head in ((0, 1), (1, 2), (2, 1), (1, 0), (2, 3), (3, 0)):
+        g.add_edge(tail, head, 1.0)
+    return g.freeze()
+
+
+class TestTreeIntervals:
+    """The batched kernel against :class:`OutTreeRouter`, the scalar
+    DFS numbering it replaces."""
+
+    @staticmethod
+    def assert_matches_routers(g: Digraph) -> None:
+        oracle = DistanceOracle(g)
+        roots = np.arange(g.n)
+        parent = oracle.parent_rows(roots)
+        dfs, end = tree_intervals(g, parent, roots)
+        assert dfs.shape == end.shape == (g.n, g.n)
+        for root in range(g.n):
+            tree = OutTreeRouter(g, root, parent[root].tolist(), tree_id=root)
+            assert dict(enumerate(dfs[root].tolist())) == tree.dfs_numbers()
+            rows = sorted(
+                (p, dfs[root, v], end[root, v], g.port_of(p, v))
+                for v, p in enumerate(parent[root].tolist())
+                if v != root
+            )
+            assert rows == sorted(tree.interval_rows())
+            assert end[root, root] == g.n
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_matches_out_tree_router(self, family: str, seed: int):
+        self.assert_matches_routers(standard_family(family, 30, seed=seed))
+
+    def test_matches_on_unit_weight_torus(self):
+        # every tie in the torus is broken by the canonical parents
+        self.assert_matches_routers(bidirected_torus(5, 6))
+
+    def test_single_vertex(self):
+        g = Digraph(1).freeze()
+        dfs, end = tree_intervals(g, [[-1]], [0])
+        assert dfs.tolist() == [[0]] and end.tolist() == [[1]]
+
+    def test_cycle_rejected(self):
+        g = _triangle_with_chords()
+        # 1 and 2 point at each other; neither reaches root 0
+        with pytest.raises(ConstructionError, match="cycle"):
+            tree_intervals(g, [[-1, 2, 1, 2]], [0])
+
+    def test_cut_off_vertex_rejected(self):
+        g = _triangle_with_chords()
+        with pytest.raises(ConstructionError, match="cut off"):
+            tree_intervals(g, [[-1, 0, 1, -1]], [0])
+
+    def test_missing_edge_rejected(self):
+        g = _triangle_with_chords()
+        # (0, 2) is not an edge of g
+        with pytest.raises(ConstructionError, match=r"\(0, 2\)"):
+            tree_intervals(g, [[-1, 0, 0, 2]], [0])
+
+    def test_second_tree_checked_too(self):
+        g = _triangle_with_chords()
+        good = [-1, 0, 1, 2]
+        with pytest.raises(ConstructionError, match="cut off from root 1"):
+            tree_intervals(g, [good, [-1, -1, 1, 2]], [0, 1])
