@@ -15,14 +15,16 @@ stretch-6 tables from those arrays.  Every in-tree (the substrate's
 landmarks, the cover hierarchy's roots) comes from one
 :meth:`~repro.graph.shortest_paths.DistanceOracle.in_tree_rows` call,
 the substrate's landmark out-trees from one
-:func:`~repro.tree_routing.fixed_port.tree_intervals` call, its direct
-entries from one cluster scan and one parent-row walk, and the
-ExStretch tables from the hierarchy's best-tree matrix.  The substrate
-line breaks down into those out-tree intervals and direct entries;
-its compile into step tables is a stage of its own.  What stays
-Python is the PartialCover rounds, one ``OutTreeRouter`` per double
-tree and one ``R2Label`` object per ExStretch table entry, so at
-n = 1024 the APSP dominates the stretch-6 pipeline.
+:func:`~repro.tree_routing.fixed_port.tree_intervals` call, and its
+direct entries from one cluster scan and one parent-row walk.  The
+ExStretch tables are two sorted-key tables of vertices; their
+handshake labels are derived when a packet reads a row, and the
+compile reads each hop's tree from the hierarchy's best-tree matrix,
+which it builds.  The substrate line breaks down into those out-tree
+intervals and direct entries; each compile into step tables is a stage
+of its own.  What stays Python is the PartialCover rounds and one
+``OutTreeRouter`` per double tree, so at n = 1024 the APSP dominates
+the stretch-6 pipeline.
 """
 
 from __future__ import annotations
@@ -72,11 +74,13 @@ def test_pipeline_stage_times(benchmark):
         t5 = time.perf_counter()
         hierarchy = TreeHierarchy(metric, 2)
         t6 = time.perf_counter()
-        ExStretchScheme(
+        exstretch = ExStretchScheme(
             metric, naming, k=2, rng=random.Random(4),
             spanner=HandshakeSpanner(metric, 2, hierarchy=hierarchy),
         )
         t7 = time.perf_counter()
+        exstretch.compile_tables("dense")
+        t8 = time.perf_counter()
         stages["apsp oracle"] = t1 - t0
         stages["metric + orders"] = t2 - t1
         stages["rtz substrate"] = t3 - t2
@@ -84,6 +88,7 @@ def test_pipeline_stage_times(benchmark):
         stages["stretch6 tables"] = t5 - t4
         stages["cover hierarchy"] = t6 - t5
         stages["exstretch tables"] = t7 - t6
+        stages["exstretch compile"] = t8 - t7
         # two of the substrate's passes, re-run on its own landmarks
         centers = rtz.centers
         s0 = time.perf_counter()

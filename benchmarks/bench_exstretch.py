@@ -63,7 +63,7 @@ def test_exstretch_lemma8_ladder(benchmark):
                 if s == t:
                     continue
                 dest = naming.name_of(t)
-                if dest in scheme._near[s]:
+                if scheme._near.get(s, dest) >= 0:  # N_1 shortcut
                     continue
                 at, hop = s, 0
                 waypoints = [s]

@@ -43,7 +43,7 @@ def main() -> None:
     def ladder_length(s: int, t: int) -> int:
         """Waypoints the dictionary walk would visit (replayed)."""
         dest = inst.naming.name_of(t)
-        if dest in scheme._near[s]:
+        if scheme._near.get(s, dest) >= 0:  # the N_1 shortcut
             return 1
         at, hop, count = s, 0, 0
         while at != t and hop < k:

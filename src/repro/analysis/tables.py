@@ -2,20 +2,20 @@
 
 The paper's space accounting (Sections 2.1, 3.3, 4.1) itemizes each
 scheme's storage into layers (neighborhood labels, block pointers,
-dictionary slices, substrate state).  This module recovers that
-itemization from live scheme objects so benchmarks can print the same
-breakdown the paper argues about, per node and in aggregate.
+dictionary slices, substrate state).  Each itemizing scheme reports
+that itemization itself
+(:meth:`~repro.runtime.scheme.RoutingScheme.table_items`, the same
+counts its ``table_entries`` sums); this module aggregates it so
+benchmarks can print the breakdown the paper argues about, per node
+and in aggregate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.runtime.scheme import RoutingScheme
-from repro.schemes.exstretch import ExStretchScheme
-from repro.schemes.polystretch import PolynomialStretchScheme
-from repro.schemes.stretch6 import StretchSixScheme
 
 
 @dataclass
@@ -51,81 +51,19 @@ class TableBreakdown:
         return "\n".join(lines)
 
 
-def _collect(per_node: List[Dict[str, int]]) -> TableBreakdown:
-    layers: Dict[str, int] = {}
-    per_node_max: Dict[str, int] = {}
-    for row in per_node:
-        for layer, count in row.items():
-            layers[layer] = layers.get(layer, 0) + count
-            per_node_max[layer] = max(per_node_max.get(layer, 0), count)
-    return TableBreakdown(layers, per_node_max)
-
-
-def breakdown_stretch6(scheme: StretchSixScheme) -> TableBreakdown:
-    """Section 2.1's four storage items, measured."""
-    n = scheme.graph.n
-    rows = []
-    for v in range(n):
-        rows.append(
-            {
-                "(1) neighborhood labels": len(scheme._near[v]),
-                "(2) block pointers": len(scheme._block_ptr[v]),
-                "(3) dictionary slice": len(scheme._dict[v]),
-                "(4) Tab3 substrate": scheme.rtz.table_entries(v),
-            }
-        )
-    return _collect(rows)
-
-
-def breakdown_exstretch(scheme: ExStretchScheme) -> TableBreakdown:
-    """Section 3.3's storage items, measured."""
-    n = scheme.graph.n
-    rows = []
-    for v in range(n):
-        rows.append(
-            {
-                "(1) Tab / tree state": scheme.spanner.table_entries(v),
-                "(2) N_1 handshakes": len(scheme._near[v]),
-                "(3a) prefix rows": len(scheme._rows[v]),
-                "(3b) final rows": len(scheme._final[v]),
-            }
-        )
-    return _collect(rows)
-
-
-def breakdown_polystretch(
-    scheme: PolynomialStretchScheme,
-) -> TableBreakdown:
-    """Section 4.1's storage items, measured."""
-    n = scheme.graph.n
-    rows = []
-    for v in range(n):
-        dict_rows = 0
-        for cov in scheme.hierarchy.levels:
-            for tree in cov.trees_containing(v):
-                dict_rows += len(scheme._rows.get((tree.tree_id, v), {}))
-        rows.append(
-            {
-                "(1) home-tree ids": len(scheme._home_id[v]),
-                "(2) tree state": scheme.hierarchy.table_entries_at(v),
-                "(2c) dictionary rows": dict_rows,
-            }
-        )
-    return _collect(rows)
-
-
 def breakdown(scheme: RoutingScheme) -> TableBreakdown:
-    """Dispatch to the scheme-specific breakdown.
+    """The scheme's storage items, totalled over nodes and maximized
+    per node.
 
     Raises:
         TypeError: for schemes without an itemized analysis.
     """
-    if isinstance(scheme, StretchSixScheme):
-        return breakdown_stretch6(scheme)
-    if isinstance(scheme, ExStretchScheme):
-        return breakdown_exstretch(scheme)
-    if isinstance(scheme, PolynomialStretchScheme):
-        return breakdown_polystretch(scheme)
-    raise TypeError(
-        f"no table breakdown defined for {type(scheme).__name__}"
+    items = scheme.table_items()
+    if items is None:
+        raise TypeError(
+            f"no table breakdown defined for {type(scheme).__name__}"
+        )
+    return TableBreakdown(
+        {layer: int(counts.sum()) for layer, counts in items.items()},
+        {layer: int(counts.max()) for layer, counts in items.items()},
     )

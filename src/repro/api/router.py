@@ -37,6 +37,7 @@ from repro.runtime.stats import TableReport, measure_tables
 from repro.runtime.traffic import (
     TrafficSummary,
     Workload,
+    check_pairs,
     num_shards,
     run_workload,
 )
@@ -232,9 +233,14 @@ class Router:
             dest: destination vertex id, or destination *name* when
                 ``by_name`` is set.
             by_name: treat ``dest`` as a name the packet carries.
+
+        Raises:
+            GraphError: for an endpoint out of range or ``source ==
+                dest`` (:func:`~repro.runtime.traffic.check_pairs`).
         """
+        vertex = self._scheme.vertex_of(dest) if by_name else dest
+        check_pairs(self._scheme.graph.n, [(source, vertex)])
         name = dest if by_name else self._scheme.name_of(dest)
-        vertex = self._scheme.vertex_of(name)
         t0 = time.perf_counter()
         trace = self._sim.roundtrip(source, name)
         self._account_batch("python", 1, time.perf_counter() - t0)
@@ -251,22 +257,32 @@ class Router:
         The batch executes through the compiled vectorized engine when
         the scheme supports it (or as the ``engine`` override
         requests); results are identical either way.
+
+        Raises:
+            GraphError: for a pair, destination names resolved, with an
+                endpoint out of range or ``source == dest``
+                (:func:`~repro.runtime.traffic.check_pairs`); nothing
+                is routed then.
         """
         pair_list = list(pairs)
+        if by_name:
+            vertex_of = self._scheme.vertex_of
+            names = [t for _, t in pair_list]
+            pair_list = [(s, vertex_of(t)) for s, t in pair_list]
+        check_pairs(self._scheme.graph.n, pair_list)
+        if not by_name:
+            name_of = self._scheme.name_of
+            names = [name_of(t) for _, t in pair_list]
         resolved = self.resolve_engine(engine)
         t0 = time.perf_counter()
-        traces = self._sim.roundtrip_many(
-            pair_list, by_name=by_name, engine=resolved
-        )
+        traces = self._sim.roundtrip_many(pair_list, engine=resolved)
         self._account_batch(
             resolved, len(pair_list), time.perf_counter() - t0
         )
-        results = []
-        for (s, t), trace in zip(pair_list, traces):
-            name = t if by_name else self._scheme.name_of(t)
-            vertex = t if not by_name else self._scheme.vertex_of(t)
-            results.append(self._result(s, vertex, name, trace))
-        return results
+        return [
+            self._result(s, t, name, trace)
+            for (s, t), name, trace in zip(pair_list, names, traces)
+        ]
 
     def serve_workload(
         self,

@@ -24,8 +24,8 @@ Each case names one kernel the repo's perf story depends on:
   daemon's overhead is judged against (one shared background daemon
   per graph size, started lazily and torn down at process exit);
 * **memory** — the compiled-table memory story: tracemalloc peaks of
-  the dense versus blocked/landmark table builds and of streaming
-  blocked first-hop iteration (every case records ``peak_bytes``, but
+  the dense versus blocked/landmark table builds (every case records
+  ``peak_bytes``, but
   these are the ones whose *memory* band, not timing band, is the
   point — a blocked path silently densifying trips the comparator);
 * **churn** — topology mutation: one delta folded through
@@ -472,32 +472,6 @@ def _register_substrate_table_memory_case(label: str, tables: str, n: int = 128)
 
 _register_substrate_table_memory_case("dense", "dense")
 _register_substrate_table_memory_case("blocked", "blocked")
-
-
-@bench_case(
-    "memory/apsp/first_hop/blocked_stream",
-    axis="memory",
-    summary="tracemalloc peak streaming blocked first-hop blocks "
-            "without retaining them (random, n=128)",
-    tags={"family": "random", "tables": "blocked"},
-)
-def _memory_blocked_stream(ctx: BenchContext):
-    from repro.graph.blocked import iter_first_hop_blocks
-    from repro.graph.csr import CSRGraph
-
-    net = ctx.network("random", 128)
-    csr = CSRGraph.from_digraph(net.graph)
-    block_rows = max(1, net.n // 8)
-
-    def run() -> int:
-        # Fold the blocks into a checksum; no block outlives its
-        # iteration, so the peak is O(n * block_rows), not O(n^2).
-        acc = 0
-        for lo, _hi, block in iter_first_hop_blocks(csr, block_rows):
-            acc ^= int(block[0, (lo + 1) % block.shape[1]])
-        return acc
-
-    return run
 
 
 @bench_case(

@@ -273,16 +273,28 @@ class BlockDistribution:
     # verification / statistics
     # ------------------------------------------------------------------
     def verify(self) -> None:
-        """Assert both Lemma 4 properties (test/benchmark helper)."""
+        """Check both Lemma 4 properties against the current ``sets``
+        by their scalar definitions (``repro report``, tests and
+        benchmarks).
+
+        Raises:
+            ConstructionError: for an uncovered ``(v, i, tau)``
+                requirement or a node over :meth:`per_node_bound`.
+        """
         for v, i, tau in self._iter_requirements():
-            assert any(
+            if not any(
                 self._covers(w, tau) for w in self._neighborhood(v, i)
-            ), f"(v={v}, i={i}, tau={tau}) uncovered"
+            ):
+                raise ConstructionError(
+                    f"(v={v}, i={i}, tau={tau}) uncovered"
+                )
         bound = self.per_node_bound()
         for v in range(self._metric.n):
-            assert len(self.sets[v]) <= bound, (
-                f"node {v} stores {len(self.sets[v])} blocks, bound {bound}"
-            )
+            if len(self.sets[v]) > bound:
+                raise ConstructionError(
+                    f"node {v} stores {len(self.sets[v])} blocks, "
+                    f"bound {bound}"
+                )
 
     def per_node_bound(self) -> int:
         """The ``O(log n)`` bound we hold ourselves to: the sampling

@@ -375,15 +375,14 @@ def min_distances(csr: CSRGraph) -> np.ndarray:
 def _apsp_row_blocks(
     csr: CSRGraph,
     sources: np.ndarray,
-    block_rows: Optional[int],
     tie_eps: float,
     chunk_elems: int,
 ):
     """The row-set kernel behind every APSP entry point.
 
     Yields ``(lo, hi, d, parent)`` for consecutive slices
-    ``sources[lo:hi]`` of ``block_rows`` sources (by default as many as
-    keep the sweep temporaries near ``chunk_elems`` elements): a warm
+    ``sources[lo:hi]`` of as many sources as keep the sweep
+    temporaries near ``chunk_elems`` elements: a warm
     start, then canonical sweeps until the distances stop changing.  A
     sweep's parents are a pure function of its input distances, so
     stable distances certify the fixpoint.  ``parent`` lives in
@@ -399,7 +398,7 @@ def _apsp_row_blocks(
         )
     classes = _degree_classes(csr)
     padded_m = sum(t.size for t in classes.tails)
-    block = block_rows or max(
+    block = max(
         1, min(sources.shape[0], int(chunk_elems // max(padded_m, 1)))
     )
     try:
@@ -416,39 +415,6 @@ def _apsp_row_blocks(
             yield lo, lo + src.shape[0], d, parent
     finally:
         classes.release_scratch_if_large()
-
-
-def apsp_blocks(
-    csr: CSRGraph,
-    block_rows: Optional[int] = None,
-    tie_eps: float = TIE_EPS,
-    chunk_elems: int = _CHUNK_ELEMS,
-):
-    """Stream APSP results one source block at a time.
-
-    Yields ``(lo, hi, d_block, parent_block)`` tuples covering sources
-    ``lo:hi`` with ``(hi - lo, n)`` matrices; concatenating the blocks
-    reproduces :func:`apsp_matrices` bit-for-bit (the canonical sweep
-    for a source block reads only that block's rows, and its fixpoint
-    is unique — see the module docstring), but peak memory is
-    ``O(block_rows * n)`` instead of ``O(n^2)``: at n = 10^5 the dense
-    matrices would be 80 GB each, while a 64-row block is 50 MB.
-
-    Args:
-        csr: the CSR adjacency snapshot.
-        block_rows: sources per block (defaults to the same
-            memory-bounded heuristic :func:`apsp_matrices` chunks by).
-            Any value in ``[1, n]`` yields identical concatenated
-            output, including sizes that do not divide ``n``.
-        tie_eps: tie tolerance (see module docstring).
-        chunk_elems: memory cap used by the default block heuristic.
-    """
-    if block_rows is not None and block_rows < 1:
-        raise GraphError(f"block_rows must be >= 1, got {block_rows}")
-    for lo, hi, d, parent in _apsp_row_blocks(
-        csr, np.arange(csr.n), block_rows, tie_eps, chunk_elems
-    ):
-        yield lo, hi, d, parent.copy()
 
 
 def apsp_rows(
@@ -488,9 +454,7 @@ def apsp_rows(
         raise GraphError(f"apsp_rows sources out of range [0, {n})")
     d_out = np.empty((src.shape[0], n), dtype=np.float64)
     p_out = np.empty((src.shape[0], n), dtype=np.int64)
-    for lo, hi, d, parent in _apsp_row_blocks(
-        csr, src, None, tie_eps, chunk_elems
-    ):
+    for lo, hi, d, parent in _apsp_row_blocks(csr, src, tie_eps, chunk_elems):
         d_out[lo:hi] = d
         p_out[lo:hi] = parent
     return d_out, p_out

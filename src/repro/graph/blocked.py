@@ -6,9 +6,7 @@ which neighbor starts the canonical shortest path to ``v``?".
 table: the dense :meth:`DistanceOracle.first_hop_matrix`, the per-block
 rows of the blocked table family
 (:meth:`DistanceOracle.first_hop_block`), and the rows incremental
-repair refreshes.  :func:`iter_first_hop_blocks` streams the same rows
-from source-blocked APSP (:func:`repro.graph.apsp.apsp_blocks`)
-without an oracle, so peak memory is ``O(block_rows · n)``.
+repair refreshes.
 
 Row ``s`` is a pure function of source ``s``'s parent tree, so
 concatenating blocks of *any* size — 1, ``n``, or anything that does
@@ -18,12 +16,9 @@ hypothesis suite in ``tests/test_blocked_tables.py`` asserts this.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 import numpy as np
-
-from repro.graph.apsp import apsp_blocks
-from repro.graph.csr import CSRGraph
 
 #: Target entries per first-hop block: 1 << 22 int32 entries is 16 MiB,
 #: small enough to stream on a laptop at n = 10^5 yet big enough that
@@ -72,18 +67,3 @@ def first_hops_for_sources(
         jump = np.take_along_axis(jump, jump, axis=1)
     first[np.arange(b), src] = -1
     return first
-
-
-def iter_first_hop_blocks(
-    csr: CSRGraph, block_rows: Optional[int] = None
-) -> Iterator[Tuple[int, int, np.ndarray]]:
-    """Stream ``(lo, hi, first_hop_rows)`` blocks for every source.
-
-    Runs the source-blocked APSP and folds each block's parents into
-    first-hop rows without ever holding an ``(n, n)`` matrix; peak
-    memory is proportional to ``block_rows * n``.  Concatenating the
-    yielded blocks equals ``DistanceOracle.first_hop_matrix()``
-    bit-for-bit for any ``block_rows``.
-    """
-    for lo, hi, _d, parent in apsp_blocks(csr, block_rows=block_rows):
-        yield lo, hi, first_hops_for_sources(parent, np.arange(lo, hi))

@@ -103,6 +103,18 @@ class PairTable:
         np.minimum(pos, self.keys.shape[0] - 1, out=pos)
         return np.where(self.keys[pos] == queries, self.values[pos], self.missing)
 
+    def get(self, row: int, col: int):
+        """``table[row, col]`` for one pair, as a Python scalar (one
+        binary search; a column outside ``[0, n)`` is absent)."""
+        if not 0 <= col < self.n:
+            return self.missing
+        key = row * self.n + col
+        keys = self.keys
+        pos = int(keys.searchsorted(key))
+        if pos < keys.shape[0] and keys.item(pos) == key:
+            return self.values.item(pos)
+        return self.missing
+
 
 def _port_lookups(g: Digraph) -> "tuple[PairTable, PairTable]":
     """``(port by tail * n + head, head by tail * stride + port)``,

@@ -158,10 +158,16 @@ class HashedNaming:
 
     def slot_of_vertex(self, vertex: int) -> int:
         """The slot of the vertex's own wild name."""
-        return self._hash(self._wild[vertex])
+        return self._hash(self.wild_of_vertex(vertex))
 
     def wild_of_vertex(self, vertex: int) -> int:
-        """The vertex's wild name."""
+        """The vertex's wild name.
+
+        Raises:
+            NamingError: for a vertex outside ``[0, n)``.
+        """
+        if not 0 <= vertex < self._n:
+            raise NamingError(f"vertex {vertex} out of range [0, {self._n})")
         return self._wild[vertex]
 
     def bucket(self, slot: int) -> List[int]:

@@ -18,14 +18,11 @@ most ``r(u, root) + r(root, v)`` together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import List, Optional, Tuple
-
-import numpy as np
 
 from repro.covers.double_tree import DoubleTree
 from repro.covers.hierarchy import TreeHierarchy
-from repro.exceptions import ConstructionError, TableLookupError
+from repro.exceptions import TableLookupError
 from repro.graph.roundtrip import RoundtripMetric
 from repro.runtime.sizing import id_bits
 from repro.tree_routing.fixed_port import TreeAddress
@@ -89,53 +86,16 @@ class HandshakeSpanner:
         return self.hierarchy.k
 
     def r2(self, u: int, v: int) -> R2Label:
-        """Compute ``R2(u, v)`` (preprocessing-time: the TINN schemes
-        store these in their dictionaries)."""
+        """``R2(u, v)``: the tree is the best-tree matrix's entry
+        (:meth:`~repro.covers.hierarchy.TreeHierarchy.best_tree_indices`).
+        The TINN schemes store the vertex ``v`` of each dictionary row
+        and derive its handshake here."""
         tree = self.hierarchy.best_tree_for_pair(u, v)
         return R2Label(
             tree_id=tree.tree_id,
             addr_from=tree.address_of(u),
             addr_to=tree.address_of(v),
         )
-
-    def r2_labels(self, us: np.ndarray, vs: np.ndarray) -> List[R2Label]:
-        """``R2(us[i], vs[i])`` for every ``i``, each equal to
-        :meth:`r2`, with the trees read from the best-tree matrix
-        (:meth:`~repro.covers.hierarchy.TreeHierarchy.best_tree_indices`).
-
-        Pairs are grouped by tree, and each tree's DFS numbers are read
-        once, so labels in one tree share their :class:`TreeAddress`
-        objects.
-        """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        index = self.hierarchy.best_tree_indices()[us, vs]
-        if (index < 0).any():
-            bad = int(np.flatnonzero(index < 0)[0])
-            raise ConstructionError(
-                f"no double tree contains both {us[bad]} and {vs[bad]}; "
-                "hierarchy is broken"
-            )
-        if not index.shape[0]:
-            return []
-        trees = list(self.hierarchy.all_trees())
-        labels = np.empty(index.shape[0], dtype=object)
-        order = np.argsort(index, kind="stable")
-        cuts = np.flatnonzero(np.diff(index[order])) + 1
-        for group in np.split(order, cuts):
-            tree = trees[index[group[0]]]
-            tid = tree.tree_id
-            dfs = tree.out_tree.dfs_numbers()
-            ends = np.union1d(us[group], vs[group]).tolist()
-            addr = dict(zip(
-                ends, map(TreeAddress, repeat(tid), map(dfs.__getitem__, ends))
-            ))
-            labels[group] = list(map(
-                R2Label, repeat(tid, group.shape[0]),
-                map(addr.__getitem__, us[group].tolist()),
-                map(addr.__getitem__, vs[group].tolist()),
-            ))
-        return labels.tolist()
 
     def tree_of(self, label: R2Label) -> DoubleTree:
         """The double tree a label routes in."""

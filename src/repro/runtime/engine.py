@@ -154,12 +154,11 @@ def _pack_pairs(n: int, chunks, tables: str, dtype):
     ``u * n + v`` — its flat index in an ``(n, n)`` matrix.  ``dense``
     writes each chunk into such a matrix as it arrives; ``blocked``
     sorts them all into a :class:`~repro.graph.csr.PairTable`.  Absent
-    pairs read ``False`` in a bool table and ``-1`` otherwise, so either
-    storage answers ``table[at, target]`` identically.
+    pairs read ``-1``, so either storage answers ``table[at, target]``
+    identically.
     """
-    missing = False if dtype is bool else -1
     if tables == "dense":
-        mat = np.full((n, n), missing, dtype=dtype)
+        mat = np.full((n, n), -1, dtype=dtype)
         flat = mat.reshape(-1)
         for keys, values in chunks:
             flat[keys] = values
@@ -169,7 +168,7 @@ def _pack_pairs(n: int, chunks, tables: str, dtype):
         for k, v in chunks
     ))
     return PairTable.from_entries(
-        n, np.concatenate(keys), np.concatenate(values), missing
+        n, np.concatenate(keys), np.concatenate(values)
     )
 
 
@@ -618,62 +617,6 @@ class CompiledRoutes:
 def constant_bits(value: int, batch: int) -> np.ndarray:
     """Broadcast one representative-header bit size over a batch."""
     return np.full(batch, int(value), dtype=np.int64)
-
-
-class Knowledge:
-    """Planner inputs for the dictionary-based schemes.
-
-    ``known[u, v]`` — does ``u`` hold ``v``'s label locally — is an
-    ``(n, n)`` bool matrix in dense storage, a
-    :class:`~repro.graph.csr.PairTable` in blocked storage (one int64
-    key and one bool per (node, known destination) pair, Θ(n·√n) for
-    the paper's table sizes).  The block-pointer tables are already
-    sub-quadratic.
-    """
-
-    def __init__(self, known, block_ptr: np.ndarray, bov: np.ndarray):
-        self.known = known
-        self.block_ptr = block_ptr
-        self.block_of_vertex = bov
-
-    def local(self, sources: np.ndarray, dests: np.ndarray) -> np.ndarray:
-        """Whether each source holds its destination's label locally."""
-        return self.known[sources, dests]
-
-    def dict_node(self, sources: np.ndarray, dests: np.ndarray) -> np.ndarray:
-        """The dictionary holder each source consults for its dest."""
-        return self.block_ptr[sources, self.block_of_vertex[dests]]
-
-
-def compile_knowledge(
-    known: Sequence[np.ndarray],
-    block_ptr: np.ndarray,
-    block_of_vertex: np.ndarray,
-    tables: str = "dense",
-) -> Knowledge:
-    """Planner inputs shared by the dictionary-based schemes.
-
-    Args:
-        known: per node ``u``, the vertices whose labels ``u`` holds
-            locally (the Fig. 3 cases 1 and 3 tables; repeats allowed).
-        block_ptr: ``(n, B)`` holder vertex of each block per node
-            (case 2).
-        block_of_vertex: ``(n,)`` the block responsible for each vertex.
-        tables: table family of the ``known`` membership table
-            (identical answers; ``blocked`` uses Θ(table entries)
-            memory).
-    """
-    n = len(known)
-    chunks = (
-        (np.add(vertices, u * n, dtype=np.int64),
-         np.ones(len(vertices), dtype=bool))
-        for u, vertices in enumerate(known)
-    )
-    return Knowledge(
-        _pack_pairs(n, chunks, tables, bool),
-        np.asarray(block_ptr, dtype=np.int64),
-        np.asarray(block_of_vertex, dtype=np.int64),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Union
+from typing import Dict, Optional, Union
+
+import numpy as np
 
 from repro.graph.digraph import Digraph
 
@@ -140,10 +142,36 @@ class RoutingScheme(abc.ABC):
     # ------------------------------------------------------------------
     # table accounting
     # ------------------------------------------------------------------
-    @abc.abstractmethod
+    def table_items(self) -> Optional[Dict[str, np.ndarray]]:
+        """The scheme's storage items (the paper's numbered per-node
+        tables) as ``(n,)`` entry-count arrays keyed by item name, in
+        the paper's order; ``None`` when the scheme does not itemize its
+        storage.  Counted once, on first use, from the tables
+        themselves (:meth:`_count_table_items`)."""
+        cache = self.__dict__
+        if "_table_items" not in cache:
+            cache["_table_items"] = self._count_table_items()
+        return cache["_table_items"]
+
+    def _count_table_items(self) -> Optional[Dict[str, np.ndarray]]:
+        """Count :meth:`table_items` (itemizing schemes override)."""
+        return None
+
     def table_entries(self, vertex: int) -> int:
         """Number of stored table rows at ``vertex`` (identifier-sized
-        fields are counted by :meth:`table_bits`)."""
+        fields are counted by :meth:`table_bits`): the sum of
+        :meth:`table_items` there.  Schemes that do not itemize their
+        storage override this.
+
+        Raises:
+            NotImplementedError: for a scheme that does neither.
+        """
+        items = self.table_items()
+        if items is None:
+            raise NotImplementedError(
+                f"{type(self).__name__} does not count its table entries"
+            )
+        return sum(int(counts[vertex]) for counts in items.values())
 
     def table_bits(self, vertex: int) -> int:
         """Approximate bit size of the local table; default charges two

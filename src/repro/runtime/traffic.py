@@ -609,6 +609,29 @@ class TrafficSummary:
         return "\n".join(lines)
 
 
+def check_pairs(n: int, pairs: Sequence[Tuple[int, int]]) -> None:
+    """Reject pairs no roundtrip can be routed or measured on.
+
+    Raises:
+        GraphError: for the first pair with an endpoint outside
+            ``[0, n)`` or with ``source == destination`` (roundtrip
+            stretch is undefined there).
+    """
+    try:
+        s, t = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    except OverflowError:
+        raise GraphError(f"a pair endpoint is out of range for n={n}") from None
+    outside = (s < 0) | (s >= n) | (t < 0) | (t >= n)
+    bad = outside | (s == t)
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        problem = (
+            f"is out of range for n={n}" if outside[i]
+            else "needs source != destination"
+        )
+        raise GraphError(f"pair ({int(s[i])}, {int(t[i])}) {problem}")
+
+
 def plan_shards(
     total: int,
     shard_size: Optional[int] = None,
@@ -758,9 +781,9 @@ def run_workload(
             identical across families.
 
     Raises:
-        GraphError: if any pair has ``source == destination``
-            (roundtrip stretch is undefined there), or for invalid
-            ``shard_size``/``jobs``.
+        GraphError: for a pair :func:`check_pairs` rejects (an endpoint
+            out of range, or ``source == destination``), or for
+            invalid ``shard_size``/``jobs``.
         RoutingError: propagated from the simulator on any failure; a
             failing journey raises the same error the unsharded run's
             first (input-order) failure would.
@@ -769,11 +792,7 @@ def run_workload(
         kind, pairs = workload.kind, workload.pairs
     else:
         kind, pairs = "custom", list(workload)
-    for (s, t) in pairs:
-        if s == t:
-            raise GraphError(
-                f"traffic pairs need source != destination, got ({s}, {t})"
-            )
+    check_pairs(scheme.graph.n, pairs)
     if jobs is not None and jobs < 1:
         raise GraphError(f"jobs must be >= 1, got {jobs}")
     bounds = plan_shards(

@@ -24,19 +24,23 @@ Per-node storage (Section 3.3), at node ``u``:
    ``prefix_i(own block) . tau``;
    (b) for every digit ``tau``: ``R2(u, v)`` for the node ``v`` named
    ``prefix_{k-1}(block) . tau`` (when that name exists).
+
+The scheme holds rules 2 and 3 once, as two sorted-key tables of the
+vertices ``v`` (:meth:`ExStretchScheme._build_tables`); both engines
+read them, and each handshake ``R2(u, v)`` is derived from the vertex
+found (:meth:`~repro.rtz.spanner.HandshakeSpanner.r2`).
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain
-from operator import attrgetter, itemgetter
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.dictionary.distribution import BlockDistribution, first_holders
 from repro.exceptions import ConstructionError, TableLookupError
+from repro.graph.csr import PairTable
 from repro.graph.digraph import Digraph
 from repro.graph.roundtrip import RoundtripMetric, level_size
 from repro.naming.blocks import BlockSpace
@@ -97,21 +101,25 @@ class ExStretchScheme(RoutingScheme):
             metric, self.blocks, rng, blocks_per_node=blocks_per_node
         )
 
-        self._near, self._rows, self._final = self._build_tables()
+        self._near, self._rows = self._build_tables()
 
-    def _build_tables(self):
+    def _build_tables(self) -> Tuple[PairTable, PairTable]:
         """Storage rules 2, 3a and 3b as array operations.
 
-        Returns per-node dicts: ``_near[u]`` maps ``name(v) -> R2(u, v)``
-        for ``v`` in ``N_1(u)``; ``_rows[u]`` maps ``(target, i)`` to
-        ``(v, R2(u, v))`` for every ``(i+1)``-digit ``target`` extending
-        the ``i``-prefix of a block of ``S'_u`` that some node holds, ``v``
-        the first such holder in ``Init_u``; ``_final[u]`` maps every
-        name of a block of ``S'_u`` to ``(vertex, R2)``.  Labels are
-        ``None`` where the row's vertex is ``u`` itself.
+        Returns two sorted-key tables of vertices.  ``near[u, name(v)]``
+        is ``v`` for ``v`` in ``N_1(u)`` minus ``u`` (rule 2, the direct
+        shortcut).  ``rows[u, col]`` is the vertex waypoint hop ``h``
+        reads at ``u``, with ``col = (h - 1) q^k +`` the value of the
+        destination's ``h``-digit prefix: for ``h < k`` (rule 3a) the
+        first node of ``Init_u`` holding a block that extends the
+        prefix, for every prefix extending the ``(h - 1)``-prefix of a
+        block of ``S'_u`` that some node holds; for ``h = k`` (rule 3b,
+        the prefix is the name) the vertex named, for every name of a
+        block of ``S'_u``.  A row's vertex may be ``u`` itself.
         """
         metric, naming, blocks = self._metric, self._naming, self.blocks
         n, k, q = metric.n, self.k, blocks.q
+        width = q ** k
         names = np.asarray(naming.all_names(), dtype=np.int64)
         vertex_of = np.empty(n, dtype=np.int64)
         vertex_of[names] = np.arange(n)
@@ -122,7 +130,7 @@ class ExStretchScheme(RoutingScheme):
             aug[u, list(held)] = True
         aug[np.arange(n), names // q] = True
 
-        # (2) close neighbors: N_1(u) minus u, in Init_u order.
+        # (2) close neighbors: N_1(u) minus u.
         near = metric.neighborhoods(level_size(n, 1, k))
         near_u = np.repeat(np.arange(n), near.shape[1])
         near_v = near.ravel().astype(np.int64)
@@ -134,7 +142,7 @@ class ExStretchScheme(RoutingScheme):
         # paper's (own block, i, tau) keying but stores no duplicate
         # rows for blocks sharing prefixes.
         init = metric.neighborhoods(n)
-        row_u, row_v, row_keys = [], [], []
+        row_keys, row_v = [], []
         for i in range(k - 1):
             span = q ** (k - 2 - i)  # blocks per (i+1)-prefix
             # held[w, p]: w holds a block whose (i+1)-prefix is p;
@@ -147,17 +155,8 @@ class ExStretchScheme(RoutingScheme):
             )
             targets = np.arange(held.shape[1])
             us, ps = np.nonzero(own[:, targets // q] & held.any(axis=0))
-            row_u.append(us)
+            row_keys.append(us * (k * width) + i * width + ps)
             row_v.append(first_holders(init, held)[us, ps].astype(np.int64))
-            keys = [
-                (blocks.block_prefix(p * span)[:i + 1], i)
-                for p in targets.tolist()
-            ]
-            row_keys.extend(map(keys.__getitem__, ps.tolist()))
-        order = np.argsort(np.concatenate(row_u), kind="stable")
-        row_u = np.concatenate(row_u)[order]
-        row_v = np.concatenate(row_v)[order]
-        row_keys = list(map(row_keys.__getitem__, order.tolist()))
 
         # (3b) final rows: every name of every block of S'_u.  Block b
         # holds the names [b q, min(b q + q, n)); laid end to end, entry
@@ -168,20 +167,13 @@ class ExStretchScheme(RoutingScheme):
         offsets = np.cumsum(sizes) - sizes
         final_names = np.repeat(starts - offsets, sizes) + np.arange(sizes.sum())
         final_u = np.repeat(final_u, sizes)
-        final_v = vertex_of[final_names]
-
-        us = np.concatenate([near_u, row_u, final_u])
-        vs = np.concatenate([near_v, row_v, final_v])
-        moves = us != vs
-        labels = np.full(us.shape[0], None, dtype=object)
-        labels[moves] = self.spanner.r2_labels(us[moves], vs[moves])
-        labels = labels.tolist()
-        a, b = near_u.shape[0], near_u.shape[0] + row_u.shape[0]
+        row_keys.append(final_u * (k * width) + (k - 1) * width + final_names)
+        row_v.append(vertex_of[final_names])
         return (
-            _per_node(n, near_u, names[near_v].tolist(), labels[:a]),
-            _per_node(n, row_u, row_keys, list(zip(row_v.tolist(), labels[a:b]))),
-            _per_node(n, final_u, final_names.tolist(),
-                      list(zip(final_v.tolist(), labels[b:]))),
+            PairTable.from_entries(n, near_u * n + names[near_v], near_v),
+            PairTable.from_entries(
+                k * width, np.concatenate(row_keys), np.concatenate(row_v)
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -218,22 +210,20 @@ class ExStretchScheme(RoutingScheme):
             ``(vertex, label)``; ``label`` is ``None`` when the next
             waypoint is ``at`` itself (no travel needed).
         """
-        digits = self.blocks.digits(dest_name)
-        if hop >= self.k:
-            entry = self._final[at].get(dest_name)
-            if entry is None:
+        k, q = self.k, self.blocks.q
+        nxt = self._rows.get(
+            at, (hop - 1) * q ** k + dest_name // q ** (k - hop)
+        )
+        if nxt < 0:
+            if hop >= k:
                 raise TableLookupError(
                     f"final row for name {dest_name} missing at {at}"
                 )
-            return entry
-        target = digits[:hop]
-        entry = self._rows[at].get((target, hop - 1))
-        if entry is None:
             raise TableLookupError(
-                f"prefix row {target} missing at {at} "
-                "(Lemma 4 coverage violated?)"
+                f"prefix row {self.blocks.digits(dest_name)[:hop]} missing "
+                f"at {at} (Lemma 4 coverage violated?)"
             )
-        return entry
+        return nxt, None if nxt == at else self.spanner.r2(at, nxt)
 
     # ------------------------------------------------------------------
     # forwarding (Fig. 6)
@@ -289,13 +279,14 @@ class ExStretchScheme(RoutingScheme):
             "phase": "",
         }
         # Direct shortcut: destination is a level-1 neighbor (storage 2).
-        near = self._near[at].get(dest_name)
-        if near is not None:
+        near = self._near.get(at, dest_name)
+        if near >= 0:
+            label = self.spanner.r2(at, near)
             base["hop"] = self.k
-            base["next_id"] = self.vertex_of(dest_name)
-            base["label"] = near
-            base["phase"] = self.spanner.begin_hop(at, near)
-            base["stack"] = [(at, near)]
+            base["next_id"] = near
+            base["label"] = label
+            base["phase"] = self.spanner.begin_hop(at, label)
+            base["stack"] = [(at, label)]
             return base
         return self._advance_waypoint(at, base)
 
@@ -350,8 +341,10 @@ class ExStretchScheme(RoutingScheme):
         shortcut, then up to ``k`` passes over the prefix and final
         rows — with array lookups, and the acknowledgment replays the
         stack in reverse.  Header bits depend only on the stack depth.
-        The tables are the same for both families."""
-        from repro.graph.csr import PairTable
+        The tables are the same for both families, and the planner
+        reads the scheme's own two at plan time; each hop's tree is the
+        best-tree matrix's entry for its two waypoints (the tree of
+        their ``R2`` label)."""
         from repro.runtime.engine import (
             CompiledRoutes,
             JourneyPlan,
@@ -363,63 +356,16 @@ class ExStretchScheme(RoutingScheme):
         from repro.rtz.spanner import UP
         from repro.tree_routing.fixed_port import TreeAddress
 
-        steps = compile_tree_tables(self.spanner.hierarchy)
+        hierarchy = self.spanner.hierarchy
+        steps = compile_tree_tables(hierarchy)
+        hierarchy.best_tree_indices()  # built now, read at plan time
+        # the planner holds the tables, not the scheme (no cycle through
+        # the compiled-routes cache)
+        near, rows = self._near, self._rows
         n, k, q = self.graph.n, self.k, self.blocks.q
+        width = q ** k
         names = np.array(
             [self.name_of(v) for v in range(n)], dtype=np.int64
-        )
-        vertex_of = np.empty(n, dtype=np.int64)
-        vertex_of[names] = np.arange(n)
-
-        def flatten(rows):
-            """Per-node dicts as (owner of each entry, keys, values)."""
-            owner = np.repeat(
-                np.arange(n, dtype=np.int64), [len(row) for row in rows]
-            )
-            keys = list(chain.from_iterable(rows))
-            return owner, keys, list(chain.from_iterable(
-                row.values() for row in rows
-            ))
-
-        def tree_index(labels) -> np.ndarray:
-            """The tree of each R2 label (``-1`` for ``None``)."""
-            trees = np.full(len(labels), -1, dtype=np.int64)
-            trees[np.fromiter(map(bool, labels), bool, len(labels))] = (
-                steps.tree_index(np.fromiter(
-                    map(attrgetter("tree_id"), filter(None, labels)), np.int64
-                ))
-            )
-            return trees
-
-        owner, near_names, near_labels = flatten(self._near)
-        near = PairTable.from_entries(
-            n, owner * n + vertex_of[near_names], tree_index(near_labels)
-        )
-        # One row table for every hop of the ladder, keyed (u, col):
-        # hop h = i + 1 < k reads the prefix row of level i at
-        # col = i * q^k + (value of the h-digit prefix); hop k reads the
-        # final row at col = (k - 1) * q^k + name.
-        width = q ** k
-        owner_p, prefixes, rows = flatten(self._rows)
-        cols = []
-        for prefix, i in prefixes:
-            value = 0
-            for digit in prefix:
-                value = value * q + digit
-            cols.append(i * width + value)
-        owner_f, final_names, finals = flatten(self._final)
-        keys = np.concatenate([
-            owner_p * (k * width) + np.asarray(cols, dtype=np.int64),
-            owner_f * (k * width) + (k - 1) * width
-            + np.asarray(final_names, dtype=np.int64),
-        ])
-        entries = rows + finals
-        row_next = PairTable.from_entries(
-            k * width, keys,
-            np.fromiter(map(itemgetter(0), entries), np.int64, len(entries)),
-        )
-        row_tree = PairTable.from_entries(
-            k * width, keys, tree_index(list(map(itemgetter(1), entries)))
         )
 
         label = R2Label(0, TreeAddress(0, 0), TreeAddress(0, 0))
@@ -446,10 +392,11 @@ class ExStretchScheme(RoutingScheme):
             way[:, 0] = sources
             hop_tree = np.full((batch, k), -1, dtype=np.int64)
             depth = np.zeros(batch, dtype=np.int64)
-            shortcut = near[sources, dests]
+            best = hierarchy.best_tree_indices()
+            shortcut = near[sources, names[dests]]
             hit = shortcut >= 0
-            way[hit, 1] = dests[hit]
-            hop_tree[hit, 0] = shortcut[hit]
+            way[hit, 1] = shortcut[hit]
+            hop_tree[hit, 0] = best[sources[hit], shortcut[hit]]
             depth[hit] = 1
             live = np.flatnonzero(~hit)
             for hop in range(1, k + 1):
@@ -458,7 +405,7 @@ class ExStretchScheme(RoutingScheme):
                 at = way[live, depth[live]]
                 t = dests[live]
                 col = (hop - 1) * width + names[t] // q ** (k - hop)
-                nxt, tree = row_next[at, col], row_tree[at, col]
+                nxt = rows[at, col]
                 if (nxt < 0).any():
                     bad = int(np.flatnonzero(nxt < 0)[0])
                     raise TableLookupError(
@@ -469,9 +416,15 @@ class ExStretchScheme(RoutingScheme):
                 move = nxt != at
                 m = live[move]
                 way[m, depth[m] + 1] = nxt[move]
-                hop_tree[m, depth[m]] = tree[move]
+                hop_tree[m, depth[m]] = best[at[move], nxt[move]]
                 depth[m] += 1
                 live = live[~(move & (nxt == t))]
+            if (hop_tree[way[:, 1:] >= 0] < 0).any():
+                p, j = np.argwhere((way[:, 1:] >= 0) & (hop_tree < 0))[0]
+                raise ConstructionError(
+                    f"no double tree contains both {way[p, j]} and "
+                    f"{way[p, j + 1]}; hierarchy is broken"
+                )
             outbound = [
                 Segment(way[:, j + 1], constant_bits(b_out[j + 1], batch),
                         tree=hop_tree[:, j])
@@ -501,22 +454,20 @@ class ExStretchScheme(RoutingScheme):
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def table_entries(self, vertex: int) -> int:
-        return (
-            len(self._near[vertex])
-            + len(self._rows[vertex])
-            + len(self._final[vertex])
-            + self.spanner.table_entries(vertex)
-        )
-
-
-def _per_node(n: int, owner: np.ndarray, keys: list, values: list) -> List[dict]:
-    """One dict per node from entries sorted by ``owner``."""
-    bounds = np.searchsorted(owner, np.arange(n + 1)).tolist()
-    return [
-        dict(zip(keys[lo:hi], values[lo:hi]))
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    def _count_table_items(self) -> Dict[str, np.ndarray]:
+        n = self._metric.n
+        owner, col = np.divmod(self._rows.keys, self._rows.n)
+        final = col >= (self.k - 1) * self.blocks.q ** self.k
+        return {
+            "(1) Tab / tree state": np.array(
+                [self.spanner.table_entries(v) for v in range(n)]
+            ),
+            "(2) N_1 handshakes": np.bincount(
+                self._near.keys // n, minlength=n
+            ),
+            "(3a) prefix rows": np.bincount(owner[~final], minlength=n),
+            "(3b) final rows": np.bincount(owner[final], minlength=n),
+        }
 
 
 @register_scheme(

@@ -21,13 +21,15 @@ against the destination name, the usable dictionary row is
 digits.  A missing row means the destination is not in this tree:
 the packet returns to the source and the search restarts one level up
 (the level doubling that caps total cost at twice the last level's).
+
+The scheme holds the home-tree ids as one ``(n, levels)`` array and the
+dictionary rows as one sorted-key table of vertices; both engines read
+them, and each row's tree address is derived from the vertex found.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain
-from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -36,6 +38,7 @@ from repro.api.registry import ParamSpec, register_scheme
 from repro.covers.double_tree import DoubleTree
 from repro.covers.hierarchy import TreeHierarchy
 from repro.exceptions import ConstructionError, TableLookupError
+from repro.graph.csr import PairTable
 from repro.graph.digraph import Digraph
 from repro.graph.roundtrip import RoundtripMetric
 from repro.naming.blocks import BlockSpace
@@ -95,26 +98,36 @@ class PolynomialStretchScheme(RoutingScheme):
         self.hierarchy = hierarchy or TreeHierarchy(metric, k)
 
         # Home-tree ids per (vertex, level).
-        self._home_id: List[List[int]] = [
+        self._home_id = np.array(
             [
-                self.hierarchy.home_tree(v, level).tree_id
-                for level in range(self.hierarchy.num_levels)
-            ]
-            for v in range(n)
-        ]
-        # Per-tree dictionaries: rows[(tree_id, u)][(j, tau)] =
-        # (vertex, TreeAddress) of the nearest matching member.
-        self._rows: Dict[
-            Tuple[int, int], Dict[Tuple[int, int], Tuple[int, TreeAddress]]
-        ] = {}
+                [
+                    self.hierarchy.home_tree(v, level).tree_id
+                    for level in range(self.hierarchy.num_levels)
+                ]
+                for v in range(n)
+            ],
+            dtype=np.int64,
+        )
+        # The dictionary rows of every tree: rows[tree_id * n + u,
+        # j * q + tau] is the nearest matching member.
+        keys: List[int] = []
+        found: List[int] = []
         for cov in self.hierarchy.levels:
             for tree in cov.trees:
-                self._index_tree(tree)
+                self._index_tree(tree, keys, found)
+        self._rows = PairTable.from_entries(
+            k * self.blocks.q,
+            np.array(keys, dtype=np.int64),
+            np.array(found, dtype=np.int64),
+        )
 
-    def _index_tree(self, tree: DoubleTree) -> None:
-        """Build the (j, tau) dictionary rows for every member of one
-        tree: group members by (position, shared prefix, digit) once,
-        then pick each member's nearest match per group."""
+    def _index_tree(
+        self, tree: DoubleTree, keys: List[int], found: List[int]
+    ) -> None:
+        """Append the (j, tau) dictionary rows of every member of one
+        tree to ``keys`` and ``found``: group members by (position,
+        shared prefix, digit) once, then pick each member's nearest
+        match per group."""
         members = tree.members
         digits = {
             v: self.blocks.digits(self._naming.name_of(v)) for v in members
@@ -124,12 +137,13 @@ class PolynomialStretchScheme(RoutingScheme):
             d = digits[v]
             for j in range(self.k):
                 groups.setdefault((j, d[:j], d[j]), []).append(v)
+        q = self.blocks.q
         for u in members:
-            rows: Dict[Tuple[int, int], Tuple[int, TreeAddress]] = {}
             d_u = digits[u]
+            node = (tree.tree_id * self._metric.n + u) * (self.k * q)
             for j in range(self.k):
                 prefix = d_u[:j]
-                for tau in range(self.blocks.q):
+                for tau in range(q):
                     candidates = [
                         v
                         for v in groups.get((j, prefix, tau), [])
@@ -137,9 +151,8 @@ class PolynomialStretchScheme(RoutingScheme):
                     ]
                     if not candidates:
                         continue
-                    v = self._metric.nearest(u, candidates)
-                    rows[(j, tau)] = (v, tree.address_of(v))
-            self._rows[(tree.tree_id, u)] = rows
+                    keys.append(node + j * q + tau)
+                    found.append(self._metric.nearest(u, candidates))
 
     # ------------------------------------------------------------------
     @property
@@ -172,7 +185,10 @@ class PolynomialStretchScheme(RoutingScheme):
         return to source and climb a level)."""
         h = self.blocks.match_length(self._naming.name_of(c), dest_name)
         tau = self.blocks.digits(dest_name)[h]
-        return self._rows.get((tree_id, c), {}).get((h, tau))
+        v = self._rows.get(tree_id * self._metric.n + c, h * self.blocks.q + tau)
+        if v < 0:
+            return None
+        return v, self.hierarchy.tree_by_id(tree_id).address_of(v)
 
     # ------------------------------------------------------------------
     # forwarding (Fig. 11)
@@ -229,7 +245,7 @@ class PolynomialStretchScheme(RoutingScheme):
             raise TableLookupError(
                 "search exhausted all levels; hierarchy is broken"
             )
-        tree_id = self._home_id[src][level]
+        tree_id = self._home_id.item(src, level)
         tree = self.hierarchy.tree_by_id(tree_id)
         header: Header = {
             "mode": _ENROUTE,
@@ -306,8 +322,8 @@ class PolynomialStretchScheme(RoutingScheme):
         climbs one level.  The acknowledgment is one segment back to
         the source in the tree that succeeded.  Every forwarded header
         has the same bit size, and the tables are the same for both
-        families."""
-        from repro.graph.csr import PairTable
+        families.  The planner reads the scheme's home-tree ids and
+        dictionary rows at plan time."""
         from repro.runtime.engine import (
             CompiledRoutes,
             JourneyPlan,
@@ -321,23 +337,9 @@ class PolynomialStretchScheme(RoutingScheme):
         n, k, q = self.graph.n, self.k, self.blocks.q
         names = np.array([self.name_of(v) for v in range(n)], dtype=np.int64)
         digits = (names[:, None] // q ** np.arange(k - 1, -1, -1)) % q
-        home = steps.tree_index(np.array(self._home_id, dtype=np.int64))
-        # Rows keyed (tree index * n + u, h * q + tau) -> nearest match.
-        owners = np.array(list(self._rows), dtype=np.int64).reshape(-1, 2)
-        node = np.repeat(
-            steps.tree_index(owners[:, 0]) * n + owners[:, 1],
-            [len(rows) for rows in self._rows.values()],
-        )
-        h_tau = np.array(
-            list(chain.from_iterable(self._rows.values())), dtype=np.int64
-        ).reshape(-1, 2)
-        matches = chain.from_iterable(
-            rows.values() for rows in self._rows.values()
-        )
-        match = PairTable.from_entries(
-            k * q, node * (k * q) + h_tau[:, 0] * q + h_tau[:, 1],
-            np.fromiter(map(itemgetter(0), matches), np.int64, len(node)),
-        )
+        # the planner holds the tables, not the scheme (no cycle through
+        # the compiled-routes cache)
+        home_id, rows = self._home_id, self._rows
 
         addr = TreeAddress(0, 0)
         enroute = {
@@ -357,11 +359,12 @@ class PolynomialStretchScheme(RoutingScheme):
                 raise TableLookupError("packet injected at its own destination")
             segments = []
             found_in = np.full(batch, -1, dtype=np.int64)
-            for level in range(self.hierarchy.num_levels):
+            for level in range(home_id.shape[1]):
                 live = np.flatnonzero(found_in < 0)
                 if not live.shape[0]:
                     break
-                tree = home[sources, level]
+                tree_id = home_id[sources, level]
+                tree = steps.tree_index(tree_id)
                 at = sources.copy()
                 for _pass in range(k + 1):
                     if not live.shape[0]:
@@ -369,7 +372,7 @@ class PolynomialStretchScheme(RoutingScheme):
                     c, t = at[live], dests[live]
                     h = np.cumprod(digits[c] == digits[t], axis=1).sum(axis=1)
                     tau = digits[t, h]  # h < k: c is not t
-                    v = match[tree[live] * n + c, h * q + tau]
+                    v = rows[tree_id[live] * n + c, h * q + tau]
                     hit = v >= 0
                     # A miss away from the source returns to it (a
                     # miss at the source climbs without moving).
@@ -406,13 +409,16 @@ class PolynomialStretchScheme(RoutingScheme):
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def table_entries(self, vertex: int) -> int:
-        total = len(self._home_id[vertex])  # home ids per level
-        for cov in self.hierarchy.levels:
-            for tree in cov.trees_containing(vertex):
-                total += len(self._rows.get((tree.tree_id, vertex), {}))
-        total += self.hierarchy.table_entries_at(vertex)
-        return total
+    def _count_table_items(self) -> Dict[str, np.ndarray]:
+        n = self._metric.n
+        owner = self._rows.keys // self._rows.n % n
+        return {
+            "(1) home-tree ids": np.count_nonzero(self._home_id >= 0, axis=1),
+            "(2) tree state": np.array(
+                [self.hierarchy.table_entries_at(v) for v in range(n)]
+            ),
+            "(2c) dictionary rows": np.bincount(owner, minlength=n),
+        }
 
 
 @register_scheme(

@@ -13,6 +13,13 @@ Per-node storage (Section 2.1), at node ``u``:
    ``(j, R3(vertex(j)))`` — the dictionary slice ``u`` serves;
 4. ``Tab3(u)`` — the Lemma 2 substrate tables.
 
+The scheme holds these tables once, as the arrays they are built from:
+the ``N(u)`` rows, the first-holder matrix, which blocks each node
+serves, and each vertex's key and block.  Both engines read them: the
+python engine resolves a key to its vertex by binary search and takes
+the label from the substrate (``rtz.label(v)``); the compiled planner
+asks the same two questions of a whole batch.
+
 Routing ``s -> t``: if ``R3(t)`` is known locally (cases 1/3) route the
 leg directly; otherwise route to the dictionary node ``w`` (case 2),
 read ``R3(t)`` there, and continue — three Lemma 2 legs
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 import random
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -45,10 +52,6 @@ from repro.runtime.scheme import (
 )
 from repro.api.registry import ParamSpec, register_scheme
 from repro.rtz.routing import R3Label, RTZStretch3
-
-#: internal modes (Fig. 3's Outbound/Inbound)
-_OUTBOUND = "s6o"
-_INBOUND = "s6i"
 
 
 class StretchSixScheme(RoutingScheme):
@@ -71,6 +74,10 @@ class StretchSixScheme(RoutingScheme):
     #: worst-case roundtrip stretch proved in Lemma 3
     STRETCH_BOUND = 6.0
 
+    #: internal modes (Fig. 3's Outbound/Inbound)
+    _outbound = "s6o"
+    _inbound = "s6i"
+
     def __init__(
         self,
         metric: RoundtripMetric,
@@ -79,32 +86,60 @@ class StretchSixScheme(RoutingScheme):
         substrate: Optional[RTZStretch3] = None,
         blocks_per_node: Optional[int] = None,
     ):
+        if naming.n != metric.n:
+            raise ConstructionError(
+                f"naming covers {naming.n} nodes, graph has {metric.n}"
+            )
+        self._naming = naming
+        names = np.asarray(naming.all_names(), dtype=np.int64)
+        self._build(metric, names, names, rng, substrate, blocks_per_node)
+
+    def _build(
+        self,
+        metric: RoundtripMetric,
+        keys: np.ndarray,
+        slots: np.ndarray,
+        rng: Optional[random.Random],
+        substrate: Optional[RTZStretch3],
+        blocks_per_node: Optional[int],
+    ) -> None:
+        """Fig. 3's tables for vertices addressed by ``keys``, vertex
+        ``v``'s dictionary entry living in the block of ``slots[v]``.
+
+        Raises:
+            ConstructionError: if some block has no holder in some
+                ``N(u)`` (Lemma 1; cannot happen after patching).
+        """
         rng = rng or random.Random(0)
         n = metric.n
-        if naming.n != n:
-            raise ConstructionError(
-                f"naming covers {naming.n} nodes, graph has {n}"
-            )
         self._metric = metric
-        self._naming = naming
         self.rtz = substrate if substrate is not None else RTZStretch3(metric, rng)
         self.blocks: BlockSpace = sqrt_block_space(n)
         self.distribution = BlockDistribution(
             metric, self.blocks, rng, blocks_per_node=blocks_per_node
         )
-
-        # (1) neighborhood labels, (2) block pointers and (3) dictionary
-        # slices, keyed by name; block b's slice holds the labels of the
-        # vertices named by its members.
-        names = np.asarray(naming.all_names(), dtype=np.int64)
-        vertex_of_name = np.argsort(names).astype(np.int32)
-        self._block_vertices = [
-            vertex_of_name[self.blocks.block_members(b)]
-            for b in range(self.blocks.num_blocks())
-        ]
-        self._near, self._block_ptr, self._dict = fig3_tables(
-            self, names, self._block_vertices
-        )
+        holders = self.distribution.holders(1)
+        if (holders < 0).any():
+            u, b = (int(x[0]) for x in np.nonzero(holders < 0))
+            raise ConstructionError(
+                f"coverage violated: no holder of block {b} in N({u})"
+            )
+        # (1) the N(u) rows, (2) each block's closest holder in N(u) and
+        # (3) the blocks each node serves
+        self._near = metric.neighborhoods(level_size(n, 1, 2))
+        self._holders = holders
+        sets = self.distribution.sets
+        self._serves = np.zeros((n, self.blocks.num_blocks()), dtype=bool)
+        self._serves[
+            np.repeat(np.arange(n), [len(held) for held in sets]),
+            list(chain.from_iterable(sets)),
+        ] = True
+        # each vertex's key and the block holding its dictionary entry;
+        # keys resolve to vertices by binary search over the sorted keys
+        self._key = keys
+        self._block = slots // self.blocks.q
+        self._key_order = np.argsort(keys)
+        self._sorted_keys = keys[self._key_order]
 
     # ------------------------------------------------------------------
     @property
@@ -125,17 +160,38 @@ class StretchSixScheme(RoutingScheme):
     # ------------------------------------------------------------------
     # local lookups (packet-time legal: only u's own tables)
     # ------------------------------------------------------------------
-    def _lookup_r3(self, u: int, dest_name: int) -> Optional[R3Label]:
-        """``GetR3Label`` of Fig. 3: cases (1) then (3)."""
-        label = self._near[u].get(dest_name)
-        if label is None:
-            label = self._dict[u].get(dest_name)
-        return label
+    def _vertex_of_key(self, key: int) -> int:
+        """The vertex a destination key names.
 
-    def _lookup_dict_node(self, u: int, dest_name: int) -> int:
+        Raises:
+            TableLookupError: if no vertex carries ``key``.
+        """
+        keys = self._sorted_keys
+        pos = int(keys.searchsorted(key))
+        if pos == keys.shape[0] or keys.item(pos) != key:
+            raise TableLookupError(f"no vertex carries key {key}")
+        return self._key_order.item(pos)
+
+    def _lookup_r3(self, u: int, dest_key: int) -> Optional[R3Label]:
+        """``GetR3Label`` of Fig. 3: cases (1) then (3)."""
+        v = self._vertex_of_key(dest_key)
+        if v in self._near[u] or self._serves[u, self._block[v]]:
+            return self.rtz.label(v)
+        return None
+
+    def _lookup_dict_node(self, u: int, dest_key: int) -> int:
         """``GetLookupNodeID`` of Fig. 3 (case 2)."""
-        block = self.blocks.block_of(dest_name)
-        return self._block_ptr[u][block]
+        return int(self._holders[u, self._block[self._vertex_of_key(dest_key)]])
+
+    def _lookup_slice(self, w: int, dest_key: int) -> R3Label:
+        """Case (3) at the dictionary node ``w``, which must serve the
+        destination's block."""
+        v = self._vertex_of_key(dest_key)
+        if not self._serves[w, self._block[v]]:
+            raise TableLookupError(
+                f"dictionary node {w} lacks entry for {dest_key}"
+            )
+        return self.rtz.label(v)
 
     # ------------------------------------------------------------------
     # forwarding (Fig. 3)
@@ -145,22 +201,10 @@ class StretchSixScheme(RoutingScheme):
         if mode == NEW_PACKET:
             header = self._start_outbound(at, header)
         elif mode == RETURN_PACKET:
-            src_label: R3Label = header["src_label"]
-            header = {
-                "mode": _INBOUND,
-                "dest": header["dest"],
-                "src_label": src_label,
-                "next_label": src_label,
-                "dict_node": None,
-                "leg": self.rtz.begin_leg(at, src_label),
-            }
-        elif mode == _OUTBOUND and at == header["dict_node"]:
+            header = self._start_inbound(at, header)
+        elif mode == self._outbound and at == header["dict_node"]:
             # Remote dictionary lookup: this node serves the block.
-            dest_label = self._dict[at].get(header["dest"])
-            if dest_label is None:
-                raise TableLookupError(
-                    f"dictionary node {at} lacks entry for {header['dest']}"
-                )
+            dest_label = self._lookup_slice(at, header["dest"])
             header = dict(header)
             header["dict_node"] = None
             header["next_label"] = dest_label
@@ -170,9 +214,9 @@ class StretchSixScheme(RoutingScheme):
         port, leg_mode = self.rtz.leg_step(at, label, header["leg"])
         if port is None:
             # Arrived at the current leg's endpoint.
-            if header["mode"] == _OUTBOUND and header["dict_node"] is None:
+            if header["mode"] == self._outbound and header["dict_node"] is None:
                 return Deliver(header)
-            if header["mode"] == _INBOUND:
+            if header["mode"] == self._inbound:
                 return Deliver(header)
             # Arrived at the dictionary node: reprocess in this call.
             return self.forward(at, header)
@@ -180,209 +224,149 @@ class StretchSixScheme(RoutingScheme):
         out["leg"] = leg_mode
         return Forward(port, out)
 
-    def _start_outbound(self, at: int, header: Header) -> Header:
-        dest_name = header["dest"]
-        src_label = self.rtz.label(at)
-        dest_label = self._lookup_r3(at, dest_name)
-        if dest_label is not None:
-            return {
-                "mode": _OUTBOUND,
-                "dest": dest_name,
-                "src_label": src_label,
-                "next_label": dest_label,
-                "dict_node": None,
-                "leg": self.rtz.begin_leg(at, dest_label),
-            }
-        dict_node = self._lookup_dict_node(at, dest_name)
-        dict_label = self._near[at][self._naming.name_of(dict_node)]
+    def _start_outbound(
+        self, at: int, header: Header, dict_mode: Optional[str] = None
+    ) -> Header:
+        """Aim a fresh packet at its destination when ``at`` knows its
+        label, else at the dictionary node (in ``dict_mode``, by default
+        the outbound mode)."""
+        dest_key = header["dest"]
+        label = self._lookup_r3(at, dest_key)
+        mode, dict_node = self._outbound, None
+        if label is None:
+            dict_node = self._lookup_dict_node(at, dest_key)
+            label = self.rtz.label(dict_node)
+            mode = dict_mode or self._outbound
         return {
-            "mode": _OUTBOUND,
-            "dest": dest_name,
-            "src_label": src_label,
-            "next_label": dict_label,
+            "mode": mode,
+            "dest": dest_key,
+            "src_label": self.rtz.label(at),
+            "next_label": label,
             "dict_node": dict_node,
-            "leg": self.rtz.begin_leg(at, dict_label),
+            "leg": self.rtz.begin_leg(at, label),
+        }
+
+    def _start_inbound(self, at: int, header: Header) -> Header:
+        """The acknowledgment: one leg back to the label the packet
+        carried from its source."""
+        src_label: R3Label = header["src_label"]
+        return {
+            "mode": self._inbound,
+            "dest": header["dest"],
+            "src_label": src_label,
+            "next_label": src_label,
+            "dict_node": None,
+            "leg": self.rtz.begin_leg(at, src_label),
         }
 
     # ------------------------------------------------------------------
     # compiled execution
     # ------------------------------------------------------------------
+    def _planner_lookups(self):
+        """Fig. 3's two questions for a batch, answered from the arrays
+        :meth:`forward` reads: does each source know its destination's
+        label (``t`` in ``N(s)``, or ``t``'s block served at ``s``), and
+        which dictionary node would it ask.  The returned function
+        holds the arrays themselves, not the scheme, so compiled routes
+        cached on the scheme form no reference cycle with it.
+
+        The function raises :class:`TableLookupError` where a
+        dictionary node does not serve the destination's block, as
+        :meth:`forward` does there.
+        """
+        near, serves, holders = self._near, self._serves, self._holders
+        block_of, key = self._block, self._key
+
+        def lookups(
+            sources: np.ndarray, dests: np.ndarray
+        ) -> Tuple[np.ndarray, np.ndarray]:
+            block = block_of[dests]
+            local = (near[sources] == dests[:, None]).any(axis=1)
+            local |= serves[sources, block]
+            dict_node = holders[sources, block].astype(np.int64)
+            lacking = ~local & ~serves[dict_node, block]
+            if lacking.any():
+                i = int(np.flatnonzero(lacking)[0])
+                raise TableLookupError(
+                    f"dictionary node {int(dict_node[i])} lacks entry for "
+                    f"{int(key[dests[i]])}"
+                )
+            return local, dict_node
+
+        return lookups
+
     def compile_tables(self, tables: str = "dense"):
         """Outbound = optional dictionary segment + destination
         segment; the header is structurally constant within each
         (``dict_node`` is an id until the lookup, ``None`` after)."""
-        return compile_fig3_routes(
-            self, _OUTBOUND, _INBOUND, fig3_knowledge(self, tables),
-            tables=tables,
+        from repro.runtime.engine import (
+            CompiledRoutes,
+            JourneyPlan,
+            Segment,
+            compile_substrate_tables,
+            constant_bits,
         )
+        from repro.runtime.sizing import header_bits
+        from repro.rtz.routing import TO_CENTER
+
+        n = self.graph.n
+        label = self.rtz.label(0)
+        fresh = {"mode": NEW_PACKET, "dest": 0}
+        outbound = {
+            "mode": self._outbound,
+            "dest": 0,
+            "src_label": label,
+            "next_label": label,
+            "dict_node": None,
+            "leg": TO_CENTER,
+        }
+        to_dict = dict(outbound, dict_node=0)
+        inbound = dict(outbound, mode=self._inbound)
+        b_fresh = header_bits(fresh, n)
+        b_out = header_bits(outbound, n)
+        b_dict = header_bits(to_dict, n)
+        b_ret = header_bits(self.make_return_header(outbound), n)
+        b_in = header_bits(inbound, n)
+        step_tables = compile_substrate_tables(self.rtz, tables)
+        lookups = self._planner_lookups()
+
+        def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
+            batch = sources.shape[0]
+            local, dict_node = lookups(sources, dests)
+            return JourneyPlan(
+                legs=[
+                    [
+                        Segment(
+                            np.where(local, -1, dict_node),
+                            constant_bits(b_dict, batch),
+                        ),
+                        Segment(dests.copy(), constant_bits(b_out, batch)),
+                    ],
+                    [Segment(sources.copy(), constant_bits(b_in, batch))],
+                ],
+                leg_init_bits=[
+                    constant_bits(b_fresh, batch),
+                    constant_bits(b_ret, batch),
+                ],
+            )
+
+        return CompiledRoutes(self.graph, step_tables, planner, family=tables)
 
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def table_entries(self, vertex: int) -> int:
-        return (
-            len(self._near[vertex])
-            + len(self._block_ptr[vertex])
-            + len(self._dict[vertex])
-            + self.rtz.table_entries(vertex)
-        )
-
-
-def fig3_tables(scheme, keys: np.ndarray, block_vertices: Sequence[np.ndarray]):
-    """Fig. 3's per-node tables (1)-(3) from the construction's arrays.
-
-    Both the permutation-name scheme and the wild-name variant store
-    the same three tables and differ only in the key a vertex is
-    addressed by.
-
-    Args:
-        scheme: a scheme exposing ``_metric``, ``rtz`` and its
-            ``distribution`` (a ``k = 2`` :class:`BlockDistribution`).
-        keys: ``(n,)`` int64, the key (name) of each vertex.
-        block_vertices: per block, the vertices whose labels its
-            dictionary slice holds, in entry order.
-
-    Returns:
-        ``(near, block_ptr, dictionary)``: per node, key -> ``R3``
-        label over ``N(u)``; block index -> the closest holder of the
-        block in ``N(u)``; key -> ``R3`` label over every block of
-        ``S_u``.
-
-    Raises:
-        ConstructionError: if some block has no holder in some ``N(u)``
-            (Lemma 1; cannot happen after patching).
-    """
-    n = scheme._metric.n
-    labels = np.empty(n, dtype=object)
-    labels[:] = [scheme.rtz.label(v) for v in range(n)]
-    near_v = scheme._metric.neighborhoods(level_size(n, 1, 2))
-    near = [
-        dict(zip(row_keys, row_labels))
-        for row_keys, row_labels in zip(
-            keys[near_v].tolist(), labels[near_v].tolist()
-        )
-    ]
-    holders = scheme.distribution.holders(1)
-    if (holders < 0).any():
-        u, b = (int(x[0]) for x in np.nonzero(holders < 0))
-        raise ConstructionError(
-            f"coverage violated: no holder of block {b} in N({u})"
-        )
-    block_ptr = [dict(enumerate(row)) for row in holders.tolist()]
-    entries = [
-        list(zip(keys[verts].tolist(), labels[verts].tolist()))
-        for verts in block_vertices
-    ]
-    dictionary = [
-        dict(chain.from_iterable(
-            entries[b] for b in scheme.distribution.blocks_of(u)
-        ))
-        for u in range(n)
-    ]
-    return near, block_ptr, dictionary
-
-
-def fig3_knowledge(scheme, tables: str = "dense"):
-    """Planner inputs for a scheme built by :func:`fig3_tables` (which
-    keeps the ``block_vertices`` it passed as ``_block_vertices``): does
-    ``u`` hold ``R3(v)`` locally (cases 1/3 of Fig. 3: ``v`` in ``N(u)``
-    or in one of ``u``'s stored blocks) and the per-source
-    dictionary-node matrix (case 2), stored per the table family."""
-    from repro.runtime.engine import compile_knowledge
-
-    n = scheme._metric.n
-    near_v = scheme._metric.neighborhoods(level_size(n, 1, 2))
-    block_vertices = scheme._block_vertices
-    known = [
-        np.concatenate([near_v[u]] + [
-            block_vertices[b] for b in scheme.distribution.sets[u]
-        ])
-        for u in range(n)
-    ]
-    block_of_vertex = np.empty(n, dtype=np.int64)
-    for b, verts in enumerate(block_vertices):
-        block_of_vertex[verts] = b
-    return compile_knowledge(
-        known, scheme.distribution.holders(1), block_of_vertex, tables
-    )
-
-
-def compile_fig3_routes(
-    scheme, outbound_mode: str, inbound_mode: str, knowledge,
-    tables: str = "dense",
-):
-    """The shared Fig. 3 journey compiler (see
-    :mod:`repro.runtime.engine`).
-
-    Both the permutation-name scheme and the wild-name variant route
-    identically — an optional dictionary segment then the destination
-    segment outbound, a single acknowledgment segment back — differing
-    only in their mode tags and in which vertices their blocks hold
-    (the planner's ``knowledge``, from :func:`fig3_knowledge`).
-
-    Args:
-        scheme: a built scheme exposing ``rtz``, ``graph``, and
-            ``make_return_header``.
-        outbound_mode: the scheme's outbound header mode tag.
-        inbound_mode: the scheme's inbound header mode tag.
-        knowledge: a :class:`repro.runtime.engine.Knowledge` from
-            :func:`repro.runtime.engine.compile_knowledge`.
-        tables: compiled-table family for the substrate step tables.
-    """
-    from repro.runtime.engine import (
-        CompiledRoutes,
-        JourneyPlan,
-        Segment,
-        compile_substrate_tables,
-        constant_bits,
-    )
-    from repro.runtime.sizing import header_bits
-    from repro.rtz.routing import TO_CENTER
-
-    n = scheme.graph.n
-    label = scheme.rtz.label(0)
-    fresh = {"mode": NEW_PACKET, "dest": 0}
-    outbound = {
-        "mode": outbound_mode,
-        "dest": 0,
-        "src_label": label,
-        "next_label": label,
-        "dict_node": None,
-        "leg": TO_CENTER,
-    }
-    to_dict = dict(outbound)
-    to_dict["dict_node"] = 0
-    inbound = dict(outbound)
-    inbound["mode"] = inbound_mode
-    b_fresh = header_bits(fresh, n)
-    b_out = header_bits(outbound, n)
-    b_dict = header_bits(to_dict, n)
-    b_ret = header_bits(scheme.make_return_header(outbound), n)
-    b_in = header_bits(inbound, n)
-    step_tables = compile_substrate_tables(scheme.rtz, tables)
-
-    def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
-        batch = sources.shape[0]
-        local = knowledge.local(sources, dests)
-        dict_node = knowledge.dict_node(sources, dests)
-        return JourneyPlan(
-            legs=[
-                [
-                    Segment(
-                        np.where(local, -1, dict_node),
-                        constant_bits(b_dict, batch),
-                    ),
-                    Segment(dests.copy(), constant_bits(b_out, batch)),
-                ],
-                [Segment(sources.copy(), constant_bits(b_in, batch))],
-            ],
-            leg_init_bits=[
-                constant_bits(b_fresh, batch),
-                constant_bits(b_ret, batch),
-            ],
-        )
-
-    return CompiledRoutes(scheme.graph, step_tables, planner, family=tables)
+    def _count_table_items(self) -> Dict[str, np.ndarray]:
+        n = self._metric.n
+        return {
+            "(1) neighborhood labels": np.count_nonzero(self._near >= 0, axis=1),
+            "(2) block pointers": np.count_nonzero(self._holders >= 0, axis=1),
+            "(3) dictionary slice": self._serves @ np.bincount(
+                self._block, minlength=self._serves.shape[1]
+            ),
+            "(4) Tab3 substrate": np.array(
+                [self.rtz.table_entries(v) for v in range(n)]
+            ),
+        }
 
 
 @register_scheme(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 
 from repro.api.registry import ParamSpec, register_scheme
-from repro.exceptions import TableLookupError
 from repro.runtime.scheme import (
     Decision,
     Deliver,
@@ -26,13 +25,11 @@ from repro.runtime.scheme import (
     RETURN_PACKET,
 )
 from repro.rtz.routing import R3Label
-from repro.schemes.stretch6 import StretchSixScheme, fig3_knowledge
+from repro.schemes.stretch6 import StretchSixScheme
 
 #: variant modes: dictionary roundtrip out / back, then final trip
 _TO_DICT = "v6d"
 _BACK_HOME = "v6b"
-_OUTBOUND = "v6o"
-_INBOUND = "v6i"
 
 
 class StretchSixViaSourceScheme(StretchSixScheme):
@@ -44,28 +41,19 @@ class StretchSixViaSourceScheme(StretchSixScheme):
 
     name = "stretch-6 via-source (TINN)"
 
+    _outbound = "v6o"
+    _inbound = "v6i"
+
     def forward(self, at: int, header: Header) -> Decision:
         mode = header["mode"]
         if mode == NEW_PACKET:
-            header = self._variant_start(at, header)
+            header = self._start_outbound(at, header, dict_mode=_TO_DICT)
         elif mode == RETURN_PACKET:
-            src_label: R3Label = header["src_label"]
-            header = {
-                "mode": _INBOUND,
-                "dest": header["dest"],
-                "src_label": src_label,
-                "next_label": src_label,
-                "dict_node": None,
-                "leg": self.rtz.begin_leg(at, src_label),
-            }
+            header = self._start_inbound(at, header)
         elif mode == _TO_DICT and at == header["dict_node"]:
             # at the dictionary node: fetch the destination label, then
             # head home before using it
-            dest_label = self._dict[at].get(header["dest"])
-            if dest_label is None:
-                raise TableLookupError(
-                    f"dictionary node {at} lacks entry for {header['dest']}"
-                )
+            dest_label = self._lookup_slice(at, header["dest"])
             src_label: R3Label = header["src_label"]
             header = dict(header)
             header["mode"] = _BACK_HOME
@@ -76,7 +64,7 @@ class StretchSixViaSourceScheme(StretchSixScheme):
             # home again: now make the real trip with the fetched label
             fetched: R3Label = header["fetched"]
             header = dict(header)
-            header["mode"] = _OUTBOUND
+            header["mode"] = self._outbound
             header["dict_node"] = None
             header["next_label"] = fetched
             header["leg"] = self.rtz.begin_leg(at, fetched)
@@ -84,9 +72,7 @@ class StretchSixViaSourceScheme(StretchSixScheme):
         label: R3Label = header["next_label"]
         port, leg_mode = self.rtz.leg_step(at, label, header["leg"])
         if port is None:
-            if header["mode"] == _OUTBOUND:
-                return Deliver(header)
-            if header["mode"] == _INBOUND:
+            if header["mode"] in (self._outbound, self._inbound):
                 return Deliver(header)
             # arrived at the dictionary node or back home: reprocess
             return self.forward(at, header)
@@ -111,7 +97,6 @@ class StretchSixViaSourceScheme(StretchSixScheme):
             compile_substrate_tables,
             constant_bits,
         )
-        from repro.runtime.scheme import NEW_PACKET
         from repro.runtime.sizing import header_bits
         from repro.rtz.routing import TO_CENTER
 
@@ -119,24 +104,17 @@ class StretchSixViaSourceScheme(StretchSixScheme):
         label = self.rtz.label(0)
         fresh = {"mode": NEW_PACKET, "dest": 0}
         direct = {
-            "mode": _OUTBOUND,
+            "mode": self._outbound,
             "dest": 0,
             "src_label": label,
             "next_label": label,
             "dict_node": None,
             "leg": TO_CENTER,
         }
-        to_dict = dict(direct)
-        to_dict["mode"] = _TO_DICT
-        to_dict["dict_node"] = 0
-        back_home = dict(to_dict)
-        back_home["mode"] = _BACK_HOME
-        back_home["fetched"] = label
-        fetched_out = dict(back_home)
-        fetched_out["mode"] = _OUTBOUND
-        fetched_out["dict_node"] = None
-        inbound = dict(direct)
-        inbound["mode"] = _INBOUND
+        to_dict = dict(direct, mode=_TO_DICT, dict_node=0)
+        back_home = dict(to_dict, mode=_BACK_HOME, fetched=label)
+        fetched_out = dict(back_home, mode=self._outbound, dict_node=None)
+        inbound = dict(direct, mode=self._inbound)
         b_fresh = header_bits(fresh, n)
         b_direct = header_bits(direct, n)
         b_todict = header_bits(to_dict, n)
@@ -146,12 +124,11 @@ class StretchSixViaSourceScheme(StretchSixScheme):
         b_ret_direct = header_bits(self.make_return_header(direct), n)
         b_ret_fetched = header_bits(self.make_return_header(fetched_out), n)
         step_tables = compile_substrate_tables(self.rtz, tables)
-        knowledge = fig3_knowledge(self, tables)
+        lookups = self._planner_lookups()
 
         def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
             batch = sources.shape[0]
-            local = knowledge.local(sources, dests)
-            dict_node = knowledge.dict_node(sources, dests)
+            local, dict_node = lookups(sources, dests)
             return JourneyPlan(
                 legs=[
                     [
@@ -177,30 +154,6 @@ class StretchSixViaSourceScheme(StretchSixScheme):
             )
 
         return CompiledRoutes(self.graph, step_tables, planner, family=tables)
-
-    def _variant_start(self, at: int, header: Header) -> Header:
-        dest_name = header["dest"]
-        src_label = self.rtz.label(at)
-        dest_label = self._lookup_r3(at, dest_name)
-        if dest_label is not None:
-            return {
-                "mode": _OUTBOUND,
-                "dest": dest_name,
-                "src_label": src_label,
-                "next_label": dest_label,
-                "dict_node": None,
-                "leg": self.rtz.begin_leg(at, dest_label),
-            }
-        dict_node = self._lookup_dict_node(at, dest_name)
-        dict_label = self._near[at][self._naming.name_of(dict_node)]
-        return {
-            "mode": _TO_DICT,
-            "dest": dest_name,
-            "src_label": src_label,
-            "next_label": dict_label,
-            "dict_node": dict_node,
-            "leg": self.rtz.begin_leg(at, dict_label),
-        }
 
 
 @register_scheme(

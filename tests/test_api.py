@@ -232,6 +232,59 @@ class TestRouter:
         assert router.accounting().queries == 25
 
 
+BAD_PAIR_NET = {}
+
+
+def bad_pairs(n: int, s: int = 3, t: int = 5):
+    """Pairs no roundtrip can be routed on: a self-pair, each endpoint
+    just outside ``[0, n)`` on either side, and one beyond int64."""
+    return [(s, s), (-1, t), (s, -1), (n, t), (s, n), (s, 2 ** 64)]
+
+
+@pytest.mark.parametrize("engine", ["python", "vectorized"])
+@pytest.mark.parametrize("scheme_name", scheme_names())
+class TestBadPairsRejected:
+    """Every entry point rejects a bad pair with ``GraphError`` before
+    routing anything, on every scheme and engine."""
+
+    @pytest.fixture
+    def router(self, scheme_name, engine):
+        if "net" not in BAD_PAIR_NET:
+            BAD_PAIR_NET["net"] = Network.from_family(
+                "random", 24, seed=4, store=None
+            )
+        return BAD_PAIR_NET["net"].router(scheme_name, engine=engine)
+
+    def test_route(self, router):
+        for s, t in bad_pairs(router.scheme.graph.n):
+            with pytest.raises(GraphError):
+                router.route(s, t)
+        assert router.accounting().queries == 0
+
+    def test_route_many(self, router):
+        n = router.scheme.graph.n
+        for pair in bad_pairs(n):
+            with pytest.raises(GraphError):
+                router.route_many([(0, 1), pair])
+        assert router.accounting().queries == 0
+        # by name: resolved first, then checked
+        name_of = router.scheme.name_of
+        with pytest.raises(GraphError):
+            router.route_many([(3, name_of(3))], by_name=True)
+        with pytest.raises(GraphError):
+            router.route_many([(n, name_of(3))], by_name=True)
+        assert router.stats().as_dict()[router.engine]["pairs"] == 0
+
+    def test_run_workload(self, router, engine):
+        from repro.runtime.traffic import run_workload
+
+        for pair in bad_pairs(router.scheme.graph.n):
+            with pytest.raises(GraphError):
+                run_workload(router.scheme, [(0, 1), pair], engine=engine)
+            with pytest.raises(GraphError):
+                router.serve_workload([pair], engine=engine)
+
+
 class TestSpecsListing:
     def test_all_specs_have_summaries_and_bounds(self):
         for spec in all_specs():

@@ -232,3 +232,77 @@ class TestLemma4GeneralK:
         metric = make_metric(n, 95)
         dist = BlockDistribution(metric, BlockSpace(n, 2), random.Random(6))
         assert 1 <= dist.mean_blocks_per_node() <= dist.max_blocks_per_node()
+
+
+#: Lemma 1 with one sampled block per node: the patched sets leave many
+#: (node, block) requirements covered by a single holder.
+SOLE_COVER_SETUP = """
+import random
+from repro.dictionary.distribution import BlockDistribution
+from repro.graph.generators import random_strongly_connected
+from repro.graph.roundtrip import RoundtripMetric
+from repro.graph.shortest_paths import DistanceOracle
+from repro.naming.blocks import BlockSpace
+
+g = random_strongly_connected(32, rng=random.Random(30))
+metric = RoundtripMetric(DistanceOracle(g))
+dist = BlockDistribution(
+    metric, BlockSpace(32, 2), random.Random(0), blocks_per_node=1
+)
+dist.verify()
+# a block b that only one node w of some N_1(v) holds
+w, b = next(
+    (holders[0], b)
+    for v in range(32)
+    for b in range(dist.block_space.num_blocks())
+    for holders in [[u for u in metric.level_neighborhood(v, 1, 2)
+                     if b in dist.sets[u]]]
+    if len(holders) == 1
+)
+dist.sets[w].discard(b)
+"""
+
+
+class TestVerify:
+    """``verify`` is a check that raises, not an ``assert``."""
+
+    def test_removed_covering_block_raises(self):
+        scope = {}
+        exec(SOLE_COVER_SETUP, scope)
+        with pytest.raises(ConstructionError, match="uncovered"):
+            scope["dist"].verify()
+
+    def test_over_budget_node_raises(self):
+        metric = make_metric(40, 31)
+        dist = BlockDistribution(
+            metric, BlockSpace(40, 2), random.Random(1), blocks_per_node=1
+        )
+        dist.verify()
+        assert dist.per_node_bound() == 5
+        dist.sets[3] = set(range(dist.block_space.num_blocks()))  # all 6
+        with pytest.raises(ConstructionError, match="node 3 stores"):
+            dist.verify()
+
+    def test_verification_survives_python_O(self):
+        # ``python -O`` strips asserts; the check must still run.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        code = SOLE_COVER_SETUP + (
+            "from repro.exceptions import ConstructionError\n"
+            "try:\n"
+            "    dist.verify()\n"
+            "except ConstructionError:\n"
+            "    print('raised')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "raised"

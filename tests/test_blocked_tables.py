@@ -35,12 +35,8 @@ from repro.exceptions import (
     TableLookupError,
     TableTooLargeError,
 )
-from repro.graph.apsp import apsp_blocks, apsp_matrices, apsp_rows
-from repro.graph.blocked import (
-    default_block_rows,
-    first_hops_for_sources,
-    iter_first_hop_blocks,
-)
+from repro.graph.apsp import apsp_matrices, apsp_rows
+from repro.graph.blocked import default_block_rows, first_hops_for_sources
 from repro.graph.csr import CSRGraph, PairTable
 from repro.graph.digraph import Digraph
 from repro.graph.generators import random_strongly_connected
@@ -330,34 +326,25 @@ def _graph(n: int, seed: int) -> Digraph:
 @settings(max_examples=20, deadline=None)
 @given(
     n=st.integers(min_value=2, max_value=20),
-    block_rows=st.integers(min_value=1, max_value=24),
+    chunk_elems=st.integers(min_value=1, max_value=2000),
     seed=st.integers(min_value=0, max_value=5),
 )
-def test_apsp_blocks_concat_equals_monolithic(n, block_rows, seed):
-    """Block size 1, n, and non-dividing sizes all reproduce the
-    monolithic APSP matrices bit-for-bit."""
+def test_apsp_rows_any_chunking_equals_monolithic(n, chunk_elems, seed):
+    """Source blocks of any size — one row (the smallest chunk),
+    non-dividing sizes, the whole range — reproduce the monolithic APSP
+    matrices bit-for-bit, and so do scattered, repeated rows."""
     graph = _graph(n, seed)
     csr = CSRGraph.from_digraph(graph)
     d, parent = apsp_matrices(csr)
-    los, his, d_blocks, p_blocks = [], [], [], []
-    for lo, hi, d_blk, p_blk in apsp_blocks(csr, block_rows=block_rows):
-        los.append(lo)
-        his.append(hi)
-        d_blocks.append(d_blk)
-        p_blocks.append(p_blk)
-    # blocks tile [0, n) exactly, in order, with the requested geometry
-    assert los[0] == 0 and his[-1] == n
-    assert all(h == lo for h, lo in zip(his, los[1:]))
-    assert all(hi - lo == min(block_rows, n - lo) for lo, hi in zip(los, his))
-    d_cat = np.concatenate(d_blocks, axis=0)
-    p_cat = np.concatenate(p_blocks, axis=0)
-    assert d_cat.dtype == d.dtype and p_cat.dtype == parent.dtype
-    assert np.array_equal(d_cat, d)  # bit-identical floats (no inf here)
-    assert np.array_equal(p_cat, parent)
+    for chunk in (1, chunk_elems):
+        d_rows, p_rows = apsp_rows(csr, np.arange(n), chunk_elems=chunk)
+        assert d_rows.dtype == d.dtype and p_rows.dtype == parent.dtype
+        assert np.array_equal(d_rows, d)  # bit-identical floats (no inf here)
+        assert np.array_equal(p_rows, parent)
     # ... and so do scattered rows: shuffled, with repeats
-    rng = random.Random(seed * 100 + block_rows)
+    rng = random.Random(seed * 100 + chunk_elems)
     sources = [rng.randrange(n) for _ in range(n + 3)]
-    d_rows, p_rows = apsp_rows(csr, sources)
+    d_rows, p_rows = apsp_rows(csr, sources, chunk_elems=chunk_elems)
     assert np.array_equal(d_rows, d[sources])
     assert np.array_equal(p_rows, parent[sources])
     first = DistanceOracle(graph).first_hop_matrix()
@@ -370,20 +357,26 @@ def test_apsp_blocks_concat_equals_monolithic(n, block_rows, seed):
     block_rows=st.integers(min_value=1, max_value=24),
     seed=st.integers(min_value=0, max_value=5),
 )
-def test_first_hop_blocks_concat_equals_matrix(n, block_rows, seed):
+def test_first_hop_blocks_equal_matrix(n, block_rows, seed):
+    """First-hop rows folded one block of sources at a time, for any
+    block size, concatenate to the oracle's first-hop matrix; so do the
+    oracle's own per-block slices."""
     graph = _graph(n, seed)
     oracle = DistanceOracle(graph)
     full = oracle.first_hop_matrix()
-    cat = np.concatenate(
-        [blk for _, _, blk in
-         iter_first_hop_blocks(CSRGraph.from_digraph(graph), block_rows)],
-        axis=0,
-    )
+    parent = apsp_matrices(CSRGraph.from_digraph(graph))[1]
+    cat = np.concatenate([
+        first_hops_for_sources(parent[lo:lo + block_rows],
+                               np.arange(lo, min(lo + block_rows, n)))
+        for lo in range(0, n, block_rows)
+    ], axis=0)
     assert cat.dtype == full.dtype
     assert np.array_equal(cat, full)
-    # ... and the oracle's own per-block slices agree.
     lo = min(1, n - 1)
     assert np.array_equal(oracle.first_hop_block(lo, n), full[lo:n])
+    blocks = [oracle.first_hop_block(lo, min(lo + block_rows, n))
+              for lo in range(0, n, block_rows)]
+    assert np.array_equal(np.concatenate(blocks, axis=0), full)
 
 
 # ----------------------------------------------------------------------

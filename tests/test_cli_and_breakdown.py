@@ -7,18 +7,22 @@ import random
 import pytest
 
 from repro.analysis.experiments import Instance
-from repro.analysis.tables import (
-    breakdown,
-    breakdown_exstretch,
-    breakdown_polystretch,
-    breakdown_stretch6,
-)
+from repro.analysis.tables import breakdown
+from repro.api import Network
 from repro.cli import main
 from repro.graph.generators import random_strongly_connected
 from repro.schemes.exstretch import ExStretchScheme
 from repro.schemes.polystretch import PolynomialStretchScheme
 from repro.schemes.shortest_path import ShortestPathScheme
 from repro.schemes.stretch6 import StretchSixScheme
+
+
+STRETCH6_LAYERS = [
+    "(1) neighborhood labels",
+    "(2) block pointers",
+    "(3) dictionary slice",
+    "(4) Tab3 substrate",
+]
 
 
 def make_instance(n=20, seed=0) -> Instance:
@@ -30,7 +34,7 @@ class TestBreakdown:
     def test_stretch6_breakdown_sums_to_table_entries(self):
         inst = make_instance()
         scheme = StretchSixScheme(inst.metric, inst.naming, rng=random.Random(1))
-        b = breakdown_stretch6(scheme)
+        b = breakdown(scheme)
         manual = sum(scheme.table_entries(v) for v in range(20))
         assert b.total() == manual
         assert set(b.layers) == {
@@ -45,16 +49,41 @@ class TestBreakdown:
         scheme = ExStretchScheme(
             inst.metric, inst.naming, k=2, rng=random.Random(3)
         )
-        b = breakdown_exstretch(scheme)
+        b = breakdown(scheme)
         manual = sum(scheme.table_entries(v) for v in range(20))
         assert b.total() == manual
 
     def test_polystretch_breakdown_sums(self):
         inst = make_instance(seed=4)
         scheme = PolynomialStretchScheme(inst.metric, inst.naming, k=2)
-        b = breakdown_polystretch(scheme)
+        b = breakdown(scheme)
         manual = sum(scheme.table_entries(v) for v in range(20))
         assert b.total() == manual
+
+    @pytest.mark.parametrize("scheme_name,layers", [
+        ("stretch6", STRETCH6_LAYERS),
+        ("stretch6_via_source", STRETCH6_LAYERS),
+        ("wild_names", STRETCH6_LAYERS),
+        ("exstretch", ["(1) Tab / tree state", "(2) N_1 handshakes",
+                       "(3a) prefix rows", "(3b) final rows"]),
+        ("polystretch", ["(1) home-tree ids", "(2) tree state",
+                         "(2c) dictionary rows"]),
+    ])
+    def test_every_tinn_scheme_itemizes_its_table_entries(
+        self, scheme_name, layers
+    ):
+        net = Network.from_family("random", 24, seed=3, store=None)
+        scheme = net.build_scheme(scheme_name)
+        b = breakdown(scheme)
+        entries = [scheme.table_entries(v) for v in range(net.n)]
+        assert list(b.layers) == layers
+        assert b.total() == sum(entries)
+        items = scheme.table_items()
+        assert [int(sum(counts[v] for counts in items.values()))
+                for v in range(net.n)] == entries
+        assert b.per_node_max == {
+            layer: int(counts.max()) for layer, counts in items.items()
+        }
 
     def test_dispatch(self):
         inst = make_instance(seed=5)

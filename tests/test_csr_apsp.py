@@ -169,9 +169,10 @@ class TestDifferential:
             d_rows, p_rows = apsp.apsp_rows(csr, sources)
             assert np.array_equal(d_rows, d[sources])
             assert np.array_equal(p_rows, parent[sources])
-            blocks = list(apsp.apsp_blocks(csr, block_rows=6))
-            assert np.array_equal(np.concatenate([b[2] for b in blocks]), d)
-            assert np.array_equal(np.concatenate([b[3] for b in blocks]), parent)
+            # sources split into one-row blocks
+            d_rows, p_rows = apsp.apsp_rows(csr, np.arange(g.n), chunk_elems=1)
+            assert np.array_equal(d_rows, d)
+            assert np.array_equal(p_rows, parent)
 
     def test_min_distances_matches_oracle(self):
         g = random_strongly_connected(24, rng=random.Random(5))

@@ -460,17 +460,50 @@ def test_pair_at_its_own_destination_raises_on_both_engines(net, scheme_name):
     both_engines_raise(scheme, [(0, 1), (2, 2)], TableLookupError)
 
 
+def drop_entry(table, row: int, col: int) -> None:
+    """Delete one entry from a sorted-key table in place."""
+    keep = table.keys != row * table.n + col
+    assert (~keep).sum() == 1
+    table.keys, table.values = table.keys[keep], table.values[keep]
+
+
 def test_deleted_exstretch_prefix_row_raises_on_both_engines():
     net = Network.from_family("random", N, seed=3, store=None)
     scheme = net.build_scheme("exstretch", k=2)
+    scheme.compiled_routes()
     s = 0
     t = next(
         v for v in range(1, net.n)
-        if scheme.name_of(v) not in scheme._near[s]
+        if scheme._near.get(s, scheme.name_of(v)) < 0
     )
-    prefix = scheme.blocks.digits(scheme.name_of(t))[:1]
-    del scheme._rows[s][(prefix, 0)]
+    # hop 1 reads the row of t's first digit
+    drop_entry(scheme._rows, s, scheme.name_of(t) // scheme.blocks.q)
     both_engines_raise(scheme, [(1, 0), (s, t)], TableLookupError)
+
+
+def test_deleted_polystretch_row_changes_both_engines_alike():
+    """A missing dictionary row is a failed search in that tree: both
+    engines send the packet home and climb a level, identically."""
+    net = Network.from_family("random", N, seed=3, store=None)
+    scheme = net.build_scheme("polystretch", k=2)
+    compiled = scheme.compiled_routes()
+    n, q = net.n, scheme.blocks.q
+    pairs = sample_pairs(n, 120, seed=37)
+    before = Simulator(scheme).roundtrip_many(pairs, engine="python")
+    # the first row each source's search finds, in the lowest home
+    # tree that has one
+    for s, t in pairs[:10]:
+        name_s, name_t = scheme.name_of(s), scheme.name_of(t)
+        h = scheme.blocks.match_length(name_s, name_t)
+        col = h * q + scheme.blocks.digits(name_t)[h]
+        for tree_id in scheme._home_id[s].tolist():
+            if scheme._rows.get(tree_id * n + s, col) >= 0:
+                drop_entry(scheme._rows, tree_id * n + s, col)
+                break
+    assert scheme.compiled_routes() is compiled
+    py = Simulator(scheme).roundtrip_many(pairs, engine="python")
+    assert_traces_equal(py, Simulator(scheme).roundtrip_many(pairs))
+    assert sum(a != b for a, b in zip(before, py)) > 0
 
 
 def test_deleted_tree_row_raises_on_both_engines():

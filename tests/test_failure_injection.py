@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis.experiments import Instance
 from repro.exceptions import (
+    ConstructionError,
     HopLimitExceeded,
     RoutingError,
     TableLookupError,
@@ -38,8 +39,9 @@ class TestCorruptedTables:
         scheme = StretchSixScheme(
             inst.metric, inst.naming, rng=random.Random(1), blocks_per_node=1
         )
-        # find a pair that needs a remote lookup, then corrupt the
-        # dictionary node's slice
+        scheme.compiled_routes()
+        # find a pair that needs a remote lookup, then drop the block
+        # from the dictionary node's slice: both engines must notice
         for s in range(inst.graph.n):
             for t in range(inst.graph.n):
                 if s == t:
@@ -48,9 +50,13 @@ class TestCorruptedTables:
                 if scheme._lookup_r3(s, dest) is not None:
                     continue
                 w = scheme._lookup_dict_node(s, dest)
-                del scheme._dict[w][dest]
-                with pytest.raises(TableLookupError):
-                    Simulator(scheme).roundtrip(s, dest)
+                scheme._serves[w, scheme.blocks.block_of(dest)] = False
+                messages = set()
+                for engine in ("python", "vectorized"):
+                    with pytest.raises(TableLookupError) as exc:
+                        Simulator(scheme).roundtrip_many([(s, t)], engine=engine)
+                    messages.add(str(exc.value))
+                assert messages == {f"dictionary node {w} lacks entry for {dest}"}
                 return
         pytest.skip("no remote pair found")
 
@@ -153,7 +159,6 @@ class TestConstructionGuards:
     def test_coverage_invariant_check_fires(self):
         # holder_in_neighborhood raises if coverage is broken by hand.
         from repro.dictionary.distribution import BlockDistribution
-        from repro.exceptions import ConstructionError
         from repro.naming.blocks import sqrt_block_space
 
         inst = make_instance(16, seed=12)
@@ -179,5 +184,5 @@ class TestConstructionGuards:
         )
         for v in range(16):
             dist.sets[v].discard(1)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ConstructionError, match="uncovered"):
             dist.verify()

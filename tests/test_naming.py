@@ -228,6 +228,17 @@ class TestHashing:
         with pytest.raises(NamingError):
             hn.resolve(missing)
 
+    def test_vertex_range_checked_like_naming(self):
+        # a negative vertex must not wrap around to the last wild name
+        wild = [11, 22, 33, 44]
+        hn = HashedNaming(wild, 100, random.Random(0))
+        assert [hn.wild_of_vertex(v) for v in range(4)] == wild
+        for vertex in (-1, 4):
+            with pytest.raises(NamingError):
+                hn.wild_of_vertex(vertex)
+            with pytest.raises(NamingError):
+                hn.slot_of_vertex(vertex)
+
     def test_duplicate_wild_names_rejected(self):
         with pytest.raises(NamingError):
             HashedNaming([5, 5, 6], 100, random.Random(0))

@@ -77,6 +77,33 @@ def scalar_tables(scheme):
     return near, rows, final
 
 
+def assert_tables_match(scheme, near, rows, final):
+    """The scheme's two tables hold exactly the scalar reference's
+    entries: each lookup finds the reference vertex, the handshake
+    derived from it equals the reference label, and no other entry is
+    stored; the per-item counts agree too."""
+    naming, k, q, n = scheme._naming, scheme.k, scheme.blocks.q, scheme.metric.n
+    for u in range(n):
+        for name, label in near[u].items():
+            v = scheme._near.get(u, name)
+            assert v == naming.vertex_of(name)
+            assert scheme.spanner.r2(u, v) == label
+        # hop i + 1 reads the row of the (i + 1)-digit prefix target
+        for (target, i), entry in rows[u].items():
+            value = 0
+            for digit in target:
+                value = value * q + digit
+            assert scheme._next_stop(u, i + 1, value * q ** (k - 1 - i)) == entry
+        for name, entry in final[u].items():
+            assert scheme._next_stop(u, k, name) == entry
+    assert scheme._near.keys.shape[0] == sum(map(len, near))
+    assert scheme._rows.keys.shape[0] == sum(map(len, rows)) + sum(map(len, final))
+    items = scheme.table_items()
+    assert items["(2) N_1 handshakes"].tolist() == list(map(len, near))
+    assert items["(3a) prefix rows"].tolist() == list(map(len, rows))
+    assert items["(3b) final rows"].tolist() == list(map(len, final))
+
+
 class TestArrayTables:
     """The array-built tables equal the scalar loop, entry for entry."""
 
@@ -87,10 +114,7 @@ class TestArrayTables:
     def test_matches_scalar_loop(self, family, seed, k, blocks_per_node):
         net = Network.from_family(family, 30, seed=seed, store=None)
         scheme = net.build_scheme("exstretch", k=k, blocks_per_node=blocks_per_node)
-        near, rows, final = scalar_tables(scheme)
-        assert scheme._near == near
-        assert scheme._rows == rows
-        assert scheme._final == final
+        assert_tables_match(scheme, *scalar_tables(scheme))
 
     def test_matches_scalar_loop_across_split_row_blocks(self, monkeypatch):
         # a tiny block budget splits every row-blocked kernel
@@ -98,28 +122,7 @@ class TestArrayTables:
         net = Network.from_family("random", 27, seed=3, store=None)
         scheme = net.build_scheme("exstretch", k=3, blocks_per_node=1)
         assert blocked.default_block_rows(27, 27 * 3) == 1
-        near, rows, final = scalar_tables(scheme)
-        assert scheme._near == near
-        assert scheme._rows == rows
-        assert scheme._final == final
-
-    def test_labels_share_tree_addresses(self):
-        # each (tree, vertex) address is one object, however many
-        # labels carry it
-        scheme = Network.from_family("random", 30, seed=1, store=None) \
-            .build_scheme("exstretch", k=2)
-        labels = [label for row in scheme._near for label in row.values()]
-        labels += [
-            label
-            for table in (scheme._rows, scheme._final)
-            for row in table
-            for _v, label in row.values()
-            if label is not None
-        ]
-        seen = {}
-        for label in labels:
-            for addr in (label.addr_from, label.addr_to):
-                assert seen.setdefault(addr, addr) is addr
+        assert_tables_match(scheme, *scalar_tables(scheme))
 
 
 class TestDeliveryAndStretch:
@@ -193,7 +196,7 @@ class TestWaypointLadder:
         waypoints = [s]
         dest_name = naming.name_of(t)
         # direct shortcut mirrors the scheme
-        if dest_name in scheme._near[at]:
+        if scheme._near.get(at, dest_name) >= 0:
             return [s, t]
         while at != t and hop < scheme.k:
             hop += 1
@@ -211,7 +214,7 @@ class TestWaypointLadder:
                 if s == t:
                     continue
                 dest = naming.name_of(t)
-                if dest in scheme._near[s]:
+                if scheme._near.get(s, dest) >= 0:
                     continue
                 wps = self._waypoints(scheme, s, t, naming)
                 assert wps[-1] == t

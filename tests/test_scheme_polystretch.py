@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.api import Network
 from repro.exceptions import ConstructionError
 from repro.graph.generators import (
     bidirected_torus,
@@ -19,6 +21,45 @@ from repro.naming.permutation import identity_naming, random_naming
 from repro.runtime.simulator import Simulator
 from repro.runtime.stats import measure_stretch, measure_tables
 from repro.schemes.polystretch import PolynomialStretchScheme
+
+
+def table_rows(scheme):
+    """Every dictionary row as ``(tree_id, u, j, tau, v)``, decoded from
+    the scheme's one sorted-key table."""
+    n, q = scheme.metric.n, scheme.blocks.q
+    node, col = np.divmod(scheme._rows.keys, scheme._rows.n)
+    return list(zip(
+        (node // n).tolist(), (node % n).tolist(),
+        (col // q).tolist(), (col % q).tolist(),
+        scheme._rows.values.tolist(),
+    ))
+
+
+def scalar_rows(scheme):
+    """``_index_tree`` as the scheme ran it before it held one table:
+    per (tree, member), ``(j, tau) -> (v, address of v)`` with ``v`` the
+    nearest other member whose name shares ``u``'s first ``j`` digits
+    and has digit ``tau`` next.  The reference the table is checked
+    against."""
+    naming, metric, blocks, k = scheme._naming, scheme.metric, scheme.blocks, scheme.k
+    rows = {}
+    for cov in scheme.hierarchy.levels:
+        for tree in cov.trees:
+            digits = {v: blocks.digits(naming.name_of(v)) for v in tree.members}
+            for u in tree.members:
+                found = {}
+                for j in range(k):
+                    for tau in range(blocks.q):
+                        candidates = [
+                            v for v in tree.members
+                            if v != u and digits[v][:j] == digits[u][:j]
+                            and digits[v][j] == tau
+                        ]
+                        if candidates:
+                            v = metric.nearest(u, candidates)
+                            found[(j, tau)] = (v, tree.address_of(v))
+                rows[(tree.tree_id, u)] = found
+    return rows
 
 
 def build(g, k=2, naming_seed=0):
@@ -104,20 +145,19 @@ class TestLevelSearch:
         g = random_strongly_connected(16, rng=random.Random(9))
         _oracle, naming, scheme = build(g)
         bs = scheme.blocks
-        for (tree_id, u), rows in scheme._rows.items():
-            for (j, tau), (v, _addr) in rows.items():
-                name_u = naming.name_of(u)
-                name_v = naming.name_of(v)
-                assert bs.match_length(name_u, name_v) >= j
-                assert bs.digits(name_v)[j] == tau
+        for _tree_id, u, j, tau, v in table_rows(scheme):
+            name_u = naming.name_of(u)
+            name_v = naming.name_of(v)
+            assert bs.match_length(name_u, name_v) >= j
+            assert bs.digits(name_v)[j] == tau
 
     def test_row_targets_are_members(self):
         g = random_strongly_connected(14, rng=random.Random(10))
         _oracle, _naming, scheme = build(g)
-        for (tree_id, _u), rows in scheme._rows.items():
+        for tree_id, u, _j, _tau, v in table_rows(scheme):
             tree = scheme.hierarchy.tree_by_id(tree_id)
-            for (_key, (v, _addr)) in rows.items():
-                assert tree.contains(v)
+            assert tree.contains(u)
+            assert tree.contains(v)
 
     def test_row_is_nearest_candidate(self):
         g = random_strongly_connected(14, rng=random.Random(11))
@@ -126,8 +166,13 @@ class TestLevelSearch:
         bs = scheme.blocks
         # spot-check a handful of rows for nearest-ness
         checked = 0
-        for (tree_id, u), rows in scheme._rows.items():
-            for (j, tau), (v, _addr) in list(rows.items())[:2]:
+        per_node = {}
+        for tree_id, u, j, tau, v in table_rows(scheme):
+            rows = per_node.setdefault((tree_id, u), [])
+            if len(rows) < 2:
+                rows.append((j, tau, v))
+        for (tree_id, u), rows in per_node.items():
+            for j, tau, v in rows:
                 tree = scheme.hierarchy.tree_by_id(tree_id)
                 cands = [
                     w
@@ -142,6 +187,39 @@ class TestLevelSearch:
             if checked > 40:
                 break
         assert checked > 0
+
+
+class TestArrayRows:
+    """The one dictionary-row table equals the scalar ``_index_tree``
+    reference, entry for entry."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("family", ["random", "cycle", "torus", "dht"])
+    def test_matches_scalar_index_tree(self, family, seed, k):
+        net = Network.from_family(family, 24, seed=seed, store=None)
+        scheme = net.build_scheme("polystretch", k=k)
+        n, bs = net.n, scheme.blocks
+        reference = scalar_rows(scheme)
+        for (tree_id, u), found in reference.items():
+            tree = scheme.hierarchy.tree_by_id(tree_id)
+            for (j, tau), (v, addr) in found.items():
+                got = scheme._rows.get(tree_id * n + u, j * bs.q + tau)
+                assert got == v
+                assert tree.address_of(got) == addr
+            # the python engine's lookup, toward every other name
+            name_u = scheme.name_of(u)
+            for name in range(n):
+                if name == name_u:
+                    continue
+                h = bs.match_length(name_u, name)
+                want = found.get((h, bs.digits(name)[h]))
+                assert scheme._next_node(u, tree_id, name) == want
+        assert scheme._rows.keys.shape[0] == sum(map(len, reference.values()))
+        per_node = [0] * n
+        for (_tree_id, u), found in reference.items():
+            per_node[u] += len(found)
+        assert scheme.table_items()["(2c) dictionary rows"].tolist() == per_node
 
 
 class TestConstructionAndSizes:

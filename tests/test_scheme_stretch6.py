@@ -6,8 +6,10 @@ import random
 
 import pytest
 
-from repro.exceptions import ConstructionError
+from repro.api import Network
+from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.generators import (
+    FAMILY_NAMES,
     asymmetric_torus,
     bidirected_torus,
     directed_cycle,
@@ -21,6 +23,7 @@ from repro.runtime.simulator import Simulator
 from repro.runtime.sizing import log2_squared
 from repro.runtime.stats import measure_stretch, measure_tables
 from repro.schemes.stretch6 import StretchSixScheme
+from repro.schemes.wild_names import WildNameStretchSix
 
 
 def build(g, naming_seed=0, rng_seed=1):
@@ -190,6 +193,159 @@ class TestConstruction:
         _oracle, naming, scheme = build(g)
         for u in range(16):
             for name in range(16):
-                block = scheme.blocks.block_of(name)
-                holder = scheme._block_ptr[u][block]
-                assert name in scheme._dict[holder]
+                holder = scheme._lookup_dict_node(u, name)
+                assert scheme._lookup_slice(holder, name) == scheme.rtz.label(
+                    naming.vertex_of(name)
+                )
+
+
+# ----------------------------------------------------------------------
+# the Fig. 3 tables against their per-node dict construction
+# ----------------------------------------------------------------------
+FIG3_SCHEMES = ("stretch6", "stretch6_via_source", "wild_names")
+
+
+def fig3_reference(scheme):
+    """Fig. 3's per-node tables (1)-(3) as dicts, built the way the
+    schemes built them before they held arrays.
+
+    Returns ``(keys, near, block_ptr, dictionary, block_of_key)``:
+    each vertex's key (name, or wild name); per node, key -> ``R3``
+    label over ``N(u)``; block -> the first node of ``N(u)`` storing it;
+    key -> ``R3`` label over every block of ``S_u``; and the block a
+    key's dictionary entry lives in.
+    """
+    n, blocks = scheme.metric.n, scheme.blocks
+    labels = [scheme.rtz.label(v) for v in range(n)]
+    if isinstance(scheme, WildNameStretchSix):
+        hashed = scheme.hashed
+        keys = [hashed.wild_of_vertex(v) for v in range(n)]
+        block_vertices = [
+            [v for slot in blocks.block_members(b) for v in hashed.bucket(slot)]
+            for b in range(blocks.num_blocks())
+        ]
+
+        def block_of_key(key):
+            return blocks.block_of(hashed.slot_of_wild(key))
+    else:
+        keys = [scheme.name_of(v) for v in range(n)]
+        block_vertices = [
+            [scheme.vertex_of(name) for name in blocks.block_members(b)]
+            for b in range(blocks.num_blocks())
+        ]
+        block_of_key = blocks.block_of
+    sets = scheme.distribution.sets
+    near, block_ptr, dictionary = [], [], []
+    for u in range(n):
+        nbhd = scheme.metric.sqrt_neighborhood(u)
+        near.append({keys[v]: labels[v] for v in nbhd})
+        block_ptr.append({
+            b: next(w for w in nbhd if b in sets[w])
+            for b in range(blocks.num_blocks())
+        })
+        dictionary.append({
+            keys[v]: labels[v] for b in sets[u] for v in block_vertices[b]
+        })
+    return keys, near, block_ptr, dictionary, block_of_key
+
+
+def assert_fig3_matches(scheme):
+    """Every (node, key) lookup, every dictionary pointer and every
+    per-node item count equals the dict construction."""
+    keys, near, block_ptr, dictionary, block_of_key = fig3_reference(scheme)
+    n = scheme.metric.n
+    for u in range(n):
+        for v, key in enumerate(keys):
+            want = near[u].get(key) or dictionary[u].get(key)
+            assert scheme._lookup_r3(u, key) == want
+            w = scheme._lookup_dict_node(u, key)
+            assert w == block_ptr[u][block_of_key(key)]
+            if key in dictionary[u]:
+                assert scheme._lookup_slice(u, key) == dictionary[u][key]
+            else:
+                with pytest.raises(TableLookupError):
+                    scheme._lookup_slice(u, key)
+    assert scheme._holders.tolist() == [
+        [row[b] for b in sorted(row)] for row in block_ptr
+    ]
+    items = scheme.table_items()
+    assert items["(1) neighborhood labels"].tolist() == list(map(len, near))
+    assert items["(2) block pointers"].tolist() == list(map(len, block_ptr))
+    assert items["(3) dictionary slice"].tolist() == list(map(len, dictionary))
+    assert items["(4) Tab3 substrate"].tolist() == [
+        scheme.rtz.table_entries(v) for v in range(n)
+    ]
+
+
+class TestArrayTables:
+    """The arrays both engines read hold exactly the per-node dict
+    tables, for the three Fig. 3 schemes."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_matches_dict_reference(self, family, seed):
+        net = Network.from_family(family, 30, seed=seed, store=None)
+        for name in FIG3_SCHEMES:
+            for budget in (None, 1):
+                scheme = net.build_scheme(name, blocks_per_node=budget)
+                assert_fig3_matches(scheme)
+
+
+def remote_pair(scheme):
+    """The first ordered pair whose source must ask a dictionary node
+    other than the destination itself."""
+    n = scheme.metric.n
+    for s in range(n):
+        for t in range(n):
+            key = scheme.name_of(t)
+            if s != t and scheme._lookup_r3(s, key) is None:
+                if scheme._lookup_dict_node(s, key) != t:
+                    return s, t
+    raise AssertionError("no remote pair")
+
+
+@pytest.mark.parametrize("scheme_name", FIG3_SCHEMES)
+class TestDeletedEntries:
+    """A table entry deleted after compilation changes both engines."""
+
+    def test_missing_slice_block_raises_on_both_engines(self, scheme_name):
+        net = Network.from_family("random", 30, seed=4, store=None)
+        scheme = net.build_scheme(scheme_name, blocks_per_node=1)
+        scheme.compiled_routes()
+        s, t = remote_pair(scheme)
+        key = scheme.name_of(t)
+        w = scheme._lookup_dict_node(s, key)
+        scheme._serves[w, scheme._block[t]] = False
+        for engine in ("python", "vectorized"):
+            with pytest.raises(
+                TableLookupError, match=f"dictionary node {w} lacks entry"
+            ):
+                Simulator(scheme).roundtrip_many([(s, t)], engine=engine)
+
+    def test_missing_neighborhood_entry_takes_the_dictionary(
+        self, scheme_name
+    ):
+        net = Network.from_family("random", 30, seed=4, store=None)
+        scheme = net.build_scheme(scheme_name, blocks_per_node=1)
+        # the scheme's N(u) rows are the metric's read-only cache; give
+        # it a copy it may write before anything is compiled
+        scheme._near = scheme._near.copy()
+        scheme.compiled_routes()
+        n = net.n
+        # a pair local only through N(s): t is close, its block is not
+        # stored at s, and the dictionary node is someone else
+        s, t = next(
+            (s, t) for s in range(n) for t in scheme._near[s].tolist()
+            if t != s and not scheme._serves[s, scheme._block[t]]
+            and scheme._holders[s, scheme._block[t]] != t
+        )
+        pairs = [(s, t), (t, s)]
+        before = Simulator(scheme).roundtrip_many(pairs, engine="python")
+        scheme._near[s, scheme._near[s] == t] = -1
+        assert scheme._lookup_r3(s, scheme.name_of(t)) is None
+        py = Simulator(scheme).roundtrip_many(pairs, engine="python")
+        vec = Simulator(scheme).roundtrip_many(pairs, engine="vectorized")
+        assert py == vec
+        w = int(scheme._holders[s, scheme._block[t]])
+        assert py[0].outbound.path[:1] == [s] and w in py[0].outbound.path
+        assert py[0] != before[0] and py[1] == before[1]
