@@ -378,7 +378,14 @@ class Network:
                 f"got {type(delta).__name__}"
             )
         t0 = time.perf_counter()
-        new_graph = self._graph.apply_delta(delta)
+        old_oracle = self._cache.get("oracle")
+        repaired = None if old_oracle is None else repair_oracle(old_oracle, delta)
+        # a repair applies the delta itself: the child serves the graph
+        # its repaired oracle solves, so the delta is applied once
+        if repaired is not None:
+            new_graph = repaired[1].graph
+        else:
+            new_graph = self._graph.apply_delta(delta)
         child = Network(
             new_graph,
             seed=self._seed,
@@ -397,16 +404,13 @@ class Network:
         rows_recomputed = 0
         rows_reused = 0
         entries_changed = 0
-        old_oracle = self._cache.get("oracle")
-        if old_oracle is not None:
-            repaired = repair_oracle(old_oracle, delta)
-            if repaired is not None:
-                new_oracle, result = repaired
-                child._cache["oracle"] = new_oracle
-                incremental = 1
-                rows_recomputed = result.report.rows_recomputed
-                rows_reused = result.report.rows_reused
-                entries_changed = result.report.entries_changed
+        if repaired is not None:
+            new_oracle, result = repaired
+            child._cache["oracle"] = new_oracle
+            incremental = 1
+            rows_recomputed = result.report.rows_recomputed
+            rows_reused = result.report.rows_reused
+            entries_changed = result.report.entries_changed
         child._repair = RepairStats(
             ops=len(delta.ops),
             incremental=incremental,

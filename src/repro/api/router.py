@@ -30,9 +30,11 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.graph.shortest_paths import DistanceOracle
 from repro.runtime.scheme import RoutingScheme
-from repro.runtime.simulator import RoundtripTrace, Simulator
+from repro.runtime.simulator import RoundtripTrace, Simulator, TraceBatch
 from repro.runtime.stats import TableReport, measure_tables
 from repro.runtime.traffic import (
     TrafficSummary,
@@ -200,28 +202,6 @@ class Router:
         stats["seconds"] += seconds
         stats["shards"] += shards
 
-    def _result(self, s: int, t: int, name: int, trace: RoundtripTrace) -> RouteResult:
-        cost = trace.total_cost
-        hops = trace.total_hops
-        bits = trace.max_header_bits
-        self._queries += 1
-        self._total_cost += cost
-        self._total_hops += hops
-        self._max_header_bits = max(self._max_header_bits, bits)
-        stretch = (
-            cost / self._oracle.r(s, t) if self._oracle is not None else math.nan
-        )
-        return RouteResult(
-            source=s,
-            dest=t,
-            dest_name=name,
-            cost=cost,
-            hops=hops,
-            max_header_bits=bits,
-            stretch=stretch,
-            trace=trace,
-        )
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -244,7 +224,7 @@ class Router:
         t0 = time.perf_counter()
         trace = self._sim.roundtrip(source, name)
         self._account_batch("python", 1, time.perf_counter() - t0)
-        return self._result(source, vertex, name, trace)
+        return self._results([(source, vertex)], [name], TraceBatch([trace]))[0]
 
     def route_many(
         self,
@@ -279,9 +259,39 @@ class Router:
         self._account_batch(
             resolved, len(pair_list), time.perf_counter() - t0
         )
+        return self._results(pair_list, names, traces)
+
+    def _results(
+        self,
+        pairs: List[Tuple[int, int]],
+        names: List[int],
+        traces: TraceBatch,
+    ) -> List[RouteResult]:
+        """One :class:`RouteResult` per pair, read from the batch's
+        columns; the session totals absorb them in input order."""
+        costs, hops, bits = traces.cost, traces.hops, traces.max_header_bits
+        if not costs:
+            return []
+        if self._oracle is not None:
+            # elementwise float64 division rounds exactly as the scalar
+            sources, dests = np.array(pairs, dtype=np.int64).T
+            stretch = (
+                np.array(costs) / self._oracle.r_matrix[sources, dests]
+            ).tolist()
+        else:
+            stretch = [math.nan] * len(costs)
+        self._queries += len(costs)
+        total = self._total_cost
+        for cost in costs:
+            total += cost
+        self._total_cost = total
+        self._total_hops += sum(hops)
+        self._max_header_bits = max(self._max_header_bits, max(bits))
         return [
-            self._result(s, t, name, trace)
-            for (s, t), name, trace in zip(pair_list, names, traces)
+            RouteResult(s, t, name, cost, hop, bit, st, trace)
+            for (s, t), name, cost, hop, bit, st, trace in zip(
+                pairs, names, costs, hops, bits, stretch, traces
+            )
         ]
 
     def serve_workload(

@@ -172,6 +172,12 @@ class DoubleTree:
         the in-pointer)."""
         return self._out.table_entries_at(v) + self._in.table_entries_at(v)
 
+    def add_table_entries(self, counts: List[int]) -> None:
+        """Add every vertex's :meth:`table_entries_at` into ``counts``
+        (indexed by vertex), in one pass over the tree's stored rows."""
+        self._out.add_table_entries(counts)
+        self._in.add_table_entries(counts)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DoubleTree(id={self._tree_id}, root={self.root}, "

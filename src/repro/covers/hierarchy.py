@@ -65,6 +65,7 @@ class TreeHierarchy:
         ]
         self._trees: List[DoubleTree] = [t for cov in self.levels for t in cov.trees]
         self._best: Optional[np.ndarray] = None
+        self._entries: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -179,12 +180,21 @@ class TreeHierarchy:
         height = (2 * self._k - 1) * (2.0 ** level)
         return 2 * height + r_uv
 
+    def table_entry_counts(self) -> np.ndarray:
+        """Every vertex's tree-state rows across all levels, as a
+        read-only ``(n,)`` int64 array: one pass over each tree's stored
+        rows, built on first use and cached."""
+        if self._entries is None:
+            counts = [0] * self._metric.n
+            for t in self._trees:
+                t.add_table_entries(counts)
+            self._entries = np.array(counts, dtype=np.int64)
+            self._entries.flags.writeable = False
+        return self._entries
+
     def table_entries_at(self, v: int) -> int:
         """Total tree-state rows charged to ``v`` across all levels."""
-        total = 0
-        for t in self.all_trees():
-            total += t.table_entries_at(v)
-        return total
+        return int(self.table_entry_counts()[v])
 
     def verify(self) -> None:
         """Verify every level's Theorem 13 properties."""

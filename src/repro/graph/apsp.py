@@ -57,12 +57,27 @@ import numpy as np
 from repro.exceptions import GraphError
 from repro.graph.csr import CSRGraph
 
-try:  # scipy is optional: used only to accelerate the warm start
-    from scipy.sparse import csr_matrix as _sp_csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _sp_dijkstra
-except ImportError:  # pragma: no cover - exercised where scipy is absent
-    _sp_csr_matrix = None
-    _sp_dijkstra = None
+#: scipy is optional and used only to accelerate the warm start, so it
+#: is imported on the first warm start (:func:`_load_scipy`), not with
+#: this module: a process that loads its oracle from the store never
+#: pays for it.  ``_UNLOADED`` until then, ``None`` when scipy is absent.
+_UNLOADED = object()
+_sp_csr_matrix = _UNLOADED
+_sp_dijkstra = _UNLOADED
+
+
+def _load_scipy():
+    """scipy's ``dijkstra`` (importing it on first use), or ``None``
+    when scipy is not installed."""
+    global _sp_csr_matrix, _sp_dijkstra
+    if _sp_dijkstra is _UNLOADED:
+        try:
+            from scipy.sparse import csr_matrix
+            from scipy.sparse.csgraph import dijkstra
+        except ImportError:  # pragma: no cover - where scipy is absent
+            csr_matrix = dijkstra = None
+        _sp_csr_matrix, _sp_dijkstra = csr_matrix, dijkstra
+    return _sp_dijkstra
 
 #: Absolute tolerance under which two path lengths count as tied.
 #: Shared with the sequential Dijkstra so both engines canonicalize
@@ -344,14 +359,15 @@ def _warm_start(
     """
     n = csr.n
     rows = np.arange(src.shape[0])
-    if _sp_dijkstra is not None:
+    dijkstra = _load_scipy()
+    if dijkstra is not None:
         if classes._sp_matrix is None:
             classes._sp_matrix = _sp_csr_matrix(
                 (csr.out_weights, csr.out_heads, csr.out_indptr),
                 shape=(n, n),
             )
         d = np.asarray(
-            _sp_dijkstra(classes._sp_matrix, indices=src), dtype=np.float64
+            dijkstra(classes._sp_matrix, indices=src), dtype=np.float64
         )
         d[rows, src] = 0.0
         return d

@@ -23,6 +23,8 @@ distance oracle has always had).
 from __future__ import annotations
 
 import weakref
+from itertools import chain
+from typing import List, Tuple
 
 import numpy as np
 
@@ -157,6 +159,17 @@ def port_heads(g: Digraph, tails, ports) -> np.ndarray:
     return _lookup(_port_lookups(g)[1], g.n, tails, ports)
 
 
+def _adjacency_arrays(rows: List[List[Tuple[int, float]]]):
+    """``(indptr, ends, weights)`` of per-vertex ``[(end, weight), ...]``
+    lists, each vertex's entries in list order."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=indptr[1:])
+    flat = list(chain.from_iterable(rows))
+    ends = np.array([end for end, _ in flat], dtype=np.int64)
+    weights = np.array([w for _, w in flat], dtype=np.float64)
+    return indptr, ends, weights
+
+
 class CSRGraph:
     """Read-only CSR snapshot of a :class:`Digraph`.
 
@@ -250,29 +263,12 @@ class CSRGraph:
     @classmethod
     def _build(cls, g: Digraph) -> "CSRGraph":
         n = g.n
-        out_deg = np.empty(n + 1, dtype=np.int64)
-        out_deg[0] = 0
-        in_deg = np.empty(n + 1, dtype=np.int64)
-        in_deg[0] = 0
-        for u in range(n):
-            out_deg[u + 1] = g.out_degree(u)
-            in_deg[u + 1] = g.in_degree(u)
-        out_indptr = np.cumsum(out_deg)
-        in_indptr = np.cumsum(in_deg)
-        m = int(out_indptr[-1])
-        out_heads = np.empty(m, dtype=np.int64)
-        out_weights = np.empty(m, dtype=np.float64)
-        in_tails = np.empty(m, dtype=np.int64)
-        in_weights = np.empty(m, dtype=np.float64)
-        for u in range(n):
-            base = out_indptr[u]
-            for i, (head, w) in enumerate(g.out_neighbors(u)):
-                out_heads[base + i] = head
-                out_weights[base + i] = w
-            base = in_indptr[u]
-            for i, (tail, w) in enumerate(g.in_neighbors(u)):
-                in_tails[base + i] = tail
-                in_weights[base + i] = w
+        out_indptr, out_heads, out_weights = _adjacency_arrays(
+            [g.out_neighbors(u) for u in range(n)]
+        )
+        in_indptr, in_tails, in_weights = _adjacency_arrays(
+            [g.in_neighbors(u) for u in range(n)]
+        )
         return cls(
             n, out_indptr, out_heads, out_weights,
             in_indptr, in_tails, in_weights,

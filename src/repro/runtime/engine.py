@@ -62,6 +62,7 @@ every registered scheme on every workload kind.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -75,6 +76,7 @@ from repro.runtime.simulator import (  # noqa: F401  (re-export)
     EXECUTION_ENGINES,
     LegTrace,
     RoundtripTrace,
+    TraceBatch,
 )
 
 #: substrate leg phases (mirror repro.rtz.routing's DIRECT/TO_CENTER/
@@ -661,7 +663,7 @@ def run_roundtrips(
     pairs: Sequence[Tuple[int, int]],
     hop_limit: int,
     scheme_name: str = "?",
-) -> List[RoundtripTrace]:
+) -> TraceBatch:
     """Execute a batch of roundtrips against compiled tables.
 
     All in-flight packets advance one hop per sweep; per-packet leg
@@ -677,11 +679,14 @@ def run_roundtrips(
         scheme_name: label used in error messages.
 
     Returns:
-        One :class:`RoundtripTrace` per pair, in input order.
+        A :class:`TraceBatch`: one :class:`RoundtripTrace` per pair, in
+        input order, and the per-pair columns.  The columns come from
+        the sweep itself; the hop-by-hop paths are built from the sweep
+        log only when some trace's legs are first read.
     """
     batch = len(pairs)
     if batch == 0:
-        return []
+        return TraceBatch()
     sources = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=batch)
     dests = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=batch)
     plan = compiled.plan(sources, dests)
@@ -713,13 +718,14 @@ def run_roundtrips(
     leg_bits = init_bits[0].copy()
 
     out_cost = np.zeros((num_legs, batch), dtype=np.float64)
+    out_hops = np.zeros((num_legs, batch), dtype=np.int64)
     out_bits = np.zeros((num_legs, batch), dtype=np.int64)
     leg_start = np.zeros((num_legs, batch), dtype=np.int64)
     leg_start[0] = sources
 
-    # Path log: per sweep, (packet indices, leg ids, vertices stepped to).
+    # Path log: per sweep, the packets that stepped and where to.  Each
+    # packet's steps come in sweep order, its legs one after another.
     log_idx: List[np.ndarray] = []
-    log_leg: List[np.ndarray] = []
     log_vert: List[np.ndarray] = []
 
     def trees(c: np.ndarray) -> Optional[np.ndarray]:
@@ -771,6 +777,7 @@ def run_roundtrips(
                 cp = pend[crossed]
                 old_leg = lg[crossed]
                 out_cost[old_leg, cp] = leg_cost[cp]
+                out_hops[old_leg, cp] = leg_hops[cp]
                 out_bits[old_leg, cp] = leg_bits[cp]
                 new_leg = old_leg + 1
                 finished = new_leg >= num_legs
@@ -797,8 +804,7 @@ def run_roundtrips(
         leg_hops[ap] += 1
         leg_bits[ap] = np.maximum(leg_bits[ap], seg_bits[c])
         log_idx.append(ap)
-        log_leg.append(cur_leg[ap])
-        log_vert.append(nxt.astype(np.int64))
+        log_vert.append(nxt)
         at[ap] = nxt
         phase[ap] = new_phase
 
@@ -809,42 +815,98 @@ def run_roundtrips(
             f"scheme {scheme_name} exceeded {hop_limit} hops routing "
             f"from {int(leg_start[li, p])} to {int(leg_end[li, p])} (loop?)"
         )
-    return _assemble_traces(
-        batch, num_legs, leg_start, out_cost, out_bits,
-        log_idx, log_leg, log_vert,
+    paths = _SweepPaths(sources, out_cost, out_hops, out_bits, log_idx, log_vert)
+    return TraceBatch(
+        [RoundtripTrace.in_batch(paths, i) for i in range(batch)],
+        (paths.cost, paths.hops, paths.max_header_bits),
     )
 
 
-def _assemble_traces(
-    batch: int,
-    num_legs: int,
-    leg_start: np.ndarray,
-    out_cost: np.ndarray,
-    out_bits: np.ndarray,
-    log_idx: List[np.ndarray],
-    log_leg: List[np.ndarray],
-    log_vert: List[np.ndarray],
-) -> List[RoundtripTrace]:
-    """Reconstruct per-packet hop-by-hop traces from the sweep log.
+class _SweepPaths:
+    """One batch's per-pair columns, and its sweep log turned into
+    hop-by-hop legs on first read.
 
-    Each leg's start vertex leads its (packet, leg) group, so after a
-    stable sort by group every path is one contiguous slice."""
-    groups = np.arange(batch * num_legs, dtype=np.int64)
-    keys = np.concatenate([groups] + [
-        idx * num_legs + leg for idx, leg in zip(log_idx, log_leg)
-    ])
-    verts = np.concatenate([leg_start.T.reshape(-1)] + log_vert)
-    # A stable sort keeps the start first and sweep order after it.
-    verts = verts[np.argsort(keys, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(keys, minlength=groups.shape[0])).tolist()
-    legs = [
-        LegTrace(verts[lo:hi], cost, bits)
-        for lo, hi, cost, bits in zip(
-            [0] + ends[:-1], ends,
-            out_cost.T.reshape(-1).tolist(), out_bits.T.reshape(-1).tolist(),
+    The columns are computed from the sweep's leg totals: ``cost`` adds
+    the outbound and inbound leg costs (as
+    :attr:`RoundtripTrace.total_cost` adds them), ``hops`` their hop
+    counts, ``max_header_bits`` takes the larger leg maximum.  The first
+    :meth:`legs` call lays every packet's path out in one flat array,
+    under a lock, and drops the log; each trace's
+    :class:`LegTrace` pair is then made once, on its first read.
+    """
+
+    def __init__(
+        self,
+        sources: np.ndarray,
+        leg_cost: np.ndarray,
+        leg_hops: np.ndarray,
+        leg_bits: np.ndarray,
+        log_idx: List[np.ndarray],
+        log_vert: List[np.ndarray],
+    ):
+        self.cost = (leg_cost[0] + leg_cost[1]).tolist()
+        self.hops = (leg_hops[0] + leg_hops[1]).tolist()
+        self.max_header_bits = np.maximum(leg_bits[0], leg_bits[1]).tolist()
+        self._sources = sources
+        self._leg_cost = leg_cost
+        self._leg_hops = leg_hops
+        self._leg_bits = leg_bits
+        self._log: Optional[Tuple[List[np.ndarray], List[np.ndarray]]] = (
+            log_idx, log_vert,
         )
-    ]
-    return [
-        RoundtripTrace(outbound=out, inbound=back)
-        for out, back in zip(legs[0::num_legs], legs[1::num_legs])
-    ]
+        self._lock = threading.Lock()
+        self._legs: List[Optional[Tuple[LegTrace, LegTrace]]] = [None] * len(
+            self.cost
+        )
+
+    def legs(self, i: int) -> Tuple[LegTrace, LegTrace]:
+        """Packet ``i``'s ``(outbound, inbound)`` legs, the same objects
+        on every call."""
+        legs = self._legs[i]
+        if legs is None:
+            with self._lock:
+                if self._log is not None:
+                    self._lay_out()
+                legs = self._legs[i]
+                if legs is None:
+                    lo, mid, hi = self._spans[i]
+                    verts = self._verts
+                    legs = self._legs[i] = (
+                        LegTrace(verts[lo:mid], *self._out[i]),
+                        LegTrace(verts[mid:hi], *self._in[i]),
+                    )
+        return legs
+
+    def _lay_out(self) -> None:
+        """Every packet's two paths, back to back in one flat list:
+        packet ``p`` holds ``[bounds[p], mid[p])`` (outbound, from its
+        source) and ``[mid[p], bounds[p + 1])`` (inbound, from where
+        the outbound leg ended).  A stable sort of the log by packet
+        keeps each packet's steps in sweep order."""
+        log_idx, log_vert = self._log
+        h_out, h_in = self._leg_hops
+        batch = h_out.shape[0]
+        steps = h_out + h_in
+        packet = np.concatenate(log_idx)
+        order = np.argsort(packet, kind="stable")
+        packet = packet[order]
+        first = np.zeros(batch + 1, dtype=np.int64)
+        np.cumsum(steps, out=first[1:])
+        bounds = first + 2 * np.arange(batch + 1)
+        # step j of packet p lands after its source, and after the
+        # repeated inbound start once it is an inbound step
+        rank = np.arange(packet.shape[0]) - first[packet]
+        slot = bounds[packet] + 1 + rank + (rank >= h_out[packet])
+        verts = np.empty(int(bounds[-1]), dtype=np.int64)
+        verts[slot] = np.concatenate(log_vert)[order]
+        verts[bounds[:-1]] = self._sources
+        mid = bounds[:-1] + 1 + h_out
+        verts[mid] = verts[mid - 1]
+        self._verts = verts.tolist()
+        self._spans = list(
+            zip(bounds[:-1].tolist(), mid.tolist(), bounds[1:].tolist())
+        )
+        costs, bits = self._leg_cost.tolist(), self._leg_bits.tolist()
+        self._out = list(zip(costs[0], bits[0]))
+        self._in = list(zip(costs[1], bits[1]))
+        self._log = None

@@ -49,32 +49,116 @@ class LegTrace:
         return len(self.path) - 1
 
 
-@dataclass
 class RoundtripTrace:
     """Result of a full roundtrip ``s -> t -> s``.
+
+    A trace is either eager, holding both legs from construction (the
+    python engine), or backed by its batch (the vectorized engine): its
+    legs are built from the batch's sweep log on first read, and its
+    totals are read from the batch's columns without building them.
 
     Attributes:
         outbound: the forward leg trace.
         inbound: the acknowledgment leg trace.
     """
 
-    outbound: LegTrace
-    inbound: LegTrace
+    __slots__ = ("_legs", "_batch", "_index")
+
+    def __init__(self, outbound: LegTrace, inbound: LegTrace):
+        self._legs: Optional[Tuple[LegTrace, LegTrace]] = (outbound, inbound)
+        self._batch = None
+        self._index = -1
+
+    @classmethod
+    def in_batch(cls, batch, index: int) -> "RoundtripTrace":
+        """The ``index``-th trace of ``batch``: an object with ``cost``,
+        ``hops`` and ``max_header_bits`` columns (sequences of the
+        values :attr:`total_cost`, :attr:`total_hops` and
+        :attr:`max_header_bits` return) and a thread-safe
+        ``legs(index)`` that returns the same ``(outbound, inbound)``
+        pair on every call."""
+        trace = cls.__new__(cls)
+        trace._legs = None
+        trace._batch = batch
+        trace._index = index
+        return trace
+
+    def _read_legs(self) -> Tuple[LegTrace, LegTrace]:
+        legs = self._legs
+        if legs is None:
+            legs = self._legs = self._batch.legs(self._index)
+        return legs
+
+    @property
+    def outbound(self) -> LegTrace:
+        """The forward leg trace."""
+        return self._read_legs()[0]
+
+    @property
+    def inbound(self) -> LegTrace:
+        """The acknowledgment leg trace."""
+        return self._read_legs()[1]
 
     @property
     def total_cost(self) -> float:
-        """Roundtrip path cost."""
+        """Roundtrip path cost (outbound plus inbound)."""
+        if self._batch is not None:
+            return self._batch.cost[self._index]
         return self.outbound.cost + self.inbound.cost
 
     @property
     def total_hops(self) -> int:
         """Roundtrip hop count."""
+        if self._batch is not None:
+            return self._batch.hops[self._index]
         return self.outbound.hops + self.inbound.hops
 
     @property
     def max_header_bits(self) -> int:
         """Largest header observed anywhere in the journey."""
+        if self._batch is not None:
+            return self._batch.max_header_bits[self._index]
         return max(self.outbound.max_header_bits, self.inbound.max_header_bits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._read_legs() == other._read_legs()
+
+    __hash__ = None  # mutable legs, as for the dataclass it replaces
+
+    def __repr__(self) -> str:
+        out, back = self._read_legs()
+        return f"RoundtripTrace(outbound={out!r}, inbound={back!r})"
+
+    def __reduce__(self):
+        # copies and pickles are eager: the batch holds a lock
+        return (RoundtripTrace, self._read_legs())
+
+
+class TraceBatch(list):
+    """One batch's traces in input order, with each pair's numbers as
+    columns: ``cost[i]``, ``hops[i]`` and ``max_header_bits[i]`` equal
+    trace ``i``'s :attr:`~RoundtripTrace.total_cost`,
+    :attr:`~RoundtripTrace.total_hops` and
+    :attr:`~RoundtripTrace.max_header_bits`.  Consumers that need only
+    the numbers read the columns and never touch a path."""
+
+    __slots__ = ("cost", "hops", "max_header_bits")
+
+    def __init__(
+        self,
+        traces: Iterable[RoundtripTrace] = (),
+        columns: Optional[Tuple[List[float], List[int], List[int]]] = None,
+    ):
+        super().__init__(traces)
+        if columns is None:
+            columns = (
+                [t.total_cost for t in self],
+                [t.total_hops for t in self],
+                [t.max_header_bits for t in self],
+            )
+        self.cost, self.hops, self.max_header_bits = columns
 
 
 class Simulator:
@@ -212,7 +296,7 @@ class Simulator:
         pairs: Iterable[Tuple[int, int]],
         by_name: bool = False,
         engine: str = "auto",
-    ) -> List[RoundtripTrace]:
+    ) -> TraceBatch:
         """Run the full roundtrip protocol for a batch of pairs.
 
         This is the entry point for traffic workloads (see
@@ -234,7 +318,10 @@ class Simulator:
                 All engines produce bit-identical traces.
 
         Returns:
-            One :class:`RoundtripTrace` per pair, in input order.
+            A :class:`TraceBatch`: one :class:`RoundtripTrace` per
+            pair, in input order, and the per-pair columns.  The
+            vectorized engine builds the hop-by-hop paths only when
+            some trace's legs are first read.
 
         Raises:
             RoutingError: propagated from any journey — batch
@@ -256,7 +343,7 @@ class Simulator:
                 scheme_name=self._scheme.name,
             )
         name_of = self._scheme.name_of
-        return [
+        return TraceBatch(
             self.roundtrip(s, t if by_name else name_of(t))
             for (s, t) in pairs
-        ]
+        )

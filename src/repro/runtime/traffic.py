@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.shortest_paths import DistanceOracle
-from repro.runtime.simulator import Simulator
+from repro.runtime.simulator import Simulator, TraceBatch
 
 #: Workload kinds understood by :func:`generate_workload`.  The last
 #: three — zipf-skewed hotspots, flash crowds, and diurnal ramps — are
@@ -674,11 +674,12 @@ def num_shards(
 def _summarize(
     kind: str,
     pairs: Sequence[Tuple[int, int]],
-    traces,
+    traces: TraceBatch,
     r_matrix,
     elapsed: float,
 ) -> TrafficSummary:
-    """Aggregate one (shard's) trace batch into a :class:`TrafficSummary`.
+    """Aggregate one (shard's) trace batch into a :class:`TrafficSummary`,
+    from the batch's columns alone.
 
     ``r_matrix`` is the oracle's roundtrip-distance matrix (or ``None``
     for no stretch columns).
@@ -688,11 +689,10 @@ def _summarize(
             kind, 0, 0.0, 0, 0.0, 0.0, 0, 0, float("nan"), float("nan"),
             (-1, -1), elapsed,
         )
-    costs = [t.total_cost for t in traces]
-    hops = [t.total_hops for t in traces]
+    costs, hops = traces.cost, traces.hops
     total_cost = sum(costs)
     total_hops = sum(hops)
-    max_bits = max(t.max_header_bits for t in traces)
+    max_bits = max(traces.max_header_bits)
     mean_stretch = max_stretch = float("nan")
     worst_pair = (-1, -1)
     if r_matrix is not None:

@@ -459,9 +459,7 @@ class ExStretchScheme(RoutingScheme):
         owner, col = np.divmod(self._rows.keys, self._rows.n)
         final = col >= (self.k - 1) * self.blocks.q ** self.k
         return {
-            "(1) Tab / tree state": np.array(
-                [self.spanner.table_entries(v) for v in range(n)]
-            ),
+            "(1) Tab / tree state": self.spanner.hierarchy.table_entry_counts(),
             "(2) N_1 handshakes": np.bincount(
                 self._near.keys // n, minlength=n
             ),

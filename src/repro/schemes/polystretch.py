@@ -414,9 +414,7 @@ class PolynomialStretchScheme(RoutingScheme):
         owner = self._rows.keys // self._rows.n % n
         return {
             "(1) home-tree ids": np.count_nonzero(self._home_id >= 0, axis=1),
-            "(2) tree state": np.array(
-                [self.hierarchy.table_entries_at(v) for v in range(n)]
-            ),
+            "(2) tree state": self.hierarchy.table_entry_counts(),
             "(2c) dictionary rows": np.bincount(owner, minlength=n),
         }
 

@@ -172,16 +172,28 @@ class StretchSixScheme(RoutingScheme):
             raise TableLookupError(f"no vertex carries key {key}")
         return self._key_order.item(pos)
 
-    def _lookup_r3(self, u: int, dest_key: int) -> Optional[R3Label]:
+    # The two source-side lookups take the vertex ``v`` that
+    # ``dest_key`` names when the caller has resolved it: a packet's
+    # first forward() call asks both, and resolves its key once.
+
+    def _lookup_r3(
+        self, u: int, dest_key: int, v: Optional[int] = None
+    ) -> Optional[R3Label]:
         """``GetR3Label`` of Fig. 3: cases (1) then (3)."""
-        v = self._vertex_of_key(dest_key)
-        if v in self._near[u] or self._serves[u, self._block[v]]:
+        if v is None:
+            v = self._vertex_of_key(dest_key)
+        # a sqrt(n)-long row scans faster as a list than through numpy
+        if v in self._near[u].tolist() or self._serves[u, self._block[v]]:
             return self.rtz.label(v)
         return None
 
-    def _lookup_dict_node(self, u: int, dest_key: int) -> int:
+    def _lookup_dict_node(
+        self, u: int, dest_key: int, v: Optional[int] = None
+    ) -> int:
         """``GetLookupNodeID`` of Fig. 3 (case 2)."""
-        return int(self._holders[u, self._block[self._vertex_of_key(dest_key)]])
+        if v is None:
+            v = self._vertex_of_key(dest_key)
+        return int(self._holders[u, self._block[v]])
 
     def _lookup_slice(self, w: int, dest_key: int) -> R3Label:
         """Case (3) at the dictionary node ``w``, which must serve the
@@ -231,10 +243,11 @@ class StretchSixScheme(RoutingScheme):
         label, else at the dictionary node (in ``dict_mode``, by default
         the outbound mode)."""
         dest_key = header["dest"]
-        label = self._lookup_r3(at, dest_key)
+        dest = self._vertex_of_key(dest_key)
+        label = self._lookup_r3(at, dest_key, dest)
         mode, dict_node = self._outbound, None
         if label is None:
-            dict_node = self._lookup_dict_node(at, dest_key)
+            dict_node = self._lookup_dict_node(at, dest_key, dest)
             label = self.rtz.label(dict_node)
             mode = dict_mode or self._outbound
         return {

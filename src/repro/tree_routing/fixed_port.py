@@ -240,6 +240,12 @@ class OutTreeRouter:
             return 0
         return 2 + 3 * len(table.child_rows)
 
+    def add_table_entries(self, counts: List[int]) -> None:
+        """Add every vertex's :meth:`table_entries_at` into ``counts``
+        (indexed by vertex), in one pass over the stored rows."""
+        for v, table in self._tables.items():
+            counts[v] += 2 + 3 * len(table.child_rows)
+
 
 def _root_path_sums(
     up: np.ndarray, child: np.ndarray, weight: np.ndarray
@@ -427,3 +433,9 @@ class ToRootPointers:
     def table_entries_at(self, v: int) -> int:
         """Stored rows at ``v`` (one port, or none)."""
         return 1 if v in self._port else 0
+
+    def add_table_entries(self, counts: List[int]) -> None:
+        """Add every vertex's :meth:`table_entries_at` into ``counts``
+        (indexed by vertex)."""
+        for v in self._port:
+            counts[v] += 1

@@ -38,8 +38,10 @@ from repro.graph.delta import (
     LinkUp,
     Reweight,
 )
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import Digraph
 from repro.graph.scc import is_strongly_connected
+from repro.graph.shortest_paths import DistanceOracle
 from repro.runtime.churn import (
     EpochSpec,
     Timeline,
@@ -222,6 +224,43 @@ class TestEvolve:
         assert repair.artifacts_carried >= 1
         # the TINN promise: names survive topology change
         assert child.naming() is net.naming()
+
+    @pytest.mark.parametrize(
+        "delta",
+        [
+            GraphDelta.reweight(0, 1, 0.53),
+            GraphDelta((Reweight(0, 1, 0.54), LinkUp(3, 0, 2.5))),
+        ],
+        ids=["one-op", "two-op"],
+    )
+    def test_delta_applied_once_and_served_with_its_oracle(
+        self, monkeypatch, delta
+    ):
+        net = Network(_grid_graph(12, 13, extra=8), seed=0, store=None)
+        net.oracle()
+        built = {"graphs": 0, "snapshots": 0}
+        from_port_edges = Digraph.from_port_edges.__func__
+        build = CSRGraph._build.__func__
+
+        def count_graph(cls, *args, **kwargs):
+            built["graphs"] += 1
+            return from_port_edges(cls, *args, **kwargs)
+
+        def count_snapshot(cls, g):
+            built["snapshots"] += 1
+            return build(cls, g)
+
+        monkeypatch.setattr(Digraph, "from_port_edges", classmethod(count_graph))
+        monkeypatch.setattr(CSRGraph, "_build", classmethod(count_snapshot))
+        child = net.evolve(delta)
+        assert child.stats().repair.incremental == 1
+        assert child.graph is child.oracle().graph
+        # one graph and one snapshot per op: the repair steps through
+        # each intermediate graph and ends on the one the child serves
+        assert built == {"graphs": len(delta.ops), "snapshots": len(delta.ops)}
+        cold = DistanceOracle(net.graph.apply_delta(delta))
+        assert np.array_equal(cold.d_matrix, child.oracle().d_matrix)
+        assert np.array_equal(cold.parent_matrix(), child.oracle().parent_matrix())
 
     def test_cold_parent_means_full_rebuild(self):
         net = Network(_grid_graph(12, 8, extra=8), seed=0, store=None)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.api import Network
 from repro.covers.double_tree import DoubleTree
 from repro.covers.hierarchy import TreeHierarchy
 from repro.covers.partial_cover import partial_cover
@@ -51,6 +52,12 @@ def scalar_best_tree(h: TreeHierarchy, u: int, v: int):
             if c < best_cost - 1e-12:
                 best, best_cost = t, c
     return best
+
+
+def walked_table_entries(h: TreeHierarchy, v: int) -> int:
+    """The per-vertex walk the counted array replaces: ``v``'s rows in
+    every tree of every level."""
+    return sum(t.table_entries_at(v) for t in h.all_trees())
 
 
 def decimal_torus(side: int, seed: int) -> Digraph:
@@ -485,6 +492,25 @@ class TestHierarchy:
         metric = make_metric(8, 26)
         with pytest.raises(ConstructionError):
             TreeHierarchy(metric, 1)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "family", ["random", "torus", "scale-free", "layered"]
+    )
+    def test_table_entry_counts_match_the_per_vertex_walk(self, family, k):
+        net = Network.from_family(family, 36, seed=2, store=None)
+        h = net.hierarchy(k)
+        counts = h.table_entry_counts()
+        assert counts.shape == (net.n,) and not counts.flags.writeable
+        want = [walked_table_entries(h, v) for v in range(net.n)]
+        assert counts.tolist() == want
+        assert [h.table_entries_at(v) for v in range(net.n)] == want
+        spanner = net.spanner(k)
+        assert [spanner.table_entries(v) for v in range(net.n)] == want
+        ex = net.build_scheme("exstretch", k=k).table_items()
+        poly = net.build_scheme("polystretch", k=k).table_items()
+        assert ex["(1) Tab / tree state"].tolist() == want
+        assert poly["(2) tree state"].tolist() == want
 
     def test_table_accounting_positive(self):
         metric = make_metric(10, 27)

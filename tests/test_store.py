@@ -12,13 +12,17 @@ store isolation (compiling and routing persists nothing outside
 
 from __future__ import annotations
 
+import os
 import random
 import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import Network
 from repro.api.artifacts import (
     artifact_kinds,
@@ -430,6 +434,37 @@ class TestNetworkStoreTier:
             spec_rtz.store_key(a, resolved).digest
             != spec_rtz.store_key(b, resolved).digest
         )
+
+    def test_warm_boot_never_imports_scipy(self, tmp_path):
+        # scipy only accelerates the APSP warm start: importing the CLI,
+        # and a network whose oracle and substrate load from the store,
+        # run none and must not import it.
+        root = tmp_path / "store"
+        Network.from_family("random", 40, seed=1, store=ArtifactStore(root)) \
+            .router("stretch6").resolve_engine()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys\n"
+            "import repro.cli\n"
+            "assert 'scipy' not in sys.modules, 'import repro.cli'\n"
+            "from repro.api import Network\n"
+            "from repro.store import ArtifactStore\n"
+            f"net = Network.from_family('random', 40, seed=1, "
+            f"store=ArtifactStore({str(root)!r}))\n"
+            "net.router('stretch6').resolve_engine()\n"
+            "rows = net.stats().cache.as_dict()\n"
+            "assert rows['oracle']['store_hits'] == 1, rows['oracle']\n"
+            "assert rows['rtz']['store_hits'] == 1, rows['rtz']\n"
+            "assert 'scipy' not in sys.modules, 'warm boot'\n"
+            "print('ok')\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "ok"
 
     def test_version_bump_misses_cleanly(self, graph, store):
         import dataclasses
