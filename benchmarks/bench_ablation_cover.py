@@ -16,15 +16,15 @@ home tree already serves optimally among trees.
 
 from __future__ import annotations
 
-from conftest import banner, cached_instance
+from conftest import banner, cached_network
 
 from repro.covers.hierarchy import TreeHierarchy
 
 
 def test_home_tree_vs_best_tree(benchmark):
-    inst = cached_instance("random", 48, seed=0)
-    n = inst.graph.n
-    h = TreeHierarchy(inst.metric, 2)
+    net = cached_network("random", 48, seed=0)
+    n = net.n
+    h = TreeHierarchy(net.metric(), 2)
 
     def run():
         worst_gap = 1.0
@@ -65,10 +65,10 @@ def test_cover_height_vs_weak_bound(benchmark):
     """The paper's remark: using [35]-style covers would blow stretch
     up to 8k^2+8k instead of 8k^2+4k-4.  We measure how much headroom
     the strong cover's heights actually leave."""
-    inst = cached_instance("random", 48, seed=0)
+    net = cached_network("random", 48, seed=0)
 
     def run():
-        h = TreeHierarchy(inst.metric, 2)
+        h = TreeHierarchy(net.metric(), 2)
         ratios = []
         for level, cov in enumerate(h.levels):
             bound = cov.height_bound()

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import random
 
-from conftest import banner, cached_instance
+from conftest import banner, cached_network
 
 from repro.graph.shortest_paths import path_length
 from repro.rtz.routing import RTZStretch3
 
 
 def test_landmark_sweep(benchmark):
-    inst = cached_instance("random", 64, seed=0)
-    n = inst.graph.n
+    net = cached_network("random", 64, seed=0)
+    n = net.n
+    oracle = net.oracle()
     root = max(2, int(round(n ** 0.5)))
     counts = sorted({2, 4, root, 16, 32} & set(range(2, n + 1)) | {root})
     rows = []
@@ -27,12 +28,12 @@ def test_landmark_sweep(benchmark):
     def run():
         for size in counts:
             rtz = RTZStretch3(
-                inst.metric, random.Random(size), center_count=size
+                net.metric(), random.Random(size), center_count=size
             )
             max_tab = max(rtz.table_entries(u) for u in range(n))
             mean_cluster = rtz.assignment.mean_cluster_size()
             worst = 0.0
-            g = inst.graph
+            g = net.graph
             for x in range(0, n, 4):
                 for y in range(0, n, 5):
                     if x == y:
@@ -40,7 +41,7 @@ def test_landmark_sweep(benchmark):
                     cost = path_length(g, rtz.route_leg(x, y)) + path_length(
                         g, rtz.route_leg(y, x)
                     )
-                    worst = max(worst, cost / inst.oracle.r(x, y))
+                    worst = max(worst, cost / oracle.r(x, y))
             rows.append((size, max_tab, mean_cluster, worst))
         return rows
 

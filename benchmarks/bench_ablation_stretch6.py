@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from conftest import banner, cached_instance
+from conftest import banner, cached_network
 
 from repro.graph.shortest_paths import path_length
 from repro.rtz.routing import RTZStretch3
@@ -18,19 +18,20 @@ from repro.schemes.stretch6 import StretchSixScheme
 
 
 def test_lookup_detour_ablation(benchmark):
-    inst = cached_instance("random", 48, seed=0)
-    rtz = RTZStretch3(inst.metric, random.Random(1))
+    net = cached_network("random", 48, seed=0)
+    rtz = RTZStretch3(net.metric(), random.Random(1))
     # Lean dictionary (one block per node) so remote lookups actually
     # happen at this size; Lemma 1 patching keeps coverage sound.
     scheme = StretchSixScheme(
-        inst.metric,
-        inst.naming,
+        net.metric(),
+        net.naming(),
         substrate=rtz,
         rng=random.Random(2),
         blocks_per_node=1,
     )
-    g = inst.graph
+    g = net.graph
     n = g.n
+    naming, oracle = net.naming(), net.oracle()
 
     def run():
         deployed_worst = 0.0
@@ -42,12 +43,12 @@ def test_lookup_detour_ablation(benchmark):
             for t in range(0, n, 5):
                 if s == t:
                     continue
-                dest_name = inst.naming.name_of(t)
+                dest_name = naming.name_of(t)
                 if scheme._lookup_r3(s, dest_name) is not None:
                     continue  # no dictionary trip; variants identical
                 w = scheme._lookup_dict_node(s, dest_name)
                 pairs += 1
-                r_st = inst.oracle.r(s, t)
+                r_st = oracle.r(s, t)
                 # deployed: s -> w -> t -> s
                 deployed = (
                     path_length(g, rtz.route_leg(s, w))
@@ -85,31 +86,31 @@ def test_variant_as_deployed_scheme(benchmark):
     from repro.runtime.stats import measure_stretch
     from repro.schemes.stretch6_variant import StretchSixViaSourceScheme
 
-    inst = cached_instance("random", 48, seed=0)
-    n = inst.graph.n
+    net = cached_network("random", 48, seed=0)
+    n = net.n
     results = {}
 
     def run():
-        rtz = RTZStretch3(inst.metric, random.Random(31))
+        rtz = RTZStretch3(net.metric(), random.Random(31))
         deployed = StretchSixScheme(
-            inst.metric,
-            inst.naming,
+            net.metric(),
+            net.naming(),
             substrate=rtz,
             rng=random.Random(32),
             blocks_per_node=1,
         )
         variant = StretchSixViaSourceScheme(
-            inst.metric,
-            inst.naming,
+            net.metric(),
+            net.naming(),
             substrate=rtz,
             rng=random.Random(32),
             blocks_per_node=1,
         )
         results["deployed"] = measure_stretch(
-            deployed, inst.oracle, sample=300, rng=random.Random(33)
+            net.router(deployed), sample=300, rng=random.Random(33)
         )
         results["variant"] = measure_stretch(
-            variant, inst.oracle, sample=300, rng=random.Random(33)
+            net.router(variant), sample=300, rng=random.Random(33)
         )
         return results
 

@@ -10,21 +10,21 @@ from __future__ import annotations
 import math
 import random
 
-from conftest import banner, cached_instance
+from conftest import banner, cached_network
 
 from repro.dictionary.distribution import BlockDistribution
 from repro.naming.blocks import BlockSpace
 
 
 def test_block_distribution_lemma4(benchmark):
-    inst = cached_instance("random", 64, seed=0)
-    n = inst.graph.n
+    net = cached_network("random", 64, seed=0)
+    n = net.n
     results = {}
 
     def run():
         for k in (2, 3, 4):
             dist = BlockDistribution(
-                inst.metric, BlockSpace(n, k), random.Random(k)
+                net.metric(), BlockSpace(n, k), random.Random(k)
             )
             dist.verify()
             results[k] = dist
@@ -51,15 +51,15 @@ def test_block_distribution_lemma4(benchmark):
 def test_block_coverage_probability(benchmark):
     """How often does pure sampling succeed without patches? (the
     with-high-probability claim, measured)."""
-    inst = cached_instance("random", 49, seed=0)
-    n = inst.graph.n
+    net = cached_network("random", 49, seed=0)
+    n = net.n
 
     def run():
         clean = 0
         trials = 12
         for seed in range(trials):
             dist = BlockDistribution(
-                inst.metric, BlockSpace(n, 2), random.Random(seed)
+                net.metric(), BlockSpace(n, 2), random.Random(seed)
             )
             if dist.patches_applied == 0:
                 clean += 1

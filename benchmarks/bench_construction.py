@@ -36,7 +36,7 @@ import time
 
 from conftest import SMOKE, banner, bench_n
 
-from repro.analysis.experiments import Instance
+from repro.api import Network
 from repro.covers.hierarchy import TreeHierarchy
 from repro.graph.apsp import apsp_matrices
 from repro.graph.csr import CSRGraph, edge_ports
@@ -116,11 +116,11 @@ def test_pipeline_stage_times(benchmark):
 def test_stretch6_build_benchmark(benchmark):
     """pytest-benchmark statistics for the full scheme build."""
     g = random_strongly_connected(bench_n(36), rng=random.Random(4))
-    inst = Instance.prepare(g, seed=5)
+    net = Network(g, seed=5, store=None)
 
     def build():
         return StretchSixScheme(
-            inst.metric, inst.naming, rng=random.Random(6)
+            net.metric(), net.naming(), rng=random.Random(6)
         )
 
     scheme = benchmark(build)

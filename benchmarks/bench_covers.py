@@ -8,19 +8,19 @@ properties (ball containment, radius blow-up <= 2k-1, vertex load
 from __future__ import annotations
 
 
-from conftest import banner, cached_instance
+from conftest import banner, cached_network
 
 from repro.covers.sparse_cover import DoubleTreeCover
 
 
 def test_cover_properties_sweep(benchmark):
-    inst = cached_instance("random", 48, seed=0)
+    net = cached_network("random", 48, seed=0)
     rows = []
 
     def run():
         for k in (2, 3):
             for scale in (2.0, 8.0, 32.0):
-                dtc = DoubleTreeCover(inst.metric, k, scale)
+                dtc = DoubleTreeCover(net.metric(), k, scale)
                 dtc.verify()
                 worst_height = max(t.rt_height() for t in dtc.trees)
                 rows.append(
@@ -52,10 +52,10 @@ def test_cover_properties_sweep(benchmark):
 
 def test_cover_load_vs_bound_margin(benchmark):
     """The paper's load bound is loose in practice; record the margin."""
-    inst = cached_instance("torus", 49, seed=0)
+    net = cached_network("torus", 49, seed=0)
 
     def run():
-        dtc = DoubleTreeCover(inst.metric, 2, 4.0)
+        dtc = DoubleTreeCover(net.metric(), 2, 4.0)
         return dtc.max_vertex_load(), dtc.load_bound()
 
     load, bound = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from conftest import banner, cached_instance, cached_network
+from conftest import banner, cached_network
 
 from repro.analysis.stretch import stretch_distribution
 from repro.runtime.sizing import log2_squared
@@ -18,15 +18,14 @@ from repro.runtime.stats import measure_stretch, measure_tables
 
 def test_exstretch_tradeoff(benchmark):
     net = cached_network("random", 64, seed=0)
-    inst = cached_instance("random", 64, seed=0)
-    n = inst.graph.n
+    n = net.n
     rows = {}
 
     def run():
         for k in (2, 3):
             scheme = net.build_scheme("exstretch", k=k, rng=random.Random(k))
             rep = measure_stretch(
-                scheme, inst.oracle, sample=300, rng=random.Random(k + 10)
+                net.router(scheme), sample=300, rng=random.Random(k + 10)
             )
             tab = measure_tables(scheme)
             rows[k] = (scheme, rep, tab)
@@ -50,10 +49,9 @@ def test_exstretch_tradeoff(benchmark):
 def test_exstretch_lemma8_ladder(benchmark):
     """Lemma 8: r(v_i, v_{i+1}) <= 2^i r(s, t) along the waypoints."""
     net = cached_network("random", 64, seed=0)
-    inst = cached_instance("random", 64, seed=0)
-    n = inst.graph.n
+    n = net.n
     scheme = net.build_scheme("exstretch", k=3, rng=random.Random(5))
-    naming, metric = inst.naming, inst.metric
+    naming, metric = net.naming(), net.metric()
 
     def ladder_violations():
         checked = 0
@@ -98,7 +96,7 @@ def test_exstretch_distribution_families(benchmark):
             results[fam] = (
                 scheme,
                 stretch_distribution(
-                    scheme, fam_net.oracle(), sample=200, rng=random.Random(2)
+                    fam_net.router(scheme), sample=200, rng=random.Random(2)
                 ),
             )
         return results

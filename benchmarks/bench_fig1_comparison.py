@@ -8,9 +8,7 @@ bound; and times the full-table regeneration as the benchmark kernel.
 
 from __future__ import annotations
 
-import random
-
-from conftest import banner, cached_instance
+from conftest import banner, cached_network
 
 from repro.analysis.experiments import (
     assert_rows_sound,
@@ -20,11 +18,9 @@ from repro.analysis.experiments import (
 
 
 def _regenerate(n: int = 48, seed: int = 3):
-    inst = cached_instance("random", n, seed=0)
-    rows = fig1_comparison(
-        inst.graph, seed=seed, sample_pairs=250, k=2, instance=inst
+    return fig1_comparison(
+        cached_network("random", n, seed=0), seed=seed, sample_pairs=250, k=2
     )
-    return rows
 
 
 def test_fig1_table(benchmark):
@@ -51,9 +47,9 @@ def test_fig1_on_all_families(benchmark):
 
     def run():
         for fam in ("cycle", "torus", "dht"):
-            inst = cached_instance(fam, 36, seed=0)
-            rows = fig1_comparison(inst.graph, seed=5, sample_pairs=120, k=2)
-            results[fam] = rows
+            results[fam] = fig1_comparison(
+                cached_network(fam, 36, seed=0), seed=5, sample_pairs=120, k=2
+            )
         return results
 
     benchmark.pedantic(run, rounds=1, iterations=1)

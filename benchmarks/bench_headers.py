@@ -12,12 +12,10 @@ import random
 
 from conftest import banner, bench_n
 
-from repro.analysis.experiments import Instance
+from repro.api import Network
 from repro.graph.generators import random_strongly_connected
 from repro.runtime.sizing import header_bits, log2_squared
 from repro.runtime.stats import measure_stretch
-from repro.schemes.exstretch import ExStretchScheme
-from repro.schemes.stretch6 import StretchSixScheme
 
 
 def test_header_growth_sweep(benchmark):
@@ -27,18 +25,14 @@ def test_header_growth_sweep(benchmark):
     def run():
         for n in sizes:
             g = random_strongly_connected(n, rng=random.Random(n))
-            inst = Instance.prepare(g, seed=n + 1)
-            s6 = StretchSixScheme(
-                inst.metric, inst.naming, rng=random.Random(n + 2)
-            )
-            ex = ExStretchScheme(
-                inst.metric, inst.naming, k=2, rng=random.Random(n + 3)
-            )
+            net = Network(g, seed=n + 1, store=None)
+            s6 = net.build_scheme("stretch6")
+            ex = net.build_scheme("exstretch", k=2)
             rep6 = measure_stretch(
-                s6, inst.oracle, sample=120, rng=random.Random(1)
+                net.router(s6), sample=120, rng=random.Random(1)
             )
             repx = measure_stretch(
-                ex, inst.oracle, sample=120, rng=random.Random(2)
+                net.router(ex), sample=120, rng=random.Random(2)
             )
             fresh = header_bits(s6.new_packet_header(0), n)
             rows.append((n, fresh, rep6.max_header_bits, repx.max_header_bits))
@@ -66,8 +60,8 @@ def test_real_wire_encoding(benchmark):
 
     n = bench_n(48)
     g = random_strongly_connected(n, rng=random.Random(21))
-    inst = Instance.prepare(g, seed=22)
-    scheme = StretchSixScheme(inst.metric, inst.naming, rng=random.Random(23))
+    net = Network(g, seed=22, store=None)
+    scheme = net.build_scheme("stretch6")
     codec = HeaderCodec(n)
 
     def run():
@@ -83,7 +77,7 @@ def test_real_wire_encoding(benchmark):
         scheme.forward = tap  # type: ignore[method-assign]
         sim = Simulator(scheme)
         for t in range(1, n, 3):
-            sim.roundtrip(0, inst.naming.name_of(t))
+            sim.roundtrip(0, net.naming().name_of(t))
         scheme.forward = real_forward  # type: ignore[method-assign]
         return captured
 
@@ -100,12 +94,11 @@ def test_headers_monotone_reasonable(benchmark):
     """Headers must never explode mid-route (every hop re-measured)."""
     n = bench_n(36)
     g = random_strongly_connected(n, rng=random.Random(9))
-    inst = Instance.prepare(g, seed=10)
-    scheme = StretchSixScheme(inst.metric, inst.naming, rng=random.Random(11))
+    net = Network(g, seed=10, store=None)
 
     def run():
         rep = measure_stretch(
-            scheme, inst.oracle, sample=200, rng=random.Random(12)
+            net.router("stretch6"), sample=200, rng=random.Random(12)
         )
         return rep.max_header_bits
 

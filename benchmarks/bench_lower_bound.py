@@ -14,7 +14,7 @@ import random
 
 from conftest import banner
 
-from repro.analysis.experiments import Instance
+from repro.api import Network
 from repro.graph.generators import random_strongly_connected
 from repro.lower_bound.construction import (
     IncompressibilityDemo,
@@ -22,7 +22,6 @@ from repro.lower_bound.construction import (
     roundtrip_scheme_as_one_way,
 )
 from repro.runtime.simulator import Simulator
-from repro.schemes.stretch6 import StretchSixScheme
 
 
 def test_reduction_chain(benchmark):
@@ -30,11 +29,10 @@ def test_reduction_chain(benchmark):
 
     def run():
         doubled, oracle = bidirected_instance(g)
-        inst = Instance.prepare(doubled, seed=2)
-        scheme = StretchSixScheme(
-            inst.metric, inst.naming, rng=random.Random(3)
+        net = Network(doubled, seed=2, store=None)
+        report = roundtrip_scheme_as_one_way(
+            net.build_scheme("stretch6"), net.oracle()
         )
-        report = roundtrip_scheme_as_one_way(scheme, inst.oracle)
         return report
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -78,16 +76,13 @@ def test_stretch6_is_above_threshold(benchmark):
     g = matching_gadget(5, matching)
 
     def run():
-        inst = Instance.prepare(g, seed=4)
-        scheme = StretchSixScheme(
-            inst.metric, inst.naming, rng=random.Random(5)
-        )
-        sim = Simulator(scheme)
+        net = Network(g, seed=4, store=None)
+        sim = Simulator(net.build_scheme("stretch6"))
         worst = 0.0
         for i, j in enumerate(matching):
             left, right = 1 + i, 1 + 5 + j
-            trace = sim.roundtrip(left, inst.naming.name_of(right))
-            worst = max(worst, trace.total_cost / inst.oracle.r(left, right))
+            trace = sim.roundtrip(left, net.naming().name_of(right))
+            worst = max(worst, trace.total_cost / net.oracle().r(left, right))
         return worst
 
     worst = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -9,22 +9,21 @@ from __future__ import annotations
 
 import random
 
-from conftest import banner, cached_instance, cached_network
+from conftest import banner, cached_network
 
 from repro.runtime.stats import measure_stretch, measure_tables
 
 
 def test_polystretch_tradeoff(benchmark):
     net = cached_network("random", 48, seed=0)
-    inst = cached_instance("random", 48, seed=0)
-    n = inst.graph.n
+    n = net.n
     rows = {}
 
     def run():
         for k in (2, 3):
             scheme = net.build_scheme("polystretch", k=k)
             rep = measure_stretch(
-                scheme, inst.oracle, sample=250, rng=random.Random(k)
+                net.router(scheme), sample=250, rng=random.Random(k)
             )
             tab = measure_tables(scheme)
             rows[k] = (scheme, rep, tab)
@@ -76,7 +75,7 @@ def test_polystretch_families(benchmark):
             fam_net = cached_network(fam, 36, seed=0)
             scheme = fam_net.build_scheme("polystretch", k=2)
             rep = measure_stretch(
-                scheme, fam_net.oracle(), sample=150, rng=random.Random(3)
+                fam_net.router(scheme), sample=150, rng=random.Random(3)
             )
             results[fam] = (scheme, rep)
         return results

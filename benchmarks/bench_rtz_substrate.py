@@ -9,17 +9,17 @@ from __future__ import annotations
 import math
 import random
 
-from conftest import banner, cached_instance
+from conftest import banner, cached_network
 
 from repro.graph.shortest_paths import path_length
 from repro.rtz.routing import RTZStretch3
 
 
 def test_lemma2_leg_bounds(benchmark):
-    inst = cached_instance("random", 48, seed=0)
-    n = inst.graph.n
-    rtz = RTZStretch3(inst.metric, random.Random(1))
-    g = inst.graph
+    net = cached_network("random", 48, seed=0)
+    n = net.n
+    rtz = RTZStretch3(net.metric(), random.Random(1))
+    g, oracle = net.graph, net.oracle()
 
     def run():
         worst_leg = 0.0
@@ -34,7 +34,7 @@ def test_lemma2_leg_bounds(benchmark):
                     worst_leg, fwd / rtz.leg_cost_bound(x, y)
                 )
                 worst_rt = max(
-                    worst_rt, (fwd + back) / inst.oracle.r(x, y)
+                    worst_rt, (fwd + back) / oracle.r(x, y)
                 )
         return worst_leg, worst_rt
 
@@ -51,13 +51,13 @@ def test_rtz_table_shape(benchmark):
     points = []
 
     def run():
-        from repro.analysis.experiments import Instance
+        from repro.api import Network
         from repro.graph.generators import random_strongly_connected
 
         for n in sizes:
             g = random_strongly_connected(n, rng=random.Random(n))
-            inst = Instance.prepare(g, seed=n)
-            rtz = RTZStretch3(inst.metric, random.Random(n + 1))
+            net = Network(g, seed=n, store=None)
+            rtz = RTZStretch3(net.metric(), random.Random(n + 1))
             max_entries = max(rtz.table_entries(u) for u in range(n))
             points.append((n, max_entries))
         return points
@@ -80,11 +80,11 @@ def test_rtz_table_shape(benchmark):
 
 def test_center_cluster_balance(benchmark):
     """E[|C(v)|] ~ n / |A|: the two table halves stay balanced."""
-    inst = cached_instance("random", 64, seed=0)
-    n = inst.graph.n
+    net = cached_network("random", 64, seed=0)
+    n = net.n
 
     def run():
-        rtz = RTZStretch3(inst.metric, random.Random(5))
+        rtz = RTZStretch3(net.metric(), random.Random(5))
         return (
             len(rtz.centers),
             rtz.assignment.mean_cluster_size(),

@@ -11,24 +11,24 @@ for most pairs).
 
 from __future__ import annotations
 
-from conftest import banner, cached_instance
+from conftest import banner, cached_network
 
 from repro.rtz.spanner import HandshakeSpanner
 
 
 def test_handshake_stretch_distribution(benchmark):
-    inst = cached_instance("random", 48, seed=0)
-    n = inst.graph.n
+    net = cached_network("random", 48, seed=0)
+    n, oracle = net.n, net.oracle()
 
     def run():
-        sp = HandshakeSpanner(inst.metric, k=2)
+        sp = HandshakeSpanner(net.metric(), k=2)
         ratios = []
         for u in range(n):
             for v in range(u + 1, n):
                 cost = sp.r2(u, v)
                 tree = sp.tree_of(cost)
                 ratios.append(
-                    tree.roundtrip_cost(u, v) / inst.oracle.r(u, v)
+                    tree.roundtrip_cost(u, v) / oracle.r(u, v)
                 )
         return ratios
 
@@ -48,20 +48,20 @@ def test_handshake_stretch_distribution(benchmark):
 
 
 def test_handshake_stretch_vs_k(benchmark):
-    inst = cached_instance("random", 36, seed=0)
-    n = inst.graph.n
+    net = cached_network("random", 36, seed=0)
+    n, oracle = net.n, net.oracle()
     rows = {}
 
     def run():
         for k in (2, 3):
-            sp = HandshakeSpanner(inst.metric, k=k)
+            sp = HandshakeSpanner(net.metric(), k=k)
             worst = 0.0
             total = 0.0
             pairs = 0
             for u in range(n):
                 for v in range(u + 1, n):
                     tree = sp.tree_of(sp.r2(u, v))
-                    ratio = tree.roundtrip_cost(u, v) / inst.oracle.r(u, v)
+                    ratio = tree.roundtrip_cost(u, v) / oracle.r(u, v)
                     worst = max(worst, ratio)
                     total += ratio
                     pairs += 1

@@ -12,18 +12,12 @@ records into the ``BENCH_*.json`` trajectory.
 from __future__ import annotations
 
 import math
-import random
 
 from conftest import BENCH_CONTEXT, banner
 
-from repro.analysis.experiments import (
-    Instance,
-    log_log_slope,
-    table_scaling,
-)
+from repro.analysis.experiments import log_log_slope, table_scaling
 from repro.bench import get_case
 from repro.graph.generators import random_strongly_connected
-from repro.schemes.stretch6 import StretchSixScheme
 
 
 def test_stretch6_distribution(benchmark):
@@ -61,11 +55,8 @@ def test_stretch6_table_scaling(benchmark):
     def family(n, rng):
         return random_strongly_connected(n, rng=rng)
 
-    def build(inst: Instance, rng: random.Random):
-        return StretchSixScheme(inst.metric, inst.naming, rng=rng)
-
     points = benchmark.pedantic(
-        lambda: table_scaling(family, sizes, build, seed=7),
+        lambda: table_scaling(family, sizes, "stretch6", seed=7),
         rounds=1,
         iterations=1,
     )

@@ -7,29 +7,22 @@ against the aggregate `~O(.)` claims.
 
 from __future__ import annotations
 
-import random
-
-from conftest import banner, cached_instance
+from conftest import banner, cached_network
 
 from repro.analysis.tables import breakdown
-from repro.schemes.exstretch import ExStretchScheme
-from repro.schemes.polystretch import PolynomialStretchScheme
-from repro.schemes.stretch6 import StretchSixScheme
 
 
 def test_breakdowns(benchmark):
-    inst = cached_instance("random", 48, seed=0)
+    net = cached_network("random", 48, seed=0)
     results = {}
 
     def run():
-        results["stretch-6 (§2.1)"] = breakdown(
-            StretchSixScheme(inst.metric, inst.naming, rng=random.Random(1))
-        )
+        results["stretch-6 (§2.1)"] = breakdown(net.build_scheme("stretch6"))
         results["exstretch k=2 (§3.3)"] = breakdown(
-            ExStretchScheme(inst.metric, inst.naming, k=2, rng=random.Random(2))
+            net.build_scheme("exstretch", k=2)
         )
         results["polystretch k=2 (§4.1)"] = breakdown(
-            PolynomialStretchScheme(inst.metric, inst.naming, k=2)
+            net.build_scheme("polystretch", k=2)
         )
         return results
 

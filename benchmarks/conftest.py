@@ -4,9 +4,18 @@ Each benchmark module regenerates one experiment from DESIGN.md's
 index (E1-E13): it prints the paper-style rows, asserts the paper's
 inequalities, and times the dominant kernel with pytest-benchmark.
 
-The heavy lifting lives in :mod:`repro.bench`: the smoke-mode flag
-parsing and size clamp (:func:`repro.bench.smoke_n`) and the
-session cache of :class:`repro.api.Network` facades
+Every experiment builds through a :class:`repro.api.Network`: the
+session-cached :func:`cached_network` for the shared family instances,
+or ``Network(g, seed=..., store=None)`` for a graph it sweeps or
+builds itself.  Registered schemes come from the network
+(``net.build_scheme`` / ``net.router``) and stretch is measured
+through a router (:func:`repro.runtime.stats.measure_stretch`,
+:func:`repro.analysis.stretch.stretch_distribution`).  Ablations that
+build a variant on purpose call its constructor with the network's
+artifacts (``net.metric()``, ``net.naming()``, ``net.oracle()``).
+
+The smoke-mode flag parsing and size clamp
+(:func:`repro.bench.smoke_n`) and the network cache
 (:func:`repro.bench.cached_network`) are shared with the ``repro
 bench`` trajectory runner, so both paths measure the same instances
 and the suite never recomputes a substrate two benchmarks both need.
@@ -32,7 +41,6 @@ import pytest
 # hermetic (store-axis cases use explicit temporary stores instead).
 os.environ.setdefault("REPRO_STORE", "off")
 
-from repro.analysis.experiments import Instance  # noqa: E402
 from repro.api import Network  # noqa: E402
 from repro import bench  # noqa: E402
 
@@ -56,29 +64,10 @@ def cached_network(kind: str, n: int, seed: int = 0) -> Network:
     return bench.cached_network(kind, n, seed, smoke=SMOKE)
 
 
-def cached_instance(kind: str, n: int, seed: int = 0) -> Instance:
-    """Session-cached experiment instance (the legacy view of
-    :func:`cached_network`'s shared artifacts)."""
-    net = cached_network(kind, n, seed)
-    return Instance(net.graph, net.oracle(), net.naming(), net.metric())
-
-
 @pytest.fixture(scope="session")
 def bench_network() -> Network:
     """The default medium network shared by most benchmarks."""
     return cached_network("random", 64, seed=0)
-
-
-@pytest.fixture(scope="session")
-def bench_instance() -> Instance:
-    """The default medium instance shared by most benchmarks."""
-    return cached_instance("random", 64, seed=0)
-
-
-@pytest.fixture(scope="session")
-def small_instance() -> Instance:
-    """A small instance for quadratic-cost experiments."""
-    return cached_instance("random", 32, seed=0)
 
 
 def banner(title: str) -> None:

@@ -28,6 +28,7 @@ import sys
 from repro import (
     DistanceOracle,
     RoundtripMetric,
+    Router,
     Simulator,
     StretchSixScheme,
     asymmetric_torus,
@@ -55,7 +56,7 @@ def main() -> None:
         metric = RoundtripMetric(oracle, ids=naming.all_names())
         scheme = StretchSixScheme(metric, naming, rng=random.Random(seed + 20))
         report = measure_stretch(
-            scheme, oracle, sample=150, rng=random.Random(trial)
+            Router(scheme, oracle), sample=150, rng=random.Random(trial)
         )
         print(
             f"   renaming #{trial}: max stretch {report.max_stretch:.2f} "

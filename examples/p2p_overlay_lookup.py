@@ -25,9 +25,8 @@ import sys
 
 from repro import (
     HashedNaming,
-    Instance,
+    Network,
     Simulator,
-    StretchSixScheme,
     measure_tables,
     random_dht_overlay,
     random_wild_names,
@@ -56,10 +55,9 @@ def main() -> None:
 
     # The reduction: compact names are the hash slots; buckets resolve
     # collisions inside the dictionary entries (constant blow-up).
-    inst = Instance.prepare(g, seed=seed + 1)
-    scheme = StretchSixScheme(
-        inst.metric, inst.naming, rng=random.Random(seed + 2)
-    )
+    net = Network(g, seed=seed + 1, store=None)
+    naming, oracle = net.naming(), net.oracle()
+    scheme = net.build_scheme("stretch6")
     tables = measure_tables(scheme)
     print(
         f"== compact tables: max {tables.max_entries} rows/peer "
@@ -80,9 +78,9 @@ def main() -> None:
         done += 1
         # The requester knows only the wild identifier; hashing gives
         # the compact name, the TINN scheme does the rest.
-        compact_name = inst.naming.name_of(owner)
+        compact_name = naming.name_of(owner)
         trace = sim.roundtrip(requester, compact_name)
-        stretch = trace.total_cost / inst.oracle.r(requester, owner)
+        stretch = trace.total_cost / oracle.r(requester, owner)
         total_stretch += stretch
         print(
             f"   peer {requester:3d} fetches key {wild_key:>15d} "

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 import sys
 
-from repro import ExStretchScheme, Instance, random_strongly_connected
+from repro import ExStretchScheme, Network, random_strongly_connected
 from repro.runtime.scheme import Deliver, Forward
 
 
@@ -27,13 +27,14 @@ def main() -> None:
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 9
 
     g = random_strongly_connected(n, rng=random.Random(seed))
-    inst = Instance.prepare(g, seed=seed + 1)
+    net = Network(g, seed=seed + 1, store=None)
+    naming = net.naming()
     # A deliberately lean dictionary (one block per node) so the walk
     # shows several rungs of the prefix ladder even on a small graph;
     # Lemma 4's patching keeps coverage sound regardless.
     scheme = ExStretchScheme(
-        inst.metric,
-        inst.naming,
+        net.metric(),
+        naming,
         k=k,
         rng=random.Random(seed + 2),
         blocks_per_node=1,
@@ -42,7 +43,7 @@ def main() -> None:
 
     def ladder_length(s: int, t: int) -> int:
         """Waypoints the dictionary walk would visit (replayed)."""
-        dest = inst.naming.name_of(t)
+        dest = naming.name_of(t)
         if scheme._near.get(s, dest) >= 0:  # the N_1 shortcut
             return 1
         at, hop, count = s, 0, 0
@@ -64,7 +65,7 @@ def main() -> None:
         rng.sample(candidates, min(len(candidates), 300)),
         key=lambda p: ladder_length(*p),
     )
-    dest_name = inst.naming.name_of(t)
+    dest_name = naming.name_of(t)
 
     print(f"== ExStretch k={k} over base-{bs.q} names ==")
     print(f"   source vertex {s}, destination name {dest_name}")
@@ -87,7 +88,7 @@ def main() -> None:
         depth = len(new_header.get("stack", []))
         if depth != last_stack:
             wp = new_header["next_id"]
-            wp_name = inst.naming.name_of(wp)
+            wp_name = naming.name_of(wp)
             held = scheme.distribution.augmented_blocks_of(wp, wp_name)
             dest_digits = bs.digits(dest_name)
 
@@ -133,7 +134,7 @@ def main() -> None:
         at = g.head_of_port(at, decision.port)
         back_hops += 1
 
-    r = inst.oracle.r(s, t)
+    r = net.oracle().r(s, t)
     print(
         f"\n== roundtrip done: {hops + back_hops} hops; optimal roundtrip "
         f"{r:.1f}, bound {scheme.stretch_bound():.1f}x =="

@@ -17,13 +17,10 @@ import random
 import sys
 
 from repro import (
-    ExStretchScheme,
-    Instance,
-    PolynomialStretchScheme,
+    Network,
     fig1_comparison,
     format_rows,
     measure_stretch,
-    measure_tables,
     random_strongly_connected,
 )
 from repro.analysis.experiments import assert_rows_sound
@@ -35,27 +32,25 @@ def main() -> None:
 
     print(f"== Fig. 1 regenerated on a random digraph (n={n}) ==")
     g = random_strongly_connected(n, rng=random.Random(seed))
-    rows = fig1_comparison(g, seed=seed + 1, sample_pairs=300, k=2)
+    net = Network(g, seed=seed + 1, store=None)
+    rows = fig1_comparison(net, seed=seed + 1, sample_pairs=300, k=2)
     print(format_rows(rows))
     assert_rows_sound(rows)
     print("   all schemes within their claimed stretch\n")
 
     print("== the k knob: ExStretch and PolynomialStretch at k=2,3 ==")
-    inst = Instance.prepare(g, seed=seed + 2)
     for k in (2, 3):
-        for cls in (ExStretchScheme, PolynomialStretchScheme):
-            scheme = cls(inst.metric, inst.naming, k=k, rng=random.Random(seed))
-            rep = measure_stretch(
-                scheme, inst.oracle, sample=200, rng=random.Random(k)
-            )
-            tab = measure_tables(scheme)
+        for name in ("exstretch", "polystretch"):
+            router = net.router(name, k=k)
+            rep = measure_stretch(router, sample=200, rng=random.Random(k))
+            bound = net.stretch_bound(name, k=k)
             print(
-                f"   {scheme.name:<22} k={k}: "
+                f"   {router.scheme.name:<22} k={k}: "
                 f"max stretch {rep.max_stretch:5.2f} "
-                f"(bound {scheme.stretch_bound():6.1f}), "
-                f"tables max {tab.max_entries:5d} rows"
+                f"(bound {bound:6.1f}), "
+                f"tables max {router.table_report().max_entries:5d} rows"
             )
-            assert rep.max_stretch <= scheme.stretch_bound() + 1e-9
+            assert rep.max_stretch <= bound + 1e-9
     print(
         "\n   larger k: smaller dictionary tables, looser stretch bound "
         "- the paper's tradeoff, live"

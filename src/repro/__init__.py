@@ -9,26 +9,17 @@ machinery.
 
 Quick start::
 
-    import random
-    from repro import (
-        Instance, StretchSixScheme, Simulator, random_strongly_connected,
-    )
+    from repro import Network
 
-    g = random_strongly_connected(64, rng=random.Random(0))
-    inst = Instance.prepare(g, seed=1)
-    scheme = StretchSixScheme(inst.metric, inst.naming, rng=random.Random(2))
-    trace = Simulator(scheme).roundtrip(0, inst.naming.name_of(9))
-    print(trace.total_cost / inst.oracle.r(0, 9))  # <= 6
+    net = Network.from_family("random", n=64, seed=1)
+    router = net.router("stretch6")
+    print(router.route(0, 9).stretch)  # <= 6
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from repro.analysis.experiments import (
-    Instance,
-    fig1_comparison,
-    format_rows,
-)
+from repro.analysis.experiments import fig1_comparison, format_rows
 from repro.api import (
     Network,
     Router,
@@ -113,7 +104,6 @@ __all__ = [
     "Simulator",
     "measure_stretch",
     "measure_tables",
-    "Instance",
     "fig1_comparison",
     "format_rows",
     "stretch_distribution",

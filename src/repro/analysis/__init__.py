@@ -2,11 +2,9 @@
 scaling sweeps, and the Fig. 1 regeneration entry point."""
 
 from repro.analysis.experiments import (
-    Instance,
     SchemeRow,
     ScalingPoint,
     assert_rows_sound,
-    default_factories,
     fig1_comparison,
     format_rows,
     log_log_slope,
@@ -16,13 +14,11 @@ from repro.analysis.report import generate_report
 from repro.analysis.stretch import StretchDistribution, stretch_distribution
 
 __all__ = [
-    "Instance",
     "SchemeRow",
     "ScalingPoint",
     "fig1_comparison",
     "format_rows",
     "assert_rows_sound",
-    "default_factories",
     "table_scaling",
     "log_log_slope",
     "StretchDistribution",

@@ -1,5 +1,6 @@
-"""The experiment harness: builds scheme instances and prints the
-paper-style rows recorded in EXPERIMENTS.md.
+"""The experiment harness: measures registry schemes on a
+:class:`~repro.api.Network` and prints the paper-style rows recorded
+in EXPERIMENTS.md.
 
 Every benchmark module calls into here so that the same code path
 produces the printed tables, the asserted inequalities, and the timed
@@ -12,38 +13,21 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
+from repro.exceptions import ConstructionError, RoutingError
 from repro.graph.digraph import Digraph
-from repro.graph.roundtrip import RoundtripMetric
-from repro.graph.shortest_paths import DistanceOracle
-from repro.naming.permutation import Naming, random_naming
-from repro.runtime.scheme import RoutingScheme
 from repro.runtime.stats import measure_stretch, measure_tables
-from repro.schemes.exstretch import ExStretchScheme
-from repro.schemes.polystretch import PolynomialStretchScheme
-from repro.schemes.rtz_baseline import RTZBaselineScheme
-from repro.schemes.shortest_path import ShortestPathScheme
-from repro.schemes.stretch6 import StretchSixScheme
 
+# after repro.runtime: repro.api.network imports repro.rtz.routing,
+# which loads only once the runtime package (its import cycle partner)
+# is initialized
+from repro.api import Network, get_spec
 
-@dataclass
-class Instance:
-    """A fully prepared experiment instance (graph + naming + metric)."""
-
-    graph: Digraph
-    oracle: DistanceOracle
-    naming: Naming
-    metric: RoundtripMetric
-
-    @classmethod
-    def prepare(cls, graph: Digraph, seed: int = 0) -> "Instance":
-        """Build the oracle, a random adversarial naming, and the
-        metric keyed by that naming."""
-        oracle = DistanceOracle(graph)
-        naming = random_naming(graph.n, random.Random(seed))
-        metric = RoundtripMetric(oracle, ids=naming.all_names())
-        return cls(graph, oracle, naming, metric)
+#: The Fig. 1 scheme set in the paper's order, as registry names: the
+#: linear-table baseline, name-dependent RTZ-3, and the paper's three
+#: TINN schemes.  Each row is labelled with the scheme's display name.
+FIG1_SCHEMES = ("shortest_path", "rtz", "stretch6", "exstretch", "polystretch")
 
 
 @dataclass
@@ -70,84 +54,44 @@ class SchemeRow:
     max_header_bits: int
 
 
-SchemeFactory = Callable[[Instance, random.Random], Tuple[RoutingScheme, float]]
-
-
-def default_factories(k: int = 2) -> Dict[str, SchemeFactory]:
-    """The Fig. 1 scheme set: name-dependent RTZ-3 plus the paper's
-    three TINN schemes (and the linear-table baseline for reference)."""
-
-    def f_sp(inst: Instance, rng: random.Random):
-        return ShortestPathScheme(inst.oracle, inst.naming), 1.0
-
-    def f_rtz(inst: Instance, rng: random.Random):
-        return RTZBaselineScheme(inst.metric, inst.naming, rng=rng), 3.0
-
-    def f_s6(inst: Instance, rng: random.Random):
-        return (
-            StretchSixScheme(inst.metric, inst.naming, rng=rng),
-            StretchSixScheme.STRETCH_BOUND,
-        )
-
-    def f_ex(inst: Instance, rng: random.Random):
-        scheme = ExStretchScheme(inst.metric, inst.naming, k=k, rng=rng)
-        return scheme, scheme.stretch_bound()
-
-    def f_poly(inst: Instance, rng: random.Random):
-        scheme = PolynomialStretchScheme(inst.metric, inst.naming, k=k)
-        return scheme, scheme.stretch_bound()
-
-    return {
-        "shortest-path": f_sp,
-        "rtz-3 (name-dep)": f_rtz,
-        "stretch-6 (TINN)": f_s6,
-        "exstretch (TINN)": f_ex,
-        "polystretch (TINN)": f_poly,
-    }
-
-
 def fig1_comparison(
-    graph: Digraph,
+    net: Network,
     seed: int = 0,
     sample_pairs: Optional[int] = 400,
     k: int = 2,
-    factories: Optional[Dict[str, SchemeFactory]] = None,
-    instance: Optional[Instance] = None,
 ) -> List[SchemeRow]:
-    """Regenerate Fig. 1 with measured columns on one graph.
+    """Regenerate Fig. 1 with measured columns on one network.
+
+    Each row is the registry's instance of the scheme
+    (:meth:`Network.build_scheme`), routed through the network's
+    engine; its claimed bound and TINN flag come from the registry
+    spec.
 
     Args:
-        graph: the workload graph.
-        seed: controls naming and scheme randomness.
+        net: the workload network.
+        seed: controls which pairs are sampled.
         sample_pairs: pairs sampled for stretch measurement (None for
             all pairs).
         k: tradeoff parameter for the generalized schemes.
-        factories: override the scheme set.
-        instance: a pre-built instance of the same graph (e.g.
-            assembled from a :class:`repro.api.Network`'s ``oracle()``,
-            ``naming()`` and ``metric()``), reused instead of
-            re-preparing them.
 
     Returns:
         One :class:`SchemeRow` per scheme, in Fig. 1 order.
     """
-    inst = instance if instance is not None else Instance.prepare(graph, seed)
     rows: List[SchemeRow] = []
-    tinn = {"stretch-6 (TINN)", "exstretch (TINN)", "polystretch (TINN)"}
-    for label, factory in (factories or default_factories(k)).items():
-        scheme, bound = factory(inst, random.Random(seed + 1))
+    for name in FIG1_SCHEMES:
+        spec = get_spec(name)
+        router = net.router(name, **({"k": k} if spec.accepts("k") else {}))
         stretch = measure_stretch(
-            scheme, inst.oracle, sample=sample_pairs, rng=random.Random(seed + 2)
+            router, sample=sample_pairs, rng=random.Random(seed + 2)
         )
-        tables = measure_tables(scheme)
         rows.append(
             SchemeRow(
-                scheme=label,
-                name_independent=label in tinn,
-                paper_stretch=bound,
+                scheme=router.scheme.name,
+                name_independent=spec.name_independent,
+                paper_stretch=spec.stretch_bound(router.scheme),
                 measured_max_stretch=stretch.max_stretch,
                 measured_mean_stretch=stretch.mean_stretch,
-                max_table_entries=tables.max_entries,
+                max_table_entries=router.table_report().max_entries,
                 max_header_bits=stretch.max_header_bits,
             )
         )
@@ -173,22 +117,28 @@ def format_rows(rows: Sequence[SchemeRow]) -> str:
 
 def assert_rows_sound(rows: Sequence[SchemeRow]) -> None:
     """The Fig. 1 invariants: every scheme within its claimed stretch,
-    compact schemes' tables below the linear baseline's."""
+    compact schemes' tables below the linear baseline's.
+
+    Raises:
+        RoutingError: for a row whose measured stretch exceeds its
+            claim (or was not measured).
+        ConstructionError: for a compact row with tables far above
+            the baseline's.
+    """
     by_name = {r.scheme: r for r in rows}
     for r in rows:
-        assert r.measured_max_stretch <= r.paper_stretch + 1e-9, (
-            f"{r.scheme} exceeded its claimed stretch"
-        )
+        if not r.measured_max_stretch <= r.paper_stretch + 1e-9:
+            raise RoutingError(f"{r.scheme} exceeded its claimed stretch")
     baseline = by_name.get("shortest-path")
     if baseline is not None:
+        limit = 40 * max(baseline.max_table_entries, 1)
         for r in rows:
-            if r.scheme == "shortest-path":
-                continue
             # compactness shows up once n is large enough; at the
             # sizes benchmarks use we settle for "not wildly larger"
-            assert r.max_table_entries <= 40 * max(
-                baseline.max_table_entries, 1
-            )
+            if r.scheme != "shortest-path" and r.max_table_entries > limit:
+                raise ConstructionError(
+                    f"{r.scheme} tables exceed 40x the linear baseline's"
+                )
 
 
 @dataclass
@@ -203,7 +153,7 @@ class ScalingPoint:
 def table_scaling(
     family: Callable[[int, random.Random], Digraph],
     sizes: Sequence[int],
-    build: Callable[[Instance, random.Random], RoutingScheme],
+    scheme: str,
     seed: int = 0,
 ) -> List[ScalingPoint]:
     """Sweep a graph family and record per-node table sizes.
@@ -211,15 +161,15 @@ def table_scaling(
     Args:
         family: ``(n, rng) -> graph`` generator.
         sizes: the ``n`` values to sweep.
-        build: scheme constructor.
+        scheme: registry name of the scheme, built on a
+            :class:`~repro.api.Network` per size.
         seed: base randomness.
     """
     points: List[ScalingPoint] = []
     for n in sizes:
         g = family(n, random.Random(seed + n))
-        inst = Instance.prepare(g, seed + n + 1)
-        scheme = build(inst, random.Random(seed + n + 2))
-        report = measure_tables(scheme)
+        net = Network(g, seed=seed + n + 1, store=None)
+        report = measure_tables(net.build_scheme(scheme))
         points.append(ScalingPoint(n, report.max_entries, report.mean_entries))
     return points
 

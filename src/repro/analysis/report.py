@@ -1,7 +1,7 @@
 """One-shot reproduction report generator.
 
 ``generate_report`` runs a compact version of the experiment suite on
-a given graph and renders a markdown report with claimed-vs-measured
+a given network and renders a markdown report with claimed-vs-measured
 rows — the programmatic counterpart of EXPERIMENTS.md, usable from the
 CLI (``python -m repro.cli report``) or from notebooks.
 """
@@ -9,47 +9,47 @@ CLI (``python -m repro.cli report``) or from notebooks.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import List
 
 from repro.analysis.experiments import (
-    Instance,
     assert_rows_sound,
     fig1_comparison,
     format_rows,
 )
 from repro.analysis.stretch import stretch_distribution
-from repro.covers.sparse_cover import DoubleTreeCover
+from repro.api import Network
 from repro.dictionary.distribution import BlockDistribution
-from repro.graph.digraph import Digraph
+from repro.exceptions import RoutingError
 from repro.naming.blocks import BlockSpace
-from repro.rtz.routing import RTZStretch3
 from repro.runtime.sizing import log2_squared
-from repro.schemes.stretch6 import StretchSixScheme
 
 
 def generate_report(
-    graph: Digraph,
+    net: Network,
     seed: int = 0,
     sample_pairs: int = 200,
     k: int = 2,
-    instance: Optional[Instance] = None,
 ) -> str:
     """Run the headline experiments and render a markdown report.
 
     Args:
-        graph: workload graph (frozen, strongly connected).
-        seed: controls naming/scheme randomness.
+        net: the workload network; every section measures its
+            registry schemes and shared artifacts.
+        seed: controls pair sampling and the block distribution.
         sample_pairs: pairs sampled per stretch measurement.
         k: tradeoff parameter for the generalized schemes.
-        instance: a pre-built instance of the same graph (as for
-            :func:`~repro.analysis.experiments.fig1_comparison`) to
-            reuse its oracle/naming/metric.
 
     Returns:
-        Markdown text; every claimed inequality is asserted before the
+        Markdown text; every claimed inequality is checked before the
         text is returned, so a returned report certifies the run.
+
+    Raises:
+        RoutingError: for a measured stretch above its claimed bound.
+        ConstructionError: for a block distribution or cover that
+            fails verification.
     """
     lines: List[str] = []
+    graph = net.graph
     n = graph.n
     lines.append("# Reproduction report")
     lines.append("")
@@ -60,9 +60,7 @@ def generate_report(
     lines.append("")
 
     # Fig. 1
-    rows = fig1_comparison(
-        graph, seed=seed, sample_pairs=sample_pairs, k=k, instance=instance
-    )
+    rows = fig1_comparison(net, seed=seed, sample_pairs=sample_pairs, k=k)
     assert_rows_sound(rows)
     lines.append("## Fig. 1 — claimed vs measured")
     lines.append("")
@@ -71,25 +69,25 @@ def generate_report(
     lines.append("```")
     lines.append("")
 
-    inst = instance if instance is not None else Instance.prepare(graph, seed=seed)
-
     # Lemma 3 distribution
-    scheme = StretchSixScheme(inst.metric, inst.naming, rng=random.Random(seed))
+    router = net.router("stretch6")
+    bound = net.stretch_bound("stretch6")
     dist = stretch_distribution(
-        scheme, inst.oracle, sample=sample_pairs, rng=random.Random(seed + 1)
+        router, sample=sample_pairs, rng=random.Random(seed + 1)
     )
-    assert dist.max() <= 6.0 + 1e-9
+    if not dist.max() <= bound + 1e-9:
+        raise RoutingError(f"{router.scheme.name} exceeded its claimed stretch")
     lines.append("## Lemma 3 — stretch-6 distribution")
     lines.append("")
     lines.append(
-        f"max {dist.max():.2f} (bound 6), mean {dist.mean():.2f}, "
+        f"max {dist.max():.2f} (bound {bound:g}), mean {dist.mean():.2f}, "
         f"p90 {dist.percentile(90):.2f}; "
         f"{100 * dist.fraction_at_most(3.0):.0f}% of pairs within 3."
     )
     lines.append("")
 
     # Lemma 1/4
-    bd = BlockDistribution(inst.metric, BlockSpace(n, k), random.Random(seed))
+    bd = BlockDistribution(net.metric(), BlockSpace(n, k), random.Random(seed))
     bd.verify()
     lines.append("## Lemmas 1/4 — block distribution")
     lines.append("")
@@ -101,8 +99,8 @@ def generate_report(
     lines.append("")
 
     # Theorem 13
-    scale = max(2.0, inst.oracle.rt_diameter() / 4)
-    dtc = DoubleTreeCover(inst.metric, k, scale)
+    scale = max(2.0, net.oracle().rt_diameter() / 4)
+    dtc = net.cover(k, scale)
     dtc.verify()
     worst_height = max(t.rt_height() for t in dtc.trees)
     lines.append("## Theorem 13 — double-tree cover")
@@ -115,7 +113,7 @@ def generate_report(
     lines.append("")
 
     # Lemma 2 substrate
-    rtz = RTZStretch3(inst.metric, random.Random(seed + 2))
+    rtz = net.rtz()
     max_tab = max(rtz.table_entries(u) for u in range(n))
     lines.append("## Lemma 2 — substrate tables")
     lines.append("")

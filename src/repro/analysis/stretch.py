@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.graph.shortest_paths import DistanceOracle
-from repro.runtime.scheme import RoutingScheme
-from repro.runtime.simulator import Simulator
+from repro.runtime.stats import measurement_pairs
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.api.router import Router
 
 
 @dataclass
@@ -64,20 +65,16 @@ class StretchDistribution:
 
 
 def stretch_distribution(
-    scheme: RoutingScheme,
-    oracle: DistanceOracle,
+    router: "Router",
     sample: Optional[int] = None,
     rng: Optional[random.Random] = None,
 ) -> StretchDistribution:
-    """Route pairs (all, or a sample) and collect per-pair stretches."""
-    n = oracle.n
-    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
-    if sample is not None and sample < len(pairs):
-        rng = rng or random.Random(0)
-        pairs = rng.sample(pairs, sample)
-    sim = Simulator(scheme)
-    samples: List[Tuple[int, int, float]] = []
-    for (s, t) in pairs:
-        trace = sim.roundtrip(s, scheme.name_of(t))
-        samples.append((s, t, trace.total_cost / oracle.r(s, t)))
-    return StretchDistribution(samples)
+    """Route pairs (all, or a sample: :func:`measurement_pairs`) in
+    one ``route_many`` batch and collect per-pair stretches.
+
+    ``router`` must carry an oracle; its engine routes the batch.
+    """
+    pairs = measurement_pairs(router.scheme.graph.n, sample, rng)
+    return StretchDistribution(
+        [(r.source, r.dest, r.stretch) for r in router.route_many(pairs)]
+    )

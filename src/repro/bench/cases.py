@@ -132,10 +132,8 @@ _register_apsp_case("python", 96)
 def _routing_stretch_distribution(ctx: BenchContext):
     from repro.analysis.stretch import stretch_distribution
 
-    net = ctx.network("random", 48)
-    scheme = net.build_scheme("stretch6")
-    oracle = net.oracle()
-    return lambda: stretch_distribution(scheme, oracle)
+    router = ctx.network("random", 48).router("stretch6")
+    return lambda: stretch_distribution(router)
 
 
 @bench_case(

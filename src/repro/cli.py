@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 from repro.analysis.experiments import (
-    Instance,
     assert_rows_sound,
     fig1_comparison,
     format_rows,
@@ -82,12 +81,6 @@ def _network(args: argparse.Namespace) -> Network:
     )
 
 
-def _instance(net: Network) -> Instance:
-    """The analysis-layer :class:`Instance` view, assembled from the
-    artifact accessors."""
-    return Instance(net.graph, net.oracle(), net.naming(), net.metric())
-
-
 def _build_scheme(
     net: Network, label: str, args: argparse.Namespace
 ) -> Tuple[RoutingScheme, float]:
@@ -102,11 +95,7 @@ def _build_scheme(
 def cmd_fig1(args: argparse.Namespace) -> int:
     net = _network(args)
     rows = fig1_comparison(
-        net.graph,
-        seed=args.seed + 1,
-        sample_pairs=args.pairs,
-        k=args.k,
-        instance=_instance(net),
+        net, seed=args.seed + 1, sample_pairs=args.pairs, k=args.k
     )
     print(format_rows(rows))
     assert_rows_sound(rows)
@@ -118,7 +107,7 @@ def cmd_stretch(args: argparse.Namespace) -> int:
     net = _network(args)
     scheme, bound = _build_scheme(net, args.scheme, args)
     dist = stretch_distribution(
-        scheme, net.oracle(), sample=args.pairs, rng=random.Random(args.seed)
+        net.router(scheme), sample=args.pairs, rng=random.Random(args.seed)
     )
     print(f"scheme   : {scheme.name}")
     print(f"pairs    : {len(dist.samples)}")
@@ -719,9 +708,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.analysis.report import generate_report
 
     net = _network(args)
-    print(generate_report(net.graph, seed=args.seed + 1,
-                          sample_pairs=args.pairs, k=args.k,
-                          instance=_instance(net)))
+    print(generate_report(net, seed=args.seed + 1,
+                          sample_pairs=args.pairs, k=args.k))
     return 0
 
 
@@ -750,8 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
             default="auto",
             choices=ENGINES,
             help="distance-oracle and routing-execution engine "
-            "(auto / vectorized / python); traffic executes its "
-            "workload through this engine",
+            "(auto / vectorized / python); traffic, fig1, stretch "
+            "and report route their pairs through this engine",
         )
         p.add_argument(
             "--tables",
@@ -1179,12 +1167,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: subcommands whose ``--pairs`` sizes a stretch sample; an empty
+#: sample measures nothing, so they need at least one pair
+_SAMPLING_COMMANDS = ("fig1", "stretch", "report")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point.  A library error (any :class:`ReproError`)
     exits 1 with its message as the one line printed."""
     args = build_parser().parse_args(argv)
-    if getattr(args, "pairs", 0) < 0:
-        raise SystemExit(f"--pairs must be >= 0, got {args.pairs}")
+    least = 1 if args.command in _SAMPLING_COMMANDS else 0
+    if getattr(args, "pairs", least) < least:
+        raise SystemExit(f"--pairs must be >= {least}, got {args.pairs}")
     try:
         return args.func(args)
     except ReproError as exc:

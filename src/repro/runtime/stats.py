@@ -1,4 +1,4 @@
-"""Measurement helpers: stretch distributions and table summaries.
+"""Measurement helpers: stretch over sampled pairs and table summaries.
 
 These are the primitives the analysis harness and benchmarks use to
 turn a scheme into the numbers reported in the paper's claims table
@@ -10,85 +10,74 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.exceptions import RoutingError
-from repro.graph.shortest_paths import DistanceOracle
+import numpy as np
+
 from repro.runtime.scheme import RoutingScheme
-from repro.runtime.simulator import Simulator
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.api.router import Router
+    from repro.runtime.traffic import TrafficSummary
 
 
-@dataclass
-class StretchReport:
-    """Roundtrip-stretch statistics over a set of pairs.
+def measurement_pairs(
+    n: int, sample: Optional[int] = None, rng: Optional[random.Random] = None
+) -> List[Tuple[int, int]]:
+    """The ordered pairs a stretch measurement routes.
 
-    Attributes:
-        pairs: number of (source, destination) pairs measured.
-        max_stretch: worst observed roundtrip stretch.
-        mean_stretch: average roundtrip stretch.
-        max_header_bits: largest header seen in any journey.
-        worst_pair: the (source_vertex, dest_vertex) achieving
-            ``max_stretch``.
+    All ``n(n-1)`` ordered pairs in row-major order, or, when
+    ``sample`` is below that count, ``sample`` of them drawn without
+    replacement by ``rng`` (default ``random.Random(0)``).  A sample
+    draws indices into the row-major list and decodes them, so it
+    picks exactly the pairs ``rng.sample(all_pairs, sample)`` would,
+    without building the quadratic list.
     """
-
-    pairs: int
-    max_stretch: float
-    mean_stretch: float
-    max_header_bits: int
-    worst_pair: Tuple[int, int]
+    total = n * (n - 1)
+    if sample is not None and sample < total:
+        rng = rng or random.Random(0)
+        index = np.array(rng.sample(range(total), sample), dtype=np.int64)
+    else:
+        index = np.arange(total, dtype=np.int64)
+    sources, dests = np.divmod(index, n - 1)
+    dests += dests >= sources
+    return list(zip(sources.tolist(), dests.tolist()))
 
 
 def measure_stretch(
-    scheme: RoutingScheme,
-    oracle: DistanceOracle,
+    router: "Router",
     pairs: Optional[Sequence[Tuple[int, int]]] = None,
     sample: Optional[int] = None,
     rng: Optional[random.Random] = None,
-) -> StretchReport:
-    """Route every given pair and report roundtrip stretch statistics.
+) -> "TrafficSummary":
+    """Route every given pair through ``router`` as one workload and
+    summarize the roundtrip stretch.
 
     Args:
-        scheme: scheme under test (already constructed).
-        oracle: distances of the same graph (ground truth).
+        router: the session to measure; its oracle supplies the
+            stretch columns and its engine routes the batch.
         pairs: explicit (source_vertex, dest_vertex) pairs; defaults to
-            all ordered pairs, optionally subsampled.
+            :func:`measurement_pairs` (all ordered pairs, or a sample).
         sample: when given and ``pairs`` is None, draw this many random
             ordered pairs instead of the full quadratic set.
         rng: randomness for sampling.
 
+    Returns:
+        The workload's :class:`~repro.runtime.traffic.TrafficSummary`
+        (``pairs``, ``max_stretch``, ``mean_stretch``,
+        ``max_header_bits``, ``worst_pair`` among its columns).  An
+        empty pair set gives the empty summary: 0 pairs, ``nan``
+        stretch.
+
     Raises:
-        RoutingError: propagated from the simulator on any failure —
+        GraphError: for a pair with an endpoint out of range or
+            ``source == destination``.
+        RoutingError: propagated from the engine on any failure —
             measurement never hides a delivery bug.
     """
-    n = oracle.n
     if pairs is None:
-        all_pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
-        if sample is not None and sample < len(all_pairs):
-            rng = rng or random.Random(0)
-            pairs = rng.sample(all_pairs, sample)
-        else:
-            pairs = all_pairs
-    sim = Simulator(scheme)
-    worst = 0.0
-    worst_pair = (-1, -1)
-    total = 0.0
-    max_bits = 0
-    for (s, t) in pairs:
-        if s == t:
-            raise RoutingError("stretch undefined for s == t")
-        trace = sim.roundtrip(s, scheme.name_of(t))
-        stretch = trace.total_cost / oracle.r(s, t)
-        total += stretch
-        max_bits = max(max_bits, trace.max_header_bits)
-        if stretch > worst:
-            worst, worst_pair = stretch, (s, t)
-    return StretchReport(
-        pairs=len(pairs),
-        max_stretch=worst,
-        mean_stretch=total / len(pairs),
-        max_header_bits=max_bits,
-        worst_pair=worst_pair,
-    )
+        pairs = measurement_pairs(router.scheme.graph.n, sample, rng)
+    return router.serve_workload(pairs)
 
 
 @dataclass

@@ -37,6 +37,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.api import UnknownSchemeError, all_specs, scheme_names
 from repro.exceptions import ReproError
+from repro.runtime.traffic import check_pairs
 from repro.serve.broker import OverloadedError
 from repro.serve.lifecycle import Lifecycle
 from repro.serve.protocol import (
@@ -186,7 +187,7 @@ class ServeApp:
         scheme = self._resolve_scheme(req.scheme)
         gen = self.lifecycle.admit()
         try:
-            gen.check_pairs(req.pairs)
+            check_pairs(gen.network.n, req.pairs)
             results = await gen.broker.submit(scheme, req.pairs)
             return encode_results(results, gen.id)
         finally:

@@ -29,7 +29,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.api import Network, UnknownSchemeError, get_spec
 from repro.api.router import RouteResult, Router
 from repro.api.stats import SessionStats
-from repro.runtime.traffic import TrafficSummary, generate_workload
+from repro.runtime.traffic import (
+    TrafficSummary,
+    check_pairs,
+    generate_workload,
+)
 from repro.serve.broker import BatchBroker
 from repro.serve.protocol import ProtocolError
 
@@ -104,25 +108,6 @@ class Generation:
         time)."""
         return self.router(scheme).route_many(pairs)
 
-    def check_pairs(self, pairs: Sequence[Tuple[int, int]]) -> None:
-        """Admission-time validation against this snapshot.
-
-        Raises:
-            ProtocolError: for out-of-range vertices or a
-                source == destination pair (roundtrip stretch is
-                undefined there).
-        """
-        n = self.network.n
-        for s, t in pairs:
-            if not (0 <= s < n and 0 <= t < n):
-                raise ProtocolError(
-                    f"pair ({s}, {t}) is out of range for n={n}"
-                )
-            if s == t:
-                raise ProtocolError(
-                    f"pair ({s}, {t}) needs source != destination"
-                )
-
     def serve_workload(
         self, kind: str, count: int, seed: int, scheme: str
     ) -> TrafficSummary:
@@ -170,9 +155,9 @@ class Generation:
         router = self.router(scheme)
         parts = []
         for i, phase in enumerate(spec.phases):
-            if phase.kind == "trace":
-                self.check_pairs(phase.trace)
             try:
+                if phase.kind == "trace":
+                    check_pairs(self.network.n, phase.trace)
                 workload = phase_workload(
                     phase, i, spec.seed, self.network.n,
                     oracle=self.network.oracle(),

@@ -6,15 +6,10 @@ import random
 
 import pytest
 
-from repro.analysis.experiments import Instance
 from repro.analysis.tables import breakdown
 from repro.api import Network
 from repro.cli import main
 from repro.graph.generators import random_strongly_connected
-from repro.schemes.exstretch import ExStretchScheme
-from repro.schemes.polystretch import PolynomialStretchScheme
-from repro.schemes.shortest_path import ShortestPathScheme
-from repro.schemes.stretch6 import StretchSixScheme
 
 
 STRETCH6_LAYERS = [
@@ -25,15 +20,14 @@ STRETCH6_LAYERS = [
 ]
 
 
-def make_instance(n=20, seed=0) -> Instance:
+def make_network(n=20, seed=0) -> Network:
     g = random_strongly_connected(n, rng=random.Random(seed))
-    return Instance.prepare(g, seed=seed + 1)
+    return Network(g, seed=seed + 1, store=None)
 
 
 class TestBreakdown:
     def test_stretch6_breakdown_sums_to_table_entries(self):
-        inst = make_instance()
-        scheme = StretchSixScheme(inst.metric, inst.naming, rng=random.Random(1))
+        scheme = make_network().build_scheme("stretch6")
         b = breakdown(scheme)
         manual = sum(scheme.table_entries(v) for v in range(20))
         assert b.total() == manual
@@ -45,17 +39,13 @@ class TestBreakdown:
         }
 
     def test_exstretch_breakdown_sums(self):
-        inst = make_instance(seed=2)
-        scheme = ExStretchScheme(
-            inst.metric, inst.naming, k=2, rng=random.Random(3)
-        )
+        scheme = make_network(seed=2).build_scheme("exstretch", k=2)
         b = breakdown(scheme)
         manual = sum(scheme.table_entries(v) for v in range(20))
         assert b.total() == manual
 
     def test_polystretch_breakdown_sums(self):
-        inst = make_instance(seed=4)
-        scheme = PolynomialStretchScheme(inst.metric, inst.naming, k=2)
+        scheme = make_network(seed=4).build_scheme("polystretch", k=2)
         b = breakdown(scheme)
         manual = sum(scheme.table_entries(v) for v in range(20))
         assert b.total() == manual
@@ -86,29 +76,23 @@ class TestBreakdown:
         }
 
     def test_dispatch(self):
-        inst = make_instance(seed=5)
-        scheme = StretchSixScheme(inst.metric, inst.naming, rng=random.Random(6))
+        scheme = make_network(seed=5).build_scheme("stretch6")
         assert breakdown(scheme).total() > 0
 
     def test_dispatch_rejects_unknown(self):
-        inst = make_instance(seed=7)
-        scheme = ShortestPathScheme(inst.oracle, inst.naming)
+        scheme = make_network(seed=7).build_scheme("shortest_path")
         with pytest.raises(TypeError):
             breakdown(scheme)
 
     def test_format_mentions_every_layer(self):
-        inst = make_instance(seed=8)
-        scheme = StretchSixScheme(inst.metric, inst.naming, rng=random.Random(9))
+        scheme = make_network(seed=8).build_scheme("stretch6")
         text = breakdown(scheme).format(20)
         for layer in breakdown(scheme).layers:
             assert layer in text
         assert "TOTAL" in text
 
     def test_per_node_max_bounds_mean(self):
-        inst = make_instance(seed=10)
-        scheme = StretchSixScheme(
-            inst.metric, inst.naming, rng=random.Random(11)
-        )
+        scheme = make_network(seed=10).build_scheme("stretch6")
         b = breakdown(scheme)
         for layer, total in b.layers.items():
             assert b.per_node_max[layer] >= total / 20
@@ -175,19 +159,27 @@ class TestCLI:
         # the error names the registered choices
         assert "stretch6" in str(exc.value)
 
-    @pytest.mark.parametrize("command", ["fig1", "stretch", "traffic", "report"])
-    def test_negative_pairs_exits_with_one_line(self, command):
+    @pytest.mark.parametrize("command,pairs,least", [
+        ("fig1", -3, 1), ("stretch", -3, 1), ("traffic", -3, 0),
+        ("report", -3, 1),
+        # a stretch sample of no pairs measures nothing
+        ("fig1", 0, 1), ("stretch", 0, 1), ("report", 0, 1),
+    ], ids=[
+        "fig1", "stretch", "traffic", "report",
+        "fig1-zero", "stretch-zero", "report-zero",
+    ])
+    def test_negative_pairs_exits_with_one_line(self, command, pairs, least):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--n", "12", "--pairs", "-3"])
-        assert str(exc.value) == "--pairs must be >= 0, got -3"
+            main([command, "--n", "12", "--pairs", str(pairs)])
+        assert str(exc.value) == f"--pairs must be >= {least}, got {pairs}"
 
     @pytest.mark.parametrize("argv,message", [
         (["covers", "--n", "12", "--scale", "0"],
          "scale d must be positive, got 0.0"),
         (["fig1", "--n", "12", "--k", "1"],
-         "ExStretch requires k >= 2, got 1"),
+         "hierarchy requires k >= 2, got 1"),
         (["report", "--n", "12", "--k", "1"],
-         "ExStretch requires k >= 2, got 1"),
+         "hierarchy requires k >= 2, got 1"),
         (["stretch", "--n", "12", "--scheme", "exstretch", "--k", "1"],
          "hierarchy requires k >= 2, got 1"),
         (["tables", "--n", "12", "--scheme", "polystretch", "--k", "1"],
@@ -281,6 +273,7 @@ class TestReport:
         from repro.graph.generators import random_strongly_connected
 
         g = random_strongly_connected(14, rng=random.Random(21))
-        text = generate_report(g, seed=22, sample_pairs=40)
+        net = Network(g, seed=22, store=None)
+        text = generate_report(net, seed=22, sample_pairs=40)
         assert "Theorem 13" in text
         assert "Lemma 2" in text

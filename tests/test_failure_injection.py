@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.analysis.experiments import Instance
+from repro.api import Network
 from repro.exceptions import (
     ConstructionError,
     HopLimitExceeded,
@@ -28,25 +28,25 @@ from repro.schemes.exstretch import ExStretchScheme
 from repro.schemes.stretch6 import StretchSixScheme
 
 
-def make_instance(n=20, seed=0) -> Instance:
+def make_network(n=20, seed=0) -> Network:
     g = random_strongly_connected(n, rng=random.Random(seed))
-    return Instance.prepare(g, seed=seed + 1)
+    return Network(g, seed=seed + 1, store=None)
 
 
 class TestCorruptedTables:
     def test_missing_dictionary_entry_detected(self):
-        inst = make_instance()
+        net = make_network()
         scheme = StretchSixScheme(
-            inst.metric, inst.naming, rng=random.Random(1), blocks_per_node=1
+            net.metric(), net.naming(), rng=random.Random(1), blocks_per_node=1
         )
         scheme.compiled_routes()
         # find a pair that needs a remote lookup, then drop the block
         # from the dictionary node's slice: both engines must notice
-        for s in range(inst.graph.n):
-            for t in range(inst.graph.n):
+        for s in range(net.graph.n):
+            for t in range(net.graph.n):
                 if s == t:
                     continue
-                dest = inst.naming.name_of(t)
+                dest = net.naming().name_of(t)
                 if scheme._lookup_r3(s, dest) is not None:
                     continue
                 w = scheme._lookup_dict_node(s, dest)
@@ -61,18 +61,18 @@ class TestCorruptedTables:
         pytest.skip("no remote pair found")
 
     def test_corrupted_direct_table_detected(self):
-        inst = make_instance(seed=2)
-        rtz = RTZStretch3(inst.metric, random.Random(3))
+        net = make_network(seed=2)
+        rtz = RTZStretch3(net.metric(), random.Random(3))
         # remove a mid-path direct entry: forwarding must raise, not loop
-        for v in range(inst.graph.n):
+        for v in range(net.graph.n):
             cluster = sorted(rtz.assignment.cluster(v))
             for u in cluster:
-                path = inst.oracle.path(u, v)
+                path = net.oracle().path(u, v)
                 if len(path) > 2:
                     mid = path[1]
                     # the direct table is three aligned arrays sorted
                     # by (u, v); drop mid's entry for v from all three
-                    keep = rtz._direct_keys != mid * inst.graph.n + v
+                    keep = rtz._direct_keys != mid * net.graph.n + v
                     for name in ("_direct_keys", "_direct_next", "_direct_port"):
                         setattr(rtz, name, getattr(rtz, name)[keep])
                     with pytest.raises(TableLookupError):
@@ -83,28 +83,28 @@ class TestCorruptedTables:
     def test_wrong_port_leads_to_detection(self):
         # A scheme that forwards on arbitrary ports must be caught by
         # the hop limit, not wander forever.
-        inst = make_instance(seed=4)
-        scheme = StretchSixScheme(inst.metric, inst.naming, rng=random.Random(5))
+        net = make_network(seed=4)
+        scheme = StretchSixScheme(net.metric(), net.naming(), rng=random.Random(5))
 
         real_forward = scheme.forward
 
         def chaotic_forward(at, header):
             decision = real_forward(at, header)
             if isinstance(decision, Forward):
-                ports = inst.graph.ports(at)
+                ports = net.graph.ports(at)
                 return Forward(ports[0], decision.header)
             return decision
 
         scheme.forward = chaotic_forward  # type: ignore[method-assign]
         sim = Simulator(scheme, hop_limit=100)
         with pytest.raises((HopLimitExceeded, RoutingError, TableLookupError)):
-            for t in range(1, inst.graph.n):
-                sim.roundtrip(0, inst.naming.name_of(t))
+            for t in range(1, net.graph.n):
+                sim.roundtrip(0, net.naming().name_of(t))
 
     def test_truncated_waypoint_stack_detected(self):
-        inst = make_instance(seed=6)
+        net = make_network(seed=6)
         scheme = ExStretchScheme(
-            inst.metric, inst.naming, k=2, rng=random.Random(7)
+            net.metric(), net.naming(), k=2, rng=random.Random(7)
         )
 
         real_forward = scheme.forward
@@ -120,25 +120,25 @@ class TestCorruptedTables:
         scheme.forward = stack_dropper  # type: ignore[method-assign]
         sim = Simulator(scheme)
         with pytest.raises((TableLookupError, RoutingError, HopLimitExceeded)):
-            for t in range(1, inst.graph.n):
-                sim.roundtrip(0, inst.naming.name_of(t))
+            for t in range(1, net.graph.n):
+                sim.roundtrip(0, net.naming().name_of(t))
 
 
 class TestSimulatorGuards:
     def test_hop_limit_is_per_leg(self):
-        inst = make_instance(seed=8)
-        scheme = StretchSixScheme(inst.metric, inst.naming, rng=random.Random(9))
+        net = make_network(seed=8)
+        scheme = StretchSixScheme(net.metric(), net.naming(), rng=random.Random(9))
         # generous limit: everything fine
-        sim = Simulator(scheme, hop_limit=8 * inst.graph.n)
-        trace = sim.roundtrip(0, inst.naming.name_of(5))
+        sim = Simulator(scheme, hop_limit=8 * net.graph.n)
+        trace = sim.roundtrip(0, net.naming().name_of(5))
         # absurdly small limit: must raise instead of returning junk
         tight = Simulator(scheme, hop_limit=max(0, trace.outbound.hops - 1))
         with pytest.raises(HopLimitExceeded):
-            tight.roundtrip(0, inst.naming.name_of(5))
+            tight.roundtrip(0, net.naming().name_of(5))
 
     def test_delivery_at_wrong_vertex_detected(self):
-        inst = make_instance(seed=10)
-        scheme = StretchSixScheme(inst.metric, inst.naming, rng=random.Random(11))
+        net = make_network(seed=10)
+        scheme = StretchSixScheme(net.metric(), net.naming(), rng=random.Random(11))
 
         from repro.runtime.scheme import Deliver
 
@@ -152,7 +152,7 @@ class TestSimulatorGuards:
 
         scheme.forward = early_deliver  # type: ignore[method-assign]
         with pytest.raises(RoutingError):
-            Simulator(scheme).roundtrip(0, inst.naming.name_of(7))
+            Simulator(scheme).roundtrip(0, net.naming().name_of(7))
 
 
 class TestConstructionGuards:
@@ -161,9 +161,9 @@ class TestConstructionGuards:
         from repro.dictionary.distribution import BlockDistribution
         from repro.naming.blocks import sqrt_block_space
 
-        inst = make_instance(16, seed=12)
+        net = make_network(16, seed=12)
         dist = BlockDistribution(
-            inst.metric, sqrt_block_space(16), random.Random(13)
+            net.metric(), sqrt_block_space(16), random.Random(13)
         )
         # wipe a block everywhere
         victim = 0
@@ -178,9 +178,9 @@ class TestConstructionGuards:
         from repro.dictionary.distribution import BlockDistribution
         from repro.naming.blocks import sqrt_block_space
 
-        inst = make_instance(16, seed=14)
+        net = make_network(16, seed=14)
         dist = BlockDistribution(
-            inst.metric, sqrt_block_space(16), random.Random(15)
+            net.metric(), sqrt_block_space(16), random.Random(15)
         )
         for v in range(16):
             dist.sets[v].discard(1)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.analysis.experiments import Instance
+from repro.api import Network
 from repro.graph.generators import random_strongly_connected
 from repro.runtime.codec import BitReader, BitWriter, CodecError, HeaderCodec
 from repro.runtime.scheme import Forward, Header
@@ -106,7 +106,7 @@ class TestScalarEncoding:
             codec.encode({"mode": "ü"})
 
 
-def capture_headers(scheme, inst: Instance, pairs) -> list:
+def capture_headers(scheme, net: Network, pairs) -> list:
     """Route pairs and collect every in-flight header."""
     captured = []
     real_forward = scheme.forward
@@ -120,45 +120,45 @@ def capture_headers(scheme, inst: Instance, pairs) -> list:
     scheme.forward = tap  # type: ignore[method-assign]
     sim = Simulator(scheme)
     for (s, t) in pairs:
-        sim.roundtrip(s, inst.naming.name_of(t))
+        sim.roundtrip(s, net.naming().name_of(t))
     scheme.forward = real_forward  # type: ignore[method-assign]
     return captured
 
 
 class TestLiveHeaders:
     @pytest.fixture(scope="class")
-    def inst(self) -> Instance:
+    def net(self) -> Network:
         g = random_strongly_connected(24, rng=random.Random(1))
-        return Instance.prepare(g, seed=2)
+        return Network(g, seed=2, store=None)
 
     @pytest.mark.parametrize("which", ["stretch6", "exstretch", "poly"])
-    def test_every_live_header_roundtrips(self, inst: Instance, which: str):
+    def test_every_live_header_roundtrips(self, net: Network, which: str):
         if which == "stretch6":
             scheme = StretchSixScheme(
-                inst.metric, inst.naming, rng=random.Random(3)
+                net.metric(), net.naming(), rng=random.Random(3)
             )
         elif which == "exstretch":
             scheme = ExStretchScheme(
-                inst.metric, inst.naming, k=2, rng=random.Random(4)
+                net.metric(), net.naming(), k=2, rng=random.Random(4)
             )
         else:
-            scheme = PolynomialStretchScheme(inst.metric, inst.naming, k=2)
+            scheme = PolynomialStretchScheme(net.metric(), net.naming(), k=2)
         pairs = [(s, (s + 7) % 24) for s in range(0, 24, 3)]
-        headers = capture_headers(scheme, inst, pairs)
+        headers = capture_headers(scheme, net, pairs)
         assert headers
         codec = HeaderCodec(24)
         for h in headers:
             decoded = codec.decode(codec.encode(h))
             assert normalize(decoded) == normalize(h)
 
-    def test_encoded_size_tracks_estimate(self, inst: Instance):
+    def test_encoded_size_tracks_estimate(self, net: Network):
         # The real encoding and the accounting estimate agree within a
         # small factor, and both respect the log^2 budget.
         scheme = StretchSixScheme(
-            inst.metric, inst.naming, rng=random.Random(5)
+            net.metric(), net.naming(), rng=random.Random(5)
         )
         pairs = [(0, t) for t in range(1, 24, 4)]
-        headers = capture_headers(scheme, inst, pairs)
+        headers = capture_headers(scheme, net, pairs)
         codec = HeaderCodec(24)
         for h in headers:
             real = codec.encoded_bits(h)

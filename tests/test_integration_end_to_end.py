@@ -12,32 +12,13 @@ import random
 
 import pytest
 
-from repro.analysis.experiments import Instance
+from repro.api import Network
 from repro.graph.generators import standard_families
 from repro.runtime.simulator import Simulator
 from repro.runtime.stats import measure_stretch
-from repro.schemes.exstretch import ExStretchScheme
-from repro.schemes.polystretch import PolynomialStretchScheme
-from repro.schemes.rtz_baseline import RTZBaselineScheme
-from repro.schemes.stretch6 import StretchSixScheme
 
 
 FAMILIES = sorted(standard_families(25, seed=42).items())
-
-
-def build_scheme(label: str, inst: Instance, seed: int):
-    rng = random.Random(seed)
-    if label == "stretch6":
-        return StretchSixScheme(inst.metric, inst.naming, rng=rng), 6.0
-    if label == "exstretch":
-        s = ExStretchScheme(inst.metric, inst.naming, k=2, rng=rng)
-        return s, s.stretch_bound()
-    if label == "polystretch":
-        s = PolynomialStretchScheme(inst.metric, inst.naming, k=2)
-        return s, s.stretch_bound()
-    if label == "rtz":
-        return RTZBaselineScheme(inst.metric, inst.naming, rng=rng), 3.0
-    raise ValueError(label)
 
 
 @pytest.mark.parametrize("family_name,graph", FAMILIES)
@@ -45,11 +26,13 @@ def build_scheme(label: str, inst: Instance, seed: int):
     "scheme_label", ["stretch6", "exstretch", "polystretch", "rtz"]
 )
 def test_scheme_on_family(family_name: str, graph, scheme_label: str):
-    inst = Instance.prepare(graph, seed=hash((family_name, scheme_label)) % 1000)
-    scheme, bound = build_scheme(scheme_label, inst, seed=3)
-    report = measure_stretch(
-        scheme, inst.oracle, sample=80, rng=random.Random(4)
+    net = Network(
+        graph, seed=hash((family_name, scheme_label)) % 1000, store=None
     )
+    report = measure_stretch(
+        net.router(scheme_label), sample=80, rng=random.Random(4)
+    )
+    bound = net.stretch_bound(scheme_label)
     assert report.max_stretch <= bound + 1e-9, (
         f"{scheme_label} on {family_name}: {report.max_stretch} > {bound}"
     )
@@ -82,12 +65,9 @@ class TestAdversarialSurface:
                     seen.add((u, v))
                     g.add_edge(u, v, w)
             g.freeze(random.Random(port_seed))
-            inst = Instance.prepare(g, seed=6)
-            scheme = StretchSixScheme(
-                inst.metric, inst.naming, rng=random.Random(7)
-            )
+            net = Network(g, seed=6, store=None)
             report = measure_stretch(
-                scheme, inst.oracle, sample=60, rng=random.Random(8)
+                net.router("stretch6"), sample=60, rng=random.Random(8)
             )
             assert report.max_stretch <= 6.0 + 1e-9
 
@@ -95,36 +75,32 @@ class TestAdversarialSurface:
         # Hot-spot pattern: everyone talks to one server.
         fams = standard_families(25, seed=1)
         g = fams["dht"]
-        inst = Instance.prepare(g, seed=9)
-        scheme = StretchSixScheme(inst.metric, inst.naming, rng=random.Random(10))
-        sim = Simulator(scheme)
+        net = Network(g, seed=9, store=None)
+        sim = Simulator(net.build_scheme("stretch6"))
         server = 0
         for s in range(1, g.n):
-            trace = sim.roundtrip(s, inst.naming.name_of(server))
-            assert trace.total_cost <= 6 * inst.oracle.r(s, server) + 1e-9
+            trace = sim.roundtrip(s, net.naming().name_of(server))
+            assert trace.total_cost <= 6 * net.oracle().r(s, server) + 1e-9
 
     def test_one_source_to_all_destinations(self):
         fams = standard_families(25, seed=2)
         g = fams["layered"]
-        inst = Instance.prepare(g, seed=11)
-        scheme = ExStretchScheme(
-            inst.metric, inst.naming, k=2, rng=random.Random(12)
-        )
+        net = Network(g, seed=11, store=None)
+        scheme = net.build_scheme("exstretch", k=2)
         sim = Simulator(scheme)
         for t in range(1, g.n):
-            trace = sim.roundtrip(0, inst.naming.name_of(t))
-            assert trace.total_cost <= scheme.stretch_bound() * inst.oracle.r(
+            trace = sim.roundtrip(0, net.naming().name_of(t))
+            assert trace.total_cost <= scheme.stretch_bound() * net.oracle().r(
                 0, t
             ) + 1e-9
 
     def test_repeated_roundtrips_are_deterministic(self):
         fams = standard_families(25, seed=3)
         g = fams["random"]
-        inst = Instance.prepare(g, seed=13)
-        scheme = PolynomialStretchScheme(inst.metric, inst.naming, k=2)
-        sim = Simulator(scheme)
-        a = sim.roundtrip(1, inst.naming.name_of(9))
-        b = sim.roundtrip(1, inst.naming.name_of(9))
+        net = Network(g, seed=13, store=None)
+        sim = Simulator(net.build_scheme("polystretch", k=2))
+        a = sim.roundtrip(1, net.naming().name_of(9))
+        b = sim.roundtrip(1, net.naming().name_of(9))
         assert a.outbound.path == b.outbound.path
         assert a.inbound.path == b.inbound.path
 
@@ -133,37 +109,23 @@ class TestSharedSubstrates:
     """Schemes sharing one substrate instance must not interfere."""
 
     def test_stretch6_and_rtz_share_substrate(self):
-        from repro.rtz.routing import RTZStretch3
-
         fams = standard_families(25, seed=4)
-        g = fams["torus"]
-        inst = Instance.prepare(g, seed=14)
-        rtz = RTZStretch3(inst.metric, random.Random(15))
-        s6 = StretchSixScheme(inst.metric, inst.naming, substrate=rtz)
-        base = RTZBaselineScheme(inst.metric, inst.naming, substrate=rtz)
-        r1 = measure_stretch(s6, inst.oracle, sample=50, rng=random.Random(16))
-        r2 = measure_stretch(base, inst.oracle, sample=50, rng=random.Random(17))
+        net = Network(fams["torus"], seed=14, store=None)
+        s6 = net.build_scheme("stretch6")
+        base = net.build_scheme("rtz")
+        assert s6.rtz is base.rtz is net.rtz()
+        r1 = measure_stretch(net.router(s6), sample=50, rng=random.Random(16))
+        r2 = measure_stretch(net.router(base), sample=50, rng=random.Random(17))
         assert r1.max_stretch <= 6.0 + 1e-9
         assert r2.max_stretch <= 3.0 + 1e-9
 
     def test_exstretch_and_polystretch_share_hierarchy(self):
-        from repro.covers.hierarchy import TreeHierarchy
-        from repro.rtz.spanner import HandshakeSpanner
-
         fams = standard_families(25, seed=5)
-        g = fams["random"]
-        inst = Instance.prepare(g, seed=18)
-        h = TreeHierarchy(inst.metric, 2)
-        ex = ExStretchScheme(
-            inst.metric,
-            inst.naming,
-            k=2,
-            spanner=HandshakeSpanner(inst.metric, 2, hierarchy=h),
-        )
-        poly = PolynomialStretchScheme(
-            inst.metric, inst.naming, k=2, hierarchy=h
-        )
-        r1 = measure_stretch(ex, inst.oracle, sample=50, rng=random.Random(19))
-        r2 = measure_stretch(poly, inst.oracle, sample=50, rng=random.Random(20))
+        net = Network(fams["random"], seed=18, store=None)
+        ex = net.build_scheme("exstretch", k=2)
+        poly = net.build_scheme("polystretch", k=2)
+        assert ex.spanner.hierarchy is poly.hierarchy is net.hierarchy(2)
+        r1 = measure_stretch(net.router(ex), sample=50, rng=random.Random(19))
+        r2 = measure_stretch(net.router(poly), sample=50, rng=random.Random(20))
         assert r1.max_stretch <= ex.stretch_bound() + 1e-9
         assert r2.max_stretch <= poly.stretch_bound() + 1e-9

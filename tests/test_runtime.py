@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
-from repro.exceptions import HopLimitExceeded, RoutingError
+from repro.api.router import Router
+from repro.exceptions import GraphError, HopLimitExceeded, RoutingError
 from repro.graph.generators import (
     directed_cycle,
     random_strongly_connected,
@@ -186,7 +188,7 @@ class TestStats:
         oracle = DistanceOracle(g)
         naming = random_naming(16, random.Random(4))
         scheme = ShortestPathScheme(oracle, naming)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch == pytest.approx(1.0)
         assert report.mean_stretch == pytest.approx(1.0)
         assert report.pairs == 16 * 15
@@ -195,14 +197,14 @@ class TestStats:
         g = random_strongly_connected(16, rng=random.Random(5))
         oracle = DistanceOracle(g)
         scheme = ShortestPathScheme(oracle, identity_naming(16))
-        report = measure_stretch(scheme, oracle, sample=30, rng=random.Random(0))
+        report = measure_stretch(Router(scheme, oracle), sample=30, rng=random.Random(0))
         assert report.pairs == 30
 
     def test_measure_stretch_explicit_pairs(self):
         g = directed_cycle(9)
         oracle = DistanceOracle(g)
         scheme = ShortestPathScheme(oracle, identity_naming(9))
-        report = measure_stretch(scheme, oracle, pairs=[(0, 4), (2, 7)])
+        report = measure_stretch(Router(scheme, oracle), pairs=[(0, 4), (2, 7)])
         assert report.pairs == 2
         assert report.worst_pair in {(0, 4), (2, 7)}
 
@@ -210,8 +212,19 @@ class TestStats:
         g = directed_cycle(5)
         oracle = DistanceOracle(g)
         scheme = ShortestPathScheme(oracle, identity_naming(5))
-        with pytest.raises(RoutingError):
-            measure_stretch(scheme, oracle, pairs=[(1, 1)])
+        with pytest.raises(GraphError):
+            measure_stretch(Router(scheme, oracle), pairs=[(1, 1)])
+
+    @pytest.mark.parametrize("kw", [{"pairs": []}, {"sample": 0}])
+    def test_measure_stretch_of_no_pairs_is_empty(self, kw):
+        g = directed_cycle(5)
+        oracle = DistanceOracle(g)
+        scheme = ShortestPathScheme(oracle, identity_naming(5))
+        report = measure_stretch(Router(scheme, oracle), **kw)
+        assert report.pairs == 0
+        assert math.isnan(report.max_stretch)
+        assert math.isnan(report.mean_stretch)
+        assert report.worst_pair == (-1, -1)
 
     def test_measure_tables_baseline_linear(self):
         g = random_strongly_connected(12, rng=random.Random(6))

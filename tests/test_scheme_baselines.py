@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.api.router import Router
 from repro.graph.generators import (
     FAMILY_NAMES,
     directed_cycle,
@@ -34,13 +35,13 @@ class TestRTZBaseline:
     def test_stretch_three_all_pairs(self, seed: int):
         g = random_strongly_connected(24, rng=random.Random(seed))
         oracle, _naming, scheme = build(g, seed, seed + 1)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= 3.0 + 1e-9
 
     def test_cycle_stretch_three(self):
         g = directed_cycle(17, rng=random.Random(4))
         oracle, _naming, scheme = build(g)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= 3.0 + 1e-9
 
     def test_one_way_leg_bound(self):
@@ -70,7 +71,7 @@ class TestRTZBaseline:
     def test_roundtrip_headers_small(self):
         g = random_strongly_connected(32, rng=random.Random(7))
         oracle, _naming, scheme = build(g)
-        report = measure_stretch(scheme, oracle, sample=80, rng=random.Random(1))
+        report = measure_stretch(Router(scheme, oracle), sample=80, rng=random.Random(1))
         from repro.runtime.sizing import log2_squared
 
         assert report.max_header_bits <= 6 * log2_squared(32)

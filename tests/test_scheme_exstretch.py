@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.api import Network
+from repro.api import Network, Router
 from repro.exceptions import ConstructionError
 from repro.graph import blocked
 from repro.graph.generators import (
@@ -131,25 +131,25 @@ class TestDeliveryAndStretch:
     def test_random_graph_all_pairs(self, k: int, seed: int):
         g = random_strongly_connected(24, rng=random.Random(seed))
         oracle, _naming, scheme = build(g, k, seed, seed + 1)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= scheme.stretch_bound() + 1e-9
 
     def test_cycle(self):
         g = directed_cycle(16, rng=random.Random(3))
         oracle, _naming, scheme = build(g, 2)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= scheme.stretch_bound() + 1e-9
 
     def test_torus(self):
         g = bidirected_torus(4, 4, rng=random.Random(4))
         oracle, _naming, scheme = build(g, 2)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= scheme.stretch_bound() + 1e-9
 
     def test_dht_k3(self):
         g = random_dht_overlay(27, rng=random.Random(5))
         oracle, _naming, scheme = build(g, 3)
-        report = measure_stretch(scheme, oracle, sample=150, rng=random.Random(0))
+        report = measure_stretch(Router(scheme, oracle), sample=150, rng=random.Random(0))
         assert report.max_stretch <= scheme.stretch_bound() + 1e-9
 
     def test_roundtrip_paths_wellformed(self):
@@ -234,7 +234,7 @@ class TestHeadersAndTables:
     def test_header_stack_bounded(self):
         g = random_strongly_connected(27, rng=random.Random(9))
         oracle, _naming, scheme = build(g, 3)
-        report = measure_stretch(scheme, oracle, sample=120, rng=random.Random(1))
+        report = measure_stretch(Router(scheme, oracle), sample=120, rng=random.Random(1))
         # o(k log^2 n): k pushes of o(log^2 n) labels
         assert report.max_header_bits <= 8 * scheme.k * log2_squared(27)
 
@@ -264,7 +264,7 @@ class TestConstruction:
         sp = HandshakeSpanner(metric, 2)
         scheme = ExStretchScheme(metric, identity_naming(12), k=2, spanner=sp)
         assert scheme.spanner is sp
-        report = measure_stretch(scheme, oracle, sample=40, rng=random.Random(2))
+        report = measure_stretch(Router(scheme, oracle), sample=40, rng=random.Random(2))
         assert report.max_stretch <= scheme.stretch_bound() + 1e-9
 
     def test_works_under_many_namings(self):
@@ -275,6 +275,6 @@ class TestConstruction:
             metric = RoundtripMetric(oracle, ids=naming.all_names())
             scheme = ExStretchScheme(metric, naming, k=2, rng=random.Random(7))
             report = measure_stretch(
-                scheme, oracle, sample=50, rng=random.Random(seed)
+                Router(scheme, oracle), sample=50, rng=random.Random(seed)
             )
             assert report.max_stretch <= scheme.stretch_bound() + 1e-9

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.api import Network
+from repro.api import Network, Router
 from repro.exceptions import ConstructionError
 from repro.graph.generators import (
     bidirected_torus,
@@ -75,31 +75,31 @@ class TestDeliveryAndStretch:
     def test_random_graph_all_pairs(self, seed: int):
         g = random_strongly_connected(20, rng=random.Random(seed))
         oracle, _naming, scheme = build(g, 2, seed)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= scheme.stretch_bound() + 1e-9
 
     def test_k3(self):
         g = random_strongly_connected(27, rng=random.Random(3))
         oracle, _naming, scheme = build(g, 3)
-        report = measure_stretch(scheme, oracle, sample=150, rng=random.Random(0))
+        report = measure_stretch(Router(scheme, oracle), sample=150, rng=random.Random(0))
         assert report.max_stretch <= scheme.stretch_bound() + 1e-9
 
     def test_cycle(self):
         g = directed_cycle(14, rng=random.Random(4))
         oracle, _naming, scheme = build(g, 2)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= scheme.stretch_bound() + 1e-9
 
     def test_torus(self):
         g = bidirected_torus(4, 4, rng=random.Random(5))
         oracle, _naming, scheme = build(g, 2)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= scheme.stretch_bound() + 1e-9
 
     def test_dht(self):
         g = random_dht_overlay(20, rng=random.Random(6))
         oracle, _naming, scheme = build(g, 2)
-        report = measure_stretch(scheme, oracle, sample=120, rng=random.Random(1))
+        report = measure_stretch(Router(scheme, oracle), sample=120, rng=random.Random(1))
         assert report.max_stretch <= scheme.stretch_bound() + 1e-9
 
     def test_paths_wellformed(self):
@@ -242,7 +242,7 @@ class TestConstructionAndSizes:
             metric, identity_naming(12), k=2, hierarchy=h
         )
         assert scheme.hierarchy is h
-        report = measure_stretch(scheme, oracle, sample=40, rng=random.Random(3))
+        report = measure_stretch(Router(scheme, oracle), sample=40, rng=random.Random(3))
         assert report.max_stretch <= scheme.stretch_bound() + 1e-9
 
     def test_tables_nonempty(self):
@@ -259,6 +259,6 @@ class TestConstructionAndSizes:
             metric = RoundtripMetric(oracle, ids=naming.all_names())
             scheme = PolynomialStretchScheme(metric, naming, k=2)
             report = measure_stretch(
-                scheme, oracle, sample=40, rng=random.Random(seed)
+                Router(scheme, oracle), sample=40, rng=random.Random(seed)
             )
             assert report.max_stretch <= scheme.stretch_bound() + 1e-9

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.api import Network
+from repro.api import Network, Router
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.generators import (
     FAMILY_NAMES,
@@ -39,31 +39,31 @@ class TestDeliveryAndStretch:
     def test_random_graph_all_pairs(self, seed: int):
         g = random_strongly_connected(26, rng=random.Random(seed))
         oracle, naming, scheme = build(g, seed, seed + 1)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= StretchSixScheme.STRETCH_BOUND + 1e-9
 
     def test_cycle_all_pairs(self):
         g = directed_cycle(20, rng=random.Random(5))
         oracle, naming, scheme = build(g)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= 6.0 + 1e-9
 
     def test_torus_all_pairs(self):
         g = bidirected_torus(4, 5, rng=random.Random(6))
         oracle, naming, scheme = build(g)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= 6.0 + 1e-9
 
     def test_asymmetric_torus(self):
         g = asymmetric_torus(4, 4)
         oracle, naming, scheme = build(g)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= 6.0 + 1e-9
 
     def test_dht_overlay(self):
         g = random_dht_overlay(24, rng=random.Random(7))
         oracle, naming, scheme = build(g)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= 6.0 + 1e-9
 
     def test_near_destination_stretch_three(self):
@@ -103,7 +103,7 @@ class TestNamingIndependence:
             metric = RoundtripMetric(oracle, ids=naming.all_names())
             scheme = StretchSixScheme(metric, naming, rng=random.Random(99))
             report = measure_stretch(
-                scheme, oracle, sample=60, rng=random.Random(seed)
+                Router(scheme, oracle), sample=60, rng=random.Random(seed)
             )
             assert report.max_stretch <= 6.0 + 1e-9
 
@@ -118,7 +118,7 @@ class TestSizes:
     def test_header_within_log_squared_budget(self):
         g = random_strongly_connected(32, rng=random.Random(11))
         oracle, naming, scheme = build(g)
-        report = measure_stretch(scheme, oracle, sample=120, rng=random.Random(0))
+        report = measure_stretch(Router(scheme, oracle), sample=120, rng=random.Random(0))
         # O(log^2 n) with a small constant
         assert report.max_header_bits <= 8 * log2_squared(32)
 
@@ -157,7 +157,7 @@ class TestConstruction:
         rtz = RTZStretch3(metric, random.Random(0))
         scheme = StretchSixScheme(metric, naming, substrate=rtz)
         assert scheme.rtz is rtz
-        report = measure_stretch(scheme, oracle, sample=40, rng=random.Random(1))
+        report = measure_stretch(Router(scheme, oracle), sample=40, rng=random.Random(1))
         assert report.max_stretch <= 6.0 + 1e-9
 
     def test_remote_dictionary_path_exercised(self):

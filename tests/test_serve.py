@@ -218,9 +218,11 @@ def test_dispatch_unknown_scheme_surfaces_choices():
 
 def test_dispatch_rejects_out_of_range_and_self_pairs():
     app = build_app(small_config())
-    for pairs in ([[0, 99]], [[-1, 3]], [[5, 5]]):
+    # a JSON big integer overflows int64 inside check_pairs: still a 400
+    for pairs in ([[0, 99]], [[-1, 3]], [[5, 5]], [[0, 2**70]]):
         status, raw = dispatch(app, "POST", "/route_many", {"pairs": pairs})
         assert status == 400
+        assert json.loads(raw)["error"]["code"] == "bad-request"
 
 
 def test_dispatch_sheds_beyond_max_inflight():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.analysis.experiments import Instance
+from repro.api import Network
 from repro.graph.generators import random_strongly_connected
 from repro.runtime.simulator import Simulator
 from repro.runtime.stats import measure_stretch
@@ -16,32 +16,32 @@ from repro.schemes.stretch6_variant import StretchSixViaSourceScheme
 
 def build(n=24, seed=0, blocks_per_node=1):
     g = random_strongly_connected(n, rng=random.Random(seed))
-    inst = Instance.prepare(g, seed=seed + 1)
+    net = Network(g, seed=seed + 1, store=None)
     variant = StretchSixViaSourceScheme(
-        inst.metric,
-        inst.naming,
+        net.metric(),
+        net.naming(),
         rng=random.Random(seed + 2),
         blocks_per_node=blocks_per_node,
     )
-    return inst, variant
+    return net, variant
 
 
 class TestVariantCorrectness:
     @pytest.mark.parametrize("seed", range(3))
     def test_all_pairs_within_stretch6(self, seed: int):
-        inst, variant = build(seed=seed)
-        report = measure_stretch(variant, inst.oracle)
+        net, variant = build(seed=seed)
+        report = measure_stretch(net.router(variant))
         assert report.max_stretch <= 6.0 + 1e-9
 
     def test_outbound_passes_through_source_after_lookup(self):
-        inst, variant = build(seed=5)
+        net, variant = build(seed=5)
         sim = Simulator(variant)
         found = 0
-        for s in range(inst.graph.n):
-            for t in range(inst.graph.n):
+        for s in range(net.graph.n):
+            for t in range(net.graph.n):
                 if s == t:
                     continue
-                dest = inst.naming.name_of(t)
+                dest = net.naming().name_of(t)
                 if variant._lookup_r3(s, dest) is not None:
                     continue
                 found += 1
@@ -54,38 +54,38 @@ class TestVariantCorrectness:
     def test_local_destinations_identical_to_deployed(self):
         # When no dictionary trip is needed the two schemes route the
         # same journey.
-        inst, variant = build(seed=6, blocks_per_node=None)
+        net, variant = build(seed=6, blocks_per_node=None)
         deployed = StretchSixScheme(
-            inst.metric,
-            inst.naming,
+            net.metric(),
+            net.naming(),
             substrate=variant.rtz,
             rng=random.Random(8),
         )
         sim_v = Simulator(variant)
         sim_d = Simulator(deployed)
-        for s in range(0, inst.graph.n, 4):
-            for t in inst.metric.sqrt_neighborhood(s):
+        for s in range(0, net.graph.n, 4):
+            for t in net.metric().sqrt_neighborhood(s):
                 if t == s:
                     continue
-                dest = inst.naming.name_of(t)
+                dest = net.naming().name_of(t)
                 tv = sim_v.roundtrip(s, dest)
                 td = sim_d.roundtrip(s, dest)
                 assert tv.outbound.path == td.outbound.path
 
     def test_variant_never_beats_deployed_on_average(self):
-        inst, variant = build(n=30, seed=7)
+        net, variant = build(n=30, seed=7)
         deployed = StretchSixScheme(
-            inst.metric,
-            inst.naming,
+            net.metric(),
+            net.naming(),
             substrate=variant.rtz,
             rng=random.Random(9),
             blocks_per_node=1,
         )
         rv = measure_stretch(
-            variant, inst.oracle, sample=200, rng=random.Random(10)
+            net.router(variant), sample=200, rng=random.Random(10)
         )
         rd = measure_stretch(
-            deployed, inst.oracle, sample=200, rng=random.Random(10)
+            net.router(deployed), sample=200, rng=random.Random(10)
         )
         assert rd.mean_stretch <= rv.mean_stretch + 1e-9
 
@@ -93,8 +93,8 @@ class TestVariantCorrectness:
         from repro.runtime.codec import HeaderCodec
         from repro.runtime.scheme import Forward
 
-        inst, variant = build(seed=11)
-        codec = HeaderCodec(inst.graph.n)
+        net, variant = build(seed=11)
+        codec = HeaderCodec(net.graph.n)
         captured = []
         real_forward = variant.forward
 
@@ -105,7 +105,7 @@ class TestVariantCorrectness:
             return decision
 
         variant.forward = tap  # type: ignore[method-assign]
-        Simulator(variant).roundtrip(0, inst.naming.name_of(9))
+        Simulator(variant).roundtrip(0, net.naming().name_of(9))
         variant.forward = real_forward  # type: ignore[method-assign]
         for h in captured:
             assert codec.decode(codec.encode(h)) == h

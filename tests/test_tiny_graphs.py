@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.analysis.experiments import Instance
+from repro.api import Network, Router
 from repro.covers.hierarchy import TreeHierarchy
 from repro.covers.sparse_cover import DoubleTreeCover
 from repro.dictionary.distribution import BlockDistribution
@@ -72,31 +72,31 @@ class TestAllSchemesOnTinyGraphs:
     def test_shortest_path(self, make):
         g, oracle, naming, _metric = self._instance(make)
         scheme = ShortestPathScheme(oracle, naming)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch == pytest.approx(1.0)
 
     def test_rtz_baseline(self, make):
         g, oracle, naming, metric = self._instance(make)
         scheme = RTZBaselineScheme(metric, naming, rng=random.Random(0))
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= 3.0 + 1e-9
 
     def test_stretch6(self, make):
         g, oracle, naming, metric = self._instance(make)
         scheme = StretchSixScheme(metric, naming, rng=random.Random(1))
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= 6.0 + 1e-9
 
     def test_exstretch(self, make):
         g, oracle, naming, metric = self._instance(make)
         scheme = ExStretchScheme(metric, naming, k=2, rng=random.Random(2))
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= scheme.stretch_bound() + 1e-9
 
     def test_polystretch(self, make):
         g, oracle, naming, metric = self._instance(make)
         scheme = PolynomialStretchScheme(metric, naming, k=2)
-        report = measure_stretch(scheme, oracle)
+        report = measure_stretch(Router(scheme, oracle))
         assert report.max_stretch <= scheme.stretch_bound() + 1e-9
 
 
@@ -149,6 +149,6 @@ class TestTinySubstrates:
             trace = Simulator(scheme).roundtrip(0, 1)
             assert trace.total_cost == pytest.approx(oracle.r(0, 1))
 
-    def test_instance_prepare_tiny(self):
-        inst = Instance.prepare(three_asym(), seed=7)
-        assert inst.metric.n == 3
+    def test_network_artifacts_tiny(self):
+        net = Network(three_asym(), seed=7, store=None)
+        assert net.metric().n == 3
