@@ -22,9 +22,11 @@ handshake labels are derived when a packet reads a row, and the
 compile reads each hop's tree from the hierarchy's best-tree matrix,
 which it builds.  The substrate line breaks down into those out-tree
 intervals and direct entries; each compile into step tables is a stage
-of its own.  What stays Python is the PartialCover rounds and one
-``OutTreeRouter`` per double tree, so at n = 1024 the APSP dominates
-the stretch-6 pipeline.
+of its own.  The cover hierarchy builds every double tree's routing
+state at once, with the same interval kernel
+(:func:`~repro.tree_routing.fixed_port.pruned_tree_intervals`).  What
+stays Python is the PartialCover rounds, so at n = 1024 the APSP
+dominates the stretch-6 pipeline.
 """
 
 from __future__ import annotations

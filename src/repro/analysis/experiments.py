@@ -15,14 +15,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
+from repro.api import Network, get_spec
 from repro.exceptions import ConstructionError, RoutingError
 from repro.graph.digraph import Digraph
 from repro.runtime.stats import measure_stretch, measure_tables
-
-# after repro.runtime: repro.api.network imports repro.rtz.routing,
-# which loads only once the runtime package (its import cycle partner)
-# is initialized
-from repro.api import Network, get_spec
 
 #: The Fig. 1 scheme set in the paper's order, as registry names: the
 #: linear-table baseline, name-dependent RTZ-3, and the paper's three

@@ -8,6 +8,7 @@ far typical routes sit below them.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
@@ -33,25 +34,29 @@ class StretchDistribution:
         return [s for (_u, _v, s) in self.samples]
 
     def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0..100) of the stretch values."""
+        """The ``q``-th percentile (0..100) of the stretch values
+        (``nan`` with no samples)."""
         values = sorted(self.values())
         if not values:
-            return 0.0
+            return math.nan
         idx = min(len(values) - 1, int(round(q / 100.0 * (len(values) - 1))))
         return values[idx]
 
     def max(self) -> float:
-        """Worst stretch."""
-        return max(self.values())
+        """Worst stretch (``nan`` with no samples)."""
+        return max(self.values(), default=math.nan)
 
     def mean(self) -> float:
-        """Mean stretch."""
+        """Mean stretch (``nan`` with no samples)."""
         vals = self.values()
-        return sum(vals) / len(vals)
+        return sum(vals) / len(vals) if vals else math.nan
 
     def fraction_at_most(self, bound: float) -> float:
-        """Fraction of pairs with stretch at most ``bound``."""
+        """Fraction of pairs with stretch at most ``bound`` (``nan``
+        with no samples)."""
         vals = self.values()
+        if not vals:
+            return math.nan
         return sum(1 for v in vals if v <= bound + 1e-12) / len(vals)
 
     def histogram(self, bins: Sequence[float]) -> Dict[str, int]:

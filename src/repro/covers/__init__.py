@@ -2,7 +2,7 @@
 PartialCover/Cover algorithms of Figs. 7-8 (Theorem 10/13), and the
 level hierarchy of Section 4."""
 
-from repro.covers.double_tree import DoubleTree
+from repro.covers.double_tree import DoubleTree, DoubleTreeTables
 from repro.covers.hierarchy import LEVEL_STRIDE, TreeHierarchy
 from repro.covers.partial_cover import PartialCoverResult, partial_cover
 from repro.covers.sparse_cover import (
@@ -15,6 +15,7 @@ from repro.covers.sparse_cover import (
 
 __all__ = [
     "DoubleTree",
+    "DoubleTreeTables",
     "TreeHierarchy",
     "LEVEL_STRIDE",
     "PartialCoverResult",

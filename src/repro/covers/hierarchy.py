@@ -8,8 +8,10 @@ HandshakeSpanner (``repro.rtz.spanner``) picks the globally cheapest
 tree containing a pair, read from one ``(n, n)`` best-tree matrix
 (:meth:`TreeHierarchy.best_tree_indices`).
 
-Every level's cover is computed first, so the in-trees of all levels
-come from one
+Every level's cover is computed first; then the routing state of all
+trees of all levels is built at once, as one
+:class:`~repro.covers.double_tree.DoubleTreeTables` (:attr:`TreeHierarchy.tables`)
+that both routing engines read.  Its in-trees come from one
 :meth:`~repro.graph.shortest_paths.DistanceOracle.in_tree_rows` call
 over the distinct roots, shared across levels.
 
@@ -24,8 +26,8 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from repro.covers.double_tree import DoubleTree, in_tree_lists
-from repro.covers.sparse_cover import DoubleTreeCover, cover
+from repro.covers.double_tree import DoubleTree, DoubleTreeTables
+from repro.covers.sparse_cover import DoubleTreeCover
 from repro.exceptions import ConstructionError
 from repro.graph.roundtrip import RoundtripMetric
 
@@ -42,6 +44,8 @@ class TreeHierarchy:
 
     Attributes:
         levels: ``levels[i]`` is the scale-``2^i`` cover.
+        tables: every tree's routing state, trees indexed in
+            :meth:`all_trees` order.
     """
 
     def __init__(self, metric: RoundtripMetric, k: int):
@@ -51,21 +55,13 @@ class TreeHierarchy:
         self._k = k
         rt_diam = metric.oracle.rt_diameter()
         self.num_levels = max(1, int(math.ceil(math.log2(max(rt_diam, 2.0)))) + 1)
-        scales = [float(2 ** i) for i in range(self.num_levels)]
-        raws = [cover(metric, k, d) for d in scales]
-        in_rows = in_tree_lists(
-            metric.oracle, (c for raw in raws for c in raw.centers)
-        )
         self.levels: List[DoubleTreeCover] = [
-            DoubleTreeCover(
-                metric, k, d, tree_id_base=i * LEVEL_STRIDE,
-                raw=raw, in_rows=in_rows,
-            )
-            for i, (d, raw) in enumerate(zip(scales, raws))
+            DoubleTreeCover(metric, k, float(2 ** i), tree_id_base=i * LEVEL_STRIDE)
+            for i in range(self.num_levels)
         ]
         self._trees: List[DoubleTree] = [t for cov in self.levels for t in cov.trees]
+        self.tables = DoubleTreeTables(metric.oracle, self._trees)
         self._best: Optional[np.ndarray] = None
-        self._entries: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     @property
@@ -182,15 +178,9 @@ class TreeHierarchy:
 
     def table_entry_counts(self) -> np.ndarray:
         """Every vertex's tree-state rows across all levels, as a
-        read-only ``(n,)`` int64 array: one pass over each tree's stored
-        rows, built on first use and cached."""
-        if self._entries is None:
-            counts = [0] * self._metric.n
-            for t in self._trees:
-                t.add_table_entries(counts)
-            self._entries = np.array(counts, dtype=np.int64)
-            self._entries.flags.writeable = False
-        return self._entries
+        read-only ``(n,)`` int64 array
+        (:meth:`DoubleTreeTables.table_entry_counts`)."""
+        return self.tables.table_entry_counts()
 
     def table_entries_at(self, v: int) -> int:
         """Total tree-state rows charged to ``v`` across all levels."""

@@ -11,15 +11,17 @@ Theorem 10 guarantees, for the resulting cover ``T``:
 :class:`DoubleTreeCover` materializes the cover at a given scale with a
 :class:`~repro.covers.double_tree.DoubleTree` per cluster, and records
 each vertex's *home tree* — the tree whose cluster swallowed that
-vertex's ball, which Section 4's scheme routes in first.
+vertex's ball, which Section 4's scheme routes in first.  A cover holds
+no routing state; :class:`~repro.covers.hierarchy.TreeHierarchy` builds
+that for all its levels' trees at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List
 
-from repro.covers.double_tree import DoubleTree, in_tree_lists
+from repro.covers.double_tree import DoubleTree
 from repro.covers.partial_cover import partial_cover
 from repro.exceptions import ConstructionError
 from repro.graph.roundtrip import RoundtripMetric, level_size
@@ -139,11 +141,6 @@ class DoubleTreeCover:
         d: scale (ball radius).
         tree_id_base: starting tree identifier (levels in a hierarchy
             use disjoint id ranges).
-        raw: this scale's :func:`cover`, when already computed.
-        in_rows: in-tree rows by root (:func:`in_tree_lists`) holding
-            at least this cover's centers; computed for them when
-            omitted.  A hierarchy computes one for every level's centers
-            at once.
     """
 
     def __init__(
@@ -152,22 +149,14 @@ class DoubleTreeCover:
         k: int,
         d: float,
         tree_id_base: int = 0,
-        raw: Optional[CoverResult] = None,
-        in_rows: Optional[Dict[int, List[int]]] = None,
     ):
         self._metric = metric
         self._k = k
         self._d = d
-        if raw is None:
-            raw = cover(metric, k, d)
-        if in_rows is None:
-            in_rows = in_tree_lists(metric.oracle, raw.centers)
+        raw = cover(metric, k, d)
         self.rounds = raw.rounds
         self.trees: List[DoubleTree] = [
-            DoubleTree(
-                metric.oracle, sorted(members), tree_id_base + i,
-                center=c, in_tree=in_rows[c],
-            )
+            DoubleTree(metric.oracle, sorted(members), tree_id_base + i, center=c)
             for i, (members, c) in enumerate(zip(raw.clusters, raw.centers))
         ]
         self._by_id: Dict[int, DoubleTree] = {t.tree_id: t for t in self.trees}

@@ -50,8 +50,7 @@ from repro.rtz.centers import (
     check_cluster_closure,
     sample_centers,
 )
-from repro.runtime.sizing import id_bits
-from repro.tree_routing.fixed_port import TreeAddress, tree_intervals
+from repro.tree_routing.fixed_port import TreeAddress, id_bits, tree_intervals
 
 #: leg-forwarding modes
 DIRECT = "dir"

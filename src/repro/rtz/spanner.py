@@ -24,8 +24,7 @@ from repro.covers.double_tree import DoubleTree
 from repro.covers.hierarchy import TreeHierarchy
 from repro.exceptions import TableLookupError
 from repro.graph.roundtrip import RoundtripMetric
-from repro.runtime.sizing import id_bits
-from repro.tree_routing.fixed_port import TreeAddress
+from repro.tree_routing.fixed_port import TreeAddress, id_bits
 
 #: hop-forwarding phases
 UP = "hup"
@@ -87,15 +86,13 @@ class HandshakeSpanner:
 
     def r2(self, u: int, v: int) -> R2Label:
         """``R2(u, v)``: the tree is the best-tree matrix's entry
-        (:meth:`~repro.covers.hierarchy.TreeHierarchy.best_tree_indices`).
-        The TINN schemes store the vertex ``v`` of each dictionary row
-        and derive its handshake here."""
-        tree = self.hierarchy.best_tree_for_pair(u, v)
-        return R2Label(
-            tree_id=tree.tree_id,
-            addr_from=tree.address_of(u),
-            addr_to=tree.address_of(v),
-        )
+        (:meth:`~repro.covers.hierarchy.TreeHierarchy.best_tree_indices`),
+        the addresses its DFS numbers.  The TINN schemes store the
+        vertex ``v`` of each dictionary row and derive its handshake
+        here."""
+        tree_id = self.hierarchy.best_tree_for_pair(u, v).tree_id
+        address_of = self.hierarchy.tables.address_of
+        return R2Label(tree_id, address_of(tree_id, u), address_of(tree_id, v))
 
     def tree_of(self, label: R2Label) -> DoubleTree:
         """The double tree a label routes in."""
@@ -114,28 +111,20 @@ class HandshakeSpanner:
     def hop_step(
         self, at: int, label: R2Label, phase: str
     ) -> Tuple[Optional[int], str]:
-        """One forwarding decision of a hop toward ``label.addr_to``.
+        """One forwarding decision of a hop toward ``label.addr_to``:
+        the hierarchy's one tree step
+        (:meth:`~repro.covers.double_tree.DoubleTreeTables.next_port`)
+        under this scheme's phase names.
 
         Returns:
             ``(port, next_phase)`` with ``port`` ``None`` at arrival.
         """
-        tree = self.tree_of(label)
-        target = label.addr_to
-        if phase == UP:
-            # Arrival check by address comparison (packet-time legal).
-            at_addr = (
-                tree.address_of(at) if tree.out_tree.contains(at) else None
-            )
-            if at_addr == target:
-                return None, UP
-            if at == tree.root:
-                phase = DOWN
-            else:
-                return tree.in_pointers.next_port(at), UP
-        if phase == DOWN:
-            port = tree.out_tree.next_port(at, target)
-            return port, DOWN
-        raise TableLookupError(f"unknown hop phase {phase!r}")
+        if phase not in (UP, DOWN):
+            raise TableLookupError(f"unknown hop phase {phase!r}")
+        port, up = self.hierarchy.tables.next_port(
+            at, label.tree_id, label.addr_to, phase == UP
+        )
+        return port, UP if up else DOWN
 
     def route_hop(self, x: int, y: int) -> List[int]:
         """Drive a full hop ``x -> y`` (analysis helper)."""

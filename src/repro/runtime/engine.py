@@ -36,10 +36,11 @@ boundaries (waypoints), so every registered scheme compiles:
   the Lemma 2 substrate (:class:`SubstrateStepTables`);
 * ExStretch and PolynomialStretch route each segment inside one
   Theorem 13 double tree, named per packet by the segment's ``tree``
-  (:class:`DoubleTreeStepTables`): up the in-pointers to the root,
-  then down the out-tree by Lemma 14 interval rows.  Their growing
-  waypoint stacks change the header only at waypoints, so each
-  segment's bit size is fixed by the stack depth at plan time.
+  (:class:`DoubleTreeStepTables`, over the hierarchy's own tables):
+  up the in-pointers to the root, then down the out-tree by Lemma 14
+  interval rows.  Their growing waypoint stacks change the header
+  only at waypoints, so each segment's bit size is fixed by the stack
+  depth at plan time.
 
 A leg normally ends when its last segment reaches its target.  A plan
 may flag a leg (:attr:`JourneyPlan.ends_on_arrival`) to end the first
@@ -407,84 +408,45 @@ class DoubleTreeStepTables(StepTables):
 
     A segment toward ``target`` inside tree ``tree`` goes up the tree's
     in-pointers to its root, then down the out-tree by the Lemma 14
-    child-interval rows — the decisions of
-    :meth:`~repro.rtz.spanner.HandshakeSpanner.hop_step` and
-    :meth:`~repro.schemes.polystretch.PolynomialStretchScheme._tree_step`.
-    Trees are indexed in :meth:`~repro.covers.hierarchy.TreeHierarchy.all_trees`
-    order.  Every table holds one entry per row the trees themselves
-    store, keyed ``tree * n + vertex`` and searched by binary search, so
+    child-interval rows: the decisions of
+    :meth:`~repro.covers.double_tree.DoubleTreeTables.next_port` for a
+    whole batch, read from the same arrays, the hierarchy's ``trees``
+    (:attr:`~repro.covers.hierarchy.TreeHierarchy.tables`), at every
+    step.  Rows are found by binary search over their sorted keys, so
     both table families share this one storage.
-
-    Attributes:
-        n: vertex count (the key stride).
-        tree_ids: ``(T,)`` global tree id per tree index (ascending).
-        root: ``(T,)`` root vertex per tree index.
-        up_next: :class:`~repro.graph.csr.PairTable` — next vertex
-            toward the root per (tree, vertex) with an in-pointer.
-        dfs: :class:`~repro.graph.csr.PairTable` — each out-tree
-            vertex's DFS number (its tree address) per (tree, vertex).
-        row_keys: sorted ``(tree * n + vertex) * n + lo`` — one row per
-            child interval ``[lo, hi)`` stored at ``vertex``.
-        row_hi: ``hi`` per row.
-        row_next: the child (next vertex) per row.
     """
 
-    def __init__(
-        self,
-        n: int,
-        tree_ids: np.ndarray,
-        root: np.ndarray,
-        up_next: PairTable,
-        dfs: PairTable,
-        row_keys: np.ndarray,
-        row_hi: np.ndarray,
-        row_next: np.ndarray,
-    ):
-        self.n = int(n)
-        self.tree_ids = tree_ids
-        self.root = root
-        self.up_next = up_next
-        self.dfs = dfs
-        self.row_keys = row_keys
-        self.row_hi = row_hi
-        self.row_next = row_next
-
-    def tree_index(self, tree_ids) -> np.ndarray:
-        """Tree indices of global tree ids (compile-time helper)."""
-        ids = np.asarray(tree_ids, dtype=np.int64)
-        idx = np.searchsorted(self.tree_ids, ids)
-        np.minimum(idx, self.tree_ids.shape[0] - 1, out=idx)
-        if (self.tree_ids[idx] != ids).any():
-            bad = int(ids[self.tree_ids[idx] != ids][0])
-            raise TableLookupError(f"tree {bad} is not in the hierarchy")
-        return idx
+    def __init__(self, trees):
+        self.trees = trees
 
     def begin_phase(self, at, target, tree=None) -> np.ndarray:
-        return np.where(at == self.root[tree], PHASE_DOWN, PHASE_UP).astype(
-            np.int8
-        )
+        return np.where(
+            at == self.trees.root[tree], PHASE_DOWN, PHASE_UP
+        ).astype(np.int8)
 
     def _down(self, at, target, tree) -> np.ndarray:
         """The child of ``at`` whose interval holds ``target``'s DFS
         number (``-1`` where there is none)."""
-        n = self.n
-        d = self.dfs[tree, target].astype(np.int64)
+        t = self.trees
+        n = t.n
+        d = PairTable(n, t.dfs_keys, t.dfs)[tree, target]
         node = tree * n + at
-        pos = np.searchsorted(self.row_keys, node * n + d, side="right") - 1
+        pos = np.searchsorted(t.row_keys, node * n + d, side="right") - 1
         ok = (d >= 0) & (pos >= 0)
         np.maximum(pos, 0, out=pos)
-        ok &= (self.row_keys[pos] // n == node) & (d < self.row_hi[pos])
-        return np.where(ok, self.row_next[pos], -1)
+        ok &= (t.row_keys[pos] // n == node) & (d < t.row_hi[pos])
+        return np.where(ok, t.row_next[pos], -1)
 
     def step(self, at, target, phase, tree=None):
+        t = self.trees
         # UP flips to DOWN at the root within the same decision, as in
-        # HandshakeSpanner.hop_step.
+        # DoubleTreeTables.next_port.
         phase = np.where(
-            (phase == PHASE_UP) & (at == self.root[tree]), PHASE_DOWN, phase
+            (phase == PHASE_UP) & (at == t.root[tree]), PHASE_DOWN, phase
         ).astype(np.int8)
         up = phase == PHASE_UP
         nxt = np.empty(at.shape[0], dtype=np.int64)
-        nxt[up] = self.up_next[tree[up], at[up]]
+        nxt[up] = PairTable(t.n, t.up_keys, t.up_next)[tree[up], at[up]]
         down = ~up
         nxt[down] = self._down(at[down], target[down], tree[down])
         if (nxt < 0).any():
@@ -492,59 +454,9 @@ class DoubleTreeStepTables(StepTables):
             raise TableLookupError(
                 f"no compiled tree entry at vertex {int(at[bad])} toward "
                 f"{int(target[bad])} in tree "
-                f"{int(self.tree_ids[tree[bad]])} (phase {int(phase[bad])})"
+                f"{int(t.tree_ids[tree[bad]])} (phase {int(phase[bad])})"
             )
         return nxt, phase
-
-
-def compile_tree_tables(hierarchy) -> DoubleTreeStepTables:
-    """Compile every double tree of a
-    :class:`~repro.covers.hierarchy.TreeHierarchy` into one
-    :class:`DoubleTreeStepTables`.
-
-    The result is cached on the hierarchy (``_compiled_tree_tables``):
-    ExStretch's spanner and PolynomialStretch read the same
-    :meth:`~repro.api.network.Network.hierarchy`, so it compiles once,
-    for both table families.
-    """
-    cached = hierarchy.__dict__.get("_compiled_tree_tables")
-    if cached is not None:
-        return cached
-    g: Digraph = hierarchy.metric.oracle.graph
-    n = g.n
-    trees = list(hierarchy.all_trees())
-    up_keys, up_next, dfs_keys, dfs_vals = [], [], [], []
-    row_keys, row_hi, row_next = [], [], []
-    for i, tree in enumerate(trees):
-        base = i * n
-        for v, port in tree.in_pointers.ports().items():
-            up_keys.append(base + v)
-            up_next.append(g.head_of_port(v, port))
-        for v, dfs in tree.out_tree.dfs_numbers().items():
-            dfs_keys.append(base + v)
-            dfs_vals.append(dfs)
-        for v, lo, hi, port in tree.out_tree.interval_rows():
-            row_keys.append((base + v) * n + lo)
-            row_hi.append(hi)
-            row_next.append(g.head_of_port(v, port))
-    order = np.argsort(np.asarray(row_keys, dtype=np.int64))
-    tables = hierarchy.__dict__["_compiled_tree_tables"] = DoubleTreeStepTables(
-        n,
-        np.array([t.tree_id for t in trees], dtype=np.int64),
-        np.array([t.root for t in trees], dtype=np.int64),
-        PairTable.from_entries(
-            n, np.asarray(up_keys, dtype=np.int64),
-            np.asarray(up_next, dtype=np.int32),
-        ),
-        PairTable.from_entries(
-            n, np.asarray(dfs_keys, dtype=np.int64),
-            np.asarray(dfs_vals, dtype=np.int32),
-        ),
-        np.asarray(row_keys, dtype=np.int64)[order],
-        np.asarray(row_hi, dtype=np.int32)[order],
-        np.asarray(row_next, dtype=np.int32)[order],
-    )
-    return tables
 
 
 # ----------------------------------------------------------------------

@@ -22,10 +22,7 @@ from __future__ import annotations
 import math
 from typing import Any
 
-
-def id_bits(n: int) -> int:
-    """Bits needed for one identifier in a universe of size ``n``."""
-    return max(1, (max(n, 2) - 1).bit_length())
+from repro.tree_routing.fixed_port import id_bits  # noqa: F401 (re-export)
 
 
 #: bits charged for a mode / enum tag

@@ -336,20 +336,20 @@ class ExStretchScheme(RoutingScheme):
     # ------------------------------------------------------------------
     def compile_tables(self, tables: str = "dense"):
         """Every hop between waypoints is one double-tree segment
-        (:class:`~repro.runtime.engine.DoubleTreeStepTables`); the
-        planner resolves each pair's waypoint ladder — the ``_near``
-        shortcut, then up to ``k`` passes over the prefix and final
-        rows — with array lookups, and the acknowledgment replays the
-        stack in reverse.  Header bits depend only on the stack depth.
+        (:class:`~repro.runtime.engine.DoubleTreeStepTables` over the
+        hierarchy's own tables); the planner resolves each pair's
+        waypoint ladder — the ``_near`` shortcut, then up to ``k``
+        passes over the prefix and final rows — with array lookups,
+        and the acknowledgment replays the stack in reverse.  Header bits depend only on the stack depth.
         The tables are the same for both families, and the planner
         reads the scheme's own two at plan time; each hop's tree is the
         best-tree matrix's entry for its two waypoints (the tree of
         their ``R2`` label)."""
         from repro.runtime.engine import (
             CompiledRoutes,
+            DoubleTreeStepTables,
             JourneyPlan,
             Segment,
-            compile_tree_tables,
             constant_bits,
         )
         from repro.runtime.sizing import header_bits
@@ -357,7 +357,6 @@ class ExStretchScheme(RoutingScheme):
         from repro.tree_routing.fixed_port import TreeAddress
 
         hierarchy = self.spanner.hierarchy
-        steps = compile_tree_tables(hierarchy)
         hierarchy.best_tree_indices()  # built now, read at plan time
         # the planner holds the tables, not the scheme (no cycle through
         # the compiled-routes cache)
@@ -449,7 +448,10 @@ class ExStretchScheme(RoutingScheme):
                 ends_on_arrival=[False, True],
             )
 
-        return CompiledRoutes(self.graph, steps, planner, family=tables)
+        return CompiledRoutes(
+            self.graph, DoubleTreeStepTables(hierarchy.tables), planner,
+            family=tables,
+        )
 
     # ------------------------------------------------------------------
     # accounting

@@ -188,7 +188,7 @@ class PolynomialStretchScheme(RoutingScheme):
         v = self._rows.get(tree_id * self._metric.n + c, h * self.blocks.q + tau)
         if v < 0:
             return None
-        return v, self.hierarchy.tree_by_id(tree_id).address_of(v)
+        return v, self.hierarchy.tables.address_of(tree_id, v)
 
     # ------------------------------------------------------------------
     # forwarding (Fig. 11)
@@ -230,13 +230,16 @@ class PolynomialStretchScheme(RoutingScheme):
             else:
                 header = self._advance(at, header)
 
-        port, phase = self._tree_step(
-            at, header["tree_id"], header["next_addr"], header["phase"]
+        # one in-tree decision: up to the center, then down the out-tree
+        if header["phase"] not in (_UP, _DOWN):
+            raise TableLookupError(f"unknown tree phase {header['phase']!r}")
+        port, up = self.hierarchy.tables.next_port(
+            at, header["tree_id"], header["next_addr"], header["phase"] == _UP
         )
         if port is None:
             return self.forward(at, header)
         out = dict(header)
-        out["phase"] = phase
+        out["phase"] = _UP if up else _DOWN
         return Forward(port, out)
 
     def _start_level(self, src: int, dest_name: int, level: int) -> Header:
@@ -246,17 +249,17 @@ class PolynomialStretchScheme(RoutingScheme):
                 "search exhausted all levels; hierarchy is broken"
             )
         tree_id = self._home_id.item(src, level)
-        tree = self.hierarchy.tree_by_id(tree_id)
+        src_addr = self.hierarchy.tables.address_of(tree_id, src)
         header: Header = {
             "mode": _ENROUTE,
             "dest": dest_name,
             "src_id": src,
-            "src_addr": tree.address_of(src),
+            "src_addr": src_addr,
             "level": level,
             "tree_id": tree_id,
             "returning": False,
             "next_id": src,
-            "next_addr": tree.address_of(src),
+            "next_addr": src_addr,
             "phase": _UP,
         }
         return self._advance(src, header)
@@ -290,50 +293,31 @@ class PolynomialStretchScheme(RoutingScheme):
         out["phase"] = _UP
         return out
 
-    def _tree_step(
-        self, at: int, tree_id: int, target: TreeAddress, phase: str
-    ) -> Tuple[Optional[int], str]:
-        """One in-tree forwarding decision (up to the center, then down
-        the out-tree)."""
-        tree = self.hierarchy.tree_by_id(tree_id)
-        if phase == _UP:
-            at_addr = (
-                tree.address_of(at) if tree.out_tree.contains(at) else None
-            )
-            if at_addr == target:
-                return None, phase
-            if at == tree.root:
-                phase = _DOWN
-            else:
-                return tree.in_pointers.next_port(at), _UP
-        if phase == _DOWN:
-            return tree.out_tree.next_port(at, target), _DOWN
-        raise TableLookupError(f"unknown tree phase {phase!r}")
-
     # ------------------------------------------------------------------
     # compiled execution
     # ------------------------------------------------------------------
     def compile_tables(self, tables: str = "dense"):
         """Every hop between waypoints is one double-tree segment
-        (:class:`~repro.runtime.engine.DoubleTreeStepTables`).  The
-        planner runs Fig. 11's search with array lookups: per level, at
-        most ``k + 1`` passes over the rows keyed (tree, node, h, tau);
-        a miss sends the packet back to the source in the same tree and
-        climbs one level.  The acknowledgment is one segment back to
-        the source in the tree that succeeded.  Every forwarded header
-        has the same bit size, and the tables are the same for both
-        families.  The planner reads the scheme's home-tree ids and
-        dictionary rows at plan time."""
+        (:class:`~repro.runtime.engine.DoubleTreeStepTables` over the
+        hierarchy's own tables).  The planner runs Fig. 11's search
+        with array lookups: per level, at most ``k + 1`` passes over
+        the rows keyed (tree, node, h, tau); a miss sends the packet
+        back to the source in the same tree and climbs one level.  The
+        acknowledgment is one segment back to the source in the tree
+        that succeeded.  Every forwarded header has the same bit size,
+        and the tables are the same for both families.  The planner
+        reads the scheme's home-tree ids and dictionary rows at plan
+        time."""
         from repro.runtime.engine import (
             CompiledRoutes,
+            DoubleTreeStepTables,
             JourneyPlan,
             Segment,
-            compile_tree_tables,
             constant_bits,
         )
         from repro.runtime.sizing import header_bits
 
-        steps = compile_tree_tables(self.hierarchy)
+        trees = self.hierarchy.tables
         n, k, q = self.graph.n, self.k, self.blocks.q
         names = np.array([self.name_of(v) for v in range(n)], dtype=np.int64)
         digits = (names[:, None] // q ** np.arange(k - 1, -1, -1)) % q
@@ -364,7 +348,7 @@ class PolynomialStretchScheme(RoutingScheme):
                 if not live.shape[0]:
                     break
                 tree_id = home_id[sources, level]
-                tree = steps.tree_index(tree_id)
+                tree = np.searchsorted(trees.tree_ids, tree_id)
                 at = sources.copy()
                 for _pass in range(k + 1):
                     if not live.shape[0]:
@@ -404,7 +388,9 @@ class PolynomialStretchScheme(RoutingScheme):
                 ],
             )
 
-        return CompiledRoutes(self.graph, steps, planner, family=tables)
+        return CompiledRoutes(
+            self.graph, DoubleTreeStepTables(trees), planner, family=tables
+        )
 
     # ------------------------------------------------------------------
     # accounting

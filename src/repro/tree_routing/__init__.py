@@ -4,7 +4,7 @@ from repro.tree_routing.fixed_port import (
     OutTreeRouter,
     ToRootPointers,
     TreeAddress,
-    build_out_tree,
+    pruned_tree_intervals,
     tree_intervals,
 )
 
@@ -12,6 +12,6 @@ __all__ = [
     "OutTreeRouter",
     "ToRootPointers",
     "TreeAddress",
-    "build_out_tree",
+    "pruned_tree_intervals",
     "tree_intervals",
 ]

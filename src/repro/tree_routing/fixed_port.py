@@ -21,13 +21,16 @@ The tree edges live in the underlying digraph ``G``: an *out-tree* is a
 shortest-path tree away from the root (used to route root -> node), and
 the companion *in-structure* is simply a next-hop pointer per node
 toward the root (used to route node -> root), built from shortest
-paths into the root.  :class:`DoubleTreeRouter` in
-``repro.covers.double_tree`` combines the two.
+paths into the root.
 
-:func:`tree_intervals` numbers many spanning out-trees at once with
-array operations, exactly as :class:`OutTreeRouter` numbers each one;
-the Lemma 2 substrate (:mod:`repro.rtz.routing`) builds its landmark
-out-trees with it.
+:class:`OutTreeRouter` and :class:`ToRootPointers` build one tree at a
+time, with dicts; they are the scalar references the array builds are
+tested against.  :func:`pruned_tree_intervals` numbers many out-trees
+at once with array operations, exactly as :class:`OutTreeRouter`
+numbers each one.  It numbers both the Lemma 2 landmarks' spanning
+out-trees (:func:`tree_intervals`, for :mod:`repro.rtz.routing`) and
+the double trees pruned to their clusters
+(:class:`~repro.covers.double_tree.DoubleTreeTables`).
 """
 
 from __future__ import annotations
@@ -40,6 +43,11 @@ import numpy as np
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.csr import edge_ports
 from repro.graph.digraph import Digraph
+
+
+def id_bits(n: int) -> int:
+    """Bits needed for one identifier in a universe of size ``n``."""
+    return max(1, (max(n, 2) - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -56,8 +64,7 @@ class TreeAddress:
 
     def bit_size(self, n: int) -> int:
         """Approximate encoded size in bits (two log-sized fields)."""
-        logn = max(1, (max(n, 2) - 1).bit_length())
-        return 2 * logn
+        return 2 * id_bits(n)
 
     def header_bits(self, n: int) -> int:
         """Sizing-protocol alias for :meth:`bit_size`."""
@@ -240,12 +247,6 @@ class OutTreeRouter:
             return 0
         return 2 + 3 * len(table.child_rows)
 
-    def add_table_entries(self, counts: List[int]) -> None:
-        """Add every vertex's :meth:`table_entries_at` into ``counts``
-        (indexed by vertex), in one pass over the stored rows."""
-        for v, table in self._tables.items():
-            counts[v] += 2 + 3 * len(table.child_rows)
-
 
 def _root_path_sums(
     up: np.ndarray, child: np.ndarray, weight: np.ndarray
@@ -270,12 +271,28 @@ def _root_path_sums(
 def tree_intervals(
     g: Digraph, parent_rows, roots
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """DFS intervals of ``T`` spanning out-trees, all at once.
+    """:func:`pruned_tree_intervals` of ``T`` spanning out-trees: row
+    ``t`` of ``parent_rows`` is an out-tree over every vertex of ``g``
+    rooted at ``roots[t]``.  Returns ``(T, n)`` arrays."""
+    parent = np.asarray(parent_rows, dtype=np.int64)
+    trees, n = parent.shape
+    dfs, end = pruned_tree_intervals(
+        g, np.arange(trees * n, dtype=np.int64), parent.reshape(-1), roots
+    )
+    return dfs.reshape(trees, n), end.reshape(trees, n)
 
-    Row ``t`` of ``parent_rows`` is an out-tree over every vertex of
-    ``g`` rooted at ``roots[t]`` (``-1`` at the root).  Returns the
-    ``(T, n)`` int64 DFS entry numbers and exclusive subtree ends,
-    children visited in ascending vertex order: exactly
+
+def pruned_tree_intervals(
+    g: Digraph, keys, parent, roots
+) -> Tuple[np.ndarray, np.ndarray]:
+    """DFS intervals of ``T`` out-trees, each spanning some vertices of
+    ``g``, all at once over flat ``(tree, vertex)`` nodes.
+
+    ``keys`` holds ``tree * n + vertex`` of every tree vertex, sorted
+    and unique, each tree's root ``roots[tree]`` among them; ``parent``
+    holds each node's tree parent (``-1`` at the root).  Returns each
+    node's int64 DFS entry number and exclusive subtree end, children
+    visited in ascending vertex order: exactly
     :meth:`OutTreeRouter.dfs_numbers` and the ``[lo, hi)`` of its
     :meth:`~OutTreeRouter.interval_rows`.
 
@@ -290,32 +307,36 @@ def tree_intervals(
             vertex is cut off from its root, or the parents form a
             cycle (:class:`OutTreeRouter`'s checks).
     """
-    parent = np.asarray(parent_rows, dtype=np.int64)
+    n = g.n
+    keys = np.asarray(keys, dtype=np.int64)
+    par = np.asarray(parent, dtype=np.int64)
     roots = np.asarray(roots, dtype=np.int64).reshape(-1)
-    trees, n = parent.shape
-    vertex = np.tile(np.arange(n, dtype=np.int64), trees)
-    base = np.repeat(np.arange(trees, dtype=np.int64) * n, n)
-    par = parent.reshape(-1)
-    child = vertex != np.repeat(roots, n)
-    cut = child & (par < 0)
+    tree, vertex = np.divmod(keys, n)
+    child = vertex != roots[tree]
+    # flat index of each node's parent; a root points at itself
+    up = np.arange(keys.shape[0])
+    query = tree * n + par
+    pos = np.minimum(np.searchsorted(keys, query), keys.shape[0] - 1)
+    attached = child & (par >= 0) & (keys[pos] == query)
+    up[attached] = pos[attached]
+    cut = child & ~attached
     if cut.any():
-        v = int(np.flatnonzero(cut)[0])
+        i = int(np.flatnonzero(cut)[0])
         raise ConstructionError(
-            f"vertex {v % n} is cut off from root {int(roots[v // n])}"
+            f"vertex {int(vertex[i])} is cut off from root {int(roots[tree[i]])}"
         )
     missing = edge_ports(g, par[child], vertex[child]) < 0
     if missing.any():
-        v = int(np.flatnonzero(child)[np.flatnonzero(missing)[0]])
+        i = int(np.flatnonzero(child)[np.flatnonzero(missing)[0]])
         raise ConstructionError(
-            f"tree edge ({int(par[v])}, {v % n}) not present in the digraph"
+            f"tree edge ({int(par[i])}, {int(vertex[i])}) not present in "
+            "the digraph"
         )
-    # flat parent index; a root points at itself
-    up = base + np.where(child, par, vertex)
     depth = _root_path_sums(up, child, child.astype(np.int64))
     # subtree sizes, deepest level first
     by_depth = np.argsort(depth, kind="stable")
     starts = np.searchsorted(depth[by_depth], np.arange(int(depth.max()) + 2))
-    size = np.ones(trees * n, dtype=np.int64)
+    size = np.ones(keys.shape[0], dtype=np.int64)
     for level in range(starts.shape[0] - 2, 0, -1):
         idx = by_depth[starts[level]:starts[level + 1]]
         np.add.at(size, up[idx], size[idx])
@@ -328,38 +349,10 @@ def tree_intervals(
     first = np.ones(kids.shape[0], dtype=bool)
     first[1:] = up[kids[1:]] != up[kids[:-1]]
     group = np.maximum.accumulate(np.where(first, np.arange(kids.shape[0]), 0))
-    step = np.zeros(trees * n, dtype=np.int64)
+    step = np.zeros(keys.shape[0], dtype=np.int64)
     step[kids] = 1 + before - before[group]
     dfs = _root_path_sums(up, child, step)
-    return dfs.reshape(trees, n), (dfs + size).reshape(trees, n)
-
-
-def build_out_tree(
-    g: Digraph,
-    root: int,
-    parents: Sequence[int],
-    tree_id: int = 0,
-    restrict_to: Optional[Sequence[int]] = None,
-) -> OutTreeRouter:
-    """Build an :class:`OutTreeRouter`, optionally restricted to span a
-    member set.
-
-    When ``restrict_to`` is given, the tree is pruned to the union of
-    root-to-member paths (Steiner vertices on those paths are kept, as
-    Section 4's double-trees require).
-    """
-    if restrict_to is None:
-        return OutTreeRouter(g, root, parents, tree_id)
-    keep = set()
-    member_set = set(restrict_to) | {root}
-    for v in member_set:
-        x = v
-        while x != -1 and x not in keep:
-            keep.add(x)
-            if x == root:
-                break
-            x = parents[x]
-    return OutTreeRouter(g, root, parents, tree_id, vertices=keep)
+    return dfs, dfs + size
 
 
 class ToRootPointers:
@@ -433,9 +426,3 @@ class ToRootPointers:
     def table_entries_at(self, v: int) -> int:
         """Stored rows at ``v`` (one port, or none)."""
         return 1 if v in self._port else 0
-
-    def add_table_entries(self, counts: List[int]) -> None:
-        """Add every vertex's :meth:`table_entries_at` into ``counts``
-        (indexed by vertex)."""
-        for v in self._port:
-            counts[v] += 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -18,7 +19,7 @@ from repro.analysis.experiments import (
     log_log_slope,
     table_scaling,
 )
-from repro.analysis.stretch import stretch_distribution
+from repro.analysis.stretch import StretchDistribution, stretch_distribution
 from repro.api import Network, get_spec
 from repro.graph.generators import random_strongly_connected
 
@@ -129,3 +130,13 @@ class TestStretchDistribution:
             <= dist.percentile(90)
             <= dist.max()
         )
+
+    def test_empty_distribution_reads_nan(self):
+        # no pairs, no stretch: nan, as an empty TrafficSummary reads
+        dist = StretchDistribution([])
+        for value in (
+            dist.max(), dist.mean(), dist.percentile(50),
+            dist.fraction_at_most(3.0),
+        ):
+            assert math.isnan(value)
+        assert dist.histogram([1.0, 2.0]) == {"[1,2)": 0, "[2,inf)": 0}

@@ -14,7 +14,7 @@ import pytest
 
 import repro
 from repro.api import Network
-from repro.covers.double_tree import DoubleTree
+from repro.covers.double_tree import DoubleTree, DoubleTreeTables
 from repro.covers.hierarchy import TreeHierarchy
 from repro.covers.partial_cover import partial_cover
 from repro.covers.sparse_cover import (
@@ -23,15 +23,18 @@ from repro.covers.sparse_cover import (
     cover_load_bound,
     verify_cover_properties,
 )
-from repro.exceptions import ConstructionError
+from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.digraph import Digraph
 from repro.graph.generators import (
+    FAMILY_NAMES,
     bidirected_torus,
     directed_cycle,
     random_strongly_connected,
 )
 from repro.graph.roundtrip import RoundtripMetric
-from repro.graph.shortest_paths import DistanceOracle
+from repro.graph.shortest_paths import DistanceOracle, dijkstra
+from repro.rtz.spanner import HandshakeSpanner
+from repro.tree_routing.fixed_port import OutTreeRouter, ToRootPointers
 
 
 def make_metric(n: int, seed: int) -> RoundtripMetric:
@@ -54,10 +57,45 @@ def scalar_best_tree(h: TreeHierarchy, u: int, v: int):
     return best
 
 
-def walked_table_entries(h: TreeHierarchy, v: int) -> int:
-    """The per-vertex walk the counted array replaces: ``v``'s rows in
-    every tree of every level."""
-    return sum(t.table_entries_at(v) for t in h.all_trees())
+def reference_tree(oracle: DistanceOracle, t: DoubleTree):
+    """One double tree's routing state, built alone by the scalar
+    per-tree classes: an :class:`OutTreeRouter` over the root's
+    canonical out-tree pruned to the members' root paths, and a
+    :class:`ToRootPointers` over the members' paths into the root (the
+    reverse Dijkstra's in-tree).  The reference :class:`DoubleTreeTables`
+    is checked against."""
+    g = oracle.graph
+    parents = oracle.forward_tree_parents(t.root)
+    keep = set()
+    for v in t.members:
+        x = v
+        while x not in keep:
+            keep.add(x)
+            if x == t.root:
+                break
+            x = parents[x]
+    out = OutTreeRouter(g, t.root, parents, t.tree_id, vertices=keep)
+    succ = dijkstra(g, t.root, reverse=True)[1]
+    keep = set()
+    for v in t.members:
+        x = v
+        while x != t.root and x not in keep:
+            keep.add(x)
+            x = succ[x]
+    return out, ToRootPointers(g, t.root, succ, vertices=sorted(keep))
+
+
+def walked_table_entries(h: TreeHierarchy) -> list:
+    """The per-vertex walk the counted array replaces: each vertex's
+    rows in every tree of every level, from the per-tree references."""
+    oracle = h.metric.oracle
+    n = oracle.n
+    totals = [0] * n
+    for t in h.all_trees():
+        out, inn = reference_tree(oracle, t)
+        for v in range(n):
+            totals[v] += out.table_entries_at(v) + inn.table_entries_at(v)
+    return totals
 
 
 def decimal_torus(side: int, seed: int) -> Digraph:
@@ -76,33 +114,32 @@ def decimal_torus(side: int, seed: int) -> Digraph:
     return g.freeze()
 
 
-def tree_state(t: DoubleTree) -> tuple:
-    """Everything a double tree routes with."""
-    return (
-        t.tree_id,
-        t.root,
-        t.members,
-        sorted(t.in_pointers.ports().items()),
-        sorted(t.out_tree.dfs_numbers().items()),
-        sorted(t.out_tree.interval_rows()),
-    )
-
-
 class TestDoubleTree:
     def test_roundtrip_via_root_paths(self):
+        # every hop, driven through the one scalar tree step, climbs to
+        # the root and descends: d(x, root) + d(root, y) -- unless the
+        # climb walks over y first, which ends the hop there
         metric = make_metric(24, 1)
-        members = list(range(0, 24, 2))
-        t = DoubleTree(metric.oracle, members, tree_id=5)
+        spanner = HandshakeSpanner(metric, 2)
         g = metric.oracle.graph
-        for x in members:
-            for y in members:
-                path = t.route_via_root(x, y)
-                assert path[0] == x and path[-1] == y
-                assert t.root in path
-                total = sum(
-                    g.weight(a, b) for a, b in zip(path, path[1:])
-                )
-                assert total == pytest.approx(t.route_cost(x, y))
+        for x in range(24):
+            for y in range(24):
+                if x == y:
+                    continue
+                label = spanner.r2(x, y)
+                t = spanner.tree_of(label)
+                for path, a, b in (
+                    (spanner.route_hop(x, y), x, y),
+                    (spanner.route_hop_back(y, label), y, x),
+                ):
+                    assert path[0] == a and path[-1] == b
+                    total = sum(
+                        g.weight(u, v) for u, v in zip(path, path[1:])
+                    )
+                    if t.root in path:
+                        assert total == pytest.approx(t.route_cost(a, b))
+                    else:
+                        assert total == pytest.approx(metric.d(a, b))
 
     def test_route_cost_is_optimal_legs(self):
         metric = make_metric(20, 2)
@@ -146,28 +183,29 @@ class TestDoubleTree:
 
     def test_steiner_vertices_carry_state(self):
         # On a cycle, routing to the far member passes through
-        # non-member vertices, which must carry tree state.
+        # non-member vertices, which must carry tree state: 1-3 on the
+        # out-tree toward 4, 5-7 on 4's in-path back to the root.
         g = directed_cycle(8)
         oracle = DistanceOracle(g)
         t = DoubleTree(oracle, [0, 4], tree_id=0, center=0)
-        involved = [v for v in range(8) if t.involves(v)]
-        assert len(involved) == 8  # whole cycle participates
+        tables = DoubleTreeTables(oracle, [t])
         assert t.contains(4) and not t.contains(3)
-        assert sum(t.table_entries_at(v) for v in range(8)) > 0
+        assert tables.dfs_keys.tolist() == [0, 1, 2, 3, 4]
+        assert tables.up_keys.tolist() == [4, 5, 6, 7]
+        assert (tables.table_entry_counts() > 0).all()
 
-    @pytest.mark.parametrize("graph", ["random", "cycle", "torus"])
-    def test_standalone_tree_equals_cover_tree(self, graph: str):
-        # A cover hands each tree its center and a shared in-tree row;
-        # a tree built alone computes both itself.
-        g = {
-            "random": random_strongly_connected(30, rng=random.Random(9)),
-            "cycle": directed_cycle(16),
-            "torus": bidirected_torus(4, 5),
-        }[graph]
-        metric = RoundtripMetric(DistanceOracle(g))
-        for t in TreeHierarchy(metric, 2).all_trees():
-            alone = DoubleTree(metric.oracle, t.members, t.tree_id)
-            assert tree_state(alone) == tree_state(t)
+        def hop(x, y):
+            addr = tables.address_of(0, y)
+            at, up, path = x, True, [x]
+            while True:
+                port, up = tables.next_port(at, 0, addr, up)
+                if port is None:
+                    return path
+                at = g.head_of_port(at, port)
+                path.append(at)
+
+        assert hop(4, 0) == [4, 5, 6, 7, 0]
+        assert hop(0, 4) == [0, 1, 2, 3, 4]
 
     def test_roundtrip_cost_symmetric_bound(self):
         metric = make_metric(14, 8)
@@ -383,6 +421,74 @@ class TestDoubleTreeCover:
         assert out.stdout.strip() == "raised"
 
 
+class TestTreeTables:
+    """The hierarchy's one tree table against the per-tree scalar
+    references (:func:`reference_tree`), entry for entry."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_matches_per_tree_reference(self, family, seed, k):
+        net = Network.from_family(family, 32, seed=seed, store=None)
+        h, g, n = net.hierarchy(k), net.graph, net.n
+        tables = h.tables
+        trees = list(h.all_trees())
+        assert tables.tree_ids.tolist() == [t.tree_id for t in trees]
+        assert tables.root.tolist() == [t.root for t in trees]
+        up, dfs, rows = [], [], []
+        for i, t in enumerate(trees):
+            out, inn = reference_tree(net.oracle(), t)
+            node = i * n
+            up += [
+                (node + v, g.head_of_port(v, port), port)
+                for v, port in inn.ports().items()
+            ]
+            dfs += [(node + v, d) for v, d in out.dfs_numbers().items()]
+            rows += [
+                ((node + v) * n + lo, hi, g.head_of_port(v, port), port)
+                for v, lo, hi, port in out.interval_rows()
+            ]
+        # the sorted references equal the arrays: every entry, none extra
+        assert sorted(up) == list(zip(
+            tables.up_keys.tolist(), tables.up_next.tolist(),
+            tables.up_port.tolist(),
+        ))
+        assert sorted(dfs) == list(zip(
+            tables.dfs_keys.tolist(), tables.dfs.tolist()
+        ))
+        assert sorted(rows) == list(zip(
+            tables.row_keys.tolist(), tables.row_hi.tolist(),
+            tables.row_next.tolist(), tables.row_port.tolist(),
+        ))
+        assert h.table_entry_counts().tolist() == walked_table_entries(h)
+
+    def test_target_outside_the_subtree_raises(self):
+        # out-tree 0 -> {1 -> 3, 2}: DFS 0, 1, 3 -> 2, 2 -> 3; at 1 the
+        # only row is 3's [2, 3), which must not take 2's address 3
+        g = Digraph(4)
+        for tail, head in ((0, 1), (0, 2), (1, 3), (1, 0), (2, 0), (3, 0)):
+            g.add_edge(tail, head, 1.0)
+        g.freeze()
+        oracle = DistanceOracle(g)
+        tables = DoubleTreeTables(
+            oracle, [DoubleTree(oracle, [0, 2, 3], 0, center=0)]
+        )
+        assert tables.dfs.tolist() == [0, 1, 3, 2]
+        addr = tables.address_of(0, 2)
+        assert tables.next_port(0, 0, addr, False)[0] == g.port_of(0, 2)
+        with pytest.raises(TableLookupError, match="not under vertex 1"):
+            tables.next_port(1, 0, addr, False)
+
+    def test_address_of_a_vertex_outside_the_tree_raises(self):
+        h = TreeHierarchy(make_metric(16, 44), 2)
+        t = next(t for t in h.all_trees() if len(t.members) == 1)
+        other = (t.root + 1) % 16
+        with pytest.raises(TableLookupError, match=f"vertex {other} is not in tree"):
+            h.tables.address_of(t.tree_id, other)
+        with pytest.raises(TableLookupError, match="is not in the hierarchy"):
+            h.tables.address_of(-5, t.root)
+
+
 class TestHierarchy:
     def test_all_levels_verify(self):
         metric = make_metric(18, 18)
@@ -502,7 +608,7 @@ class TestHierarchy:
         h = net.hierarchy(k)
         counts = h.table_entry_counts()
         assert counts.shape == (net.n,) and not counts.flags.writeable
-        want = [walked_table_entries(h, v) for v in range(net.n)]
+        want = walked_table_entries(h)
         assert counts.tolist() == want
         assert [h.table_entries_at(v) for v in range(net.n)] == want
         spanner = net.spanner(k)

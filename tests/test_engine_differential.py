@@ -507,27 +507,46 @@ def test_deleted_polystretch_row_changes_both_engines_alike():
 
 
 def test_deleted_tree_row_raises_on_both_engines():
-    """Remove the in-pointer that a batch's first hop climbs; the
-    double tree can no longer forward there on either engine."""
-    probe = Network.from_family("random", N, seed=3, store=None)
-    compiled = probe.build_scheme("polystretch", k=2).compiled_routes()
-    pairs = sample_pairs(probe.n, 40, seed=29)
-    sources = np.array([s for s, _ in pairs], dtype=np.int64)
-    dests = np.array([t for _, t in pairs], dtype=np.int64)
-    outbound = compiled.plan(sources, dests).legs[0]
-    steps = compiled.tables
-    # The first pair whose first segment starts below its tree's root.
-    for i, s in enumerate(sources.tolist()):
-        tree = next(seg.tree[i] for seg in outbound if seg.target[i] >= 0)
-        if s != steps.root[tree]:
-            break
-    tree_id = int(steps.tree_ids[tree])
-
-    net = Network.from_family("random", N, seed=3, store=None)
-    scheme = net.build_scheme("polystretch", k=2)
-    pointers = scheme.hierarchy.tree_by_id(tree_id).in_pointers
-    del pointers._port[s]
-    both_engines_raise(scheme, pairs, TableLookupError)
+    """After compiling, remove the in-pointer that a pair's first hop
+    climbs, or the child row at the root that it descends by.  The
+    hierarchy holds each row once, so the double tree can no longer
+    forward there on either engine, for both double-tree schemes."""
+    in_pointer = ("up_keys", "up_next", "up_port")
+    child_row = ("row_keys", "row_hi", "row_next", "row_port")
+    for scheme_name in ("polystretch", "exstretch"):
+        for names in (in_pointer, child_row):
+            net = Network.from_family("random", N, seed=3, store=None)
+            scheme = net.build_scheme(scheme_name, k=2)
+            compiled = scheme.compiled_routes()
+            pairs = sample_pairs(net.n, 40, seed=29)
+            sources = np.array([s for s, _ in pairs], dtype=np.int64)
+            dests = np.array([t for _, t in pairs], dtype=np.int64)
+            outbound = compiled.plan(sources, dests).legs[0]
+            trees = compiled.tables.trees
+            n = net.n
+            # the first pair whose first segment starts below its tree's
+            # root (in-pointer) or at it (child row)
+            for i, s in enumerate(sources.tolist()):
+                seg = next(seg for seg in outbound if seg.target[i] >= 0)
+                tree = int(seg.tree[i])
+                if (s == trees.root[tree]) == (names is child_row):
+                    break
+            else:
+                pytest.fail("no pair's first hop leaves from the wanted place")
+            node = tree * n + s
+            if names is in_pointer:
+                key = node
+            else:
+                y = int(seg.target[i])
+                dfs = trees.address_of(int(trees.tree_ids[tree]), y).dfs
+                pos = np.searchsorted(trees.row_keys, node * n + dfs, side="right")
+                key = int(trees.row_keys[pos - 1])
+            keep = getattr(trees, names[0]) != key
+            assert (~keep).sum() == 1
+            for name in names:
+                setattr(trees, name, getattr(trees, name)[keep])
+            assert scheme.compiled_routes() is compiled
+            both_engines_raise(scheme, pairs, TableLookupError)
 
 
 @pytest.mark.parametrize(

@@ -57,7 +57,10 @@ def scalar_rows(scheme):
                         ]
                         if candidates:
                             v = metric.nearest(u, candidates)
-                            found[(j, tau)] = (v, tree.address_of(v))
+                            found[(j, tau)] = (
+                                v,
+                                scheme.hierarchy.tables.address_of(tree.tree_id, v),
+                            )
                 rows[(tree.tree_id, u)] = found
     return rows
 
@@ -202,11 +205,10 @@ class TestArrayRows:
         n, bs = net.n, scheme.blocks
         reference = scalar_rows(scheme)
         for (tree_id, u), found in reference.items():
-            tree = scheme.hierarchy.tree_by_id(tree_id)
             for (j, tau), (v, addr) in found.items():
                 got = scheme._rows.get(tree_id * n + u, j * bs.q + tau)
                 assert got == v
-                assert tree.address_of(got) == addr
+                assert scheme.hierarchy.tables.address_of(tree_id, got) == addr
             # the python engine's lookup, toward every other name
             name_u = scheme.name_of(u)
             for name in range(n):

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.covers.double_tree import DoubleTree, DoubleTreeTables
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.digraph import Digraph
 from repro.graph.generators import (
@@ -20,7 +21,7 @@ from repro.tree_routing.fixed_port import (
     OutTreeRouter,
     ToRootPointers,
     TreeAddress,
-    build_out_tree,
+    pruned_tree_intervals,
     tree_intervals,
 )
 
@@ -144,7 +145,22 @@ class TestOutTreeRouter:
         assert addr.bit_size(1024) == 2 * 10
 
 
+def drive_tree(tables: DoubleTreeTables, g: Digraph, x: int, y: int) -> list:
+    """Drive ``x -> y`` inside tree 0 through the one scalar tree step."""
+    target = tables.address_of(0, y)
+    at, up, path = x, True, [x]
+    while True:
+        port, up = tables.next_port(at, 0, target, up)
+        if port is None:
+            return path
+        at = g.head_of_port(at, port)
+        path.append(at)
+
+
 class TestRestrictedTree:
+    """A double tree's out-tree is its root's canonical out-tree pruned
+    to the members' root paths (:class:`DoubleTreeTables`)."""
+
     def test_pruning_keeps_steiner_vertices(self):
         # Path 0 -> 1 -> 2; restricting to {2} must keep 1 as Steiner.
         g = Digraph(3)
@@ -152,9 +168,10 @@ class TestRestrictedTree:
         g.add_edge(1, 2, 1.0)
         g.add_edge(2, 0, 1.0)
         g.freeze()
-        tree = build_out_tree(g, 0, [-1, 0, 1], tree_id=0, restrict_to=[2])
-        assert tree.contains(1)
-        assert tree.route(0, 2) == [0, 1, 2]
+        oracle = DistanceOracle(g)
+        tables = DoubleTreeTables(oracle, [DoubleTree(oracle, [0, 2], 0, center=0)])
+        assert tables.address_of(0, 1).dfs == 1
+        assert drive_tree(tables, g, 0, 2) == [0, 1, 2]
 
     def test_pruning_drops_unneeded_branches(self):
         g = Digraph(4)
@@ -164,14 +181,36 @@ class TestRestrictedTree:
         g.add_edge(2, 0, 1.0)
         g.add_edge(3, 0, 1.0)
         g.freeze()
-        tree = build_out_tree(g, 0, [-1, 0, 1, 0], tree_id=0, restrict_to=[2])
-        assert tree.contains(2) and tree.contains(1)
-        assert not tree.contains(3)
+        oracle = DistanceOracle(g)
+        tables = DoubleTreeTables(oracle, [DoubleTree(oracle, [0, 2], 0, center=0)])
+        assert [tables.address_of(0, v).dfs for v in (0, 1, 2)] == [0, 1, 2]
+        with pytest.raises(TableLookupError, match="not in tree 0"):
+            tables.address_of(0, 3)
+        # 2's in-pointer leads straight to the root: 1 holds none
+        assert tables.up_keys.tolist() == [2]
 
     def test_unrestricted_spans_everything(self):
         g = random_strongly_connected(15, rng=random.Random(7))
-        tree = build_out_tree(g, 0, shortest_path_out_tree(g, 0), tree_id=0)
-        assert len(tree.members()) == 15
+        oracle = DistanceOracle(g)
+        tables = DoubleTreeTables(oracle, [DoubleTree(oracle, range(15), 0, center=0)])
+        tree = OutTreeRouter(g, 0, oracle.forward_tree_parents(0), tree_id=0)
+        assert tables.dfs_keys.tolist() == list(range(15))
+        assert dict(enumerate(tables.dfs.tolist())) == tree.dfs_numbers()
+
+    def test_pruned_kernel_numbers_only_the_kept_vertices(self):
+        # On the cycle 0 -> 1 -> 2 -> 0, tree 0 keeps 0 -> 1 and tree 1
+        # (keys 3 + v) the whole cycle from 1.
+        g = Digraph(3)
+        g.add_edge(0, 1, 1.0)
+        g.add_edge(1, 2, 1.0)
+        g.add_edge(2, 0, 1.0)
+        g.freeze()
+        keys, parent = [0, 1, 3, 4, 5], [-1, 0, 2, -1, 1]
+        dfs, end = pruned_tree_intervals(g, keys, parent, [0, 1])
+        assert dfs.tolist() == [0, 1, 2, 0, 1]
+        assert end.tolist() == [2, 2, 3, 3, 3]
+        with pytest.raises(ConstructionError, match="cut off from root 0"):
+            pruned_tree_intervals(g, [0, 2], [-1, 1], [0])
 
 
 class TestToRootPointers:
