@@ -41,6 +41,7 @@ from repro.runtime.traffic import (
     Workload,
     check_pairs,
     num_shards,
+    require_integer_endpoints,
     run_workload,
 )
 
@@ -71,6 +72,31 @@ class RouteResult:
     max_header_bits: int
     stretch: float
     trace: RoundtripTrace
+
+
+def _route_results(*columns) -> List[RouteResult]:
+    """One :class:`RouteResult` per row of ``columns`` (one sequence
+    per field, in field order), each instance's ``__dict__`` filled
+    directly: the frozen dataclass's ``__init__`` would make one
+    ``object.__setattr__`` call per field.  The results are ordinary
+    instances: equal to, and with the same repr as, constructor-built
+    ones, and still frozen."""
+    new = object.__new__
+    out = []
+    append = out.append
+    for s, t, name, cost, hops, bits, stretch, trace in zip(*columns):
+        r = new(RouteResult)
+        d = r.__dict__
+        d["source"] = s
+        d["dest"] = t
+        d["dest_name"] = name
+        d["cost"] = cost
+        d["hops"] = hops
+        d["max_header_bits"] = bits
+        d["stretch"] = stretch
+        d["trace"] = trace
+        append(r)
+    return out
 
 
 @dataclass
@@ -215,16 +241,19 @@ class Router:
             by_name: treat ``dest`` as a name the packet carries.
 
         Raises:
-            GraphError: for an endpoint out of range or ``source ==
-                dest`` (:func:`~repro.runtime.traffic.check_pairs`).
+            GraphError: for an endpoint that is not an integer, out of
+                range, or ``source == dest``
+                (:func:`~repro.runtime.traffic.check_pairs`).
         """
+        if by_name:
+            require_integer_endpoints([(source, dest)])
         vertex = self._scheme.vertex_of(dest) if by_name else dest
-        check_pairs(self._scheme.graph.n, [(source, vertex)])
+        pairs = check_pairs(self._scheme.graph.n, [(source, vertex)])
         name = dest if by_name else self._scheme.name_of(dest)
         t0 = time.perf_counter()
         trace = self._sim.roundtrip(source, name)
         self._account_batch("python", 1, time.perf_counter() - t0)
-        return self._results([(source, vertex)], [name], TraceBatch([trace]))[0]
+        return self._results(pairs, [name], TraceBatch([trace]))[0]
 
     def route_many(
         self,
@@ -240,41 +269,44 @@ class Router:
 
         Raises:
             GraphError: for a pair, destination names resolved, with an
-                endpoint out of range or ``source == dest``
-                (:func:`~repro.runtime.traffic.check_pairs`); nothing
-                is routed then.
+                endpoint that is not an integer (names are checked
+                before they are resolved), out of range, or ``source ==
+                dest`` (:func:`~repro.runtime.traffic.check_pairs`);
+                nothing is routed then.
         """
         pair_list = list(pairs)
         if by_name:
+            require_integer_endpoints(pair_list)
             vertex_of = self._scheme.vertex_of
             names = [t for _, t in pair_list]
             pair_list = [(s, vertex_of(t)) for s, t in pair_list]
-        check_pairs(self._scheme.graph.n, pair_list)
+        checked = check_pairs(self._scheme.graph.n, pair_list)
         if not by_name:
             name_of = self._scheme.name_of
-            names = [name_of(t) for _, t in pair_list]
+            names = [name_of(t) for t in checked[:, 1].tolist()]
         resolved = self.resolve_engine(engine)
         t0 = time.perf_counter()
-        traces = self._sim.roundtrip_many(pair_list, engine=resolved)
+        traces = self._sim.roundtrip_many(checked, engine=resolved)
         self._account_batch(
             resolved, len(pair_list), time.perf_counter() - t0
         )
-        return self._results(pair_list, names, traces)
+        return self._results(checked, names, traces)
 
     def _results(
         self,
-        pairs: List[Tuple[int, int]],
+        pairs: np.ndarray,
         names: List[int],
         traces: TraceBatch,
     ) -> List[RouteResult]:
-        """One :class:`RouteResult` per pair, read from the batch's
-        columns; the session totals absorb them in input order."""
+        """One :class:`RouteResult` per row of the checked ``(B, 2)``
+        pair array, read from the batch's columns; the session totals
+        absorb them in input order."""
         costs, hops, bits = traces.cost, traces.hops, traces.max_header_bits
         if not costs:
             return []
+        sources, dests = pairs.T
         if self._oracle is not None:
             # elementwise float64 division rounds exactly as the scalar
-            sources, dests = np.array(pairs, dtype=np.int64).T
             stretch = (
                 np.array(costs) / self._oracle.r_matrix[sources, dests]
             ).tolist()
@@ -287,12 +319,10 @@ class Router:
         self._total_cost = total
         self._total_hops += sum(hops)
         self._max_header_bits = max(self._max_header_bits, max(bits))
-        return [
-            RouteResult(s, t, name, cost, hop, bit, st, trace)
-            for (s, t), name, cost, hop, bit, st, trace in zip(
-                pairs, names, costs, hops, bits, stretch, traces
-            )
-        ]
+        return _route_results(
+            sources.tolist(), dests.tolist(), names, costs, hops, bits,
+            stretch, traces,
+        )
 
     def serve_workload(
         self,

@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.exceptions import ConstructionError, TableLookupError
-from repro.graph.csr import edge_ports
+from repro.graph.csr import edge_ports, edge_slots
 from repro.graph.shortest_paths import DistanceOracle
 from repro.tree_routing.fixed_port import TreeAddress, pruned_tree_intervals
 
@@ -143,19 +143,23 @@ class DoubleTreeTables:
     engine reads the arrays with scalar lookups (:meth:`next_port`,
     :meth:`address_of`), the compiled engine with array lookups
     (:class:`~repro.runtime.engine.DoubleTreeStepTables`), so an entry
-    removed here is gone for both.
+    removed here is gone for both.  Each pointer and row holds its hop
+    twice: as the port the python engine forwards on, and as the CSR
+    out-edge slot (:func:`~repro.graph.csr.edge_slots`) the compiled
+    engine reads the next vertex and the hop's weight from.
 
     Attributes:
         tree_ids, root: each tree's global id and root.
-        up_keys, up_next, up_port: one in-pointer per member or Steiner
-            vertex on a member's path into the root: its node, next
-            vertex and port.
+        up_keys, up_slot, up_port: one in-pointer per member or Steiner
+            vertex on a member's path into the root: its node, and the
+            slot and port of the edge toward the root.
         dfs_keys, dfs: every out-tree node (the root, the members and
             the Steiner vertices on the root's paths to them) and its
             DFS number, its tree address.
-        row_keys, row_hi, row_next, row_port: one child row per
+        row_keys, row_hi, row_slot, row_port: one child row per
             non-root out-tree node, keyed ``(t * n + parent) * n + lo``:
-            the child's interval ``[lo, hi)``, the child and the port.
+            the child's interval ``[lo, hi)``, and the slot and port of
+            the edge to the child.
 
     Raises:
         ConstructionError: on a tree edge missing from the graph, a
@@ -185,13 +189,14 @@ class DoubleTreeTables:
         nxt = succ[row[t], x]
         ptr = nxt >= 0
         keys, x, nxt = keys[ptr], x[ptr], nxt[ptr]
-        port = edge_ports(g, x, nxt)
-        if (port < 0).any():
-            i = int(np.flatnonzero(port < 0)[0])
+        slot = edge_slots(g, x, nxt)
+        if (slot < 0).any():
+            i = int(np.flatnonzero(slot < 0)[0])
             raise ConstructionError(
                 f"in-tree edge ({x[i]}, {nxt[i]}) not present in the digraph"
             )
-        self.up_keys, self.up_next, self.up_port = keys, nxt, port
+        self.up_keys, self.up_slot = keys, slot
+        self.up_port = edge_ports(g, x, nxt)
 
         # out-trees: the root's canonical out-tree pruned to the
         # members' root paths, numbered together
@@ -211,7 +216,7 @@ class DoubleTreeTables:
         order = np.argsort(row_keys)
         self.row_keys = row_keys[order]
         self.row_hi = end[child][order]
-        self.row_next = c[order]
+        self.row_slot = edge_slots(g, p, c)[order]
         self.row_port = edge_ports(g, p, c)[order]
 
         # rows per node: 2 per out-tree vertex, 3 per child row at its

@@ -37,15 +37,10 @@ _SNAPSHOT_CACHE: "weakref.WeakKeyDictionary[Digraph, CSRGraph]" = (
     weakref.WeakKeyDictionary()
 )
 
-# Edge weights as a PairTable, one per snapshot: the O(m) lookup the
-# vectorized engine charges per-sweep hop costs through.
-_PAIR_LOOKUP_CACHE: "weakref.WeakKeyDictionary[CSRGraph, PairTable]" = (
-    weakref.WeakKeyDictionary()
-)
-
-# Fixed ports as PairTables, one pair per frozen graph: the vectorized
-# Digraph.port_of and Digraph.head_of_port of the array-built tables.
-_PORT_CACHE: "weakref.WeakKeyDictionary[Digraph, tuple]" = (
+# Every edge of a frozen graph by CSR out-slot, one lookup per graph:
+# the vectorized Digraph.port_of and Digraph.head_of_port of the
+# array-built tables, and the slots the compiled step tables hold.
+_EDGE_CACHE: "weakref.WeakKeyDictionary[Digraph, _Edges]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -118,21 +113,41 @@ class PairTable:
         return self.missing
 
 
-def _port_lookups(g: Digraph) -> "tuple[PairTable, PairTable]":
-    """``(port by tail * n + head, head by tail * stride + port)``,
-    built once per frozen graph from :meth:`Digraph.edges`."""
-    cached = _PORT_CACHE.get(g)
-    if cached is None:
+class _Edges:
+    """A frozen graph's edges indexed by CSR out-slot: edge ``i`` of
+    :meth:`Digraph.edges` is slot ``i`` of its :class:`CSRGraph` (both
+    list each tail's out-edges in insertion order, tails ascending).
+
+    ``by_pair`` maps ``tail * n + head`` and ``by_port`` maps
+    ``tail * stride + port`` to the slot (``-1`` where absent);
+    ``port[slot]`` and ``head[slot]`` are the slot's port and head, and
+    both read ``-1`` at slot ``-1``."""
+
+    __slots__ = ("by_pair", "by_port", "port", "head")
+
+    def __init__(self, g: Digraph):
         edges = np.array(
             [(e.tail, e.head, e.port) for e in g.edges()], dtype=np.int64
         ).reshape(-1, 3)
         tails, heads, ports = edges.T
+        slots = np.arange(edges.shape[0], dtype=np.int64)
         stride = int(ports.max()) + 1 if ports.size else 1
-        cached = _PORT_CACHE[g] = (
-            PairTable.from_entries(g.n, tails * np.int64(g.n) + heads, ports),
-            PairTable.from_entries(stride, tails * np.int64(stride) + ports, heads),
+        self.by_pair = PairTable.from_entries(
+            g.n, tails * np.int64(g.n) + heads, slots
         )
-    return cached
+        self.by_port = PairTable.from_entries(
+            stride, tails * np.int64(stride) + ports, slots
+        )
+        self.port = np.append(ports, -1)
+        self.head = np.append(heads, -1)
+
+
+def _edges(g: Digraph) -> _Edges:
+    """``g``'s :class:`_Edges`, built once per frozen graph."""
+    edges = _EDGE_CACHE.get(g)
+    if edges is None:
+        edges = _EDGE_CACHE[g] = _Edges(g)
+    return edges
 
 
 def _lookup(table: PairTable, n: int, rows, cols) -> np.ndarray:
@@ -146,17 +161,25 @@ def _lookup(table: PairTable, n: int, rows, cols) -> np.ndarray:
     return np.where(ok, found, -1)
 
 
+def edge_slots(g: Digraph, tails, heads) -> np.ndarray:
+    """The CSR out-slot of every ``(tails[i], heads[i])`` edge at once
+    (int64, ``-1`` where ``g`` has no such edge): the index of the edge
+    in ``CSRGraph.from_digraph(g)``'s ``out_heads``/``out_weights``, by
+    binary search over one O(m) table per frozen graph."""
+    return _lookup(_edges(g).by_pair, g.n, tails, heads)
+
+
 def edge_ports(g: Digraph, tails, heads) -> np.ndarray:
     """:meth:`Digraph.port_of` for every ``(tails[i], heads[i])`` at
-    once (int64, ``-1`` where ``g`` has no such edge), by binary search
-    over one O(m) table per frozen graph."""
-    return _lookup(_port_lookups(g)[0], g.n, tails, heads)
+    once (int64, ``-1`` where ``g`` has no such edge)."""
+    return _edges(g).port[edge_slots(g, tails, heads)]
 
 
 def port_heads(g: Digraph, tails, ports) -> np.ndarray:
     """:meth:`Digraph.head_of_port` for every ``(tails[i], ports[i])``
     at once (int64, ``-1`` where the tail has no such port)."""
-    return _lookup(_port_lookups(g)[1], g.n, tails, ports)
+    edges = _edges(g)
+    return edges.head[_lookup(edges.by_port, g.n, tails, ports)]
 
 
 def _adjacency_arrays(rows: List[List[Tuple[int, float]]]):
@@ -346,26 +369,6 @@ class CSRGraph:
         if self.m == 0:
             return float("inf")
         return float(self.out_weights.min())
-
-    def pair_weights(self, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
-        """Weights of the ``(tails[i], heads[i])`` edges, ``nan`` where
-        no such edge exists.
-
-        Edges are held in a :class:`PairTable` built once per snapshot
-        (O(m) memory) and queries resolve by binary search.  Values are
-        the exact float64 weights :meth:`Digraph.weight` returns, so
-        batched cost accumulation is bit-equal to the per-hop sums.
-        """
-        lookup = _PAIR_LOOKUP_CACHE.get(self)
-        if lookup is None:
-            edge_tails = np.repeat(
-                np.arange(self.n, dtype=np.int64), self.out_degrees()
-            )
-            lookup = _PAIR_LOOKUP_CACHE[self] = PairTable.from_entries(
-                self.n, edge_tails * np.int64(self.n) + self.out_heads,
-                self.out_weights, missing=np.nan,
-            )
-        return lookup[tails, heads]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRGraph(n={self.n}, m={self.m})"

@@ -20,9 +20,14 @@ A scheme opts in by implementing
 :class:`CompiledRoutes`:
 
 * ``tables`` — a :class:`StepTables` giving the *within-leg* decision
-  function as next-vertex lookups ``table[at, target]`` (ports
-  resolved through ``head_of_port`` at compile time); the table family
-  only decides how each table stores its entries (:data:`TABLE_FAMILIES`);
+  function as lookups ``table[at, target]`` of the hop's **CSR
+  out-edge slot**, the compiled form of the port the scheme forwards
+  on: an index into the graph's :class:`~repro.graph.csr.CSRGraph`
+  ``out_heads``/``out_weights``, so the sweep reads each hop's next
+  vertex and weight with two gathers (entries are converted once, at
+  compile time, by :func:`~repro.graph.csr.edge_slots`); the table
+  family only decides how each table stores its entries
+  (:data:`TABLE_FAMILIES`);
 * ``plan(sources, dests)`` — a :class:`JourneyPlan` describing each
   journey as two legs (outbound, acknowledgment), each a short list of
   :class:`Segment` s (e.g. ``s -> dictionary node``, then
@@ -69,8 +74,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import HopLimitExceeded, RoutingError, TableLookupError
-from repro.graph.csr import CSRGraph, PairTable
+from repro.exceptions import (
+    ConstructionError,
+    HopLimitExceeded,
+    RoutingError,
+    TableLookupError,
+)
+from repro.graph.csr import CSRGraph, PairTable, edge_slots
 from repro.graph.digraph import Digraph
 from repro.graph.limits import dense_table_max_n
 from repro.runtime.simulator import (  # noqa: F401  (re-export)
@@ -115,7 +125,7 @@ def resolve_table_family(tables: str, n: int) -> str:
 # step tables: the compiled within-leg decision function
 # ----------------------------------------------------------------------
 class StepTables:
-    """Vectorized within-leg forwarding over next-vertex tables.
+    """Vectorized within-leg forwarding over CSR out-edge slot tables.
 
     Subclasses implement :meth:`begin_phase` (the segment's first
     decision mode, mirroring the scheme's ``begin_leg``) and
@@ -141,13 +151,37 @@ class StepTables:
         phase: np.ndarray,
         tree: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One decision per packet: ``(next_vertex, new_phase)``.
+        """One decision per packet: ``(slot, new_phase)``, ``slot`` the
+        CSR out-edge slot the packet leaves ``at`` by (its next vertex
+        is ``out_heads[slot]``, the hop's cost ``out_weights[slot]``).
 
         Raises:
             TableLookupError: when any packet has no table entry (the
                 compiled analogue of the scheme's own lookup errors).
         """
         raise NotImplementedError
+
+
+def hop_slots(graph: Digraph, tails, heads) -> np.ndarray:
+    """Compile next-vertex entries to int32 CSR out-edge slots: the slot
+    of edge ``tails[i] -> heads[i]``, and ``-1`` where ``heads[i]`` is
+    ``-1`` (no entry).  Any array shape; one vectorized lookup.
+
+    Raises:
+        ConstructionError: for an entry that names no edge of ``graph``.
+    """
+    tails = np.asarray(tails, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    slots = edge_slots(graph, tails, heads)
+    missing = (slots < 0) & (heads >= 0)
+    if missing.any():
+        tail, head = np.broadcast_arrays(tails, heads)
+        i = np.argwhere(missing)[0]
+        raise ConstructionError(
+            f"compiled entry names no edge: ({int(tail[tuple(i)])}, "
+            f"{int(head[tuple(i)])}) is not in the digraph"
+        )
+    return slots.astype(np.int32)
 
 
 def _pack_pairs(n: int, chunks, tables: str, dtype):
@@ -176,10 +210,11 @@ def _pack_pairs(n: int, chunks, tables: str, dtype):
 
 
 class BlockedNextHop(StepTables):
-    """Next-hop step tables: ``next[u, target]`` is the next vertex
-    (full-table schemes; also the looping-stub test doubles).
+    """Next-hop step tables: ``slots[u, target]`` is the CSR out-edge
+    slot of the hop from ``u`` toward ``target`` (full-table schemes;
+    also the looping-stub test doubles).
 
-    The ``(n, n)`` next-vertex matrix is held as row blocks of
+    The ``(n, n)`` int32 slot matrix is held as row blocks of
     ``block_rows`` sources each; block ``b`` holds rows
     ``[b * block_rows, min(n, (b + 1) * block_rows))``.  Dense storage
     is the one-block case, gathered in one step; blocked storage
@@ -203,31 +238,50 @@ class BlockedNextHop(StepTables):
 
     def step(self, at, target, phase, tree=None):
         if len(self.blocks) == 1:
-            nxt = self.blocks[0][at, target]
+            slot = self.blocks[0][at, target]
         else:
-            nxt = np.empty(at.shape[0], dtype=np.int64)
+            slot = np.empty(at.shape[0], dtype=np.int32)
             bidx = at // self.block_rows
             for b in np.unique(bidx):
                 sel = bidx == b
                 block = self.blocks[int(b)]
-                nxt[sel] = block[at[sel] - int(b) * self.block_rows, target[sel]]
-        if (nxt < 0).any():
-            bad = int(np.flatnonzero(nxt < 0)[0])
+                slot[sel] = block[at[sel] - int(b) * self.block_rows, target[sel]]
+        if (slot < 0).any():
+            bad = int(np.flatnonzero(slot < 0)[0])
             raise TableLookupError(
                 f"no compiled next hop at vertex {int(at[bad])} toward "
                 f"{int(target[bad])}"
             )
-        return nxt, phase
+        return slot, phase
+
+
+def _first_hop_slots(oracle, lo: int, first: np.ndarray) -> np.ndarray:
+    """First-hop rows ``lo:lo + len(first)`` as a read-only int32 slot
+    block, converted a few rows at a time: the lookup makes about eight
+    int64 temporaries per entry, so a chunk of them stays about one
+    default block's bytes."""
+    from repro.graph.blocked import default_block_rows
+
+    step = default_block_rows(oracle.n, 8 * oracle.n)
+    block = np.empty(first.shape, dtype=np.int32)
+    for i in range(0, first.shape[0], step):
+        rows = np.arange(lo + i, lo + min(i + step, first.shape[0]))
+        block[i:i + step] = hop_slots(
+            oracle.graph, rows[:, None], first[i:i + step]
+        )
+    block.flags.writeable = False
+    return block
 
 
 def compile_next_hop(oracle, tables: str = "dense") -> BlockedNextHop:
     """Next-hop step tables of full-table forwarding in the given
-    family: ``dense`` is one block holding the oracle's memoized
-    first-hop matrix (patched row-wise by incremental repair);
-    ``blocked`` is :func:`compile_blocked_next_hop`'s per-block rows."""
+    family: ``dense`` is one block, the slots of the oracle's memoized
+    first-hop matrix (an ``(n, n)`` int32 array beside it); ``blocked``
+    is :func:`compile_blocked_next_hop`'s per-block rows."""
     if tables == "blocked":
         return compile_blocked_next_hop(oracle)
-    return BlockedNextHop(oracle.n, oracle.n, [oracle.first_hop_matrix()])
+    first = _first_hop_slots(oracle, 0, oracle.first_hop_matrix())
+    return BlockedNextHop(oracle.n, oracle.n, [first])
 
 
 def compile_blocked_next_hop(
@@ -237,8 +291,8 @@ def compile_blocked_next_hop(
     one source block at a time.
 
     Each block is folded from the oracle's parent rows via
-    :meth:`DistanceOracle.first_hop_block`, so the fold's working
-    memory is ``O(block_rows * n)``.
+    :meth:`DistanceOracle.first_hop_block` and converted to slots, so
+    the working memory is ``O(block_rows * n)``.
     """
     from repro.graph.blocked import default_block_rows
 
@@ -248,65 +302,65 @@ def compile_blocked_next_hop(
     block_rows = max(1, min(max(n, 1), int(block_rows)))
     blocks: List[np.ndarray] = []
     for lo in range(0, n, block_rows):
-        block = oracle.first_hop_block(lo, min(n, lo + block_rows))
-        block.flags.writeable = False
-        blocks.append(block)
+        first = oracle.first_hop_block(lo, min(n, lo + block_rows))
+        blocks.append(_first_hop_slots(oracle, lo, first))
     return BlockedNextHop(n, block_rows, blocks)
 
 
 class SubstrateStepTables(StepTables):
     """Compiled Lemma 2 substrate legs (direct / up-tree / down-tree).
 
-    ``direct_next`` and ``down_next`` are read as ``table[at, target]``
-    and hold ``-1`` where there is no entry.  Dense storage keeps them
-    as ``(n, n)`` int32 matrices; blocked storage as
-    :class:`~repro.graph.csr.PairTable` s — the paper's landmark
-    factorization in o(n²) memory.
+    Every entry is the CSR out-edge slot of the hop (see
+    :func:`hop_slots`).  ``direct_slot`` and ``down_slot`` are read as
+    ``table[at, target]`` and hold ``-1`` where there is no entry.
+    Dense storage keeps them as ``(n, n)`` int32 matrices; blocked
+    storage as :class:`~repro.graph.csr.PairTable` s — the paper's
+    landmark factorization in o(n²) memory.
 
     Attributes:
-        direct_next: next vertex on the direct (cluster) path toward
+        direct_slot: the hop on the direct (cluster) path toward
             ``target``; present exactly when ``target`` is in ``at``'s
             cluster, the membership test ``begin_leg`` makes (Θ(n·√n)
             entries for the balanced RTZ clusters).
-        up_next: ``(n, C)`` int32 — next vertex toward landmark
-            (column = landmark index), ``-1`` at the landmark itself;
-            O(n·√n), so dense in both storages.
-        down_next: next vertex from ``at`` toward ``target`` inside
+        up_slot: ``(n, C)`` int32 — the hop toward landmark (column =
+            landmark index), ``-1`` at the landmark itself; O(n·√n), so
+            dense in both storages.
+        down_slot: the hop from ``at`` toward ``target`` inside
             ``OutTree(center(target))``; only slots on canonical
             ``center -> target`` paths are populated (O(n · avg path
             length) entries).
         center_of: ``(n,)`` int32 — ``a(v)``, the home landmark vertex.
-        center_idx: ``(n,)`` int32 — column of ``a(v)`` in ``up_next``.
+        center_idx: ``(n,)`` int32 — column of ``a(v)`` in ``up_slot``.
     """
 
     def __init__(
         self,
-        direct_next,
-        up_next: np.ndarray,
-        down_next,
+        direct_slot,
+        up_slot: np.ndarray,
+        down_slot,
         center_of: np.ndarray,
         center_idx: np.ndarray,
     ):
-        self.direct_next = direct_next
-        self.up_next = up_next
-        self.down_next = down_next
+        self.direct_slot = direct_slot
+        self.up_slot = up_slot
+        self.down_slot = down_slot
         self.center_of = center_of
         self.center_idx = center_idx
 
     def arrays(self) -> Dict[str, np.ndarray]:
         """Every backing array by name: a pair table contributes
-        ``<leg>_keys`` and ``<leg>_next``, a matrix ``<leg>_next`` alone."""
+        ``<leg>_keys`` and ``<leg>_slot``, a matrix ``<leg>_slot`` alone."""
         out = {
-            "up_next": self.up_next,
+            "up_slot": self.up_slot,
             "center_of": self.center_of,
             "center_idx": self.center_idx,
         }
         for leg in ("direct", "down"):
-            table = getattr(self, f"{leg}_next")
+            table = getattr(self, f"{leg}_slot")
             if isinstance(table, PairTable):
                 out[f"{leg}_keys"] = table.keys
                 table = table.values
-            out[f"{leg}_next"] = table
+            out[f"{leg}_slot"] = table
         return out
 
     def nbytes(self) -> int:
@@ -314,7 +368,7 @@ class SubstrateStepTables(StepTables):
         return sum(int(arr.nbytes) for arr in self.arrays().values())
 
     def begin_phase(self, at, target, tree=None) -> np.ndarray:
-        direct = (at == target) | (self.direct_next[at, target] >= 0)
+        direct = (at == target) | (self.direct_slot[at, target] >= 0)
         at_center = at == self.center_of[target]
         return np.where(
             direct, PHASE_DIRECT, np.where(at_center, PHASE_DOWN, PHASE_UP)
@@ -327,22 +381,22 @@ class SubstrateStepTables(StepTables):
         phase = np.where(
             (phase == PHASE_UP) & (at == center), PHASE_DOWN, phase
         ).astype(np.int8)
-        nxt = np.where(
+        slot = np.where(
             phase == PHASE_DIRECT,
-            self.direct_next[at, target],
+            self.direct_slot[at, target],
             np.where(
                 phase == PHASE_UP,
-                self.up_next[at, self.center_idx[target]],
-                self.down_next[at, target],
+                self.up_slot[at, self.center_idx[target]],
+                self.down_slot[at, target],
             ),
         )
-        if (nxt < 0).any():
-            bad = int(np.flatnonzero(nxt < 0)[0])
+        if (slot < 0).any():
+            bad = int(np.flatnonzero(slot < 0)[0])
             raise TableLookupError(
                 f"no compiled substrate entry at vertex {int(at[bad])} "
                 f"toward {int(target[bad])} (phase {int(phase[bad])})"
             )
-        return nxt, phase
+        return slot, phase
 
 
 def compile_substrate_tables(
@@ -351,13 +405,14 @@ def compile_substrate_tables(
     """Compile an :class:`~repro.rtz.routing.RTZStretch3` substrate's
     three forwarding structures into step tables of the given family.
 
-    Every table comes from the substrate's arrays: ``up_next`` is its
-    in-tree successor rows transposed, ``direct_next`` its direct
-    entries with their next vertices, and ``down_next`` one walk of
-    every ``v`` up its home landmark's parent row, all at once.
-    ``dense`` scatters the entries into ``(n, n)`` matrices and
-    ``blocked`` packs them into sorted pair tables.  Both make
-    identical decisions — the family only changes memory.
+    Every table comes from the substrate's arrays, its next vertices
+    converted to slots once (:func:`hop_slots`): ``up_slot`` is its
+    in-tree successor rows transposed, ``direct_slot`` its direct
+    entries, and ``down_slot`` one walk of every ``v`` up its home
+    landmark's parent row, all at once.  ``dense`` scatters the
+    entries into ``(n, n)`` matrices and ``blocked`` packs them into
+    sorted pair tables.  Both make identical decisions — the family
+    only changes memory.
 
     Results are cached on the substrate per family
     (``_compiled_step_tables``), so every scheme sharing one substrate
@@ -368,7 +423,8 @@ def compile_substrate_tables(
     cache = substrate.__dict__.setdefault("_compiled_step_tables", {})
     if tables in cache:
         return cache[tables]
-    n = substrate.metric.n
+    graph = substrate.metric.oracle.graph
+    n = graph.n
     home_idx = substrate._home_idx
     centers = np.asarray(substrate.centers, dtype=np.int64)
     home = centers[home_idx]
@@ -376,25 +432,33 @@ def compile_substrate_tables(
 
     # Down-tree entries are only ever consulted on canonical
     # center(v) -> v paths, so populate exactly those: walking up from
-    # v, each parent's entry toward v is the vertex below it.
+    # v, each parent's entry toward v is the hop to the vertex below it.
     at = np.arange(n, dtype=np.int64)
-    down_keys, down_next = [at[:0]], [at[:0]]
+    down_keys, below = [at[:0]], [at[:0]]
     walking = np.flatnonzero(at != home)
     while walking.size:
         above = parent[home_idx[walking], at[walking]].astype(np.int64)
         down_keys.append(above * n + walking)
-        down_next.append(at[walking])
+        below.append(at[walking])
         at[walking] = above
         walking = walking[above != home[walking]]
+    down_keys = np.concatenate(down_keys)
+    direct_keys = substrate._direct_keys
 
     step = cache[tables] = SubstrateStepTables(
         _pack_pairs(
-            n, [(substrate._direct_keys, substrate._direct_next)],
+            n,
+            [(direct_keys,
+              hop_slots(graph, direct_keys // n, substrate._direct_next))],
             tables, np.int32,
         ),
-        np.ascontiguousarray(substrate._in_succ.T, dtype=np.int32),
+        np.ascontiguousarray(
+            hop_slots(graph, np.arange(n)[None, :], substrate._in_succ).T
+        ),
         _pack_pairs(
-            n, [(np.concatenate(down_keys), np.concatenate(down_next))],
+            n,
+            [(down_keys,
+              hop_slots(graph, down_keys // n, np.concatenate(below)))],
             tables, np.int32,
         ),
         home.astype(np.int32),
@@ -425,8 +489,8 @@ class DoubleTreeStepTables(StepTables):
         ).astype(np.int8)
 
     def _down(self, at, target, tree) -> np.ndarray:
-        """The child of ``at`` whose interval holds ``target``'s DFS
-        number (``-1`` where there is none)."""
+        """The slot of the hop to the child of ``at`` whose interval
+        holds ``target``'s DFS number (``-1`` where there is none)."""
         t = self.trees
         n = t.n
         d = PairTable(n, t.dfs_keys, t.dfs)[tree, target]
@@ -435,7 +499,7 @@ class DoubleTreeStepTables(StepTables):
         ok = (d >= 0) & (pos >= 0)
         np.maximum(pos, 0, out=pos)
         ok &= (t.row_keys[pos] // n == node) & (d < t.row_hi[pos])
-        return np.where(ok, t.row_next[pos], -1)
+        return np.where(ok, t.row_slot[pos], -1)
 
     def step(self, at, target, phase, tree=None):
         t = self.trees
@@ -445,18 +509,18 @@ class DoubleTreeStepTables(StepTables):
             (phase == PHASE_UP) & (at == t.root[tree]), PHASE_DOWN, phase
         ).astype(np.int8)
         up = phase == PHASE_UP
-        nxt = np.empty(at.shape[0], dtype=np.int64)
-        nxt[up] = PairTable(t.n, t.up_keys, t.up_next)[tree[up], at[up]]
+        slot = np.empty(at.shape[0], dtype=np.int64)
+        slot[up] = PairTable(t.n, t.up_keys, t.up_slot)[tree[up], at[up]]
         down = ~up
-        nxt[down] = self._down(at[down], target[down], tree[down])
-        if (nxt < 0).any():
-            bad = int(np.flatnonzero(nxt < 0)[0])
+        slot[down] = self._down(at[down], target[down], tree[down])
+        if (slot < 0).any():
+            bad = int(np.flatnonzero(slot < 0)[0])
             raise TableLookupError(
                 f"no compiled tree entry at vertex {int(at[bad])} toward "
                 f"{int(target[bad])} in tree "
                 f"{int(t.tree_ids[tree[bad]])} (phase {int(phase[bad])})"
             )
-        return nxt, phase
+        return slot, phase
 
 
 # ----------------------------------------------------------------------
@@ -572,7 +636,7 @@ def _flatten_plan(plan: JourneyPlan, batch: int):
 
 def run_roundtrips(
     compiled: CompiledRoutes,
-    pairs: Sequence[Tuple[int, int]],
+    pairs: "np.ndarray | Sequence[Tuple[int, int]]",
     hop_limit: int,
     scheme_name: str = "?",
 ) -> TraceBatch:
@@ -584,7 +648,10 @@ def run_roundtrips(
 
     Args:
         compiled: the scheme's compiled routes.
-        pairs: ``(source_vertex, dest_vertex)`` pairs.
+        pairs: ``(source_vertex, dest_vertex)`` pairs; a ``(B, 2)``
+            int64 array (what :func:`~repro.runtime.traffic.check_pairs`
+            returns) is used without converting it again, any other
+            sequence is converted once.
         hop_limit: per-leg hop budget (same contract as the simulator:
             a leg may make at most ``hop_limit + 1`` forwarding
             decisions before :class:`HopLimitExceeded`).
@@ -596,17 +663,18 @@ def run_roundtrips(
         the sweep itself; the hop-by-hop paths are built from the sweep
         log only when some trace's legs are first read.
     """
-    batch = len(pairs)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    batch = pairs.shape[0]
     if batch == 0:
         return TraceBatch()
-    sources = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=batch)
-    dests = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=batch)
+    sources, dests = pairs.T.copy()  # the caller's array stays untouched
     plan = compiled.plan(sources, dests)
     tables = compiled.tables
-    # Edge weights are charged through the O(m) sparse pair lookup (the
-    # dense matrix would reintroduce the n² memory the blocked tables
-    # remove); values and accumulation order are identical.
+    # Each decision is a CSR out-edge slot: the hop's head and its
+    # weight (the float64 Digraph.weight returns, added in the same
+    # per-packet order as the simulator) are two gathers.
     csr = CSRGraph.from_digraph(compiled.graph)
+    heads, weights = csr.out_heads, csr.out_weights
 
     num_legs = len(plan.legs)
     seg_target, seg_bits, seg_tree, stop = _flatten_plan(plan, batch)
@@ -711,8 +779,9 @@ def run_roundtrips(
         # --- one synchronized hop for every in-flight packet.
         c = cur[ap]
         here = at[ap]
-        nxt, new_phase = tables.step(here, seg_target[c], phase[ap], trees(c))
-        leg_cost[ap] += csr.pair_weights(here, nxt)
+        slot, new_phase = tables.step(here, seg_target[c], phase[ap], trees(c))
+        nxt = heads[slot]
+        leg_cost[ap] += weights[slot]
         leg_hops[ap] += 1
         leg_bits[ap] = np.maximum(leg_bits[ap], seg_bits[c])
         log_idx.append(ap)

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
+import numpy as np
+
 from repro.exceptions import HopLimitExceeded, RoutingError
 from repro.runtime.scheme import Deliver, Forward, Header, RoutingScheme
 from repro.runtime.sizing import header_bits
@@ -305,11 +307,15 @@ class Simulator:
         is executed under the same hop budget.
 
         Args:
-            pairs: ``(source, destination)`` pairs.  Sources are always
-                vertex ids.  Destinations are vertex ids by default
-                (translated through the scheme's naming, matching how
-                workload generators produce pairs); pass
-                ``by_name=True`` when destinations already are names.
+            pairs: ``(source, destination)`` pairs, or a ``(B, 2)``
+                integer array of them (what
+                :func:`~repro.runtime.traffic.check_pairs` returns; the
+                vectorized engine reads it without converting it
+                again).  Sources are always vertex ids.  Destinations
+                are vertex ids by default (translated through the
+                scheme's naming, matching how workload generators
+                produce pairs); pass ``by_name=True`` when destinations
+                already are names.
             engine: ``"vectorized"`` executes the batch as frontier
                 sweeps over the scheme's compiled decision tables
                 (:mod:`repro.runtime.engine`); ``"python"`` runs the
@@ -329,16 +335,20 @@ class Simulator:
                 unsupported engine requests (see :meth:`resolve_engine`).
             HopLimitExceeded: when any journey exceeds the hop budget.
         """
-        if self.resolve_engine(engine) == "vectorized":
+        resolved = self.resolve_engine(engine)
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
+        elif by_name or resolved == "python":
+            pairs = pairs.tolist()  # Python ints for the scalar paths
+        if resolved == "vectorized":
             from repro.runtime.engine import run_roundtrips
 
-            vertex_of = self._scheme.vertex_of
-            vertex_pairs = [
-                (s, vertex_of(t) if by_name else t) for (s, t) in pairs
-            ]
+            if by_name:
+                vertex_of = self._scheme.vertex_of
+                pairs = [(s, vertex_of(t)) for (s, t) in pairs]
             return run_roundtrips(
                 self._scheme.compiled_routes(self._tables),
-                vertex_pairs,
+                pairs,
                 self._hop_limit,
                 scheme_name=self._scheme.name,
             )

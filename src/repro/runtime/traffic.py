@@ -609,18 +609,49 @@ class TrafficSummary:
         return "\n".join(lines)
 
 
-def check_pairs(n: int, pairs: Sequence[Tuple[int, int]]) -> None:
-    """Reject pairs no roundtrip can be routed or measured on.
+def require_integer_endpoints(pairs: Sequence[Tuple[int, int]]) -> None:
+    """Reject a pair whose source or destination is not an integer
+    (Python and numpy integers and bools are; a float, even ``3.0``, a
+    string or ``None`` is not).
 
     Raises:
-        GraphError: for the first pair with an endpoint outside
-            ``[0, n)`` or with ``source == destination`` (roundtrip
-            stretch is undefined there).
+        GraphError: naming the first such pair.
+    """
+    integer = (int, np.integer, np.bool_)
+    for s, t in pairs:
+        if not (isinstance(s, integer) and isinstance(t, integer)):
+            raise GraphError(
+                f"pair ({s!r}, {t!r}) has an endpoint that is not an integer"
+            )
+
+
+def check_pairs(n: int, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """Reject pairs no roundtrip can be routed or measured on, and
+    return the rest as one ``(B, 2)`` int64 array: column 0 holds the
+    sources, column 1 the destinations.  Every later stage of a batch
+    reads this array; nothing converts the pairs again.
+
+    Raises:
+        GraphError: for input that is not a list of pairs, for the first
+            pair with an endpoint that is not an integer
+            (:func:`require_integer_endpoints`), outside ``[0, n)``, or
+            with ``source == destination`` (roundtrip stretch is
+            undefined there).
     """
     try:
-        s, t = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    except OverflowError:
-        raise GraphError(f"a pair endpoint is out of range for n={n}") from None
+        arr = np.array(pairs)
+    except ValueError:
+        arr = None
+    if arr is None or (arr.size and (arr.ndim != 2 or arr.shape[1] != 2)):
+        raise GraphError("pairs must be a list of (source, destination) pairs")
+    if not arr.size:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.dtype.kind not in "biu":
+        # floats, strings and None; or integers beyond int64, which
+        # numpy holds as objects or floats
+        require_integer_endpoints(pairs)
+        raise GraphError(f"a pair endpoint is out of range for n={n}")
+    s, t = arr.T
     outside = (s < 0) | (s >= n) | (t < 0) | (t >= n)
     bad = outside | (s == t)
     if bad.any():
@@ -630,6 +661,7 @@ def check_pairs(n: int, pairs: Sequence[Tuple[int, int]]) -> None:
             else "needs source != destination"
         )
         raise GraphError(f"pair ({int(s[i])}, {int(t[i])}) {problem}")
+    return arr.astype(np.int64, copy=False)
 
 
 def plan_shards(
@@ -673,7 +705,7 @@ def num_shards(
 
 def _summarize(
     kind: str,
-    pairs: Sequence[Tuple[int, int]],
+    pairs: np.ndarray,
     traces: TraceBatch,
     r_matrix,
     elapsed: float,
@@ -681,6 +713,7 @@ def _summarize(
     """Aggregate one (shard's) trace batch into a :class:`TrafficSummary`,
     from the batch's columns alone.
 
+    ``pairs`` is the shard's rows of :func:`check_pairs`' array;
     ``r_matrix`` is the oracle's roundtrip-distance matrix (or ``None``
     for no stretch columns).
     """
@@ -698,12 +731,12 @@ def _summarize(
     if r_matrix is not None:
         # Elementwise float64 division rounds exactly as the scalar
         # one; the sums below stay sequential Python sums.
-        sources, dests = np.array(pairs, dtype=np.int64).T
+        sources, dests = pairs.T
         stretches = (np.array(costs) / r_matrix[sources, dests]).tolist()
         mean_stretch = sum(stretches) / len(stretches)
         worst = max(range(len(stretches)), key=stretches.__getitem__)
         max_stretch = stretches[worst]
-        worst_pair = pairs[worst]
+        worst_pair = tuple(pairs[worst].tolist())
     return TrafficSummary(
         kind=kind,
         pairs=len(traces),
@@ -724,7 +757,7 @@ def _execute_shard(
     sim: Simulator,
     engine: str,
     kind: str,
-    pairs: Sequence[Tuple[int, int]],
+    pairs: np.ndarray,
     r_matrix,
 ) -> TrafficSummary:
     """Route one shard and summarize it.  Only the routing itself is
@@ -792,7 +825,7 @@ def run_workload(
         kind, pairs = workload.kind, workload.pairs
     else:
         kind, pairs = "custom", list(workload)
-    check_pairs(scheme.graph.n, pairs)
+    pairs = check_pairs(scheme.graph.n, pairs)
     if jobs is not None and jobs < 1:
         raise GraphError(f"jobs must be >= 1, got {jobs}")
     bounds = plan_shards(

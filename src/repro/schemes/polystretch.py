@@ -30,12 +30,11 @@ them, and each row's tree address is derived from the vertex found.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.api.registry import ParamSpec, register_scheme
-from repro.covers.double_tree import DoubleTree
 from repro.covers.hierarchy import TreeHierarchy
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.csr import PairTable
@@ -62,6 +61,9 @@ _INBOUND = "psi"
 #: hop phases within a double tree
 _UP = "pu"
 _DOWN = "pd"
+
+#: (member, candidate) pairs per block of the dictionary-row build
+_CANDIDATE_BLOCK = 1 << 18
 
 
 class PolynomialStretchScheme(RoutingScheme):
@@ -110,49 +112,72 @@ class PolynomialStretchScheme(RoutingScheme):
         )
         # The dictionary rows of every tree: rows[tree_id * n + u,
         # j * q + tau] is the nearest matching member.
-        keys: List[int] = []
-        found: List[int] = []
+        self._rows = self._index_rows()
+
+    def _index_rows(self) -> PairTable:
+        """Every tree's (j, tau) dictionary rows, by array work per tree.
+
+        Row ``(j, tau)`` of member ``u`` is the member ``v != u`` first
+        in ``Init_u`` order (:meth:`RoundtripMetric.nearest`: least
+        ``(r(u, v), d(v, u), id(v))``) among the group of members whose
+        name shares ``u``'s first ``j`` digits and has digit ``tau``
+        next.  Per tree and position ``j``, the members are ordered by
+        their first ``j + 1`` digits, so each group is a run of columns
+        and one ``minimum.reduceat`` per key takes every row's
+        lexicographic minimum in every group at once.  Members are
+        taken a block of rows at a time, so the ``(block, members)``
+        arrays stay small in big trees.
+        """
+        n, k, q = self._metric.n, self.k, self.blocks.q
+        oracle = self._metric.oracle
+        r, d_to = oracle.r_matrix, oracle.d_matrix.T  # d_to[u, v] = d(v, u)
+        ids = np.asarray(self._metric.ids, dtype=np.int64)
+        by_id, no_id = np.argsort(ids, kind="stable"), ids.max() + 1
+        names = np.array(
+            [self._naming.name_of(v) for v in range(n)], dtype=np.int64
+        )
+        keys, found = [names[:0]], [names[:0]]
         for cov in self.hierarchy.levels:
             for tree in cov.trees:
-                self._index_tree(tree, keys, found)
-        self._rows = PairTable.from_entries(
-            k * self.blocks.q,
-            np.array(keys, dtype=np.int64),
-            np.array(found, dtype=np.int64),
+                cand = np.array(tree.members, dtype=np.int64)
+                m = cand.shape[0]
+                if m < 2:
+                    continue
+                step = max(1, _CANDIDATE_BLOCK // m)
+                for j in range(k):
+                    # the groups: members by their first j + 1 digits
+                    prefix = names[cand] // q ** (k - 1 - j)
+                    order = np.argsort(prefix, kind="stable")
+                    col = cand[order]
+                    group, starts = np.unique(prefix[order], return_index=True)
+                    sizes = np.diff(np.append(starts, m))
+                    for lo in range(0, m, step):
+                        u = cand[lo:lo + step, None]
+                        # u is no candidate of its own rows
+                        rr = np.where(col == u, np.inf, r[u, col])
+                        dd = d_to[u, col]
+                        least_r = np.minimum.reduceat(rr, starts, axis=1)
+                        best = rr == np.repeat(least_r, sizes, axis=1)
+                        least_d = np.minimum.reduceat(
+                            np.where(best, dd, np.inf), starts, axis=1
+                        )
+                        best &= dd == np.repeat(least_d, sizes, axis=1)
+                        least_id = np.minimum.reduceat(
+                            np.where(best, ids[col], no_id), starts, axis=1
+                        )
+                        # a row exists where the group holds a member
+                        # other than u and extends u's first j digits
+                        ok = np.isfinite(least_r)
+                        if j:
+                            ok &= group // q == names[u] // q ** (k - j)
+                        node = (tree.tree_id * n + u) * (k * q) + j * q
+                        keys.append((node + group % q)[ok])
+                        found.append(by_id[
+                            np.searchsorted(ids, least_id[ok], sorter=by_id)
+                        ])
+        return PairTable.from_entries(
+            k * q, np.concatenate(keys), np.concatenate(found)
         )
-
-    def _index_tree(
-        self, tree: DoubleTree, keys: List[int], found: List[int]
-    ) -> None:
-        """Append the (j, tau) dictionary rows of every member of one
-        tree to ``keys`` and ``found``: group members by (position,
-        shared prefix, digit) once, then pick each member's nearest
-        match per group."""
-        members = tree.members
-        digits = {
-            v: self.blocks.digits(self._naming.name_of(v)) for v in members
-        }
-        groups: Dict[Tuple[int, Tuple[int, ...], int], List[int]] = {}
-        for v in members:
-            d = digits[v]
-            for j in range(self.k):
-                groups.setdefault((j, d[:j], d[j]), []).append(v)
-        q = self.blocks.q
-        for u in members:
-            d_u = digits[u]
-            node = (tree.tree_id * self._metric.n + u) * (self.k * q)
-            for j in range(self.k):
-                prefix = d_u[:j]
-                for tau in range(q):
-                    candidates = [
-                        v
-                        for v in groups.get((j, prefix, tau), [])
-                        if v != u
-                    ]
-                    if not candidates:
-                        continue
-                    keys.append(node + j * q + tau)
-                    found.append(self._metric.nearest(u, candidates))
 
     # ------------------------------------------------------------------
     @property

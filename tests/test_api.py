@@ -13,7 +13,9 @@ Covers the contract the facade guarantees:
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from repro.api import (
     get_spec,
     scheme_names,
 )
+from repro.api.router import RouteResult
 from repro.exceptions import ConstructionError, GraphError
 from repro.graph.digraph import Digraph
 from repro.graph.generators import bidirected_torus, random_strongly_connected
@@ -215,6 +218,30 @@ class TestRouter:
         assert by_name.dest == 5
         assert by_name.cost == by_vertex.cost
 
+    def test_batch_results_are_ordinary_frozen_results(self):
+        """route_many fills each result's fields without the dataclass
+        constructor; the results still equal constructor-built ones,
+        print, pickle and copy like them, and stay frozen."""
+        net = make_network(n=14, seed=16)
+        for engine in ("vectorized", "python"):
+            got = net.router("stretch6").route_many(
+                [(0, 5), (3, 9)], engine=engine
+            )
+            for r in got:
+                built = RouteResult(*(
+                    getattr(r, f.name) for f in dataclasses.fields(RouteResult)
+                ))
+                assert r == built and repr(r) == repr(built)
+                assert vars(r) == vars(built)
+                assert pickle.loads(pickle.dumps(r)) == built
+                changed = dataclasses.replace(r, cost=1.0)
+                assert changed == dataclasses.replace(built, cost=1.0)
+                assert changed.cost == 1.0 and changed.trace == r.trace
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    r.cost = 0.0
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    del r.hops
+
     def test_router_without_oracle_has_nan_stretch(self):
         net = make_network(n=12, seed=14)
         router = Router(net.build_scheme("rtz"))
@@ -283,6 +310,34 @@ class TestBadPairsRejected:
                 run_workload(router.scheme, [(0, 1), pair], engine=engine)
             with pytest.raises(GraphError):
                 router.serve_workload([pair], engine=engine)
+
+    def test_non_integer_endpoint(self, router, engine):
+        """A float (even ``3.0``), a string or ``None`` is no endpoint:
+        every entry point raises the same error naming the pair, names
+        included (checked before they are resolved), and routes
+        nothing; bools still count as integers."""
+        from repro.runtime.traffic import run_workload
+
+        for x in (3.5, 3.0, "3", None):
+            calls = [
+                lambda: router.route(0, x),
+                lambda: router.route(0, x, by_name=True),
+                lambda: router.route_many([(0, 1), (0, x)]),
+                lambda: router.route_many([(0, 1), (0, x)], by_name=True),
+                lambda: run_workload(
+                    router.scheme, [(0, 1), (0, x)], engine=engine
+                ),
+            ]
+            for call in calls:
+                with pytest.raises(GraphError) as exc:
+                    call()
+                assert str(exc.value) == (
+                    f"pair (0, {x!r}) has an endpoint that is not an integer"
+                )
+            with pytest.raises(GraphError, match=rf"pair \({x!r}, 1\)"):
+                router.route_many([(x, 1)])
+        assert router.accounting().queries == 0
+        assert router.route_many([(True, 3)])[0].source == 1
 
 
 class TestSpecsListing:

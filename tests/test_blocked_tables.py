@@ -37,7 +37,7 @@ from repro.exceptions import (
 )
 from repro.graph.apsp import apsp_matrices, apsp_rows
 from repro.graph.blocked import default_block_rows, first_hops_for_sources
-from repro.graph.csr import CSRGraph, PairTable
+from repro.graph.csr import CSRGraph, PairTable, edge_slots
 from repro.graph.digraph import Digraph
 from repro.graph.generators import random_strongly_connected
 from repro.graph.limits import (
@@ -56,6 +56,7 @@ from repro.runtime.engine import (
     compile_blocked_next_hop,
     compile_substrate_tables,
     constant_bits,
+    hop_slots,
     resolve_table_family,
 )
 from repro.runtime.scheme import Decision, Forward, Header, RoutingScheme
@@ -231,12 +232,13 @@ class BlockCrossingLoopingScheme(RoutingScheme):
             next_vertex[5, t] = 4
             next_vertex[4, t] = 3
             next_vertex[3, t] = 4
+        slots = hop_slots(self._g, np.arange(6)[:, None], next_vertex)
         if self._tables == "blocked":
             step = BlockedNextHop(
-                6, 2, [next_vertex[lo:lo + 2] for lo in range(0, 6, 2)]
+                6, 2, [slots[lo:lo + 2] for lo in range(0, 6, 2)]
             )
         else:
-            step = BlockedNextHop(6, 6, [next_vertex])
+            step = BlockedNextHop(6, 6, [slots])
 
         def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
             batch = sources.shape[0]
@@ -296,8 +298,8 @@ def test_blocked_lookup_error_matches_dense():
     dense = compile_substrate_tables(substrate, "dense")
     off_diagonal = ~np.eye(16, dtype=bool)
     missing = {
-        PHASE_DIRECT: np.argwhere((dense.direct_next < 0) & off_diagonal)[0],
-        PHASE_DOWN: np.argwhere((dense.down_next < 0) & off_diagonal)[0],
+        PHASE_DIRECT: np.argwhere((dense.direct_slot < 0) & off_diagonal)[0],
+        PHASE_DOWN: np.argwhere((dense.down_slot < 0) & off_diagonal)[0],
     }
     for leg_phase, (at, target) in missing.items():
         expected = (
@@ -417,18 +419,23 @@ class TestDenseTableLimit:
 # ----------------------------------------------------------------------
 
 
-def test_pair_weights_matches_dense(net):
+def test_edge_slots_match_dense(net):
+    """Every pair's slot, against dense head and weight matrices: an
+    edge's slot reads back its head and its exact weight, a non-edge
+    reads ``-1``."""
     csr = CSRGraph.from_digraph(net.graph)
     dense = np.full((net.n, net.n), np.nan)
     for u in range(net.n):
         for v, w in net.graph.out_neighbors(u):
             dense[u, v] = w
     tails, heads = np.divmod(np.arange(net.n * net.n), net.n)
-    sparse = csr.pair_weights(tails, heads)
-    expected = dense[tails, heads]
-    both_nan = np.isnan(sparse) & np.isnan(expected)
-    assert np.array_equal(sparse[~both_nan], expected[~both_nan])
-    assert np.array_equal(np.isnan(sparse), np.isnan(expected))
+    slots = edge_slots(net.graph, tails, heads)
+    edge = ~np.isnan(dense[tails, heads])
+    assert (slots[edge] >= 0).all() and (slots[~edge] == -1).all()
+    assert np.array_equal(csr.out_heads[slots[edge]], heads[edge])
+    assert np.array_equal(
+        csr.out_weights[slots[edge]], dense[tails, heads][edge]
+    )
 
 
 def test_default_block_rows_bounds():
@@ -446,8 +453,8 @@ def test_landmark_tables_are_subquadratic(net):
     scheme = big.build_scheme("stretch6")
     scheme.rtz.__dict__.pop("_compiled_step_tables", None)
     tables = compile_substrate_tables(scheme.rtz, "blocked")
-    assert isinstance(tables.direct_next, PairTable)
-    assert isinstance(tables.down_next, PairTable)
+    assert isinstance(tables.direct_slot, PairTable)
+    assert isinstance(tables.down_slot, PairTable)
     n = big.n
     assert tables.nbytes() < 4 * n * n
     dense = compile_substrate_tables(scheme.rtz, "dense")

@@ -24,6 +24,7 @@ from repro.covers.sparse_cover import (
     verify_cover_properties,
 )
 from repro.exceptions import ConstructionError, TableLookupError
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import Digraph
 from repro.graph.generators import (
     FAMILY_NAMES,
@@ -448,9 +449,17 @@ class TestTreeTables:
                 ((node + v) * n + lo, hi, g.head_of_port(v, port), port)
                 for v, lo, hi, port in out.interval_rows()
             ]
-        # the sorted references equal the arrays: every entry, none extra
+        # the sorted references equal the arrays: every entry, none
+        # extra; each slot is an out-edge of the entry's own vertex, and
+        # reads back the vertex its port reaches
+        csr = CSRGraph.from_digraph(g)
+        slot_tail = np.repeat(np.arange(n), np.diff(csr.out_indptr))
+        assert np.array_equal(slot_tail[tables.up_slot], tables.up_keys % n)
+        assert np.array_equal(
+            slot_tail[tables.row_slot], tables.row_keys // n % n
+        )
         assert sorted(up) == list(zip(
-            tables.up_keys.tolist(), tables.up_next.tolist(),
+            tables.up_keys.tolist(), csr.out_heads[tables.up_slot].tolist(),
             tables.up_port.tolist(),
         ))
         assert sorted(dfs) == list(zip(
@@ -458,7 +467,8 @@ class TestTreeTables:
         ))
         assert sorted(rows) == list(zip(
             tables.row_keys.tolist(), tables.row_hi.tolist(),
-            tables.row_next.tolist(), tables.row_port.tolist(),
+            csr.out_heads[tables.row_slot].tolist(),
+            tables.row_port.tolist(),
         ))
         assert h.table_entry_counts().tolist() == walked_table_entries(h)
 

@@ -21,7 +21,7 @@ from repro.graph.apsp import (
     min_distances,
     vectorized_engine_supported,
 )
-from repro.graph.csr import CSRGraph, edge_ports, port_heads
+from repro.graph.csr import CSRGraph, edge_ports, edge_slots, port_heads
 from repro.graph.digraph import Digraph
 from repro.graph.generators import (
     bidirected_torus,
@@ -275,17 +275,23 @@ class TestCSRGraph:
         assert csr.min_weight() == float("inf")
 
 
-def test_pair_weights_match_digraph():
+def test_edge_slots_match_digraph():
+    """Each edge's slot lies in its tail's CSR row and reads back its
+    head and ``Digraph.weight``; every non-edge reads ``-1``."""
     g = random_strongly_connected(24, rng=random.Random(5))
     csr = CSRGraph.from_digraph(g)
     tails, heads = np.divmod(np.arange(g.n * g.n), g.n)
-    w = csr.pair_weights(tails, heads).reshape(g.n, g.n)
+    slots = edge_slots(g, tails, heads).reshape(g.n, g.n)
     edges = 0
     for u in range(g.n):
         for (v, wt) in g.out_neighbors(u):
-            assert w[u, v] == wt  # exact float identity
+            slot = slots[u, v]
+            assert csr.out_indptr[u] <= slot < csr.out_indptr[u + 1]
+            assert csr.out_heads[slot] == v
+            assert csr.out_weights[slot] == g.weight(u, v) == wt  # exact
             edges += 1
-    assert np.isnan(w).sum() == g.n * g.n - edges
+    assert (slots < 0).sum() == g.n * g.n - edges
+    assert (slots >= -1).all()
 
 
 class TestPortLookups:

@@ -32,6 +32,7 @@ from repro.runtime.engine import (
     JourneyPlan,
     Segment,
     constant_bits,
+    hop_slots,
     run_roundtrips,
 )
 from repro.runtime.scheme import (
@@ -208,7 +209,8 @@ class LoopingScheme(RoutingScheme):
             )
 
         n = self._g.n
-        step = BlockedNextHop(n, n, [next_vertex])
+        slots = hop_slots(self._g, np.arange(n)[:, None], next_vertex)
+        step = BlockedNextHop(n, n, [slots])
         return CompiledRoutes(self._g, step, planner)
 
 
@@ -302,7 +304,8 @@ class InboundLoopingScheme(RoutingScheme):
             )
 
         n = self._g.n
-        step = BlockedNextHop(n, n, [next_vertex])
+        slots = hop_slots(self._g, np.arange(n)[:, None], next_vertex)
+        step = BlockedNextHop(n, n, [slots])
         return CompiledRoutes(self._g, step, planner)
 
 
@@ -511,8 +514,8 @@ def test_deleted_tree_row_raises_on_both_engines():
     climbs, or the child row at the root that it descends by.  The
     hierarchy holds each row once, so the double tree can no longer
     forward there on either engine, for both double-tree schemes."""
-    in_pointer = ("up_keys", "up_next", "up_port")
-    child_row = ("row_keys", "row_hi", "row_next", "row_port")
+    in_pointer = ("up_keys", "up_slot", "up_port")
+    child_row = ("row_keys", "row_hi", "row_slot", "row_port")
     for scheme_name in ("polystretch", "exstretch"):
         for names in (in_pointer, child_row):
             net = Network.from_family("random", N, seed=3, store=None)

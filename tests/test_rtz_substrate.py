@@ -37,6 +37,7 @@ from repro.rtz.routing import (
     RTZStretch3,
 )
 from repro.rtz.spanner import HandshakeSpanner
+from repro.graph.csr import CSRGraph
 from repro.runtime.engine import (
     SubstrateStepTables,
     _pack_pairs,
@@ -412,8 +413,10 @@ class ScalarRTZ:
             path.append(at)
         return path
 
-    def compile(self, tables: str) -> SubstrateStepTables:
-        """The per-vertex compile walk the array compile replaces."""
+    def compile(self, tables: str) -> Dict[str, np.ndarray]:
+        """The per-vertex compile walk the array compile replaces, as
+        next vertices: :func:`compiled_next_vertices` of the compiled
+        tables must equal it."""
         g = self.metric.oracle.graph
         n = g.n
         centers = self.assignment.centers
@@ -446,13 +449,44 @@ class ScalarRTZ:
                     path.append(parents[c][path[-1]])
                 yield [p * n + v for p in path[1:]], path[:-1]
 
-        return SubstrateStepTables(
-            _pack_pairs(n, direct(), tables, np.int32),
-            up_next,
-            _pack_pairs(n, down(), tables, np.int32),
-            np.array(home, dtype=np.int32),
-            np.array([cindex[c] for c in home], dtype=np.int32),
-        )
+        out = {
+            "up_next": up_next,
+            "center_of": np.array(home, dtype=np.int32),
+            "center_idx": np.array([cindex[c] for c in home], dtype=np.int32),
+        }
+        for leg, chunks in (("direct", direct()), ("down", down())):
+            table = _pack_pairs(n, chunks, tables, np.int32)
+            if not isinstance(table, np.ndarray):
+                out[f"{leg}_keys"] = table.keys
+                table = table.values
+            out[f"{leg}_next"] = table
+        return out
+
+
+def compiled_next_vertices(
+    compiled: SubstrateStepTables, graph
+) -> Dict[str, np.ndarray]:
+    """``compiled.arrays()`` with each ``<leg>_slot`` table read back as
+    ``<leg>_next``, the next vertex ``out_heads[slot]`` (``-1`` where
+    there is no entry), after checking that every slot is an out-edge
+    of its entry's own vertex."""
+    csr = CSRGraph.from_digraph(graph)
+    n = graph.n
+    tail = np.append(np.repeat(np.arange(n), np.diff(csr.out_indptr)), -1)
+    head = np.append(csr.out_heads, -1)
+    arrays = compiled.arrays()
+    out = {}
+    for name, arr in arrays.items():
+        leg, _, kind = name.rpartition("_")
+        if kind != "slot":
+            out[name] = arr
+            continue
+        keys = arrays.get(f"{leg}_keys")
+        rows = np.arange(n)[:, None] if keys is None else keys // n
+        rows = np.broadcast_to(rows, arr.shape)
+        assert np.array_equal(tail[arr], np.where(arr >= 0, rows, -1)), name
+        out[f"{leg}_next"] = head[arr].astype(arr.dtype)
+    return out
 
 
 def assert_same_arrays(got: Dict[str, np.ndarray], want: Dict[str, np.ndarray]):
@@ -477,8 +511,10 @@ def assert_matches_reference(rtz: RTZStretch3, ref: ScalarRTZ) -> None:
             assert rtz.route_leg(x, y) == ref.route_leg(x, y), (x, y)
     for tables in ("dense", "blocked"):
         assert_same_arrays(
-            compile_substrate_tables(rtz, tables).arrays(),
-            ref.compile(tables).arrays(),
+            compiled_next_vertices(
+                compile_substrate_tables(rtz, tables), rtz.metric.oracle.graph
+            ),
+            ref.compile(tables),
         )
 
 
