@@ -3,18 +3,22 @@
 The paper leaves distributed construction open and notes centralized
 construction is APSP-class.  Our message-passing simulation makes the
 distributed cost concrete: rounds and messages per phase, verified to
-compute exactly the centralized knowledge.
+compute exactly the centralized knowledge.  E14c measures maintenance
+after one edge-weight change through ``Network.evolve``.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 from conftest import banner, bench_n
 
-from repro.distributed.dynamic import DynamicMaintenance
+from repro.api import Network
 from repro.distributed.preprocessing import DistributedPreprocessing
+from repro.graph.delta import GraphDelta
 from repro.graph.generators import random_strongly_connected
+from repro.graph.roundtrip import level_size
 from repro.graph.shortest_paths import DistanceOracle
 from repro.naming.permutation import random_naming
 
@@ -69,38 +73,45 @@ def test_distributed_message_scaling(benchmark):
 
 
 def test_dynamic_update_cost(benchmark):
-    """E14c — maintenance after one edge-weight change: how much of
-    the table state is actually touched (the Section 6 dynamics)."""
-    import random as _random
-
+    """E14c — maintenance after one edge-weight change through
+    ``Network.evolve``: how much of the table state is actually touched
+    (the Section 6 dynamics)."""
     n = bench_n(24)
-    g = random_strongly_connected(n, rng=_random.Random(5))
-    naming = random_naming(n, _random.Random(6))
-    results = {}
+    g = random_strongly_connected(n, rng=random.Random(5))
+    net = Network(g, seed=6, store=None)
+    net.oracle()  # the repair starts from the oracle in memory
+    names = net.naming()  # ... and carries the names it holds
+    edge = random.Random(8).choice(list(g.edges()))
+    delta = GraphDelta.reweight(edge.tail, edge.head, edge.weight * 3)
 
-    def run():
-        prep = DistributedPreprocessing(g, naming, seed=7)
-        build_messages = prep.total_messages()
-        maint = DynamicMaintenance(prep)
-        edge = _random.Random(8).choice(list(g.edges()))
-        new_g, report = maint.update_edge_weight(
-            edge.tail, edge.head, edge.weight * 3
+    child = benchmark.pedantic(
+        lambda: net.evolve(delta), rounds=1, iterations=1
+    )
+    repair = child.stats().repair
+    assert repair.incremental == 1
+    cold = DistanceOracle(child.graph)
+    assert np.array_equal(child.oracle().d_matrix, cold.d_matrix)
+    assert np.array_equal(child.oracle().parent_matrix(), cold.parent_matrix())
+    size = level_size(n, 1, 2)
+    changed_nb = sum(
+        set(before) != set(after)
+        for before, after in zip(
+            net.metric().neighborhoods(size).tolist(),
+            child.metric().neighborhoods(size).tolist(),
         )
-        maint.verify(DistanceOracle(new_g))
-        results["build_messages"] = build_messages
-        results["update"] = report
-        return results
-
-    benchmark.pedantic(run, rounds=1, iterations=1)
-    report = results["update"]
+    )
+    assert child.naming() is names
+    names_changed = sum(
+        child.naming().name_of(v) != names.name_of(v) for v in range(n)
+    )
     banner(f"E14c / Section 6 - one edge-weight update (n={n})")
-    total_entries = 2 * n * n
-    print(f"repair rounds              : {report.rounds}")
-    print(f"repair messages            : {report.messages}")
-    print(f"distance entries changed   : {report.dist_entries_changed} "
-          f"of {total_entries}")
-    print(f"neighborhoods changed      : "
-          f"{report.nodes_with_changed_neighborhood} of {n} nodes")
-    print(f"node names changed         : {report.names_changed} "
+    rows = repair.rows_recomputed + repair.rows_reused
+    print(f"oracle rows recomputed     : {repair.rows_recomputed} of {rows}")
+    print(f"distance entries changed   : {repair.entries_changed} "
+          f"of {n * n}")
+    print(f"artifacts carried          : {repair.artifacts_carried} "
+          "(the naming)")
+    print(f"neighborhoods changed      : {changed_nb} of {n} nodes")
+    print(f"node names changed         : {names_changed} "
           "(the TINN promise)")
-    assert report.names_changed == 0
+    assert names_changed == 0

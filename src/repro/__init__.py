@@ -31,7 +31,6 @@ from repro.api import (
 from repro.analysis.stretch import stretch_distribution
 from repro.analysis.tables import breakdown
 from repro.covers.hierarchy import TreeHierarchy
-from repro.distributed.dynamic import DynamicMaintenance
 from repro.distributed.preprocessing import DistributedPreprocessing
 from repro.covers.sparse_cover import DoubleTreeCover, cover
 from repro.dictionary.distribution import BlockDistribution
@@ -111,5 +110,4 @@ __all__ = [
     # extensions
     "WildNameStretchSix",
     "DistributedPreprocessing",
-    "DynamicMaintenance",
 ]

@@ -342,11 +342,11 @@ class Network:
         * **Oracle** — when this network's oracle is in memory and the
           delta is in the incremental protocol's regime
           (:mod:`repro.graph.repair`), the successor's oracle is
-          repaired row-wise (bit-identical to a cold build, including a
-          patched dense first-hop matrix when one was memoized) and
-          injected into the successor's cache.  Otherwise the oracle is
-          left to the ordinary keyed build path — which still reuses
-          unchanged store artifacts by the *new* graph's content hash.
+          repaired row-wise (``d`` and the parents, bit-identical to a
+          cold build) and injected into the successor's cache.
+          Otherwise the oracle is left to the ordinary keyed build
+          path — which still reuses unchanged store artifacts by the
+          *new* graph's content hash.
         * **Namings** — the adversarial naming and any hashed namings
           are pure functions of ``(n, seed)``; when the delta preserves
           ``n`` they are carried over verbatim (the TINN promise:

@@ -516,7 +516,7 @@ def _register_churn_evolve_case(label: str, mode: str, n: int = 192):
         size = ctx.n(n)
         graph = build_family_graph("random", size, ctx.seed)
         net = Network(graph, seed=ctx.seed, store=None)
-        net.oracle().first_hop_matrix()  # warm: repair patches in place
+        net.oracle()  # warm: repair starts from the oracle in memory
         edge = next(iter(graph.edges()))
         delta = GraphDelta.reweight(edge.tail, edge.head, edge.weight * 1.5)
         if mode == "incremental":
@@ -529,7 +529,7 @@ def _register_churn_evolve_case(label: str, mode: str, n: int = 192):
 
             def run():
                 child = Network(new_graph, seed=ctx.seed, store=None)
-                child.oracle().first_hop_matrix()
+                child.oracle()
                 return child
 
         return run

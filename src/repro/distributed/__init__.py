@@ -1,12 +1,8 @@
-"""Distributed table construction and maintenance (the Section 6 open
-problems, made concrete as synchronous message-passing simulations
-with full round/message accounting)."""
+"""Distributed table construction (a Section 6 open problem, made
+concrete as a synchronous message-passing simulation with full
+round/message accounting).  Maintenance across topology change is
+:meth:`repro.api.network.Network.evolve`."""
 
-from repro.distributed.dynamic import (
-    DynamicMaintenance,
-    UpdateReport,
-    reweighted_copy,
-)
 from repro.distributed.preprocessing import (
     DistributedPreprocessing,
     NodeState,
@@ -17,7 +13,4 @@ __all__ = [
     "DistributedPreprocessing",
     "NodeState",
     "PhaseCost",
-    "DynamicMaintenance",
-    "UpdateReport",
-    "reweighted_copy",
 ]

@@ -27,14 +27,13 @@ class TableTooLargeError(GraphError):
     """Raised instead of silently allocating an ``(n, n)`` table when
     ``n`` exceeds the dense-table threshold.
 
-    Dense structures (``DistanceOracle.first_hop_matrix()``) are
-    quadratic in memory; above
-    :func:`repro.graph.limits.dense_table_max_n` they would OOM a
-    laptop-class host long before numpy reported anything useful.  The
-    blocked/landmark table family (``--tables blocked``) is the supported
-    path at that scale; the threshold can be raised explicitly via the
-    ``REPRO_DENSE_MAX_N`` environment variable when the memory is truly
-    available.
+    The dense table family is quadratic in memory, so the full-table
+    baseline's dense compile (``ShortestPathScheme.compile_tables``)
+    refuses graphs above :func:`repro.graph.limits.dense_table_max_n`.
+    The blocked/landmark table family (``--tables blocked``) is the
+    supported path at that scale; the threshold can be raised explicitly
+    via the ``REPRO_DENSE_MAX_N`` environment variable when the memory
+    is truly available.
     """
 
 

@@ -59,7 +59,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.graph.apsp import TIE_EPS, apsp_rows, vectorized_engine_supported
-from repro.graph.blocked import first_hops_for_sources
 from repro.graph.csr import CSRGraph
 from repro.graph.delta import (
     DeltaOp,
@@ -115,16 +114,12 @@ class RepairedAPSP:
         graph: the new frozen graph (delta applied).
         d: ``(n, n)`` repaired distance matrix.
         parent: ``(n, n)`` repaired canonical parent matrix.
-        touched: sorted unique source rows recomputed at least once —
-            exactly the rows whose derived per-row artifacts (first-hop
-            rows, tree addresses) may differ from the predecessor's.
         report: the accounting.
     """
 
     graph: Digraph
     d: np.ndarray
     parent: np.ndarray
-    touched: np.ndarray
     report: RepairReport = field(default_factory=RepairReport)
 
 
@@ -182,7 +177,6 @@ def repair_apsp(
     d = np.array(d, dtype=np.float64)
     parent = np.array(parent, dtype=np.int64)
     report = RepairReport(ops=len(delta.ops))
-    touched_mask = np.zeros(n, dtype=bool)
     g = graph
     for op in delta.ops:
         g = g.apply_delta(GraphDelta((op,)))
@@ -197,15 +191,8 @@ def repair_apsp(
             report.entries_changed += int(np.count_nonzero(nd != d[rows]))
             d[rows] = nd
             parent[rows] = npar
-            touched_mask[rows] = True
     report.seconds = time.perf_counter() - t0
-    return RepairedAPSP(
-        graph=g,
-        d=d,
-        parent=parent,
-        touched=np.flatnonzero(touched_mask),
-        report=report,
-    )
+    return RepairedAPSP(graph=g, d=d, parent=parent, report=report)
 
 
 def repair_oracle(
@@ -216,12 +203,9 @@ def repair_oracle(
 
     On success, returns the successor oracle (rehydrated via
     :meth:`DistanceOracle.from_arrays` on the new graph, so it is
-    indistinguishable from a cold build) plus the repair record.  When
-    the predecessor has a memoized dense first-hop matrix, the
-    successor's is patched row-wise too — only the ``touched`` rows are
-    re-folded (:func:`~repro.graph.blocked.first_hops_for_sources`);
-    untouched rows have identical parent rows, so their first-hop rows
-    are identical by construction.
+    indistinguishable from a cold build) plus the repair record.  Only
+    ``d`` and the parents are repaired; everything derived from them is
+    rebuilt from the successor.
 
     Returns ``None`` when the repair protocol does not apply *or* the
     repaired graph is not strongly connected — in both cases the
@@ -236,15 +220,6 @@ def repair_oracle(
     new_oracle = DistanceOracle.from_arrays(
         result.graph, result.d, result.parent, engine=oracle.engine
     )
-    old_first = oracle.cached_first_hops()
-    if old_first is not None and result.touched.size:
-        first = old_first.copy()
-        first[result.touched] = first_hops_for_sources(
-            result.parent[result.touched], result.touched
-        )
-        new_oracle.seed_first_hops(first)
-    elif old_first is not None:
-        new_oracle.seed_first_hops(old_first)
     return new_oracle, result
 
 

@@ -414,66 +414,6 @@ class DistanceOracle:
         (:mod:`repro.graph.repair`) edits row-wise."""
         return self._parent.astype(np.int64)
 
-    def cached_first_hops(self) -> "np.ndarray | None":
-        """The memoized dense first-hop matrix, or ``None`` when
-        :meth:`first_hop_matrix` has not run yet (repair uses this to
-        decide whether there is a table worth patching)."""
-        return getattr(self, "_first_hop", None)
-
-    def seed_first_hops(self, first: np.ndarray) -> None:
-        """Install a precomputed dense first-hop matrix.
-
-        The incremental repair path builds the successor oracle's
-        matrix by patching only the invalidated rows of the
-        predecessor's; the result must equal what
-        :meth:`first_hop_matrix` would compute from scratch (the churn
-        differential suite asserts bit-identity).
-        """
-        first = np.asarray(first, dtype=np.int32)
-        if first.shape != (self.n, self.n):
-            raise GraphError(
-                f"first-hop matrix has shape {first.shape}, "
-                f"expected ({self.n}, {self.n})"
-            )
-        if first.flags.writeable:
-            first = first.copy()
-            first.flags.writeable = False
-        self._first_hop = first
-
-    def first_hop_matrix(self) -> np.ndarray:
-        """``(n, n)`` int32 matrix of canonical first hops:
-        ``F[u, v] == next_hop(u, v)`` for every ``u != v`` (``-1`` on
-        the diagonal), computed by vectorized pointer doubling over the
-        cached parent trees and memoized.
-
-        This is the compiled form of full-table forwarding: the
-        vectorized routing engine gathers ``F[at, dest]`` per frontier
-        sweep instead of walking parent chains per packet.
-
-        Raises :class:`~repro.exceptions.TableTooLargeError` above the
-        configured dense-table threshold instead of OOMing; the blocked
-        table family (:meth:`first_hop_block`) covers that regime.
-        """
-        from repro.graph.limits import check_dense_table
-
-        check_dense_table(self.n, "first-hop matrix")
-        cached = getattr(self, "_first_hop", None)
-        if cached is not None:
-            return cached
-        first = self.first_hop_block(0, self.n)
-        first.flags.writeable = False
-        self._first_hop = first
-        return first
-
-    def first_hop_block(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo:hi`` of :meth:`first_hop_matrix`, computed with
-        ``O((hi - lo) * n)`` peak memory from the cached parent trees
-        (each row is a pure function of its own tree, so the block is
-        bit-identical to the corresponding dense slice)."""
-        from repro.graph.blocked import first_hops_for_sources
-
-        return first_hops_for_sources(self._parent[lo:hi], np.arange(lo, hi))
-
     def diameter(self) -> float:
         """One-way diameter ``max d(u, v)``."""
         return float(self._d.max())

@@ -97,9 +97,9 @@ PHASE_UP = 1
 PHASE_DOWN = 2
 
 #: Compiled-table families: ``dense`` stores each step table as
-#: ``(n, n)`` matrices, ``blocked`` as row blocks and sorted pair
-#: tables with o(n²) memory; ``auto`` picks by graph size.  Both make
-#: identical decisions.
+#: ``(n, n)`` matrices, ``blocked`` as sorted pair tables with o(n²)
+#: memory (the full-table baseline's next hops are n² in both); ``auto``
+#: picks by graph size.  Both make identical decisions.
 TABLE_FAMILIES = ("auto", "dense", "blocked")
 
 
@@ -209,43 +209,22 @@ def _pack_pairs(n: int, chunks, tables: str, dtype):
     )
 
 
-class BlockedNextHop(StepTables):
-    """Next-hop step tables: ``slots[u, target]`` is the CSR out-edge
-    slot of the hop from ``u`` toward ``target`` (full-table schemes;
-    also the looping-stub test doubles).
+class NextHopTable(StepTables):
+    """Next-hop step tables of full-table forwarding: ``slots[u, target]``
+    is the CSR out-edge slot of the hop from ``u`` toward ``target``
+    (``-1`` where there is none), one ``(n, n)`` int32 matrix read with
+    one gather.  Full-table routing is n² by definition, so both table
+    families read the same matrix, the one the scheme's own
+    ``forward`` reads."""
 
-    The ``(n, n)`` int32 slot matrix is held as row blocks of
-    ``block_rows`` sources each; block ``b`` holds rows
-    ``[b * block_rows, min(n, (b + 1) * block_rows))``.  Dense storage
-    is the one-block case, gathered in one step; blocked storage
-    builds and holds one array per block, so no single ``(n, n)``
-    array is ever allocated.  Lookups return results in batch order
-    either way, so the decision function — values, phases, and the
-    first-failure error — does not depend on the block geometry.
-    """
-
-    def __init__(self, n: int, block_rows: int, blocks: Sequence[np.ndarray]):
-        self.n = int(n)
-        self.block_rows = int(block_rows)
-        self.blocks = list(blocks)
-
-    def nbytes(self) -> int:
-        """Bytes resident across all currently-loaded blocks."""
-        return sum(int(blk.nbytes) for blk in self.blocks)
+    def __init__(self, slots: np.ndarray):
+        self.slots = slots
 
     def begin_phase(self, at, target, tree=None) -> np.ndarray:
         return np.zeros(at.shape[0], dtype=np.int8)
 
     def step(self, at, target, phase, tree=None):
-        if len(self.blocks) == 1:
-            slot = self.blocks[0][at, target]
-        else:
-            slot = np.empty(at.shape[0], dtype=np.int32)
-            bidx = at // self.block_rows
-            for b in np.unique(bidx):
-                sel = bidx == b
-                block = self.blocks[int(b)]
-                slot[sel] = block[at[sel] - int(b) * self.block_rows, target[sel]]
+        slot = self.slots[at, target]
         if (slot < 0).any():
             bad = int(np.flatnonzero(slot < 0)[0])
             raise TableLookupError(
@@ -253,58 +232,6 @@ class BlockedNextHop(StepTables):
                 f"{int(target[bad])}"
             )
         return slot, phase
-
-
-def _first_hop_slots(oracle, lo: int, first: np.ndarray) -> np.ndarray:
-    """First-hop rows ``lo:lo + len(first)`` as a read-only int32 slot
-    block, converted a few rows at a time: the lookup makes about eight
-    int64 temporaries per entry, so a chunk of them stays about one
-    default block's bytes."""
-    from repro.graph.blocked import default_block_rows
-
-    step = default_block_rows(oracle.n, 8 * oracle.n)
-    block = np.empty(first.shape, dtype=np.int32)
-    for i in range(0, first.shape[0], step):
-        rows = np.arange(lo + i, lo + min(i + step, first.shape[0]))
-        block[i:i + step] = hop_slots(
-            oracle.graph, rows[:, None], first[i:i + step]
-        )
-    block.flags.writeable = False
-    return block
-
-
-def compile_next_hop(oracle, tables: str = "dense") -> BlockedNextHop:
-    """Next-hop step tables of full-table forwarding in the given
-    family: ``dense`` is one block, the slots of the oracle's memoized
-    first-hop matrix (an ``(n, n)`` int32 array beside it); ``blocked``
-    is :func:`compile_blocked_next_hop`'s per-block rows."""
-    if tables == "blocked":
-        return compile_blocked_next_hop(oracle)
-    first = _first_hop_slots(oracle, 0, oracle.first_hop_matrix())
-    return BlockedNextHop(oracle.n, oracle.n, [first])
-
-
-def compile_blocked_next_hop(
-    oracle, block_rows: Optional[int] = None
-) -> BlockedNextHop:
-    """Build :class:`BlockedNextHop` tables from a distance oracle,
-    one source block at a time.
-
-    Each block is folded from the oracle's parent rows via
-    :meth:`DistanceOracle.first_hop_block` and converted to slots, so
-    the working memory is ``O(block_rows * n)``.
-    """
-    from repro.graph.blocked import default_block_rows
-
-    n = oracle.n
-    if block_rows is None:
-        block_rows = default_block_rows(n)
-    block_rows = max(1, min(max(n, 1), int(block_rows)))
-    blocks: List[np.ndarray] = []
-    for lo in range(0, n, block_rows):
-        first = oracle.first_hop_block(lo, min(n, lo + block_rows))
-        blocks.append(_first_hop_slots(oracle, lo, first))
-    return BlockedNextHop(n, block_rows, blocks)
 
 
 class SubstrateStepTables(StepTables):

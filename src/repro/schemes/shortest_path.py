@@ -9,16 +9,16 @@ to avoid.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 import numpy as np
 
 from repro.api.registry import register_scheme
-from repro.graph.blocked import default_block_rows
-from repro.graph.csr import edge_ports
+from repro.exceptions import TableLookupError
+from repro.graph.blocked import next_hop_slots
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import Digraph
 from repro.graph.shortest_paths import DistanceOracle
 from repro.naming.permutation import Naming
+from repro.runtime.engine import NextHopTable
 from repro.runtime.scheme import (
     Decision,
     Deliver,
@@ -31,6 +31,13 @@ from repro.runtime.scheme import (
 class ShortestPathScheme(RoutingScheme):
     """Full-table optimal routing (the non-compact baseline).
 
+    The tables are one read-only ``(n, n)`` int32 matrix: entry
+    ``[u, t]`` is the CSR out-edge slot of the first hop on the
+    canonical shortest path ``u -> t``
+    (:func:`~repro.graph.blocked.next_hop_slots`).  ``forward`` sends a
+    packet on that slot's port, and both compiled table families read
+    the same matrix.
+
     Args:
         oracle: distance oracle of the graph.
         naming: adversarial node naming.
@@ -41,20 +48,8 @@ class ShortestPathScheme(RoutingScheme):
     def __init__(self, oracle: DistanceOracle, naming: Naming):
         self._oracle = oracle
         self._naming = naming
-        g = oracle.graph
-        n = g.n
-        names = [naming.name_of(t) for t in range(n)]
-        # table[u][dest_name] = port of the first hop, one row block of
-        # the first-hop matrix at a time
-        self._table: List[Dict[int, int]] = []
-        step = default_block_rows(n)
-        for lo in range(0, n, step):
-            first = oracle.first_hop_block(lo, min(n, lo + step))
-            tails = np.repeat(np.arange(lo, lo + first.shape[0]), n)
-            ports = edge_ports(g, tails, first.reshape(-1))
-            for u, row in enumerate(ports.reshape(first.shape).tolist(), lo):
-                del row[u]
-                self._table.append(dict(zip(names[:u] + names[u + 1:], row)))
+        self._out_heads = CSRGraph.from_digraph(oracle.graph).out_heads
+        self._next_hop = NextHopTable(next_hop_slots(oracle))
 
     @property
     def graph(self) -> Digraph:
@@ -82,28 +77,38 @@ class ShortestPathScheme(RoutingScheme):
         dest_name = header["dest"]
         if self._naming.name_of(at) == dest_name:
             return Deliver(header)
-        return Forward(self._table[at][dest_name], header)
+        slot = int(self._next_hop.slots[at, self._naming.vertex_of(dest_name)])
+        if slot < 0:
+            raise TableLookupError(
+                f"no next hop at vertex {at} toward name {dest_name}"
+            )
+        head = int(self._out_heads[slot])
+        return Forward(self.graph.port_of(at, head), header)
 
     def table_entries(self, vertex: int) -> int:
-        return len(self._table[vertex])
+        return int(np.count_nonzero(self._next_hop.slots[vertex] >= 0))
 
     # ------------------------------------------------------------------
     # compiled execution
     # ------------------------------------------------------------------
     def compile_tables(self, tables: str = "dense"):
-        """Next-hop tables: one leg per direction, headers of constant
-        shape (``mode``/``dest``/``src``)."""
+        """The scheme's one next-hop table, whatever the family (the
+        dense family still refuses graphs above the dense-table
+        threshold); one leg per direction, headers of constant shape
+        (``mode``/``dest``/``src``)."""
+        from repro.graph.limits import check_dense_table
         from repro.runtime.engine import (
             CompiledRoutes,
             JourneyPlan,
             Segment,
-            compile_next_hop,
             constant_bits,
         )
         from repro.runtime.scheme import NEW_PACKET, RETURN_PACKET
         from repro.runtime.sizing import header_bits
 
         n = self.graph.n
+        if tables == "dense":
+            check_dense_table(n, "next-hop table")
         fresh = {"mode": NEW_PACKET, "dest": 0}
         out = {"mode": "out", "dest": 0, "src": 0}
         ret = dict(out)
@@ -113,7 +118,6 @@ class ShortestPathScheme(RoutingScheme):
         b_out = header_bits(out, n)
         b_ret = header_bits(ret, n)
         b_back = header_bits(back, n)
-        step_tables = compile_next_hop(self._oracle, tables)
 
         def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
             batch = sources.shape[0]
@@ -128,7 +132,7 @@ class ShortestPathScheme(RoutingScheme):
                 ],
             )
 
-        return CompiledRoutes(self.graph, step_tables, planner, family=tables)
+        return CompiledRoutes(self.graph, self._next_hop, planner, family=tables)
 
 
 @register_scheme(

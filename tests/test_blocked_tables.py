@@ -11,8 +11,9 @@ halves down:
   execution paths (python / dense / blocked) produce identical traces;
 * property (hypothesis): for *any* block size — 1, ``n``, non-dividing —
   blocked APSP block concatenation equals the monolithic matrices
-  bit-for-bit, and per-block store artifacts rehydrate bit-identically;
-* limits: ``first_hop_matrix()`` raises :class:`TableTooLargeError`
+  bit-for-bit, and so does the full-table baseline's next-hop slot
+  matrix folded block by block;
+* limits: the baseline's dense compile raises :class:`TableTooLargeError`
   above the ``REPRO_DENSE_MAX_N`` threshold instead of OOMing, and
   ``--tables auto`` flips to blocked there;
 * memory: landmark-factored substrate tables stay o(n²).
@@ -30,13 +31,12 @@ from hypothesis import strategies as st
 from repro.api import Network
 from repro.exceptions import (
     GraphError,
-    HopLimitExceeded,
     RoutingError,
     TableLookupError,
     TableTooLargeError,
 )
 from repro.graph.apsp import apsp_matrices, apsp_rows
-from repro.graph.blocked import default_block_rows, first_hops_for_sources
+from repro.graph.blocked import default_block_rows, next_hop_slots
 from repro.graph.csr import CSRGraph, PairTable, edge_slots
 from repro.graph.digraph import Digraph
 from repro.graph.generators import random_strongly_connected
@@ -45,24 +45,18 @@ from repro.graph.limits import (
     dense_table_max_n,
 )
 from repro.graph.shortest_paths import DistanceOracle
+from repro.naming.permutation import identity_naming
 from repro.runtime.engine import (
     PHASE_DIRECT,
     PHASE_DOWN,
     TABLE_FAMILIES,
-    BlockedNextHop,
-    CompiledRoutes,
-    JourneyPlan,
-    Segment,
-    compile_blocked_next_hop,
+    NextHopTable,
     compile_substrate_tables,
-    constant_bits,
-    hop_slots,
     resolve_table_family,
 )
-from repro.runtime.scheme import Decision, Forward, Header, RoutingScheme
 from repro.runtime.simulator import Simulator
-from repro.runtime.sizing import header_bits
 from repro.runtime.traffic import generate_workload, run_workload
+from repro.schemes.shortest_path import ShortestPathScheme
 
 N = 32
 PAIRS = 48
@@ -170,128 +164,14 @@ def test_network_rejects_unknown_table_family():
         Network.from_family("random", 8, seed=1, tables="sparse")
 
 
-# ----------------------------------------------------------------------
-# HopLimitExceeded ordering across block boundaries
-# ----------------------------------------------------------------------
-
-
-class BlockCrossingLoopingScheme(RoutingScheme):
-    """Outbound chain ``0 -> ... -> 5``; the acknowledgment bounces
-    ``4 <-> 3`` forever.
-
-    With ``block_rows=2`` the loop vertices 3 and 4 live in *different*
-    row blocks (blocks ``[2, 3]`` and ``[4, 5]``), so every loop step
-    crosses a block boundary — the first-input-order
-    :class:`HopLimitExceeded` contract must survive the per-block
-    gather.
-    """
-
-    name = "block-crossing-looping-stub"
-
-    def __init__(self, tables: str = "blocked"):
-        g = Digraph(6)
-        for i in range(5):
-            g.add_edge(i, i + 1, 1.0)
-        g.add_edge(5, 4, 1.0)
-        g.add_edge(4, 3, 1.0)
-        g.freeze(port_rng=random.Random(0))
-        self._g = g
-        self._tables = tables
-
-    @property
-    def graph(self) -> Digraph:
-        return self._g
-
-    def name_of(self, vertex: int) -> int:
-        return vertex
-
-    def vertex_of(self, name: int) -> int:
-        return name
-
-    def forward(self, at: int, header: Header) -> Decision:
-        if header["mode"] in ("new", "o"):
-            out = {"mode": "o", "dest": header["dest"]}
-            if at == header["dest"]:
-                from repro.runtime.scheme import Deliver
-
-                return Deliver(out)
-            return Forward(self._g.port_of(at, at + 1), out)
-        out = {"mode": "r", "dest": header["dest"]}
-        nxt = 4 if at in (5, 3) else 3
-        return Forward(self._g.port_of(at, nxt), out)
-
-    def table_entries(self, vertex: int) -> int:
-        return 1
-
-    def compile_tables(self, tables: str = "dense") -> CompiledRoutes:
-        bits = header_bits({"mode": "new", "dest": 0}, self._g.n)
-        next_vertex = np.full((6, 6), -1, dtype=np.int64)
-        for i in range(5):
-            next_vertex[i, 5] = i + 1
-        for t in range(5):
-            next_vertex[5, t] = 4
-            next_vertex[4, t] = 3
-            next_vertex[3, t] = 4
-        slots = hop_slots(self._g, np.arange(6)[:, None], next_vertex)
-        if self._tables == "blocked":
-            step = BlockedNextHop(
-                6, 2, [slots[lo:lo + 2] for lo in range(0, 6, 2)]
-            )
-        else:
-            step = BlockedNextHop(6, 6, [slots])
-
-        def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
-            batch = sources.shape[0]
-            return JourneyPlan(
-                legs=[
-                    [Segment(dests.copy(), constant_bits(bits, batch))],
-                    [Segment(sources.copy(), constant_bits(bits, batch))],
-                ],
-                leg_init_bits=[
-                    constant_bits(bits, batch),
-                    constant_bits(bits, batch),
-                ],
-            )
-
-        return CompiledRoutes(self._g, step, planner, family=self._tables)
-
-
-def test_hop_limit_messages_match_across_families():
-    messages = {}
-    for tables in ("dense", "blocked"):
-        sim = Simulator(BlockCrossingLoopingScheme(tables), hop_limit=15)
-        with pytest.raises(HopLimitExceeded) as exc:
-            sim.roundtrip_many([(0, 5)], engine="vectorized")
-        messages[tables] = str(exc.value)
-    py_sim = Simulator(BlockCrossingLoopingScheme(), hop_limit=15)
-    with pytest.raises(HopLimitExceeded) as exc:
-        py_sim.roundtrip_many([(0, 5)], engine="python")
-    assert messages["dense"] == messages["blocked"] == str(exc.value)
-    assert "from 5 to 0" in messages["blocked"]
-
-
-def test_hop_limit_first_input_pair_wins_across_blocks():
-    """Pair (2, 5)'s budget dies sweeps before pair (0, 5)'s, but the
-    sequential reference raises for the first input-order pair — the
-    blocked gather must preserve that even though the loop vertices sit
-    in different blocks."""
-    for tables in ("dense", "blocked"):
-        sim = Simulator(BlockCrossingLoopingScheme(tables), hop_limit=15)
-        with pytest.raises(HopLimitExceeded) as exc:
-            sim.roundtrip_many([(0, 5), (2, 5)], engine="vectorized")
-        assert "from 5 to 0" in str(exc.value)
-
-
 def test_blocked_lookup_error_matches_dense():
     """A missing entry raises the same message from either family."""
-    for tables in ("dense", "blocked"):
-        scheme = BlockCrossingLoopingScheme(tables)
-        compiled = scheme.compiled_routes(tables)
-        at = np.array([2], dtype=np.int64)
-        target = np.array([0], dtype=np.int64)  # no outbound entry
-        phase = compiled.tables.begin_phase(at, target)
-        with pytest.raises(Exception, match="no compiled next hop at vertex 2"):
-            compiled.tables.step(at, target, phase)
+    # next hops: both families read one matrix
+    step = NextHopTable(np.full((3, 3), -1, dtype=np.int32))
+    at = np.array([2], dtype=np.int64)
+    target = np.array([0], dtype=np.int64)
+    with pytest.raises(TableLookupError, match="no compiled next hop at vertex 2"):
+        step.step(at, target, step.begin_phase(at, target))
     # substrate legs: a missing direct entry and a missing down-tree
     # entry, looked up in both storages
     substrate = Network.from_family("random", 16, seed=5).rtz()
@@ -349,8 +229,6 @@ def test_apsp_rows_any_chunking_equals_monolithic(n, chunk_elems, seed):
     d_rows, p_rows = apsp_rows(csr, sources, chunk_elems=chunk_elems)
     assert np.array_equal(d_rows, d[sources])
     assert np.array_equal(p_rows, parent[sources])
-    first = DistanceOracle(graph).first_hop_matrix()
-    assert np.array_equal(first_hops_for_sources(p_rows, sources), first[sources])
 
 
 @settings(max_examples=20, deadline=None)
@@ -360,25 +238,26 @@ def test_apsp_rows_any_chunking_equals_monolithic(n, chunk_elems, seed):
     seed=st.integers(min_value=0, max_value=5),
 )
 def test_first_hop_blocks_equal_matrix(n, block_rows, seed):
-    """First-hop rows folded one block of sources at a time, for any
-    block size, concatenate to the oracle's first-hop matrix; so do the
-    oracle's own per-block slices."""
+    """The full-table baseline's slot matrix folded one block of
+    sources at a time, for any block size — one row, non-dividing
+    sizes, the whole range — is the one-block matrix, and each entry is
+    the slot of the edge to the oracle's next hop."""
     graph = _graph(n, seed)
     oracle = DistanceOracle(graph)
-    full = oracle.first_hop_matrix()
-    parent = apsp_matrices(CSRGraph.from_digraph(graph))[1]
-    cat = np.concatenate([
-        first_hops_for_sources(parent[lo:lo + block_rows],
-                               np.arange(lo, min(lo + block_rows, n)))
-        for lo in range(0, n, block_rows)
-    ], axis=0)
-    assert cat.dtype == full.dtype
-    assert np.array_equal(cat, full)
-    lo = min(1, n - 1)
-    assert np.array_equal(oracle.first_hop_block(lo, n), full[lo:n])
-    blocks = [oracle.first_hop_block(lo, min(lo + block_rows, n))
-              for lo in range(0, n, block_rows)]
-    assert np.array_equal(np.concatenate(blocks, axis=0), full)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.graph.blocked._BLOCK_ELEMS", block_rows * n)
+        assert default_block_rows(n) == min(block_rows, n)
+        split = next_hop_slots(oracle)
+    whole = next_hop_slots(oracle)
+    assert default_block_rows(n) == n
+    assert split.dtype == whole.dtype == np.int32
+    assert np.array_equal(split, whole)
+    csr = CSRGraph.from_digraph(graph)
+    u, t = np.nonzero(~np.eye(n, dtype=bool))
+    slot = whole[u, t]
+    assert ((csr.out_indptr[u] <= slot) & (slot < csr.out_indptr[u + 1])).all()
+    assert np.array_equal(csr.out_heads[slot], oracle.next_hops(u, t))
+    assert (np.diag(whole) == -1).all()
 
 
 # ----------------------------------------------------------------------
@@ -386,17 +265,22 @@ def test_first_hop_blocks_equal_matrix(n, block_rows, seed):
 # ----------------------------------------------------------------------
 
 
+def _baseline(n: int) -> ShortestPathScheme:
+    return ShortestPathScheme(DistanceOracle(_graph(n, seed=2)), identity_naming(n))
+
+
 class TestDenseTableLimit:
     def test_first_hop_matrix_raises_above_threshold(self, monkeypatch):
         monkeypatch.setenv("REPRO_DENSE_MAX_N", "8")
-        oracle = DistanceOracle(_graph(12, seed=2))
+        scheme = _baseline(12)
         with pytest.raises(TableTooLargeError, match="--tables blocked"):
-            oracle.first_hop_matrix()
+            scheme.compiled_routes("dense")
         with pytest.raises(TableTooLargeError, match="REPRO_DENSE_MAX_N"):
-            oracle.first_hop_matrix()
-        # the streaming path keeps working at the same size
-        block = oracle.first_hop_block(0, 4)
-        assert block.shape == (4, 12)
+            scheme.compiled_routes("dense")
+        # the blocked family serves the same table at the same size
+        compiled = scheme.compiled_routes("auto")
+        assert compiled.family == "blocked"
+        assert compiled.tables.slots.shape == (12, 12)
 
     def test_threshold_default_and_malformed_values(self, monkeypatch):
         monkeypatch.delenv("REPRO_DENSE_MAX_N", raising=False)
@@ -410,8 +294,8 @@ class TestDenseTableLimit:
 
     def test_within_threshold_still_builds(self, monkeypatch):
         monkeypatch.setenv("REPRO_DENSE_MAX_N", "12")
-        oracle = DistanceOracle(_graph(12, seed=2))
-        assert oracle.first_hop_matrix().shape == (12, 12)
+        compiled = _baseline(12).compiled_routes("dense")
+        assert compiled.tables.slots.shape == (12, 12)
 
 
 # ----------------------------------------------------------------------
@@ -459,11 +343,3 @@ def test_landmark_tables_are_subquadratic(net):
     assert tables.nbytes() < 4 * n * n
     dense = compile_substrate_tables(scheme.rtz, "dense")
     assert tables.nbytes() < dense.nbytes() / 2
-
-
-def test_blocked_next_hop_nbytes_counts_blocks():
-    graph = _graph(16, seed=3)
-    oracle = DistanceOracle(graph)
-    tables = compile_blocked_next_hop(oracle, block_rows=5)
-    assert len(tables.blocks) == 4  # 5+5+5+1 rows
-    assert tables.nbytes() == sum(b.nbytes for b in tables.blocks)

@@ -8,11 +8,11 @@ Four concerns, bottom-up:
 * :meth:`~repro.api.Network.evolve` — generation lineage, repair
   accounting, and artifact carry;
 * the **differential**: incremental oracle repair must be
-  *bit-identical* to a cold full rebuild — distances, parents, first
-  hops, and every routed journey, across compiled schemes and both
-  table families, including a hypothesis sweep over random edit
-  sequences (weight increases included: those invalidate paths, the
-  hard direction for repair);
+  *bit-identical* to a cold full rebuild — distances, parents, the
+  shortest-path baseline's next-hop slots, and every routed journey,
+  across compiled schemes and both table families, including a
+  hypothesis sweep over random edit sequences (weight increases
+  included: those invalidate paths, the hard direction for repair);
 * churn timelines — parsing, determinism across worker counts, and
   the per-epoch stretch rows :func:`~repro.runtime.churn.run_timeline`
   threads through :class:`~repro.runtime.traffic.TrafficSummary`.
@@ -38,6 +38,7 @@ from repro.graph.delta import (
     LinkUp,
     Reweight,
 )
+from repro.graph.blocked import next_hop_slots
 from repro.graph.csr import CSRGraph
 from repro.graph.digraph import Digraph
 from repro.graph.scc import is_strongly_connected
@@ -262,6 +263,49 @@ class TestEvolve:
         assert np.array_equal(cold.d_matrix, child.oracle().d_matrix)
         assert np.array_equal(cold.parent_matrix(), child.oracle().parent_matrix())
 
+    def test_reweight_keeps_names(self):
+        """The TINN promise across a chain of reweights: every node
+        keeps its name at every generation."""
+        net = Network(_grid_graph(16, 17, extra=12), seed=4, store=None)
+        net.oracle()
+        names = [net.naming().name_of(v) for v in range(net.n)]
+        rng = random.Random(9)
+        for _ in range(3):
+            e = rng.choice(list(net.graph.edges()))
+            w = e.weight * rng.choice([0.5, 2.0])
+            net = net.evolve(GraphDelta.reweight(e.tail, e.head, w))
+            assert net.stats().repair.incremental == 1
+            assert [net.naming().name_of(v) for v in range(net.n)] == names
+
+    def test_reweight_keeps_landmarks(self):
+        """The rebuilt RTZ substrate keeps its landmarks across a
+        reweight: they come from the network seed, not from the
+        distances."""
+        net = Network(_grid_graph(16, 17, extra=12), seed=4, store=None)
+        net.oracle()
+        landmarks = list(net.rtz().centers)
+        child = net.evolve(GraphDelta.reweight(0, 1, 7.93))
+        assert child.stats().repair.incremental == 1
+        assert child.rtz() is not net.rtz()
+        assert list(child.rtz().centers) == landmarks
+
+    def test_stored_name_routes_after_evolve(self):
+        """An application holds a name; the edge its shortest path
+        leaves by gets dearer; the name still routes, by name, at
+        stretch 1 on the evolved network."""
+        net = Network(_grid_graph(16, 18, extra=12), seed=4, store=None)
+        oracle = net.oracle()
+        s, t = 0, 7
+        name = net.naming().name_of(t)
+        hop = oracle.next_hop(s, t)
+        child = net.evolve(GraphDelta.reweight(s, hop, 7.97))
+        assert child.stats().repair.incremental == 1
+        assert child.oracle().r(s, t) != oracle.r(s, t)
+        result = child.router("shortest_path").route(s, name, by_name=True)
+        assert (result.dest, result.dest_name) == (t, name)
+        assert result.stretch == 1.0
+        assert result.cost == pytest.approx(child.oracle().r(s, t))
+
     def test_cold_parent_means_full_rebuild(self):
         net = Network(_grid_graph(12, 8, extra=8), seed=0, store=None)
         child = net.evolve(GraphDelta.reweight(0, 1, 0.52))
@@ -303,20 +347,23 @@ class TestEvolve:
 # ----------------------------------------------------------------------
 
 def _oracle_triple(net: Network):
+    """``d``, the parents, and the shortest-path baseline's next-hop
+    slot matrix, which is folded from them."""
     oracle = net.oracle()
+    scheme = net.build_scheme("shortest_path")
     return (
         np.array(oracle.d_matrix, copy=True),
         oracle.parent_matrix(),
-        np.array(oracle.first_hop_matrix(), copy=True),
+        scheme.compiled_routes("blocked").tables.slots,
     )
 
 
 def _assert_oracles_identical(evolved: Network, fresh: Network):
-    d1, p1, f1 = _oracle_triple(evolved)
-    d2, p2, f2 = _oracle_triple(fresh)
+    d1, p1, s1 = _oracle_triple(evolved)
+    d2, p2, s2 = _oracle_triple(fresh)
     assert np.array_equal(d1, d2), "repaired distances drifted from rebuild"
     assert np.array_equal(p1, p2), "repaired parents drifted from rebuild"
-    assert np.array_equal(f1, f2), "repaired first hops drifted from rebuild"
+    assert np.array_equal(s1, s2), "next-hop slots drifted from rebuild"
 
 
 def _fresh_like(evolved: Network) -> Network:
@@ -368,17 +415,16 @@ def _mixed_events(g: Digraph) -> Tuple[GraphDelta, ...]:
 
 def test_differential_mixed_sequence_every_event():
     """After *every* event in a mixed churn sequence the repaired
-    oracle equals a cold rebuild bit-for-bit (d, parents, first hops).
-    """
+    oracle equals a cold rebuild bit-for-bit (d, parents, next-hop
+    slots)."""
     net = Network(_grid_graph(24, 13, extra=20), seed=5, store=None)
-    net.oracle().first_hop_matrix()  # memoize so repair patches it
+    net.oracle()  # warm: repair starts from the oracle in memory
     for delta in _mixed_events(net.graph):
         child = net.evolve(delta)
         assert child.stats().repair.incremental == 1, (
             f"expected incremental repair for {delta.op_names()}"
         )
         _assert_oracles_identical(child, _fresh_like(child))
-        child.oracle().first_hop_matrix()
         net = child
 
 
@@ -427,27 +473,24 @@ def test_differential_routed_traces_every_scheme(tables):
 
 
 def test_differential_blocked_first_hops_cross_boundaries(monkeypatch):
-    """Shrink the blocked-family block size so repaired first-hop rows
-    are checked against a rebuild whose blocks split mid-matrix."""
+    """Shrink the row-block size so the next-hop slot matrices of the
+    evolved network and of the cold rebuild are folded in blocks that
+    split mid-matrix; both equal a one-block fold."""
     import repro.graph.blocked as blocked
 
     monkeypatch.setattr(blocked, "_BLOCK_ELEMS", 64)
     net = Network(_grid_graph(20, 15, extra=16), seed=1,
                   store=None, tables="blocked")
-    net.oracle().first_hop_matrix()
+    assert blocked.default_block_rows(net.n) == 3
+    net.oracle()
     child = net.evolve(GraphDelta.reweight(0, 1, 7.91))
     assert child.stats().repair.incremental == 1
     fresh = _fresh_like(child)
     _assert_oracles_identical(child, fresh)
-    # the block iterator itself agrees with the repaired dense matrix
-    repaired = child.oracle().first_hop_matrix()
-    lo = 0
-    while lo < child.n:
-        hi = min(lo + 4, child.n)
-        assert np.array_equal(
-            fresh.oracle().first_hop_block(lo, hi), repaired[lo:hi]
-        )
-        lo = hi
+    split = _oracle_triple(child)[2]
+    monkeypatch.undo()
+    assert blocked.default_block_rows(net.n) == net.n
+    assert np.array_equal(next_hop_slots(child.oracle()), split)
 
 
 @pytest.mark.parametrize("tables", ["dense", "blocked"])
@@ -460,7 +503,7 @@ def test_differential_mixed_timeline_every_event(tables):
     candidates, seeded)."""
     net = Network(_grid_graph(18, 16, extra=12), seed=3,
                   store=None, tables=tables)
-    net.oracle().first_hop_matrix()
+    net.oracle()
     event_docs = (
         ({"op": "reweight"},),
         ({"op": "link_up"}, {"op": "link_down"}),
@@ -480,7 +523,6 @@ def test_differential_mixed_timeline_every_event(tables):
             assert (a.cost, a.hops, a.max_header_bits, a.trace) == (
                 b.cost, b.hops, b.max_header_bits, b.trace
             )
-        child.oracle().first_hop_matrix()
         net = child
 
 
@@ -548,7 +590,7 @@ def _materialize_recipe(g: Digraph, kind: str, salt: int):
 def test_differential_random_edit_sequences(instance):
     gseed, recipes = instance
     net = Network(_grid_graph(12, 20 + gseed, extra=10), seed=0, store=None)
-    net.oracle().first_hop_matrix()
+    net.oracle()
     for kind, salt in recipes:
         op = _materialize_recipe(net.graph, kind, salt)
         if op is None:
@@ -556,7 +598,6 @@ def test_differential_random_edit_sequences(instance):
         child = net.evolve(GraphDelta((op,)))
         assert child.stats().repair.incremental == 1
         _assert_oracles_identical(child, _fresh_like(child))
-        child.oracle().first_hop_matrix()
         net = child
 
 

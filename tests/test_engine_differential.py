@@ -27,9 +27,9 @@ from repro.exceptions import HopLimitExceeded, RoutingError, TableLookupError
 from repro.graph.digraph import Digraph
 from repro.graph.generators import FAMILY_NAMES
 from repro.runtime.engine import (
-    BlockedNextHop,
     CompiledRoutes,
     JourneyPlan,
+    NextHopTable,
     Segment,
     constant_bits,
     hop_slots,
@@ -210,7 +210,7 @@ class LoopingScheme(RoutingScheme):
 
         n = self._g.n
         slots = hop_slots(self._g, np.arange(n)[:, None], next_vertex)
-        step = BlockedNextHop(n, n, [slots])
+        step = NextHopTable(slots)
         return CompiledRoutes(self._g, step, planner)
 
 
@@ -305,7 +305,7 @@ class InboundLoopingScheme(RoutingScheme):
 
         n = self._g.n
         slots = hop_slots(self._g, np.arange(n)[:, None], next_vertex)
-        step = BlockedNextHop(n, n, [slots])
+        step = NextHopTable(slots)
         return CompiledRoutes(self._g, step, planner)
 
 
@@ -507,6 +507,23 @@ def test_deleted_polystretch_row_changes_both_engines_alike():
     py = Simulator(scheme).roundtrip_many(pairs, engine="python")
     assert_traces_equal(py, Simulator(scheme).roundtrip_many(pairs))
     assert sum(a != b for a, b in zip(before, py)) > 0
+
+
+def test_deleted_next_hop_raises_on_both_engines():
+    """The full-table baseline holds one slot matrix, read by its
+    ``forward`` and by both table families: an entry cleared after
+    compiling stops the packet on either engine."""
+    net = Network.from_family("random", N, seed=3, store=None)
+    scheme = net.build_scheme("shortest_path")
+    tables = scheme.compiled_routes("dense").tables
+    assert scheme.compiled_routes("blocked").tables is tables
+    pairs = sample_pairs(net.n, 40, seed=31)
+    s, t = pairs[7]
+    tables.slots = tables.slots.copy()
+    tables.slots[s, t] = -1
+    messages = both_engines_raise(scheme, pairs, TableLookupError)
+    assert messages[0].endswith(f"vertex {s} toward name {scheme.name_of(t)}")
+    assert messages[1].endswith(f"vertex {s} toward {t}")
 
 
 def test_deleted_tree_row_raises_on_both_engines():

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
+from repro.api import Network
 from repro.api.router import Router
+from repro.exceptions import ConstructionError
 from repro.graph.generators import (
     FAMILY_NAMES,
     directed_cycle,
     random_strongly_connected,
     standard_family,
 )
+from repro.graph.csr import CSRGraph
 from repro.graph.roundtrip import RoundtripMetric
 from repro.graph.shortest_paths import DistanceOracle
 from repro.naming.permutation import identity_naming, random_naming
@@ -88,34 +93,39 @@ class TestRTZBaseline:
 
 
 class TestShortestPathTables:
-    """The first-hop-row build against the per-pair loop it replaces."""
+    """The one slot matrix against the scalar reference: entry
+    ``[u, t]`` is the slot of the edge from ``u`` to
+    ``oracle.next_hop(u, t)``, and ``forward`` takes that edge's port."""
 
     @staticmethod
-    def scalar_tables(oracle, naming):
+    def assert_matches_next_hop(oracle, naming):
         g = oracle.graph
-        return [
-            {
-                naming.name_of(t): g.port_of(u, oracle.next_hop(u, t))
-                for t in range(g.n)
-                if t != u
-            }
-            for u in range(g.n)
-        ]
-
-    @staticmethod
-    def assert_same(got, want):
-        assert got == want
-        assert [list(row) for row in got] == [list(row) for row in want]
+        scheme = ShortestPathScheme(oracle, naming)
+        slots = scheme.compiled_routes("blocked").tables.slots
+        assert slots.dtype == np.int32 and not slots.flags.writeable
+        assert slots.shape == (g.n, g.n)
+        edges = list(g.edges())  # edge i is CSR out-slot i
+        out_heads = CSRGraph.from_digraph(g).out_heads
+        for u in range(g.n):
+            assert slots[u, u] == -1
+            assert scheme.table_entries(u) == g.n - 1
+            for t in range(g.n):
+                if t == u:
+                    continue
+                nxt = oracle.next_hop(u, t)
+                edge = edges[slots[u, t]]
+                assert (edge.tail, edge.head) == (u, nxt)
+                assert out_heads[slots[u, t]] == nxt
+                assert edge.port == g.port_of(u, nxt)
+                header = {"mode": "out", "dest": naming.name_of(t), "src": 0}
+                assert scheme.forward(u, header).port == g.port_of(u, nxt)
 
     @pytest.mark.parametrize("family", FAMILY_NAMES)
     def test_table_equals_next_hop_loop(self, family: str):
         g = standard_family(family, 30, seed=1)
         oracle = DistanceOracle(g)
         naming = random_naming(g.n, random.Random(3))
-        self.assert_same(
-            ShortestPathScheme(oracle, naming)._table,
-            self.scalar_tables(oracle, naming),
-        )
+        self.assert_matches_next_hop(oracle, naming)
 
     def test_split_row_blocks(self, monkeypatch):
         import repro.graph.blocked as blocked
@@ -123,6 +133,40 @@ class TestShortestPathTables:
         g = random_strongly_connected(29, rng=random.Random(2))
         oracle = DistanceOracle(g)
         naming = random_naming(g.n, random.Random(4))
-        want = self.scalar_tables(oracle, naming)
         monkeypatch.setattr(blocked, "_BLOCK_ELEMS", 4 * g.n)
-        self.assert_same(ShortestPathScheme(oracle, naming)._table, want)
+        assert blocked.default_block_rows(g.n) == 4  # 8 blocks, the last 1 row
+        self.assert_matches_next_hop(oracle, naming)
+
+    def test_tree_child_without_edge_is_a_construction_error(self):
+        g = random_strongly_connected(12, rng=random.Random(5))
+        oracle = DistanceOracle(g)
+        u, v = next(
+            (u, v) for u in range(g.n) for v in range(g.n)
+            if u != v and not g.has_edge(u, v)
+        )
+        parent = oracle.parent_matrix()
+        parent[u, v] = u  # v hangs off u in u's tree, with no edge u -> v
+        broken = DistanceOracle.from_arrays(g, oracle.d_matrix, parent)
+        with pytest.raises(ConstructionError, match=rf"\({u}, {v}\) is not in"):
+            ShortestPathScheme(broken, identity_naming(g.n))
+
+    def test_one_table_held_once(self):
+        """Both families compile to the table ``forward`` reads, and
+        the scheme plus both compiled families hold at most two
+        ``(n, n)`` int32 matrices' worth of memory (the matrix itself
+        is one)."""
+        net = Network.from_family("random", 256, seed=1, store=None)
+        oracle, naming = net.oracle(), net.naming()
+        warm = ShortestPathScheme(oracle, naming)  # caches and imports
+        warm.compiled_routes("dense"), warm.compiled_routes("blocked")
+        del warm
+        tracemalloc.start()
+        try:
+            scheme = ShortestPathScheme(oracle, naming)
+            dense = scheme.compiled_routes("dense")
+            blocked = scheme.compiled_routes("blocked")
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dense.tables is blocked.tables is scheme._next_hop
+        assert held <= 2 * 4 * net.n ** 2

@@ -156,6 +156,48 @@ def test_broker_demuxes_execute_failures_and_recovers():
     assert asyncio.run(main()) == [1, 1]
 
 
+def test_broker_failure_fails_only_its_keys_batch():
+    """Two submitters coalesced on key ``a`` and one on key ``b``, and
+    ``execute`` raises for ``a``: both ``a`` submissions get that
+    exception, ``b`` gets its results, and ``a`` serves its next
+    batch."""
+    class Boom(RuntimeError):
+        pass
+
+    calls = []
+    state = {"fail": True}
+
+    def execute(key, pairs):
+        calls.append((key, list(pairs)))
+        if key == "a" and state["fail"]:
+            raise Boom("engine exploded")
+        return [f"{key}{s}{t}" for s, t in pairs]
+
+    async def main():
+        broker = BatchBroker(execute, linger_s=0.01)
+        outcomes = await asyncio.gather(
+            broker.submit("a", [(0, 1)]),
+            broker.submit("a", [(2, 3), (4, 5)]),
+            broker.submit("b", [(6, 7)]),
+            return_exceptions=True,
+        )
+        state["fail"] = False
+        return broker, outcomes, await broker.submit("a", [(8, 9)])
+
+    broker, (a1, a2, b), again = asyncio.run(main())
+    assert sorted(calls) == [
+        ("a", [(0, 1), (2, 3), (4, 5)]),  # one coalesced batch
+        ("a", [(8, 9)]),
+        ("b", [(6, 7)]),
+    ]
+    assert isinstance(a1, Boom) and a2 is a1
+    assert b == ["b67"]
+    assert again == ["a89"]
+    stats = broker.stats()
+    assert (stats["executed_batches"], stats["executed_pairs"]) == (3, 2)
+    assert stats["pending_pairs"] == 0
+
+
 def test_broker_refuses_submissions_after_close():
     async def main():
         broker = BatchBroker(lambda k, p: [0] * len(p))

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphError, NotStronglyConnectedError
+from repro.graph.blocked import next_hop_slots
+from repro.graph.csr import CSRGraph
 from repro.graph.digraph import Digraph
 from repro.graph.generators import (
     FAMILY_NAMES,
@@ -230,25 +232,28 @@ class TestDistanceOracle:
     def test_first_hop_matrix_matches_next_hop(
         self, small_oracle: DistanceOracle
     ):
-        first = small_oracle.first_hop_matrix()
+        """The first hops folded from the parent trees (as CSR out-edge
+        slots, the full-table baseline's one table) lead to
+        ``next_hop`` for every pair, ``-1`` on the diagonal."""
+        slots = next_hop_slots(small_oracle)
+        heads = CSRGraph.from_digraph(small_oracle.graph).out_heads
         n = small_oracle.n
-        assert first.shape == (n, n)
+        assert slots.shape == (n, n)
+        assert not slots.flags.writeable
         for u in range(n):
-            assert first[u, u] == -1
+            assert slots[u, u] == -1
             for v in range(n):
                 if u != v:
-                    assert first[u, v] == small_oracle.next_hop(u, v)
-        # memoized and read-only
-        assert small_oracle.first_hop_matrix() is first
-        assert not first.flags.writeable
+                    assert heads[slots[u, v]] == small_oracle.next_hop(u, v)
 
     def test_first_hop_matrix_cycle(self):
         g = directed_cycle(6)
-        first = DistanceOracle(g).first_hop_matrix()
+        slots = next_hop_slots(DistanceOracle(g))
+        heads = CSRGraph.from_digraph(g).out_heads
         for u in range(6):
             for v in range(6):
                 if u != v:
-                    assert first[u, v] == (u + 1) % 6
+                    assert heads[slots[u, v]] == (u + 1) % 6
 
 
 class TestParentMatrix:

@@ -21,8 +21,8 @@ from repro.exceptions import ConstructionError
 from repro.graph.csr import CSRGraph, PairTable
 from repro.rtz.routing import DIRECT, DOWN_TREE, TO_CENTER
 from repro.runtime.engine import (
-    BlockedNextHop,
     DoubleTreeStepTables,
+    NextHopTable,
     SubstrateStepTables,
     hop_slots,
 )
@@ -65,16 +65,17 @@ def substrate_entries(scheme, tables: SubstrateStepTables):
     return rows
 
 
-def next_hop_entries(scheme, tables: BlockedNextHop):
-    """Every (vertex, destination) slot with the port ``forward`` takes
-    toward the destination's name."""
-    n = tables.n
-    rows = []
-    for b, block in enumerate(tables.blocks):
-        for i, t, slot in zip(*(a.tolist() for a in table_entries(block, n))):
-            u = b * tables.block_rows + i
-            header = {"mode": "out", "dest": scheme.name_of(t), "src": 0}
-            rows.append((u, slot, scheme.forward(u, header).port))
+def next_hop_entries(scheme, tables: NextHopTable):
+    """Every (vertex, destination) slot with the port of the edge to
+    the oracle's scalar ``next_hop`` (``forward`` reads this same
+    matrix, so it cannot be the reference)."""
+    oracle = scheme._oracle
+    g = scheme.graph
+    n = g.n
+    rows = [
+        (u, slot, g.port_of(u, oracle.next_hop(u, t)))
+        for u, t, slot in zip(*(a.tolist() for a in table_entries(tables.slots, n)))
+    ]
     assert len(rows) == n * (n - 1)  # full tables: every u != t
     return rows
 
@@ -101,7 +102,7 @@ def double_tree_entries(scheme, tables: DoubleTreeStepTables):
 
 ENTRIES = {
     SubstrateStepTables: substrate_entries,
-    BlockedNextHop: next_hop_entries,
+    NextHopTable: next_hop_entries,
     DoubleTreeStepTables: double_tree_entries,
 }
 
