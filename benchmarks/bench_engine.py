@@ -9,9 +9,8 @@ engines agree exactly (the differential suite proves it pair-by-pair;
 here we re-check the aggregates), and asserts the headline speedup:
 **>= 5x on uniform workloads at n >= 256**.
 
-The pedantic-timed kernels are the registered ``traffic/...`` cases of
-:mod:`repro.bench.cases` — the same thunks ``repro bench`` records
-into the ``BENCH_*.json`` trajectory.
+pytest-benchmark times one whole stretch6 workload on the vectorized
+engine per test, its tables compiled before the clock starts.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import BENCH_CONTEXT, SMOKE, banner, cached_network
+from conftest import SMOKE, banner, cached_network
 
-from repro.bench import get_case
 from repro.runtime.traffic import generate_workload, run_workload
 
 #: the paper-level target the ISSUE sets for the compiled engine
@@ -49,6 +47,18 @@ def _compare(scheme, workload, oracle):
     return py, t_py, t_vec
 
 
+def _vectorized_workload(net, kind, pairs, seed):
+    """The timed kernel: a ``kind`` workload of ``pairs`` pairs through
+    stretch6 on the vectorized engine, compiled before it is returned."""
+    scheme = net.build_scheme("stretch6")
+    oracle = net.oracle()
+    wl = generate_workload(
+        kind, net.n, pairs, rng=random.Random(seed), oracle=oracle
+    )
+    run_workload(scheme, wl.pairs[:4], oracle=oracle, engine="vectorized")
+    return lambda: run_workload(scheme, wl, oracle=oracle, engine="vectorized")
+
+
 def test_engine_across_workload_kinds(benchmark):
     """All four traffic shapes, two compiled schemes, medium n."""
     net = cached_network("random", 64, seed=0)
@@ -74,7 +84,7 @@ def test_engine_across_workload_kinds(benchmark):
         assert all(t_py > t_vec for (_n, _k, t_py, t_vec) in rows)
 
     benchmark.pedantic(
-        get_case("traffic/stretch6/mixed/vectorized").setup(BENCH_CONTEXT),
+        _vectorized_workload(net, "mixed", pairs, seed=13),
         rounds=1,
         iterations=1,
     )
@@ -109,7 +119,7 @@ def test_engine_speedup_scaling(benchmark):
         )
 
     benchmark.pedantic(
-        get_case("traffic/stretch6/uniform/vectorized").setup(BENCH_CONTEXT),
+        _vectorized_workload(net, "uniform", pairs, seed=17),
         rounds=1,
         iterations=1,
     )

@@ -3,26 +3,25 @@
 Measures the full all-pairs stretch distribution of the Section 2
 scheme, asserts the stretch-6 bound (and stretch-3 for in-neighborhood
 destinations), and sweeps table sizes against the ``sqrt(n)`` shape.
-
-The measurement kernels of E2/E2b are the registered ``routing/...``
-cases of :mod:`repro.bench.cases` — the same thunks ``repro bench``
-records into the ``BENCH_*.json`` trajectory.
+E2 and E2b measure stretch6 on the cached random network of n = 48,
+through its router.
 """
 
 from __future__ import annotations
 
 import math
 
-from conftest import BENCH_CONTEXT, banner
+from conftest import banner, cached_network
 
 from repro.analysis.experiments import log_log_slope, table_scaling
-from repro.bench import get_case
+from repro.analysis.stretch import stretch_distribution
 from repro.graph.generators import random_strongly_connected
 
 
 def test_stretch6_distribution(benchmark):
+    router = cached_network("random", 48).router("stretch6")
     dist = benchmark.pedantic(
-        get_case("routing/stretch6/stretch_distribution").setup(BENCH_CONTEXT),
+        lambda: stretch_distribution(router),
         rounds=1,
         iterations=1,
     )
@@ -39,11 +38,19 @@ def test_stretch6_distribution(benchmark):
 
 def test_stretch6_neighborhood_case(benchmark):
     """Near destinations (t in N(s)) must see stretch <= 3."""
-    worst = benchmark.pedantic(
-        get_case("routing/stretch6/neighborhood").setup(BENCH_CONTEXT),
-        rounds=1,
-        iterations=1,
-    )
+    net = cached_network("random", 48)
+    router = net.router("stretch6")
+    metric = net.metric()
+
+    def worst_near_stretch() -> float:
+        worst = 0.0
+        for s in range(net.n):
+            for t in metric.sqrt_neighborhood(s):
+                if t != s:
+                    worst = max(worst, router.route(s, t).stretch)
+        return worst
+
+    worst = benchmark.pedantic(worst_near_stretch, rounds=1, iterations=1)
     banner("E2b / Lemma 3 case 1 - in-neighborhood destinations")
     print(f"worst in-neighborhood stretch: {worst:.3f} (paper bound 3.0)")
     assert worst <= 3.0 + 1e-9

@@ -322,87 +322,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown scenario command {action!r}")
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
-
-    patterns = list(args.filter or [])
-    for axis in args.axis or []:
-        if axis not in bench.AXES:
-            raise SystemExit(
-                f"unknown bench axis {axis!r}; choose from "
-                f"{', '.join(bench.AXES)}"
-            )
-        patterns.append(axis)
-    cases = bench.select_cases(patterns)
-    smoke = True if args.smoke else None  # None: read REPRO_BENCH_SMOKE
-    ctx = bench.BenchContext(smoke=smoke, seed=args.seed)
-    if args.list:
-        header = f"{'case':<44} {'axis':<8} {'tol':>5}  summary"
-        print(header)
-        print("-" * len(header))
-        for case in cases:
-            print(f"{case.name:<44} {case.axis:<8} "
-                  f"{case.tolerance:>4.1f}x  {case.summary}")
-        return 0
-
-    mode = "smoke" if ctx.smoke else "full"
-    print(f"repro bench: {len(cases)} case(s), {mode} mode, seed={args.seed}")
-
-    def show(result: bench.CaseResult) -> None:
-        print(f"  {result.name:<44} {result.median_s * 1000:>9.1f} ms  "
-              f"(iqr {result.iqr_s * 1000:.2f} ms, x{result.repeats}, "
-              f"peak {result.peak_bytes / (1 << 20):.1f} MB)")
-
-    if args.rebaseline and patterns:
-        # A partial run must never overwrite the other cases' entries.
-        raise SystemExit(
-            "--rebaseline rewrites the whole baseline and cannot be "
-            "combined with --filter/--axis; run the full suite"
-        )
-    if args.rebaseline and args.check:
-        raise SystemExit(
-            "--check and --rebaseline are mutually exclusive: check "
-            "first, then re-anchor deliberately"
-        )
-    run = bench.run_cases(
-        cases, ctx, repeats=args.repeats, warmup=args.warmup, progress=show
-    )
-    path = bench.write_artifact(run, args.out)
-    print(f"\nartifact: {path}")
-
-    if args.rebaseline:
-        baseline = Path(args.baseline)
-        if baseline.exists():
-            # Never swap the baseline's mode by accident: a full-size
-            # anchor would fail every CI `--smoke --check` run.
-            try:
-                existing = bench.load_run(baseline)
-            except bench.BenchArtifactError:
-                existing = None  # corrupt: rewriting is the remedy
-            if existing is not None and existing.smoke != run.smoke:
-                raise SystemExit(
-                    f"refusing to replace the "
-                    f"{'smoke' if existing.smoke else 'full-size'} baseline "
-                    f"{baseline} with a "
-                    f"{'smoke' if run.smoke else 'full-size'} run; "
-                    "re-run in the matching mode or delete the file first"
-                )
-        baseline.parent.mkdir(parents=True, exist_ok=True)
-        baseline.write_text(run.to_json())
-        print(f"baseline rewritten: {baseline}")
-        return 0
-    if not args.check:
-        return 0
-    comparison = bench.compare_to_baseline(run, args.baseline)
-    print()
-    print(comparison.format())
-    if not comparison.ok:
-        print("\nREGRESSION beyond tolerance band; re-baseline "
-              "deliberately with --rebaseline if intended")
-        return 1
-    return 0
-
-
 def cmd_schemes(args: argparse.Namespace) -> int:
     header = f"{'name':<22} {'TINN':<5} {'stretch bound':<18} {'params':<28} summary"
     print(header)
@@ -1090,73 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--family/--n/--seed)",
     )
     client_opts(sp)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the registered benchmark suite and record a "
-        "BENCH_*.json trajectory artifact",
-    )
-    p.add_argument(
-        "--filter",
-        action="append",
-        metavar="PATTERN",
-        help="run only matching cases (fnmatch on the case name, or a "
-        "bare axis: build/apsp/routing/traffic/shard/store); repeatable",
-    )
-    p.add_argument(
-        "--axis",
-        action="append",
-        metavar="AXIS",
-        help="run (or --list) only the cases of one measurement axis "
-        "(build/apsp/routing/traffic/shard/store/serve/memory/churn/"
-        "scenario); repeatable, combines with --filter",
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="clamp instance sizes so the suite finishes in seconds "
-        "(default: read REPRO_BENCH_SMOKE)",
-    )
-    p.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="timed repetitions per case (default 3 smoke / 5 full)",
-    )
-    p.add_argument(
-        "--warmup", type=int, default=1, help="unrecorded repetitions per case"
-    )
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument(
-        "--out",
-        default=".",
-        metavar="DIR",
-        help="directory the BENCH_*.json artifact is written to",
-    )
-    p.add_argument(
-        "--baseline",
-        default="benchmarks/baseline.json",
-        metavar="PATH",
-        help="baseline artifact for --check / --rebaseline",
-    )
-    p.add_argument(
-        "--check",
-        action="store_true",
-        help="compare against the baseline and exit nonzero on any "
-        "tolerance-band regression",
-    )
-    p.add_argument(
-        "--rebaseline",
-        action="store_true",
-        help="write this run over the baseline file (deliberate "
-        "re-anchoring of the trajectory)",
-    )
-    p.add_argument(
-        "--list",
-        action="store_true",
-        help="list the selected cases without running them",
-    )
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "report", help="generate a full markdown reproduction report"

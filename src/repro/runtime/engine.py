@@ -82,7 +82,7 @@ from repro.exceptions import (
 )
 from repro.graph.csr import CSRGraph, PairTable, edge_slots
 from repro.graph.digraph import Digraph
-from repro.graph.limits import dense_table_max_n
+from repro.graph.limits import check_dense_table, dense_table_max_n
 from repro.runtime.simulator import (  # noqa: F401  (re-export)
     EXECUTION_ENGINES,
     LegTrace,
@@ -193,8 +193,13 @@ def _pack_pairs(n: int, chunks, tables: str, dtype):
     sorts them all into a :class:`~repro.graph.csr.PairTable`.  Absent
     pairs read ``-1``, so either storage answers ``table[at, target]``
     identically.
+
+    Raises:
+        TableTooLargeError: for ``dense`` above the dense-table
+            threshold (:func:`repro.graph.limits.check_dense_table`).
     """
     if tables == "dense":
+        check_dense_table(n, dtype)
         mat = np.full((n, n), -1, dtype=dtype)
         flat = mat.reshape(-1)
         for keys, values in chunks:

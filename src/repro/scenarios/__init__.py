@@ -7,8 +7,8 @@ events, the scheme x engine x tables x jobs execution matrix, and
 declarative assertions — and :mod:`repro.scenarios.runner` executes it
 with the library's bit-identical-across-``jobs`` determinism guarantee
 extended to spec-driven runs.  Consumed by ``repro scenario
-{run,list,validate,show}``, the ``scenario`` bench axis, the CI
-``scenario-matrix`` job, and the serve daemon.
+{run,list,validate,show}``, the CI ``scenario-matrix`` job, and the
+serve daemon.
 """
 
 from repro.scenarios.spec import (

@@ -5,10 +5,10 @@ family or an edgelist snapshot), the traffic shape (a sequence of
 workload *phases*, optionally interleaved with churn events), the
 execution matrix (scheme x engine x tables x jobs), and the declarative
 assertions the run must satisfy.  Committing a JSON file under
-``scenarios/`` is enough for the CLI (``repro scenario run``), the
-bench suite (the ``scenario`` axis), CI (the ``scenario-matrix`` job),
-and the serve daemon (``repro client workload --scenario``) to pick it
-up — coverage grows by committing data, not Python.
+``scenarios/`` is enough for the CLI (``repro scenario run``), CI (the
+``scenario-matrix`` job), and the serve daemon (``repro client workload
+--scenario``) to pick it up — coverage grows by committing data, not
+Python.
 
 The document format::
 

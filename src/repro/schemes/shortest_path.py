@@ -92,11 +92,10 @@ class ShortestPathScheme(RoutingScheme):
     # compiled execution
     # ------------------------------------------------------------------
     def compile_tables(self, tables: str = "dense"):
-        """The scheme's one next-hop table, whatever the family (the
-        dense family still refuses graphs above the dense-table
-        threshold); one leg per direction, headers of constant shape
-        (``mode``/``dest``/``src``)."""
-        from repro.graph.limits import check_dense_table
+        """The scheme's one next-hop table, whatever the family: it is
+        the ``(n, n)`` matrix the scheme already holds, so no family
+        allocates or refuses anything.  One leg per direction, headers
+        of constant shape (``mode``/``dest``/``src``)."""
         from repro.runtime.engine import (
             CompiledRoutes,
             JourneyPlan,
@@ -107,8 +106,6 @@ class ShortestPathScheme(RoutingScheme):
         from repro.runtime.sizing import header_bits
 
         n = self.graph.n
-        if tables == "dense":
-            check_dense_table(n, "next-hop table")
         fresh = {"mode": NEW_PACKET, "dest": 0}
         out = {"mode": "out", "dest": 0, "src": 0}
         ret = dict(out)

@@ -6,7 +6,7 @@ artifact cache, and read or written only through
 matrices (kind ``oracle``) and the RTZ substrate's arrays (kind
 ``rtz``) serialize to memory-mappable ``.npz`` blobs with JSON sidecar
 manifests, keyed by ``(graph content hash, seed, params, schema
-version)``.  CLI runs, bench runs and the serve daemon share the same
+version)``.  CLI runs, benchmarks and the serve daemon share the same
 bytes with zero rebuild; compiled decision tables are rebuilt from
 those two in each process.
 

@@ -57,8 +57,8 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 STORE_ENV = "REPRO_STORE"
 MAX_BYTES_ENV = "REPRO_STORE_MAX_BYTES"
 
-#: values that turn ``REPRO_STORE`` off (mirrors repro.bench.env, which
-#: cannot be imported here without a package cycle)
+#: values that turn ``REPRO_STORE`` off (the spellings
+#: ``REPRO_BENCH_SMOKE`` accepts too)
 _FALSY = frozenset({"", "0", "false", "no", "off"})
 
 _QUARANTINE_DIR = "quarantine"
@@ -513,9 +513,8 @@ def default_store() -> Optional[ArtifactStore]:
 
 @contextlib.contextmanager
 def store_override(store: Optional[ArtifactStore]):
-    """Scoped process-default store (``None`` disables persistence) —
-    bench cold cases run under ``store_override(None)`` so they measure
-    true cold builds."""
+    """Scoped process-default store (``None`` disables persistence, so
+    the builds inside measure true cold costs)."""
     global _OVERRIDE
     previous = _OVERRIDE
     _OVERRIDE = store

@@ -13,9 +13,10 @@ halves down:
   blocked APSP block concatenation equals the monolithic matrices
   bit-for-bit, and so does the full-table baseline's next-hop slot
   matrix folded block by block;
-* limits: the baseline's dense compile raises :class:`TableTooLargeError`
-  above the ``REPRO_DENSE_MAX_N`` threshold instead of OOMing, and
-  ``--tables auto`` flips to blocked there;
+* limits: a dense compile that would allocate ``(n, n)`` step tables
+  raises :class:`TableTooLargeError` above the ``REPRO_DENSE_MAX_N``
+  threshold instead of OOMing, and ``--tables auto`` flips to blocked
+  there;
 * memory: landmark-factored substrate tables stay o(n²).
 """
 
@@ -271,16 +272,23 @@ def _baseline(n: int) -> ShortestPathScheme:
 
 class TestDenseTableLimit:
     def test_first_hop_matrix_raises_above_threshold(self, monkeypatch):
+        """Above the threshold, a dense compile that would allocate
+        ``(n, n)`` step tables refuses and names the way out and the
+        int32 size.  The full-table baseline allocates none: its dense
+        tables are the matrix its blocked tables read."""
         monkeypatch.setenv("REPRO_DENSE_MAX_N", "8")
-        scheme = _baseline(12)
-        with pytest.raises(TableTooLargeError, match="--tables blocked"):
-            scheme.compiled_routes("dense")
-        with pytest.raises(TableTooLargeError, match="REPRO_DENSE_MAX_N"):
-            scheme.compiled_routes("dense")
-        # the blocked family serves the same table at the same size
-        compiled = scheme.compiled_routes("auto")
-        assert compiled.family == "blocked"
-        assert compiled.tables.slots.shape == (12, 12)
+        stretch6 = Network.from_family(
+            "random", 12, seed=2, store=None
+        ).build_scheme("stretch6")
+        with pytest.raises(TableTooLargeError) as err:
+            stretch6.compiled_routes("dense")
+        for part in ("--tables blocked", "REPRO_DENSE_MAX_N", "MiB at int32"):
+            assert part in str(err.value)
+        assert stretch6.compiled_routes("auto").family == "blocked"
+        baseline = _baseline(12)
+        dense = baseline.compiled_routes("dense")
+        assert dense.tables is baseline.compiled_routes("blocked").tables
+        assert dense.tables.slots.shape == (12, 12)
 
     def test_threshold_default_and_malformed_values(self, monkeypatch):
         monkeypatch.delenv("REPRO_DENSE_MAX_N", raising=False)

@@ -14,7 +14,7 @@ Five concerns, bottom-up:
   and its assertions hold at smoke size (what CI's scenario-matrix
   job enforces);
 * **CLI plumbing** — ``repro scenario {run,validate,show,list}`` exit
-  codes and output, and ``repro bench --list --axis``;
+  codes and output;
 * **serve** — the ``WorkloadRequest`` scenario form (round-trip,
   event rejection) and ``Generation.serve_scenario`` determinism.
 """
@@ -443,17 +443,6 @@ class TestScenarioCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "flash_crowd.json" in out
-
-    def test_bench_list_axis_filter(self, capsys):
-        rc = main(["bench", "--list", "--axis", "scenario"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "scenario/flash_crowd" in out
-        assert "traffic/" not in out
-
-    def test_bench_unknown_axis(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["bench", "--list", "--axis", "nope"])
 
 
 # ----------------------------------------------------------------------

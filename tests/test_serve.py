@@ -6,9 +6,10 @@ shedding), the HTTP transport (keep-alive, unknown endpoints), the
 tentpole acceptance criteria — eight concurrent clients whose coalesced
 responses are bit-identical to direct ``Router.route_many`` calls, and
 graceful ``/reload`` under load with zero dropped requests and correct
-generation tagging — plus a reload whose build raises, the per-label
-build lock in :class:`~repro.api.Network`, and the no-DeprecationWarning
-guarantee on CLI paths.
+generation tagging — plus a reload whose build raises, clients that
+drop mid-``/route_many``, the per-label build lock in
+:class:`~repro.api.Network`, and the no-DeprecationWarning guarantee on
+CLI paths.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import asyncio
 import dataclasses
 import json
 import random
+import socket
 import threading
 import time
 import warnings
@@ -494,6 +496,56 @@ def test_http_reload_under_load_zero_drops():
         with ServeClient(port=daemon.port) as client:
             generation, _ = client.route_many(pairs)
         assert generation == 2
+    finally:
+        daemon.stop()
+
+
+def test_clients_dropping_mid_route_many_leak_no_slot():
+    """Three clients close their sockets while their /route_many waits
+    out the broker's linger, and a fourth sends half a body and closes.
+    Every in-flight slot is released: the next request routes exactly
+    like a direct route_many, and a /reload drains the old generation."""
+    daemon = ServeDaemon(small_config(linger_s=0.5)).start()
+    try:
+        app = daemon.app
+        gen = app.lifecycle.current
+        pairs = make_pairs(8, n=24, seed=3)
+        body = json.dumps({"pairs": [[s, t] for s, t in pairs]}).encode()
+        head = (
+            "POST /route_many HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n"
+        ).encode()
+
+        def wait_for(predicate):
+            deadline = time.monotonic() + 10.0
+            while not predicate():
+                assert time.monotonic() < deadline, "daemon state never settled"
+                time.sleep(0.005)
+
+        dropped = []
+        for _ in range(3):
+            sock = socket.create_connection(("127.0.0.1", daemon.port))
+            sock.sendall(head + body)
+            dropped.append(sock)
+        wait_for(lambda: app.active == 3 and gen.inflight == 3)
+        for sock in dropped:
+            sock.close()
+        with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+            sock.sendall(head + body[: len(body) // 2])
+        wait_for(lambda: app.active == 0 and gen.inflight == 0)
+
+        expected = [
+            route_key(r)
+            for r in Network.from_family("random", 24, seed=0, store=None)
+            .router("stretch6").route_many(pairs)
+        ]
+        with ServeClient(port=daemon.port, timeout=30.0) as client:
+            generation, routes = client.route_many(pairs)
+            assert generation == 1
+            assert [route_key(r) for r in routes] == expected
+            doc = client.reload(seed=4)
+        assert (doc["old_generation"], doc["generation"]) == (1, 2)
+        assert gen.retired and gen.inflight == 0 and app.active == 0
     finally:
         daemon.stop()
 
