@@ -24,8 +24,8 @@ which it builds.  The substrate line breaks down into those out-tree
 intervals and direct entries; each compile into step tables is a stage
 of its own.  The cover hierarchy builds every double tree's routing
 state at once, with the same interval kernel
-(:func:`~repro.tree_routing.fixed_port.pruned_tree_intervals`).  What
-stays Python is the PartialCover rounds, so at n = 1024 the APSP
+(:func:`~repro.tree_routing.fixed_port.pruned_tree_intervals`), and
+its covers with PartialCover on packed bitsets.  At n = 1024 the APSP
 dominates the stretch-6 pipeline.
 """
 

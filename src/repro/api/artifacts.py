@@ -15,12 +15,13 @@ delegate to it and keep their exact historical cache labels.
 
 Storability is deliberately narrow: only artifacts whose construction
 is dominated by shortest-path work (the oracle's APSP, the substrate's
-reverse Dijkstras and cluster scan) are persisted.  Naming permutations,
-metrics (views over the oracle), and the cover hierarchies either cost
-microseconds to rebuild or hold deeply nested structures whose
-flattening would outweigh the build; they stay memory-only.  Compiled
-decision tables are not artifacts at all: each process recompiles them
-from its built schemes.
+reverse Dijkstras and cluster scan) are persisted.  Naming permutations
+and metrics (views over the oracle) cost microseconds to rebuild.  The
+cover hierarchies stay memory-only too: a k = 2 hierarchy builds in
+about 0.03 s at random n = 256 and 0.2 s at n = 1024, and no perfbench
+workload warm-boots a Theorem 13 scheme, so storing one would save no
+measured start-up.  Compiled decision tables are not artifacts at all:
+each process recompiles them from its built schemes.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from repro.covers.sparse_cover import (
     DoubleTreeCover,
     cover,
     cover_load_bound,
-    verify_cover_properties,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "DoubleTreeCover",
     "cover",
     "cover_load_bound",
-    "verify_cover_properties",
 ]

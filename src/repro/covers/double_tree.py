@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.csr import edge_ports, edge_slots
+from repro.graph.roundtrip import RoundtripMetric
 from repro.graph.shortest_paths import DistanceOracle
 from repro.tree_routing.fixed_port import TreeAddress, pruned_tree_intervals
 
@@ -70,10 +71,7 @@ class DoubleTree:
         self._member_set: Set[int] = set(self.members)
         self._tree_id = tree_id
         if center is None:
-            # RTCenter over the members, by the global roundtrip metric.
-            idx = np.fromiter(self.members, dtype=np.int64)
-            sub = oracle.r_matrix[np.ix_(idx, idx)]
-            center = int(idx[int(np.argmin(sub.max(axis=1)))])
+            center = RoundtripMetric(oracle).rt_center(self.members)
         if center not in self._member_set:
             raise ConstructionError(f"center {center} not a cluster member")
         self.root: int = center

@@ -19,7 +19,10 @@ that for all its levels' trees at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, FrozenSet, List
+
+import numpy as np
 
 from repro.covers.double_tree import DoubleTree
 from repro.covers.partial_cover import partial_cover
@@ -70,24 +73,19 @@ def cover(metric: RoundtripMetric, k: int, d: float) -> CoverResult:
     if d <= 0:
         raise ConstructionError(f"scale d must be positive, got {d}")
     n = metric.n
-    balls: List[FrozenSet[int]] = [frozenset(metric.ball(v, d)) for v in range(n)]
-    # Remaining ball indices (ball i is owned by vertex i).
-    remaining = list(range(n))
+    # every ball N^d(v) as row v, by RoundtripMetric.ball's rule
+    balls = metric.oracle.r_matrix <= d + 1e-12
+    remaining = list(range(n))  # ball i is owned by vertex i
     clusters: List[FrozenSet[int]] = []
     home_cluster: Dict[int, int] = {}
     rounds = 0
     while remaining:
         rounds += 1
-        result = partial_cover([balls[i] for i in remaining], k)
-        offset = len(clusters)
+        result = partial_cover(balls[remaining], k)
+        for i in result.covered:
+            home_cluster[remaining[i]] = len(clusters) + result.covering_region[i]
         clusters.extend(result.merged_regions)
-        for local_index in result.covered:
-            owner = remaining[local_index]
-            home_cluster[owner] = offset + result.covering_region[local_index]
-        covered = set(result.covered)
-        remaining = [
-            owner for i, owner in enumerate(remaining) if i not in covered
-        ]
+        remaining = np.delete(remaining, result.covered).tolist()
         if rounds > 4 * k * level_size(n, 1, k) + 8:
             raise ConstructionError(
                 "cover construction exceeded its iteration bound; "
@@ -95,41 +93,6 @@ def cover(metric: RoundtripMetric, k: int, d: float) -> CoverResult:
             )
     centers = [metric.rt_center(members) for members in clusters]
     return CoverResult(clusters, home_cluster, rounds, centers)
-
-
-def verify_cover_properties(
-    metric: RoundtripMetric, k: int, d: float, result: CoverResult
-) -> None:
-    """Check Theorem 10's three properties (test/benchmark helper).
-
-    Raises:
-        ConstructionError: on the first violated property.
-    """
-    n = metric.n
-    # Property 1: every ball inside its home cluster.
-    for v in range(n):
-        ball = set(metric.ball(v, d))
-        home = result.clusters[result.home_cluster[v]]
-        if not ball <= home:
-            raise ConstructionError(f"ball of {v} escapes its home cluster")
-    # Property 2: radius blow-up.
-    bound = (2 * k - 1) * d + 1e-9
-    for members in result.clusters:
-        radius = metric.rt_radius(sorted(members))
-        if not radius <= bound:
-            raise ConstructionError(
-                f"cluster radius {radius} exceeds (2k-1)d = {bound}"
-            )
-    # Property 3: per-vertex load.
-    load_bound = cover_load_bound(n, k)
-    loads = [0] * n
-    for members in result.clusters:
-        for v in members:
-            loads[v] += 1
-    if not max(loads) <= load_bound:
-        raise ConstructionError(
-            f"vertex load {max(loads)} exceeds 2k n^(1/k) = {load_bound}"
-        )
 
 
 class DoubleTreeCover:
@@ -156,18 +119,13 @@ class DoubleTreeCover:
         raw = cover(metric, k, d)
         self.rounds = raw.rounds
         self.trees: List[DoubleTree] = [
-            DoubleTree(metric.oracle, sorted(members), tree_id_base + i, center=c)
+            DoubleTree(metric.oracle, members, tree_id_base + i, center=c)
             for i, (members, c) in enumerate(zip(raw.clusters, raw.centers))
         ]
         self._by_id: Dict[int, DoubleTree] = {t.tree_id: t for t in self.trees}
         self._home: Dict[int, DoubleTree] = {
             v: self.trees[ci] for v, ci in raw.home_cluster.items()
         }
-        # membership index: vertex -> trees whose cluster contains it
-        self._membership: Dict[int, List[DoubleTree]] = {}
-        for t in self.trees:
-            for v in t.members:
-                self._membership.setdefault(v, []).append(t)
 
     # ------------------------------------------------------------------
     @property
@@ -193,11 +151,12 @@ class DoubleTreeCover:
 
     def trees_containing(self, v: int) -> List[DoubleTree]:
         """All trees whose cluster includes member ``v``."""
-        return list(self._membership.get(v, []))
+        return [t for t in self.trees if t.contains(v)]
 
     def max_vertex_load(self) -> int:
         """Observed max number of clusters a vertex belongs to."""
-        return max(len(ts) for ts in self._membership.values())
+        members = chain.from_iterable(t.members for t in self.trees)
+        return int(np.bincount(np.fromiter(members, np.int64)).max())
 
     def load_bound(self) -> int:
         """Theorem 13(3)'s bound ``2 k n^{1/k}`` (:func:`cover_load_bound`)."""

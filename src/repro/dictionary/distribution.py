@@ -42,18 +42,22 @@ from repro.graph.roundtrip import RoundtripMetric, level_size
 from repro.naming.blocks import BlockSpace
 
 
-def first_holders(order: np.ndarray, held: np.ndarray) -> np.ndarray:
+def first_holders(order: np.ndarray, stored: np.ndarray, span: int) -> np.ndarray:
     """``(n, P)`` int32: entry ``[v, p]`` is the first node of
-    ``order[v]`` whose row of ``held`` is set in column ``p``, ``-1``
-    where none is.
+    ``order[v]`` storing a block with prefix ``p`` (blocks ``p * span``
+    to ``p * span + span - 1``), ``-1`` where none does.
 
     ``order`` is an ``(n, size)`` array of node prefixes (a
     :meth:`~repro.graph.roundtrip.RoundtripMetric.neighborhoods`
-    result) and ``held`` an ``(n, P)`` bool matrix; each entry is an
-    ``argmax`` over ``held[order[v], p]``.  Rows are processed in blocks
-    of :func:`~repro.graph.blocked.default_block_rows`, so the
-    ``(block, size, P)`` transient stays near the block budget.
+    result) and ``stored`` an ``(n, blocks)`` bool matrix; each entry
+    is an ``argmax`` over the rows of ``order[v]``.  Rows are processed
+    in blocks of :func:`~repro.graph.blocked.default_block_rows`, so
+    the ``(block, size, P)`` transient stays near the block budget.
     """
+    # held[w, p]: w stores a block whose prefix is p
+    held = np.logical_or.reduceat(
+        stored, np.arange(0, stored.shape[1], span), axis=1
+    )
     n = order.shape[0]
     out = np.empty((n, held.shape[1]), dtype=np.int32)
     step = default_block_rows(n, order.shape[1] * held.shape[1])
@@ -152,17 +156,12 @@ class BlockDistribution:
         ``N_i(v)`` holding a block with ``i``-prefix ``p``, ``-1`` where
         none does, computed from the current ``sets``."""
         n = self._metric.n
-        num_blocks = self._blocks.num_blocks()
-        span = self._prefix_span(i)
-        stored = np.zeros((n, num_blocks), dtype=bool)
+        stored = np.zeros((n, self._blocks.num_blocks()), dtype=bool)
         for v, blocks in enumerate(self.sets):
             stored[v, list(blocks)] = True
-        # held[w, p]: w holds a block whose i-prefix is p
-        held = np.logical_or.reduceat(
-            stored, np.arange(0, num_blocks, span), axis=1
-        )
         return first_holders(
-            self._metric.neighborhoods(level_size(n, i, self._blocks.k)), held
+            self._metric.neighborhoods(level_size(n, i, self._blocks.k)),
+            stored, self._prefix_span(i),
         )
 
     def _patch_uncovered(self) -> int:
@@ -205,10 +204,6 @@ class BlockDistribution:
     def block_space(self) -> BlockSpace:
         """The underlying block structure."""
         return self._blocks
-
-    def blocks_of(self, v: int) -> Set[int]:
-        """``S_v`` — the blocks stored at vertex ``v``."""
-        return set(self.sets[v])
 
     def augmented_blocks_of(self, v: int, own_name: int) -> Set[int]:
         """``S'_v = S_v + {own block}`` (Section 3.3: every node also
@@ -263,7 +258,9 @@ class BlockDistribution:
 
     def nearest_holder(self, v: int, tau: Tuple[int, ...]) -> int:
         """The globally closest node to ``v`` (by ``Init_v``) holding a
-        block with prefix ``tau`` (used by ExStretch storage rule 3a)."""
+        block with prefix ``tau``, by a walk along the whole ``Init_v``.
+        A scalar reference for tests; the schemes read first-holder
+        matrices (:meth:`holders`, :func:`first_holders`)."""
         for w in self._metric.init_order(v):
             if self._covers(w, tau):
                 return w

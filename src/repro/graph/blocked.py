@@ -47,18 +47,21 @@ def fold_first_hops(parent_rows: np.ndarray, first: np.ndarray) -> np.ndarray:
     other vertex of the tree takes the value of the child whose subtree
     holds it, the first hop on the root's canonical path to it, by
     pointer doubling.  The root and vertices outside the tree keep
-    ``-1``.  Returns ``first``.
+    ``-1``.  ``parent_rows`` is only read.  Returns ``first``.
     """
     parent = np.asarray(parent_rows)
-    b, n = parent.shape
-    cols = np.broadcast_to(np.arange(n, dtype=parent.dtype), (b, n))
-    jump = np.where(parent >= 0, parent, cols)
+    n = parent.shape[1]
+    jump = np.where(parent >= 0, parent, np.arange(n, dtype=parent.dtype))
+    todo = first < 0
     while True:
         hop = np.take_along_axis(first, jump, axis=1)
-        progressed = (first < 0) & (hop >= 0)
-        if not progressed.any():
+        found = hop >= 0
+        found &= todo
+        if not found.any():
             return first
-        np.copyto(first, hop, where=progressed)
+        np.copyto(first, hop, where=found)
+        todo ^= found
+        del hop, found  # free both before the doubled jump is built
         jump = np.take_along_axis(jump, jump, axis=1)
 
 
@@ -82,7 +85,7 @@ def next_hop_slots(oracle) -> np.ndarray:
     for lo in range(0, n, step):
         hi = min(n, lo + step)
         sources = np.arange(lo, hi)
-        parent = oracle.parent_rows(sources)
+        parent = oracle.parent_rows(slice(lo, hi))
         block = slots[lo:hi]
         # every out-edge of the block's sources, and which of them are
         # tree-child edges: those seed their head's entry with the slot

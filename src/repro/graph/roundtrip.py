@@ -216,6 +216,8 @@ class RoundtripMetric:
         to the other members (ties to smaller vertex id)."""
         if len(members) == 0:
             raise GraphError("rt_center of an empty cluster")
+        if len(members) == 1:
+            return int(next(iter(members)))
         idx = np.fromiter(sorted(members), dtype=np.int64)
         sub = self._oracle.r_matrix[np.ix_(idx, idx)]
         eccentricities = sub.max(axis=1)

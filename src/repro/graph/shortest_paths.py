@@ -381,8 +381,11 @@ class DistanceOracle:
 
     def parent_rows(self, sources) -> np.ndarray:
         """The canonical out-trees rooted at each of ``sources``: a
-        fresh ``(len(sources), n)`` int32 array of parent rows (``-1``
-        at the root)."""
+        ``(len(sources), n)`` int32 array of parent rows (``-1`` at the
+        root).  A ``slice`` of sources reads a read-only view of the
+        oracle's rows; any other sequence, a fresh copy."""
+        if isinstance(sources, slice):
+            return self._parent[sources]
         return self._parent[np.asarray(sources, dtype=np.int64).reshape(-1)]
 
     def in_tree_rows(self, roots) -> np.ndarray:

@@ -112,10 +112,15 @@ class ExStretchScheme(RoutingScheme):
         reads at ``u``, with ``col = (h - 1) q^k +`` the value of the
         destination's ``h``-digit prefix: for ``h < k`` (rule 3a) the
         first node of ``Init_u`` holding a block that extends the
-        prefix, for every prefix extending the ``(h - 1)``-prefix of a
-        block of ``S'_u`` that some node holds; for ``h = k`` (rule 3b,
-        the prefix is the name) the vertex named, for every name of a
-        block of ``S'_u``.  A row's vertex may be ``u`` itself.
+        prefix, which Lemma 4 places in ``N_h(u)``, for every prefix
+        extending the ``(h - 1)``-prefix of a block of ``S'_u``; for
+        ``h = k`` (rule 3b, the prefix is the name) the vertex named,
+        for every name of a block of ``S'_u``.  A row's vertex may be
+        ``u`` itself.
+
+        Raises:
+            ConstructionError: for a rule-3a prefix with no holder in
+                ``N_h(u)`` (a Lemma 4 coverage gap).
         """
         metric, naming, blocks = self._metric, self._naming, self.blocks
         n, k, q = metric.n, self.k, blocks.q
@@ -140,23 +145,30 @@ class ExStretchScheme(RoutingScheme):
         # (3a) prefix rows, level by level.  Rows are keyed by the
         # *target* (i+1)-prefix they resolve, which is equivalent to the
         # paper's (own block, i, tau) keying but stores no duplicate
-        # rows for blocks sharing prefixes.
-        init = metric.neighborhoods(n)
+        # rows for blocks sharing prefixes.  Lemma 4 puts a holder of
+        # every (i+1)-prefix inside N_{i+1}(u), a prefix of Init_u (the
+        # distribution patches any gap, and S'_u only adds blocks), so
+        # the first holder in N_{i+1}(u) is the first in Init_u.
         row_keys, row_v = [], []
         for i in range(k - 1):
             span = q ** (k - 2 - i)  # blocks per (i+1)-prefix
-            # held[w, p]: w holds a block whose (i+1)-prefix is p;
-            # own[u, p]: u holds a block whose i-prefix is p
-            held = np.logical_or.reduceat(
-                aug, np.arange(0, num_blocks, span), axis=1
-            )
+            # own[u, p]: u holds a block whose i-prefix is p; the rows
+            # are every (i+1)-prefix extending one
             own = np.logical_or.reduceat(
                 aug, np.arange(0, num_blocks, span * q), axis=1
             )
-            targets = np.arange(held.shape[1])
-            us, ps = np.nonzero(own[:, targets // q] & held.any(axis=0))
+            count = -(-num_blocks // span)  # (i+1)-prefixes
+            us, ps = np.nonzero(own[:, np.arange(count) // q])
+            near = metric.neighborhoods(level_size(n, i + 1, k))
+            first = first_holders(near, aug, span)[us, ps]
+            if (first < 0).any():
+                j = np.flatnonzero(first < 0)[0]
+                tau = blocks.block_prefix(int(ps[j]) * span)[:i + 1]
+                raise ConstructionError(
+                    f"(u={us[j]}, level={i + 1}, prefix={tau}) has no holder "
+                    f"in N_{i + 1}(u): Lemma 4 coverage violated")
             row_keys.append(us * (k * width) + i * width + ps)
-            row_v.append(first_holders(init, held)[us, ps].astype(np.int64))
+            row_v.append(first.astype(np.int64))
 
         # (3b) final rows: every name of every block of S'_u.  Block b
         # holds the names [b q, min(b q + q, n)); laid end to end, entry

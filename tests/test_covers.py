@@ -8,20 +8,23 @@ import os
 import random
 import subprocess
 import sys
+from typing import Dict, FrozenSet, List, Sequence, Set
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.api import Network
 from repro.covers.double_tree import DoubleTree, DoubleTreeTables
 from repro.covers.hierarchy import TreeHierarchy
-from repro.covers.partial_cover import partial_cover
+from repro.covers.partial_cover import PartialCoverResult, partial_cover
 from repro.covers.sparse_cover import (
+    CoverResult,
     DoubleTreeCover,
     cover,
     cover_load_bound,
-    verify_cover_properties,
 )
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.csr import CSRGraph
@@ -36,6 +39,105 @@ from repro.graph.roundtrip import RoundtripMetric
 from repro.graph.shortest_paths import DistanceOracle, dijkstra
 from repro.rtz.spanner import HandshakeSpanner
 from repro.tree_routing.fixed_port import OutTreeRouter, ToRootPointers
+
+
+def reference_partial_cover(
+    clusters: Sequence[FrozenSet[int]], k: int
+) -> PartialCoverResult:
+    """Fig. 7 by its set definition: the reference the bitset kernel
+    (:func:`repro.covers.partial_cover.partial_cover`) must equal."""
+    num = len(clusters)
+    if num == 0:
+        return PartialCoverResult([], [], {}, set())
+    growth = num ** (1.0 / k)
+
+    # Inverted index vertex -> cluster indices still in U.
+    by_vertex: Dict[int, Set[int]] = {}
+    for ci, members in enumerate(clusters):
+        for v in members:
+            by_vertex.setdefault(v, set()).add(ci)
+
+    alive: Set[int] = set(range(num))
+    merged_regions: List[FrozenSet[int]] = []
+    covered: List[int] = []
+    covering_region: Dict[int, int] = {}
+    removed_total: Set[int] = set()
+
+    while alive:
+        s0 = min(alive)  # "arbitrary" but deterministic
+        z_collection: Set[int] = {s0}
+        z_union: Set[int] = set(clusters[s0])
+        while True:
+            y_collection = z_collection
+            y_union = z_union
+            # Z <- every alive cluster intersecting the Y region.
+            z_collection = set()
+            for v in y_union:
+                z_collection |= by_vertex.get(v, set()) & alive
+            z_union = set()
+            for ci in z_collection:
+                z_union |= clusters[ci]
+            if len(z_collection) <= growth * len(y_collection):
+                break
+        # Commit: Y's clusters are covered by the merged region Y.
+        region_index = len(merged_regions)
+        merged_regions.append(frozenset(y_union))
+        for ci in sorted(y_collection):
+            covered.append(ci)
+            covering_region[ci] = region_index
+        # Remove all of Z (absorbed, possibly without coverage credit).
+        for ci in z_collection:
+            alive.discard(ci)
+            for v in clusters[ci]:
+                by_vertex[v].discard(ci)
+        removed_total |= z_collection
+    return PartialCoverResult(merged_regions, covered, covering_region, removed_total)
+
+
+def cluster_rows(clusters: Sequence[FrozenSet[int]]) -> np.ndarray:
+    """``clusters`` as the ``(len(clusters), n)`` bool matrix the kernel
+    reads, ``n`` one more than the largest vertex."""
+    n = max([0, *(max(c) + 1 for c in clusters)])
+    rows = np.zeros((len(clusters), n), dtype=bool)
+    for i, members in enumerate(clusters):
+        rows[i, list(members)] = True
+    return rows
+
+
+def verify_cover_properties(
+    metric: RoundtripMetric, k: int, d: float, result: CoverResult
+) -> None:
+    """Check Theorem 10's three properties on a raw cover by their
+    scalar definitions.
+
+    Raises:
+        ConstructionError: on the first violated property.
+    """
+    n = metric.n
+    # Property 1: every ball inside its home cluster.
+    for v in range(n):
+        ball = set(metric.ball(v, d))
+        home = result.clusters[result.home_cluster[v]]
+        if not ball <= home:
+            raise ConstructionError(f"ball of {v} escapes its home cluster")
+    # Property 2: radius blow-up.
+    bound = (2 * k - 1) * d + 1e-9
+    for members in result.clusters:
+        radius = metric.rt_radius(sorted(members))
+        if not radius <= bound:
+            raise ConstructionError(
+                f"cluster radius {radius} exceeds (2k-1)d = {bound}"
+            )
+    # Property 3: per-vertex load.
+    load_bound = cover_load_bound(n, k)
+    loads = [0] * n
+    for members in result.clusters:
+        for v in members:
+            loads[v] += 1
+    if not max(loads) <= load_bound:
+        raise ConstructionError(
+            f"vertex load {max(loads)} exceeds 2k n^(1/k) = {load_bound}"
+        )
 
 
 def make_metric(n: int, seed: int) -> RoundtripMetric:
@@ -219,7 +321,7 @@ class TestDoubleTree:
 class TestPartialCover:
     def test_disjoint_regions(self):
         clusters = [frozenset({i, i + 1}) for i in range(0, 20, 2)]
-        res = partial_cover(clusters, 2)
+        res = partial_cover(cluster_rows(clusters), 2)
         seen = set()
         for region in res.merged_regions:
             assert not (region & seen)
@@ -231,7 +333,7 @@ class TestPartialCover:
             frozenset(rng.sample(range(30), rng.randint(1, 6)))
             for _ in range(25)
         ]
-        res = partial_cover(clusters, 3)
+        res = partial_cover(cluster_rows(clusters), 3)
         for ci in res.covered:
             region = res.merged_regions[res.covering_region[ci]]
             assert clusters[ci] <= region
@@ -243,29 +345,78 @@ class TestPartialCover:
             clusters = [
                 frozenset(rng.sample(range(40), 4)) for _ in range(30)
             ]
-            res = partial_cover(clusters, k)
+            res = partial_cover(cluster_rows(clusters), k)
             assert len(res.covered) >= len(clusters) ** (1 - 1 / k) - 1e-9
 
     def test_all_clusters_removed_or_alive_invariant(self):
         clusters = [frozenset({i}) for i in range(10)]
-        res = partial_cover(clusters, 2)
+        res = partial_cover(cluster_rows(clusters), 2)
         # disjoint singletons: every cluster covered by itself
         assert sorted(res.covered) == list(range(10))
         assert res.removed == set(range(10))
 
     def test_empty_input(self):
-        res = partial_cover([], 2)
+        res = partial_cover(np.zeros((0, 4), dtype=bool), 2)
         assert res.merged_regions == [] and res.covered == []
 
     def test_chain_overlap_growth(self):
         # Heavily overlapping chain: region growth must absorb it but
         # terminate.
         clusters = [frozenset({i, i + 1, i + 2}) for i in range(20)]
-        res = partial_cover(clusters, 2)
+        res = partial_cover(cluster_rows(clusters), 2)
         assert res.covered  # someone got covered
         for ci in res.covered:
             region = res.merged_regions[res.covering_region[ci]]
             assert clusters[ci] <= region
+
+    def test_empty_cluster_raises(self):
+        with pytest.raises(ConstructionError, match="non-empty"):
+            partial_cover(np.array([[True, False], [False, False]]), 2)
+
+    @settings(max_examples=100, deadline=None)
+    @example(clusters=[], repeats=[], k=2)
+    @example(clusters=[frozenset({3, 5})], repeats=[], k=1)
+    @example(clusters=[frozenset({3, 5}), frozenset({5})], repeats=[0, 0], k=3)
+    @given(
+        clusters=st.lists(
+            st.frozensets(st.integers(0, 11), min_size=1, max_size=6),
+            max_size=12,
+        ),
+        repeats=st.lists(st.integers(0, 11), max_size=4),
+        k=st.integers(1, 3),
+    )
+    def test_kernel_equals_set_reference(self, clusters, repeats, k):
+        # repeated clusters: copies of drawn ones, appended
+        clusters = clusters + [
+            clusters[i % len(clusters)] for i in repeats if clusters
+        ]
+        assert partial_cover(cluster_rows(clusters), k) == (
+            reference_partial_cover(clusters, k)
+        )
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("family", FAMILY_NAMES)
+    def test_kernel_equals_set_reference_on_hierarchy_balls(
+        self, family, k, monkeypatch
+    ):
+        # every call a real hierarchy build makes, on every level's
+        # remaining balls, runs through both
+        import repro.covers.sparse_cover as sparse_cover
+
+        calls = []
+
+        def both(member, k):
+            result = partial_cover(member, k)
+            clusters = [frozenset(np.flatnonzero(row).tolist()) for row in member]
+            assert result == reference_partial_cover(clusters, k)
+            calls.append(len(clusters))
+            return result
+
+        monkeypatch.setattr(sparse_cover, "partial_cover", both)
+        net = Network.from_family(family, 40, seed=1, store=None)
+        h = TreeHierarchy(net.metric(), k)
+        assert len(calls) >= h.num_levels
+        assert sum(calls) >= h.num_levels * net.graph.n
 
 
 class TestCover:

@@ -49,8 +49,11 @@ def test_mismatch_names_row_and_first_pair():
     )
     text = golden_digests.explain(row, moved)
     assert text.startswith("random/stretch6: ")
-    assert "first pair that differs: (3, 7)" in text
+    assert "first pair that differs: (3, 7); sources moved: 1" in text
     assert "columns that moved: hops" in text
+    # with a later source moved too, the target is only a lower bound
+    moved["sources"] = moved["sources"][:9 * size] + "0" * size + moved["sources"][10 * size:]
+    assert "first pair that differs: (3, 7 or later)" in golden_digests.explain(row, moved)
 
 
 def test_mismatch_names_first_level():

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from repro.api import Network, Router
+from repro.dictionary.distribution import BlockDistribution
 from repro.exceptions import ConstructionError
 from repro.graph import blocked
 from repro.graph.generators import (
@@ -123,6 +125,39 @@ class TestArrayTables:
         scheme = net.build_scheme("exstretch", k=3, blocks_per_node=1)
         assert blocked.default_block_rows(27, 27 * 3) == 1
         assert_tables_match(scheme, *scalar_tables(scheme))
+
+
+class TestCoverageGap:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_unpatched_gap_raises_naming_requirement(self, k, monkeypatch):
+        # Without Lemma 4's patching, one block per node leaves some
+        # prefix with no holder near some node (random n = 30, seed 2).
+        # Rule 3a searches only N_{i+1}(u), so it must refuse the gap,
+        # not store -1.
+        unpatched = []
+
+        def skip_patching(dist):
+            unpatched.append(dist)
+            return 0
+
+        monkeypatch.setattr(BlockDistribution, "_patch_uncovered", skip_patching)
+        net = Network.from_family("random", 30, seed=2, store=None)
+        with pytest.raises(ConstructionError, match="Lemma 4 coverage") as info:
+            net.build_scheme("exstretch", k=k, blocks_per_node=1)
+        u, level, digits = re.search(
+            r"\(u=(\d+), level=(\d+), prefix=\(([\d, ]*)\)\)", str(info.value)
+        ).groups()
+        u, level = int(u), int(level)
+        tau = tuple(int(x) for x in digits.split(",") if x.strip())
+        assert len(tau) == level
+        # the named requirement really is uncovered by S'_w in N_level(u)
+        (dist,) = unpatched
+        blocks, naming = dist.block_space, net.naming()
+        assert not any(
+            blocks.block_has_prefix(b, tau)
+            for w in net.metric().level_neighborhood(u, level, k)
+            for b in dist.augmented_blocks_of(w, naming.name_of(w))
+        )
 
 
 class TestDeliveryAndStretch:
