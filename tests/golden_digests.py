@@ -22,6 +22,19 @@ per-target digests that localize a mismatch; and the readable max and
 mean stretch, max table bits and max header bits.  Hierarchy rows hold,
 per level, short digests of the clusters (tree id and sorted members),
 the roots and every vertex's home tree.
+
+Two more kinds of row pin the dynamic side:
+
+* a scenario row per committed spec under ``scenarios/``, run at smoke
+  size: every matrix cell's ``summary_fingerprint`` (floats as
+  ``repr``), with its epoch rows (generation, events, repair mode and
+  stretch);
+* an ``evolve`` chain on random, torus and dht: a warm network steps
+  across :data:`CHAIN_EVENTS` one event at a time
+  (``repro.runtime.churn.evolve_epoch``), and after every event the row
+  records the materialized op, the repair mode and rows, short digests
+  of ``d`` and the parent matrix, and the routes of every ordered pair
+  under :data:`CHAIN_SCHEMES`.
 """
 
 from __future__ import annotations
@@ -60,6 +73,16 @@ SCHEME_ROWS: Tuple[Tuple[str, Dict[str, int]], ...] = (
 )
 HIERARCHY_KS = (2, 3)
 
+#: the committed scenario specs, beside ``tests/``
+SCENARIO_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios"
+)
+#: the families an ``evolve`` chain runs on, the bare events it steps
+#: across (one per generation) and the schemes whose routes it records
+CHAIN_FAMILIES = ("random", "torus", "dht")
+CHAIN_EVENTS = ("reweight", "link_down", "link_up", "reweight")
+CHAIN_SCHEMES = ("shortest_path", "stretch6")
+
 
 def _short(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:SHORT]
@@ -70,18 +93,32 @@ def row_name(family: str, scheme: str, params: Dict[str, int]) -> str:
     return f"{family}/{scheme}" + (f"({args})" if args else "")
 
 
-def scheme_row(net, family: str, scheme: str, params: Dict[str, int]) -> dict:
-    """One scheme's golden row over every ordered pair of ``net``."""
+def _all_pairs(n: int):
+    import numpy as np
+
+    return np.nonzero(~np.eye(n, dtype=bool))
+
+
+def _route_all_pairs(router, s, t):
+    """Every pair's ``(cost, hops, max header bits)`` columns, routed as
+    one batch on the default engine."""
     import numpy as np
 
     from repro.runtime.simulator import Simulator
 
-    n = net.graph.n
-    s, t = np.nonzero(~np.eye(n, dtype=bool))
-    router = net.router(scheme, **params)
     batch = Simulator(router.scheme).roundtrip_many(np.stack([s, t], axis=1))
+    return batch.cost, batch.hops, batch.max_header_bits
+
+
+def scheme_row(net, family: str, scheme: str, params: Dict[str, int]) -> dict:
+    """One scheme's golden row over every ordered pair of ``net``."""
+    import numpy as np
+
+    n = net.graph.n
+    s, t = _all_pairs(n)
+    router = net.router(scheme, **params)
+    costs, hops, bits = _route_all_pairs(router, s, t)
     table_bits = int(router.table_report().max_bits)
-    costs, hops, bits = batch.cost, batch.hops, batch.max_header_bits
     cost_hex = list(map(float.hex, costs))
     records = list(map("{} {} {}".format, cost_hex, hops, bits))
     stretch = np.array(costs) / net.oracle().r_matrix[s, t]
@@ -136,6 +173,80 @@ def hierarchy_row(net, family: str, k: int) -> dict:
     }
 
 
+def scenario_names() -> List[str]:
+    """The committed specs' file stems, sorted."""
+    return sorted(
+        name[:-len(".json")]
+        for name in os.listdir(SCENARIO_DIR) if name.endswith(".json")
+    )
+
+
+def scenario_row(name: str) -> dict:
+    """One committed spec's golden row: every matrix cell's summary
+    fingerprint at smoke size, split into the totals and the epoch
+    rows."""
+    from repro.scenarios import load_scenario, run_scenario, summary_fingerprint
+
+    path = os.path.join(SCENARIO_DIR, name + ".json")
+    result = run_scenario(load_scenario(path).smoke(), store=None)
+    cells = []
+    for cell in result.cells:
+        *totals, epochs = summary_fingerprint(cell.summary)
+        cells.append({
+            "cell": f"{cell.scheme}/{cell.engine}/{cell.tables}",
+            "summary": totals,
+            "epochs": list(epochs),
+        })
+    # tuples become lists, as in the committed file
+    cells = json.loads(json.dumps(cells))
+    return {
+        "row": f"scenario/{name}",
+        "sha256": hashlib.sha256(
+            json.dumps(cells, sort_keys=True).encode()
+        ).hexdigest(),
+        "cells": cells,
+    }
+
+
+def chain_row(family: str) -> dict:
+    """One ``evolve`` chain's golden row: after every event of
+    :data:`CHAIN_EVENTS`, the op, its repair, ``d``, the parents and the
+    routes of :data:`CHAIN_SCHEMES` over every ordered pair."""
+    from repro.api import Network
+    from repro.runtime.churn import evolve_epoch
+
+    net = Network.from_family(family, N, seed=SEED, store=None)
+    net.oracle()  # warm, so that every event can be repaired
+    events = []
+    for i, op in enumerate(CHAIN_EVENTS):
+        net, delta = evolve_epoch(net, [{"op": op}], SEED, i)
+        repair = net.stats().repair
+        oracle = net.oracle()
+        s, t = _all_pairs(net.graph.n)
+        routes = {}
+        for scheme in CHAIN_SCHEMES:
+            costs, hops, bits = _route_all_pairs(net.router(scheme), s, t)
+            routes[scheme] = _short("\n".join(
+                map("{} {} {}".format, map(float.hex, costs), hops, bits)
+            ))
+        events.append({
+            "op": delta.to_doc()["ops"][0],
+            "repair": "incremental" if repair.incremental else "rebuild",
+            "rows_recomputed": repair.rows_recomputed,
+            "rows_reused": repair.rows_reused,
+            "d": _short(" ".join(map(float.hex, oracle.d_matrix.ravel().tolist()))),
+            "parents": _short(" ".join(map(str, oracle.parent_matrix().ravel().tolist()))),
+            "routes": routes,
+        })
+    return {
+        "row": f"{family}/evolve",
+        "sha256": hashlib.sha256(
+            json.dumps(events, sort_keys=True).encode()
+        ).hexdigest(),
+        "events": events,
+    }
+
+
 def family_rows(family: str) -> Iterator[dict]:
     """Every golden row of one family, from one shared network."""
     from repro.api import Network
@@ -150,7 +261,11 @@ def family_rows(family: str) -> Iterator[dict]:
 def all_rows() -> List[dict]:
     from repro.graph.generators import FAMILY_NAMES
 
-    return [row for family in FAMILY_NAMES for row in family_rows(family)]
+    return (
+        [row for family in FAMILY_NAMES for row in family_rows(family)]
+        + [scenario_row(name) for name in scenario_names()]
+        + [chain_row(family) for family in CHAIN_FAMILIES]
+    )
 
 
 def write(path: str = PATH) -> None:
@@ -179,9 +294,14 @@ def _differing(expected: str, got: str) -> List[int]:
 
 def explain(expected: dict, got: dict) -> str:
     """Why ``got`` does not match the committed ``expected`` row: the
-    first differing level, or the first differing pair and the columns
-    that moved, with the readable numbers side by side."""
+    first differing level, cell and epoch, or event; or the first
+    differing pair and the columns that moved, with the readable numbers
+    side by side."""
     name = expected["row"]
+    if "cells" in expected:
+        return _explain_scenario(name, expected["cells"], got["cells"])
+    if "events" in expected:
+        return _explain_chain(name, expected["events"], got["events"])
     if "levels" in expected:
         for i, (old, new) in enumerate(zip(expected["levels"], got["levels"])):
             if old != new:
@@ -216,6 +336,54 @@ def explain(expected: dict, got: dict) -> str:
         if expected[key] != got[key]:
             lines.append(f"  {key}: {expected[key]} -> {got[key]}")
     return "\n".join(lines)
+
+
+#: the names of a summary fingerprint's totals, in order
+SUMMARY_FIELDS = (
+    "kind", "pairs", "total_cost", "total_hops", "mean_cost", "mean_hops",
+    "max_hops", "max_header_bits", "mean_stretch", "max_stretch",
+    "worst_pair",
+)
+#: the names of an epoch row's fields, in order
+EPOCH_FIELDS = (
+    "index", "generation", "pairs", "events", "repair", "mean_stretch",
+    "max_stretch", "worst_pair",
+)
+
+
+def _moved(names, old, new) -> str:
+    return ", ".join(
+        f"{key} {a!r} -> {b!r}" for key, a, b in zip(names, old, new) if a != b
+    )
+
+
+def _explain_scenario(name: str, expected: list, got: list) -> str:
+    for old, new in zip(expected, got):
+        if old == new:
+            continue
+        where = f"{name}: cell {old['cell']}"
+        if old["cell"] != new["cell"]:
+            return f"{where} expected, cell {new['cell']} run"
+        if old["summary"] != new["summary"]:
+            where += f" summary differs ({_moved(SUMMARY_FIELDS, old['summary'], new['summary'])})"
+        for a, b in zip(old["epochs"], new["epochs"]):
+            if a != b:
+                return f"{where}; first epoch that differs: {a[0]} ({_moved(EPOCH_FIELDS, a, b)})"
+        if len(old["epochs"]) != len(new["epochs"]):
+            return f"{where}; {len(old['epochs'])} epochs expected, {len(new['epochs'])} run"
+        return where
+    return f"{name}: {len(expected)} cells expected, {len(got)} run"
+
+
+def _explain_chain(name: str, expected: list, got: list) -> str:
+    for i, (old, new) in enumerate(zip(expected, got)):
+        if old != new:
+            moved = [key for key in sorted(old) if old[key] != new.get(key)]
+            return (
+                f"{name}: first event that differs: {i} ({old['op']['op']}) "
+                f"in {', '.join(moved)}"
+            )
+    return f"{name}: {len(expected)} events expected, {len(got)} run"
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """The committed golden digests (``tests/golden.json``) still hold:
-every registered scheme routes every ordered pair, and every Theorem 13
-hierarchy covers, exactly as when the file was written
+every registered scheme routes every ordered pair, every Theorem 13
+hierarchy covers, every committed scenario summarizes and every
+``evolve`` chain repairs and routes exactly as when the file was written
 (``tests/golden_digests.py`` computes the rows and regenerates the
 file)."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -23,6 +26,10 @@ def test_golden_file_has_every_row():
         golden_digests.row_name(family, scheme, params)
         for family in FAMILY_NAMES
         for scheme, params in golden_digests.SCHEME_ROWS
+    ] + [
+        f"scenario/{name}" for name in golden_digests.scenario_names()
+    ] + [
+        f"{family}/evolve" for family in golden_digests.CHAIN_FAMILIES
     ]
     assert sorted(names) == sorted(GOLDEN)
 
@@ -35,6 +42,47 @@ def test_family_matches_golden(family):
         if row != GOLDEN[row["row"]]
     ]
     assert not mismatches, "\n".join(mismatches)
+
+
+@pytest.mark.parametrize("name", golden_digests.scenario_names())
+def test_scenario_matches_golden(name):
+    row = golden_digests.scenario_row(name)
+    expected = GOLDEN[row["row"]]
+    assert row == expected, golden_digests.explain(expected, row)
+
+
+@pytest.mark.parametrize("family", golden_digests.CHAIN_FAMILIES)
+def test_evolve_chain_matches_golden(family):
+    row = golden_digests.chain_row(family)
+    expected = GOLDEN[row["row"]]
+    assert row == expected, golden_digests.explain(expected, row)
+
+
+def test_mismatch_names_first_cell_and_epoch():
+    row = GOLDEN["scenario/churn_reroute"]
+    cells = json.loads(json.dumps(row["cells"]))
+    cells[0]["epochs"][1][4] = "rebuild"
+    cells[0]["summary"][9] = "9.0"
+    text = golden_digests.explain(row, dict(row, cells=cells))
+    assert text.startswith(
+        "scenario/churn_reroute: cell stretch6/auto/auto summary differs "
+        "(max_stretch "
+    )
+    assert text.endswith(
+        "; first epoch that differs: 1 (repair 'incremental' -> 'rebuild')"
+    )
+
+
+def test_mismatch_names_first_event():
+    row = GOLDEN["torus/evolve"]
+    events = json.loads(json.dumps(row["events"]))
+    events[2]["rows_recomputed"] += 1
+    events[3]["d"] = "0" * golden_digests.SHORT
+    text = golden_digests.explain(row, dict(row, events=events))
+    assert text == (
+        "torus/evolve: first event that differs: 2 (link_up) in "
+        "rows_recomputed"
+    )
 
 
 def test_mismatch_names_row_and_first_pair():
