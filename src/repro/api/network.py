@@ -525,9 +525,6 @@ class Network:
             tables: compiled-table family override (defaults to this
                 network's tables knob).
             **params: forwarded to :meth:`build_scheme` for names.
-
-        Sharded serving takes ``shard_size``/``jobs`` per call
-        (:meth:`repro.api.router.Router.serve_workload`).
         """
         from repro.api.router import Router
 

@@ -40,7 +40,7 @@ from repro.runtime.traffic import (
     TrafficSummary,
     Workload,
     check_pairs,
-    num_shards,
+    chunk_starts,
     require_integer_endpoints,
     run_workload,
 )
@@ -112,8 +112,10 @@ class RouterAccounting:
         tables: the scheme's table footprint (entries/bits).
         engines: per-engine serving stats —
             ``{"vectorized": {"batches", "pairs", "seconds", "shards"},
-            "python": {...}}`` (``shards`` counts the per-shard batches
-            workload serving split into; single queries count one).
+            "python": {...}}`` (``shards`` counts the engine calls a
+            workload took, one per chunk of
+            :func:`~repro.runtime.traffic.run_workload`; single queries
+            count one).
     """
 
     scheme: str
@@ -163,9 +165,6 @@ class Router:
             (``"dense"`` / ``"blocked"`` / ``"auto"``; ``"auto"`` picks
             dense under the size threshold, blocked above it.  All
             families serve bit-identical results).
-
-    Sharding is per call: :meth:`serve_workload` takes ``shard_size``
-    and ``jobs``.
     """
 
     def __init__(
@@ -328,17 +327,13 @@ class Router:
         self,
         workload: Union[Workload, Sequence[Tuple[int, int]]],
         engine: Optional[str] = None,
-        shard_size: Optional[int] = None,
-        jobs: Optional[int] = None,
     ) -> TrafficSummary:
         """Route a traffic workload and return the aggregate summary.
 
         Delegates to :func:`repro.runtime.traffic.run_workload` on the
-        resolved execution engine; ``shard_size``/``jobs`` enable
-        sharded execution with the same bit-identical-summary
-        guarantee.
-        The session counters absorb the batch, with the shard count
-        recorded per engine (see :meth:`stats`).
+        resolved execution engine.  The session counters absorb the
+        workload as one batch, with its engine calls counted as
+        ``shards`` (see :meth:`stats`).
         """
         resolved = self.resolve_engine(engine)
         summary = run_workload(
@@ -347,15 +342,11 @@ class Router:
             oracle=self._oracle,
             hop_limit=self._hop_limit,
             engine=resolved,
-            shard_size=shard_size,
-            jobs=jobs,
             tables=self._table_family,
         )
-        executed_shards = num_shards(
-            summary.pairs, shard_size=shard_size, jobs=jobs
-        )
         self._account_batch(
-            resolved, summary.pairs, summary.elapsed_s, shards=executed_shards
+            resolved, summary.pairs, summary.elapsed_s,
+            shards=len(chunk_starts(summary.pairs)),
         )
         self._queries += summary.pairs
         self._total_cost += summary.total_cost

@@ -42,11 +42,7 @@ from repro.exceptions import GraphError, ReproError
 from repro.graph.generators import FAMILY_NAMES
 from repro.runtime.engine import TABLE_FAMILIES
 from repro.runtime.scheme import RoutingScheme
-from repro.runtime.traffic import (
-    WORKLOAD_KINDS,
-    generate_workload,
-    num_shards,
-)
+from repro.runtime.traffic import CHUNK_PAIRS, WORKLOAD_KINDS, generate_workload
 from repro.store import (
     CACHE_DIR_ENV,
     STORE_ENV,
@@ -154,16 +150,10 @@ def cmd_distributed(args: argparse.Namespace) -> int:
 
 
 def cmd_traffic(args: argparse.Namespace) -> int:
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    if args.shard_size is not None and args.shard_size < 1:
-        raise SystemExit(f"--shard-size must be >= 1, got {args.shard_size}")
     net = _network(args)
     labels = [s.strip() for s in args.scheme.split(",") if s.strip()]
     if not labels:
         raise SystemExit("no scheme given")
-    if getattr(args, "events", None):
-        return _traffic_events(args, net, labels)
     workload = generate_workload(
         args.workload,
         net.n,
@@ -180,9 +170,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         router = net.router(scheme, engine=args.engine)
         routers.append(router)
         resolved = router.resolve_engine()
-        summary = router.serve_workload(
-            workload, shard_size=args.shard_size, jobs=args.jobs
-        )
+        summary = router.serve_workload(workload)
         if i:
             print()
         print(f"scheme     : {scheme.name} on {args.family} (n={net.n})")
@@ -193,11 +181,6 @@ def cmd_traffic(args: argparse.Namespace) -> int:
                   f"tables={router.resolve_tables()})")
         else:
             print(f"engine     : {resolved}")
-        if args.jobs is not None or args.shard_size is not None:
-            shards = num_shards(
-                len(workload), shard_size=args.shard_size, jobs=args.jobs
-            )
-            print(f"sharding   : {shards} shards, jobs={args.jobs or 1}")
         print(summary.format())
         if summary.pairs == 0:
             print("\nempty workload; nothing to route")
@@ -209,47 +192,6 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     if len(labels) > 1 or args.verbose_cache:
         print()
         print(SessionStats.collect(net, routers).format())
-    return 1 if failures else 0
-
-
-def _traffic_events(
-    args: argparse.Namespace, net: Network, labels: list
-) -> int:
-    """``repro traffic --events FILE``: run a churn timeline — routing
-    batches interleaved with deterministic seeded topology mutations —
-    per scheme, printing the per-epoch stretch trajectory."""
-    from repro.runtime.churn import load_timeline, run_timeline
-
-    timeline = load_timeline(args.events)
-    failures = 0
-    for i, label in enumerate(labels):
-        t0 = time.perf_counter()
-        scheme, bound = _build_scheme(net, label, args)
-        build_s = time.perf_counter() - t0
-        spec = get_spec(label)
-        params = {"k": args.k} if spec.accepts("k") else {}
-        summary, final = run_timeline(
-            net, spec.name, timeline, params=params,
-            engine=args.engine, shard_size=args.shard_size,
-            jobs=args.jobs, tables=args.tables,
-        )
-        if i:
-            print()
-        print(f"scheme     : {scheme.name} on {args.family} (n={net.n})")
-        print(f"build time : {build_s * 1000:.1f} ms"
-              + ("  (shared artifacts reused)" if i else ""))
-        print(f"timeline   : {len(timeline.epochs)} epochs, "
-              f"{timeline.total_events} events (seed {timeline.seed})")
-        print(f"generations: 1 -> {final.generation} (n={final.n})")
-        print(summary.format())
-        if summary.pairs == 0:
-            print("\nempty timeline; nothing to route")
-        elif summary.max_stretch <= bound + 1e-9:
-            print(f"within the claimed stretch bound {bound:.1f} "
-                  f"across every generation")
-        else:
-            print(f"EXCEEDED the claimed stretch bound {bound:.1f}")
-            failures += 1
     return 1 if failures else 0
 
 
@@ -305,14 +247,12 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         return 0
     if action == "run":
         _configure_store(args)
-        if args.jobs is not None and args.jobs < 1:
-            raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
         failures = 0
         for i, source in enumerate(args.spec):
             spec = load_scenario(source)
             if args.smoke:
                 spec = spec.smoke()
-            result = run_scenario(spec, jobs=args.jobs)
+            result = run_scenario(spec)
             if i:
                 print()
             print(result.format())
@@ -728,39 +668,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--workload",
         default="mixed",
         choices=WORKLOAD_KINDS,
-        help="traffic shape (uniform / hotspot / adversarial / mixed)",
-    )
-    p.add_argument("--pairs", type=int, default=1000, help="journeys to route")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="request the default 512-pair shard partition; shards run "
-        "one after another and the summary is bit-identical for any "
-        "value",
+        help="traffic shape (default: mixed, a 40/40/20 blend of "
+        "uniform, hotspot and adversarial pairs)",
     )
     p.add_argument(
-        "--shard-size",
+        "--pairs",
         type=int,
-        default=None,
-        help="pairs per shard (default: whole workload serially, "
-        "512-pair shards when --jobs is given)",
+        default=1000,
+        help=f"journeys to route, {CHUNK_PAIRS:,} pairs per engine call "
+        "(the summary does not depend on the chunking)",
     )
     p.add_argument(
         "--verbose-cache",
         action="store_true",
         help="print artifact-cache statistics even for one scheme",
-    )
-    p.add_argument(
-        "--events",
-        default=None,
-        metavar="FILE",
-        help="churn timeline JSON: route per-epoch batches interleaved "
-        "with deterministic seeded topology mutations (reweights, link "
-        "up/down, node arrival/departure) applied through "
-        "Network.evolve; ignores --workload/--pairs (the timeline "
-        "defines the traffic); the summary is bit-identical for any "
-        "--jobs value",
     )
     p.set_defaults(func=cmd_traffic)
 
@@ -783,13 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
         "assertions; exits nonzero on any assertion miss",
     )
     sp.add_argument("spec", nargs="+", help="spec file path (or inline JSON)")
-    sp.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="override the spec's jobs axis with one value; the "
-        "summary is bit-identical for any value",
-    )
     sp.add_argument(
         "--smoke",
         action="store_true",

@@ -18,8 +18,8 @@ frozen graph, preserving the fixed-port numbers of every surviving
 edge (so forwarding state that stores ports keeps meaning across the
 change).  Deltas round-trip through plain JSON documents
 (:meth:`GraphDelta.to_doc` / :meth:`GraphDelta.from_doc`), which is
-the wire form ``POST /reload`` and the ``traffic --events`` timeline
-files speak.
+the wire form ``POST /reload`` speaks; a scenario phase's explicit
+churn events parse their operands the same way (:func:`op_from_doc`).
 
 Ops apply *in order*: vertex ids in later ops refer to the graph as
 mutated by the earlier ones (after a :class:`Departure` of ``x``, ids
@@ -28,6 +28,7 @@ above ``x`` have already shifted down).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple, Union
 
@@ -96,16 +97,71 @@ def _require(cond: bool, msg: str) -> None:
         raise GraphError(msg)
 
 
+def _is_integer(value: Any) -> bool:
+    """Whether ``value`` is an integer (Python or numpy; not a bool)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value: Any) -> bool:
+    """Whether ``value`` is a real number (Python or numpy; not a bool)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _edge_pairs(doc: Any, what: str) -> Tuple[Tuple[int, float], ...]:
     _require(isinstance(doc, (list, tuple)), f"{what} must be a list")
     out: List[Tuple[int, float]] = []
     for item in doc:
         _require(
-            isinstance(item, (list, tuple)) and len(item) == 2,
-            f"{what} entries must be [vertex, weight] pairs",
+            isinstance(item, (list, tuple)) and len(item) == 2
+            and _is_integer(item[0]) and is_number(item[1]),
+            f"{what} entries must be [vertex, weight] pairs, got {item!r}",
         )
         out.append((int(item[0]), float(item[1])))
     return tuple(out)
+
+
+def op_from_doc(doc: Any) -> DeltaOp:
+    """Parse one op document, ``{"op": <tag>, <operands>}``: the form
+    :meth:`GraphDelta.to_doc` writes for each op.
+
+    Raises:
+        GraphError: naming the op for an unknown tag, a missing operand,
+            a vertex that is not an integer (``3.0`` and ``"3"`` are
+            not) or a weight that is not a number.
+    """
+    _require(isinstance(doc, dict), "each delta op must be an object")
+    tag = doc.get("op")
+    _require(
+        tag in OP_NAMES, f"unknown delta op {tag!r}; expected one of {OP_NAMES}"
+    )
+
+    def operand(key: str, check, what: str):
+        _require(key in doc, f"malformed {tag!r} op: missing {key!r}")
+        value = doc[key]
+        _require(
+            check(value),
+            f"malformed {tag!r} op: {key!r} must be {what}, got {value!r}",
+        )
+        return value
+
+    def vertex(key: str) -> int:
+        return int(operand(key, _is_integer, "an integer vertex"))
+
+    def weight() -> float:
+        return float(operand("weight", is_number, "a number"))
+
+    if tag == "reweight":
+        return Reweight(vertex("tail"), vertex("head"), weight())
+    if tag == "link_down":
+        return LinkDown(vertex("tail"), vertex("head"))
+    if tag == "link_up":
+        return LinkUp(vertex("tail"), vertex("head"), weight())
+    if tag == "departure":
+        return Departure(vertex("node"))
+    return Arrival(
+        _edge_pairs(doc.get("out", []), "arrival 'out'"),
+        _edge_pairs(doc.get("in", []), "arrival 'in'"),
+    )
 
 
 @dataclass(frozen=True)
@@ -181,7 +237,7 @@ class GraphDelta:
         return [tags[type(op)] for op in self.ops]
 
     # ------------------------------------------------------------------
-    # JSON round-trip (the /reload and --events wire form)
+    # JSON round-trip (the /reload wire form)
     # ------------------------------------------------------------------
     def to_doc(self) -> Dict[str, Any]:
         """The plain-JSON document form: ``{"ops": [{"op": ...}, ...]}``."""
@@ -214,40 +270,18 @@ class GraphDelta:
         """Parse the document form back into a :class:`GraphDelta`.
 
         Raises:
-            GraphError: for a malformed document (wrong shapes, unknown
-                op tags, missing fields).
+            GraphError: for a malformed document (wrong shapes, or an op
+                :func:`op_from_doc` rejects, named by its index).
         """
         _require(isinstance(doc, dict), "delta document must be an object")
         op_docs = doc.get("ops")
         _require(isinstance(op_docs, list), "delta document needs an 'ops' list")
-        ops: List[DeltaOp] = []
-        for od in op_docs:
-            _require(isinstance(od, dict), "each delta op must be an object")
-            tag = od.get("op")
+        ops = []
+        for i, od in enumerate(op_docs):
             try:
-                if tag == "reweight":
-                    ops.append(Reweight(
-                        int(od["tail"]), int(od["head"]), float(od["weight"])
-                    ))
-                elif tag == "link_down":
-                    ops.append(LinkDown(int(od["tail"]), int(od["head"])))
-                elif tag == "link_up":
-                    ops.append(LinkUp(
-                        int(od["tail"]), int(od["head"]), float(od["weight"])
-                    ))
-                elif tag == "departure":
-                    ops.append(Departure(int(od["node"])))
-                elif tag == "arrival":
-                    ops.append(Arrival(
-                        _edge_pairs(od.get("out", []), "arrival 'out'"),
-                        _edge_pairs(od.get("in", []), "arrival 'in'"),
-                    ))
-                else:
-                    raise GraphError(
-                        f"unknown delta op {tag!r}; expected one of {OP_NAMES}"
-                    )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise GraphError(f"malformed {tag!r} delta op: {od!r}") from exc
+                ops.append(op_from_doc(od))
+            except GraphError as exc:
+                raise GraphError(f"ops[{i}]: {exc}")
         return cls(tuple(ops))
 
     def __len__(self) -> int:

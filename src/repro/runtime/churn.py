@@ -1,53 +1,38 @@
-"""Churn timelines: topology mutation interleaved with traffic.
+"""Churn: topology mutation interleaved with traffic.
 
 The paper's model is a *dynamic* network — links reweight, fail and
 recover, nodes arrive and depart — while traffic keeps flowing and
-names stay stable (the TINN promise).  This module makes that regime a
-first-class workload:
+names stay stable (the TINN promise).  A ``repro-scenario/1`` phase
+(:mod:`repro.scenarios`) may carry churn ``events``; this module turns
+them into topology changes:
 
-* a **timeline** is a JSON document describing epochs, each routing a
-  batch of pairs and (optionally) preceded by mutation events::
+* an **event** is a document ``{"op": <name>, ...}``.  A bare event
+  (``{"op": "reweight"}``) is materialized against the *current*
+  generation's graph from a seeded stream — link removals and
+  departures only pick candidates that preserve strong connectivity —
+  while an event carrying operands is applied as given
+  (:func:`explicit_op`; the operand keys per op are
+  :data:`EVENT_KEYS`)::
 
-      {"version": 1, "seed": 7, "workload": "mixed",
-       "epochs": [
-         {"pairs": 200},
-         {"pairs": 200, "events": [{"op": "reweight"},
-                                   {"op": "link_down"}]},
-         {"pairs": 100, "events": [
-             {"op": "link_up", "tail": 0, "head": 5, "weight": 2.5}]}]}
+      {"op": "link_up", "tail": 0, "head": 5, "weight": 2.5}
+      {"op": "reweight", "tail": 3, "head": 4, "factor": 1.5}
 
-  Bare events (``{"op": "reweight"}``) are materialized against the
-  *current* generation's graph from the timeline seed — link removals
-  and departures only pick candidates that preserve strong
-  connectivity — while events carrying explicit fields are applied
-  verbatim;
+* :func:`evolve_epoch` folds one phase's events into a
+  :class:`~repro.graph.delta.GraphDelta` and steps the network through
+  :meth:`~repro.api.network.Network.evolve` (incremental oracle repair
+  where the protocol applies); :func:`attach_epoch_row` records the
+  phase's :class:`~repro.runtime.traffic.EpochStretch` row.
 
-* :func:`run_timeline` walks the epochs: it folds each epoch's events
-  into a :class:`~repro.graph.delta.GraphDelta`, steps the network
-  through :meth:`~repro.api.network.Network.evolve` (incremental
-  oracle repair where the protocol applies), rebuilds the scheme on
-  the new generation, routes the epoch's workload with
-  :func:`~repro.runtime.traffic.run_workload`, and merges everything
-  into one :class:`~repro.runtime.traffic.TrafficSummary` whose
-  :attr:`~repro.runtime.traffic.TrafficSummary.epochs` rows record the
-  per-epoch stretch trajectory.
-
-Everything is seeded: event materialization draws from
-``random.Random(f"{seed}|churn|{i}")`` and epoch pairs from
-``random.Random(f"{seed}|pairs|{i}")``, both independent of
-``--jobs``, so a timeline run is bit-identical across ``--jobs``
-values (the same guarantee static workloads already make).
-
-Exposed on the command line as ``repro traffic --events FILE``.
+Everything is seeded: phase ``i``'s events materialize from
+``random.Random(f"{seed}|churn|{i}")``, so a scenario walks the same
+generation chain on every run.
 """
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import GraphError
 from repro.graph.delta import (
@@ -59,22 +44,27 @@ from repro.graph.delta import (
     LinkDown,
     LinkUp,
     Reweight,
+    is_number,
+    op_from_doc,
 )
 from repro.graph.digraph import Digraph
 from repro.graph.scc import is_strongly_connected
-from repro.runtime.traffic import (
-    WORKLOAD_KINDS,
-    EpochStretch,
-    TrafficSummary,
-    generate_workload,
-    run_workload,
-)
-
-#: current timeline document version
-TIMELINE_VERSION = 1
+from repro.runtime.traffic import EpochStretch, TrafficSummary
 
 #: new-node degree for materialized arrivals (capped by n)
 ARRIVAL_DEGREE = 3
+
+#: the operand keys an event document may carry, per op.  They are the
+#: keys of :meth:`GraphDelta.to_doc`'s op documents, plus reweight's
+#: ``factor`` (scales the current weight; an alternative to ``weight``)
+#: and link_up's optional ``weight`` (default 1.0).
+EVENT_KEYS = {
+    "reweight": ("tail", "head", "weight", "factor"),
+    "link_down": ("tail", "head"),
+    "link_up": ("tail", "head", "weight"),
+    "departure": ("node",),
+    "arrival": ("out", "in"),
+}
 
 #: weight grid for materialized reweights/link-ups/arrivals.  Two
 #: decimals keep distinct path sums separated by >= 0.01 — far above
@@ -85,140 +75,6 @@ _WEIGHT_LO, _WEIGHT_HI = 0.5, 8.0
 
 def _random_weight(rng: random.Random) -> float:
     return round(rng.uniform(_WEIGHT_LO, _WEIGHT_HI), 2)
-
-
-# ----------------------------------------------------------------------
-# timeline documents
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EpochSpec:
-    """One timeline epoch: optional mutation events, then traffic.
-
-    Attributes:
-        pairs: journeys to route in this epoch.
-        events: event documents applied (in order) before the epoch's
-            traffic; each is ``{"op": <name>, ...}`` with optional
-            explicit fields (see :func:`materialize_event`).
-        workload: per-epoch workload-kind override (``None`` uses the
-            timeline default).
-    """
-
-    pairs: int
-    events: Tuple[Mapping[str, Any], ...] = ()
-    workload: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class Timeline:
-    """A parsed churn timeline (see the module docstring's format)."""
-
-    seed: int = 0
-    workload: str = "mixed"
-    epochs: Tuple[EpochSpec, ...] = ()
-
-    @classmethod
-    def from_doc(cls, doc: Any) -> "Timeline":
-        """Validate and parse a timeline document.
-
-        Raises:
-            GraphError: for malformed documents.
-        """
-        if not isinstance(doc, dict):
-            raise GraphError("timeline must be a JSON object")
-        version = doc.get("version", TIMELINE_VERSION)
-        if version != TIMELINE_VERSION:
-            raise GraphError(
-                f"unsupported timeline version {version!r} "
-                f"(expected {TIMELINE_VERSION})"
-            )
-        seed = doc.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise GraphError(f"timeline 'seed' must be an integer, got {seed!r}")
-        workload = doc.get("workload", "mixed")
-        if workload not in WORKLOAD_KINDS:
-            raise GraphError(
-                f"unknown timeline workload {workload!r}; "
-                f"choose from {WORKLOAD_KINDS}"
-            )
-        raw_epochs = doc.get("epochs")
-        if not isinstance(raw_epochs, list) or not raw_epochs:
-            raise GraphError("timeline needs a non-empty 'epochs' list")
-        epochs = []
-        for i, ep in enumerate(raw_epochs):
-            if not isinstance(ep, dict):
-                raise GraphError(f"epochs[{i}] must be an object")
-            pairs = ep.get("pairs", 0)
-            if isinstance(pairs, bool) or not isinstance(pairs, int) or pairs < 0:
-                raise GraphError(
-                    f"epochs[{i}].pairs must be a non-negative integer, "
-                    f"got {pairs!r}"
-                )
-            kind = ep.get("workload")
-            if kind is not None and kind not in WORKLOAD_KINDS:
-                raise GraphError(
-                    f"epochs[{i}].workload {kind!r} unknown; "
-                    f"choose from {WORKLOAD_KINDS}"
-                )
-            events = ep.get("events", [])
-            if not isinstance(events, list):
-                raise GraphError(f"epochs[{i}].events must be a list")
-            for j, ev in enumerate(events):
-                if not isinstance(ev, dict) or ev.get("op") not in OP_NAMES:
-                    raise GraphError(
-                        f"epochs[{i}].events[{j}] must be an object with "
-                        f"'op' in {OP_NAMES}, got {ev!r}"
-                    )
-            epochs.append(EpochSpec(
-                pairs=pairs, events=tuple(events), workload=kind,
-            ))
-        return cls(seed=seed, workload=workload, epochs=tuple(epochs))
-
-    def to_doc(self) -> Dict[str, Any]:
-        """The plain-JSON document form (round-trips through
-        :meth:`from_doc`)."""
-        epochs = []
-        for ep in self.epochs:
-            doc: Dict[str, Any] = {"pairs": ep.pairs}
-            if ep.events:
-                doc["events"] = [dict(ev) for ev in ep.events]
-            if ep.workload is not None:
-                doc["workload"] = ep.workload
-            epochs.append(doc)
-        return {
-            "version": TIMELINE_VERSION,
-            "seed": self.seed,
-            "workload": self.workload,
-            "epochs": epochs,
-        }
-
-    @property
-    def total_events(self) -> int:
-        """Event documents across every epoch."""
-        return sum(len(ep.events) for ep in self.epochs)
-
-
-def load_timeline(source) -> Timeline:
-    """Load a timeline from a file path, a JSON string, or a dict.
-
-    Raises:
-        GraphError: for unreadable files or malformed documents.
-    """
-    if isinstance(source, Timeline):
-        return source
-    if isinstance(source, dict):
-        return Timeline.from_doc(source)
-    text = str(source)
-    if not text.lstrip().startswith("{"):
-        try:
-            text = Path(text).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise GraphError(f"cannot read timeline file: {exc}")
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise GraphError(f"timeline is not valid JSON: {exc}")
-    return Timeline.from_doc(doc)
 
 
 # ----------------------------------------------------------------------
@@ -235,34 +91,81 @@ def _pick_reweight(g: Digraph, rng: random.Random) -> Reweight:
     return Reweight(e.tail, e.head, _random_weight(rng))
 
 
+def explicit_op(
+    spec: Mapping[str, Any], g: Optional[Digraph] = None
+) -> Optional[DeltaOp]:
+    """The op an event document names by its operands, or ``None`` for a
+    bare event (``{"op": <name>}`` alone), which
+    :func:`materialize_event` draws at run time.
+
+    Operands parse as :meth:`GraphDelta.from_doc` parses an op
+    (:func:`~repro.graph.delta.op_from_doc`), with two event-only
+    conveniences: link_up's ``weight`` defaults to 1.0, and a reweight
+    may give a ``factor`` instead of a ``weight``, scaling the edge's
+    weight in ``g`` (a factor of 1.0 when it gives neither).  Without
+    ``g`` (checking a spec before it runs) a factor reweight returns a
+    weight of 1.0 times the factor.
+
+    Raises:
+        GraphError: for an unknown op or key, a missing operand, a
+            vertex that is not an integer, a weight or factor that is
+            not a number, a reweight giving both ``weight`` and
+            ``factor``, or a factor reweight of an edge ``g`` lacks.
+    """
+    op = spec.get("op")
+    if op not in OP_NAMES:
+        raise GraphError(f"unknown event op {op!r}; expected one of {OP_NAMES}")
+    operands = {key: value for key, value in spec.items() if key != "op"}
+    unknown = sorted(str(key) for key in operands if key not in EVENT_KEYS[op])
+    if unknown:
+        raise GraphError(
+            f"unknown {op!r} event key(s): {', '.join(unknown)}; expected "
+            f"{', '.join(EVENT_KEYS[op])}"
+        )
+    if not operands:
+        return None
+    if "weight" in operands and "factor" in operands:
+        raise GraphError("a reweight event gives a weight or a factor, not both")
+    if op == "link_up":
+        operands.setdefault("weight", 1.0)
+    if op != "reweight" or "weight" in operands:
+        return op_from_doc({"op": op, **operands})
+    factor = operands.pop("factor", 1.0)
+    if not is_number(factor):
+        raise GraphError(f"reweight 'factor' must be a number, got {factor!r}")
+    edge = op_from_doc({"op": op, **operands, "weight": 1.0})
+    weight = 1.0
+    if g is not None:
+        if not g.has_edge(edge.tail, edge.head):
+            raise GraphError(f"no edge ({edge.tail}, {edge.head}) to reweight")
+        weight = g.weight(edge.tail, edge.head)
+    return replace(edge, weight=weight * float(factor))
+
+
 def materialize_event(
     g: Digraph, spec: Mapping[str, Any], rng: random.Random
 ) -> DeltaOp:
     """Turn one event document into a concrete :class:`DeltaOp`.
 
-    Events carrying explicit fields are taken verbatim (validation
-    happens in ``apply_delta``); bare events draw their operands from
-    ``rng`` against the current graph ``g``.  Materialized link
-    removals and departures only pick candidates whose application
-    keeps the graph strongly connected; when no candidate qualifies
-    (or the graph has no room for a ``link_up``), the event degrades
-    to a random reweight so the timeline always stays routable.
+    Events carrying operands are taken as given (:func:`explicit_op`;
+    ``apply_delta`` checks them against the graph); bare events draw
+    their operands from ``rng`` against the current graph ``g``.
+    Materialized link removals and departures only pick candidates
+    whose application keeps the graph strongly connected; when no
+    candidate qualifies (or the graph has no room for a ``link_up``),
+    the event degrades to a random reweight so the scenario always
+    stays routable.
 
     Raises:
-        GraphError: for unknown op names or malformed explicit fields.
+        GraphError: for what :func:`explicit_op` rejects.
     """
-    op = spec.get("op")
+    explicit = explicit_op(spec, g)
+    if explicit is not None:
+        return explicit
+    op = spec["op"]
     if op == "reweight":
-        if "tail" in spec:
-            weight = spec.get("weight")
-            if weight is None:
-                factor = float(spec.get("factor", 1.0))
-                weight = g.weight(int(spec["tail"]), int(spec["head"])) * factor
-            return Reweight(int(spec["tail"]), int(spec["head"]), float(weight))
         return _pick_reweight(g, rng)
     if op == "link_down":
-        if "tail" in spec:
-            return LinkDown(int(spec["tail"]), int(spec["head"]))
         edges = list(g.edges())
         rng.shuffle(edges)
         for e in edges:
@@ -271,11 +174,6 @@ def materialize_event(
                 return cand
         return _pick_reweight(g, rng)
     if op == "link_up":
-        if "tail" in spec:
-            return LinkUp(
-                int(spec["tail"]), int(spec["head"]),
-                float(spec.get("weight", 1.0)),
-            )
         free = [
             (u, v)
             for u in range(g.n)
@@ -287,8 +185,6 @@ def materialize_event(
         u, v = free[rng.randrange(len(free))]
         return LinkUp(u, v, _random_weight(rng))
     if op == "departure":
-        if "node" in spec:
-            return Departure(int(spec["node"]))
         nodes = list(range(g.n))
         rng.shuffle(nodes)
         for x in nodes:
@@ -298,19 +194,13 @@ def materialize_event(
             if _keeps_strong_connectivity(g, cand):
                 return cand
         return _pick_reweight(g, rng)
-    if op == "arrival":
-        if "out" in spec or "in" in spec:
-            return GraphDelta.arrival(
-                spec.get("out", []), spec.get("in", [])
-            ).ops[0]
-        k = min(ARRIVAL_DEGREE, g.n)
-        out_targets = rng.sample(range(g.n), k)
-        in_targets = rng.sample(range(g.n), k)
-        return Arrival(
-            tuple((v, _random_weight(rng)) for v in out_targets),
-            tuple((t, _random_weight(rng)) for t in in_targets),
-        )
-    raise GraphError(f"unknown event op {op!r}; expected one of {OP_NAMES}")
+    k = min(ARRIVAL_DEGREE, g.n)
+    out_targets = rng.sample(range(g.n), k)
+    in_targets = rng.sample(range(g.n), k)
+    return Arrival(
+        tuple((v, _random_weight(rng)) for v in out_targets),
+        tuple((t, _random_weight(rng)) for t in in_targets),
+    )
 
 
 def materialize_delta(
@@ -334,7 +224,7 @@ def materialize_delta(
 
 
 # ----------------------------------------------------------------------
-# the epoch step and the timeline runner
+# the epoch step
 # ----------------------------------------------------------------------
 
 def evolve_epoch(
@@ -346,9 +236,9 @@ def evolve_epoch(
     ``random.Random(f"{seed}|churn|{index}")`` and the network evolves
     across the resulting delta (incremental oracle repair where the
     protocol applies).  Returns ``(network, delta)``; a quiet epoch
-    returns the input network and ``None``.  Shared by
-    :func:`run_timeline` and the scenario runner, so both walk the same
-    generation chain from the same seed.
+    returns the input network and ``None``.  The scenario runner steps
+    its phases through it, and the golden ``evolve`` chains pin what it
+    does.
     """
     if not events:
         return network, None
@@ -389,71 +279,12 @@ def attach_epoch_row(
     return replace(part, epochs=(row,))
 
 
-def run_timeline(
-    network,
-    scheme: str,
-    timeline,
-    params: Optional[Dict[str, Any]] = None,
-    hop_limit: Optional[int] = None,
-    engine: str = "auto",
-    shard_size: Optional[int] = None,
-    jobs: Optional[int] = None,
-    tables: str = "auto",
-) -> Tuple[TrafficSummary, Any]:
-    """Run a churn timeline end to end.
-
-    Per epoch: step the network across the epoch's events
-    (:func:`evolve_epoch`), rebuild the scheme on the new generation,
-    and route the epoch's workload.  The per-epoch summaries merge into
-    a single :class:`TrafficSummary` carrying one
-    :class:`~repro.runtime.traffic.EpochStretch` row per epoch
-    (:func:`attach_epoch_row`).
-
-    Args:
-        network: the generation-1 :class:`~repro.api.network.Network`.
-        scheme: registered scheme label to rebuild each generation.
-        timeline: a :class:`Timeline` (or anything
-            :func:`load_timeline` accepts).
-        params: scheme build parameters (e.g. ``{"k": 2}``).
-        hop_limit / engine / shard_size / jobs / tables: forwarded to
-            :func:`~repro.runtime.traffic.run_workload` per epoch, with
-            the same bit-identical-across-``jobs`` guarantee.
-
-    Returns:
-        ``(summary, final_network)`` — the merged summary and the last
-        generation's network (its :meth:`~repro.api.network.Network.stats`
-        carry the final repair accounting).
-    """
-    timeline = load_timeline(timeline)
-    params = dict(params or {})
-    net = network
-    parts = []
-    for i, epoch in enumerate(timeline.epochs):
-        net, delta = evolve_epoch(net, epoch.events, timeline.seed, i)
-        kind = epoch.workload or timeline.workload
-        workload = generate_workload(
-            kind, net.n, epoch.pairs,
-            rng=random.Random(f"{timeline.seed}|pairs|{i}"),
-            oracle=net.oracle(),
-        )
-        built = net.build_scheme(scheme, **params)
-        part = run_workload(
-            built, workload, oracle=net.oracle(), hop_limit=hop_limit,
-            engine=engine, shard_size=shard_size, jobs=jobs, tables=tables,
-        )
-        parts.append(attach_epoch_row(part, i, net, delta))
-    return TrafficSummary.merge(parts), net
-
-
 __all__ = [
     "ARRIVAL_DEGREE",
-    "EpochSpec",
-    "TIMELINE_VERSION",
-    "Timeline",
+    "EVENT_KEYS",
     "attach_epoch_row",
     "evolve_epoch",
-    "load_timeline",
+    "explicit_op",
     "materialize_delta",
     "materialize_event",
-    "run_timeline",
 ]

@@ -11,19 +11,13 @@ makes heavy-traffic scenarios a first-class workload:
   stretch bounds are under the most pressure) — plus
   :func:`mixed_pairs` blending all three;
 * :func:`run_workload`, which drives a whole workload through
-  :meth:`repro.runtime.simulator.Simulator.roundtrip_many` and
-  aggregates cost, stretch, hop, and header statistics into one
-  :class:`TrafficSummary`;
-* sharded execution: :func:`plan_shards` splits a workload into
-  fixed-boundary chunks of ``shard_size`` pairs and :func:`run_workload`
-  routes them one after another, combining the per-shard results
-  through :meth:`TrafficSummary.merge`.  The shard partition depends
-  only on the workload length, ``shard_size`` and whether ``jobs`` was
-  given — never on its value — so the merged summary is bit-identical
-  across ``jobs`` values (see :func:`run_workload`).
+  :meth:`repro.runtime.simulator.Simulator.roundtrip_many` in chunks of
+  :data:`CHUNK_PAIRS` pairs, keeps only each chunk's cost, hop and
+  header columns, and aggregates them once into one
+  :class:`TrafficSummary`.  The summary is a function of the pairs
+  alone: it never depends on where the chunks fall.
 
-Exposed on the command line as ``python -m repro.cli traffic``
-(``--jobs`` / ``--shard-size``).
+Exposed on the command line as ``python -m repro.cli traffic``.
 """
 
 from __future__ import annotations
@@ -37,22 +31,24 @@ import numpy as np
 
 from repro.exceptions import GraphError
 from repro.graph.shortest_paths import DistanceOracle
-from repro.runtime.simulator import Simulator, TraceBatch
+from repro.runtime.simulator import Simulator
 
 #: Workload kinds understood by :func:`generate_workload`.  The last
 #: three — zipf-skewed hotspots, flash crowds, and diurnal ramps — are
 #: the scenario-zoo shapes (:mod:`repro.scenarios`); they are plain
-#: kinds here so every consumer (CLI ``--workload``, churn timelines,
+#: kinds here so every consumer (CLI ``--workload``, scenario phases,
 #: the serve daemon) accepts them uniformly.
 WORKLOAD_KINDS = (
     "uniform", "hotspot", "adversarial", "mixed",
     "zipf", "flash-crowd", "diurnal",
 )
 
-#: Pairs per shard when ``jobs=`` is given without an explicit
-#: partition.  Fixed — independent of the ``jobs`` value — so every
-#: value produces the same shard boundaries, hence the same summary.
-DEFAULT_SHARD_SIZE = 512
+#: Pairs per engine call in :func:`run_workload`.  At random n = 1024
+#: stretch6, 10^5 pairs take 0.5-0.8 s in chunks of 2,048 to 65,536
+#: pairs, as in one batch, but 1.6 s in chunks of 512; and one batch
+#: holds every pair's trace at once (1.1 GiB peak RSS at 10^6 pairs,
+#: against 374 MiB in chunks of 8,192).
+CHUNK_PAIRS = 8192
 
 
 @dataclass(frozen=True)
@@ -288,8 +284,8 @@ def diurnal_pairs(
 
     Pair ``i`` of ``count`` targets a hot destination with probability
     tracing ``cycles`` sinusoidal cycles between ``low`` (night) and
-    ``high`` (peak) across the batch, so a sharded run executes the
-    morning ramp, the peak, and the evening falloff in order.  The hot
+    ``high`` (peak) across the batch, so a run executes the morning
+    ramp, the peak, and the evening falloff in order.  The hot
     set has ``num_hotspots`` members (default ``max(1, n // 16)``).
 
     Raises:
@@ -383,17 +379,16 @@ def generate_workload(
 
 @dataclass(frozen=True)
 class EpochStretch:
-    """Per-epoch stretch row of a churn-timeline run.
+    """Per-epoch stretch row of a scenario run.
 
-    A timeline run (:func:`repro.runtime.churn.run_timeline`, or a
-    scenario's phase walk) routes one workload batch per epoch,
-    mutating the topology between batches.  Each epoch contributes one
-    of these rows to :attr:`TrafficSummary.epochs`, so the aggregate
-    summary keeps the stretch trajectory across generations instead of
-    flattening it.
+    A scenario's phase walk (:mod:`repro.scenarios.runner`) routes one
+    workload per phase, mutating the topology between phases.  Each
+    phase, or epoch, contributes one of these rows to
+    :attr:`TrafficSummary.epochs`, so the aggregate summary keeps the
+    stretch trajectory across generations instead of flattening it.
 
     Attributes:
-        index: epoch position in the timeline (0-based).
+        index: epoch position in the phase sequence (0-based).
         generation: the :class:`~repro.api.network.Network` generation
             that served this epoch's traffic.
         pairs: journeys routed in this epoch.
@@ -481,8 +476,8 @@ class TrafficSummary:
         worst_pair: the pair achieving ``max_stretch`` (``(-1, -1)``
             without an oracle or an empty workload).
         elapsed_s: wall-clock seconds spent routing the batch.
-        epochs: per-epoch stretch rows for churn-timeline runs (empty
-            for a plain static-topology workload).
+        epochs: per-epoch stretch rows for scenario runs (empty for a
+            plain static-topology workload).
     """
 
     kind: str
@@ -502,7 +497,7 @@ class TrafficSummary:
     @property
     def pairs_per_s(self) -> float:
         """Routing throughput of the batch (``nan`` when ``elapsed_s``
-        is zero: a shard too small for ``perf_counter`` resolution is
+        is zero: a batch too small for ``perf_counter`` resolution is
         unmeasurable, not zero-throughput)."""
         return self.pairs / self.elapsed_s if self.elapsed_s > 0 else float("nan")
 
@@ -514,9 +509,10 @@ class TrafficSummary:
         summary of the concatenated workload: totals add, means are
         recomputed pair-weighted, maxima take the first strictly
         larger part (so ``worst_pair`` matches the concatenated run's
-        first-wins argmax), and ``elapsed_s`` adds.  This is the
-        aggregation path sharded execution uses to combine per-shard
-        results (:func:`run_workload` with ``shard_size=``/``jobs=``).
+        first-wins argmax), ``elapsed_s`` adds and the epoch rows
+        concatenate.  A scenario run merges its per-phase summaries
+        this way; :func:`run_workload` never merges, so a workload's
+        summary does not depend on how it is cut into chunks.
 
         Stretch columns have *partial-coverage* semantics: parts
         measured without an oracle carry ``nan`` stretch, and the merge
@@ -525,7 +521,7 @@ class TrafficSummary:
         ``max_stretch``/``worst_pair`` take the first-wins maximum over
         the covered parts.  Only when *no* part has stretch does the
         merged summary report ``nan``/``(-1, -1)``, so mixing oracle
-        and oracle-less shards never silently drops measured data.
+        and oracle-less parts never silently drops measured data.
 
         Raises:
             GraphError: for an empty summary list (there is no neutral
@@ -664,68 +660,38 @@ def check_pairs(n: int, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def plan_shards(
-    total: int,
-    shard_size: Optional[int] = None,
-    parallel: bool = False,
-) -> List[Tuple[int, int]]:
-    """Fixed shard boundaries ``[(lo, hi), ...]`` covering ``range(total)``.
-
-    Contiguous chunks of ``shard_size`` pairs (the last one short);
-    without ``shard_size``, chunks of :data:`DEFAULT_SHARD_SIZE` when
-    ``parallel`` is set (a run given ``jobs``) and one chunk otherwise.
-    The partition is a pure function of ``(total, shard_size,
-    parallel)`` — never of the ``jobs`` value — so a workload executed
-    with any ``jobs`` value aggregates the *same* per-shard summaries
-    in the same order.
-
-    Raises:
-        GraphError: for ``shard_size`` below 1.
-    """
-    if shard_size is not None and shard_size < 1:
-        raise GraphError(f"shard_size must be >= 1, got {shard_size}")
-    if total <= 0:
-        return [(0, 0)]
-    size = shard_size if shard_size is not None else (
-        DEFAULT_SHARD_SIZE if parallel else total
-    )
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
-
-
-def num_shards(
-    total: int,
-    shard_size: Optional[int] = None,
-    jobs: Optional[int] = None,
-) -> int:
-    """How many shards :func:`run_workload` executes for these
-    parameters (the accounting-side view of :func:`plan_shards`,
-    keeping the ``jobs``-requests-a-partition rule in one place)."""
-    return len(plan_shards(total, shard_size=shard_size, parallel=jobs is not None))
+def chunk_starts(total: int, size: Optional[int] = None) -> range:
+    """The first pair of each engine call :func:`run_workload` makes
+    for ``total`` pairs in chunks of ``size`` (default
+    :data:`CHUNK_PAIRS`): its ``step`` is the chunk size, and its length
+    the number of calls (zero for an empty workload)."""
+    return range(0, total, size or CHUNK_PAIRS)
 
 
 def _summarize(
     kind: str,
     pairs: np.ndarray,
-    traces: TraceBatch,
+    costs: List[float],
+    hops: List[int],
+    bits: List[int],
     r_matrix,
     elapsed: float,
 ) -> TrafficSummary:
-    """Aggregate one (shard's) trace batch into a :class:`TrafficSummary`,
-    from the batch's columns alone.
+    """Aggregate a whole workload's columns into a
+    :class:`TrafficSummary`.
 
-    ``pairs`` is the shard's rows of :func:`check_pairs`' array;
-    ``r_matrix`` is the oracle's roundtrip-distance matrix (or ``None``
-    for no stretch columns).
+    ``pairs`` is :func:`check_pairs`' array; ``costs``, ``hops`` and
+    ``bits`` hold every pair's cost, hops and max header bits in input
+    order; ``r_matrix`` is the oracle's roundtrip-distance matrix (or
+    ``None`` for no stretch columns).
     """
-    if not traces:
+    if not costs:
         return TrafficSummary(
             kind, 0, 0.0, 0, 0.0, 0.0, 0, 0, float("nan"), float("nan"),
             (-1, -1), elapsed,
         )
-    costs, hops = traces.cost, traces.hops
     total_cost = sum(costs)
     total_hops = sum(hops)
-    max_bits = max(traces.max_header_bits)
     mean_stretch = max_stretch = float("nan")
     worst_pair = (-1, -1)
     if r_matrix is not None:
@@ -739,33 +705,18 @@ def _summarize(
         worst_pair = tuple(pairs[worst].tolist())
     return TrafficSummary(
         kind=kind,
-        pairs=len(traces),
+        pairs=len(costs),
         total_cost=total_cost,
         total_hops=total_hops,
-        mean_cost=total_cost / len(traces),
-        mean_hops=total_hops / len(traces),
+        mean_cost=total_cost / len(costs),
+        mean_hops=total_hops / len(costs),
         max_hops=max(hops),
-        max_header_bits=max_bits,
+        max_header_bits=max(bits),
         mean_stretch=mean_stretch,
         max_stretch=max_stretch,
         worst_pair=worst_pair,
         elapsed_s=elapsed,
     )
-
-
-def _execute_shard(
-    sim: Simulator,
-    engine: str,
-    kind: str,
-    pairs: np.ndarray,
-    r_matrix,
-) -> TrafficSummary:
-    """Route one shard and summarize it.  Only the routing itself is
-    timed; engine resolution/compilation happened before."""
-    t0 = time.perf_counter()
-    traces = sim.roundtrip_many(pairs, engine=engine)
-    elapsed = time.perf_counter() - t0
-    return _summarize(kind, pairs, traces, r_matrix, elapsed)
 
 
 def run_workload(
@@ -778,19 +729,17 @@ def run_workload(
     jobs: Optional[int] = None,
     tables: str = "auto",
 ) -> TrafficSummary:
-    """Route a whole workload — optionally sharded — and aggregate the
-    statistics.
+    """Route a whole workload and aggregate the statistics.
 
-    The workload is split into fixed-boundary chunks by
-    :func:`plan_shards`, each shard is routed as one batch, and the
-    per-shard summaries are combined with :meth:`TrafficSummary.merge`
-    in shard order.  Because the partition never depends on the
-    ``jobs`` value and each shard's float summation order is fixed, the
-    result is **bit-identical across ``jobs`` values** (only
-    ``elapsed_s`` — physical time — varies; it sums the per-shard
-    routing times).  One-time :meth:`RoutingScheme.compile_tables` work
-    is excluded from ``elapsed_s``, so per-shard throughput is
-    comparable across engines.
+    The pairs are routed in chunks of :data:`CHUNK_PAIRS`, one
+    :meth:`Simulator.roundtrip_many` call each, so only one chunk's
+    traces are alive at a time.  Each chunk leaves its cost, hop and
+    header columns behind, and the summary is computed once over the
+    whole columns: it is the same, bit for bit, whatever the chunk size
+    (only ``elapsed_s``, physical time, varies; it sums the routing
+    time of the chunks).  One-time
+    :meth:`RoutingScheme.compile_tables` work is excluded from
+    ``elapsed_s``, so throughput is comparable across engines.
 
     Args:
         scheme: the scheme under load (already constructed).
@@ -801,42 +750,43 @@ def run_workload(
             ``"vectorized"`` / ``"python"``, see
             :meth:`Simulator.roundtrip_many`); summaries are identical
             across engines.
-        shard_size: split into chunks of this many pairs.  Without it,
-            a run given ``jobs`` uses :data:`DEFAULT_SHARD_SIZE` and
-            one without stays monolithic.
-        jobs: any value ``>= 1`` requests the default partition
-            above; it starts no workers.  Shards run one after another
-            in this process, since every registered scheme compiles to
-            the vectorized engine.  Kept for ``repro traffic --jobs``
-            and the ``repro-scenario/1`` jobs axis.
+        shard_size: pairs per chunk instead of :data:`CHUNK_PAIRS`; it
+            moves memory and time only.
+        jobs: accepted and ignored.  It is kept for the one caller that
+            still passes it, the benchmark's ``stack-headers``
+            workload, until a benchmark change drops it.
         tables: compiled-table family for the vectorized engine
             (``"dense"`` / ``"blocked"`` / ``"auto"``); summaries are
             identical across families.
 
     Raises:
         GraphError: for a pair :func:`check_pairs` rejects (an endpoint
-            out of range, or ``source == destination``), or for
-            invalid ``shard_size``/``jobs``.
+            out of range, or ``source == destination``), or for a
+            ``shard_size`` below 1.
         RoutingError: propagated from the simulator on any failure; a
-            failing journey raises the same error the unsharded run's
-            first (input-order) failure would.
+            failing journey raises the error of the first failure in
+            input order, as one batch of every pair would.
     """
     if isinstance(workload, Workload):
         kind, pairs = workload.kind, workload.pairs
     else:
         kind, pairs = "custom", list(workload)
     pairs = check_pairs(scheme.graph.n, pairs)
-    if jobs is not None and jobs < 1:
-        raise GraphError(f"jobs must be >= 1, got {jobs}")
-    bounds = plan_shards(
-        len(pairs), shard_size=shard_size, parallel=jobs is not None
-    )
+    if shard_size is not None and shard_size < 1:
+        raise GraphError(f"shard_size must be >= 1, got {shard_size}")
     sim = Simulator(scheme, hop_limit=hop_limit, tables=tables)
     resolved = sim.resolve_engine(engine)  # compiles outside the timed region
+    costs: List[float] = []
+    hops: List[int] = []
+    bits: List[int] = []
+    elapsed = 0.0
+    starts = chunk_starts(len(pairs), shard_size)
+    for lo in starts:
+        t0 = time.perf_counter()
+        batch = sim.roundtrip_many(pairs[lo:lo + starts.step], engine=resolved)
+        elapsed += time.perf_counter() - t0
+        costs += batch.cost
+        hops += batch.hops
+        bits += batch.max_header_bits
     r_matrix = oracle.r_matrix if oracle is not None else None
-    if len(bounds) == 1:
-        return _execute_shard(sim, resolved, kind, pairs, r_matrix)
-    return TrafficSummary.merge([
-        _execute_shard(sim, resolved, kind, pairs[lo:hi], r_matrix)
-        for lo, hi in bounds
-    ])
+    return _summarize(kind, pairs, costs, hops, bits, r_matrix, elapsed)

@@ -1,14 +1,14 @@
 """Declarative scenarios: spec-driven graphs, workloads, and checks.
 
-The scenario zoo (ROADMAP's last open item): a versioned JSON document
-(``repro-scenario/1``, :mod:`repro.scenarios.spec`) describes the whole
-experiment — graph family, composable workload phases, optional churn
-events, the scheme x engine x tables x jobs execution matrix, and
-declarative assertions — and :mod:`repro.scenarios.runner` executes it
-with the library's bit-identical-across-``jobs`` determinism guarantee
-extended to spec-driven runs.  Consumed by ``repro scenario
-{run,list,validate,show}``, the CI ``scenario-matrix`` job, and the
-serve daemon.
+The scenario zoo: a versioned JSON document (``repro-scenario/1``,
+:mod:`repro.scenarios.spec`) describes the whole experiment — graph
+family, composable workload phases, optional churn events, the scheme
+x engine x tables execution matrix, and declarative assertions — and
+:mod:`repro.scenarios.runner` executes it deterministically from the
+spec seed.  A phase with churn ``events`` is the one way to describe
+traffic across topology changes.  Consumed by ``repro scenario
+{run,list,validate,show}``, the CI ``scenario-matrix`` and
+``churn-smoke`` jobs, and the serve daemon.
 """
 
 from repro.scenarios.spec import (
@@ -26,7 +26,6 @@ from repro.scenarios.spec import (
     load_scenario,
 )
 from repro.scenarios.runner import (
-    SCENARIO_SHARD_SIZE,
     CellResult,
     ScenarioResult,
     build_scenario_graph,
@@ -41,7 +40,6 @@ __all__ = [
     "PHASE_KINDS",
     "SMOKE_MAX_N",
     "SMOKE_MAX_PAIRS",
-    "SCENARIO_SHARD_SIZE",
     "AssertionSpec",
     "GraphSpec",
     "MatrixSpec",

@@ -3,21 +3,19 @@
 One :func:`run_scenario` call covers the spec's whole execution matrix.
 Per cell (scheme x engine x tables) the runner walks the phase
 sequence once — stepping the network across each phase's churn
-events with :func:`repro.runtime.churn.evolve_epoch`, the step
-:func:`~repro.runtime.churn.run_timeline` takes — then routes every phase
-once per ``jobs`` value and **verifies the summaries bit-identical
-across the jobs axis** before reporting a single merged summary with
-one :class:`~repro.runtime.traffic.EpochStretch` row per phase.
+events with :func:`repro.runtime.churn.evolve_epoch` — routes every
+phase once with :func:`~repro.runtime.traffic.run_workload`, and
+reports a single merged summary with one
+:class:`~repro.runtime.traffic.EpochStretch` row per phase.
 
 Determinism contract: every random draw derives from the spec seed
 through tagged streams — ``{seed}|graph`` for the generator,
-``{seed}|churn|{i}`` for phase ``i``'s events (matching the churn
-module), ``{seed}|phase|{i}`` for its pairs — and every
-:func:`~repro.runtime.traffic.run_workload` call pins
-``shard_size=SCENARIO_SHARD_SIZE``, so the shard partition (hence the
-float summation order) never depends on the ``jobs`` value.  The same
-spec therefore produces the same summary on any ``--jobs`` value and
-any engine/table family the matrix declares equivalent.
+``{seed}|churn|{i}`` for phase ``i``'s events, ``{seed}|phase|{i}`` for
+its pairs — and a workload's summary does not depend on how
+:func:`~repro.runtime.traffic.run_workload` cuts it into chunks.  The
+same spec therefore produces the same summary on every run, and on
+every engine and table family (``tests/test_scenarios.py`` checks the
+committed zoo three ways).
 """
 
 from __future__ import annotations
@@ -48,12 +46,6 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     load_scenario,
 )
-
-#: Fixed pairs-per-shard for every scenario workload call.  Pinned —
-#: independent of the jobs axis — so the shard partition and float
-#: summation order are identical for any ``jobs`` value, which is what
-#: makes the cross-``jobs`` bit-identity check meaningful.
-SCENARIO_SHARD_SIZE = 256
 
 #: comparison slack for stretch-vs-bound checks (matches the CLI)
 _EPS = 1e-9
@@ -151,10 +143,9 @@ def summary_fingerprint(summary: TrafficSummary) -> Tuple[Any, ...]:
 
 @dataclass(frozen=True)
 class CellResult:
-    """One matrix cell's outcome: the merged summary (identical for
-    every jobs value — verified), the scheme's claimed bound, the final
-    generation, and the evaluated assertion checks
-    ``(name, status, detail)`` with status pass/fail/skip."""
+    """One matrix cell's outcome: the merged summary, the scheme's
+    claimed bound, the final generation, and the evaluated assertion
+    checks ``(name, status, detail)`` with status pass/fail/skip."""
 
     scheme: str
     engine: str
@@ -170,7 +161,7 @@ class CellResult:
 
     def format(self) -> str:
         """The cell's report block.  Deterministic apart from the
-        summary's ``throughput`` line (CI strips it before diffing)."""
+        summary's ``throughput`` line."""
         lines = [
             f"-- scheme={self.scheme} engine={self.engine} "
             f"tables={self.tables} --",
@@ -249,8 +240,8 @@ def _phase_plan(
 ) -> List[Tuple[Network, Optional[Any], Workload]]:
     """Walk the phases once: evolve through churn, generate each
     phase's workload against its generation.  Returns
-    ``[(network, delta, workload), ...]`` — the chain is a pure
-    function of the spec, so every jobs value replays the same plan."""
+    ``[(network, delta, workload), ...]``, a pure function of the
+    spec."""
     net = Network(graph, seed=spec.seed, engine=engine, store=store,
                   tables=tables)
     plan: List[Tuple[Network, Optional[Any], Workload]] = []
@@ -275,31 +266,20 @@ def _run_cell(
     scheme: str,
     engine: str,
     tables: str,
-    jobs_axis: Tuple[int, ...],
     store: Any,
 ) -> CellResult:
     plan = _phase_plan(spec, graph, engine, tables, store)
     params = _scheme_params(scheme, spec.matrix.params)
     bound = plan[0][0].stretch_bound(scheme, **params)
-    summaries = []
-    for jobs in jobs_axis:
-        parts = []
-        for i, (net, delta, workload) in enumerate(plan):
-            built = net.build_scheme(scheme, **params)
-            part = run_workload(
-                built, workload, oracle=net.oracle(), engine=engine,
-                shard_size=SCENARIO_SHARD_SIZE, jobs=jobs, tables=tables,
-            )
-            parts.append(attach_epoch_row(part, i, net, delta))
-        summaries.append(TrafficSummary.merge(parts))
-    fingerprints = {summary_fingerprint(s) for s in summaries}
-    if len(fingerprints) > 1:
-        raise ScenarioError(
-            f"scenario {spec.name!r}: summaries diverged across "
-            f"jobs={list(jobs_axis)} for scheme={scheme} engine={engine} "
-            f"tables={tables} — the determinism contract is broken"
+    parts = []
+    for i, (net, delta, workload) in enumerate(plan):
+        built = net.build_scheme(scheme, **params)
+        part = run_workload(
+            built, workload, oracle=net.oracle(), engine=engine,
+            tables=tables,
         )
-    summary = summaries[0]
+        parts.append(attach_epoch_row(part, i, net, delta))
+    summary = TrafficSummary.merge(parts)
     final_generation = plan[-1][0].generation
     checks = _evaluate(spec, summary, bound, final_generation)
     return CellResult(
@@ -322,8 +302,8 @@ def _evaluate(
     """Evaluate the spec's assertions against one cell's summary.
 
     Throughput details deliberately omit the measured value: check
-    lines must be bit-identical across ``--jobs`` runs, and physical
-    time is the one thing that is not.
+    lines must be the same on every run, and physical time is the one
+    thing that is not.
     """
     a = spec.assertions
     checks: List[Tuple[str, str, str]] = []
@@ -368,35 +348,24 @@ def _evaluate(
     return checks
 
 
-def run_scenario(
-    source: Any,
-    jobs: Optional[int] = None,
-    store: Any = "auto",
-) -> ScenarioResult:
+def run_scenario(source: Any, store: Any = "auto") -> ScenarioResult:
     """Run a scenario end to end (see the module docstring).
 
     Args:
         source: anything :func:`~repro.scenarios.spec.load_scenario`
             accepts — a path, JSON text, a dict, or a spec.
-        jobs: override the matrix's jobs axis with one value (the
-            ``--jobs`` flag; the summary is bit-identical either way —
-            that is the point).
         store: forwarded to every :class:`~repro.api.Network`.
 
     Raises:
-        ScenarioError: for malformed specs, or when summaries diverge
-            across the jobs axis (a determinism regression).
+        ScenarioError: for malformed specs.
     """
     spec = load_scenario(source)
     graph = build_scenario_graph(spec)
-    jobs_axis = (jobs,) if jobs is not None else spec.matrix.jobs
-    if any(j < 1 for j in jobs_axis):
-        raise ScenarioError(f"jobs must be >= 1, got {list(jobs_axis)}")
     cells = []
     for scheme in spec.matrix.schemes:
         for engine in spec.matrix.engines:
             for tables in spec.matrix.tables:
                 cells.append(_run_cell(
-                    spec, graph, scheme, engine, tables, jobs_axis, store,
+                    spec, graph, scheme, engine, tables, store,
                 ))
     return ScenarioResult(spec=spec, cells=tuple(cells))

@@ -3,7 +3,7 @@
 A scenario is the whole experiment as data: the graph (a generator
 family or an edgelist snapshot), the traffic shape (a sequence of
 workload *phases*, optionally interleaved with churn events), the
-execution matrix (scheme x engine x tables x jobs), and the declarative
+execution matrix (scheme x engine x tables), and the declarative
 assertions the run must satisfy.  Committing a JSON file under
 ``scenarios/`` is enough for the CLI (``repro scenario run``), CI (the
 ``scenario-matrix`` job), and the serve daemon (``repro client workload
@@ -24,17 +24,23 @@ The document format::
           "params": {"targets": 2, "bias": 0.9},
           "events": [{"op": "reweight"}]}]},
      "matrix": {"schemes": ["stretch6"], "engines": ["auto"],
-                "tables": ["auto"], "jobs": [1, 4]},
+                "tables": ["auto"]},
      "assertions": {"stretch_within_bound": true,
                     "min_pairs_per_s": 10.0,
                     "expect_epochs": 2}}
 
+A phase's churn ``events`` are bare (``{"op": "link_down"}``, drawn
+from the spec seed at run time) or carry their operands
+(``{"op": "link_up", "tail": 0, "head": 5, "weight": 2.5}``); see
+:mod:`repro.runtime.churn`.
+
 Validation is strict and loud: unknown keys anywhere, a family or
 workload kind outside the registries, a contradictory matrix (the
-pure-python engine combined with a compiled table family), or a
-missing seed all raise :class:`ScenarioError` with an exact, stable
-message (the golden fixtures in ``tests/test_scenarios.py`` pin them).
-Every spec round-trips ``from_doc(to_doc(spec)) == spec``.
+pure-python engine combined with a compiled table family), a churn
+event with a missing or mistyped operand, or a missing seed all raise
+:class:`ScenarioError` with an exact, stable message (the golden
+fixtures in ``tests/test_scenarios.py`` pin them).  Every spec
+round-trips ``from_doc(to_doc(spec)) == spec``.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 from repro.exceptions import GraphError
 from repro.graph.delta import OP_NAMES
 from repro.graph.generators import FAMILY_NAMES
+from repro.runtime.churn import explicit_op
 from repro.runtime.traffic import WORKLOAD_KINDS
 
 #: scenario document schema identifier (bump on incompatible change)
@@ -253,6 +260,10 @@ class PhaseSpec:
                     f"{where}.events[{j}] must be an object with 'op' in "
                     f"{OP_NAMES}, got {ev!r}"
                 )
+            try:
+                explicit_op(ev)
+            except GraphError as exc:
+                raise ScenarioError(f"{where}.events[{j}]: {exc}")
         if kind == "trace":
             for forbidden in ("pairs", "params"):
                 if doc.get(forbidden) is not None:
@@ -319,9 +330,12 @@ class PhaseSpec:
 @dataclass(frozen=True)
 class MatrixSpec:
     """The execution matrix: every run covers the full cross product
-    ``schemes x engines x tables``, and each cell executes once per
-    ``jobs`` value with the summaries checked bit-identical — the
-    differential guarantee as declarative data."""
+    ``schemes x engines x tables``, one run per cell.
+
+    ``jobs`` is parsed and validated so that every spec written when it
+    selected a shard partition still loads, and it has no effect: a
+    workload's summary does not depend on how it is cut
+    (:func:`repro.runtime.traffic.run_workload`)."""
 
     schemes: Tuple[str, ...] = ("stretch6",)
     engines: Tuple[str, ...] = ("auto",)
@@ -409,8 +423,7 @@ class MatrixSpec:
 
     @property
     def cells(self) -> int:
-        """Matrix cells (one result block each; jobs is the inner
-        differential axis, not a reported dimension)."""
+        """Matrix cells (one result block each)."""
         return len(self.schemes) * len(self.engines) * len(self.tables)
 
 

@@ -133,10 +133,9 @@ class Generation:
         this snapshot (worker thread).
 
         Phase pairs derive exactly as the offline runner's
-        (:func:`repro.scenarios.phase_workload` with the spec seed);
-        each phase routes with the runner's fixed shard size and the
-        per-phase summaries merge in order, so the served summary is
-        deterministic from the spec.  Event-carrying specs were already
+        (:func:`repro.scenarios.phase_workload` with the spec seed) and
+        the per-phase summaries merge in order, so the served summary
+        is deterministic from the spec.  Event-carrying specs were already
         rejected at request-parse time; trace pairs are range-checked
         against this graph.
 
@@ -145,11 +144,7 @@ class Generation:
                 parameters the generator rejects.
         """
         from repro.exceptions import GraphError
-        from repro.scenarios import (
-            SCENARIO_SHARD_SIZE,
-            ScenarioSpec,
-            phase_workload,
-        )
+        from repro.scenarios import ScenarioSpec, phase_workload
 
         spec = ScenarioSpec.from_doc(doc)
         router = self.router(scheme)
@@ -164,11 +159,7 @@ class Generation:
                 )
             except GraphError as exc:
                 raise ProtocolError(f"phases[{i}]: {exc}")
-            parts.append(
-                router.serve_workload(
-                    workload, shard_size=SCENARIO_SHARD_SIZE
-                )
-            )
+            parts.append(router.serve_workload(workload))
         return TrafficSummary.merge(parts)
 
     def session_stats(self) -> SessionStats:

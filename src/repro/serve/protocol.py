@@ -398,7 +398,7 @@ _SUMMARY_FIELDS = (
 
 def encode_summary(summary: TrafficSummary) -> Dict[str, Any]:
     """A :class:`TrafficSummary` as a wire dict (all fields; the
-    ``epochs`` key only travels for churn-timeline summaries)."""
+    ``epochs`` key only travels for summaries that carry epoch rows)."""
     doc: Dict[str, Any] = {
         field: getattr(summary, field) for field in _SUMMARY_FIELDS
     }

@@ -13,16 +13,16 @@ Four concerns, bottom-up:
   across compiled schemes and both table families, including a
   hypothesis sweep over random edit sequences (weight increases
   included: those invalidate paths, the hard direction for repair);
-* churn timelines — parsing, determinism across worker counts, and
-  the per-epoch stretch rows :func:`~repro.runtime.churn.run_timeline`
-  threads through :class:`~repro.runtime.traffic.TrafficSummary`.
+* churn timelines, written as ``repro-scenario/1`` specs whose phases
+  carry events — parsing, event materialization, and the per-epoch
+  stretch rows the scenario runner threads through
+  :class:`~repro.runtime.traffic.TrafficSummary`.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 from typing import List, Tuple
 
 import numpy as np
@@ -43,12 +43,13 @@ from repro.graph.csr import CSRGraph
 from repro.graph.digraph import Digraph
 from repro.graph.scc import is_strongly_connected
 from repro.graph.shortest_paths import DistanceOracle
-from repro.runtime.churn import (
-    EpochSpec,
-    Timeline,
-    load_timeline,
-    materialize_delta,
-    run_timeline,
+from repro.runtime import traffic
+from repro.runtime.churn import materialize_delta
+from repro.scenarios import (
+    ScenarioSpec,
+    load_scenario,
+    run_scenario,
+    summary_fingerprint,
 )
 
 
@@ -602,51 +603,63 @@ def test_differential_random_edit_sequences(instance):
 
 
 # ----------------------------------------------------------------------
-# timelines
+# timelines: scenario specs whose phases carry churn events
 # ----------------------------------------------------------------------
 
-_TIMELINE_DOC = {
-    "version": 1,
-    "seed": 7,
-    "workload": "mixed",
-    "epochs": [
-        {"pairs": 30},
-        {"pairs": 30, "events": [{"op": "reweight"}, {"op": "link_up"}]},
-        {"pairs": 20, "events": [{"op": "arrival"}], "workload": "uniform"},
-    ],
-}
+def _timeline_doc(graph, phases, **extra):
+    doc = {
+        "schema": "repro-scenario/1", "name": "timeline", "seed": 7,
+        "graph": graph, "workload": {"phases": phases},
+    }
+    doc.update(extra)
+    return doc
+
+
+_TIMELINE_DOC = _timeline_doc({"family": "random", "n": 14}, [
+    {"kind": "mixed", "pairs": 30},
+    {"kind": "mixed", "pairs": 30,
+     "events": [{"op": "reweight"}, {"op": "link_up"}]},
+    {"kind": "uniform", "pairs": 20, "events": [{"op": "arrival"}]},
+])
 
 
 class TestTimeline:
+    """A churn timeline is a ``repro-scenario/1`` spec: one phase per
+    epoch, its ``events`` applied before its traffic.  It loads from a
+    dict, JSON text or a file, round-trips, and rejects what the
+    retired version-1 timeline document rejected."""
+
     def test_load_from_dict_string_and_file(self, tmp_path):
-        t1 = load_timeline(_TIMELINE_DOC)
-        t2 = load_timeline(json.dumps(_TIMELINE_DOC))
+        t1 = load_scenario(_TIMELINE_DOC)
+        t2 = load_scenario(json.dumps(_TIMELINE_DOC))
         path = tmp_path / "timeline.json"
         path.write_text(json.dumps(_TIMELINE_DOC))
-        t3 = load_timeline(str(path))
+        t3 = load_scenario(str(path))
         assert t1 == t2 == t3
         assert t1.seed == 7
-        assert len(t1.epochs) == 3
-        assert t1.epochs[2].workload == "uniform"
+        assert len(t1.phases) == 3
+        assert t1.phases[2].kind == "uniform"
         assert t1.total_events == 3
 
     def test_doc_round_trip(self):
-        timeline = load_timeline(_TIMELINE_DOC)
-        assert Timeline.from_doc(timeline.to_doc()) == timeline
+        timeline = load_scenario(_TIMELINE_DOC)
+        assert ScenarioSpec.from_doc(timeline.to_doc()) == timeline
 
     @pytest.mark.parametrize("mutate", [
-        lambda d: d.update(version=99),
-        lambda d: d.update(workload="bogus"),
-        lambda d: d.update(epochs=[]),
-        lambda d: d.update(epochs=[{"pairs": -1}]),
-        lambda d: d.update(epochs=[{"pairs": 5, "events": [{"op": "teleport"}]}]),
-        lambda d: d.update(epochs=[{"pairs": 5, "events": ["x"]}]),
+        lambda d: d.update(schema="repro-scenario/99"),
+        lambda d: d["workload"]["phases"][0].update(kind="bogus"),
+        lambda d: d["workload"].update(phases=[]),
+        lambda d: d["workload"].update(phases=[{"kind": "mixed", "pairs": -1}]),
+        lambda d: d["workload"].update(phases=[
+            {"kind": "mixed", "pairs": 5, "events": [{"op": "teleport"}]}]),
+        lambda d: d["workload"].update(phases=[
+            {"kind": "mixed", "pairs": 5, "events": ["x"]}]),
     ])
     def test_from_doc_rejects_malformed(self, mutate):
         doc = json.loads(json.dumps(_TIMELINE_DOC))
         mutate(doc)
         with pytest.raises(GraphError):
-            Timeline.from_doc(doc)
+            ScenarioSpec.from_doc(doc)
 
     def test_materialize_preserves_connectivity(self):
         g = _grid_graph(10, 30, extra=6)
@@ -664,17 +677,22 @@ class TestTimeline:
 
 
 class TestRunTimeline:
-    def _network(self, seed=40):
-        return Network(_grid_graph(14, seed, extra=10), seed=1, store=None)
+    @staticmethod
+    def _graph(seed=40):
+        g = _grid_graph(14, seed, extra=10)
+        return {
+            "family": "edgelist",
+            "edges": [[e.tail, e.head, e.weight] for e in g.edges()],
+        }
 
     def test_epoch_rows_track_generations(self):
-        net = self._network()
-        timeline = Timeline(seed=3, workload="mixed", epochs=(
-            EpochSpec(pairs=20),
-            EpochSpec(pairs=20, events=({"op": "reweight"},)),
-            EpochSpec(pairs=15, events=({"op": "arrival"},)),
-        ))
-        summary, final = run_timeline(net, "stretch6", timeline)
+        doc = _timeline_doc(self._graph(), [
+            {"kind": "mixed", "pairs": 20},
+            {"kind": "mixed", "pairs": 20, "events": [{"op": "reweight"}]},
+            {"kind": "mixed", "pairs": 15, "events": [{"op": "arrival"}]},
+        ], seed=3)
+        (cell,) = run_scenario(doc, store=None).cells
+        summary = cell.summary
         assert summary.pairs == 55
         assert [e.generation for e in summary.epochs] == [1, 2, 3]
         assert [e.repair for e in summary.epochs] == [
@@ -682,26 +700,41 @@ class TestRunTimeline:
         ]
         assert summary.epochs[1].events == ("reweight",)
         assert summary.epochs[2].events == ("arrival",)
-        assert final.generation == 3
-        assert final.n == net.n + 1
+        assert cell.final_generation == 3
+        # the arrival's vertex 14 is routable in the last epoch
+        assert max(summary.epochs[2].worst_pair) <= 14
         # per-epoch rows show up in the human format
         text = summary.format()
         assert "epoch 0" in text and "gen 3" in text
 
-    def test_bit_identical_across_jobs(self):
-        """The churn acceptance bar: a timeline run is bit-identical
-        across jobs values at a fixed shard plan."""
-        timeline = Timeline(seed=11, workload="mixed", epochs=(
-            EpochSpec(pairs=24, events=({"op": "reweight"},)),
-            EpochSpec(pairs=24, events=({"op": "link_down"}, {"op": "link_up"})),
-        ))
-        for engine in ("auto", "python"):
-            summaries = []
-            for jobs in (1, 2, 4):
-                summary, _ = run_timeline(
-                    self._network(), "stretch6", timeline,
-                    engine=engine, shard_size=8, jobs=jobs,
-                )
-                # wall-clock is the one field allowed to differ
-                summaries.append(replace(summary, elapsed_s=0.0))
-            assert summaries[0] == summaries[1] == summaries[2], engine
+    def test_bit_identical_across_jobs(self, monkeypatch):
+        """A timeline whose matrix lists ``jobs`` values still loads,
+        runs each cell once, and gives the summary of the same spec
+        without them: the key has no effect."""
+        phases = [
+            {"kind": "mixed", "pairs": 24, "events": [{"op": "reweight"}]},
+            {"kind": "mixed", "pairs": 24,
+             "events": [{"op": "link_down"}, {"op": "link_up"}]},
+        ]
+        matrix = {"engines": ["auto", "python"]}
+        plain = run_scenario(
+            _timeline_doc(self._graph(), phases, matrix=matrix), store=None
+        )
+        calls = []
+        run_workload = traffic.run_workload
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return run_workload(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.scenarios.runner.run_workload", counting
+        )
+        with_jobs = run_scenario(_timeline_doc(
+            self._graph(), phases, matrix=dict(matrix, jobs=[1, 2, 4]),
+        ), store=None)
+        # two cells (one per engine), two phases each: four workloads
+        assert len(with_jobs.cells) == 2 and len(calls) == 4
+        assert [summary_fingerprint(c.summary) for c in with_jobs.cells] == [
+            summary_fingerprint(c.summary) for c in plain.cells
+        ]

@@ -408,7 +408,7 @@ def test_double_tree_schemes_bit_identical(family, scheme_name, params):
     )
     ref = run_workload(
         scheme, workload, oracle=net.oracle(), engine="python",
-        shard_size=16, jobs=2,
+        shard_size=16,
     )
     for tables in ("dense", "blocked"):
         sim = Simulator(scheme, tables=tables)
@@ -417,7 +417,7 @@ def test_double_tree_schemes_bit_identical(family, scheme_name, params):
         assert_traces_equal(py, sim.roundtrip_many(pairs, engine="auto"))
         vec = run_workload(
             scheme, workload, oracle=net.oracle(), engine="vectorized",
-            shard_size=16, jobs=2, tables=tables,
+            shard_size=16, tables=tables,
         )
         assert replace(vec, elapsed_s=0.0) == replace(ref, elapsed_s=0.0)
 

@@ -8,11 +8,12 @@ Five concerns, bottom-up:
   generated spec round-trips ``from_doc(to_doc(spec)) == spec``;
 * **the runner** — graph building (generator families and edgelist
   snapshots), phase workload derivation, churn evolution, assertion
-  evaluation, and the tentpole determinism contract: summaries are
-  bit-identical across the ``jobs`` axis;
-* **the committed zoo** — every spec under ``scenarios/`` validates
-  and its assertions hold at smoke size (what CI's scenario-matrix
-  job enforces);
+  evaluation, and the determinism contract: a phase that spans many
+  engine calls summarizes as one, on both engines;
+* **the committed zoo** — every spec under ``scenarios/`` validates,
+  its assertions hold at smoke size (what CI's scenario-matrix job
+  enforces), and it summarizes identically on the python engine, on
+  dense tables and on blocked tables;
 * **CLI plumbing** — ``repro scenario {run,validate,show,list}`` exit
   codes and output;
 * **serve** — the ``WorkloadRequest`` scenario form (round-trip,
@@ -22,12 +23,14 @@ Five concerns, bottom-up:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.exceptions import GraphError
+from repro.runtime import traffic
 from repro.scenarios import (
     GRAPH_FAMILIES,
     PHASE_KINDS,
@@ -142,6 +145,84 @@ class TestGoldenErrors:
             "phases[0].pairs does not apply to trace phases (the trace "
             "defines the pairs)",
         )
+
+    @staticmethod
+    def event_doc(event):
+        return minimal_doc(workload={"phases": [
+            {"kind": "uniform", "pairs": 4},
+            {"kind": "uniform", "pairs": 4, "events": [event]},
+        ]})
+
+    @pytest.mark.parametrize("event,message", [
+        pytest.param(
+            {"op": "reweight", "tail": 0},
+            "malformed 'reweight' op: missing 'head'",
+            id="missing-head",
+        ),
+        pytest.param(
+            {"op": "departure", "nod": 3},
+            "unknown 'departure' event key(s): nod; expected node",
+            id="unknown-key",
+        ),
+        pytest.param(
+            {"op": "link_down", "tail": "a", "head": 1},
+            "malformed 'link_down' op: 'tail' must be an integer vertex, "
+            "got 'a'",
+            id="string-vertex",
+        ),
+        pytest.param(
+            {"op": "link_up", "tail": 0, "head": 2.5},
+            "malformed 'link_up' op: 'head' must be an integer vertex, "
+            "got 2.5",
+            id="float-vertex",
+        ),
+        pytest.param(
+            {"op": "link_up", "tail": 0, "head": 2, "weight": "heavy"},
+            "malformed 'link_up' op: 'weight' must be a number, got 'heavy'",
+            id="string-weight",
+        ),
+        pytest.param(
+            {"op": "reweight", "tail": 0, "head": 1, "factor": True},
+            "reweight 'factor' must be a number, got True",
+            id="bool-factor",
+        ),
+        pytest.param(
+            {"op": "reweight", "tail": 0, "head": 1, "weight": 2.0,
+             "factor": 2.0},
+            "a reweight event gives a weight or a factor, not both",
+            id="weight-and-factor",
+        ),
+        pytest.param(
+            {"op": "arrival", "out": [[0]]},
+            "arrival 'out' entries must be [vertex, weight] pairs, got [0]",
+            id="arrival-edge",
+        ),
+        pytest.param(
+            {"op": "departure", "node": None},
+            "malformed 'departure' op: 'node' must be an integer vertex, "
+            "got None",
+            id="null-node",
+        ),
+    ])
+    def test_malformed_event(self, event, message):
+        self.expect(self.event_doc(event), f"phases[1].events[0]: {message}")
+
+    def test_explicit_events_load(self):
+        """Events with every operand form still load: bare, explicit,
+        link_up's default weight and reweight's factor."""
+        events = [
+            {"op": "reweight"},
+            {"op": "reweight", "tail": 0, "head": 1, "factor": 1.5},
+            {"op": "reweight", "tail": 0, "head": 1},
+            {"op": "link_up", "tail": 0, "head": 2},
+            {"op": "link_down", "tail": 0, "head": 2},
+            {"op": "arrival", "out": [[0, 1.0]], "in": [[1, 2]]},
+            {"op": "departure", "node": 3},
+        ]
+        doc = minimal_doc(workload={"phases": [
+            {"kind": "uniform", "pairs": 4, "events": events},
+        ]})
+        assert ScenarioSpec.from_doc(doc).total_events == len(events)
 
     def test_not_an_object(self):
         self.expect([1, 2], "scenario must be a JSON object")
@@ -310,9 +391,10 @@ def test_phase_workload_is_seed_deterministic():
     assert w1.pairs != w3.pairs
 
 
-def test_run_scenario_jobs_override_is_bit_identical():
-    # The 300-pair phase spans two SCENARIO_SHARD_SIZE shards, so each
-    # cell's jobs=4 run merges more than one shard.
+def test_run_scenario_phase_spanning_chunks_matches_one_call(monkeypatch):
+    # With 64-pair chunks, the 300-pair phase takes five engine calls;
+    # each cell must summarize it as one call of all 300 pairs does,
+    # and the auto (vectorized) and python cells must agree.
     doc = minimal_doc(
         graph={"family": "random", "n": 24},
         workload={"phases": [
@@ -323,17 +405,18 @@ def test_run_scenario_jobs_override_is_bit_identical():
         ]},
         matrix={"engines": ["auto", "python"]},
     )
-    r1 = run_scenario(doc, jobs=1, store=None)
-    r4 = run_scenario(doc, jobs=4, store=None)
-    assert r1.ok and r4.ok
-    f1 = [summary_fingerprint(c.summary) for c in r1.cells]
-    f4 = [summary_fingerprint(c.summary) for c in r4.cells]
-    assert f1 == f4
+    whole = run_scenario(doc, store=None)
+    monkeypatch.setattr(traffic, "CHUNK_PAIRS", 64)
+    chunked = run_scenario(doc, store=None)
+    assert whole.ok and chunked.ok
+    fingerprints = [summary_fingerprint(c.summary) for c in chunked.cells]
+    assert fingerprints == [summary_fingerprint(c.summary) for c in whole.cells]
+    assert fingerprints[0] == fingerprints[1]
     # formatted output identical apart from throughput lines
     strip = lambda text: "\n".join(  # noqa: E731
         ln for ln in text.splitlines() if not ln.startswith("throughput")
     )
-    assert strip(r1.format()) == strip(r4.format())
+    assert strip(whole.format()) == strip(chunked.format())
 
 
 def test_run_scenario_churn_tracks_generations_and_epochs():
@@ -391,8 +474,31 @@ def test_committed_spec_validates_and_round_trips(path):
 
 def test_flash_crowd_smoke_assertions_hold():
     spec = load_scenario(str(SCENARIO_DIR / "flash_crowd.json")).smoke()
-    result = run_scenario(spec, jobs=2, store=None)
+    result = run_scenario(spec, store=None)
     assert result.ok, result.format()
+
+
+#: the engine and table family pairs every committed spec runs on
+DIFFERENTIAL = (("python", "auto"), ("vectorized", "dense"),
+                ("vectorized", "blocked"))
+
+
+@pytest.mark.parametrize("path", ZOO, ids=lambda p: p.stem)
+def test_committed_spec_agrees_across_engines_and_tables(path):
+    """Each committed spec at smoke size, per scheme: the python engine,
+    dense tables and blocked tables give equal summary fingerprints."""
+    spec = load_scenario(str(path)).smoke()
+    by_scheme = {}
+    for engine, tables in DIFFERENTIAL:
+        matrix = replace(spec.matrix, engines=(engine,), tables=(tables,))
+        result = run_scenario(replace(spec, matrix=matrix), store=None)
+        assert result.ok, result.format()
+        for cell in result.cells:
+            by_scheme.setdefault(cell.scheme, []).append(
+                summary_fingerprint(cell.summary)
+            )
+    for scheme, prints in by_scheme.items():
+        assert prints[0] == prints[1] == prints[2], (path.stem, scheme)
 
 
 # ----------------------------------------------------------------------
@@ -412,6 +518,21 @@ class TestScenarioCli:
         out = capsys.readouterr().out
         assert rc == 2
         assert "INVALID" in out
+
+    def test_malformed_event_fails_validate_and_run(self, capsys):
+        """A churn event missing an operand is invalid before it runs:
+        validate exits 2 naming the event, and run exits 1 with one
+        line instead of a traceback."""
+        doc = json.dumps(TestGoldenErrors.event_doc(
+            {"op": "reweight", "tail": 0}
+        ))
+        rc = main(["scenario", "validate", doc])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "INVALID: phases[1].events[0]: malformed 'reweight'" in out
+        with pytest.raises(SystemExit) as exc:
+            main(["scenario", "run", doc, "--no-store"])
+        assert str(exc.value).startswith("phases[1].events[0]: ")
 
     def test_run_inline_spec(self, capsys):
         rc = main(["scenario", "run", json.dumps(minimal_doc()),

@@ -198,18 +198,18 @@ def test_summaries_read_columns_identically(scheme_name, params):
         "mixed", net.n, 300, rng=random.Random(9), oracle=net.oracle()
     )
     batch = Simulator(scheme).roundtrip_many(workload.pairs)
-    for shards in ({}, {"shard_size": 64, "jobs": 2}):
+    for chunks in ({}, {"shard_size": 64}):
         ref = run_workload(
-            scheme, workload, oracle=net.oracle(), engine="python", **shards
+            scheme, workload, oracle=net.oracle(), engine="python", **chunks
         )
         got = run_workload(
             scheme, workload, oracle=net.oracle(), engine="vectorized",
-            **shards,
+            **chunks,
         )
         assert replace(got, elapsed_s=0.0) == replace(ref, elapsed_s=0.0)
-    unsharded = run_workload(scheme, workload, oracle=net.oracle())
-    assert unsharded.total_cost == sum(batch.cost)
-    assert unsharded.total_hops == sum(batch.hops)
+    one_call = run_workload(scheme, workload, oracle=net.oracle())
+    assert one_call.total_cost == sum(batch.cost)
+    assert one_call.total_hops == sum(batch.hops)
 
 
 class TestRoundtripTrace:
