@@ -70,7 +70,7 @@ def test_pipeline_stage_times(benchmark):
         t2 = time.perf_counter()
         rtz = RTZStretch3(metric, random.Random(3))
         t3 = time.perf_counter()
-        compile_substrate_tables(rtz, "dense")
+        compile_substrate_tables(rtz)
         t4 = time.perf_counter()
         StretchSixScheme(metric, naming, substrate=rtz)
         t5 = time.perf_counter()
@@ -81,7 +81,7 @@ def test_pipeline_stage_times(benchmark):
             spanner=HandshakeSpanner(metric, 2, hierarchy=hierarchy),
         )
         t7 = time.perf_counter()
-        exstretch.compile_tables("dense")
+        exstretch.compile_tables()
         t8 = time.perf_counter()
         stages["apsp oracle"] = t1 - t0
         stages["metric + orders"] = t2 - t1

@@ -75,13 +75,14 @@ class Network:
             disables persistence for this network.  It is the only
             store the network's work touches: compiled decision tables
             are never persisted.
-        tables: default compiled-table family for this network's
-            routers (``"dense"`` / ``"blocked"`` / ``"auto"``; see
-            :func:`repro.runtime.engine.resolve_table_family`).
+
+    Its routers' compiled tables are stored as the graph size dictates
+    (:func:`repro.graph.limits.table_storage`): dense up to
+    ``REPRO_DENSE_MAX_N`` vertices, blocked above.
 
     Raises:
-        GraphError: for an unfrozen graph, unknown engine, unknown
-            table family, or invalid store argument.
+        GraphError: for an unfrozen graph, unknown engine, or invalid
+            store argument.
     """
 
     def __init__(
@@ -90,10 +91,7 @@ class Network:
         seed: int = 0,
         engine: str = "auto",
         store: Union[str, ArtifactStore, None] = "auto",
-        tables: str = "auto",
     ):
-        from repro.runtime.engine import TABLE_FAMILIES
-
         if not graph.frozen:
             raise GraphError(
                 "Network requires a frozen graph; call graph.freeze() first"
@@ -102,11 +100,6 @@ class Network:
             raise GraphError(
                 f"unknown engine {engine!r}; choose from {ENGINES}"
             )
-        if tables not in TABLE_FAMILIES:
-            raise GraphError(
-                f"unknown table family {tables!r}; choose from "
-                f"{TABLE_FAMILIES}"
-            )
         if store != "auto" and store is not None and not isinstance(store, ArtifactStore):
             raise GraphError(
                 f"store must be 'auto', None, or an ArtifactStore, got {store!r}"
@@ -114,7 +107,6 @@ class Network:
         self._graph = graph
         self._seed = seed
         self._engine = engine
-        self._tables = tables
         self._store_mode = store
         self._cache: Dict[str, Any] = {}
         self._stats: Dict[str, Dict[str, float]] = {}
@@ -145,7 +137,6 @@ class Network:
         seed: int = 0,
         engine: str = "auto",
         store: Union[str, ArtifactStore, None] = "auto",
-        tables: str = "auto",
     ) -> "Network":
         """Build a network over one of the standard graph families.
 
@@ -156,14 +147,13 @@ class Network:
                 :func:`~repro.graph.generators.standard_family`).
             engine: distance-oracle engine.
             store: persistence tier (see the constructor).
-            tables: default compiled-table family (see the constructor).
 
         Raises:
             GraphError: for an unknown family (choices listed).
         """
         return cls(
             standard_family(family, n, seed), seed=seed, engine=engine,
-            store=store, tables=tables,
+            store=store,
         )
 
     if from_family.__func__.__doc__:  # None under ``python -OO``
@@ -200,12 +190,6 @@ class Network:
         """The engine knob requested at construction (governs oracle
         builds and batched routing execution)."""
         return self._engine
-
-    @property
-    def tables(self) -> str:
-        """The compiled-table family knob requested at construction
-        (``"auto"`` / ``"dense"`` / ``"blocked"``)."""
-        return self._tables
 
     def derive_rng(self, tag: str, params: Optional[Dict[str, Any]] = None) -> random.Random:
         """A deterministic rng stream for one artifact or scheme.
@@ -335,7 +319,7 @@ class Network:
 
         The successor serves the new frozen graph
         (:meth:`Digraph.apply_delta` — ports preserved for every
-        surviving edge) with the same seed/engine/store/tables knobs,
+        surviving edge) with the same seed/engine/store knobs,
         ``generation`` incremented, and its artifacts brought up as
         cheaply as the repair protocols allow:
 
@@ -391,7 +375,6 @@ class Network:
             seed=self._seed,
             engine=self._engine,
             store=self._store_mode,
-            tables=self._tables,
         )
         child._generation = self._generation + 1
         carried = 0
@@ -511,7 +494,6 @@ class Network:
         scheme: Union[str, "RoutingScheme"],
         hop_limit: Optional[int] = None,
         engine: Optional[str] = None,
-        tables: Optional[str] = None,
         **params: Any,
     ) -> "Router":
         """A routing session over one scheme of this network.
@@ -522,8 +504,6 @@ class Network:
             hop_limit: per-leg hop budget override.
             engine: execution-engine override for batched serving
                 (defaults to this network's engine knob).
-            tables: compiled-table family override (defaults to this
-                network's tables knob).
             **params: forwarded to :meth:`build_scheme` for names.
         """
         from repro.api.router import Router
@@ -535,5 +515,4 @@ class Network:
             oracle=self.oracle(),
             hop_limit=hop_limit,
             engine=engine or self._engine,
-            tables=tables or self._tables,
         )

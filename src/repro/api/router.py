@@ -161,10 +161,10 @@ class Router:
             (``"auto"`` / ``"vectorized"`` / ``"python"``; ``"auto"``
             compiles the scheme's tables when it can and falls back to
             the hop-by-hop simulator when it cannot).
-        tables: compiled-table family for the vectorized engine
-            (``"dense"`` / ``"blocked"`` / ``"auto"``; ``"auto"`` picks
-            dense under the size threshold, blocked above it.  All
-            families serve bit-identical results).
+
+    The compiled tables are stored as the graph size dictates
+    (:func:`repro.graph.limits.table_storage`); either storage serves
+    bit-identical results.
     """
 
     def __init__(
@@ -173,14 +173,12 @@ class Router:
         oracle: Optional[DistanceOracle] = None,
         hop_limit: Optional[int] = None,
         engine: str = "auto",
-        tables: str = "auto",
     ):
         self._scheme = scheme
         self._oracle = oracle
-        self._sim = Simulator(scheme, hop_limit=hop_limit, tables=tables)
+        self._sim = Simulator(scheme, hop_limit=hop_limit)
         self._hop_limit = hop_limit
         self._engine = engine
-        self._table_family = tables
         self._queries = 0
         self._total_cost = 0.0
         self._total_hops = 0
@@ -211,12 +209,6 @@ class Router:
         """The concrete engine a batched call would use (``None``
         resolves the session default)."""
         return self._sim.resolve_engine(engine or self._engine)
-
-    def resolve_tables(self) -> Optional[str]:
-        """The concrete compiled-table family vectorized serving uses
-        (``"dense"`` / ``"blocked"``), or ``None`` when the scheme does
-        not compile."""
-        return self._sim.resolve_tables()
 
     def _account_batch(
         self, engine: str, pairs: int, seconds: float, shards: int = 1
@@ -342,7 +334,6 @@ class Router:
             oracle=self._oracle,
             hop_limit=self._hop_limit,
             engine=resolved,
-            tables=self._table_family,
         )
         self._account_batch(
             resolved, summary.pairs, summary.elapsed_s,

@@ -40,7 +40,7 @@ from repro.api.stats import SessionStats
 from repro.distributed.preprocessing import DistributedPreprocessing
 from repro.exceptions import GraphError, ReproError
 from repro.graph.generators import FAMILY_NAMES
-from repro.runtime.engine import TABLE_FAMILIES
+from repro.graph.limits import table_storage
 from repro.runtime.scheme import RoutingScheme
 from repro.runtime.traffic import CHUNK_PAIRS, WORKLOAD_KINDS, generate_workload
 from repro.store import (
@@ -73,7 +73,6 @@ def _network(args: argparse.Namespace) -> Network:
         args.n,
         seed=args.seed,
         engine=getattr(args, "engine", "auto"),
-        tables=getattr(args, "tables", "auto"),
     )
 
 
@@ -178,7 +177,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
               + ("  (shared artifacts reused)" if i else ""))
         if resolved == "vectorized":
             print(f"engine     : {resolved}  (compiled decision tables, "
-                  f"tables={router.resolve_tables()})")
+                  f"tables={table_storage(net.n)})")
         else:
             print(f"engine     : {resolved}")
         print(summary.format())
@@ -350,7 +349,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         n=args.n,
         seed=args.seed,
         engine=args.engine,
-        tables=getattr(args, "tables", "auto"),
         schemes=tuple(schemes),
         host=args.host,
         port=args.port,
@@ -510,7 +508,6 @@ def _client_batch(args: argparse.Namespace, client) -> int:
         net = Network.from_family(
             args.family, args.n, seed=args.seed,
             engine=getattr(args, "engine", "auto"),
-            tables=getattr(args, "tables", "auto"),
         )
         results = net.router(args.scheme or "stretch6").route_many(pairs)
         for (s, t), route in zip(pairs, results):
@@ -599,16 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="distance-oracle and routing-execution engine "
             "(auto / vectorized / python); traffic, fig1, stretch "
             "and report route their pairs through this engine",
-        )
-        p.add_argument(
-            "--tables",
-            default="auto",
-            choices=TABLE_FAMILIES,
-            help="compiled-table family for the vectorized engine: "
-            "dense (n^2 matrices), blocked (sparse/blocked structures "
-            "with o(n^2) resident memory), or auto (dense below the "
-            "size threshold, blocked above); routing is bit-identical "
-            "across families",
         )
         store_opts(p)
 
@@ -699,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     scen_sub = p.add_subparsers(dest="scenario_command", required=True)
     sp = scen_sub.add_parser(
         "run",
-        help="execute spec files: the full scheme x engine x tables "
+        help="execute spec files: the full scheme x engine "
         "matrix, phase workloads, churn events, and declared "
         "assertions; exits nonzero on any assertion miss",
     )
@@ -879,8 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "(--offline only)")
     sp.add_argument("--engine", default="auto", choices=ENGINES,
                     help="routing engine (--offline only)")
-    sp.add_argument("--tables", default="auto", choices=TABLE_FAMILIES,
-                    help="compiled-table family (--offline only)")
     store_opts(sp)
     client_opts(sp)
     sp = client_sub.add_parser(

@@ -23,23 +23,6 @@ class NotStronglyConnectedError(GraphError):
     digraph that is not strongly connected."""
 
 
-class TableTooLargeError(GraphError):
-    """Raised instead of silently allocating an ``(n, n)`` table when
-    ``n`` exceeds the dense-table threshold.
-
-    The dense table family is quadratic in memory, so a dense compile
-    refuses graphs above :func:`repro.graph.limits.dense_table_max_n`
-    where it would allocate an ``(n, n)`` step table (the Lemma 2
-    substrate tables of stretch6, its variant, wild names and rtz).
-    The full-table baseline allocates nothing at compile: both of its
-    families serve the one matrix the scheme holds.  The
-    blocked/landmark table family (``--tables blocked``) is the
-    supported path at that scale; the threshold can be raised explicitly
-    via the ``REPRO_DENSE_MAX_N`` environment variable when the memory
-    is truly available.
-    """
-
-
 class NamingError(ReproError):
     """Raised for invalid node-name assignments (non-permutations,
     out-of-range names, hash-family misuse)."""
@@ -47,7 +30,8 @@ class NamingError(ReproError):
 
 class ConstructionError(ReproError):
     """Raised when a routing scheme cannot build its tables
-    (e.g. invalid parameter ``k``, empty center set)."""
+    (e.g. invalid parameter ``k``, empty center set, or a
+    ``REPRO_DENSE_MAX_N`` that is not a positive integer)."""
 
 
 class StoreError(ReproError):

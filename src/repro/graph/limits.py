@@ -1,21 +1,21 @@
-"""Size limits for dense ``(n, n)`` table materialization.
+"""The size rule that picks how compiled step tables are stored.
 
-The paper's whole point is sublinear-*space* routing, so the library
-refuses to silently allocate quadratic tables past a threshold: at
-n = 10^5 a single int32 ``(n, n)`` step table is 40 GB.  Callers that
-really want a dense table on a big-memory host can raise the threshold
-via the ``REPRO_DENSE_MAX_N`` environment variable; everyone else is
-steered to the blocked/landmark table family, which streams per-source
-blocks and keeps peak memory proportional to ``block_rows * n``.
+The paper's whole point is sublinear-*space* routing, and at n = 10^5 a
+single int32 ``(n, n)`` step table is 40 GB.  So the compiled engine
+stores the Lemma 2 substrate's tables as dense ``(n, n)`` matrices only
+up to a vertex-count threshold, and as the landmark factorization in
+o(n²) sorted pair tables above it (:func:`table_storage`).  Both
+storages make identical decisions; the threshold moves memory, never a
+route.  A big-memory host raises it through the ``REPRO_DENSE_MAX_N``
+environment variable, and tests lower it to exercise the blocked
+storage on small graphs.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
-
-from repro.exceptions import TableTooLargeError
+from repro.exceptions import ConstructionError
 
 #: Environment variable overriding the dense-table vertex-count ceiling.
 DENSE_MAX_N_ENV = "REPRO_DENSE_MAX_N"
@@ -26,33 +26,36 @@ DEFAULT_DENSE_MAX_N = 4096
 
 
 def dense_table_max_n() -> int:
-    """Largest ``n`` for which dense ``(n, n)`` tables may be built.
+    """Largest ``n`` whose step tables are stored dense.
 
     Read from ``REPRO_DENSE_MAX_N`` on every call (cheap, and lets tests
-    flip the threshold with ``monkeypatch.setenv``); malformed or
-    non-positive values fall back to :data:`DEFAULT_DENSE_MAX_N`.
+    flip the threshold with ``monkeypatch.setenv``); unset or empty
+    means :data:`DEFAULT_DENSE_MAX_N`.
+
+    Raises:
+        ConstructionError: for a value that is not a positive integer
+            (``1e1``, ``10k``, ``0``, ``-5``), naming the variable and
+            the value.
     """
-    raw = os.environ.get(DENSE_MAX_N_ENV)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            return DEFAULT_DENSE_MAX_N
-        if value > 0:
-            return value
-    return DEFAULT_DENSE_MAX_N
-
-
-def check_dense_table(n: int, dtype) -> None:
-    """Raise :class:`TableTooLargeError` if an ``(n, n)`` table of
-    ``dtype`` entries would exceed the configured threshold."""
-    limit = dense_table_max_n()
-    if n > limit:
-        dtype = np.dtype(dtype)
-        raise TableTooLargeError(
-            f"refusing to materialize a dense (n, n) table at n={n}: it "
-            f"exceeds the dense limit of {limit} vertices "
-            f"(~{n * n * dtype.itemsize / 2**20:,.1f} MiB at {dtype.name}). "
-            "Use the blocked table family (--tables blocked) or raise "
-            f"{DENSE_MAX_N_ENV} if the memory is really available."
+    raw = os.environ.get(DENSE_MAX_N_ENV, "")
+    if not raw:
+        return DEFAULT_DENSE_MAX_N
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ConstructionError(
+            f"{DENSE_MAX_N_ENV} must be a positive integer, got {raw!r}"
         )
+    return value
+
+
+def table_storage(n: int) -> str:
+    """How an ``n``-vertex graph's compiled step tables are stored:
+    ``"dense"`` while ``n <= dense_table_max_n()``, ``"blocked"`` above.
+
+    Raises:
+        ConstructionError: for a malformed ``REPRO_DENSE_MAX_N``.
+    """
+    return "dense" if n <= dense_table_max_n() else "blocked"

@@ -25,9 +25,11 @@ A scheme opts in by implementing
   on: an index into the graph's :class:`~repro.graph.csr.CSRGraph`
   ``out_heads``/``out_weights``, so the sweep reads each hop's next
   vertex and weight with two gathers (entries are converted once, at
-  compile time, by :func:`~repro.graph.csr.edge_slots`); the table
-  family only decides how each table stores its entries
-  (:data:`TABLE_FAMILIES`);
+  compile time, by :func:`~repro.graph.csr.edge_slots`).  The graph
+  size decides how the substrate's tables store their entries
+  (:func:`~repro.graph.limits.table_storage`): dense ``(n, n)``
+  matrices up to ``REPRO_DENSE_MAX_N`` vertices, sorted pair tables
+  with o(n²) memory above;
 * ``plan(sources, dests)`` — a :class:`JourneyPlan` describing each
   journey as two legs (outbound, acknowledgment), each a short list of
   :class:`Segment` s (e.g. ``s -> dictionary node``, then
@@ -82,7 +84,7 @@ from repro.exceptions import (
 )
 from repro.graph.csr import CSRGraph, PairTable, edge_slots
 from repro.graph.digraph import Digraph
-from repro.graph.limits import check_dense_table, dense_table_max_n
+from repro.graph.limits import table_storage
 from repro.runtime.simulator import (  # noqa: F401  (re-export)
     EXECUTION_ENGINES,
     LegTrace,
@@ -95,31 +97,6 @@ from repro.runtime.simulator import (  # noqa: F401  (re-export)
 PHASE_DIRECT = 0
 PHASE_UP = 1
 PHASE_DOWN = 2
-
-#: Compiled-table families: ``dense`` stores each step table as
-#: ``(n, n)`` matrices, ``blocked`` as sorted pair tables with o(n²)
-#: memory (the full-table baseline's next hops are n² in both); ``auto``
-#: picks by graph size.  Both make identical decisions.
-TABLE_FAMILIES = ("auto", "dense", "blocked")
-
-
-def resolve_table_family(tables: str, n: int) -> str:
-    """Resolve a ``--tables`` value to a concrete family.
-
-    ``auto`` selects ``dense`` while the graph fits under the
-    dense-table threshold (:func:`repro.graph.limits.dense_table_max_n`)
-    and ``blocked`` beyond it, so big graphs never trip
-    :class:`~repro.exceptions.TableTooLargeError` by default.
-    """
-    if tables not in TABLE_FAMILIES:
-        raise RoutingError(
-            f"unknown table family {tables!r}; expected one of "
-            f"{', '.join(TABLE_FAMILIES)}"
-        )
-    if tables == "auto":
-        return "dense" if n <= dense_table_max_n() else "blocked"
-    return tables
-
 
 # ----------------------------------------------------------------------
 # step tables: the compiled within-leg decision function
@@ -184,8 +161,8 @@ def hop_slots(graph: Digraph, tails, heads) -> np.ndarray:
     return slots.astype(np.int32)
 
 
-def _pack_pairs(n: int, chunks, tables: str, dtype):
-    """Store a table walk's entries the way the family ``tables`` names.
+def _pack_pairs(n: int, chunks, storage: str, dtype):
+    """Store a table walk's entries the way ``storage`` names.
 
     ``chunks`` yields ``(keys, values)`` lists, entry ``[u, v]`` keyed
     ``u * n + v`` — its flat index in an ``(n, n)`` matrix.  ``dense``
@@ -193,13 +170,8 @@ def _pack_pairs(n: int, chunks, tables: str, dtype):
     sorts them all into a :class:`~repro.graph.csr.PairTable`.  Absent
     pairs read ``-1``, so either storage answers ``table[at, target]``
     identically.
-
-    Raises:
-        TableTooLargeError: for ``dense`` above the dense-table
-            threshold (:func:`repro.graph.limits.check_dense_table`).
     """
-    if tables == "dense":
-        check_dense_table(n, dtype)
+    if storage == "dense":
         mat = np.full((n, n), -1, dtype=dtype)
         flat = mat.reshape(-1)
         for keys, values in chunks:
@@ -218,9 +190,8 @@ class NextHopTable(StepTables):
     """Next-hop step tables of full-table forwarding: ``slots[u, target]``
     is the CSR out-edge slot of the hop from ``u`` toward ``target``
     (``-1`` where there is none), one ``(n, n)`` int32 matrix read with
-    one gather.  Full-table routing is n² by definition, so both table
-    families read the same matrix, the one the scheme's own
-    ``forward`` reads."""
+    one gather.  Full-table routing is n² by definition, so this is the
+    matrix the scheme's own ``forward`` reads, at every graph size."""
 
     def __init__(self, slots: np.ndarray):
         self.slots = slots
@@ -331,32 +302,35 @@ class SubstrateStepTables(StepTables):
         return slot, phase
 
 
-def compile_substrate_tables(
-    substrate, tables: str = "dense"
-) -> SubstrateStepTables:
+def compile_substrate_tables(substrate) -> SubstrateStepTables:
     """Compile an :class:`~repro.rtz.routing.RTZStretch3` substrate's
-    three forwarding structures into step tables of the given family.
+    three forwarding structures into step tables.
 
     Every table comes from the substrate's arrays, its next vertices
     converted to slots once (:func:`hop_slots`): ``up_slot`` is its
     in-tree successor rows transposed, ``direct_slot`` its direct
     entries, and ``down_slot`` one walk of every ``v`` up its home
-    landmark's parent row, all at once.  ``dense`` scatters the
-    entries into ``(n, n)`` matrices and ``blocked`` packs them into
-    sorted pair tables.  Both make identical decisions — the family
-    only changes memory.
+    landmark's parent row, all at once.  The graph size picks the
+    storage (:func:`~repro.graph.limits.table_storage`): ``dense``
+    scatters the entries into ``(n, n)`` matrices and ``blocked`` packs
+    them into sorted pair tables.  Both make identical decisions — the
+    storage only changes memory.
 
-    Results are cached on the substrate per family
+    Results are cached on the substrate per storage
     (``_compiled_step_tables``), so every scheme sharing one substrate
     (stretch-6, its variant, wild names, the RTZ baseline — all reading
     one :class:`~repro.api.network.Network`'s ``rtz`` artifact)
-    compiles it at most once per family.
+    compiles it once while the threshold stays put.
+
+    Raises:
+        ConstructionError: for a malformed ``REPRO_DENSE_MAX_N``.
     """
-    cache = substrate.__dict__.setdefault("_compiled_step_tables", {})
-    if tables in cache:
-        return cache[tables]
     graph = substrate.metric.oracle.graph
     n = graph.n
+    storage = table_storage(n)
+    cache = substrate.__dict__.setdefault("_compiled_step_tables", {})
+    if storage in cache:
+        return cache[storage]
     home_idx = substrate._home_idx
     centers = np.asarray(substrate.centers, dtype=np.int64)
     home = centers[home_idx]
@@ -377,12 +351,12 @@ def compile_substrate_tables(
     down_keys = np.concatenate(down_keys)
     direct_keys = substrate._direct_keys
 
-    step = cache[tables] = SubstrateStepTables(
+    step = cache[storage] = SubstrateStepTables(
         _pack_pairs(
             n,
             [(direct_keys,
               hop_slots(graph, direct_keys // n, substrate._direct_next))],
-            tables, np.int32,
+            storage, np.int32,
         ),
         np.ascontiguousarray(
             hop_slots(graph, np.arange(n)[None, :], substrate._in_succ).T
@@ -391,7 +365,7 @@ def compile_substrate_tables(
             n,
             [(down_keys,
               hop_slots(graph, down_keys // n, np.concatenate(below)))],
-            tables, np.int32,
+            storage, np.int32,
         ),
         home.astype(np.int32),
         home_idx.astype(np.int32),
@@ -409,7 +383,7 @@ class DoubleTreeStepTables(StepTables):
     whole batch, read from the same arrays, the hierarchy's ``trees``
     (:attr:`~repro.covers.hierarchy.TreeHierarchy.tables`), at every
     step.  Rows are found by binary search over their sorted keys, so
-    both table families share this one storage.
+    this one storage serves every graph size.
     """
 
     def __init__(self, trees):
@@ -503,21 +477,12 @@ class CompiledRoutes:
         tables: the within-leg step tables.
         planner: ``(sources, dest_vertices) -> JourneyPlan`` over int64
             vertex arrays.
-        family: which table family these routes were compiled with
-            (``"dense"`` or ``"blocked"``; surfaced in stats).
     """
 
-    def __init__(
-        self,
-        graph: Digraph,
-        tables: StepTables,
-        planner,
-        family: str = "dense",
-    ):
+    def __init__(self, graph: Digraph, tables: StepTables, planner):
         self.graph = graph
         self.tables = tables
         self._planner = planner
-        self.family = family
 
     def plan(self, sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
         """Compile a batch of (source, dest-vertex) pairs."""

@@ -110,10 +110,10 @@ class RoutingScheme(abc.ABC):
     # ------------------------------------------------------------------
     # compiled execution (the batched fast path)
     # ------------------------------------------------------------------
-    def compile_tables(self, tables: str = "dense"):
+    def compile_tables(self):
         """Compile this scheme's forwarding function into vectorized
-        decision tables of the given (already-resolved) family
-        (``"dense"`` or ``"blocked"``).
+        decision tables, stored as the graph size dictates
+        (:func:`repro.graph.limits.table_storage`).
 
         Returns a :class:`repro.runtime.engine.CompiledRoutes` when the
         scheme's header changes only at segment boundaries (see
@@ -124,20 +124,19 @@ class RoutingScheme(abc.ABC):
         """
         return None
 
-    def compiled_routes(self, tables: str = "auto"):
-        """Cached :meth:`compile_tables` result for the requested table
-        family (compiled at most once per scheme instance per family;
-        ``None`` means "not compilable").  ``tables="auto"`` resolves
-        by graph size via
-        :func:`repro.runtime.engine.resolve_table_family`.
+    def compiled_routes(self):
+        """Cached :meth:`compile_tables` result (``None`` means "not
+        compilable"), keyed by the storage the size rule picks
+        (:func:`repro.graph.limits.table_storage`): compiled once per
+        scheme instance while ``REPRO_DENSE_MAX_N`` stays put.
         """
-        from repro.runtime.engine import resolve_table_family
+        from repro.graph.limits import table_storage
 
-        family = resolve_table_family(tables, self.graph.n)
+        storage = table_storage(self.graph.n)
         cache = self.__dict__.setdefault("_compiled_routes", {})
-        if family not in cache:
-            cache[family] = self.compile_tables(tables=family)
-        return cache[family]
+        if storage not in cache:
+            cache[storage] = self.compile_tables()
+        return cache[storage]
 
     # ------------------------------------------------------------------
     # table accounting

@@ -171,20 +171,16 @@ class Simulator:
         hop_limit: per-leg hop budget; ``None`` (the default) means
             ``8 * n + 64``, far above any correct scheme's needs but
             small enough to catch loops quickly.  ``0`` allows no hop.
-        tables: compiled-table family for the vectorized engine —
-            ``"dense"``, ``"blocked"``, or ``"auto"`` (default; picks
-            by graph size).  All families route bit-identically.
+
+    The vectorized engine reads the scheme's compiled tables, stored as
+    the graph size dictates (:func:`repro.graph.limits.table_storage`);
+    either storage routes bit-identically.
 
     Raises:
         RoutingError: for a negative ``hop_limit``.
     """
 
-    def __init__(
-        self,
-        scheme: RoutingScheme,
-        hop_limit: Optional[int] = None,
-        tables: str = "auto",
-    ):
+    def __init__(self, scheme: RoutingScheme, hop_limit: Optional[int] = None):
         if hop_limit is not None and hop_limit < 0:
             raise RoutingError(f"hop_limit must be >= 0, got {hop_limit}")
         self._scheme = scheme
@@ -192,7 +188,6 @@ class Simulator:
         self._hop_limit = (
             8 * self._g.n + 64 if hop_limit is None else hop_limit
         )
-        self._tables = tables
 
     def _run_leg(
         self, start: int, header: Header, expect_end: int
@@ -275,8 +270,7 @@ class Simulator:
             )
         if engine == "python":
             return "python"
-        compiled = self._scheme.compiled_routes(self._tables)
-        if compiled is not None:
+        if self._scheme.compiled_routes() is not None:
             return "vectorized"
         if engine == "vectorized":
             raise RoutingError(
@@ -285,13 +279,6 @@ class Simulator:
                 "use engine='auto' or 'python'"
             )
         return "python"
-
-    def resolve_tables(self) -> Optional[str]:
-        """The concrete compiled-table family batched vectorized calls
-        use (``"dense"`` or ``"blocked"``), or ``None`` when the scheme
-        does not compile at all."""
-        compiled = self._scheme.compiled_routes(self._tables)
-        return None if compiled is None else compiled.family
 
     def roundtrip_many(
         self,
@@ -347,7 +334,7 @@ class Simulator:
                 vertex_of = self._scheme.vertex_of
                 pairs = [(s, vertex_of(t)) for (s, t) in pairs]
             return run_roundtrips(
-                self._scheme.compiled_routes(self._tables),
+                self._scheme.compiled_routes(),
                 pairs,
                 self._hop_limit,
                 scheme_name=self._scheme.name,

@@ -727,7 +727,6 @@ def run_workload(
     engine: str = "auto",
     shard_size: Optional[int] = None,
     jobs: Optional[int] = None,
-    tables: str = "auto",
 ) -> TrafficSummary:
     """Route a whole workload and aggregate the statistics.
 
@@ -755,9 +754,6 @@ def run_workload(
         jobs: accepted and ignored.  It is kept for the one caller that
             still passes it, the benchmark's ``stack-headers``
             workload, until a benchmark change drops it.
-        tables: compiled-table family for the vectorized engine
-            (``"dense"`` / ``"blocked"`` / ``"auto"``); summaries are
-            identical across families.
 
     Raises:
         GraphError: for a pair :func:`check_pairs` rejects (an endpoint
@@ -774,7 +770,7 @@ def run_workload(
     pairs = check_pairs(scheme.graph.n, pairs)
     if shard_size is not None and shard_size < 1:
         raise GraphError(f"shard_size must be >= 1, got {shard_size}")
-    sim = Simulator(scheme, hop_limit=hop_limit, tables=tables)
+    sim = Simulator(scheme, hop_limit=hop_limit)
     resolved = sim.resolve_engine(engine)  # compiles outside the timed region
     costs: List[float] = []
     hops: List[int] = []

@@ -1,7 +1,7 @@
 """Execute a scenario spec: graph, phases, matrix, assertions.
 
 One :func:`run_scenario` call covers the spec's whole execution matrix.
-Per cell (scheme x engine x tables) the runner walks the phase
+Per cell (scheme x engine) the runner walks the phase
 sequence once — stepping the network across each phase's churn
 events with :func:`repro.runtime.churn.evolve_epoch` — routes every
 phase once with :func:`~repro.runtime.traffic.run_workload`, and
@@ -13,9 +13,9 @@ through tagged streams — ``{seed}|graph`` for the generator,
 ``{seed}|churn|{i}`` for phase ``i``'s events, ``{seed}|phase|{i}`` for
 its pairs — and a workload's summary does not depend on how
 :func:`~repro.runtime.traffic.run_workload` cuts it into chunks.  The
-same spec therefore produces the same summary on every run, and on
-every engine and table family (``tests/test_scenarios.py`` checks the
-committed zoo three ways).
+same spec therefore produces the same summary on every run, on every
+engine and in either table storage (``tests/test_scenarios.py`` checks
+the committed zoo three ways).
 """
 
 from __future__ import annotations
@@ -149,7 +149,6 @@ class CellResult:
 
     scheme: str
     engine: str
-    tables: str
     summary: TrafficSummary
     bound: float
     final_generation: int
@@ -163,8 +162,7 @@ class CellResult:
         """The cell's report block.  Deterministic apart from the
         summary's ``throughput`` line."""
         lines = [
-            f"-- scheme={self.scheme} engine={self.engine} "
-            f"tables={self.tables} --",
+            f"-- scheme={self.scheme} engine={self.engine} --",
             self.summary.format(),
             f"generations: 1 -> {self.final_generation}",
         ]
@@ -216,8 +214,7 @@ class ScenarioResult:
             f"phases     : {len(spec.phases)} "
             f"({spec.total_pairs} pairs, {spec.total_events} events)",
             f"matrix     : {len(spec.matrix.schemes)} scheme(s) x "
-            f"{len(spec.matrix.engines)} engine(s) x "
-            f"{len(spec.matrix.tables)} table(s)",
+            f"{len(spec.matrix.engines)} engine(s)",
         ]
         for cell in self.cells:
             lines.append("")
@@ -235,15 +232,13 @@ def _phase_plan(
     spec: ScenarioSpec,
     graph: Digraph,
     engine: str,
-    tables: str,
     store: Any,
 ) -> List[Tuple[Network, Optional[Any], Workload]]:
     """Walk the phases once: evolve through churn, generate each
     phase's workload against its generation.  Returns
     ``[(network, delta, workload), ...]``, a pure function of the
     spec."""
-    net = Network(graph, seed=spec.seed, engine=engine, store=store,
-                  tables=tables)
+    net = Network(graph, seed=spec.seed, engine=engine, store=store)
     plan: List[Tuple[Network, Optional[Any], Workload]] = []
     for i, phase in enumerate(spec.phases):
         net, delta = evolve_epoch(net, phase.events, spec.seed, i)
@@ -265,19 +260,15 @@ def _run_cell(
     graph: Digraph,
     scheme: str,
     engine: str,
-    tables: str,
     store: Any,
 ) -> CellResult:
-    plan = _phase_plan(spec, graph, engine, tables, store)
+    plan = _phase_plan(spec, graph, engine, store)
     params = _scheme_params(scheme, spec.matrix.params)
     bound = plan[0][0].stretch_bound(scheme, **params)
     parts = []
     for i, (net, delta, workload) in enumerate(plan):
         built = net.build_scheme(scheme, **params)
-        part = run_workload(
-            built, workload, oracle=net.oracle(), engine=engine,
-            tables=tables,
-        )
+        part = run_workload(built, workload, oracle=net.oracle(), engine=engine)
         parts.append(attach_epoch_row(part, i, net, delta))
     summary = TrafficSummary.merge(parts)
     final_generation = plan[-1][0].generation
@@ -285,7 +276,6 @@ def _run_cell(
     return CellResult(
         scheme=scheme,
         engine=engine,
-        tables=tables,
         summary=summary,
         bound=bound,
         final_generation=final_generation,
@@ -361,11 +351,9 @@ def run_scenario(source: Any, store: Any = "auto") -> ScenarioResult:
     """
     spec = load_scenario(source)
     graph = build_scenario_graph(spec)
-    cells = []
-    for scheme in spec.matrix.schemes:
-        for engine in spec.matrix.engines:
-            for tables in spec.matrix.tables:
-                cells.append(_run_cell(
-                    spec, graph, scheme, engine, tables, store,
-                ))
+    cells = [
+        _run_cell(spec, graph, scheme, engine, store)
+        for scheme in spec.matrix.schemes
+        for engine in spec.matrix.engines
+    ]
     return ScenarioResult(spec=spec, cells=tuple(cells))

@@ -3,7 +3,7 @@
 A scenario is the whole experiment as data: the graph (a generator
 family or an edgelist snapshot), the traffic shape (a sequence of
 workload *phases*, optionally interleaved with churn events), the
-execution matrix (scheme x engine x tables), and the declarative
+execution matrix (scheme x engine), and the declarative
 assertions the run must satisfy.  Committing a JSON file under
 ``scenarios/`` is enough for the CLI (``repro scenario run``), CI (the
 ``scenario-matrix`` job), and the serve daemon (``repro client workload
@@ -23,8 +23,7 @@ The document format::
          {"kind": "flash-crowd", "pairs": 256,
           "params": {"targets": 2, "bias": 0.9},
           "events": [{"op": "reweight"}]}]},
-     "matrix": {"schemes": ["stretch6"], "engines": ["auto"],
-                "tables": ["auto"]},
+     "matrix": {"schemes": ["stretch6"], "engines": ["auto"]},
      "assertions": {"stretch_within_bound": true,
                     "min_pairs_per_s": 10.0,
                     "expect_epochs": 2}}
@@ -35,9 +34,8 @@ from the spec seed at run time) or carry their operands
 :mod:`repro.runtime.churn`.
 
 Validation is strict and loud: unknown keys anywhere, a family or
-workload kind outside the registries, a contradictory matrix (the
-pure-python engine combined with a compiled table family), a churn
-event with a missing or mistyped operand, or a missing seed all raise
+workload kind outside the registries, a churn event with a missing or
+mistyped operand, or a missing seed all raise
 :class:`ScenarioError` with an exact, stable message (the golden
 fixtures in ``tests/test_scenarios.py`` pin them).  Every spec
 round-trips ``from_doc(to_doc(spec)) == spec``.
@@ -58,6 +56,10 @@ from repro.runtime.traffic import WORKLOAD_KINDS
 
 #: scenario document schema identifier (bump on incompatible change)
 SCHEMA = "repro-scenario/1"
+
+#: values a matrix's ``tables`` list may hold; the key has no effect
+#: (see :class:`MatrixSpec`)
+_TABLE_VALUES = ("auto", "dense", "blocked")
 
 #: phase kinds: every workload kind plus explicit trace replay
 PHASE_KINDS = WORKLOAD_KINDS + ("trace",)
@@ -330,16 +332,18 @@ class PhaseSpec:
 @dataclass(frozen=True)
 class MatrixSpec:
     """The execution matrix: every run covers the full cross product
-    ``schemes x engines x tables``, one run per cell.
+    ``schemes x engines``, one run per cell.
 
-    ``jobs`` is parsed and validated so that every spec written when it
-    selected a shard partition still loads, and it has no effect: a
-    workload's summary does not depend on how it is cut
-    (:func:`repro.runtime.traffic.run_workload`)."""
+    ``tables`` and ``jobs`` are parsed and validated so that every spec
+    written when they chose a table storage or a shard partition still
+    loads, and neither has an effect: the graph size picks the storage
+    (:func:`repro.graph.limits.table_storage`), and a workload's
+    summary does not depend on how it is cut
+    (:func:`repro.runtime.traffic.run_workload`).  ``tables`` is not
+    kept after validation."""
 
     schemes: Tuple[str, ...] = ("stretch6",)
     engines: Tuple[str, ...] = ("auto",)
-    tables: Tuple[str, ...] = ("auto",)
     jobs: Tuple[int, ...] = (1,)
     params: Dict[str, Any] = field(default_factory=dict)
 
@@ -347,7 +351,6 @@ class MatrixSpec:
     def from_doc(cls, doc: Any) -> "MatrixSpec":
         from repro.api.network import ENGINES
         from repro.api.registry import scheme_names
-        from repro.runtime.engine import TABLE_FAMILIES
 
         if doc is None:
             return cls()
@@ -376,23 +379,12 @@ class MatrixSpec:
                 raise ScenarioError(
                     f"matrix engine {engine!r} unknown; choose from {ENGINES}"
                 )
-        tables = (
-            _str_list(doc["tables"], "matrix 'tables'")
-            if "tables" in doc else cls.tables
-        )
-        for family in tables:
-            if family not in TABLE_FAMILIES:
+        for value in _str_list(doc.get("tables", ["auto"]), "matrix 'tables'"):
+            if value not in _TABLE_VALUES:
                 raise ScenarioError(
-                    f"matrix table family {family!r} unknown; choose from "
-                    f"{TABLE_FAMILIES}"
+                    f"matrix table family {value!r} unknown; choose from "
+                    f"{_TABLE_VALUES}"
                 )
-        compiled = [t for t in tables if t != "auto"]
-        if "python" in engines and compiled:
-            raise ScenarioError(
-                f"contradictory matrix: engine 'python' cannot execute "
-                f"compiled table family {compiled[0]!r}; drop 'python' "
-                f"from engines or keep tables ['auto']"
-            )
         jobs = doc.get("jobs", list(cls.jobs))
         if (
             not isinstance(jobs, list)
@@ -407,8 +399,7 @@ class MatrixSpec:
                 f"got {jobs!r}"
             )
         return cls(
-            schemes=schemes, engines=engines, tables=tables,
-            jobs=tuple(jobs),
+            schemes=schemes, engines=engines, jobs=tuple(jobs),
             params=_check_params(doc.get("params"), "matrix params"),
         )
 
@@ -416,7 +407,6 @@ class MatrixSpec:
         return {
             "schemes": list(self.schemes),
             "engines": list(self.engines),
-            "tables": list(self.tables),
             "jobs": list(self.jobs),
             "params": dict(self.params),
         }
@@ -424,7 +414,7 @@ class MatrixSpec:
     @property
     def cells(self) -> int:
         """Matrix cells (one result block each)."""
-        return len(self.schemes) * len(self.engines) * len(self.tables)
+        return len(self.schemes) * len(self.engines)
 
 
 @dataclass(frozen=True)

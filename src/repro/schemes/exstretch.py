@@ -346,14 +346,14 @@ class ExStretchScheme(RoutingScheme):
     # ------------------------------------------------------------------
     # compiled execution
     # ------------------------------------------------------------------
-    def compile_tables(self, tables: str = "dense"):
+    def compile_tables(self):
         """Every hop between waypoints is one double-tree segment
         (:class:`~repro.runtime.engine.DoubleTreeStepTables` over the
         hierarchy's own tables); the planner resolves each pair's
         waypoint ladder — the ``_near`` shortcut, then up to ``k``
         passes over the prefix and final rows — with array lookups,
         and the acknowledgment replays the stack in reverse.  Header bits depend only on the stack depth.
-        The tables are the same for both families, and the planner
+        The tables are the same at every graph size, and the planner
         reads the scheme's own two at plan time; each hop's tree is the
         best-tree matrix's entry for its two waypoints (the tree of
         their ``R2`` label)."""
@@ -461,8 +461,7 @@ class ExStretchScheme(RoutingScheme):
             )
 
         return CompiledRoutes(
-            self.graph, DoubleTreeStepTables(hierarchy.tables), planner,
-            family=tables,
+            self.graph, DoubleTreeStepTables(hierarchy.tables), planner
         )
 
     # ------------------------------------------------------------------

@@ -321,7 +321,7 @@ class PolynomialStretchScheme(RoutingScheme):
     # ------------------------------------------------------------------
     # compiled execution
     # ------------------------------------------------------------------
-    def compile_tables(self, tables: str = "dense"):
+    def compile_tables(self):
         """Every hop between waypoints is one double-tree segment
         (:class:`~repro.runtime.engine.DoubleTreeStepTables` over the
         hierarchy's own tables).  The planner runs Fig. 11's search
@@ -330,7 +330,7 @@ class PolynomialStretchScheme(RoutingScheme):
         back to the source in the same tree and climbs one level.  The
         acknowledgment is one segment back to the source in the tree
         that succeeded.  Every forwarded header has the same bit size,
-        and the tables are the same for both families.  The planner
+        and the tables are the same at every graph size.  The planner
         reads the scheme's home-tree ids and dictionary rows at plan
         time."""
         from repro.runtime.engine import (
@@ -413,9 +413,7 @@ class PolynomialStretchScheme(RoutingScheme):
                 ],
             )
 
-        return CompiledRoutes(
-            self.graph, DoubleTreeStepTables(trees), planner, family=tables
-        )
+        return CompiledRoutes(self.graph, DoubleTreeStepTables(trees), planner)
 
     # ------------------------------------------------------------------
     # accounting

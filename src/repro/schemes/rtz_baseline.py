@@ -108,7 +108,7 @@ class RTZBaselineScheme(RoutingScheme):
     # ------------------------------------------------------------------
     # compiled execution
     # ------------------------------------------------------------------
-    def compile_tables(self, tables: str = "dense"):
+    def compile_tables(self):
         """One substrate leg per direction; headers carry two labels
         and a leg tag — structurally constant throughout."""
         import numpy as np
@@ -139,7 +139,7 @@ class RTZBaselineScheme(RoutingScheme):
         b_out = header_bits(out, n)
         b_ret = header_bits(self.make_return_header(out), n)
         b_back = header_bits(back, n)
-        step_tables = compile_substrate_tables(self.rtz, tables)
+        step_tables = compile_substrate_tables(self.rtz)
 
         def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
             batch = sources.shape[0]
@@ -154,7 +154,7 @@ class RTZBaselineScheme(RoutingScheme):
                 ],
             )
 
-        return CompiledRoutes(self.graph, step_tables, planner, family=tables)
+        return CompiledRoutes(self.graph, step_tables, planner)
 
 
 @register_scheme(

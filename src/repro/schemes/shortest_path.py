@@ -35,8 +35,8 @@ class ShortestPathScheme(RoutingScheme):
     ``[u, t]`` is the CSR out-edge slot of the first hop on the
     canonical shortest path ``u -> t``
     (:func:`~repro.graph.blocked.next_hop_slots`).  ``forward`` sends a
-    packet on that slot's port, and both compiled table families read
-    the same matrix.
+    packet on that slot's port, and the compiled engine reads the same
+    matrix.
 
     Args:
         oracle: distance oracle of the graph.
@@ -91,11 +91,11 @@ class ShortestPathScheme(RoutingScheme):
     # ------------------------------------------------------------------
     # compiled execution
     # ------------------------------------------------------------------
-    def compile_tables(self, tables: str = "dense"):
-        """The scheme's one next-hop table, whatever the family: it is
-        the ``(n, n)`` matrix the scheme already holds, so no family
-        allocates or refuses anything.  One leg per direction, headers
-        of constant shape (``mode``/``dest``/``src``)."""
+    def compile_tables(self):
+        """The scheme's one next-hop table, at every graph size: it is
+        the ``(n, n)`` matrix the scheme already holds, so compiling
+        allocates no table.  One leg per direction, headers of constant
+        shape (``mode``/``dest``/``src``)."""
         from repro.runtime.engine import (
             CompiledRoutes,
             JourneyPlan,
@@ -129,7 +129,7 @@ class ShortestPathScheme(RoutingScheme):
                 ],
             )
 
-        return CompiledRoutes(self.graph, self._next_hop, planner, family=tables)
+        return CompiledRoutes(self.graph, self._next_hop, planner)
 
 
 @register_scheme(

@@ -308,7 +308,7 @@ class StretchSixScheme(RoutingScheme):
 
         return lookups
 
-    def compile_tables(self, tables: str = "dense"):
+    def compile_tables(self):
         """Outbound = optional dictionary segment + destination
         segment; the header is structurally constant within each
         (``dict_node`` is an id until the lookup, ``None`` after)."""
@@ -340,7 +340,7 @@ class StretchSixScheme(RoutingScheme):
         b_dict = header_bits(to_dict, n)
         b_ret = header_bits(self.make_return_header(outbound), n)
         b_in = header_bits(inbound, n)
-        step_tables = compile_substrate_tables(self.rtz, tables)
+        step_tables = compile_substrate_tables(self.rtz)
         lookups = self._planner_lookups()
 
         def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
@@ -363,7 +363,7 @@ class StretchSixScheme(RoutingScheme):
                 ],
             )
 
-        return CompiledRoutes(self.graph, step_tables, planner, family=tables)
+        return CompiledRoutes(self.graph, step_tables, planner)
 
     # ------------------------------------------------------------------
     # accounting

@@ -83,7 +83,7 @@ class StretchSixViaSourceScheme(StretchSixScheme):
     # ------------------------------------------------------------------
     # compiled execution
     # ------------------------------------------------------------------
-    def compile_tables(self, tables: str = "dense"):
+    def compile_tables(self):
         """Outbound = optional dictionary roundtrip (``s -> w -> s``)
         plus the real trip; the fetched label rides in the header from
         the dictionary onwards, so segment bit sizes differ between
@@ -123,7 +123,7 @@ class StretchSixViaSourceScheme(StretchSixScheme):
         b_in = header_bits(inbound, n)
         b_ret_direct = header_bits(self.make_return_header(direct), n)
         b_ret_fetched = header_bits(self.make_return_header(fetched_out), n)
-        step_tables = compile_substrate_tables(self.rtz, tables)
+        step_tables = compile_substrate_tables(self.rtz)
         lookups = self._planner_lookups()
 
         def planner(sources: np.ndarray, dests: np.ndarray) -> JourneyPlan:
@@ -153,7 +153,7 @@ class StretchSixViaSourceScheme(StretchSixScheme):
                 ],
             )
 
-        return CompiledRoutes(self.graph, step_tables, planner, family=tables)
+        return CompiledRoutes(self.graph, step_tables, planner)
 
 
 @register_scheme(

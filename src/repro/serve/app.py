@@ -75,7 +75,6 @@ class ServeConfig:
     n: int = 64
     seed: int = 0
     engine: str = "auto"
-    tables: str = "auto"
     schemes: Tuple[str, ...] = ("stretch6",)
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
@@ -407,7 +406,6 @@ def build_app(config: ServeConfig) -> ServeApp:
         config.n,
         seed=config.seed,
         engine=config.engine,
-        tables=config.tables,
         schemes=config.schemes,
         broker_opts=config.broker_opts(),
         store=config.store,

@@ -190,8 +190,6 @@ class Lifecycle:
         n: initial graph size.
         seed: initial master seed.
         engine: engine knob for every generation's network.
-        tables: compiled-table family knob (``"auto"`` / ``"dense"`` /
-            ``"blocked"``) for every generation's network.
         schemes: scheme names to pre-build at load time (the first is
             the daemon's default scheme); must be non-empty.
         broker_opts: per-generation broker configuration.
@@ -205,7 +203,6 @@ class Lifecycle:
         n: int,
         seed: int = 0,
         engine: str = "auto",
-        tables: str = "auto",
         schemes: Sequence[str] = ("stretch6",),
         broker_opts: Optional[Dict[str, Any]] = None,
         store: Any = "auto",
@@ -217,7 +214,6 @@ class Lifecycle:
         self.schemes = tuple(schemes)
         self.default_scheme = self.schemes[0]
         self._engine = engine
-        self._tables = tables
         self._store = store
         self._broker_opts = dict(broker_opts or {})
         self._gen_counter = 0
@@ -235,7 +231,6 @@ class Lifecycle:
             seed=seed,
             engine=self._engine,
             store=self._store,
-            tables=self._tables,
         )
         self._gen_counter += 1
         gen = Generation(

@@ -193,7 +193,7 @@ def scenario_row(name: str) -> dict:
     for cell in result.cells:
         *totals, epochs = summary_fingerprint(cell.summary)
         cells.append({
-            "cell": f"{cell.scheme}/{cell.engine}/{cell.tables}",
+            "cell": f"{cell.scheme}/{cell.engine}",
             "summary": totals,
             "epochs": list(epochs),
         })

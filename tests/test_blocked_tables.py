@@ -1,11 +1,14 @@
 """The blocked-tables lockdown suite: memory + bit-identity differential.
 
-The sparse/blocked compiled-table family (``--tables blocked``) claims
-**bit identity** with the dense family and the hop-by-hop Python
+Above ``REPRO_DENSE_MAX_N`` vertices the compiled engine stores the
+Lemma 2 substrate's tables blocked (sorted pair tables, the landmark
+factorization) instead of dense ``(n, n)`` matrices
+(:func:`repro.graph.limits.table_storage`).  The blocked storage claims
+**bit identity** with the dense one and the hop-by-hop Python
 simulator — same paths, same float costs, same hop counts, same header
 bits, same ``HopLimitExceeded`` ordering — while never materializing an
 ``(n, n)`` matrix it does not strictly need.  This suite locks both
-halves down:
+halves down, forcing either storage by moving the threshold:
 
 * differential: every compiled scheme x random+torus x all three
   execution paths (python / dense / blocked) produce identical traces;
@@ -13,10 +16,8 @@ halves down:
   blocked APSP block concatenation equals the monolithic matrices
   bit-for-bit, and so does the full-table baseline's next-hop slot
   matrix folded block by block;
-* limits: a dense compile that would allocate ``(n, n)`` step tables
-  raises :class:`TableTooLargeError` above the ``REPRO_DENSE_MAX_N``
-  threshold instead of OOMing, and ``--tables auto`` flips to blocked
-  there;
+* the size rule: dense up to the threshold, blocked above it, and a
+  malformed threshold is an error, not a silent default;
 * memory: landmark-factored substrate tables stay o(n²).
 """
 
@@ -30,12 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Network
-from repro.exceptions import (
-    GraphError,
-    RoutingError,
-    TableLookupError,
-    TableTooLargeError,
-)
+from repro.cli import main
+from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.apsp import apsp_matrices, apsp_rows
 from repro.graph.blocked import default_block_rows, next_hop_slots
 from repro.graph.csr import CSRGraph, PairTable, edge_slots
@@ -44,26 +41,27 @@ from repro.graph.generators import random_strongly_connected
 from repro.graph.limits import (
     DEFAULT_DENSE_MAX_N,
     dense_table_max_n,
+    table_storage,
 )
 from repro.graph.shortest_paths import DistanceOracle
 from repro.naming.permutation import identity_naming
 from repro.runtime.engine import (
     PHASE_DIRECT,
     PHASE_DOWN,
-    TABLE_FAMILIES,
     NextHopTable,
+    SubstrateStepTables,
     compile_substrate_tables,
-    resolve_table_family,
 )
 from repro.runtime.simulator import Simulator
 from repro.runtime.traffic import generate_workload, run_workload
 from repro.schemes.shortest_path import ShortestPathScheme
+from table_storage import forced
 
 N = 32
 PAIRS = 48
 FAMILIES = ("random", "torus")
 
-#: every scheme that compiles must serve identically from both families
+#: every scheme that compiles must serve identically from both storages
 COMPILED = (
     "rtz",
     "shortest_path",
@@ -76,6 +74,15 @@ COMPILED = (
 @pytest.fixture(scope="module", params=FAMILIES)
 def net(request) -> Network:
     return Network.from_family(request.param, N, seed=3)
+
+
+def assert_stored_as(scheme, storage: str) -> None:
+    """The scheme's compile under the current threshold really uses
+    ``storage`` (the full-table baseline's one matrix serves both)."""
+    step = scheme.compiled_routes().tables
+    if isinstance(step, SubstrateStepTables):
+        assert isinstance(step.direct_slot, PairTable) == (storage == "blocked")
+        assert isinstance(step.down_slot, PairTable) == (storage == "blocked")
 
 
 def assert_traces_equal(a_traces, b_traces):
@@ -103,14 +110,15 @@ def test_blocked_traces_bit_identical(net, scheme_name):
         "mixed", net.n, PAIRS, rng=random.Random(7), oracle=net.oracle()
     )
     py = Simulator(scheme).roundtrip_many(workload.pairs, engine="python")
-    dense_sim = Simulator(scheme, tables="dense")
-    blocked_sim = Simulator(scheme, tables="blocked")
-    assert dense_sim.resolve_tables() == "dense"
-    assert blocked_sim.resolve_tables() == "blocked"
-    dense = dense_sim.roundtrip_many(workload.pairs, engine="vectorized")
-    blocked = blocked_sim.roundtrip_many(workload.pairs, engine="vectorized")
-    assert_traces_equal(py, dense)
-    assert_traces_equal(dense, blocked)
+    vec = {}
+    for storage in ("dense", "blocked"):
+        with forced(storage):
+            assert_stored_as(scheme, storage)
+            vec[storage] = Simulator(scheme).roundtrip_many(
+                workload.pairs, engine="vectorized"
+            )
+    assert_traces_equal(py, vec["dense"])
+    assert_traces_equal(vec["dense"], vec["blocked"])
 
 
 @pytest.mark.parametrize("scheme_name", COMPILED)
@@ -119,14 +127,15 @@ def test_blocked_summaries_bit_identical(net, scheme_name):
     workload = generate_workload(
         "uniform", net.n, PAIRS, rng=random.Random(19), oracle=net.oracle()
     )
-    dense = run_workload(
-        scheme, workload, oracle=net.oracle(), engine="vectorized",
-        tables="dense",
-    )
-    blocked = run_workload(
-        scheme, workload, oracle=net.oracle(), engine="vectorized",
-        tables="blocked",
-    )
+    with forced("dense"):
+        dense = run_workload(
+            scheme, workload, oracle=net.oracle(), engine="vectorized"
+        )
+    with forced("blocked"):
+        assert_stored_as(scheme, "blocked")
+        blocked = run_workload(
+            scheme, workload, oracle=net.oracle(), engine="vectorized"
+        )
     assert dense.total_cost == blocked.total_cost
     assert dense.total_hops == blocked.total_hops
     assert dense.max_hops == blocked.max_hops
@@ -136,22 +145,26 @@ def test_blocked_summaries_bit_identical(net, scheme_name):
     assert dense.worst_pair == blocked.worst_pair
 
 
-def test_resolve_table_family_contract():
-    assert TABLE_FAMILIES == ("auto", "dense", "blocked")
-    assert resolve_table_family("dense", 10**9) == "dense"
-    assert resolve_table_family("blocked", 4) == "blocked"
-    limit = dense_table_max_n()
-    assert resolve_table_family("auto", limit) == "dense"
-    assert resolve_table_family("auto", limit + 1) == "blocked"
-    with pytest.raises(RoutingError, match="unknown table family"):
-        resolve_table_family("sparse", 4)
+def test_table_storage_rule(monkeypatch):
+    """Dense up to the threshold, blocked above it, whatever moves it."""
+    monkeypatch.delenv("REPRO_DENSE_MAX_N", raising=False)
+    assert table_storage(DEFAULT_DENSE_MAX_N) == "dense"
+    assert table_storage(DEFAULT_DENSE_MAX_N + 1) == "blocked"
+    assert table_storage(1) == "dense"
+    monkeypatch.setenv("REPRO_DENSE_MAX_N", "10")
+    assert [table_storage(n) for n in (9, 10, 11)] == ["dense", "dense", "blocked"]
+    with forced("blocked"):
+        assert table_storage(2) == "blocked"
+    with forced("dense"):
+        assert table_storage(DEFAULT_DENSE_MAX_N) == "dense"
 
 
 def test_auto_flips_to_blocked_above_threshold(monkeypatch):
     monkeypatch.setenv("REPRO_DENSE_MAX_N", "16")
     net = Network.from_family("random", 24, seed=9)
     router = net.router("stretch6")
-    assert router.resolve_tables() == "blocked"
+    assert router.resolve_engine() == "vectorized"
+    assert_stored_as(router.scheme, "blocked")
     # ... and still serves bit-identically to the python reference.
     py = net.router("stretch6", engine="python").route_many([(0, 7), (3, 20)])
     vec = router.route_many([(0, 7), (3, 20)])
@@ -160,14 +173,9 @@ def test_auto_flips_to_blocked_above_threshold(monkeypatch):
     ]
 
 
-def test_network_rejects_unknown_table_family():
-    with pytest.raises(GraphError, match="table family"):
-        Network.from_family("random", 8, seed=1, tables="sparse")
-
-
 def test_blocked_lookup_error_matches_dense():
-    """A missing entry raises the same message from either family."""
-    # next hops: both families read one matrix
+    """A missing entry raises the same message from either storage."""
+    # next hops: both storages read one matrix
     step = NextHopTable(np.full((3, 3), -1, dtype=np.int32))
     at = np.array([2], dtype=np.int64)
     target = np.array([0], dtype=np.int64)
@@ -176,7 +184,8 @@ def test_blocked_lookup_error_matches_dense():
     # substrate legs: a missing direct entry and a missing down-tree
     # entry, looked up in both storages
     substrate = Network.from_family("random", 16, seed=5).rtz()
-    dense = compile_substrate_tables(substrate, "dense")
+    with forced("dense"):
+        dense = compile_substrate_tables(substrate)
     off_diagonal = ~np.eye(16, dtype=bool)
     missing = {
         PHASE_DIRECT: np.argwhere((dense.direct_slot < 0) & off_diagonal)[0],
@@ -187,8 +196,9 @@ def test_blocked_lookup_error_matches_dense():
             f"no compiled substrate entry at vertex {at} toward {target} "
             f"(phase {leg_phase})"
         )
-        for tables in ("dense", "blocked"):
-            step = compile_substrate_tables(substrate, tables)
+        for storage in ("dense", "blocked"):
+            with forced(storage):
+                step = compile_substrate_tables(substrate)
             with pytest.raises(TableLookupError) as exc:
                 step.step(
                     np.array([at]), np.array([target]),
@@ -262,7 +272,7 @@ def test_first_hop_blocks_equal_matrix(n, block_rows, seed):
 
 
 # ----------------------------------------------------------------------
-# TableTooLargeError: clear refusal instead of OOM
+# the threshold: REPRO_DENSE_MAX_N
 # ----------------------------------------------------------------------
 
 
@@ -271,39 +281,44 @@ def _baseline(n: int) -> ShortestPathScheme:
 
 
 class TestDenseTableLimit:
-    def test_first_hop_matrix_raises_above_threshold(self, monkeypatch):
-        """Above the threshold, a dense compile that would allocate
-        ``(n, n)`` step tables refuses and names the way out and the
-        int32 size.  The full-table baseline allocates none: its dense
-        tables are the matrix its blocked tables read."""
-        monkeypatch.setenv("REPRO_DENSE_MAX_N", "8")
-        stretch6 = Network.from_family(
-            "random", 12, seed=2, store=None
-        ).build_scheme("stretch6")
-        with pytest.raises(TableTooLargeError) as err:
-            stretch6.compiled_routes("dense")
-        for part in ("--tables blocked", "REPRO_DENSE_MAX_N", "MiB at int32"):
-            assert part in str(err.value)
-        assert stretch6.compiled_routes("auto").family == "blocked"
-        baseline = _baseline(12)
-        dense = baseline.compiled_routes("dense")
-        assert dense.tables is baseline.compiled_routes("blocked").tables
-        assert dense.tables.slots.shape == (12, 12)
-
     def test_threshold_default_and_malformed_values(self, monkeypatch):
+        """Unset or empty is the default; anything but a positive
+        integer is an error naming the variable and the value, not a
+        silent fallback to the default."""
         monkeypatch.delenv("REPRO_DENSE_MAX_N", raising=False)
         assert dense_table_max_n() == DEFAULT_DENSE_MAX_N
-        monkeypatch.setenv("REPRO_DENSE_MAX_N", "not-a-number")
-        assert dense_table_max_n() == DEFAULT_DENSE_MAX_N
-        monkeypatch.setenv("REPRO_DENSE_MAX_N", "-5")
+        monkeypatch.setenv("REPRO_DENSE_MAX_N", "")
         assert dense_table_max_n() == DEFAULT_DENSE_MAX_N
         monkeypatch.setenv("REPRO_DENSE_MAX_N", "77")
         assert dense_table_max_n() == 77
+        for raw in ("not-a-number", "1e1", "10k", "-5", "0", "2.5"):
+            monkeypatch.setenv("REPRO_DENSE_MAX_N", raw)
+            with pytest.raises(ConstructionError) as err:
+                dense_table_max_n()
+            assert str(err.value) == (
+                f"REPRO_DENSE_MAX_N must be a positive integer, got {raw!r}"
+            )
+            with pytest.raises(ConstructionError):
+                _baseline(8).compiled_routes()
+
+    def test_malformed_threshold_exits_the_cli_with_one_line(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_DENSE_MAX_N", "10k")
+        with pytest.raises(SystemExit) as exc:
+            main(["traffic", "--n", "12", "--pairs", "8", "--no-store"])
+        assert str(exc.value) == (
+            "REPRO_DENSE_MAX_N must be a positive integer, got '10k'"
+        )
 
     def test_within_threshold_still_builds(self, monkeypatch):
         monkeypatch.setenv("REPRO_DENSE_MAX_N", "12")
-        compiled = _baseline(12).compiled_routes("dense")
+        compiled = _baseline(12).compiled_routes()
         assert compiled.tables.slots.shape == (12, 12)
+        stretch6 = Network.from_family(
+            "random", 12, seed=2, store=None
+        ).build_scheme("stretch6")
+        assert_stored_as(stretch6, "dense")
 
 
 # ----------------------------------------------------------------------
@@ -343,11 +358,12 @@ def test_landmark_tables_are_subquadratic(net):
     (the dense substrate family holds two of those)."""
     big = Network.from_family("random", 128, seed=7)
     scheme = big.build_scheme("stretch6")
-    scheme.rtz.__dict__.pop("_compiled_step_tables", None)
-    tables = compile_substrate_tables(scheme.rtz, "blocked")
+    with forced("blocked"):
+        tables = compile_substrate_tables(scheme.rtz)
     assert isinstance(tables.direct_slot, PairTable)
     assert isinstance(tables.down_slot, PairTable)
     n = big.n
     assert tables.nbytes() < 4 * n * n
-    dense = compile_substrate_tables(scheme.rtz, "dense")
+    with forced("dense"):
+        dense = compile_substrate_tables(scheme.rtz)
     assert tables.nbytes() < dense.nbytes() / 2

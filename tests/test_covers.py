@@ -38,7 +38,7 @@ from repro.graph.generators import (
 from repro.graph.roundtrip import RoundtripMetric
 from repro.graph.shortest_paths import DistanceOracle, dijkstra
 from repro.rtz.spanner import HandshakeSpanner
-from repro.tree_routing.fixed_port import OutTreeRouter, ToRootPointers
+from tree_references import OutTreeRouter, ToRootPointers
 
 
 def reference_partial_cover(

@@ -16,7 +16,7 @@ from repro.graph.roundtrip import RoundtripMetric
 from repro.graph.shortest_paths import DistanceOracle
 from repro.naming.permutation import random_naming
 from repro.rtz.centers import CenterAssignment
-from repro.tree_routing.fixed_port import OutTreeRouter
+from tree_references import OutTreeRouter
 
 
 def build(g, seed=0):

@@ -7,7 +7,7 @@ same hop counts, same max header bits, same aggregate summaries, same
 hop-limit behaviour.  This suite asserts that claim for every
 registered scheme, every workload kind, and two graph families; for
 the double-tree schemes (ExStretch, PolynomialStretch) on all nine
-graph families and both table families; plus
+graph families and both table storages; plus
 :class:`HopLimitExceeded` and :class:`TableLookupError` parity on
 looping schemes, tight hop budgets and deleted table rows.
 """
@@ -49,6 +49,7 @@ from repro.runtime.traffic import (
     run_workload,
 )
 from repro.schemes.shortest_path import ShortestPathScheme
+from table_storage import forced
 
 N = 32
 FAMILIES = ("random", "torus")
@@ -134,7 +135,7 @@ class UncompilableScheme(ShortestPathScheme):
     """Shortest-path forwarding without a compiled form (the default
     ``compile_tables``); every registered scheme has one."""
 
-    def compile_tables(self, tables: str = "dense"):
+    def compile_tables(self):
         return None
 
 
@@ -189,7 +190,7 @@ class LoopingScheme(RoutingScheme):
     def table_entries(self, vertex: int) -> int:
         return 1
 
-    def compile_tables(self, tables: str = "dense") -> CompiledRoutes:
+    def compile_tables(self) -> CompiledRoutes:
         bits = header_bits({"mode": "new", "dest": 0}, self._g.n)
         next_vertex = np.full((4, 4), -1, dtype=np.int64)
         next_vertex[0, :] = 1
@@ -280,7 +281,7 @@ class InboundLoopingScheme(RoutingScheme):
     def table_entries(self, vertex: int) -> int:
         return 1
 
-    def compile_tables(self, tables: str = "dense") -> CompiledRoutes:
+    def compile_tables(self) -> CompiledRoutes:
         bits = header_bits({"mode": "new", "dest": 0}, self._g.n)
         next_vertex = np.full((6, 6), -1, dtype=np.int64)
         for i in range(5):
@@ -363,7 +364,7 @@ def test_mixed_workload_stretch_consistency(net):
 
 
 # ----------------------------------------------------------------------
-# double-tree schemes: all nine families, both table families
+# double-tree schemes: all nine families, both table storages
 # ----------------------------------------------------------------------
 #: ExStretch (k, blocks_per_node) and PolynomialStretch k.  A budget of
 #: one block per node makes ExStretch's acknowledgment walk over the
@@ -410,15 +411,15 @@ def test_double_tree_schemes_bit_identical(family, scheme_name, params):
         scheme, workload, oracle=net.oracle(), engine="python",
         shard_size=16,
     )
-    for tables in ("dense", "blocked"):
-        sim = Simulator(scheme, tables=tables)
-        assert sim.resolve_engine("auto") == "vectorized"
-        assert sim.resolve_tables() == tables
-        assert_traces_equal(py, sim.roundtrip_many(pairs, engine="auto"))
-        vec = run_workload(
-            scheme, workload, oracle=net.oracle(), engine="vectorized",
-            shard_size=16, tables=tables,
-        )
+    for storage in ("dense", "blocked"):
+        with forced(storage):
+            sim = Simulator(scheme)
+            assert sim.resolve_engine("auto") == "vectorized"
+            assert_traces_equal(py, sim.roundtrip_many(pairs, engine="auto"))
+            vec = run_workload(
+                scheme, workload, oracle=net.oracle(), engine="vectorized",
+                shard_size=16,
+            )
         assert replace(vec, elapsed_s=0.0) == replace(ref, elapsed_s=0.0)
 
 
@@ -511,12 +512,13 @@ def test_deleted_polystretch_row_changes_both_engines_alike():
 
 def test_deleted_next_hop_raises_on_both_engines():
     """The full-table baseline holds one slot matrix, read by its
-    ``forward`` and by both table families: an entry cleared after
-    compiling stops the packet on either engine."""
+    ``forward`` and by the compiled engine in either storage: an entry
+    cleared after compiling stops the packet on either engine."""
     net = Network.from_family("random", N, seed=3, store=None)
     scheme = net.build_scheme("shortest_path")
-    tables = scheme.compiled_routes("dense").tables
-    assert scheme.compiled_routes("blocked").tables is tables
+    tables = scheme.compiled_routes().tables
+    with forced("blocked"):
+        assert scheme.compiled_routes().tables is tables
     pairs = sample_pairs(net.n, 40, seed=31)
     s, t = pairs[7]
     tables.slots = tables.slots.copy()

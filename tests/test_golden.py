@@ -65,7 +65,7 @@ def test_mismatch_names_first_cell_and_epoch():
     cells[0]["summary"][9] = "9.0"
     text = golden_digests.explain(row, dict(row, cells=cells))
     assert text.startswith(
-        "scenario/churn_reroute: cell stretch6/auto/auto summary differs "
+        "scenario/churn_reroute: cell stretch6/auto summary differs "
         "(max_stretch "
     )
     assert text.endswith(

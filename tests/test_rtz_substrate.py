@@ -43,7 +43,8 @@ from repro.runtime.engine import (
     _pack_pairs,
     compile_substrate_tables,
 )
-from repro.tree_routing.fixed_port import OutTreeRouter, ToRootPointers
+from table_storage import forced
+from tree_references import OutTreeRouter, ToRootPointers
 
 
 def make_metric(g) -> RoundtripMetric:
@@ -413,7 +414,7 @@ class ScalarRTZ:
             path.append(at)
         return path
 
-    def compile(self, tables: str) -> Dict[str, np.ndarray]:
+    def compile(self, storage: str) -> Dict[str, np.ndarray]:
         """The per-vertex compile walk the array compile replaces, as
         next vertices: :func:`compiled_next_vertices` of the compiled
         tables must equal it."""
@@ -455,7 +456,7 @@ class ScalarRTZ:
             "center_idx": np.array([cindex[c] for c in home], dtype=np.int32),
         }
         for leg, chunks in (("direct", direct()), ("down", down())):
-            table = _pack_pairs(n, chunks, tables, np.int32)
+            table = _pack_pairs(n, chunks, storage, np.int32)
             if not isinstance(table, np.ndarray):
                 out[f"{leg}_keys"] = table.keys
                 table = table.values
@@ -509,12 +510,12 @@ def assert_matches_reference(rtz: RTZStretch3, ref: ScalarRTZ) -> None:
         for y in range(n):
             assert rtz.has_direct(x, y) == (y in ref.direct[x])
             assert rtz.route_leg(x, y) == ref.route_leg(x, y), (x, y)
-    for tables in ("dense", "blocked"):
+    for storage in ("dense", "blocked"):
+        with forced(storage):
+            compiled = compile_substrate_tables(rtz)
         assert_same_arrays(
-            compiled_next_vertices(
-                compile_substrate_tables(rtz, tables), rtz.metric.oracle.graph
-            ),
-            ref.compile(tables),
+            compiled_next_vertices(compiled, rtz.metric.oracle.graph),
+            ref.compile(storage),
         )
 
 

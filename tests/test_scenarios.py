@@ -3,9 +3,9 @@
 Five concerns, bottom-up:
 
 * **spec validation** — golden invalid fixtures whose exact error
-  messages are pinned (unknown keys, bad families, contradictory
-  matrices, missing seeds, ...) plus a hypothesis sweep proving every
-  generated spec round-trips ``from_doc(to_doc(spec)) == spec``;
+  messages are pinned (unknown keys, bad families, malformed events,
+  missing seeds, ...) plus a hypothesis sweep proving every generated
+  spec round-trips ``from_doc(to_doc(spec)) == spec``;
 * **the runner** — graph building (generator families and edgelist
   snapshots), phase workload derivation, churn evolution, assertion
   evaluation, and the determinism contract: a phase that spans many
@@ -13,7 +13,8 @@ Five concerns, bottom-up:
 * **the committed zoo** — every spec under ``scenarios/`` validates,
   its assertions hold at smoke size (what CI's scenario-matrix job
   enforces), and it summarizes identically on the python engine, on
-  dense tables and on blocked tables;
+  dense tables and on blocked tables; a second hypothesis sweep runs
+  generated specs the same three ways;
 * **CLI plumbing** — ``repro scenario {run,validate,show,list}`` exit
   codes and output;
 * **serve** — the ``WorkloadRequest`` scenario form (round-trip,
@@ -28,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import scheme_names
 from repro.cli import main
 from repro.exceptions import GraphError
 from repro.runtime import traffic
@@ -44,6 +46,7 @@ from repro.scenarios import (
     summary_fingerprint,
 )
 from repro.serve.protocol import ProtocolError, WorkloadRequest
+from table_storage import forced
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -110,12 +113,22 @@ class TestGoldenErrors:
             f"phases[0].kind 'burst' unknown; choose from {PHASE_KINDS}",
         )
 
-    def test_contradictory_matrix(self):
+    def test_python_engine_with_table_family_loads(self):
+        """``tables`` is validated and has no effect, so pairing it with
+        the python engine loads, and the normalized form drops it."""
+        for tables in (["dense"], ["dense", "blocked"], ["auto"]):
+            spec = ScenarioSpec.from_doc(
+                minimal_doc(matrix={"engines": ["python"], "tables": tables})
+            )
+            assert spec.matrix.engines == ("python",)
+            assert spec.matrix.cells == 1
+            assert "tables" not in spec.to_doc()["matrix"]
+
+    def test_unknown_table_family(self):
         self.expect(
-            minimal_doc(matrix={"engines": ["python"], "tables": ["dense"]}),
-            "contradictory matrix: engine 'python' cannot execute "
-            "compiled table family 'dense'; drop 'python' from engines "
-            "or keep tables ['auto']",
+            minimal_doc(matrix={"tables": ["sparse"]}),
+            "matrix table family 'sparse' unknown; choose from "
+            "('auto', 'dense', 'blocked')",
         )
 
     def test_bad_jobs(self):
@@ -328,6 +341,35 @@ def test_round_trip_property(doc):
     assert ScenarioSpec.from_doc(spec.to_doc()).to_doc() == spec.to_doc()
 
 
+@st.composite
+def runnable_docs(draw):
+    """A generated spec whose matrix names one or two of every
+    registered scheme."""
+    doc = draw(scenario_docs())
+    doc["matrix"] = {"schemes": draw(st.lists(
+        st.sampled_from(scheme_names()), min_size=1, max_size=2, unique=True,
+    ))}
+    return doc
+
+
+@settings(max_examples=40, deadline=None)
+@given(doc=runnable_docs())
+def test_generated_spec_runs_alike_three_ways(doc):
+    """Each generated spec at smoke size, per scheme: the python engine,
+    dense tables and blocked tables give equal summary fingerprints,
+    and every cell that routed a pair stays within its scheme's
+    claimed stretch bound."""
+    spec = ScenarioSpec.from_doc(doc).smoke()
+    for scheme, cells in run_three_ways(spec).items():
+        prints = [summary_fingerprint(cell.summary) for cell in cells]
+        assert prints[0] == prints[1] == prints[2], scheme
+        for cell in cells:
+            if cell.summary.pairs:
+                assert cell.summary.max_stretch <= cell.bound + 1e-9, (
+                    scheme, cell.summary.max_stretch, cell.bound
+                )
+
+
 # ----------------------------------------------------------------------
 # runner: graphs, workloads, determinism, assertions
 # ----------------------------------------------------------------------
@@ -478,9 +520,23 @@ def test_flash_crowd_smoke_assertions_hold():
     assert result.ok, result.format()
 
 
-#: the engine and table family pairs every committed spec runs on
-DIFFERENTIAL = (("python", "auto"), ("vectorized", "dense"),
+#: the engine and table storage pairs every spec is checked on
+DIFFERENTIAL = (("python", "dense"), ("vectorized", "dense"),
                 ("vectorized", "blocked"))
+
+
+def run_three_ways(spec: ScenarioSpec) -> dict:
+    """Run ``spec`` on the python engine, on dense tables and on
+    blocked tables (forced through the size threshold).  Returns each
+    scheme's cells, one per run, in :data:`DIFFERENTIAL` order."""
+    by_scheme = {}
+    for engine, storage in DIFFERENTIAL:
+        matrix = replace(spec.matrix, engines=(engine,))
+        with forced(storage):
+            result = run_scenario(replace(spec, matrix=matrix), store=None)
+        for cell in result.cells:
+            by_scheme.setdefault(cell.scheme, []).append(cell)
+    return by_scheme
 
 
 @pytest.mark.parametrize("path", ZOO, ids=lambda p: p.stem)
@@ -488,16 +544,10 @@ def test_committed_spec_agrees_across_engines_and_tables(path):
     """Each committed spec at smoke size, per scheme: the python engine,
     dense tables and blocked tables give equal summary fingerprints."""
     spec = load_scenario(str(path)).smoke()
-    by_scheme = {}
-    for engine, tables in DIFFERENTIAL:
-        matrix = replace(spec.matrix, engines=(engine,), tables=(tables,))
-        result = run_scenario(replace(spec, matrix=matrix), store=None)
-        assert result.ok, result.format()
-        for cell in result.cells:
-            by_scheme.setdefault(cell.scheme, []).append(
-                summary_fingerprint(cell.summary)
-            )
-    for scheme, prints in by_scheme.items():
+    for scheme, cells in run_three_ways(spec).items():
+        for cell in cells:
+            assert cell.ok, cell.format()
+        prints = [summary_fingerprint(cell.summary) for cell in cells]
         assert prints[0] == prints[1] == prints[2], (path.stem, scheme)
 
 

@@ -25,6 +25,7 @@ from repro.runtime.simulator import Simulator
 from repro.runtime.stats import measure_stretch, measure_tables
 from repro.schemes.rtz_baseline import RTZBaselineScheme
 from repro.schemes.shortest_path import ShortestPathScheme
+from table_storage import forced
 
 
 def build(g, naming_seed=0, rng_seed=1):
@@ -101,7 +102,8 @@ class TestShortestPathTables:
     def assert_matches_next_hop(oracle, naming):
         g = oracle.graph
         scheme = ShortestPathScheme(oracle, naming)
-        slots = scheme.compiled_routes("blocked").tables.slots
+        with forced("blocked"):
+            slots = scheme.compiled_routes().tables.slots
         assert slots.dtype == np.int32 and not slots.flags.writeable
         assert slots.shape == (g.n, g.n)
         edges = list(g.edges())  # edge i is CSR out-slot i
@@ -151,20 +153,23 @@ class TestShortestPathTables:
             ShortestPathScheme(broken, identity_naming(g.n))
 
     def test_one_table_held_once(self):
-        """Both families compile to the table ``forward`` reads, and
-        the scheme plus both compiled families hold at most two
-        ``(n, n)`` int32 matrices' worth of memory (the matrix itself
-        is one)."""
+        """Both storages compile to the table ``forward`` reads, and
+        the scheme plus both compiles hold at most two ``(n, n)`` int32
+        matrices' worth of memory (the matrix itself is one)."""
         net = Network.from_family("random", 256, seed=1, store=None)
         oracle, naming = net.oracle(), net.naming()
         warm = ShortestPathScheme(oracle, naming)  # caches and imports
-        warm.compiled_routes("dense"), warm.compiled_routes("blocked")
+        for storage in ("dense", "blocked"):
+            with forced(storage):
+                warm.compiled_routes()
         del warm
         tracemalloc.start()
         try:
             scheme = ShortestPathScheme(oracle, naming)
-            dense = scheme.compiled_routes("dense")
-            blocked = scheme.compiled_routes("blocked")
+            with forced("dense"):
+                dense = scheme.compiled_routes()
+            with forced("blocked"):
+                blocked = scheme.compiled_routes()
             held, _peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -297,9 +297,9 @@ class _SlowCompileScheme(ShortestPathScheme):
 
     COMPILE_SLEEP_S = 0.25
 
-    def compile_tables(self, tables="dense"):
+    def compile_tables(self):
         time.sleep(self.COMPILE_SLEEP_S)
-        return super().compile_tables(tables)
+        return super().compile_tables()
 
 
 class TestElapsedExcludesCompile:

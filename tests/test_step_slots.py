@@ -4,7 +4,7 @@ A compiled forwarding decision is the slot of the hop's edge in the
 graph's :class:`~repro.graph.csr.CSRGraph` (the compiled form of the
 port the scheme forwards on), so the sweep reads the next vertex and
 the hop's weight as ``out_heads[slot]`` and ``out_weights[slot]``.
-For every registered scheme and both table families, every compiled
+For every registered scheme and both table storages, every compiled
 entry must name an out-edge of the vertex it is stored at, and that
 edge must lead where the scheme's own scalar forwarding sends the
 packet: ``head_of_port(u, port)`` for the port its python-engine
@@ -27,6 +27,7 @@ from repro.runtime.engine import (
     hop_slots,
 )
 from repro.tree_routing.fixed_port import TreeAddress
+from table_storage import forced
 
 N = 32
 
@@ -107,10 +108,10 @@ ENTRIES = {
 }
 
 
-def compiled_entries(scheme, tables: str):
+def compiled_entries(scheme):
     """``(u, slot, want)``: every compiled entry's vertex, its slot and
     the vertex the scheme's scalar forwarding reaches from ``u``."""
-    step = scheme.compiled_routes(tables).tables
+    step = scheme.compiled_routes().tables
     rows = ENTRIES[type(step)](scheme, step)
     assert rows
     g = scheme.graph
@@ -127,11 +128,12 @@ def slot_violations(csr: CSRGraph, u, slot, want) -> np.ndarray:
     return np.flatnonzero(~in_row | (heads != want))
 
 
-@pytest.mark.parametrize("tables", ["dense", "blocked"])
+@pytest.mark.parametrize("storage", ["dense", "blocked"])
 @pytest.mark.parametrize("scheme_name", scheme_names())
-def test_every_compiled_slot_is_the_scalar_hop(net, scheme_name, tables):
+def test_every_compiled_slot_is_the_scalar_hop(net, scheme_name, storage):
     scheme = net.build_scheme(scheme_name)
-    u, slot, want = compiled_entries(scheme, tables)
+    with forced(storage):
+        u, slot, want = compiled_entries(scheme)
     csr = CSRGraph.from_digraph(scheme.graph)
     assert slot_violations(csr, u, slot, want).tolist() == []
 
@@ -142,7 +144,7 @@ def test_a_slot_of_another_tail_is_caught():
     net = Network.from_family("random", N, seed=3, store=None)
     scheme = net.build_scheme("stretch6")
     csr = CSRGraph.from_digraph(scheme.graph)
-    tables = scheme.compiled_routes("dense").tables
+    tables = scheme.compiled_routes().tables
     u, ci = (int(x) for x in np.argwhere(tables.up_slot >= 0)[0])
     slot = int(tables.up_slot[u, ci])
     head = int(csr.out_heads[slot])
@@ -153,7 +155,7 @@ def test_a_slot_of_another_tail_is_caught():
     )
     tables.up_slot = tables.up_slot.copy()
     tables.up_slot[u, ci] = other
-    u_all, slot_all, want = compiled_entries(scheme, "dense")
+    u_all, slot_all, want = compiled_entries(scheme)
     bad = slot_violations(csr, u_all, slot_all, want)
     assert [(int(u_all[i]), int(slot_all[i])) for i in bad] == [(u, other)]
 

@@ -7,7 +7,7 @@ hop-by-hop legs are built from the sweep log only when some trace's
 legs are first read (once per batch, under a lock).  These tests pin
 that the columns, the legs and every consumer of them (``Router``
 accounting, ``TrafficSummary``) equal the python engine's eager traces
-bit for bit, for every registered scheme and both table families, and
+bit for bit, for every registered scheme and both table storages, and
 whatever order or threads the legs are read in.
 """
 
@@ -33,6 +33,7 @@ from repro.runtime.simulator import (
     TraceBatch,
 )
 from repro.runtime.traffic import generate_workload, run_workload
+from table_storage import forced
 
 N = 32
 PAIRS = 120
@@ -80,19 +81,18 @@ def assert_columns_match(batch: TraceBatch, reference):
     assert all(type(h) is int for h in batch.hops + batch.max_header_bits)
 
 
-@pytest.mark.parametrize("tables", ["dense", "blocked"])
+@pytest.mark.parametrize("storage", ["dense", "blocked"])
 @pytest.mark.parametrize("scheme_name,params", CASES, ids=CASE_IDS)
 @pytest.mark.parametrize("family", ["random", "torus", "scale-free"])
 def test_columns_and_shuffled_legs_match_python(
-    family, scheme_name, params, tables
+    family, scheme_name, params, storage
 ):
     net = family_net(family)
     scheme = net.build_scheme(scheme_name, **params)
     pairs = sample_pairs(net.n, PAIRS, seed=7)
     py = Simulator(scheme).roundtrip_many(pairs, engine="python")
-    sim = Simulator(scheme, tables=tables)
-    vec = sim.roundtrip_many(pairs, engine="vectorized")
-    assert sim.resolve_tables() == tables
+    with forced(storage):
+        vec = Simulator(scheme).roundtrip_many(pairs, engine="vectorized")
     assert_columns_match(py, py)
     assert_columns_match(vec, py)
     # totals are answered from the columns, before any path exists

@@ -18,12 +18,11 @@ from repro.graph.generators import (
 )
 from repro.graph.shortest_paths import DistanceOracle, dijkstra
 from repro.tree_routing.fixed_port import (
-    OutTreeRouter,
-    ToRootPointers,
     TreeAddress,
     pruned_tree_intervals,
     tree_intervals,
 )
+from tree_references import OutTreeRouter, ToRootPointers
 
 
 def shortest_path_out_tree(g: Digraph, root: int) -> list:
