@@ -16,8 +16,10 @@ The layers:
   several schemes on one graph computes each artifact exactly once —
   and a second process on the same graph computes it zero times;
 * :mod:`repro.api.router` — :class:`Router` serves single and batched
-  roundtrip queries against a built scheme, with per-session
-  accounting;
+  roundtrip queries against a built scheme, counting each engine's
+  batches (:meth:`Router.stats`).  No layer here takes an engine:
+  batches run on the compiled engine whenever the scheme compiles
+  (every registered one does), and single queries on the python one;
 * :mod:`repro.api.stats` — the unified ``as_dict()``/``format()``
   statistics family (:class:`NetworkStats`, :class:`RouterStats`,
   :class:`SessionStats`, :class:`RepairStats`).
@@ -32,7 +34,7 @@ from repro.api.artifacts import (
     register_artifact,
     storable_artifact_specs,
 )
-from repro.api.network import ENGINES, Network
+from repro.api.network import Network
 from repro.api.registry import (
     ParamSpec,
     SchemeSpec,
@@ -42,7 +44,7 @@ from repro.api.registry import (
     register_scheme,
     scheme_names,
 )
-from repro.api.router import RouteResult, Router, RouterAccounting
+from repro.api.router import RouteResult, Router
 from repro.api.stats import (
     ArtifactCacheStats,
     NetworkStats,
@@ -53,11 +55,9 @@ from repro.api.stats import (
 )
 
 __all__ = [
-    "ENGINES",
     "Network",
     "Router",
     "RouteResult",
-    "RouterAccounting",
     "SchemeSpec",
     "ParamSpec",
     "UnknownSchemeError",

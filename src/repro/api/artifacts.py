@@ -256,7 +256,7 @@ def _load_oracle(network: "Network", entry: "LoadedArtifact"):
 def _build_oracle(net: "Network"):
     from repro.graph.shortest_paths import DistanceOracle
 
-    return DistanceOracle(net.graph, engine=net.engine)
+    return DistanceOracle(net.graph)
 
 
 @register_artifact("naming", summary="adversarial random naming")

@@ -31,7 +31,7 @@ from typing import Any, Dict, Optional, TYPE_CHECKING, Union
 from repro.api.artifacts import DEFAULT_UNIVERSE, get_artifact_spec
 from repro.api.registry import get_spec, scheme_names  # noqa: F401
 from repro.api.stats import ArtifactCacheStats, NetworkStats, RepairStats
-from repro.exceptions import GraphError
+from repro.exceptions import ConstructionError, GraphError
 from repro.graph.delta import GraphDelta
 from repro.graph.digraph import Digraph
 from repro.graph.generators import FAMILY_NAMES, standard_family
@@ -49,9 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover - cycle guards
     from repro.runtime.scheme import RoutingScheme
     from repro.rtz.spanner import HandshakeSpanner
 
-#: engines understood by :class:`DistanceOracle`
-ENGINES = ("auto", "vectorized", "python")
-
 
 class Network:
     """Facade over one frozen digraph and its shared artifacts.
@@ -61,10 +58,6 @@ class Network:
             in :mod:`repro.graph.generators` returns one).
         seed: master seed; every artifact and scheme derives its own
             deterministic rng stream from it.
-        engine: ``"auto"`` / ``"vectorized"`` / ``"python"`` — governs
-            both the :class:`DistanceOracle` build and the execution
-            engine routers serve batched traffic with (see
-            :mod:`repro.runtime.engine`).
         store: the persistence tier beneath the in-memory cache.
             ``"auto"`` (the default) resolves
             :func:`repro.store.default_store` on every lookup, so the
@@ -76,29 +69,26 @@ class Network:
             store the network's work touches: compiled decision tables
             are never persisted.
 
-    Its routers' compiled tables are stored as the graph size dictates
+    Its oracle is built with ``DistanceOracle(graph)``, whose ``auto``
+    rule picks the engine.  Its routers serve batches on the compiled
+    engine whenever the scheme compiles, which every registered scheme
+    does; the compiled tables are stored as the graph size dictates
     (:func:`repro.graph.limits.table_storage`): dense up to
     ``REPRO_DENSE_MAX_N`` vertices, blocked above.
 
     Raises:
-        GraphError: for an unfrozen graph, unknown engine, or invalid
-            store argument.
+        GraphError: for an unfrozen graph or an invalid store argument.
     """
 
     def __init__(
         self,
         graph: Digraph,
         seed: int = 0,
-        engine: str = "auto",
         store: Union[str, ArtifactStore, None] = "auto",
     ):
         if not graph.frozen:
             raise GraphError(
                 "Network requires a frozen graph; call graph.freeze() first"
-            )
-        if engine not in ENGINES:
-            raise GraphError(
-                f"unknown engine {engine!r}; choose from {ENGINES}"
             )
         if store != "auto" and store is not None and not isinstance(store, ArtifactStore):
             raise GraphError(
@@ -106,7 +96,6 @@ class Network:
             )
         self._graph = graph
         self._seed = seed
-        self._engine = engine
         self._store_mode = store
         self._cache: Dict[str, Any] = {}
         self._stats: Dict[str, Dict[str, float]] = {}
@@ -135,7 +124,6 @@ class Network:
         family: str,
         n: int,
         seed: int = 0,
-        engine: str = "auto",
         store: Union[str, ArtifactStore, None] = "auto",
     ) -> "Network":
         """Build a network over one of the standard graph families.
@@ -145,16 +133,12 @@ class Network:
             n: approximate graph size (grid families round).
             seed: master seed (also seeds the generator, as
                 :func:`~repro.graph.generators.standard_family`).
-            engine: distance-oracle engine.
             store: persistence tier (see the constructor).
 
         Raises:
             GraphError: for an unknown family (choices listed).
         """
-        return cls(
-            standard_family(family, n, seed), seed=seed, engine=engine,
-            store=store,
-        )
+        return cls(standard_family(family, n, seed), seed=seed, store=store)
 
     if from_family.__func__.__doc__:  # None under ``python -OO``
         from_family.__func__.__doc__ = from_family.__func__.__doc__.format(
@@ -184,12 +168,6 @@ class Network:
         """Position in the evolve lineage: 1 for a root network,
         predecessor + 1 for each :meth:`evolve` successor."""
         return self._generation
-
-    @property
-    def engine(self) -> str:
-        """The engine knob requested at construction (governs oracle
-        builds and batched routing execution)."""
-        return self._engine
 
     def derive_rng(self, tag: str, params: Optional[Dict[str, Any]] = None) -> random.Random:
         """A deterministic rng stream for one artifact or scheme.
@@ -319,7 +297,7 @@ class Network:
 
         The successor serves the new frozen graph
         (:meth:`Digraph.apply_delta` — ports preserved for every
-        surviving edge) with the same seed/engine/store knobs,
+        surviving edge) with the same seed and store,
         ``generation`` incremented, and its artifacts brought up as
         cheaply as the repair protocols allow:
 
@@ -370,12 +348,7 @@ class Network:
             new_graph = repaired[1].graph
         else:
             new_graph = self._graph.apply_delta(delta)
-        child = Network(
-            new_graph,
-            seed=self._seed,
-            engine=self._engine,
-            store=self._store_mode,
-        )
+        child = Network(new_graph, seed=self._seed, store=self._store_mode)
         child._generation = self._generation + 1
         carried = 0
         if new_graph.n == self._graph.n:
@@ -410,8 +383,7 @@ class Network:
     # shared artifacts (delegating accessors over the registry)
     # ------------------------------------------------------------------
     def oracle(self) -> DistanceOracle:
-        """The all-pairs distance oracle (built with this network's
-        engine)."""
+        """The all-pairs distance oracle."""
         return self.artifact("oracle")
 
     def naming(self) -> Naming:
@@ -493,7 +465,6 @@ class Network:
         self,
         scheme: Union[str, "RoutingScheme"],
         hop_limit: Optional[int] = None,
-        engine: Optional[str] = None,
         **params: Any,
     ) -> "Router":
         """A routing session over one scheme of this network.
@@ -502,17 +473,20 @@ class Network:
             scheme: a registry name (built/cached via
                 :meth:`build_scheme`) or an already-built scheme.
             hop_limit: per-leg hop budget override.
-            engine: execution-engine override for batched serving
-                (defaults to this network's engine knob).
             **params: forwarded to :meth:`build_scheme` for names.
+
+        Raises:
+            ConstructionError: for ``params`` the named scheme does not
+                accept, or for any ``params`` with a built scheme
+                (there is nothing left to build them into).
         """
         from repro.api.router import Router
 
         if isinstance(scheme, str):
             scheme = self.build_scheme(scheme, **params)
-        return Router(
-            scheme,
-            oracle=self.oracle(),
-            hop_limit=hop_limit,
-            engine=engine or self._engine,
-        )
+        elif params:
+            raise ConstructionError(
+                f"scheme {scheme.name!r} is already built; it takes no "
+                f"parameters {sorted(params)}"
+            )
+        return Router(scheme, oracle=self.oracle(), hop_limit=hop_limit)

@@ -2,16 +2,19 @@
 
 A router wraps a :class:`~repro.runtime.simulator.Simulator` around a
 constructed scheme and serves roundtrip queries — single
-(:meth:`Router.route`) or batched (:meth:`Router.route_many`) — while
-keeping session accounting: queries served, hop/cost totals, the
-largest header observed, and the scheme's table footprint.
+(:meth:`Router.route`, on the hop-by-hop python engine) or batched
+(:meth:`Router.route_many`, on the compiled engine whenever the scheme
+compiles) — counting each engine's batches, pairs and time
+(:meth:`Router.stats`).  Every per-query number is in the
+:class:`RouteResult`; a workload's totals are in its
+:class:`~repro.runtime.traffic.TrafficSummary`.
 
 Obtained from a network::
 
     router = net.router("stretch6")
     r = router.route(0, 9)              # RouteResult with stretch
     batch = router.route_many(pairs)    # list of RouteResults
-    print(router.accounting().format())
+    print(router.stats().format())
 """
 
 from __future__ import annotations
@@ -99,56 +102,6 @@ def _route_results(*columns) -> List[RouteResult]:
     return out
 
 
-@dataclass
-class RouterAccounting:
-    """Per-session accounting of one router.
-
-    Attributes:
-        scheme: scheme display name.
-        queries: roundtrip queries served by this session.
-        total_cost: summed roundtrip cost across queries.
-        total_hops: summed roundtrip hops across queries.
-        max_header_bits: largest header seen in any served query.
-        tables: the scheme's table footprint (entries/bits).
-        engines: per-engine serving stats —
-            ``{"vectorized": {"batches", "pairs", "seconds", "shards"},
-            "python": {...}}`` (``shards`` counts the engine calls a
-            workload took, one per chunk of
-            :func:`~repro.runtime.traffic.run_workload`; single queries
-            count one).
-    """
-
-    scheme: str
-    queries: int
-    total_cost: float
-    total_hops: int
-    max_header_bits: int
-    tables: TableReport
-    engines: Dict[str, Dict[str, float]]
-
-    def format(self) -> str:
-        """Human-readable accounting block."""
-        lines = [
-            f"scheme          : {self.scheme}",
-            f"queries served  : {self.queries}",
-            f"total cost      : {self.total_cost:.1f}",
-            f"total hops      : {self.total_hops}",
-            f"max header bits : {self.max_header_bits}",
-            f"tables          : max {self.tables.max_entries} rows/node, "
-            f"mean {self.tables.mean_entries:.1f} "
-            f"({self.tables.max_bits} bits worst)",
-        ]
-        for engine, s in sorted(self.engines.items()):
-            if s["batches"] or s["pairs"]:
-                lines.append(
-                    f"engine          : {engine} — "
-                    f"{int(s['pairs'])} pairs in {int(s['batches'])} "
-                    f"batches / {int(s.get('shards', 0))} shards "
-                    f"({s['seconds'] * 1000:.1f} ms)"
-                )
-        return "\n".join(lines)
-
-
 class Router:
     """Serves roundtrip queries against one constructed scheme.
 
@@ -157,12 +110,12 @@ class Router:
         oracle: ground-truth distances of the same graph; enables the
             ``stretch`` column of results (optional).
         hop_limit: per-leg hop budget override for the simulator.
-        engine: default execution engine for batched queries
-            (``"auto"`` / ``"vectorized"`` / ``"python"``; ``"auto"``
-            compiles the scheme's tables when it can and falls back to
-            the hop-by-hop simulator when it cannot).
 
-    The compiled tables are stored as the graph size dictates
+    Batches run on the compiled engine when the scheme compiles its
+    tables and on the hop-by-hop simulator when it does not; both give
+    bit-identical results, and the batch entry points take a per-call
+    ``engine=`` that tests use to route on the python reference.  The
+    compiled tables are stored as the graph size dictates
     (:func:`repro.graph.limits.table_storage`); either storage serves
     bit-identical results.
     """
@@ -172,17 +125,11 @@ class Router:
         scheme: RoutingScheme,
         oracle: Optional[DistanceOracle] = None,
         hop_limit: Optional[int] = None,
-        engine: str = "auto",
     ):
         self._scheme = scheme
         self._oracle = oracle
         self._sim = Simulator(scheme, hop_limit=hop_limit)
         self._hop_limit = hop_limit
-        self._engine = engine
-        self._queries = 0
-        self._total_cost = 0.0
-        self._total_hops = 0
-        self._max_header_bits = 0
         self._tables: Optional[TableReport] = None
         self._engine_stats: Dict[str, Dict[str, float]] = {
             name: {"batches": 0, "pairs": 0, "seconds": 0.0, "shards": 0}
@@ -200,15 +147,10 @@ class Router:
         """The attached ground-truth oracle, if any."""
         return self._oracle
 
-    @property
-    def engine(self) -> str:
-        """The session's default execution engine (as requested)."""
-        return self._engine
-
     def resolve_engine(self, engine: Optional[str] = None) -> str:
-        """The concrete engine a batched call would use (``None``
-        resolves the session default)."""
-        return self._sim.resolve_engine(engine or self._engine)
+        """The concrete engine a batched call would use (``None`` is
+        ``"auto"``); the first call compiles the scheme's tables."""
+        return self._sim.resolve_engine(engine or "auto")
 
     def _account_batch(
         self, engine: str, pairs: int, seconds: float, shards: int = 1
@@ -255,7 +197,7 @@ class Router:
         """Serve a batch of roundtrip queries, in input order.
 
         The batch executes through the compiled vectorized engine when
-        the scheme supports it (or as the ``engine`` override
+        the scheme supports it (or as the per-call ``engine`` override
         requests); results are identical either way.
 
         Raises:
@@ -290,8 +232,7 @@ class Router:
         traces: TraceBatch,
     ) -> List[RouteResult]:
         """One :class:`RouteResult` per row of the checked ``(B, 2)``
-        pair array, read from the batch's columns; the session totals
-        absorb them in input order."""
+        pair array, read from the batch's columns."""
         costs, hops, bits = traces.cost, traces.hops, traces.max_header_bits
         if not costs:
             return []
@@ -303,22 +244,13 @@ class Router:
             ).tolist()
         else:
             stretch = [math.nan] * len(costs)
-        self._queries += len(costs)
-        total = self._total_cost
-        for cost in costs:
-            total += cost
-        self._total_cost = total
-        self._total_hops += sum(hops)
-        self._max_header_bits = max(self._max_header_bits, max(bits))
         return _route_results(
             sources.tolist(), dests.tolist(), names, costs, hops, bits,
             stretch, traces,
         )
 
     def serve_workload(
-        self,
-        workload: Union[Workload, Sequence[Tuple[int, int]]],
-        engine: Optional[str] = None,
+        self, workload: Union[Workload, Sequence[Tuple[int, int]]]
     ) -> TrafficSummary:
         """Route a traffic workload and return the aggregate summary.
 
@@ -327,7 +259,7 @@ class Router:
         workload as one batch, with its engine calls counted as
         ``shards`` (see :meth:`stats`).
         """
-        resolved = self.resolve_engine(engine)
+        resolved = self.resolve_engine()
         summary = run_workload(
             self._scheme,
             workload,
@@ -338,12 +270,6 @@ class Router:
         self._account_batch(
             resolved, summary.pairs, summary.elapsed_s,
             shards=len(chunk_starts(summary.pairs)),
-        )
-        self._queries += summary.pairs
-        self._total_cost += summary.total_cost
-        self._total_hops += summary.total_hops
-        self._max_header_bits = max(
-            self._max_header_bits, summary.max_header_bits
         )
         return summary
 
@@ -363,16 +289,3 @@ class Router:
         from repro.api.stats import RouterStats
 
         return RouterStats.from_counters(self._engine_stats)
-
-    def accounting(self) -> RouterAccounting:
-        """Session accounting: queries, hop/cost totals, headers,
-        per-engine serving stats, and the scheme's table footprint."""
-        return RouterAccounting(
-            scheme=self._scheme.name,
-            queries=self._queries,
-            total_cost=self._total_cost,
-            total_hops=self._total_hops,
-            max_header_bits=self._max_header_bits,
-            tables=self.table_report(),
-            engines={name: dict(s) for name, s in self._engine_stats.items()},
-        )

@@ -35,7 +35,6 @@ from repro.analysis.experiments import (
 from repro.analysis.stretch import stretch_distribution
 from repro.analysis.tables import breakdown
 from repro.api import Network, all_specs, get_spec
-from repro.api.network import ENGINES
 from repro.api.stats import SessionStats
 from repro.distributed.preprocessing import DistributedPreprocessing
 from repro.exceptions import GraphError, ReproError
@@ -68,12 +67,7 @@ def _configure_store(args: argparse.Namespace) -> None:
 def _network(args: argparse.Namespace) -> Network:
     """The shared facade for one CLI invocation."""
     _configure_store(args)
-    return Network.from_family(
-        args.family,
-        args.n,
-        seed=args.seed,
-        engine=getattr(args, "engine", "auto"),
-    )
+    return Network.from_family(args.family, args.n, seed=args.seed)
 
 
 def _build_scheme(
@@ -166,7 +160,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         scheme, bound = _build_scheme(net, label, args)
         build_s = time.perf_counter() - t0
-        router = net.router(scheme, engine=args.engine)
+        router = net.router(scheme)
         routers.append(router)
         resolved = router.resolve_engine()
         summary = router.serve_workload(workload)
@@ -348,7 +342,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         family=args.family,
         n=args.n,
         seed=args.seed,
-        engine=args.engine,
         schemes=tuple(schemes),
         host=args.host,
         port=args.port,
@@ -505,10 +498,7 @@ def _client_batch(args: argparse.Namespace, client) -> int:
         return 0
     if args.offline:
         _configure_store(args)
-        net = Network.from_family(
-            args.family, args.n, seed=args.seed,
-            engine=getattr(args, "engine", "auto"),
-        )
+        net = Network.from_family(args.family, args.n, seed=args.seed)
         results = net.router(args.scheme or "stretch6").route_many(pairs)
         for (s, t), route in zip(pairs, results):
             print(_format_route_line(s, t, route))
@@ -589,14 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="graph family (" + "/".join(FAMILY_NAMES) + ")",
         )
         p.add_argument("--k", type=int, default=2, help="tradeoff parameter")
-        p.add_argument(
-            "--engine",
-            default="auto",
-            choices=ENGINES,
-            help="distance-oracle and routing-execution engine "
-            "(auto / vectorized / python); traffic, fig1, stretch "
-            "and report route their pairs through this engine",
-        )
         store_opts(p)
 
     def store_opts(p: argparse.ArgumentParser) -> None:
@@ -686,9 +668,9 @@ def build_parser() -> argparse.ArgumentParser:
     scen_sub = p.add_subparsers(dest="scenario_command", required=True)
     sp = scen_sub.add_parser(
         "run",
-        help="execute spec files: the full scheme x engine "
-        "matrix, phase workloads, churn events, and declared "
-        "assertions; exits nonzero on any assertion miss",
+        help="execute spec files: every matrix scheme, phase "
+        "workloads, churn events, and declared assertions; exits "
+        "nonzero on any assertion miss",
     )
     sp.add_argument("spec", nargs="+", help="spec file path (or inline JSON)")
     sp.add_argument(
@@ -864,8 +846,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "(--offline only)")
     sp.add_argument("--seed", type=int, default=0, help="graph seed "
                     "(--offline only)")
-    sp.add_argument("--engine", default="auto", choices=ENGINES,
-                    help="routing engine (--offline only)")
     store_opts(sp)
     client_opts(sp)
     sp = client_sub.add_parser(

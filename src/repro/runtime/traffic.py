@@ -22,10 +22,11 @@ Exposed on the command line as ``python -m repro.cli traffic``.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +86,28 @@ def uniform_pairs(
     return pairs
 
 
+def _hot_set_pairs(
+    n: int, count: int, rng: random.Random, size: int,
+    share: Callable[[int], float],
+) -> List[Tuple[int, int]]:
+    """``count`` pairs over a hot set of ``size`` vertices, drawn
+    first: pair ``i`` targets a hot vertex with probability
+    ``share(i)`` and a uniform one otherwise, from a uniform source
+    that differs from it."""
+    hot = rng.sample(range(n), size)
+    pairs = []
+    for i in range(count):
+        if rng.random() < share(i):
+            t = rng.choice(hot)
+        else:
+            t = rng.randrange(n)
+        s = rng.randrange(n - 1)
+        if s >= t:
+            s += 1
+        pairs.append((s, t))
+    return pairs
+
+
 def hotspot_pairs(
     n: int,
     count: int,
@@ -110,18 +133,7 @@ def hotspot_pairs(
     k = num_hotspots if num_hotspots is not None else max(1, n // 16)
     if not 1 <= k <= n:
         raise GraphError(f"num_hotspots must be in [1, n], got {k}")
-    hotspots = rng.sample(range(n), k)
-    pairs = []
-    for _ in range(count):
-        if rng.random() < hotspot_bias:
-            t = rng.choice(hotspots)
-        else:
-            t = rng.randrange(n)
-        s = rng.randrange(n - 1)
-        if s >= t:
-            s += 1
-        pairs.append((s, t))
-    return pairs
+    return _hot_set_pairs(n, count, rng, k, lambda i: hotspot_bias)
 
 
 def adversarial_pairs(
@@ -257,18 +269,7 @@ def flash_crowd_pairs(
     if not 0.0 <= bias <= 1.0:
         raise GraphError(f"flash-crowd bias must be in [0, 1], got {bias}")
     rng = rng or random.Random(0)
-    crowd = rng.sample(range(n), targets)
-    pairs = []
-    for _ in range(count):
-        if rng.random() < bias:
-            t = rng.choice(crowd)
-        else:
-            t = rng.randrange(n)
-        s = rng.randrange(n - 1)
-        if s >= t:
-            s += 1
-        pairs.append((s, t))
-    return pairs
+    return _hot_set_pairs(n, count, rng, targets, lambda i: bias)
 
 
 def diurnal_pairs(
@@ -292,8 +293,6 @@ def diurnal_pairs(
         GraphError: for a non-positive ``cycles`` or ``low``/``high``
             outside ``[0, 1]`` or out of order.
     """
-    import math
-
     _check_args(n, count)
     if count == 0:
         return []
@@ -308,22 +307,14 @@ def diurnal_pairs(
     k = num_hotspots if num_hotspots is not None else max(1, n // 16)
     if not 1 <= k <= n:
         raise GraphError(f"num_hotspots must be in [1, n], got {k}")
-    hot = rng.sample(range(n), k)
     mid = (low + high) / 2.0
     amp = (high - low) / 2.0
-    pairs = []
-    for i in range(count):
-        phase = 2.0 * math.pi * cycles * (i / count)
-        p = mid - amp * math.cos(phase)  # i=0 is night, peaks mid-cycle
-        if rng.random() < p:
-            t = rng.choice(hot)
-        else:
-            t = rng.randrange(n)
-        s = rng.randrange(n - 1)
-        if s >= t:
-            s += 1
-        pairs.append((s, t))
-    return pairs
+
+    def share(i: int) -> float:
+        # i=0 is night, peaks mid-cycle
+        return mid - amp * math.cos(2.0 * math.pi * cycles * (i / count))
+
+    return _hot_set_pairs(n, count, rng, k, share)
 
 
 def generate_workload(

@@ -2,8 +2,8 @@
 
 The scenario zoo: a versioned JSON document (``repro-scenario/1``,
 :mod:`repro.scenarios.spec`) describes the whole experiment — graph
-family, composable workload phases, optional churn events, the scheme
-x engine execution matrix, and declarative assertions — and
+family, composable workload phases, optional churn events, the
+schemes to run, and declarative assertions — and
 :mod:`repro.scenarios.runner` executes it deterministically from the
 spec seed.  A phase with churn ``events`` is the one way to describe
 traffic across topology changes.  Consumed by ``repro scenario

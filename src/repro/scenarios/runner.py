@@ -1,7 +1,7 @@
 """Execute a scenario spec: graph, phases, matrix, assertions.
 
 One :func:`run_scenario` call covers the spec's whole execution matrix.
-Per cell (scheme x engine) the runner walks the phase
+Per cell (one per matrix scheme) the runner walks the phase
 sequence once — stepping the network across each phase's churn
 events with :func:`repro.runtime.churn.evolve_epoch` — routes every
 phase once with :func:`~repro.runtime.traffic.run_workload`, and
@@ -13,9 +13,11 @@ through tagged streams — ``{seed}|graph`` for the generator,
 ``{seed}|churn|{i}`` for phase ``i``'s events, ``{seed}|phase|{i}`` for
 its pairs — and a workload's summary does not depend on how
 :func:`~repro.runtime.traffic.run_workload` cuts it into chunks.  The
-same spec therefore produces the same summary on every run, on every
-engine and in either table storage (``tests/test_scenarios.py`` checks
-the committed zoo three ways).
+same spec therefore produces the same summary on every run.  Cells
+route on the engine ``auto`` picks (the compiled one for every
+registered scheme); the python engine and either table storage give
+the same summaries (``tests/test_scenarios.py`` checks the committed
+zoo three ways).
 """
 
 from __future__ import annotations
@@ -148,7 +150,6 @@ class CellResult:
     checks ``(name, status, detail)`` with status pass/fail/skip."""
 
     scheme: str
-    engine: str
     summary: TrafficSummary
     bound: float
     final_generation: int
@@ -162,7 +163,7 @@ class CellResult:
         """The cell's report block.  Deterministic apart from the
         summary's ``throughput`` line."""
         lines = [
-            f"-- scheme={self.scheme} engine={self.engine} --",
+            f"-- scheme={self.scheme} --",
             self.summary.format(),
             f"generations: 1 -> {self.final_generation}",
         ]
@@ -213,8 +214,7 @@ class ScenarioResult:
             f"graph      : {graph}",
             f"phases     : {len(spec.phases)} "
             f"({spec.total_pairs} pairs, {spec.total_events} events)",
-            f"matrix     : {len(spec.matrix.schemes)} scheme(s) x "
-            f"{len(spec.matrix.engines)} engine(s)",
+            f"matrix     : {len(spec.matrix.schemes)} scheme(s)",
         ]
         for cell in self.cells:
             lines.append("")
@@ -231,14 +231,13 @@ class ScenarioResult:
 def _phase_plan(
     spec: ScenarioSpec,
     graph: Digraph,
-    engine: str,
     store: Any,
 ) -> List[Tuple[Network, Optional[Any], Workload]]:
     """Walk the phases once: evolve through churn, generate each
     phase's workload against its generation.  Returns
     ``[(network, delta, workload), ...]``, a pure function of the
     spec."""
-    net = Network(graph, seed=spec.seed, engine=engine, store=store)
+    net = Network(graph, seed=spec.seed, store=store)
     plan: List[Tuple[Network, Optional[Any], Workload]] = []
     for i, phase in enumerate(spec.phases):
         net, delta = evolve_epoch(net, phase.events, spec.seed, i)
@@ -259,23 +258,21 @@ def _run_cell(
     spec: ScenarioSpec,
     graph: Digraph,
     scheme: str,
-    engine: str,
     store: Any,
 ) -> CellResult:
-    plan = _phase_plan(spec, graph, engine, store)
+    plan = _phase_plan(spec, graph, store)
     params = _scheme_params(scheme, spec.matrix.params)
     bound = plan[0][0].stretch_bound(scheme, **params)
     parts = []
     for i, (net, delta, workload) in enumerate(plan):
         built = net.build_scheme(scheme, **params)
-        part = run_workload(built, workload, oracle=net.oracle(), engine=engine)
+        part = run_workload(built, workload, oracle=net.oracle())
         parts.append(attach_epoch_row(part, i, net, delta))
     summary = TrafficSummary.merge(parts)
     final_generation = plan[-1][0].generation
     checks = _evaluate(spec, summary, bound, final_generation)
     return CellResult(
         scheme=scheme,
-        engine=engine,
         summary=summary,
         bound=bound,
         final_generation=final_generation,
@@ -352,8 +349,6 @@ def run_scenario(source: Any, store: Any = "auto") -> ScenarioResult:
     spec = load_scenario(source)
     graph = build_scenario_graph(spec)
     cells = [
-        _run_cell(spec, graph, scheme, engine, store)
-        for scheme in spec.matrix.schemes
-        for engine in spec.matrix.engines
+        _run_cell(spec, graph, scheme, store) for scheme in spec.matrix.schemes
     ]
     return ScenarioResult(spec=spec, cells=tuple(cells))

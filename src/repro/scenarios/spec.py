@@ -3,7 +3,7 @@
 A scenario is the whole experiment as data: the graph (a generator
 family or an edgelist snapshot), the traffic shape (a sequence of
 workload *phases*, optionally interleaved with churn events), the
-execution matrix (scheme x engine), and the declarative
+execution matrix (the schemes to run), and the declarative
 assertions the run must satisfy.  Committing a JSON file under
 ``scenarios/`` is enough for the CLI (``repro scenario run``), CI (the
 ``scenario-matrix`` job), and the serve daemon (``repro client workload
@@ -23,7 +23,7 @@ The document format::
          {"kind": "flash-crowd", "pairs": 256,
           "params": {"targets": 2, "bias": 0.9},
           "events": [{"op": "reweight"}]}]},
-     "matrix": {"schemes": ["stretch6"], "engines": ["auto"]},
+     "matrix": {"schemes": ["stretch6"]},
      "assertions": {"stretch_within_bound": true,
                     "min_pairs_per_s": 10.0,
                     "expect_epochs": 2}}
@@ -52,6 +52,7 @@ from repro.exceptions import GraphError
 from repro.graph.delta import OP_NAMES
 from repro.graph.generators import FAMILY_NAMES
 from repro.runtime.churn import explicit_op
+from repro.runtime.simulator import EXECUTION_ENGINES
 from repro.runtime.traffic import WORKLOAD_KINDS
 
 #: scenario document schema identifier (bump on incompatible change)
@@ -331,25 +332,23 @@ class PhaseSpec:
 
 @dataclass(frozen=True)
 class MatrixSpec:
-    """The execution matrix: every run covers the full cross product
-    ``schemes x engines``, one run per cell.
+    """The execution matrix: one run per scheme, each a cell.
 
-    ``tables`` and ``jobs`` are parsed and validated so that every spec
-    written when they chose a table storage or a shard partition still
-    loads, and neither has an effect: the graph size picks the storage
+    ``engines``, ``tables`` and ``jobs`` are parsed and validated so
+    that every spec written when they chose an engine, a table storage
+    or a shard partition still loads, and none has an effect: the
+    compiled engine routes every registered scheme bit-identically to
+    the python one, the graph size picks the storage
     (:func:`repro.graph.limits.table_storage`), and a workload's
     summary does not depend on how it is cut
-    (:func:`repro.runtime.traffic.run_workload`).  ``tables`` is not
+    (:func:`repro.runtime.traffic.run_workload`).  None of the three is
     kept after validation."""
 
     schemes: Tuple[str, ...] = ("stretch6",)
-    engines: Tuple[str, ...] = ("auto",)
-    jobs: Tuple[int, ...] = (1,)
     params: Dict[str, Any] = field(default_factory=dict)
 
     @classmethod
     def from_doc(cls, doc: Any) -> "MatrixSpec":
-        from repro.api.network import ENGINES
         from repro.api.registry import scheme_names
 
         if doc is None:
@@ -370,14 +369,11 @@ class MatrixSpec:
                     f"matrix scheme {name!r} unknown; choose from "
                     f"{', '.join(known)}"
                 )
-        engines = (
-            _str_list(doc["engines"], "matrix 'engines'")
-            if "engines" in doc else cls.engines
-        )
-        for engine in engines:
-            if engine not in ENGINES:
+        for engine in _str_list(doc.get("engines", ["auto"]), "matrix 'engines'"):
+            if engine not in EXECUTION_ENGINES:
                 raise ScenarioError(
-                    f"matrix engine {engine!r} unknown; choose from {ENGINES}"
+                    f"matrix engine {engine!r} unknown; choose from "
+                    f"{EXECUTION_ENGINES}"
                 )
         for value in _str_list(doc.get("tables", ["auto"]), "matrix 'tables'"):
             if value not in _TABLE_VALUES:
@@ -385,7 +381,7 @@ class MatrixSpec:
                     f"matrix table family {value!r} unknown; choose from "
                     f"{_TABLE_VALUES}"
                 )
-        jobs = doc.get("jobs", list(cls.jobs))
+        jobs = doc.get("jobs", [1])
         if (
             not isinstance(jobs, list)
             or not jobs
@@ -399,22 +395,17 @@ class MatrixSpec:
                 f"got {jobs!r}"
             )
         return cls(
-            schemes=schemes, engines=engines, jobs=tuple(jobs),
+            schemes=schemes,
             params=_check_params(doc.get("params"), "matrix params"),
         )
 
     def to_doc(self) -> Dict[str, Any]:
-        return {
-            "schemes": list(self.schemes),
-            "engines": list(self.engines),
-            "jobs": list(self.jobs),
-            "params": dict(self.params),
-        }
+        return {"schemes": list(self.schemes), "params": dict(self.params)}
 
     @property
     def cells(self) -> int:
         """Matrix cells (one result block each)."""
-        return len(self.schemes) * len(self.engines)
+        return len(self.schemes)
 
 
 @dataclass(frozen=True)

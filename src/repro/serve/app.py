@@ -74,7 +74,6 @@ class ServeConfig:
     family: str = "random"
     n: int = 64
     seed: int = 0
-    engine: str = "auto"
     schemes: Tuple[str, ...] = ("stretch6",)
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
@@ -405,7 +404,6 @@ def build_app(config: ServeConfig) -> ServeApp:
         config.family,
         config.n,
         seed=config.seed,
-        engine=config.engine,
         schemes=config.schemes,
         broker_opts=config.broker_opts(),
         store=config.store,

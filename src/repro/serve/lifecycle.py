@@ -72,12 +72,14 @@ class Generation:
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, Any]:
-        """The snapshot descriptor responses embed."""
+        """The snapshot descriptor responses embed.  ``engine`` is
+        always ``"auto"``: routers pick the engine, and the key stays so
+        the ``repro-serve/1`` bytes do not change."""
         return {
             "family": self.family,
             "n": self.network.n,
             "seed": self.network.seed,
-            "engine": self.network.engine,
+            "engine": "auto",
         }
 
     def router(self, scheme: str) -> Router:
@@ -189,12 +191,15 @@ class Lifecycle:
         family: initial graph family.
         n: initial graph size.
         seed: initial master seed.
-        engine: engine knob for every generation's network.
         schemes: scheme names to pre-build at load time (the first is
             the daemon's default scheme); must be non-empty.
         broker_opts: per-generation broker configuration.
         store: forwarded to :class:`~repro.api.Network` (``"auto"`` /
             ``None`` / an explicit store).
+
+    No argument picks an engine: each generation's routers serve on the
+    compiled engine, which every registered scheme supports, and the
+    ``graph`` descriptor reports ``"engine": "auto"``.
     """
 
     def __init__(
@@ -202,7 +207,6 @@ class Lifecycle:
         family: str,
         n: int,
         seed: int = 0,
-        engine: str = "auto",
         schemes: Sequence[str] = ("stretch6",),
         broker_opts: Optional[Dict[str, Any]] = None,
         store: Any = "auto",
@@ -213,7 +217,6 @@ class Lifecycle:
             get_spec(name)  # fail at startup, not on first request
         self.schemes = tuple(schemes)
         self.default_scheme = self.schemes[0]
-        self._engine = engine
         self._store = store
         self._broker_opts = dict(broker_opts or {})
         self._gen_counter = 0
@@ -225,13 +228,7 @@ class Lifecycle:
     def _build_generation(self, family: str, n: int, seed: int) -> Generation:
         """Build a fully-warmed generation (synchronous: callers put it
         on a worker thread when traffic is live)."""
-        network = Network.from_family(
-            family,
-            n,
-            seed=seed,
-            engine=self._engine,
-            store=self._store,
-        )
+        network = Network.from_family(family, n, seed=seed, store=self._store)
         self._gen_counter += 1
         gen = Generation(
             self._gen_counter, network, family, broker_opts=self._broker_opts
@@ -249,7 +246,7 @@ class Lifecycle:
         keeps serving).  The new network descends from the old one
         through :meth:`~repro.api.Network.evolve` — carrying memory
         artifacts and repairing the oracle incrementally where the
-        protocol applies — and its schemes/engines pre-warm exactly
+        protocol applies — and its schemes pre-warm exactly
         like a snapshot reload's."""
         network = old.network.evolve(delta)
         self._gen_counter += 1

@@ -193,7 +193,7 @@ def scenario_row(name: str) -> dict:
     for cell in result.cells:
         *totals, epochs = summary_fingerprint(cell.summary)
         cells.append({
-            "cell": f"{cell.scheme}/{cell.engine}",
+            "cell": cell.scheme,
             "summary": totals,
             "epochs": list(epochs),
         })

@@ -7,8 +7,10 @@ Covers the contract the facade guarantees:
 * shared artifacts (metric, RTZ substrate) are built exactly once when
   several schemes ride on them (cache-hit accounting);
 * unknown scheme names fail with a clean error listing the registered
-  choices, and invalid parameters fail with the accepted ones;
-* the ``engine`` knob reaches the distance oracle.
+  choices, and invalid parameters fail with the accepted ones, also
+  when they come with an already-built scheme;
+* the network builds its oracle by the ``auto`` rule, and no layer
+  takes an engine.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from repro.api.router import RouteResult
 from repro.exceptions import ConstructionError, GraphError
 from repro.graph.digraph import Digraph
 from repro.graph.generators import bidirected_torus, random_strongly_connected
+from repro.graph.shortest_paths import DistanceOracle
+from table_storage import python_engine
 
 
 def make_network(family: str = "random", n: int = 20, seed: int = 0) -> Network:
@@ -153,17 +157,50 @@ class TestNetwork:
         with pytest.raises(GraphError):
             Network(g)
 
-    def test_engine_plumbed_to_oracle(self):
-        net_py = make_network(n=12, seed=6)
-        net_vec = Network(net_py.graph, seed=7, engine="python")
-        assert net_vec.oracle().engine == "python"
-        default = Network(net_py.graph, seed=7).oracle()
-        assert (default.d_matrix == net_vec.oracle().d_matrix).all()
+    def test_oracle_uses_the_auto_rule(self):
+        """The network's oracle is ``DistanceOracle(graph)``: the
+        vectorized engine on an ordinary graph, bit-identical to the
+        python reference."""
+        net = make_network(n=12, seed=6)
+        oracle = net.oracle()
+        assert oracle.engine == "vectorized"
+        ref = DistanceOracle(net.graph, engine="python")
+        assert (oracle.d_matrix == ref.d_matrix).all()
+        assert (oracle.parent_matrix() == ref.parent_matrix()).all()
 
-    def test_unknown_engine_rejected(self):
+    def test_no_layer_takes_an_engine(self):
         g = random_strongly_connected(8, rng=random.Random(0))
-        with pytest.raises(GraphError):
-            Network(g, engine="quantum")
+        with pytest.raises(TypeError):
+            Network(g, engine="python")
+        with pytest.raises(TypeError):
+            Network.from_family("random", 8, engine="python")
+        net = Network(g, store=None)
+        assert not hasattr(net, "engine")
+        with pytest.raises(TypeError):
+            Router(net.build_scheme("rtz"), engine="python")
+
+    @pytest.mark.parametrize("params", [
+        {"engine": "python"}, {"tables": "blocked"}, {"k": 9},
+        {"engine": "python", "k": 3},
+    ])
+    def test_router_params_rejected_alike_for_names_and_built_schemes(
+        self, params
+    ):
+        """``router(scheme, **params)`` forwards ``params`` to the build
+        for a name and has nowhere to put them for a built scheme: both
+        forms raise, neither drops them."""
+        net = make_network(n=12, seed=9)
+        with pytest.raises(ConstructionError) as by_name:
+            net.router("stretch6", **params)
+        assert "takes no parameter" in str(by_name.value)
+        with pytest.raises(ConstructionError) as built:
+            net.router(net.build_scheme("stretch6"), **params)
+        assert str(built.value) == (
+            f"scheme 'stretch-6 (TINN)' is already built; it takes no "
+            f"parameters {sorted(params)}"
+        )
+        # hop_limit is the router's own argument, not a build parameter
+        assert net.router(net.build_scheme("stretch6"), hop_limit=9)
 
     def test_from_family(self):
         net = Network.from_family("cycle", 12, seed=2)
@@ -197,17 +234,20 @@ class TestSharedSubstrate:
 
 class TestRouter:
     def test_accounting_counts_queries(self):
+        """Single queries count on the python engine, batches on the
+        compiled one; the table footprint is its own report."""
         net = make_network(n=14, seed=12)
         router = net.router("stretch6")
         router.route(0, 5)
         router.route_many([(1, 2), (3, 4)])
-        acct = router.accounting()
-        assert acct.queries == 3
-        assert acct.total_hops > 0
-        assert acct.max_header_bits > 0
-        assert acct.tables.max_entries > 0
-        assert acct.scheme == "stretch-6 (TINN)"
-        assert "queries served" in acct.format()
+        stats = router.stats().as_dict()
+        assert stats["python"]["pairs"] == stats["python"]["batches"] == 1
+        assert stats["vectorized"]["pairs"] == 2
+        assert stats["vectorized"]["batches"] == 1
+        assert router.table_report().max_entries > 0
+        text = router.stats().format()
+        assert "python      batches=1 pairs=1" in text
+        assert "vectorized  batches=1 pairs=2" in text
 
     def test_route_by_name(self):
         net = make_network(n=14, seed=13)
@@ -256,7 +296,7 @@ class TestRouter:
         summary = router.serve_workload(workload)
         assert summary.pairs == 25
         assert summary.max_stretch <= 3.0 + 1e-9
-        assert router.accounting().queries == 25
+        assert router.stats().as_dict()["vectorized"]["pairs"] == 25
 
 
 BAD_PAIR_NET = {}
@@ -272,7 +312,8 @@ def bad_pairs(n: int, s: int = 3, t: int = 5):
 @pytest.mark.parametrize("scheme_name", scheme_names())
 class TestBadPairsRejected:
     """Every entry point rejects a bad pair with ``GraphError`` before
-    routing anything, on every scheme and engine."""
+    routing anything, on every scheme and engine (the python runs force
+    every ``auto`` batch onto the python engine)."""
 
     @pytest.fixture
     def router(self, scheme_name, engine):
@@ -280,27 +321,36 @@ class TestBadPairsRejected:
             BAD_PAIR_NET["net"] = Network.from_family(
                 "random", 24, seed=4, store=None
             )
-        return BAD_PAIR_NET["net"].router(scheme_name, engine=engine)
+        router = BAD_PAIR_NET["net"].router(scheme_name)
+        if engine == "vectorized":
+            yield router
+        else:
+            with python_engine():
+                yield router
+
+    @staticmethod
+    def routed(router) -> int:
+        return sum(row["pairs"] for row in router.stats().as_dict().values())
 
     def test_route(self, router):
         for s, t in bad_pairs(router.scheme.graph.n):
             with pytest.raises(GraphError):
                 router.route(s, t)
-        assert router.accounting().queries == 0
+        assert self.routed(router) == 0
 
-    def test_route_many(self, router):
+    def test_route_many(self, router, engine):
+        assert router.resolve_engine() == engine
         n = router.scheme.graph.n
         for pair in bad_pairs(n):
             with pytest.raises(GraphError):
                 router.route_many([(0, 1), pair])
-        assert router.accounting().queries == 0
         # by name: resolved first, then checked
         name_of = router.scheme.name_of
         with pytest.raises(GraphError):
             router.route_many([(3, name_of(3))], by_name=True)
         with pytest.raises(GraphError):
             router.route_many([(n, name_of(3))], by_name=True)
-        assert router.stats().as_dict()[router.engine]["pairs"] == 0
+        assert self.routed(router) == 0
 
     def test_run_workload(self, router, engine):
         from repro.runtime.traffic import run_workload
@@ -309,7 +359,8 @@ class TestBadPairsRejected:
             with pytest.raises(GraphError):
                 run_workload(router.scheme, [(0, 1), pair], engine=engine)
             with pytest.raises(GraphError):
-                router.serve_workload([pair], engine=engine)
+                router.serve_workload([pair])
+        assert self.routed(router) == 0
 
     def test_non_integer_endpoint(self, router, engine):
         """A float (even ``3.0``), a string or ``None`` is no endpoint:
@@ -336,7 +387,7 @@ class TestBadPairsRejected:
                 )
             with pytest.raises(GraphError, match=rf"pair \({x!r}, 1\)"):
                 router.route_many([(x, 1)])
-        assert router.accounting().queries == 0
+        assert self.routed(router) == 0
         assert router.route_many([(True, 3)])[0].source == 1
 
 

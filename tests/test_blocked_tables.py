@@ -166,7 +166,7 @@ def test_auto_flips_to_blocked_above_threshold(monkeypatch):
     assert router.resolve_engine() == "vectorized"
     assert_stored_as(router.scheme, "blocked")
     # ... and still serves bit-identically to the python reference.
-    py = net.router("stretch6", engine="python").route_many([(0, 7), (3, 20)])
+    py = router.route_many([(0, 7), (3, 20)], engine="python")
     vec = router.route_many([(0, 7), (3, 20)])
     assert [(r.cost, r.hops, r.max_header_bits) for r in py] == [
         (r.cost, r.hops, r.max_header_bits) for r in vec

@@ -51,7 +51,7 @@ from repro.scenarios import (
     run_scenario,
     summary_fingerprint,
 )
-from table_storage import forced
+from table_storage import forced, python_engine
 
 
 def _grid_graph(n: int, seed: int, extra: int = 0) -> Digraph:
@@ -213,7 +213,7 @@ class TestEvolve:
         grand = child.evolve(GraphDelta.reweight(1, 2, 6.66))
         assert (child.generation, grand.generation) == (2, 3)
         assert net.generation == 1  # parent untouched
-        assert child.seed == net.seed and child.engine == net.engine
+        assert child.seed == net.seed
 
     def test_incremental_repair_accounting(self):
         net = Network(_grid_graph(12, 7, extra=8), seed=0, store=None)
@@ -369,14 +369,9 @@ def _assert_oracles_identical(evolved: Network, fresh: Network):
 
 
 def _fresh_like(evolved: Network) -> Network:
-    """A cold network over the evolved graph: same knobs, empty cache,
+    """A cold network over the evolved graph: same seed, empty cache,
     so every artifact is a genuine full rebuild."""
-    return Network(
-        evolved.graph,
-        seed=evolved.seed,
-        engine=evolved.engine,
-        store=None,
-    )
+    return Network(evolved.graph, seed=evolved.seed, store=None)
 
 
 def _a_chord(g: Digraph) -> Tuple[int, int]:
@@ -707,18 +702,20 @@ class TestRunTimeline:
         assert "epoch 0" in text and "gen 3" in text
 
     def test_bit_identical_across_jobs(self, monkeypatch):
-        """A timeline whose matrix lists ``jobs`` values still loads,
-        runs each cell once, and gives the summary of the same spec
-        without them: the key has no effect."""
+        """A timeline whose matrix lists ``jobs`` (and ``engines``)
+        values still loads, runs each cell once, and gives the summary
+        of the same spec without them: the keys have no effect.  The
+        python engine gives that summary too."""
         phases = [
             {"kind": "mixed", "pairs": 24, "events": [{"op": "reweight"}]},
             {"kind": "mixed", "pairs": 24,
              "events": [{"op": "link_down"}, {"op": "link_up"}]},
         ]
-        matrix = {"engines": ["auto", "python"]}
-        plain = run_scenario(
-            _timeline_doc(self._graph(), phases, matrix=matrix), store=None
-        )
+        matrix = {"schemes": ["stretch6", "rtz"]}
+        doc = _timeline_doc(self._graph(), phases, matrix=matrix)
+        plain = run_scenario(doc, store=None)
+        with python_engine():
+            python = run_scenario(doc, store=None)
         calls = []
         run_workload = traffic.run_workload
 
@@ -730,10 +727,11 @@ class TestRunTimeline:
             "repro.scenarios.runner.run_workload", counting
         )
         with_jobs = run_scenario(_timeline_doc(
-            self._graph(), phases, matrix=dict(matrix, jobs=[1, 2, 4]),
+            self._graph(), phases,
+            matrix=dict(matrix, jobs=[1, 2, 4], engines=["auto", "python"]),
         ), store=None)
-        # two cells (one per engine), two phases each: four workloads
+        # two cells (one per scheme), two phases each: four workloads
         assert len(with_jobs.cells) == 2 and len(calls) == 4
-        assert [summary_fingerprint(c.summary) for c in with_jobs.cells] == [
-            summary_fingerprint(c.summary) for c in plain.cells
-        ]
+        prints = [summary_fingerprint(c.summary) for c in plain.cells]
+        assert [summary_fingerprint(c.summary) for c in with_jobs.cells] == prints
+        assert [summary_fingerprint(c.summary) for c in python.cells] == prints

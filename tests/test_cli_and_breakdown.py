@@ -219,11 +219,19 @@ class TestCLI:
         assert str(exc.value) == message
 
     def test_engine_flag(self, capsys):
-        rc = main(["stretch", "--engine", "python", "--n", "12",
-                   "--pairs", "20"])
-        assert rc == 0
-        with pytest.raises(SystemExit):
-            main(["stretch", "--engine", "quantum", "--n", "12"])
+        """No subcommand takes ``--engine`` any more: the code picks
+        the engine, so the flag is an argparse error (exit 2)."""
+        commands = [[cmd] for cmd in (
+            "fig1", "stretch", "tables", "covers", "distributed",
+            "traffic", "serve", "report",
+        )] + [["client", "batch", "--file", "-", "--offline"]]
+        for argv in commands:
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--engine", "python"])
+            assert exc.value.code == 2, argv
+            assert "unrecognized arguments: --engine python" in (
+                capsys.readouterr().err
+            )
 
     def test_schemes_subcommand(self, capsys):
         from repro.api import scheme_names

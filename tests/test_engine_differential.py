@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -49,7 +50,7 @@ from repro.runtime.traffic import (
     run_workload,
 )
 from repro.schemes.shortest_path import ShortestPathScheme
-from table_storage import forced
+from table_storage import forced, python_engine
 
 N = 32
 FAMILIES = ("random", "torus")
@@ -150,6 +151,26 @@ def test_unknown_engine_rejected(net):
     sim = Simulator(net.build_scheme("rtz"))
     with pytest.raises(RoutingError, match="unknown execution engine"):
         sim.roundtrip_many([(0, 1)], engine="warp")
+
+
+def test_forced_python_engine_reaches_every_batch(net):
+    """Inside ``python_engine()`` no scheme compiles: ``auto`` batches
+    route on the python engine with the same results, an explicit
+    ``"vectorized"`` raises, and the compiled engine is back after."""
+    pairs = [(0, 9), (3, 14), (7, 2)]
+    want = net.router("stretch6").route_many(pairs)
+    with python_engine():
+        router = net.router("stretch6")
+        assert router.resolve_engine() == "python"
+        got = router.route_many(pairs)
+        with pytest.raises(RoutingError, match="does not support"):
+            router.route_many(pairs, engine="vectorized")
+    stats = router.stats().as_dict()
+    assert stats["python"]["pairs"] == 3 and stats["vectorized"]["pairs"] == 0
+    assert [(r.cost, r.hops, r.max_header_bits) for r in got] == [
+        (r.cost, r.hops, r.max_header_bits) for r in want
+    ]
+    assert router.resolve_engine() == "vectorized"
 
 
 # ----------------------------------------------------------------------
@@ -339,10 +360,11 @@ def test_router_serve_workload_honors_hop_limit():
     exactly as it binds route()/route_many()."""
     from repro.api.router import Router
 
-    for engine in ("python", "vectorized"):
-        router = Router(InboundLoopingScheme(), hop_limit=15, engine=engine)
-        with pytest.raises(HopLimitExceeded):
-            router.serve_workload([(0, 5)])
+    for engine in (python_engine, nullcontext):
+        with engine():
+            router = Router(InboundLoopingScheme(), hop_limit=15)
+            with pytest.raises(HopLimitExceeded):
+                router.serve_workload([(0, 5)])
 
 
 def test_mixed_workload_stretch_consistency(net):
@@ -350,8 +372,8 @@ def test_mixed_workload_stretch_consistency(net):
     identical per-query results, and measured stretch is finite."""
     results = {}
     for engine in ("python", "vectorized"):
-        router = net.router("stretch6", engine=engine)
-        batch = router.route_many([(0, 9), (3, 14), (7, 2)])
+        router = net.router("stretch6")
+        batch = router.route_many([(0, 9), (3, 14), (7, 2)], engine=engine)
         results[engine] = [
             (r.cost, r.hops, r.max_header_bits, r.stretch) for r in batch
         ]

@@ -121,7 +121,7 @@ def test_route_many_equals_repeated_route_under_both_engines(
     singles = snapshot([single_router.route(s, t) for (s, t) in pairs])
     by_engine = {}
     for engine in ("python", "vectorized"):
-        router = net.router(scheme_name, engine=engine)
-        by_engine[engine] = snapshot(router.route_many(pairs))
+        router = net.router(scheme_name)
+        by_engine[engine] = snapshot(router.route_many(pairs, engine=engine))
         assert by_engine[engine] == singles
     assert by_engine["python"] == by_engine["vectorized"]

@@ -12,9 +12,10 @@ Five concerns, bottom-up:
   engine calls summarizes as one, on both engines;
 * **the committed zoo** — every spec under ``scenarios/`` validates,
   its assertions hold at smoke size (what CI's scenario-matrix job
-  enforces), and it summarizes identically on the python engine, on
-  dense tables and on blocked tables; a second hypothesis sweep runs
-  generated specs the same three ways;
+  enforces), and it summarizes identically on the python engine
+  (forced with ``table_storage.python_engine``), on dense tables and
+  on blocked tables; a second hypothesis sweep runs generated specs
+  the same three ways;
 * **CLI plumbing** — ``repro scenario {run,validate,show,list}`` exit
   codes and output;
 * **serve** — the ``WorkloadRequest`` scenario form (round-trip,
@@ -24,7 +25,6 @@ Five concerns, bottom-up:
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -46,7 +46,7 @@ from repro.scenarios import (
     summary_fingerprint,
 )
 from repro.serve.protocol import ProtocolError, WorkloadRequest
-from table_storage import forced
+from table_storage import forced, python_engine
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -114,15 +114,26 @@ class TestGoldenErrors:
         )
 
     def test_python_engine_with_table_family_loads(self):
-        """``tables`` is validated and has no effect, so pairing it with
-        the python engine loads, and the normalized form drops it."""
+        """``engines``, ``tables`` and ``jobs`` are validated and have
+        no effect, so any valid combination loads, runs one cell per
+        scheme, and the normalized form drops all three."""
         for tables in (["dense"], ["dense", "blocked"], ["auto"]):
-            spec = ScenarioSpec.from_doc(
-                minimal_doc(matrix={"engines": ["python"], "tables": tables})
-            )
-            assert spec.matrix.engines == ("python",)
+            spec = ScenarioSpec.from_doc(minimal_doc(matrix={
+                "engines": ["python", "vectorized"], "tables": tables,
+                "jobs": [1, 4],
+            }))
             assert spec.matrix.cells == 1
-            assert "tables" not in spec.to_doc()["matrix"]
+            assert spec.to_doc()["matrix"] == {
+                "schemes": ["stretch6"], "params": {},
+            }
+            assert spec == ScenarioSpec.from_doc(minimal_doc())
+
+    def test_unknown_engine(self):
+        self.expect(
+            minimal_doc(matrix={"engines": ["warp"]}),
+            "matrix engine 'warp' unknown; choose from "
+            "('auto', 'vectorized', 'python')",
+        )
 
     def test_unknown_table_family(self):
         self.expect(
@@ -435,8 +446,8 @@ def test_phase_workload_is_seed_deterministic():
 
 def test_run_scenario_phase_spanning_chunks_matches_one_call(monkeypatch):
     # With 64-pair chunks, the 300-pair phase takes five engine calls;
-    # each cell must summarize it as one call of all 300 pairs does,
-    # and the auto (vectorized) and python cells must agree.
+    # the cell must summarize it as one call of all 300 pairs does, on
+    # the auto (vectorized) engine and on the python one.
     doc = minimal_doc(
         graph={"family": "random", "n": 24},
         workload={"phases": [
@@ -445,15 +456,16 @@ def test_run_scenario_phase_spanning_chunks_matches_one_call(monkeypatch):
              "events": [{"op": "reweight"}]},
             {"kind": "uniform", "pairs": 300},
         ]},
-        matrix={"engines": ["auto", "python"]},
     )
     whole = run_scenario(doc, store=None)
     monkeypatch.setattr(traffic, "CHUNK_PAIRS", 64)
     chunked = run_scenario(doc, store=None)
-    assert whole.ok and chunked.ok
+    with python_engine():
+        python = run_scenario(doc, store=None)
+    assert whole.ok and chunked.ok and python.ok
     fingerprints = [summary_fingerprint(c.summary) for c in chunked.cells]
     assert fingerprints == [summary_fingerprint(c.summary) for c in whole.cells]
-    assert fingerprints[0] == fingerprints[1]
+    assert fingerprints == [summary_fingerprint(c.summary) for c in python.cells]
     # formatted output identical apart from throughput lines
     strip = lambda text: "\n".join(  # noqa: E731
         ln for ln in text.splitlines() if not ln.startswith("throughput")
@@ -520,20 +532,15 @@ def test_flash_crowd_smoke_assertions_hold():
     assert result.ok, result.format()
 
 
-#: the engine and table storage pairs every spec is checked on
-DIFFERENTIAL = (("python", "dense"), ("vectorized", "dense"),
-                ("vectorized", "blocked"))
-
-
 def run_three_ways(spec: ScenarioSpec) -> dict:
-    """Run ``spec`` on the python engine, on dense tables and on
+    """Run ``spec`` on the python engine (every scheme declining to
+    compile), then on the compiled engine with dense tables and with
     blocked tables (forced through the size threshold).  Returns each
-    scheme's cells, one per run, in :data:`DIFFERENTIAL` order."""
+    scheme's cells, one per run, in that order."""
     by_scheme = {}
-    for engine, storage in DIFFERENTIAL:
-        matrix = replace(spec.matrix, engines=(engine,))
-        with forced(storage):
-            result = run_scenario(replace(spec, matrix=matrix), store=None)
+    for mode in (python_engine(), forced("dense"), forced("blocked")):
+        with mode:
+            result = run_scenario(spec, store=None)
         for cell in result.cells:
             by_scheme.setdefault(cell.scheme, []).append(cell)
     return by_scheme
@@ -607,7 +614,7 @@ class TestScenarioCli:
         assert rc == 0
         doc = json.loads(out)
         assert doc["schema"] == SCHEMA
-        assert doc["matrix"]["jobs"] == [1]
+        assert doc["matrix"] == {"schemes": ["stretch6"], "params": {}}
 
     def test_list_zoo(self, capsys):
         rc = main(["scenario", "list", "--dir", str(SCENARIO_DIR)])

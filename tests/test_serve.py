@@ -290,6 +290,32 @@ def test_dispatch_sheds_beyond_max_inflight():
     assert app.counters.shed == 1
 
 
+def test_graph_descriptor_bytes():
+    """``/healthz``, ``/stats`` and ``/reload`` describe the graph as
+    ``{"engine": "auto", "family", "n", "seed"}``.  No option picks an
+    engine, and the key keeps the ``repro-serve/1`` bytes as they were
+    when the default was the only engine any daemon ran."""
+    app = build_app(small_config())
+
+    async def main():
+        return [
+            await app.dispatch("GET", "/healthz", b""),
+            await app.dispatch("GET", "/stats", b""),
+            await app.dispatch(
+                "POST", "/reload", json.dumps({"seed": 9}).encode()
+            ),
+        ]
+
+    (s1, healthz), (s2, stats), (s3, reload) = asyncio.run(main())
+    assert (s1, s2, s3) == (200, 200, 200)
+    before = b'"graph": {"engine": "auto", "family": "random", "n": 24, "seed": 0}'
+    after = b'"graph": {"engine": "auto", "family": "random", "n": 24, "seed": 9}'
+    assert before in healthz and before in stats and after in reload
+    assert decode_body(reload)["graph"] == {
+        "family": "random", "n": 24, "seed": 9, "engine": "auto",
+    }
+
+
 def test_reload_under_load_zero_drops_in_process():
     """Requests racing a /reload all succeed, and every response's
     results match the generation it claims to have been served by."""

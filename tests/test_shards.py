@@ -325,7 +325,7 @@ class TestRouterShardAccounting:
         assert info["vectorized"]["pairs"] == len(workload)
         assert info["vectorized"]["shards"] == 4
         assert info["python"]["shards"] == 0
-        assert "shards" in router.accounting().format()
+        assert "pairs=48 shards=4" in router.stats().format()
 
     def test_single_queries_count_one_shard(self, net):
         router = net.router("stretch6")

@@ -6,7 +6,7 @@ costs, hops and header bits come from the sweep's leg totals, and the
 hop-by-hop legs are built from the sweep log only when some trace's
 legs are first read (once per batch, under a lock).  These tests pin
 that the columns, the legs and every consumer of them (``Router``
-accounting, ``TrafficSummary``) equal the python engine's eager traces
+results and stats, ``TrafficSummary``) equal the python engine's eager traces
 bit for bit, for every registered scheme and both table storages, and
 whatever order or threads the legs are read in.
 """
@@ -159,10 +159,11 @@ def test_router_results_and_accounting_match(scheme_name, params, engine):
     net = family_net("random")
     scheme = net.build_scheme(scheme_name, **params)
     pairs = sample_pairs(net.n, PAIRS, seed=13)
-    ref = Router(scheme, oracle=net.oracle(), engine="python")
+    ref = Router(scheme, oracle=net.oracle())
     ref_results = [ref.route(s, t) for s, t in pairs]
-    router = Router(scheme, oracle=net.oracle(), engine=engine)
-    results = router.route_many(pairs[:50]) + router.route_many(pairs[50:])
+    router = Router(scheme, oracle=net.oracle())
+    results = (router.route_many(pairs[:50], engine=engine)
+               + router.route_many(pairs[50:], engine=engine))
     r = net.oracle().r_matrix
     for got, want, (s, t) in zip(results, ref_results, pairs):
         assert (got.source, got.dest, got.dest_name) == (s, t, want.dest_name)
@@ -171,15 +172,14 @@ def test_router_results_and_accounting_match(scheme_name, params, engine):
         assert got.stretch.hex() == want.stretch.hex()
         assert got.stretch == got.cost / float(r[s, t])
         assert got.trace == want.trace
-    acc, ref_acc = router.accounting(), ref.accounting()
-    assert acc.queries == ref_acc.queries == len(pairs)
-    # session totals add in input order, one pair at a time
-    total = 0.0
-    for want in ref_results:
-        total += want.cost
-    assert acc.total_cost.hex() == ref_acc.total_cost.hex() == total.hex()
-    assert acc.total_hops == ref_acc.total_hops
-    assert acc.max_header_bits == ref_acc.max_header_bits
+    # single queries count one python batch each; the two route_many
+    # calls count two batches on the engine they ran on
+    stats, ref_stats = router.stats().as_dict(), ref.stats().as_dict()
+    assert ref_stats["python"]["pairs"] == ref_stats["python"]["batches"]
+    assert ref_stats["python"]["pairs"] == stats[engine]["pairs"] == len(pairs)
+    assert stats[engine]["batches"] == stats[engine]["shards"] == 2
+    other = "vectorized" if engine == "python" else "python"
+    assert stats[other]["pairs"] == ref_stats["vectorized"]["pairs"] == 0
 
 
 def test_router_without_oracle_reports_nan_stretch():

@@ -27,6 +27,7 @@ from repro.runtime.traffic import (
 )
 from repro.schemes.shortest_path import ShortestPathScheme
 from repro.schemes.stretch6 import StretchSixScheme
+from table_storage import python_engine
 
 
 @pytest.fixture
@@ -362,37 +363,21 @@ class TestTrafficCLI:
         assert rc == 0
         assert "rtz" in out
 
-    @pytest.mark.parametrize("engine,expected", [
-        ("vectorized", "engine     : vectorized"),
-        ("python", "engine     : python"),
-        ("auto", "engine     : vectorized"),
-    ])
-    def test_traffic_engine_flag(self, engine, expected, capsys):
-        rc = main([
-            "traffic", "--n", "20", "--pairs", "30", "--scheme", "stretch6",
-            "--engine", engine,
-        ])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert expected in out
+    def test_traffic_prints_the_engine_it_ran_on(self, capsys):
+        """No flag picks the engine.  A compiling scheme's batches run
+        vectorized; with every scheme declining to compile they run on
+        python, and the summary is the same."""
+        argv = ["traffic", "--n", "20", "--pairs", "30", "--scheme", "stretch6"]
+        assert main(argv) == 0
+        vec = capsys.readouterr().out
+        with python_engine():
+            assert main(argv) == 0
+        py = capsys.readouterr().out
+        assert ("engine     : vectorized  (compiled decision tables, "
+                "tables=dense)\n") in vec
+        assert "engine     : python\n" in py
 
-    def test_traffic_strict_vectorized_rejects_uncompilable(
-        self, capsys, monkeypatch
-    ):
-        """A scheme without a compiled form: explicit --engine
-        vectorized must exit cleanly, not crash.  Every registered
-        scheme compiles, so the test registers a stub."""
-        from test_engine_differential import UncompilableScheme
+        def block(out):
+            return out[out.index("workload   :"):out.index("throughput :")]
 
-        from repro.api import registry
-
-        registry._ensure_builtin_schemes()
-        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
-        registry.register_scheme("uncompilable")(
-            lambda net, rng: UncompilableScheme(net.oracle(), net.naming())
-        )
-        with pytest.raises(SystemExit, match="does not support"):
-            main([
-                "traffic", "--n", "20", "--pairs", "10",
-                "--scheme", "uncompilable", "--engine", "vectorized",
-            ])
+        assert block(vec) == block(py)
