@@ -363,6 +363,29 @@ class TestTrafficCLI:
         assert rc == 0
         assert "rtz" in out
 
+    @pytest.mark.parametrize("engine,expected", [
+        ("vectorized", "engine     : vectorized"),
+        ("python", "engine     : python"),
+        ("auto", "engine     : vectorized"),
+    ])
+    def test_traffic_engine_flag(self, engine, expected, capsys):
+        """``--engine`` is gone: argparse refuses each of its old values
+        (exit 2).  Without it the engine line still names the engine
+        the batches ran on: python only when no scheme compiles."""
+        argv = ["traffic", "--n", "20", "--pairs", "30", "--scheme", "stretch6"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--engine", engine])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --engine {engine}" in (
+            capsys.readouterr().err
+        )
+        if engine == "python":
+            with python_engine():
+                assert main(argv) == 0
+        else:
+            assert main(argv) == 0
+        assert expected in capsys.readouterr().out
+
     def test_traffic_prints_the_engine_it_ran_on(self, capsys):
         """No flag picks the engine.  A compiling scheme's batches run
         vectorized; with every scheme declining to compile they run on
