@@ -523,9 +523,9 @@ class TrafficSummary:
         kinds = list(dict.fromkeys(s.kind for s in summaries))
         kind = kinds[0] if len(kinds) == 1 else "+".join(kinds)
         pairs = sum(s.pairs for s in summaries)
-        total_cost = sum(s.total_cost for s in summaries)
+        total_cost = sum_in_order([s.total_cost for s in summaries])
         total_hops = sum(s.total_hops for s in summaries)
-        elapsed = sum(s.elapsed_s for s in summaries)
+        elapsed = sum_in_order([s.elapsed_s for s in summaries])
         epochs = tuple(e for s in summaries for e in s.epochs)
         if pairs == 0:
             return cls(
@@ -541,9 +541,9 @@ class TrafficSummary:
         worst_pair = (-1, -1)
         if with_stretch:
             covered = sum(s.pairs for s in with_stretch)
-            mean_stretch = (
-                sum(s.mean_stretch * s.pairs for s in with_stretch) / covered
-            )
+            mean_stretch = sum_in_order(
+                [s.mean_stretch * s.pairs for s in with_stretch]
+            ) / covered
             max_stretch = with_stretch[0].max_stretch
             worst_pair = with_stretch[0].worst_pair
             for s in with_stretch[1:]:
@@ -594,6 +594,17 @@ class TrafficSummary:
         for epoch in self.epochs:
             lines.append(epoch.format())
         return "\n".join(lines)
+
+
+def sum_in_order(values: Sequence[float]) -> float:
+    """``values`` added one at a time from the left, as a float (0.0
+    for none).  Every float total of a summary is added this way: the
+    builtin ``sum()`` compensates its rounding since Python 3.12, so
+    its totals, and the ``repr`` that summary fingerprints pin, would
+    depend on the interpreter (``sum([1e16, 1.0, 1.0])`` reads
+    ``1e+16`` up to 3.11 and ``1.0000000000000002e+16`` after)."""
+    running = np.add.accumulate(np.asarray(values, dtype=np.float64))
+    return float(running[-1]) if running.size else 0.0
 
 
 def require_integer_endpoints(pairs: Sequence[Tuple[int, int]]) -> None:
@@ -681,16 +692,15 @@ def _summarize(
             kind, 0, 0.0, 0, 0.0, 0.0, 0, 0, float("nan"), float("nan"),
             (-1, -1), elapsed,
         )
-    total_cost = sum(costs)
+    total_cost = sum_in_order(costs)
     total_hops = sum(hops)
     mean_stretch = max_stretch = float("nan")
     worst_pair = (-1, -1)
     if r_matrix is not None:
-        # Elementwise float64 division rounds exactly as the scalar
-        # one; the sums below stay sequential Python sums.
+        # Elementwise float64 division rounds exactly as the scalar one.
         sources, dests = pairs.T
         stretches = (np.array(costs) / r_matrix[sources, dests]).tolist()
-        mean_stretch = sum(stretches) / len(stretches)
+        mean_stretch = sum_in_order(stretches) / len(stretches)
         worst = max(range(len(stretches)), key=stretches.__getitem__)
         max_stretch = stretches[worst]
         worst_pair = tuple(pairs[worst].tolist())

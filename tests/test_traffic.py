@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -13,6 +14,7 @@ from repro.exceptions import GraphError
 from repro.graph.digraph import Digraph
 from repro.graph.shortest_paths import DistanceOracle
 from repro.naming.permutation import random_naming
+from repro.runtime import traffic
 from repro.runtime.simulator import Simulator
 from repro.runtime.traffic import (
     WORKLOAD_KINDS,
@@ -23,6 +25,7 @@ from repro.runtime.traffic import (
     hotspot_pairs,
     mixed_pairs,
     run_workload,
+    sum_in_order,
     uniform_pairs,
 )
 from repro.schemes.shortest_path import ShortestPathScheme
@@ -339,6 +342,38 @@ class TestSummaryMerge:
         )
         assert merged.max_stretch != merged.max_stretch  # nan
         assert merged.worst_pair == (-1, -1)
+
+
+class TestSummation:
+    """Float totals add one at a time from the left on every
+    interpreter: the builtin ``sum()`` compensates its rounding since
+    Python 3.12, where these totals would read 1.0000000000000002e+16."""
+
+    TOTALS = [1e16, 1.0, 1.0]
+
+    def test_helper(self):
+        assert sum_in_order(self.TOTALS) == 1e16
+        assert sum_in_order([]) == 0.0
+
+    def test_merge(self):
+        parts = [
+            TrafficSummary("uniform", 1, cost, 1, cost, 1.0, 1, 0, cost,
+                           cost, (0, 1), 0.5)
+            for cost in self.TOTALS
+        ]
+        merged = TrafficSummary.merge(parts)
+        assert merged.total_cost == 1e16
+        assert merged.mean_stretch == 1e16 / 3
+        assert merged.elapsed_s == 1.5
+
+    def test_summary(self):
+        pairs = np.array([[0, 1], [1, 0], [0, 1]], dtype=np.int64)
+        summary = traffic._summarize(
+            "custom", pairs, self.TOTALS, [1, 1, 1], [0, 0, 0],
+            np.ones((2, 2)), 0.0,
+        )
+        assert summary.total_cost == 1e16
+        assert summary.mean_stretch == 1e16 / 3
 
 
 class TestTrafficCLI:
