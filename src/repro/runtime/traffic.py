@@ -673,9 +673,9 @@ def chunk_starts(total: int, size: Optional[int] = None) -> range:
 def _summarize(
     kind: str,
     pairs: np.ndarray,
-    costs: List[float],
-    hops: List[int],
-    bits: List[int],
+    costs: np.ndarray,
+    hops: np.ndarray,
+    bits: np.ndarray,
     r_matrix,
     elapsed: float,
 ) -> TrafficSummary:
@@ -683,26 +683,27 @@ def _summarize(
     :class:`TrafficSummary`.
 
     ``pairs`` is :func:`check_pairs`' array; ``costs``, ``hops`` and
-    ``bits`` hold every pair's cost, hops and max header bits in input
-    order; ``r_matrix`` is the oracle's roundtrip-distance matrix (or
-    ``None`` for no stretch columns).
+    ``bits`` are arrays of every pair's cost, hops and max header bits
+    in input order; ``r_matrix`` is the oracle's roundtrip-distance
+    matrix (or ``None`` for no stretch columns).  Every field is a
+    Python number, so its ``repr`` never reads ``np.float64(...)``.
     """
-    if not costs:
+    if not len(costs):
         return TrafficSummary(
             kind, 0, 0.0, 0, 0.0, 0.0, 0, 0, float("nan"), float("nan"),
             (-1, -1), elapsed,
         )
     total_cost = sum_in_order(costs)
-    total_hops = sum(hops)
+    total_hops = int(hops.sum())
     mean_stretch = max_stretch = float("nan")
     worst_pair = (-1, -1)
     if r_matrix is not None:
         # Elementwise float64 division rounds exactly as the scalar one.
         sources, dests = pairs.T
-        stretches = (np.array(costs) / r_matrix[sources, dests]).tolist()
+        stretches = costs / r_matrix[sources, dests]
         mean_stretch = sum_in_order(stretches) / len(stretches)
-        worst = max(range(len(stretches)), key=stretches.__getitem__)
-        max_stretch = stretches[worst]
+        worst = int(np.argmax(stretches))  # the first maximum
+        max_stretch = float(stretches[worst])
         worst_pair = tuple(pairs[worst].tolist())
     return TrafficSummary(
         kind=kind,
@@ -711,8 +712,8 @@ def _summarize(
         total_hops=total_hops,
         mean_cost=total_cost / len(costs),
         mean_hops=total_hops / len(costs),
-        max_hops=max(hops),
-        max_header_bits=max(bits),
+        max_hops=int(hops.max()),
+        max_header_bits=int(bits.max()),
         mean_stretch=mean_stretch,
         max_stretch=max_stretch,
         worst_pair=worst_pair,
@@ -773,17 +774,18 @@ def run_workload(
         raise GraphError(f"shard_size must be >= 1, got {shard_size}")
     sim = Simulator(scheme, hop_limit=hop_limit)
     resolved = sim.resolve_engine(engine)  # compiles outside the timed region
-    costs: List[float] = []
-    hops: List[int] = []
-    bits: List[int] = []
+    costs = np.empty(len(pairs), dtype=np.float64)
+    hops = np.empty(len(pairs), dtype=np.int64)
+    bits = np.empty(len(pairs), dtype=np.int64)
     elapsed = 0.0
     starts = chunk_starts(len(pairs), shard_size)
     for lo in starts:
+        chunk = slice(lo, lo + starts.step)
         t0 = time.perf_counter()
-        batch = sim.roundtrip_many(pairs[lo:lo + starts.step], engine=resolved)
+        batch = sim.roundtrip_many(pairs[chunk], engine=resolved)
         elapsed += time.perf_counter() - t0
-        costs += batch.cost
-        hops += batch.hops
-        bits += batch.max_header_bits
+        costs[chunk] = batch.cost
+        hops[chunk] = batch.hops
+        bits[chunk] = batch.max_header_bits
     r_matrix = oracle.r_matrix if oracle is not None else None
     return _summarize(kind, pairs, costs, hops, bits, r_matrix, elapsed)

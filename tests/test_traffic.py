@@ -368,8 +368,9 @@ class TestSummation:
 
     def test_summary(self):
         pairs = np.array([[0, 1], [1, 0], [0, 1]], dtype=np.int64)
+        ones = np.ones(3, dtype=np.int64)
         summary = traffic._summarize(
-            "custom", pairs, self.TOTALS, [1, 1, 1], [0, 0, 0],
+            "custom", pairs, np.array(self.TOTALS), ones, ones,
             np.ones((2, 2)), 0.0,
         )
         assert summary.total_cost == 1e16
