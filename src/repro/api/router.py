@@ -190,15 +190,18 @@ class Router:
 
     def route_many(
         self,
-        pairs: Iterable[Tuple[int, int]],
+        pairs: "np.ndarray | Iterable[Tuple[int, int]]",
         by_name: bool = False,
         engine: Optional[str] = None,
     ) -> List[RouteResult]:
         """Serve a batch of roundtrip queries, in input order.
 
-        The batch executes through the compiled vectorized engine when
-        the scheme supports it (or as the per-call ``engine`` override
-        requests); results are identical either way.
+        ``pairs`` is any iterable of ``(source, dest)`` pairs or a
+        ``(B, 2)`` integer array, such as a generated workload's; an
+        int64 array is routed without a copy.  The batch executes
+        through the compiled vectorized engine when the scheme supports
+        it (or as the per-call ``engine`` override requests); results
+        are identical either way.
 
         Raises:
             GraphError: for a pair, destination names resolved, with an
@@ -207,13 +210,16 @@ class Router:
                 dest`` (:func:`~repro.runtime.traffic.check_pairs`);
                 nothing is routed then.
         """
-        pair_list = list(pairs)
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
+        elif by_name:
+            pairs = pairs.tolist()  # names stay Python ints
         if by_name:
-            require_integer_endpoints(pair_list)
+            require_integer_endpoints(pairs)
             vertex_of = self._scheme.vertex_of
-            names = [t for _, t in pair_list]
-            pair_list = [(s, vertex_of(t)) for s, t in pair_list]
-        checked = check_pairs(self._scheme.graph.n, pair_list)
+            names = [t for _, t in pairs]
+            pairs = [(s, vertex_of(t)) for s, t in pairs]
+        checked = check_pairs(self._scheme.graph.n, pairs)
         if not by_name:
             name_of = self._scheme.name_of
             names = [name_of(t) for t in checked[:, 1].tolist()]
@@ -221,7 +227,7 @@ class Router:
         t0 = time.perf_counter()
         traces = self._sim.roundtrip_many(checked, engine=resolved)
         self._account_batch(
-            resolved, len(pair_list), time.perf_counter() - t0
+            resolved, len(checked), time.perf_counter() - t0
         )
         return self._results(checked, names, traces)
 

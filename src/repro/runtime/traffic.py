@@ -623,11 +623,15 @@ def require_integer_endpoints(pairs: Sequence[Tuple[int, int]]) -> None:
             )
 
 
-def check_pairs(n: int, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
+def check_pairs(
+    n: int, pairs: "np.ndarray | Sequence[Tuple[int, int]]"
+) -> np.ndarray:
     """Reject pairs no roundtrip can be routed or measured on, and
     return the rest as one ``(B, 2)`` int64 array: column 0 holds the
-    sources, column 1 the destinations.  Every later stage of a batch
-    reads this array; nothing converts the pairs again.
+    sources, column 1 the destinations.  An int64 array comes back
+    itself, uncopied (the generators' read-only arrays included); any
+    other input is converted once.  Every later stage of a batch reads
+    this array; nothing converts the pairs again.
 
     Raises:
         GraphError: for input that is not a list of pairs, for the first
@@ -637,17 +641,19 @@ def check_pairs(n: int, pairs: Sequence[Tuple[int, int]]) -> np.ndarray:
             undefined there).
     """
     try:
-        arr = np.array(pairs)
+        arr = np.asarray(pairs)
     except ValueError:
         arr = None
     if arr is None or (arr.size and (arr.ndim != 2 or arr.shape[1] != 2)):
         raise GraphError("pairs must be a list of (source, destination) pairs")
-    if not arr.size:
+    if not arr.size and (arr.shape != (0, 2) or arr.dtype != np.int64):
         return np.empty((0, 2), dtype=np.int64)
     if arr.dtype.kind not in "biu":
         # floats, strings and None; or integers beyond int64, which
         # numpy holds as objects or floats
-        require_integer_endpoints(pairs)
+        require_integer_endpoints(
+            arr.tolist() if isinstance(pairs, np.ndarray) else pairs
+        )
         raise GraphError(f"a pair endpoint is out of range for n={n}")
     s, t = arr.T
     outside = (s < 0) | (s >= n) | (t < 0) | (t >= n)
@@ -768,7 +774,7 @@ def run_workload(
     if isinstance(workload, Workload):
         kind, pairs = workload.kind, workload.pairs
     else:
-        kind, pairs = "custom", list(workload)
+        kind, pairs = "custom", workload
     pairs = check_pairs(scheme.graph.n, pairs)
     if shard_size is not None and shard_size < 1:
         raise GraphError(f"shard_size must be >= 1, got {shard_size}")

@@ -106,7 +106,7 @@ def phase_workload(
                 raise ScenarioError(
                     f"trace pair ({s}, {t}) is out of range for n={n}"
                 )
-        return Workload("trace", list(phase.trace))
+        return Workload("trace", phase.trace)
     return generate_workload(
         phase.kind, n, phase.pairs,
         rng=random.Random(f"{seed}|phase|{index}"),
