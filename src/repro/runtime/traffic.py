@@ -9,7 +9,10 @@ makes heavy-traffic scenarios a first-class workload:
   (popular-destination skew, the DHT/content-server regime), and
   :func:`adversarial_pairs` (the largest-roundtrip pairs, where
   stretch bounds are under the most pressure) — plus
-  :func:`mixed_pairs` blending all three;
+  :func:`mixed_pairs` blending all three.  Each returns one read-only
+  ``(count, 2)`` int64 array, drawn by one ``numpy.random.Generator``
+  seeded from the caller's ``random.Random``, so equal seeds give
+  equal arrays;
 * :func:`run_workload`, which drives a whole workload through
   :meth:`repro.runtime.simulator.Simulator.roundtrip_many` in chunks of
   :data:`CHUNK_PAIRS` pairs, keeps only each chunk's cost, hop and
@@ -17,16 +20,18 @@ makes heavy-traffic scenarios a first-class workload:
   :class:`TrafficSummary`.  The summary is a function of the pairs
   alone: it never depends on where the chunks fall.
 
+The pair array passes from the generator to the summary unconverted:
+:func:`check_pairs` returns it itself, and every chunk is a slice of it.
+
 Exposed on the command line as ``python -m repro.cli traffic``.
 """
 
 from __future__ import annotations
 
-import math
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,13 +56,15 @@ WORKLOAD_KINDS = (
 #: against 374 MiB in chunks of 8,192).
 CHUNK_PAIRS = 8192
 
-
 @dataclass(frozen=True)
 class Workload:
-    """A named batch of ``(source_vertex, dest_vertex)`` pairs."""
+    """A named batch of ``(source_vertex, dest_vertex)`` pairs: a
+    generator's read-only ``(count, 2)`` int64 array, or any sequence
+    of pairs (a trace, or pairs a caller lists), which
+    :func:`run_workload` converts once."""
 
     kind: str
-    pairs: List[Tuple[int, int]] = field(default_factory=list)
+    pairs: "np.ndarray | Sequence[Tuple[int, int]]" = ()
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -70,42 +77,61 @@ def _check_args(n: int, count: int) -> None:
         raise GraphError("traffic workloads need a graph with n >= 2")
 
 
+def _generator(rng: Optional[random.Random]) -> np.random.Generator:
+    """The one numpy generator a draw uses, seeded from ``rng``
+    (``random.Random(0)`` when none is given).  Every generator draws
+    one row of numbers per pair, rows one after another, so a smaller
+    draw from the same seed is a prefix of a larger one
+    (:func:`mixed_pairs` relies on it)."""
+    return np.random.default_rng((rng or random.Random(0)).getrandbits(64))
+
+
+def _below(u: np.ndarray, h: int) -> np.ndarray:
+    """Integers in ``[0, h)`` from uniform floats ``u`` in ``[0, 1)``;
+    each value's probability is ``1/h`` to within ``h / 2^53``."""
+    return (u * h).astype(np.int64)
+
+
+def _frozen(pairs: np.ndarray) -> np.ndarray:
+    """A generator's result: ``pairs`` as a read-only ``(count, 2)``
+    int64 array."""
+    pairs = pairs.astype(np.int64, copy=False)
+    pairs.flags.writeable = False
+    return pairs
+
+
+_NO_PAIRS = _frozen(np.empty((0, 2)))
+
+
 def uniform_pairs(
     n: int, count: int, rng: Optional[random.Random] = None
-) -> List[Tuple[int, int]]:
-    """``count`` ordered pairs drawn uniformly (source != dest)."""
+) -> np.ndarray:
+    """``count`` ordered pairs drawn uniformly (source != dest): each is
+    one index into the ``n(n-1)`` ordered pairs in row-major order."""
     _check_args(n, count)
-    rng = rng or random.Random(0)
-    pairs = []
-    for _ in range(count):
-        s = rng.randrange(n)
-        t = rng.randrange(n - 1)
-        if t >= s:
-            t += 1
-        pairs.append((s, t))
-    return pairs
+    index = _generator(rng).integers(0, n * (n - 1), size=count)
+    sources, dests = np.divmod(index, n - 1)
+    dests += dests >= sources
+    return _frozen(np.column_stack((sources, dests)))
 
 
 def _hot_set_pairs(
-    n: int, count: int, rng: random.Random, size: int,
-    share: Callable[[int], float],
-) -> List[Tuple[int, int]]:
+    n: int, count: int, rng: Optional[random.Random], size: int,
+    share: "float | np.ndarray",
+) -> np.ndarray:
     """``count`` pairs over a hot set of ``size`` vertices, drawn
     first: pair ``i`` targets a hot vertex with probability
-    ``share(i)`` and a uniform one otherwise, from a uniform source
-    that differs from it."""
-    hot = rng.sample(range(n), size)
-    pairs = []
-    for i in range(count):
-        if rng.random() < share(i):
-            t = rng.choice(hot)
-        else:
-            t = rng.randrange(n)
-        s = rng.randrange(n - 1)
-        if s >= t:
-            s += 1
-        pairs.append((s, t))
-    return pairs
+    ``share`` (or ``share[i]``) and a uniform one otherwise, from a
+    uniform source that differs from it."""
+    gen = _generator(rng)
+    hot = gen.permutation(n)[:size]
+    coin, pick, anywhere, source = gen.random((count, 4)).T
+    dests = np.where(
+        coin < share, hot[_below(pick, size)], _below(anywhere, n)
+    )
+    sources = _below(source, n - 1)
+    sources += sources >= dests
+    return _frozen(np.column_stack((sources, dests)))
 
 
 def hotspot_pairs(
@@ -114,7 +140,7 @@ def hotspot_pairs(
     rng: Optional[random.Random] = None,
     num_hotspots: Optional[int] = None,
     hotspot_bias: float = 0.8,
-) -> List[Tuple[int, int]]:
+) -> np.ndarray:
     """Traffic concentrated on a few hot destinations.
 
     Args:
@@ -129,38 +155,36 @@ def hotspot_pairs(
     _check_args(n, count)
     if not 0.0 <= hotspot_bias <= 1.0:
         raise GraphError(f"hotspot_bias must be in [0, 1], got {hotspot_bias}")
-    rng = rng or random.Random(0)
     k = num_hotspots if num_hotspots is not None else max(1, n // 16)
     if not 1 <= k <= n:
         raise GraphError(f"num_hotspots must be in [1, n], got {k}")
-    return _hot_set_pairs(n, count, rng, k, lambda i: hotspot_bias)
+    return _hot_set_pairs(n, count, rng, k, hotspot_bias)
 
 
 def adversarial_pairs(
     oracle: DistanceOracle,
     count: int,
     rng: Optional[random.Random] = None,
-) -> List[Tuple[int, int]]:
+) -> np.ndarray:
     """The ``count`` pairs with the largest roundtrip distances.
 
     These are the journeys where a scheme's multiplicative stretch
     bound costs the most in absolute terms; the first pair realizes
     the roundtrip diameter.  When ``count`` exceeds the number of
-    ordered pairs, the list cycles.  ``rng``, when given, shuffles the
-    batch order (the multiset of pairs stays deterministic).
+    ordered pairs, the sequence cycles.  ``rng``, when given, shuffles
+    the batch order (the multiset of pairs stays deterministic).
     """
     n = oracle.n
     _check_args(n, count)
     if count == 0:
-        return []
+        return _NO_PAIRS
     r = oracle.r_matrix.copy()
     np.fill_diagonal(r, -np.inf)
     flat = np.argsort(-r, axis=None, kind="stable")[: n * n - n]
     take = flat[np.arange(count) % flat.shape[0]]
-    pairs = [(int(i) // n, int(i) % n) for i in take]
     if rng is not None:
-        rng.shuffle(pairs)
-    return pairs
+        take = take[_generator(rng).permutation(count)]
+    return _frozen(np.column_stack(np.divmod(take, n)))
 
 
 def mixed_pairs(
@@ -168,7 +192,7 @@ def mixed_pairs(
     count: int,
     rng: Optional[random.Random] = None,
     oracle: Optional[DistanceOracle] = None,
-) -> List[Tuple[int, int]]:
+) -> np.ndarray:
     """A 40/40/20 uniform/hotspot/adversarial blend (the adversarial
     share falls back to uniform when no oracle is supplied).
 
@@ -186,13 +210,12 @@ def mixed_pairs(
     n_uni = (2 * count) // 5
     n_hot = (2 * count) // 5
     n_adv = count - n_uni - n_hot
-    pairs = uniform_pairs(n, n_uni, uni_rng) + hotspot_pairs(n, n_hot, hot_rng)
+    parts = [uniform_pairs(n, n_uni, uni_rng), hotspot_pairs(n, n_hot, hot_rng)]
     if oracle is not None:
-        pairs += adversarial_pairs(oracle, n_adv, adv_rng)
+        parts.append(adversarial_pairs(oracle, n_adv, adv_rng))
     else:
-        pairs += uniform_pairs(n, n_adv, adv_rng)
-    mix_rng.shuffle(pairs)
-    return pairs
+        parts.append(uniform_pairs(n, n_adv, adv_rng))
+    return _frozen(np.concatenate(parts)[_generator(mix_rng).permutation(count)])
 
 
 def zipf_pairs(
@@ -200,7 +223,7 @@ def zipf_pairs(
     count: int,
     rng: Optional[random.Random] = None,
     alpha: float = 1.2,
-) -> List[Tuple[int, int]]:
+) -> np.ndarray:
     """Traffic whose destination popularity follows a Zipf law.
 
     A random permutation of the vertices defines the popularity ranks;
@@ -216,32 +239,15 @@ def zipf_pairs(
     if alpha <= 0:
         raise GraphError(f"zipf alpha must be > 0, got {alpha}")
     if count == 0:
-        return []
-    rng = rng or random.Random(0)
-    ranked = list(range(n))
-    rng.shuffle(ranked)
-    cdf = []
-    acc = 0.0
-    for k in range(1, n + 1):
-        acc += k ** -alpha
-        cdf.append(acc)
-    total = cdf[-1]
-    pairs = []
-    for _ in range(count):
-        u = rng.random() * total
-        lo, hi = 0, n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        t = ranked[lo]
-        s = rng.randrange(n - 1)
-        if s >= t:
-            s += 1
-        pairs.append((s, t))
-    return pairs
+        return _NO_PAIRS
+    gen = _generator(rng)
+    ranked = gen.permutation(n)
+    cdf = np.cumsum(np.arange(1, n + 1, dtype=np.float64) ** -alpha)
+    u, source = gen.random((count, 2)).T
+    dests = ranked[np.searchsorted(cdf, u * cdf[-1])]
+    sources = _below(source, n - 1)
+    sources += sources >= dests
+    return _frozen(np.column_stack((sources, dests)))
 
 
 def flash_crowd_pairs(
@@ -250,7 +256,7 @@ def flash_crowd_pairs(
     rng: Optional[random.Random] = None,
     targets: int = 1,
     bias: float = 0.95,
-) -> List[Tuple[int, int]]:
+) -> np.ndarray:
     """A flash crowd: nearly all traffic slams a tiny target set.
 
     ``bias`` of the pairs go to one of ``targets`` crowd destinations
@@ -263,13 +269,12 @@ def flash_crowd_pairs(
     """
     _check_args(n, count)
     if count == 0:
-        return []
+        return _NO_PAIRS
     if not 1 <= targets <= n:
         raise GraphError(f"flash-crowd targets must be in [1, n], got {targets}")
     if not 0.0 <= bias <= 1.0:
         raise GraphError(f"flash-crowd bias must be in [0, 1], got {bias}")
-    rng = rng or random.Random(0)
-    return _hot_set_pairs(n, count, rng, targets, lambda i: bias)
+    return _hot_set_pairs(n, count, rng, targets, bias)
 
 
 def diurnal_pairs(
@@ -280,7 +285,7 @@ def diurnal_pairs(
     low: float = 0.1,
     high: float = 0.9,
     num_hotspots: Optional[int] = None,
-) -> List[Tuple[int, int]]:
+) -> np.ndarray:
     """A diurnal ramp: hotspot intensity follows a day/night sinusoid.
 
     Pair ``i`` of ``count`` targets a hot destination with probability
@@ -295,7 +300,7 @@ def diurnal_pairs(
     """
     _check_args(n, count)
     if count == 0:
-        return []
+        return _NO_PAIRS
     if cycles <= 0:
         raise GraphError(f"diurnal cycles must be > 0, got {cycles}")
     if not 0.0 <= low <= high <= 1.0:
@@ -303,18 +308,14 @@ def diurnal_pairs(
             f"diurnal low/high must satisfy 0 <= low <= high <= 1, "
             f"got low={low}, high={high}"
         )
-    rng = rng or random.Random(0)
     k = num_hotspots if num_hotspots is not None else max(1, n // 16)
     if not 1 <= k <= n:
         raise GraphError(f"num_hotspots must be in [1, n], got {k}")
     mid = (low + high) / 2.0
     amp = (high - low) / 2.0
-
-    def share(i: int) -> float:
-        # i=0 is night, peaks mid-cycle
-        return mid - amp * math.cos(2.0 * math.pi * cycles * (i / count))
-
-    return _hot_set_pairs(n, count, rng, k, share)
+    # pair 0 is night; the share peaks mid-cycle
+    phase = 2.0 * np.pi * cycles * (np.arange(count) / count)
+    return _hot_set_pairs(n, count, rng, k, mid - amp * np.cos(phase))
 
 
 def generate_workload(

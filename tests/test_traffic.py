@@ -13,6 +13,7 @@ from repro.cli import main
 from repro.exceptions import GraphError
 from repro.graph.digraph import Digraph
 from repro.graph.shortest_paths import DistanceOracle
+from repro.api import Router
 from repro.naming.permutation import random_naming
 from repro.runtime import traffic
 from repro.runtime.simulator import Simulator
@@ -21,6 +22,7 @@ from repro.runtime.traffic import (
     TrafficSummary,
     Workload,
     adversarial_pairs,
+    check_pairs,
     generate_workload,
     hotspot_pairs,
     mixed_pairs,
@@ -75,7 +77,7 @@ class TestGenerators:
         total = n * n - n
         pairs = adversarial_pairs(small_oracle, total + 5)
         assert len(pairs) == total + 5
-        assert pairs[:5] == pairs[total:]
+        assert np.array_equal(pairs[:5], pairs[total:])
 
     def test_mixed_blends(self, small_oracle):
         pairs = mixed_pairs(
@@ -91,19 +93,19 @@ class TestGenerators:
         a smaller draw is a sub-multiset of a larger same-seed draw."""
         from collections import Counter
 
-        small = Counter(mixed_pairs(
+        small = Counter(map(tuple, mixed_pairs(
             small_oracle.n, 50, random.Random(9), oracle=small_oracle
-        ))
-        big = Counter(mixed_pairs(
+        ).tolist()))
+        big = Counter(map(tuple, mixed_pairs(
             small_oracle.n, 100, random.Random(9), oracle=small_oracle
-        ))
+        ).tolist()))
         assert not small - big
 
     def test_mixed_seed_stable_without_oracle(self):
         from collections import Counter
 
-        small = Counter(mixed_pairs(30, 40, random.Random(8)))
-        big = Counter(mixed_pairs(30, 80, random.Random(8)))
+        small = Counter(map(tuple, mixed_pairs(30, 40, random.Random(8)).tolist()))
+        big = Counter(map(tuple, mixed_pairs(30, 80, random.Random(8)).tolist()))
         assert not small - big
 
     @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
@@ -124,7 +126,99 @@ class TestGenerators:
     def test_workloads_need_two_vertices(self):
         with pytest.raises(GraphError):
             uniform_pairs(1, 5)
-        assert uniform_pairs(1, 0) == []
+        empty = uniform_pairs(1, 0)
+        assert empty.shape == (0, 2) and empty.dtype == np.int64
+
+
+class TestPairArrays:
+    """Every generator returns one read-only ``(count, 2)`` int64
+    array, which ``check_pairs`` and ``Router.route_many`` take as it
+    is."""
+
+    def test_property_every_kind(self, small_oracle):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(
+            kind=st.sampled_from(WORKLOAD_KINDS),
+            n=st.integers(2, 70),
+            with_oracle=st.booleans(),
+            count=st.integers(0, 300),
+            seed=st.integers(0, 2 ** 64 - 1),
+        )
+        def check(kind, n, with_oracle, count, seed):
+            oracle = None
+            if with_oracle or kind == "adversarial":
+                oracle, n = small_oracle, small_oracle.n
+            pairs = generate_workload(
+                kind, n, count, random.Random(seed), oracle=oracle
+            ).pairs
+            assert pairs.shape == (count, 2)
+            assert pairs.dtype == np.int64
+            assert not pairs.flags.writeable
+            assert ((pairs >= 0) & (pairs < n)).all()
+            assert (pairs[:, 0] != pairs[:, 1]).all()
+            again = generate_workload(
+                kind, n, count, random.Random(seed), oracle=oracle
+            ).pairs
+            assert np.array_equal(pairs, again)
+            assert check_pairs(n, pairs) is pairs
+
+        check()
+
+    def test_check_pairs_returns_an_int64_array_itself(self):
+        pairs = np.array([[0, 1], [3, 2]], dtype=np.int64)
+        assert check_pairs(4, pairs) is pairs
+        empty = np.empty((0, 2), dtype=np.int64)
+        assert check_pairs(4, empty) is empty
+        converted = check_pairs(4, [(0, 1), (3, 2)])
+        assert converted.dtype == np.int64
+        assert np.array_equal(converted, pairs)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([(0, 1), (0, 4)], "pair (0, 4) is out of range for n=4"),
+        ([(-1, 2)], "pair (-1, 2) is out of range for n=4"),
+        ([(0, 1), (2, 2)], "pair (2, 2) needs source != destination"),
+        ([(0.0, 1.5)],
+         "pair (0.0, 1.5) has an endpoint that is not an integer"),
+        ([("0", "1")],
+         "pair ('0', '1') has an endpoint that is not an integer"),
+        ([(0, None)], "pair (0, None) has an endpoint that is not an integer"),
+        ([(0, 2 ** 64)], "a pair endpoint is out of range for n=4"),
+    ], ids=["range", "negative", "self", "float", "string", "none", "beyond-int64"])
+    def test_check_pairs_array_messages_match_lists(self, bad, message):
+        for pairs in (bad, np.array(bad)):
+            with pytest.raises(GraphError) as exc:
+                check_pairs(4, pairs)
+            assert str(exc.value) == message
+
+    def test_route_many_array_equals_its_list(self, sp_scheme):
+        scheme, oracle = sp_scheme
+        pairs = generate_workload(
+            "mixed", scheme.graph.n, 60, random.Random(2), oracle=oracle
+        ).pairs
+        router = Router(scheme, oracle)
+
+        def rows(results):
+            return [
+                (r.source, r.dest, r.dest_name, r.cost, r.hops,
+                 r.max_header_bits, r.stretch, r.trace.outbound.path,
+                 r.trace.inbound.path)
+                for r in results
+            ]
+
+        from_list = rows(router.route_many(pairs.tolist()))
+        named = np.array(
+            [(s, scheme.name_of(t)) for s, t in pairs.tolist()]
+        )
+        for got in (
+            rows(router.route_many(pairs)),
+            rows(router.route_many(named, by_name=True)),
+        ):
+            assert got == from_list
+            # endpoints and names stay Python ints, as from a list
+            assert {type(x) for row in got for x in row[:3]} == {int}
 
 
 class TestRoundtripMany:
