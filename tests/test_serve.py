@@ -269,6 +269,29 @@ def test_dispatch_rejects_out_of_range_and_self_pairs():
         assert json.loads(raw)["error"]["code"] == "bad-request"
 
 
+def test_route_many_beyond_max_queue_is_a_bad_request():
+    """A batch larger than the whole backlog could never be admitted:
+    it is a 400 naming the limit, not a 429 a client would retry, and
+    neither shed counter moves."""
+    app = build_app(small_config(max_queue=4))
+    pairs = [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]
+    status, raw = dispatch(app, "POST", "/route_many", {"pairs": pairs[:4]})
+    assert status == 200
+    assert len(json.loads(raw)["results"]) == 4
+    status, raw = dispatch(app, "POST", "/route_many", {"pairs": pairs})
+    assert status == 400
+    with pytest.raises(ProtocolError) as err:
+        decode_body(raw)
+    assert err.value.code == "bad-request"
+    assert str(err.value) == (
+        "5 pairs exceed the per-request limit of 4 (max_queue); split "
+        "the batch, or generate it server-side with /workload"
+    )
+    assert app.counters.errors == 1
+    assert app.counters.shed == 0
+    assert app.lifecycle.current.broker.stats()["shed_pairs"] == 0
+
+
 def test_dispatch_sheds_beyond_max_inflight():
     app = build_app(small_config(max_inflight=1, linger_s=0.05))
     body = json.dumps({"pairs": [[0, 1]]}).encode()
