@@ -40,7 +40,7 @@ from typing import (
 
 import numpy as np
 
-from repro.api.registry import ParamSpec
+from repro.api.registry import ParamSpec, validate_params
 from repro.exceptions import ConstructionError, ReproError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -106,27 +106,8 @@ class ArtifactSpec:
 
     def validate_params(self, given: Dict[str, Any]) -> Dict[str, Any]:
         """Check ``given`` against the schema and fill defaults
-        (same contract as :meth:`SchemeSpec.validate_params`)."""
-        allowed = {p.name: p for p in self.params}
-        for key in given:
-            if key not in allowed:
-                raise ConstructionError(
-                    f"artifact {self.kind!r} takes no parameter {key!r}; "
-                    f"accepted: {sorted(allowed) or '(none)'}"
-                )
-        resolved: Dict[str, Any] = {}
-        for p in self.params:
-            value = given.get(p.name, p.default)
-            if value is not None and not isinstance(value, p.type):
-                try:
-                    value = p.type(value)
-                except (TypeError, ValueError) as exc:
-                    raise ConstructionError(
-                        f"artifact {self.kind!r} parameter {p.name!r} "
-                        f"expects {p.type.__name__}, got {value!r}"
-                    ) from exc
-            resolved[p.name] = value
-        return resolved
+        (:func:`~repro.api.registry.validate_params`)."""
+        return validate_params(f"artifact {self.kind!r}", self.params, given)
 
     def cache_label(self, resolved: Dict[str, Any]) -> str:
         """The in-memory cache label for one parameterization."""

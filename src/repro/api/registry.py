@@ -54,6 +54,40 @@ class ParamSpec:
     help: str = ""
 
 
+def validate_params(
+    owner: str, params: Tuple[ParamSpec, ...], given: Dict[str, Any]
+) -> Dict[str, Any]:
+    """Check ``given`` against the ``params`` schema of ``owner`` (a
+    label such as ``"scheme 'rtz'"``) and fill defaults.
+
+    Returns:
+        The full parameter dict (declaration order, defaults applied).
+
+    Raises:
+        ConstructionError: on unknown names or type mismatches.
+    """
+    allowed = {p.name: p for p in params}
+    for key in given:
+        if key not in allowed:
+            raise ConstructionError(
+                f"{owner} takes no parameter {key!r}; "
+                f"accepted: {sorted(allowed) or '(none)'}"
+            )
+    resolved: Dict[str, Any] = {}
+    for p in params:
+        value = given.get(p.name, p.default)
+        if value is not None and not isinstance(value, p.type):
+            try:
+                value = p.type(value)
+            except (TypeError, ValueError) as exc:
+                raise ConstructionError(
+                    f"{owner} parameter {p.name!r} "
+                    f"expects {p.type.__name__}, got {value!r}"
+                ) from exc
+        resolved[p.name] = value
+    return resolved
+
+
 #: builder signature: ``(network, rng, **params) -> RoutingScheme``
 SchemeBuilder = Callable[..., "RoutingScheme"]
 
@@ -89,35 +123,9 @@ class SchemeSpec:
         return any(p.name == param for p in self.params)
 
     def validate_params(self, given: Dict[str, Any]) -> Dict[str, Any]:
-        """Check ``given`` against the schema and fill defaults.
-
-        Returns:
-            The full parameter dict (declaration order, defaults
-            applied).
-
-        Raises:
-            ConstructionError: on unknown names or type mismatches.
-        """
-        allowed = {p.name: p for p in self.params}
-        for key in given:
-            if key not in allowed:
-                raise ConstructionError(
-                    f"scheme {self.name!r} takes no parameter {key!r}; "
-                    f"accepted: {sorted(allowed) or '(none)'}"
-                )
-        resolved: Dict[str, Any] = {}
-        for p in self.params:
-            value = given.get(p.name, p.default)
-            if value is not None and not isinstance(value, p.type):
-                try:
-                    value = p.type(value)
-                except (TypeError, ValueError) as exc:
-                    raise ConstructionError(
-                        f"scheme {self.name!r} parameter {p.name!r} "
-                        f"expects {p.type.__name__}, got {value!r}"
-                    ) from exc
-            resolved[p.name] = value
-        return resolved
+        """Check ``given`` against the schema and fill defaults
+        (:func:`validate_params`)."""
+        return validate_params(f"scheme {self.name!r}", self.params, given)
 
     def build(
         self,

@@ -83,12 +83,6 @@ class ArtifactCacheStats:
             for label, s in counters.items()
         ))
 
-    @property
-    def total_builds(self) -> int:
-        """Cold constructions across every label (0 on a fully warm
-        run — the store round-trip CI gate)."""
-        return sum(row.builds for row in self.rows)
-
     def as_dict(self) -> Dict[str, Any]:
         return {row.label: row.as_dict() for row in self.rows}
 

@@ -24,7 +24,7 @@ import asyncio
 import random
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.api import Network, UnknownSchemeError, get_spec
 from repro.api.router import RouteResult, Router
@@ -287,7 +287,6 @@ class Lifecycle:
         n: Optional[int] = None,
         seed: Optional[int] = None,
         delta: Any = None,
-        on_built: Optional[Callable[[], None]] = None,
     ) -> Tuple[Generation, Generation]:
         """Swap in a new graph snapshot without dropping requests.
 
@@ -304,8 +303,6 @@ class Lifecycle:
                 :meth:`~repro.api.Network.evolve` instead of building
                 a fresh snapshot (mutually exclusive with
                 family/n/seed).
-            on_built: test hook invoked right after the swap, before
-                the old generation's drain completes.
 
         Returns:
             ``(old_generation, new_generation)`` — the old one fully
@@ -340,7 +337,5 @@ class Lifecycle:
             old.retired = True
             old.broker.close()
             self.reloads += 1
-            if on_built is not None:
-                on_built()
             await old.drain()
             return old, new_gen
