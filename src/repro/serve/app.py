@@ -20,9 +20,8 @@ Admission control is two-layered: the request gate sheds with HTTP 429
 once ``max_inflight`` requests are being served, and the per-generation
 :class:`~repro.serve.broker.BatchBroker` sheds when its pending-pair
 backlog is full.  Shedding is immediate — the daemon never queues
-unboundedly.  A ``/route_many`` batch larger than the whole backlog
-(``max_queue`` pairs) could never be admitted, so it is a 400
-``bad-request`` rather than a 429 a client would retry.
+unboundedly.  A batch larger than the whole backlog could never be
+admitted, so it is a 400 ``bad-request``, not a 429 to retry.
 
 Run it in the foreground with :func:`serve_forever` (the ``repro
 serve`` CLI) or in a background thread with :class:`ServeDaemon`
@@ -57,9 +56,8 @@ from repro.serve.protocol import (
 #: default daemon port (unassigned in the IANA registry)
 DEFAULT_PORT = 8577
 
-#: largest accepted request body (32 MiB of JSON; a ``/route_many``
-#: batch is held to ``max_queue`` pairs, 8,192 by default, far below
-#: it, and larger traffic should be a workload request)
+#: largest accepted request body (a ``/route_many`` batch holds at most
+#: ``max_queue`` pairs, far below it; more should be a workload request)
 MAX_BODY_BYTES = 32 << 20
 
 _MAX_HEADER_LINE = 64 << 10
@@ -189,13 +187,11 @@ class ServeApp:
         gen = self.lifecycle.admit()
         try:
             limit = gen.broker.max_queue
-            if len(req.pairs) > limit:
-                # the backlog bound could never admit it: a retry is futile
+            if len(req.pairs) > limit:  # no backlog could ever admit it
                 raise ProtocolError(
                     f"{len(req.pairs)} pairs exceed the per-request limit "
                     f"of {limit} (max_queue); split the batch, or generate "
-                    f"it server-side with /workload",
-                    code="bad-request",
+                    "it server-side with /workload"
                 )
             check_pairs(gen.network.n, req.pairs)
             results = await gen.broker.submit(scheme, req.pairs)
