@@ -196,12 +196,11 @@ class Router:
     ) -> List[RouteResult]:
         """Serve a batch of roundtrip queries, in input order.
 
-        ``pairs`` is any iterable of ``(source, dest)`` pairs or a
-        ``(B, 2)`` integer array, such as a generated workload's; an
-        int64 array is routed without a copy.  The batch executes
-        through the compiled vectorized engine when the scheme supports
-        it (or as the per-call ``engine`` override requests); results
-        are identical either way.
+        ``pairs`` may be a ``(B, 2)`` integer array (an int64 one is
+        routed uncopied).  The batch executes through the compiled
+        vectorized engine when the scheme supports it (or as the
+        per-call ``engine`` override requests); results are identical
+        either way.
 
         Raises:
             GraphError: for a pair, destination names resolved, with an

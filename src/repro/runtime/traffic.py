@@ -11,17 +11,15 @@ makes heavy-traffic scenarios a first-class workload:
   stretch bounds are under the most pressure) — plus
   :func:`mixed_pairs` blending all three.  Each returns one read-only
   ``(count, 2)`` int64 array, drawn by one ``numpy.random.Generator``
-  seeded from the caller's ``random.Random``, so equal seeds give
-  equal arrays;
+  seeded from the caller's ``random.Random``, one row of numbers per
+  pair, so equal seeds give equal arrays and a smaller draw is a prefix
+  of a larger one;
 * :func:`run_workload`, which drives a whole workload through
   :meth:`repro.runtime.simulator.Simulator.roundtrip_many` in chunks of
   :data:`CHUNK_PAIRS` pairs, keeps only each chunk's cost, hop and
   header columns, and aggregates them once into one
   :class:`TrafficSummary`.  The summary is a function of the pairs
   alone: it never depends on where the chunks fall.
-
-The pair array passes from the generator to the summary unconverted:
-:func:`check_pairs` returns it itself, and every chunk is a slice of it.
 
 Exposed on the command line as ``python -m repro.cli traffic``.
 """
@@ -53,15 +51,15 @@ WORKLOAD_KINDS = (
 #: stretch6, 10^5 pairs take 0.5-0.8 s in chunks of 2,048 to 65,536
 #: pairs, as in one batch, but 1.6 s in chunks of 512; and one batch
 #: holds every pair's trace at once (1.1 GiB peak RSS at 10^6 pairs,
-#: against 374 MiB in chunks of 8,192).
+#: against 189 MiB in chunks of 8,192).
 CHUNK_PAIRS = 8192
+
 
 @dataclass(frozen=True)
 class Workload:
     """A named batch of ``(source_vertex, dest_vertex)`` pairs: a
     generator's read-only ``(count, 2)`` int64 array, or any sequence
-    of pairs (a trace, or pairs a caller lists), which
-    :func:`run_workload` converts once."""
+    of pairs, which :func:`run_workload` converts once."""
 
     kind: str
     pairs: "np.ndarray | Sequence[Tuple[int, int]]" = ()
@@ -78,23 +76,19 @@ def _check_args(n: int, count: int) -> None:
 
 
 def _generator(rng: Optional[random.Random]) -> np.random.Generator:
-    """The one numpy generator a draw uses, seeded from ``rng``
-    (``random.Random(0)`` when none is given).  Every generator draws
-    one row of numbers per pair, rows one after another, so a smaller
-    draw from the same seed is a prefix of a larger one
-    (:func:`mixed_pairs` relies on it)."""
+    """The numpy generator a draw uses, seeded from ``rng`` (default
+    ``random.Random(0)``)."""
     return np.random.default_rng((rng or random.Random(0)).getrandbits(64))
 
 
 def _below(u: np.ndarray, h: int) -> np.ndarray:
-    """Integers in ``[0, h)`` from uniform floats ``u`` in ``[0, 1)``;
-    each value's probability is ``1/h`` to within ``h / 2^53``."""
+    """Integers in ``[0, h)`` from floats ``u`` uniform in ``[0, 1)``
+    (each value's probability is ``1/h`` to within ``h / 2^53``)."""
     return (u * h).astype(np.int64)
 
 
 def _frozen(pairs: np.ndarray) -> np.ndarray:
-    """A generator's result: ``pairs`` as a read-only ``(count, 2)``
-    int64 array."""
+    """``pairs`` as the read-only int64 array a generator returns."""
     pairs = pairs.astype(np.int64, copy=False)
     pairs.flags.writeable = False
     return pairs
@@ -598,12 +592,9 @@ class TrafficSummary:
 
 
 def sum_in_order(values: Sequence[float]) -> float:
-    """``values`` added one at a time from the left, as a float (0.0
-    for none).  Every float total of a summary is added this way: the
-    builtin ``sum()`` compensates its rounding since Python 3.12, so
-    its totals, and the ``repr`` that summary fingerprints pin, would
-    depend on the interpreter (``sum([1e16, 1.0, 1.0])`` reads
-    ``1e+16`` up to 3.11 and ``1.0000000000000002e+16`` after)."""
+    """``values`` added one at a time from the left (0.0 for none), as
+    every float total of a summary is: the builtin ``sum()`` compensates
+    its rounding since Python 3.12, which would move those totals."""
     running = np.add.accumulate(np.asarray(values, dtype=np.float64))
     return float(running[-1]) if running.size else 0.0
 
@@ -624,9 +615,7 @@ def require_integer_endpoints(pairs: Sequence[Tuple[int, int]]) -> None:
             )
 
 
-def check_pairs(
-    n: int, pairs: "np.ndarray | Sequence[Tuple[int, int]]"
-) -> np.ndarray:
+def check_pairs(n: int, pairs: "np.ndarray | Sequence[Tuple[int, int]]") -> np.ndarray:
     """Reject pairs no roundtrip can be routed or measured on, and
     return the rest as one ``(B, 2)`` int64 array: column 0 holds the
     sources, column 1 the destinations.  An int64 array comes back
@@ -730,7 +719,7 @@ def _summarize(
 
 def run_workload(
     scheme,
-    workload: Workload | Sequence[Tuple[int, int]],
+    workload: "Workload | np.ndarray | Sequence[Tuple[int, int]]",
     oracle: Optional[DistanceOracle] = None,
     hop_limit: Optional[int] = None,
     engine: str = "auto",
@@ -739,19 +728,21 @@ def run_workload(
 ) -> TrafficSummary:
     """Route a whole workload and aggregate the statistics.
 
-    The pairs are routed in chunks of :data:`CHUNK_PAIRS`, one
-    :meth:`Simulator.roundtrip_many` call each, so only one chunk's
-    traces are alive at a time.  Each chunk leaves its cost, hop and
-    header columns behind, and the summary is computed once over the
-    whole columns: it is the same, bit for bit, whatever the chunk size
-    (only ``elapsed_s``, physical time, varies; it sums the routing
-    time of the chunks).  One-time
+    The pairs are routed in chunks of :data:`CHUNK_PAIRS`, slices of
+    :func:`check_pairs`' array, one :meth:`Simulator.roundtrip_many`
+    call each, so only one chunk's traces are alive at a time.  Each
+    chunk leaves its cost, hop and header columns behind in arrays, and
+    the summary is computed once over the whole columns: it is the
+    same, bit for bit, whatever the chunk size (only ``elapsed_s``,
+    physical time, varies; it sums the routing time of the chunks).
+    One-time
     :meth:`RoutingScheme.compile_tables` work is excluded from
     ``elapsed_s``, so throughput is comparable across engines.
 
     Args:
         scheme: the scheme under load (already constructed).
-        workload: a :class:`Workload` or a raw pair list.
+        workload: a :class:`Workload`, or its pairs alone: a
+            ``(B, 2)`` integer array or a sequence of pairs.
         oracle: ground-truth distances; enables stretch columns.
         hop_limit: forwarded to the :class:`Simulator`.
         engine: execution engine for the batches (``"auto"`` /
@@ -772,11 +763,9 @@ def run_workload(
             failing journey raises the error of the first failure in
             input order, as one batch of every pair would.
     """
-    if isinstance(workload, Workload):
-        kind, pairs = workload.kind, workload.pairs
-    else:
-        kind, pairs = "custom", workload
-    pairs = check_pairs(scheme.graph.n, pairs)
+    if not isinstance(workload, Workload):
+        workload = Workload("custom", workload)
+    pairs = check_pairs(scheme.graph.n, workload.pairs)
     if shard_size is not None and shard_size < 1:
         raise GraphError(f"shard_size must be >= 1, got {shard_size}")
     sim = Simulator(scheme, hop_limit=hop_limit)
@@ -795,4 +784,4 @@ def run_workload(
         hops[chunk] = batch.hops
         bits[chunk] = batch.max_header_bits
     r_matrix = oracle.r_matrix if oracle is not None else None
-    return _summarize(kind, pairs, costs, hops, bits, r_matrix, elapsed)
+    return _summarize(workload.kind, pairs, costs, hops, bits, r_matrix, elapsed)

@@ -94,11 +94,11 @@ def phase_workload(
 ) -> Workload:
     """The pair batch of one phase against an ``n``-vertex graph.
 
-    Generated kinds draw from ``random.Random(f"{seed}|phase|{index}")``;
-    trace phases replay their explicit pairs (range-checked here, so a
-    trace written for a bigger graph fails loudly).  Shared by the
-    offline runner and the serve daemon so both derive identical
-    traffic from one spec.
+    Generated kinds draw their pair array from
+    ``random.Random(f"{seed}|phase|{index}")``; trace phases replay
+    their explicit pairs (range-checked here, so a trace written for a
+    bigger graph fails loudly).  Shared by the offline runner and the
+    serve daemon so both derive identical traffic from one spec.
     """
     if phase.kind == "trace":
         for s, t in phase.trace:

@@ -29,11 +29,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.api import Network, UnknownSchemeError, get_spec
 from repro.api.router import RouteResult, Router
 from repro.api.stats import SessionStats
-from repro.runtime.traffic import (
-    TrafficSummary,
-    check_pairs,
-    generate_workload,
-)
+from repro.runtime.traffic import TrafficSummary, generate_workload
 from repro.serve.broker import BatchBroker
 from repro.serve.protocol import ProtocolError
 
@@ -153,8 +149,6 @@ class Generation:
         parts = []
         for i, phase in enumerate(spec.phases):
             try:
-                if phase.kind == "trace":
-                    check_pairs(self.network.n, phase.trace)
                 workload = phase_workload(
                     phase, i, spec.seed, self.network.n,
                     oracle=self.network.oracle(),

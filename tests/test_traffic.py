@@ -9,11 +9,11 @@ import random
 import numpy as np
 import pytest
 
+from repro.api import Router
 from repro.cli import main
 from repro.exceptions import GraphError
 from repro.graph.digraph import Digraph
 from repro.graph.shortest_paths import DistanceOracle
-from repro.api import Router
 from repro.naming.permutation import random_naming
 from repro.runtime import traffic
 from repro.runtime.simulator import Simulator
