@@ -329,27 +329,25 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if not labels:
         raise SystemExit("no scheme given")
     schemes = [get_spec(label).name for label in labels]
-    for flag, value in (("--max-inflight", args.max_inflight),
-                        ("--max-batch", args.max_batch),
-                        ("--max-queue", args.max_queue)):
-        if value < 1:
-            raise SystemExit(f"{flag} must be >= 1, got {value}")
-    if not 0 <= args.port <= 65535:
-        raise SystemExit(f"--port must be in 0..65535, got {args.port}")
-    if args.linger_ms < 0:
-        raise SystemExit(f"--linger-ms must be >= 0, got {args.linger_ms}")
+    given = {
+        "host": args.host,
+        "port": args.port,
+        "max_inflight": args.max_inflight,
+        "max_queue": args.max_queue,
+    }
     config = ServeConfig(
         family=args.family,
         n=args.n,
         seed=args.seed,
         schemes=tuple(schemes),
-        host=args.host,
-        port=args.port,
-        max_inflight=args.max_inflight,
-        max_batch=args.max_batch,
-        max_queue=args.max_queue,
-        linger_s=args.linger_ms / 1000.0,
+        **{name: value for name, value in given.items() if value is not None},
     )
+    for flag, value in (("--max-inflight", config.max_inflight),
+                        ("--max-queue", config.max_queue)):
+        if value < 1:
+            raise SystemExit(f"{flag} must be >= 1, got {value}")
+    if not 0 <= config.port <= 65535:
+        raise SystemExit(f"--port must be in 0..65535, got {config.port}")
     return serve_forever(config)
 
 
@@ -752,37 +750,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated schemes to pre-build; the first is the "
         "daemon default; " + scheme_help,
     )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
+    # An omitted flag keeps ServeConfig's default (read in cmd_serve,
+    # so building the parser does not import the daemon).
+    p.add_argument("--host", help="bind address")
     p.add_argument(
-        "--port",
-        type=int,
-        default=8577,
-        help="bind port (0 picks an ephemeral port)",
+        "--port", type=int, help="bind port (0 picks an ephemeral port)"
     )
     p.add_argument(
         "--max-inflight",
         type=int,
-        default=256,
         help="concurrent requests admitted before shedding with 429",
-    )
-    p.add_argument(
-        "--max-batch",
-        type=int,
-        default=1024,
-        help="largest coalesced batch handed to the engine",
     )
     p.add_argument(
         "--max-queue",
         type=int,
-        default=8192,
-        help="pending pairs queued per scheme before shedding with 429",
-    )
-    p.add_argument(
-        "--linger-ms",
-        type=float,
-        default=2.0,
-        help="how long the broker waits for concurrent requests to "
-        "pile into one batch",
+        help="pending pairs queued per scheme before shedding with 429; "
+        "also the largest /route_many request and coalesced batch",
     )
     p.set_defaults(func=cmd_serve)
 

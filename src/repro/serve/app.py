@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from repro.api import UnknownSchemeError, all_specs, scheme_names
 from repro.exceptions import ReproError
 from repro.runtime.traffic import check_pairs
-from repro.serve.broker import OverloadedError
+from repro.serve.broker import DEFAULT_MAX_QUEUE, OverloadedError
 from repro.serve.lifecycle import Lifecycle
 from repro.serve.protocol import (
     ProtocolError,
@@ -67,9 +67,11 @@ _MAX_HEADER_LINE = 64 << 10
 class ServeConfig:
     """Everything needed to stand up a daemon.
 
-    Attributes mirror the ``repro serve`` CLI flags; ``schemes`` lists
-    the pre-built schemes (first entry is the default for requests that
-    omit one).
+    Attributes mirror the ``repro serve`` CLI flags (an omitted flag
+    keeps the default here); ``schemes`` lists the pre-built schemes
+    (first entry is the default for requests that omit one).
+    ``max_inflight`` and ``max_queue`` are the two shedding gates; the
+    broker has no other setting.
     """
 
     family: str = "random"
@@ -79,17 +81,8 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = DEFAULT_PORT
     max_inflight: int = 256
-    max_batch: int = 1024
-    max_queue: int = 8192
-    linger_s: float = 0.002
+    max_queue: int = DEFAULT_MAX_QUEUE
     store: Any = "auto"
-
-    def broker_opts(self) -> Dict[str, Any]:
-        return {
-            "max_batch": self.max_batch,
-            "max_queue": self.max_queue,
-            "linger_s": self.linger_s,
-        }
 
 
 @dataclass
@@ -413,7 +406,7 @@ def build_app(config: ServeConfig) -> ServeApp:
         config.n,
         seed=config.seed,
         schemes=config.schemes,
-        broker_opts=config.broker_opts(),
+        max_queue=config.max_queue,
         store=config.store,
     )
     return ServeApp(lifecycle, max_inflight=config.max_inflight)

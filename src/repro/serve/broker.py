@@ -4,11 +4,13 @@ The compiled vectorized engine (:mod:`repro.runtime.engine`) amortizes
 per-batch setup across every pair in a batch — a frontier sweep over
 one 500-pair batch costs far less than 500 single-pair sweeps.  The
 broker exploits that under concurrency: route requests from many
-clients enqueue their pairs per ``(scheme)`` key, a drainer task per
-key collects whatever accumulated (after a short linger window that
-lets simultaneous requests pile up), executes it as **one**
-``Router.route_many`` call on a worker thread, and demultiplexes the
-per-pair results back to each waiting request's future.
+clients queue their pairs per ``(scheme)`` key, and a drainer task per
+key takes every submission queued for the key, executes them as
+**one** ``Router.route_many`` call on a worker thread, and hands each
+waiting request its slice of the results.  Requests that arrive while
+a batch runs go out together in the next one, so no timer is needed:
+a lone request executes at once, and a burst coalesces behind the
+batch in flight.
 
 Because every pair's journey is independent of the rest of its batch
 (the engine advances each packet by its own tables; no cross-pair
@@ -19,24 +21,16 @@ differential tests and the CI smoke job assert exactly this.
 Admission control is a bounded queue: when the pending-pair backlog for
 a key would exceed ``max_queue``, :meth:`BatchBroker.submit` raises
 :class:`OverloadedError` immediately (the daemon maps it to HTTP 429)
-instead of letting latency grow without bound.
+instead of letting latency grow without bound.  The bound is also the
+largest batch a drainer can take.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.exceptions import ReproError
-
-#: default coalescing window in seconds: long enough for simultaneous
-#: clients to pile into one batch, short enough to be invisible next to
-#: routing time
-DEFAULT_LINGER_S = 0.002
-
-#: default largest coalesced batch handed to the engine at once
-DEFAULT_MAX_BATCH = 1024
 
 #: default bound on the pending-pair backlog per scheme key
 DEFAULT_MAX_QUEUE = 8192
@@ -57,34 +51,25 @@ class BatchBroker:
             executor), one in-flight call per key at a time, so a
             plain :class:`repro.api.router.Router` session per key is
             safe without locks.
-        max_batch: largest batch handed to ``execute`` at once.
         max_queue: pending-pair bound per key; beyond it submissions
             are shed with :class:`OverloadedError`.
-        linger_s: coalescing window — how long a drainer waits for
-            more pairs before executing a sub-``max_batch`` batch
-            (``0`` executes whatever is queued immediately).
     """
 
     def __init__(
         self,
         execute: Callable[[str, List[Tuple[int, int]]], Sequence[Any]],
-        max_batch: int = DEFAULT_MAX_BATCH,
         max_queue: int = DEFAULT_MAX_QUEUE,
-        linger_s: float = DEFAULT_LINGER_S,
     ):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if linger_s < 0:
-            raise ValueError(f"linger_s must be >= 0, got {linger_s}")
         self._execute = execute
-        self.max_batch = max_batch
         self.max_queue = max_queue
-        self.linger_s = linger_s
+        # per key: the submissions waiting for the next batch, and
+        # their pair count
         self._queues: Dict[
-            str, Deque[Tuple[Tuple[int, int], asyncio.Future]]
+            str, List[Tuple[Sequence[Tuple[int, int]], asyncio.Future]]
         ] = {}
+        self._queued: Dict[str, int] = {}
         self._drainers: Dict[str, asyncio.Task] = {}
         self._closed = False
         # counters (exposed via stats())
@@ -101,51 +86,47 @@ class BatchBroker:
     ) -> List[Any]:
         """Enqueue ``pairs`` under ``key`` and await their results.
 
-        Results come back in input order.  Pairs from concurrent
-        submissions under the same key may execute in one coalesced
-        batch; results are identical either way.
+        Results come back in input order.  Concurrent submissions under
+        the same key may execute in one coalesced batch; results are
+        identical either way.  An empty submission answers ``[]``
+        without starting a batch.
 
         Raises:
             OverloadedError: when the backlog bound would be exceeded
                 (no partial admission: either every pair queues or
                 none does).
             ReproError: whatever the execute function raised for the
-                batch containing a submitted pair.
+                batch containing the submission.
         """
         if self._closed:
             raise OverloadedError("broker is closed (generation retired)")
-        queue = self._queues.setdefault(key, deque())
-        if len(queue) + len(pairs) > self.max_queue:
+        queued = self._queued.get(key, 0)
+        if queued + len(pairs) > self.max_queue:
             self.shed_pairs += len(pairs)
             raise OverloadedError(
                 f"pending backlog for {key!r} is full "
-                f"({len(queue)} + {len(pairs)} > {self.max_queue} pairs)"
+                f"({queued} + {len(pairs)} > {self.max_queue} pairs)"
             )
+        if not pairs:
+            return []
         loop = asyncio.get_running_loop()
-        futures = [loop.create_future() for _ in pairs]
-        for pair, future in zip(pairs, futures):
-            queue.append((pair, future))
+        future = loop.create_future()
+        self._queues.setdefault(key, []).append((pairs, future))
+        self._queued[key] = queued + len(pairs)
         self.submitted_pairs += len(pairs)
         if key not in self._drainers:
             self._drainers[key] = loop.create_task(self._drain(key))
-        return list(await asyncio.gather(*futures))
+        return await future
 
     async def _drain(self, key: str) -> None:
-        """Serve ``key``'s queue until it runs dry, one coalesced batch
-        per executor call."""
+        """Serve ``key``'s queue until it runs dry: each executor call
+        takes every submission queued since the previous one."""
         loop = asyncio.get_running_loop()
-        queue = self._queues[key]
         try:
-            while queue:
-                if self.linger_s and len(queue) < self.max_batch:
-                    # The linger window: give concurrent requests a
-                    # beat to land so they ride the same engine batch.
-                    await asyncio.sleep(self.linger_s)
-                batch = [
-                    queue.popleft()
-                    for _ in range(min(self.max_batch, len(queue)))
-                ]
-                pairs = [pair for pair, _ in batch]
+            while key in self._queues:
+                batch = self._queues.pop(key)
+                size = self._queued.pop(key)
+                pairs = [pair for submitted, _ in batch for pair in submitted]
                 t0 = loop.time()
                 try:
                     results = await loop.run_in_executor(
@@ -159,11 +140,14 @@ class BatchBroker:
                 finally:
                     self.exec_seconds += loop.time() - t0
                     self.executed_batches += 1
-                self.executed_pairs += len(batch)
-                self.max_coalesced = max(self.max_coalesced, len(batch))
-                for (_, future), result in zip(batch, results):
-                    if not future.done():
-                        future.set_result(result)
+                self.executed_pairs += size
+                self.max_coalesced = max(self.max_coalesced, size)
+                start = 0
+                for submitted, future in batch:
+                    stop = start + len(submitted)
+                    if not future.done():  # its waiter may be cancelled
+                        future.set_result(list(results[start:stop]))
+                    start = stop
         finally:
             # Synchronous with the emptiness check (no await between),
             # so a fresh submit either sees this drainer or spawns one.
@@ -185,8 +169,8 @@ class BatchBroker:
 
     @property
     def pending_pairs(self) -> int:
-        """Pairs currently queued across every key."""
-        return sum(len(q) for q in self._queues.values())
+        """Pairs queued for a next batch, across every key."""
+        return sum(self._queued.values())
 
     def stats(self) -> Dict[str, Any]:
         """Counter snapshot for the ``/stats`` endpoint."""

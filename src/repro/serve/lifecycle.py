@@ -30,7 +30,7 @@ from repro.api import Network, UnknownSchemeError, get_spec
 from repro.api.router import RouteResult, Router
 from repro.api.stats import SessionStats
 from repro.runtime.traffic import TrafficSummary, generate_workload
-from repro.serve.broker import BatchBroker
+from repro.serve.broker import DEFAULT_MAX_QUEUE, BatchBroker
 from repro.serve.protocol import ProtocolError
 
 
@@ -41,9 +41,8 @@ class Generation:
         gen_id: monotonically increasing generation counter.
         network: the built facade over the snapshot.
         family: graph family the snapshot was generated from.
-        broker_opts: forwarded to this generation's
-            :class:`BatchBroker` (``max_batch`` / ``max_queue`` /
-            ``linger_s``).
+        max_queue: the pending-pair bound of this generation's
+            :class:`BatchBroker`.
     """
 
     def __init__(
@@ -51,12 +50,12 @@ class Generation:
         gen_id: int,
         network: Network,
         family: str,
-        broker_opts: Optional[Dict[str, Any]] = None,
+        max_queue: int,
     ):
         self.id = gen_id
         self.network = network
         self.family = family
-        self.broker = BatchBroker(self._execute, **(broker_opts or {}))
+        self.broker = BatchBroker(self._execute, max_queue)
         self.inflight = 0
         self.retired = False
         self.created = time.time()
@@ -187,7 +186,7 @@ class Lifecycle:
         seed: initial master seed.
         schemes: scheme names to pre-build at load time (the first is
             the daemon's default scheme); must be non-empty.
-        broker_opts: per-generation broker configuration.
+        max_queue: each generation's broker backlog bound, in pairs.
         store: forwarded to :class:`~repro.api.Network` (``"auto"`` /
             ``None`` / an explicit store).
 
@@ -202,7 +201,7 @@ class Lifecycle:
         n: int,
         seed: int = 0,
         schemes: Sequence[str] = ("stretch6",),
-        broker_opts: Optional[Dict[str, Any]] = None,
+        max_queue: int = DEFAULT_MAX_QUEUE,
         store: Any = "auto",
     ):
         if not schemes:
@@ -212,7 +211,7 @@ class Lifecycle:
         self.schemes = tuple(schemes)
         self.default_scheme = self.schemes[0]
         self._store = store
-        self._broker_opts = dict(broker_opts or {})
+        self._max_queue = max_queue
         self._gen_counter = 0
         self._reload_lock: Optional[asyncio.Lock] = None
         self._current = self._build_generation(family, n, seed)
@@ -224,9 +223,7 @@ class Lifecycle:
         on a worker thread when traffic is live)."""
         network = Network.from_family(family, n, seed=seed, store=self._store)
         self._gen_counter += 1
-        gen = Generation(
-            self._gen_counter, network, family, broker_opts=self._broker_opts
-        )
+        gen = Generation(self._gen_counter, network, family, self._max_queue)
         for scheme in self.schemes:
             # Pre-build tables and warm the compiled engine so the
             # first request after (re)load pays nothing.
@@ -245,8 +242,7 @@ class Lifecycle:
         network = old.network.evolve(delta)
         self._gen_counter += 1
         gen = Generation(
-            self._gen_counter, network, old.family,
-            broker_opts=self._broker_opts,
+            self._gen_counter, network, old.family, self._max_queue
         )
         for scheme in self.schemes:
             router = gen.router(scheme)

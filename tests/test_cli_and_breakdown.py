@@ -189,7 +189,6 @@ class TestCLI:
         (["store", "gc", "--max-bytes", "garbage"],
          "cannot parse size 'garbage'"),
         (["serve", "--max-inflight", "0"], "--max-inflight must be >= 1, got 0"),
-        (["serve", "--max-batch", "0"], "--max-batch must be >= 1, got 0"),
         (["serve", "--max-queue", "0"], "--max-queue must be >= 1, got 0"),
         (["serve", "--port", "70000"], "--port must be in 0..65535, got 70000"),
         (["traffic", "--family", "torus", "--n", "-3"],
@@ -203,7 +202,7 @@ class TestCLI:
     ], ids=[
         "covers-scale", "fig1-k", "report-k", "stretch-k", "tables-k",
         "traffic-k", "store-gc-max-bytes", "serve-max-inflight",
-        "serve-max-batch", "serve-max-queue", "serve-port",
+        "serve-max-queue", "serve-port",
         "traffic-torus-negative-n", "traffic-asym-torus-small-n",
         "traffic-random-one-vertex", "traffic-layered-zero-n",
     ])
@@ -232,6 +231,20 @@ class TestCLI:
             assert "unrecognized arguments: --engine python" in (
                 capsys.readouterr().err
             )
+
+    @pytest.mark.parametrize(
+        "flag", [["--linger-ms", "2"], ["--max-batch", "8"]],
+        ids=["linger-ms", "max-batch"],
+    )
+    def test_serve_has_no_batching_knobs(self, flag, capsys):
+        """The broker coalesces without a timer or a batch cap, so
+        neither knob exists: each is an argparse error (exit 2)."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in (
+            capsys.readouterr().err
+        )
 
     def test_schemes_subcommand(self, capsys):
         from repro.api import scheme_names

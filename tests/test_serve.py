@@ -24,6 +24,8 @@ import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Network
 from repro.cli import main
@@ -60,11 +62,26 @@ def route_key(route):
     return (route.cost, route.hops, route.max_header_bits, route.stretch)
 
 
+def hold_route_many(router):
+    """Make ``router.route_many`` wait until the returned event is set
+    (or 30 s pass), so the requests it serves stay in flight for as
+    long as a test needs them to."""
+    release = threading.Event()
+    route_many = router.route_many
+
+    def held(*args, **kwargs):
+        release.wait(30)
+        return route_many(*args, **kwargs)
+
+    router.route_many = held
+    return release
+
+
 @pytest.fixture(scope="module")
 def daemon():
     config = ServeConfig(
         family="random", n=N, seed=SEED, schemes=("stretch6", "rtz"),
-        port=0, linger_s=0.02,
+        port=0,
     )
     d = ServeDaemon(config).start()
     yield d
@@ -88,7 +105,7 @@ def test_broker_coalesces_concurrent_submits():
         return [s * 100 + t for s, t in pairs]
 
     async def main():
-        broker = BatchBroker(execute, linger_s=0.05)
+        broker = BatchBroker(execute)
         return await asyncio.gather(
             broker.submit("k", [(1, 2), (3, 4)]),
             broker.submit("k", [(5, 6)]),
@@ -104,30 +121,96 @@ def test_broker_coalesces_concurrent_submits():
     assert stats["submitted_pairs"] == 3
 
 
-def test_broker_respects_max_batch():
+def test_broker_batches_what_queued_while_it_ran():
+    """No timer: a lone submission A executes at once, and B and C,
+    submitted while A's batch runs, go out together in the next one."""
+    calls = []
+    started, release = threading.Event(), threading.Event()
+
+    def execute(key, pairs):
+        calls.append(list(pairs))
+        started.set()
+        release.wait(30)
+        return [s * 100 + t for s, t in pairs]
+
+    async def main():
+        broker = BatchBroker(execute)
+        a = asyncio.create_task(broker.submit("k", [(1, 2)]))
+        await asyncio.get_running_loop().run_in_executor(
+            None, started.wait, 30
+        )
+        b = asyncio.create_task(broker.submit("k", [(3, 4)]))
+        c = asyncio.create_task(broker.submit("k", [(5, 6), (7, 8)]))
+        await asyncio.sleep(0)  # b and c queue behind A's batch
+        assert broker.pending_pairs == 3
+        release.set()
+        return await asyncio.gather(a, b, c), broker
+
+    try:
+        (a, b, c), broker = asyncio.run(main())
+    finally:
+        release.set()
+    assert (a, b, c) == ([102], [304], [506, 708])
+    assert calls == [[(1, 2)], [(3, 4), (5, 6), (7, 8)]]
+    stats = broker.stats()
+    assert stats["executed_batches"] == 2
+    assert stats["max_coalesced"] == 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.integers(0, 2),  # key
+        st.integers(0, 6),  # pairs in the submission
+        st.integers(0, 3),  # loop yields before the next submission
+    ),
+    min_size=1, max_size=8,
+))
+def test_broker_interleavings(submissions):
+    """Whatever the keys, sizes and arrival times of the submissions,
+    each gets exactly its own results in order, no batch mixes keys or
+    starts empty, and the counters add up."""
+    keys = [f"k{key}" for key, _, _ in submissions]
     calls = []
 
     def execute(key, pairs):
-        calls.append(len(pairs))
-        return [0] * len(pairs)
+        calls.append((key, list(pairs)))
+        return [(key, s, t) for s, t in pairs]
 
     async def main():
-        broker = BatchBroker(execute, max_batch=2, linger_s=0.0)
-        return await broker.submit("k", make_pairs(5)), broker
+        broker = BatchBroker(execute)
+        tasks = []
+        for i, (_, size, yields) in enumerate(submissions):
+            pairs = [(i, j) for j in range(size)]
+            tasks.append(
+                asyncio.create_task(broker.submit(keys[i], pairs))
+            )
+            for _ in range(yields):
+                await asyncio.sleep(0)
+        return await asyncio.gather(*tasks), broker
 
     results, broker = asyncio.run(main())
-    assert results == [0] * 5
-    assert all(size <= 2 for size in calls)
-    assert broker.stats()["executed_pairs"] == 5
+    for i, (_, size, _) in enumerate(submissions):
+        assert results[i] == [(keys[i], i, j) for j in range(size)]
+    for key, pairs in calls:
+        assert pairs, "an empty submission started a batch"
+        assert {keys[i] for i, _ in pairs} == {key}
+    stats = broker.stats()
+    assert stats["pending_pairs"] == 0
+    assert stats["executed_pairs"] == stats["submitted_pairs"] == sum(
+        size for _, size, _ in submissions
+    )
+    assert stats["executed_batches"] == len(calls)
+    assert stats["max_coalesced"] == max(
+        (len(pairs) for _, pairs in calls), default=0
+    )
 
 
 def test_broker_sheds_when_backlog_full():
     async def main():
-        broker = BatchBroker(
-            lambda k, p: [0] * len(p), max_queue=2, linger_s=0.05
-        )
+        broker = BatchBroker(lambda k, p: [0] * len(p), max_queue=2)
         t1 = asyncio.create_task(broker.submit("k", [(0, 1), (1, 0)]))
-        await asyncio.sleep(0)  # t1 enqueues; drainer still lingering
+        await asyncio.sleep(0)  # t1 enqueues; its drainer has not run yet
         with pytest.raises(OverloadedError):
             await broker.submit("k", [(2, 3)])
         assert await t1 == [0, 0]
@@ -149,7 +232,7 @@ def test_broker_demuxes_execute_failures_and_recovers():
         return [1] * len(pairs)
 
     async def main():
-        broker = BatchBroker(execute, linger_s=0.0)
+        broker = BatchBroker(execute)
         with pytest.raises(Boom):
             await broker.submit("k", [(0, 1)])
         state["fail"] = False
@@ -176,7 +259,7 @@ def test_broker_failure_fails_only_its_keys_batch():
         return [f"{key}{s}{t}" for s, t in pairs]
 
     async def main():
-        broker = BatchBroker(execute, linger_s=0.01)
+        broker = BatchBroker(execute)
         outcomes = await asyncio.gather(
             broker.submit("a", [(0, 1)]),
             broker.submit("a", [(2, 3), (4, 5)]),
@@ -216,8 +299,7 @@ def test_broker_refuses_submissions_after_close():
 
 def small_config(**overrides):
     base = dict(
-        family="random", n=24, seed=0, schemes=("stretch6",),
-        port=0, linger_s=0.001,
+        family="random", n=24, seed=0, schemes=("stretch6",), port=0,
     )
     base.update(overrides)
     return ServeConfig(**base)
@@ -269,6 +351,15 @@ def test_dispatch_rejects_out_of_range_and_self_pairs():
         assert json.loads(raw)["error"]["code"] == "bad-request"
 
 
+def test_empty_route_many_starts_no_batch():
+    app = build_app(small_config())
+    status, raw = dispatch(app, "POST", "/route_many", {"pairs": []})
+    assert status == 200
+    assert decode_results(decode_body(raw)) == (1, [])
+    stats = app.lifecycle.current.broker.stats()
+    assert (stats["submitted_pairs"], stats["executed_batches"]) == (0, 0)
+
+
 def test_route_many_beyond_max_queue_is_a_bad_request():
     """A batch larger than the whole backlog could never be admitted:
     it is a 400 naming the limit, not a 429 a client would retry, and
@@ -293,18 +384,23 @@ def test_route_many_beyond_max_queue_is_a_bad_request():
 
 
 def test_dispatch_sheds_beyond_max_inflight():
-    app = build_app(small_config(max_inflight=1, linger_s=0.05))
+    app = build_app(small_config(max_inflight=1))
+    release = hold_route_many(app.lifecycle.current.router("stretch6"))
     body = json.dumps({"pairs": [[0, 1]]}).encode()
 
     async def main():
         first = asyncio.create_task(
             app.dispatch("POST", "/route_many", body)
         )
-        await asyncio.sleep(0.01)  # first admitted, lingering in broker
+        await asyncio.sleep(0.01)  # first admitted, held in the engine
         shed = await app.dispatch("POST", "/route_many", body)
+        release.set()
         return await first, shed
 
-    (status1, _), (status2, raw2) = asyncio.run(main())
+    try:
+        (status1, _), (status2, raw2) = asyncio.run(main())
+    finally:
+        release.set()
     assert status1 == 200
     assert status2 == 429
     with pytest.raises(ProtocolError) as err:
@@ -499,8 +595,7 @@ def test_http_reload_under_load_zero_drops():
     no request fails, every response matches its tagged generation,
     and traffic lands on both generations."""
     config = ServeConfig(
-        family="random", n=24, seed=0, schemes=("stretch6",),
-        port=0, linger_s=0.005,
+        family="random", n=24, seed=0, schemes=("stretch6",), port=0,
     )
     daemon = ServeDaemon(config).start()
     try:
@@ -550,14 +645,15 @@ def test_http_reload_under_load_zero_drops():
 
 
 def test_clients_dropping_mid_route_many_leak_no_slot():
-    """Three clients close their sockets while their /route_many waits
-    out the broker's linger, and a fourth sends half a body and closes.
+    """Three clients close their sockets while their /route_many is
+    held in the engine, and a fourth sends half a body and closes.
     Every in-flight slot is released: the next request routes exactly
     like a direct route_many, and a /reload drains the old generation."""
-    daemon = ServeDaemon(small_config(linger_s=0.5)).start()
+    daemon = ServeDaemon(small_config()).start()
+    app = daemon.app
+    gen = app.lifecycle.current
+    release = hold_route_many(gen.router("stretch6"))
     try:
-        app = daemon.app
-        gen = app.lifecycle.current
         pairs = make_pairs(8, n=24, seed=3)
         body = json.dumps({"pairs": [[s, t] for s, t in pairs]}).encode()
         head = (
@@ -581,6 +677,7 @@ def test_clients_dropping_mid_route_many_leak_no_slot():
             sock.close()
         with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
             sock.sendall(head + body[: len(body) // 2])
+        release.set()
         wait_for(lambda: app.active == 0 and gen.inflight == 0)
 
         expected = [
@@ -596,6 +693,7 @@ def test_clients_dropping_mid_route_many_leak_no_slot():
         assert (doc["old_generation"], doc["generation"]) == (1, 2)
         assert gen.retired and gen.inflight == 0 and app.active == 0
     finally:
+        release.set()
         daemon.stop()
 
 
@@ -736,8 +834,7 @@ def test_http_delta_reload_under_load_zero_drops():
     the graph over the wire: no request drops, responses match their
     tagged generation, and traffic spans the swap."""
     config = ServeConfig(
-        family="random", n=24, seed=0, schemes=("stretch6",),
-        port=0, linger_s=0.005,
+        family="random", n=24, seed=0, schemes=("stretch6",), port=0,
     )
     base = Network.from_family("random", 24, seed=0, store=None)
     edge = next(iter(base.graph.edges()))
