@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import http.client
 import json
-import socket
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ReproError
@@ -32,6 +31,12 @@ from repro.serve.protocol import (
     decode_body,
     decode_results,
     decode_summary,
+)
+
+
+#: how a kept-alive connection that the daemon closed fails
+_DROPPED = (
+    http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError,
 )
 
 
@@ -86,26 +91,28 @@ class ServeClient:
     ) -> Dict[str, Any]:
         body = None if doc is None else json.dumps(doc).encode("utf-8")
         headers = {"Content-Type": "application/json"} if body else {}
-        last_exc: Optional[Exception] = None
-        for attempt in (0, 1):  # one transparent retry on a stale socket
+        while True:
             conn = self._connection()
+            # A kept-alive connection the daemon closed while it was
+            # idle fails before any response byte; only then is the
+            # request sent again, once, on a fresh connection.  Nothing
+            # else is retried: after a timeout the daemon may still be
+            # serving it (a delta reload sent twice applies twice).
+            stale = conn.sock is not None
             try:
                 conn.request(method, path, body=body, headers=headers)
                 response = conn.getresponse()
+                stale = False
                 payload = response.read()
-            except (http.client.HTTPException, OSError, socket.timeout) as exc:
+            except (http.client.HTTPException, OSError) as exc:
                 self.close()
-                last_exc = exc
-                if attempt == 0:
+                if stale and isinstance(exc, _DROPPED):
                     continue
                 raise ServeConnectionError(
                     f"cannot reach repro-serve at "
                     f"{self.host}:{self.port}: {exc}"
                 ) from exc
             return decode_body(payload)
-        raise ServeConnectionError(  # pragma: no cover - loop invariant
-            f"cannot reach repro-serve at {self.host}:{self.port}: {last_exc}"
-        )
 
     # ------------------------------------------------------------------
     # endpoints

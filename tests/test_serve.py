@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import http.server
 import json
 import random
 import socket
@@ -36,6 +37,7 @@ from repro.serve import (
     ProtocolError,
     ServeClient,
     ServeConfig,
+    ServeConnectionError,
     ServeDaemon,
     build_app,
 )
@@ -898,6 +900,90 @@ def test_client_rejects_malformed_delta_before_the_wire():
     client = ServeClient(port=1)  # never connected
     with pytest.raises(GraphError):
         client.reload(delta={"ops": [{"op": "teleport"}]})
+
+
+class _FakeDaemon(http.server.ThreadingHTTPServer):
+    """A stand-in daemon that records each request it reads.  GETs
+    answer at once (closing the connection afterwards when
+    ``close_after_get`` is set, without saying so); POSTs answer only
+    once ``release`` is set."""
+
+    daemon_threads = True
+
+    def __init__(self, close_after_get: bool = False):
+        super().__init__(("127.0.0.1", 0), _FakeHandler)
+        self.close_after_get = close_after_get
+        self.requests = []
+        self.release = threading.Event()
+        threading.Thread(
+            target=self.serve_forever, args=(0.05,), daemon=True
+        ).start()
+
+    def stop(self):
+        self.release.set()
+        self.shutdown()
+        self.server_close()
+
+    def handle_error(self, request, client_address):
+        pass  # answering a client that timed out and left
+
+
+class _FakeHandler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args):
+        pass
+
+    def answer(self):
+        payload = json.dumps({"schema": "repro-serve/1", "status": "ok"})
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload.encode())
+
+    def do_GET(self):
+        self.server.requests.append(("GET", self.path))
+        self.answer()
+        self.close_connection = self.server.close_after_get
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append(("POST", self.path))
+        self.server.release.wait(10)
+        self.answer()
+
+
+def test_client_never_resends_a_timed_out_request():
+    """A POST that times out on a kept-alive connection reaches the
+    daemon once: it may still be applying it, and a delta reload sent
+    twice would apply twice."""
+    server = _FakeDaemon()
+    try:
+        client = ServeClient(port=server.server_address[1], timeout=0.3)
+        assert client.healthz()["status"] == "ok"  # keeps the connection
+        delta = {"ops": [{"op": "reweight", "tail": 0, "head": 1,
+                          "weight": 2.0}]}
+        with pytest.raises(ServeConnectionError, match="timed out"):
+            client.reload(delta=delta)
+        assert server.requests == [("GET", "/healthz"), ("POST", "/reload")]
+        client.close()
+    finally:
+        server.stop()
+
+
+def test_client_retries_a_connection_closed_while_idle():
+    """When the daemon has closed an idle kept-alive connection, the
+    next call is sent once more on a fresh connection and succeeds."""
+    server = _FakeDaemon(close_after_get=True)
+    try:
+        with ServeClient(port=server.server_address[1], timeout=5) as client:
+            assert client.healthz()["status"] == "ok"
+            time.sleep(0.05)  # the daemon's close reaches the client
+            assert client.healthz()["status"] == "ok"
+        assert server.requests == [("GET", "/healthz")] * 2
+    finally:
+        server.stop()
 
 
 # ----------------------------------------------------------------------
