@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -23,8 +23,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 def measurement_pairs(
     n: int, sample: Optional[int] = None, rng: Optional[random.Random] = None
-) -> List[Tuple[int, int]]:
-    """The ordered pairs a stretch measurement routes.
+) -> np.ndarray:
+    """The ordered pairs a stretch measurement routes, as a
+    ``(count, 2)`` int64 array.
 
     All ``n(n-1)`` ordered pairs in row-major order, or, when
     ``sample`` is below that count, ``sample`` of them drawn without
@@ -41,7 +42,7 @@ def measurement_pairs(
         index = np.arange(total, dtype=np.int64)
     sources, dests = np.divmod(index, n - 1)
     dests += dests >= sources
-    return list(zip(sources.tolist(), dests.tolist()))
+    return np.column_stack((sources, dests))
 
 
 def measure_stretch(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.api.router import Router
@@ -30,7 +31,11 @@ from repro.runtime.sizing import (
     id_bits,
     log2_squared,
 )
-from repro.runtime.stats import measure_stretch, measure_tables
+from repro.runtime.stats import (
+    measure_stretch,
+    measure_tables,
+    measurement_pairs,
+)
 from repro.schemes.shortest_path import ShortestPathScheme
 from repro.tree_routing.fixed_port import TreeAddress
 
@@ -183,6 +188,20 @@ class TestSimulator:
 
 
 class TestStats:
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_measurement_pairs_order_and_sample(self, n):
+        """All pairs come in row-major order, and a sample is the pairs
+        ``rng.sample(all_pairs, k)`` draws from the same seed."""
+        every = [[s, t] for s in range(n) for t in range(n) if s != t]
+        pairs = measurement_pairs(n)
+        assert (pairs.dtype, pairs.shape) == (np.int64, (n * (n - 1), 2))
+        assert pairs.tolist() == every
+        for k in (0, 1, len(every) - 1):
+            got = measurement_pairs(n, k, random.Random(k + n))
+            assert got.shape == (k, 2)
+            assert got.tolist() == random.Random(k + n).sample(every, k)
+        assert measurement_pairs(n, len(every)).tolist() == every
+
     def test_measure_stretch_baseline_is_one(self):
         g = random_strongly_connected(16, rng=random.Random(3))
         oracle = DistanceOracle(g)
