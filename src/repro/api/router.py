@@ -238,20 +238,19 @@ class Router:
     ) -> List[RouteResult]:
         """One :class:`RouteResult` per row of the checked ``(B, 2)``
         pair array, read from the batch's columns."""
-        costs, hops, bits = traces.cost, traces.hops, traces.max_header_bits
-        if not costs:
+        if not traces:
             return []
         sources, dests = pairs.T
+        costs = traces.cost
         if self._oracle is not None:
             # elementwise float64 division rounds exactly as the scalar
-            stretch = (
-                np.array(costs) / self._oracle.r_matrix[sources, dests]
-            ).tolist()
+            stretch = (costs / self._oracle.r_matrix[sources, dests]).tolist()
         else:
-            stretch = [math.nan] * len(costs)
+            stretch = [math.nan] * len(traces)
         return _route_results(
-            sources.tolist(), dests.tolist(), names, costs, hops, bits,
-            stretch, traces,
+            sources.tolist(), dests.tolist(), names, costs.tolist(),
+            traces.hops.tolist(), traces.max_header_bits.tolist(), stretch,
+            traces,
         )
 
     def serve_workload(

@@ -722,9 +722,9 @@ class _SweepPaths:
         log_idx: List[np.ndarray],
         log_vert: List[np.ndarray],
     ):
-        self.cost = (leg_cost[0] + leg_cost[1]).tolist()
-        self.hops = (leg_hops[0] + leg_hops[1]).tolist()
-        self.max_header_bits = np.maximum(leg_bits[0], leg_bits[1]).tolist()
+        self.cost = leg_cost[0] + leg_cost[1]
+        self.hops = leg_hops[0] + leg_hops[1]
+        self.max_header_bits = np.maximum(leg_bits[0], leg_bits[1])
         self._sources = sources
         self._leg_cost = leg_cost
         self._leg_hops = leg_hops

@@ -74,11 +74,11 @@ class RoundtripTrace:
     @classmethod
     def in_batch(cls, batch, index: int) -> "RoundtripTrace":
         """The ``index``-th trace of ``batch``: an object with ``cost``,
-        ``hops`` and ``max_header_bits`` columns (sequences of the
-        values :attr:`total_cost`, :attr:`total_hops` and
-        :attr:`max_header_bits` return) and a thread-safe
-        ``legs(index)`` that returns the same ``(outbound, inbound)``
-        pair on every call."""
+        ``hops`` and ``max_header_bits`` array columns (of the values
+        :attr:`total_cost`, :attr:`total_hops` and
+        :attr:`max_header_bits` return, as Python numbers) and a
+        thread-safe ``legs(index)`` that returns the same ``(outbound,
+        inbound)`` pair on every call."""
         trace = cls.__new__(cls)
         trace._legs = None
         trace._batch = batch
@@ -105,21 +105,21 @@ class RoundtripTrace:
     def total_cost(self) -> float:
         """Roundtrip path cost (outbound plus inbound)."""
         if self._batch is not None:
-            return self._batch.cost[self._index]
+            return self._batch.cost[self._index].item()
         return self.outbound.cost + self.inbound.cost
 
     @property
     def total_hops(self) -> int:
         """Roundtrip hop count."""
         if self._batch is not None:
-            return self._batch.hops[self._index]
+            return self._batch.hops[self._index].item()
         return self.outbound.hops + self.inbound.hops
 
     @property
     def max_header_bits(self) -> int:
         """Largest header observed anywhere in the journey."""
         if self._batch is not None:
-            return self._batch.max_header_bits[self._index]
+            return self._batch.max_header_bits[self._index].item()
         return max(self.outbound.max_header_bits, self.inbound.max_header_bits)
 
     def __eq__(self, other):
@@ -140,8 +140,9 @@ class RoundtripTrace:
 
 class TraceBatch(list):
     """One batch's traces in input order, with each pair's numbers as
-    columns: ``cost[i]``, ``hops[i]`` and ``max_header_bits[i]`` equal
-    trace ``i``'s :attr:`~RoundtripTrace.total_cost`,
+    array columns: float64 ``cost`` and int64 ``hops`` and
+    ``max_header_bits``, whose ``[i]`` equal trace ``i``'s
+    :attr:`~RoundtripTrace.total_cost`,
     :attr:`~RoundtripTrace.total_hops` and
     :attr:`~RoundtripTrace.max_header_bits`.  Consumers that need only
     the numbers read the columns and never touch a path."""
@@ -151,14 +152,14 @@ class TraceBatch(list):
     def __init__(
         self,
         traces: Iterable[RoundtripTrace] = (),
-        columns: Optional[Tuple[List[float], List[int], List[int]]] = None,
+        columns: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
     ):
         super().__init__(traces)
         if columns is None:
             columns = (
-                [t.total_cost for t in self],
-                [t.total_hops for t in self],
-                [t.max_header_bits for t in self],
+                np.array([t.total_cost for t in self], dtype=np.float64),
+                np.array([t.total_hops for t in self], dtype=np.int64),
+                np.array([t.max_header_bits for t in self], dtype=np.int64),
             )
         self.cost, self.hops, self.max_header_bits = columns
 

@@ -68,17 +68,22 @@ def leg_tuple(leg: LegTrace):
 
 
 def assert_columns_match(batch: TraceBatch, reference):
-    """The batch's columns equal the reference traces' totals, computed
-    from their legs the way the simulator adds them."""
+    """The batch's columns are float64 and int64 arrays equal to the
+    reference traces' totals, computed from their legs the way the
+    simulator adds them."""
     assert isinstance(batch, TraceBatch)
-    assert batch.cost == [t.outbound.cost + t.inbound.cost for t in reference]
-    assert batch.hops == [t.outbound.hops + t.inbound.hops for t in reference]
-    assert batch.max_header_bits == [
+    assert batch.cost.dtype == np.float64
+    assert batch.hops.dtype == batch.max_header_bits.dtype == np.int64
+    assert batch.cost.tolist() == [
+        t.outbound.cost + t.inbound.cost for t in reference
+    ]
+    assert batch.hops.tolist() == [
+        t.outbound.hops + t.inbound.hops for t in reference
+    ]
+    assert batch.max_header_bits.tolist() == [
         max(t.outbound.max_header_bits, t.inbound.max_header_bits)
         for t in reference
     ]
-    assert all(type(c) is float for c in batch.cost)
-    assert all(type(h) is int for h in batch.hops + batch.max_header_bits)
 
 
 @pytest.mark.parametrize("storage", ["dense", "blocked"])
@@ -96,9 +101,9 @@ def test_columns_and_shuffled_legs_match_python(
     assert_columns_match(py, py)
     assert_columns_match(vec, py)
     # totals are answered from the columns, before any path exists
-    assert [t.total_cost for t in vec] == vec.cost
-    assert [t.total_hops for t in vec] == vec.hops
-    assert [t.max_header_bits for t in vec] == vec.max_header_bits
+    assert [t.total_cost for t in vec] == vec.cost.tolist()
+    assert [t.total_hops for t in vec] == vec.hops.tolist()
+    assert [t.max_header_bits for t in vec] == vec.max_header_bits.tolist()
     assert vec[0]._batch._log is not None
     order = list(range(len(pairs)))
     random.Random(3).shuffle(order)
@@ -182,6 +187,27 @@ def test_router_results_and_accounting_match(scheme_name, params, engine):
     assert stats[other]["pairs"] == ref_stats["vectorized"]["pairs"] == 0
 
 
+@pytest.mark.parametrize("engine", ["python", "vectorized"])
+def test_results_and_totals_are_python_numbers(engine):
+    """The columns are arrays, but every RouteResult field and every
+    trace total is a Python number, as JSON encoders and ``repr``
+    expect."""
+    net = family_net("random")
+    router = Router(net.build_scheme("stretch6"), oracle=net.oracle())
+    results = router.route_many(sample_pairs(net.n, 12, seed=8),
+                                engine=engine)
+    results.append(router.route(3, 5))
+    for r in results:
+        assert (type(r.source), type(r.dest), type(r.dest_name)) == (
+            int, int, int,
+        )
+        assert (type(r.cost), type(r.stretch)) == (float, float)
+        assert (type(r.hops), type(r.max_header_bits)) == (int, int)
+        trace = r.trace
+        assert type(trace.total_cost) is float
+        assert type(trace.total_hops) is type(trace.max_header_bits) is int
+
+
 def test_router_without_oracle_reports_nan_stretch():
     net = family_net("random")
     router = Router(net.build_scheme("stretch6"))
@@ -263,13 +289,14 @@ class TestRoundtripTrace:
             batch = sim.roundtrip_many([], engine=engine)
             assert isinstance(batch, TraceBatch)
             assert batch == []
-            assert batch.cost == batch.hops == batch.max_header_bits == []
+            assert batch.cost.tolist() == batch.hops.tolist() == []
+            assert batch.max_header_bits.tolist() == []
 
     def test_columns_of_eager_traces(self):
         batch = TraceBatch([self.eager(), self.eager()])
-        assert batch.cost == [4.75, 4.75]
-        assert batch.hops == [3, 3]
-        assert batch.max_header_bits == [44, 44]
+        assert batch.cost.tolist() == [4.75, 4.75]
+        assert batch.hops.tolist() == [3, 3]
+        assert batch.max_header_bits.tolist() == [44, 44]
 
 
 def test_a_kept_result_outlives_its_batch_list():
