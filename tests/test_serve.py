@@ -1,13 +1,14 @@
 """End-to-end tests for the ``repro.serve`` daemon.
 
-Covers the batching broker (coalescing, admission control, failure
-demux), the dispatch layer (endpoints, error mapping, max-inflight
+Covers the batching broker (coalescing without a timer, submission
+interleavings, admission control, failure demux), the dispatch layer (endpoints, error mapping, max-inflight
 shedding), the HTTP transport (keep-alive, unknown endpoints), the
 tentpole acceptance criteria — eight concurrent clients whose coalesced
 responses are bit-identical to direct ``Router.route_many`` calls, and
 graceful ``/reload`` under load with zero dropped requests and correct
 generation tagging — plus a reload whose build raises, clients that
-drop mid-``/route_many``, the per-label build lock in
+drop mid-``/route_many``, when the client sends a request again, the
+per-label build lock in
 :class:`~repro.api.Network`, and the no-DeprecationWarning guarantee on
 CLI paths.
 """
