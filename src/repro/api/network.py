@@ -72,9 +72,7 @@ class Network:
     Its oracle is built with ``DistanceOracle(graph)``, whose ``auto``
     rule picks the engine.  Its routers serve batches on the compiled
     engine whenever the scheme compiles, which every registered scheme
-    does; the compiled tables are stored as the graph size dictates
-    (:func:`repro.graph.limits.table_storage`): dense up to
-    ``REPRO_DENSE_MAX_N`` vertices, blocked above.
+    does.
 
     Raises:
         GraphError: for an unfrozen graph or an invalid store argument.

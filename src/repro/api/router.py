@@ -114,10 +114,7 @@ class Router:
     Batches run on the compiled engine when the scheme compiles its
     tables and on the hop-by-hop simulator when it does not; both give
     bit-identical results, and the batch entry points take a per-call
-    ``engine=`` that tests use to route on the python reference.  The
-    compiled tables are stored as the graph size dictates
-    (:func:`repro.graph.limits.table_storage`); either storage serves
-    bit-identical results.
+    ``engine=`` that tests use to route on the python reference.
     """
 
     def __init__(

@@ -39,7 +39,6 @@ from repro.api.stats import SessionStats
 from repro.distributed.preprocessing import DistributedPreprocessing
 from repro.exceptions import GraphError, ReproError
 from repro.graph.generators import FAMILY_NAMES
-from repro.graph.limits import table_storage
 from repro.runtime.scheme import RoutingScheme
 from repro.runtime.traffic import CHUNK_PAIRS, WORKLOAD_KINDS, generate_workload
 from repro.store import (
@@ -170,8 +169,7 @@ def cmd_traffic(args: argparse.Namespace) -> int:
         print(f"build time : {build_s * 1000:.1f} ms"
               + ("  (shared artifacts reused)" if i else ""))
         if resolved == "vectorized":
-            print(f"engine     : {resolved}  (compiled decision tables, "
-                  f"tables={table_storage(net.n)})")
+            print(f"engine     : {resolved}  (compiled decision tables)")
         else:
             print(f"engine     : {resolved}")
         print(summary.format())

@@ -30,8 +30,8 @@ class NamingError(ReproError):
 
 class ConstructionError(ReproError):
     """Raised when a routing scheme cannot build its tables
-    (e.g. invalid parameter ``k``, empty center set, or a
-    ``REPRO_DENSE_MAX_N`` that is not a positive integer)."""
+    (e.g. invalid parameter ``k``, empty center set, or a compiled
+    entry that names no edge)."""
 
 
 class StoreError(ReproError):

@@ -12,7 +12,7 @@ oracle's parent rows by pointer doubling (:func:`fold_first_hops`).
 Row ``s`` is a pure function of source ``s``'s parent tree, so blocks
 of *any* size — 1, ``n``, or anything that does not divide ``n`` —
 yield the same matrix bit for bit; the hypothesis suite in
-``tests/test_blocked_tables.py`` asserts this.
+``tests/test_row_blocks.py`` asserts this.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ current solution (the certificates below); those rows are recomputed
 exactly, the rest are carried over verbatim.  The result is therefore
 **bit-identical** to a full rebuild — the property the churn
 differential suite (``tests/test_churn.py``) locks for every compiled
-scheme in either table storage.
+scheme.
 
 Affected-row certificates (op on edge ``u -> v``, tie tolerance
 ``TIE_EPS``; sources whose row might change):

@@ -25,11 +25,7 @@ A scheme opts in by implementing
   on: an index into the graph's :class:`~repro.graph.csr.CSRGraph`
   ``out_heads``/``out_weights``, so the sweep reads each hop's next
   vertex and weight with two gathers (entries are converted once, at
-  compile time, by :func:`~repro.graph.csr.edge_slots`).  The graph
-  size decides how the substrate's tables store their entries
-  (:func:`~repro.graph.limits.table_storage`): dense ``(n, n)``
-  matrices up to ``REPRO_DENSE_MAX_N`` vertices, sorted pair tables
-  with o(n²) memory above;
+  compile time, by :func:`~repro.graph.csr.edge_slots`);
 * ``plan(sources, dests)`` — a :class:`JourneyPlan` describing each
   journey as two legs (outbound, acknowledgment), each a short list of
   :class:`Segment` s (e.g. ``s -> dictionary node``, then
@@ -72,7 +68,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,7 +80,6 @@ from repro.exceptions import (
 )
 from repro.graph.csr import CSRGraph, PairTable, edge_slots
 from repro.graph.digraph import Digraph
-from repro.graph.limits import table_storage
 from repro.runtime.simulator import (  # noqa: F401  (re-export)
     EXECUTION_ENGINES,
     LegTrace,
@@ -161,31 +156,6 @@ def hop_slots(graph: Digraph, tails, heads) -> np.ndarray:
     return slots.astype(np.int32)
 
 
-def _pack_pairs(n: int, chunks, storage: str, dtype):
-    """Store a table walk's entries the way ``storage`` names.
-
-    ``chunks`` yields ``(keys, values)`` lists, entry ``[u, v]`` keyed
-    ``u * n + v`` — its flat index in an ``(n, n)`` matrix.  ``dense``
-    writes each chunk into such a matrix as it arrives; ``blocked``
-    sorts them all into a :class:`~repro.graph.csr.PairTable`.  Absent
-    pairs read ``-1``, so either storage answers ``table[at, target]``
-    identically.
-    """
-    if storage == "dense":
-        mat = np.full((n, n), -1, dtype=dtype)
-        flat = mat.reshape(-1)
-        for keys, values in chunks:
-            flat[keys] = values
-        return mat
-    keys, values = zip(*(
-        (np.asarray(k, dtype=np.int64), np.asarray(v, dtype=dtype))
-        for k, v in chunks
-    ))
-    return PairTable.from_entries(
-        n, np.concatenate(keys), np.concatenate(values)
-    )
-
-
 class NextHopTable(StepTables):
     """Next-hop step tables of full-table forwarding: ``slots[u, target]``
     is the CSR out-edge slot of the hop from ``u`` toward ``target``
@@ -214,11 +184,13 @@ class SubstrateStepTables(StepTables):
     """Compiled Lemma 2 substrate legs (direct / up-tree / down-tree).
 
     Every entry is the CSR out-edge slot of the hop (see
-    :func:`hop_slots`).  ``direct_slot`` and ``down_slot`` are read as
-    ``table[at, target]`` and hold ``-1`` where there is no entry.
-    Dense storage keeps them as ``(n, n)`` int32 matrices; blocked
-    storage as :class:`~repro.graph.csr.PairTable` s — the paper's
-    landmark factorization in o(n²) memory.
+    :func:`hop_slots`), and ``-1`` where there is no entry.
+    ``direct_slot`` and ``down_slot`` are ``(n, n)`` int32 matrices read
+    as ``table[at, target]`` with one gather: an executor index of
+    8n² bytes beside an oracle that holds 20 bytes per pair, not the
+    per-node tables the paper's space bounds count (those are the
+    substrate's own arrays, which ``table_report()`` and the python
+    engine read).
 
     Attributes:
         direct_slot: the hop on the direct (cluster) path toward
@@ -226,8 +198,7 @@ class SubstrateStepTables(StepTables):
             cluster, the membership test ``begin_leg`` makes (Θ(n·√n)
             entries for the balanced RTZ clusters).
         up_slot: ``(n, C)`` int32 — the hop toward landmark (column =
-            landmark index), ``-1`` at the landmark itself; O(n·√n), so
-            dense in both storages.
+            landmark index), ``-1`` at the landmark itself.
         down_slot: the hop from ``at`` toward ``target`` inside
             ``OutTree(center(target))``; only slots on canonical
             ``center -> target`` paths are populated (O(n · avg path
@@ -238,9 +209,9 @@ class SubstrateStepTables(StepTables):
 
     def __init__(
         self,
-        direct_slot,
+        direct_slot: np.ndarray,
         up_slot: np.ndarray,
-        down_slot,
+        down_slot: np.ndarray,
         center_of: np.ndarray,
         center_idx: np.ndarray,
     ):
@@ -249,26 +220,6 @@ class SubstrateStepTables(StepTables):
         self.down_slot = down_slot
         self.center_of = center_of
         self.center_idx = center_idx
-
-    def arrays(self) -> Dict[str, np.ndarray]:
-        """Every backing array by name: a pair table contributes
-        ``<leg>_keys`` and ``<leg>_slot``, a matrix ``<leg>_slot`` alone."""
-        out = {
-            "up_slot": self.up_slot,
-            "center_of": self.center_of,
-            "center_idx": self.center_idx,
-        }
-        for leg in ("direct", "down"):
-            table = getattr(self, f"{leg}_slot")
-            if isinstance(table, PairTable):
-                out[f"{leg}_keys"] = table.keys
-                table = table.values
-            out[f"{leg}_slot"] = table
-        return out
-
-    def nbytes(self) -> int:
-        """Bytes across every table (the o(n²) claim is testable)."""
-        return sum(int(arr.nbytes) for arr in self.arrays().values())
 
     def begin_phase(self, at, target, tree=None) -> np.ndarray:
         direct = (at == target) | (self.direct_slot[at, target] >= 0)
@@ -310,31 +261,32 @@ def compile_substrate_tables(substrate) -> SubstrateStepTables:
     converted to slots once (:func:`hop_slots`): ``up_slot`` is its
     in-tree successor rows transposed, ``direct_slot`` its direct
     entries, and ``down_slot`` one walk of every ``v`` up its home
-    landmark's parent row, all at once.  The graph size picks the
-    storage (:func:`~repro.graph.limits.table_storage`): ``dense``
-    scatters the entries into ``(n, n)`` matrices and ``blocked`` packs
-    them into sorted pair tables.  Both make identical decisions — the
-    storage only changes memory.
+    landmark's parent row, all at once, each scattered into an
+    ``(n, n)`` matrix.
 
-    Results are cached on the substrate per storage
-    (``_compiled_step_tables``), so every scheme sharing one substrate
-    (stretch-6, its variant, wild names, the RTZ baseline — all reading
-    one :class:`~repro.api.network.Network`'s ``rtz`` artifact)
-    compiles it once while the threshold stays put.
-
-    Raises:
-        ConstructionError: for a malformed ``REPRO_DENSE_MAX_N``.
+    The result is cached on the substrate (``_compiled_step_tables``),
+    so every scheme sharing one substrate (stretch-6, its variant, wild
+    names, the RTZ baseline — all reading one
+    :class:`~repro.api.network.Network`'s ``rtz`` artifact) compiles
+    it once.
     """
+    cached = getattr(substrate, "_compiled_step_tables", None)
+    if cached is not None:
+        return cached
     graph = substrate.metric.oracle.graph
     n = graph.n
-    storage = table_storage(n)
-    cache = substrate.__dict__.setdefault("_compiled_step_tables", {})
-    if storage in cache:
-        return cache[storage]
     home_idx = substrate._home_idx
     centers = np.asarray(substrate.centers, dtype=np.int64)
     home = centers[home_idx]
     parent = substrate._out_parent
+
+    def slot_matrix(keys: np.ndarray, heads) -> np.ndarray:
+        """An ``(n, n)`` matrix holding, at each entry ``[u, v]`` keyed
+        ``u * n + v``, the slot of the hop from ``u`` to the matching
+        ``heads`` vertex; every other pair reads ``-1``."""
+        mat = np.full((n, n), -1, dtype=np.int32)
+        mat.reshape(-1)[keys] = hop_slots(graph, keys // n, heads)
+        return mat
 
     # Down-tree entries are only ever consulted on canonical
     # center(v) -> v paths, so populate exactly those: walking up from
@@ -348,25 +300,13 @@ def compile_substrate_tables(substrate) -> SubstrateStepTables:
         below.append(at[walking])
         at[walking] = above
         walking = walking[above != home[walking]]
-    down_keys = np.concatenate(down_keys)
-    direct_keys = substrate._direct_keys
 
-    step = cache[storage] = SubstrateStepTables(
-        _pack_pairs(
-            n,
-            [(direct_keys,
-              hop_slots(graph, direct_keys // n, substrate._direct_next))],
-            storage, np.int32,
-        ),
+    step = substrate._compiled_step_tables = SubstrateStepTables(
+        slot_matrix(substrate._direct_keys, substrate._direct_next),
         np.ascontiguousarray(
             hop_slots(graph, np.arange(n)[None, :], substrate._in_succ).T
         ),
-        _pack_pairs(
-            n,
-            [(down_keys,
-              hop_slots(graph, down_keys // n, np.concatenate(below)))],
-            storage, np.int32,
-        ),
+        slot_matrix(np.concatenate(down_keys), np.concatenate(below)),
         home.astype(np.int32),
         home_idx.astype(np.int32),
     )

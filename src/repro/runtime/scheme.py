@@ -112,8 +112,7 @@ class RoutingScheme(abc.ABC):
     # ------------------------------------------------------------------
     def compile_tables(self):
         """Compile this scheme's forwarding function into vectorized
-        decision tables, stored as the graph size dictates
-        (:func:`repro.graph.limits.table_storage`).
+        decision tables.
 
         Returns a :class:`repro.runtime.engine.CompiledRoutes` when the
         scheme's header changes only at segment boundaries (see
@@ -126,17 +125,10 @@ class RoutingScheme(abc.ABC):
 
     def compiled_routes(self):
         """Cached :meth:`compile_tables` result (``None`` means "not
-        compilable"), keyed by the storage the size rule picks
-        (:func:`repro.graph.limits.table_storage`): compiled once per
-        scheme instance while ``REPRO_DENSE_MAX_N`` stays put.
-        """
-        from repro.graph.limits import table_storage
-
-        storage = table_storage(self.graph.n)
-        cache = self.__dict__.setdefault("_compiled_routes", {})
-        if storage not in cache:
-            cache[storage] = self.compile_tables()
-        return cache[storage]
+        compilable"): compiled once per scheme instance."""
+        if "_compiled_routes" not in self.__dict__:
+            self._compiled_routes = self.compile_tables()
+        return self._compiled_routes
 
     # ------------------------------------------------------------------
     # table accounting

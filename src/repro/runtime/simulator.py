@@ -173,10 +173,6 @@ class Simulator:
             ``8 * n + 64``, far above any correct scheme's needs but
             small enough to catch loops quickly.  ``0`` allows no hop.
 
-    The vectorized engine reads the scheme's compiled tables, stored as
-    the graph size dictates (:func:`repro.graph.limits.table_storage`);
-    either storage routes bit-identically.
-
     Raises:
         RoutingError: for a negative ``hop_limit``.
     """

@@ -15,9 +15,8 @@ its pairs — and a workload's summary does not depend on how
 :func:`~repro.runtime.traffic.run_workload` cuts it into chunks.  The
 same spec therefore produces the same summary on every run.  Cells
 route on the engine ``auto`` picks (the compiled one for every
-registered scheme); the python engine and either table storage give
-the same summaries (``tests/test_scenarios.py`` checks the committed
-zoo three ways).
+registered scheme); the python engine gives the same summaries
+(``tests/test_scenarios.py`` checks the committed zoo both ways).
 """
 
 from __future__ import annotations

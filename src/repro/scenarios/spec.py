@@ -338,8 +338,7 @@ class MatrixSpec:
     that every spec written when they chose an engine, a table storage
     or a shard partition still loads, and none has an effect: the
     compiled engine routes every registered scheme bit-identically to
-    the python one, the graph size picks the storage
-    (:func:`repro.graph.limits.table_storage`), and a workload's
+    the python one, each table kind has one storage, and a workload's
     summary does not depend on how it is cut
     (:func:`repro.runtime.traffic.run_workload`).  None of the three is
     kept after validation."""

@@ -36,7 +36,7 @@ from repro.exceptions import ConstructionError, GraphError
 from repro.graph.digraph import Digraph
 from repro.graph.generators import bidirected_torus, random_strongly_connected
 from repro.graph.shortest_paths import DistanceOracle
-from table_storage import python_engine
+from python_engine import python_engine
 
 
 def make_network(family: str = "random", n: int = 20, seed: int = 0) -> Network:

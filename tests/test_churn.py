@@ -10,9 +10,9 @@ Four concerns, bottom-up:
 * the **differential**: incremental oracle repair must be
   *bit-identical* to a cold full rebuild — distances, parents, the
   shortest-path baseline's next-hop slots, and every routed journey,
-  across compiled schemes and both table storages, including a
-  hypothesis sweep over random edit sequences (weight increases
-  included: those invalidate paths, the hard direction for repair);
+  across compiled schemes, including a hypothesis sweep over random
+  edit sequences (weight increases included: those invalidate paths,
+  the hard direction for repair);
 * churn timelines, written as ``repro-scenario/1`` specs whose phases
   carry events — parsing, event materialization, and the per-epoch
   stretch rows the scenario runner threads through
@@ -51,7 +51,7 @@ from repro.scenarios import (
     run_scenario,
     summary_fingerprint,
 )
-from table_storage import forced, python_engine
+from python_engine import python_engine
 
 
 def _grid_graph(n: int, seed: int, extra: int = 0) -> Digraph:
@@ -437,35 +437,33 @@ def _sample_pairs(n: int, count: int) -> List[Tuple[int, int]]:
     return pairs
 
 
-@pytest.mark.parametrize("storage", ["dense", "blocked"])
-def test_differential_routed_traces_every_scheme(storage):
+def test_differential_routed_traces_every_scheme():
     """Routing on an evolved network (repaired oracle) is bit-identical
-    to routing on a cold rebuild, for every registered scheme and both
-    compiled table storages — cost, hops, headers, and full traces."""
-    with forced(storage):
-        net = Network(_grid_graph(16, 14, extra=14), seed=2, store=None)
-        net.oracle()
-        child = net.evolve(GraphDelta((
-            Reweight(0, 1, 7.5),
-            LinkUp(*_a_non_edge(net.graph), 0.85),
-            LinkDown(*_a_chord(net.graph)),
-        )))
-        assert child.stats().repair.incremental == 1
-        fresh = _fresh_like(child)
-        _assert_oracles_identical(child, fresh)
-        pairs = _sample_pairs(child.n, 12)
-        for spec in all_specs():
-            params = {"k": 2} if spec.accepts("k") else {}
-            evolved_router = child.router(spec.name, **params)
-            fresh_router = fresh.router(spec.name, **params)
-            got = evolved_router.route_many(pairs)
-            want = fresh_router.route_many(pairs)
-            for a, b in zip(got, want):
-                assert (a.source, a.dest, a.dest_name) == (b.source, b.dest, b.dest_name)
-                assert a.cost == b.cost, f"{spec.name}: cost drift on {a.source}->{a.dest}"
-                assert a.hops == b.hops
-                assert a.max_header_bits == b.max_header_bits
-                assert a.trace == b.trace
+    to routing on a cold rebuild, for every registered scheme — cost,
+    hops, headers, and full traces."""
+    net = Network(_grid_graph(16, 14, extra=14), seed=2, store=None)
+    net.oracle()
+    child = net.evolve(GraphDelta((
+        Reweight(0, 1, 7.5),
+        LinkUp(*_a_non_edge(net.graph), 0.85),
+        LinkDown(*_a_chord(net.graph)),
+    )))
+    assert child.stats().repair.incremental == 1
+    fresh = _fresh_like(child)
+    _assert_oracles_identical(child, fresh)
+    pairs = _sample_pairs(child.n, 12)
+    for spec in all_specs():
+        params = {"k": 2} if spec.accepts("k") else {}
+        evolved_router = child.router(spec.name, **params)
+        fresh_router = fresh.router(spec.name, **params)
+        got = evolved_router.route_many(pairs)
+        want = fresh_router.route_many(pairs)
+        for a, b in zip(got, want):
+            assert (a.source, a.dest, a.dest_name) == (b.source, b.dest, b.dest_name)
+            assert a.cost == b.cost, f"{spec.name}: cost drift on {a.source}->{a.dest}"
+            assert a.hops == b.hops
+            assert a.max_header_bits == b.max_header_bits
+            assert a.trace == b.trace
 
 
 def test_differential_blocked_first_hops_cross_boundaries(monkeypatch):
@@ -488,37 +486,34 @@ def test_differential_blocked_first_hops_cross_boundaries(monkeypatch):
     assert np.array_equal(next_hop_slots(child.oracle()), split)
 
 
-@pytest.mark.parametrize("storage", ["dense", "blocked"])
-def test_differential_mixed_timeline_every_event(storage):
+def test_differential_mixed_timeline_every_event():
     """The acceptance bar: after *every* event in a mixed churn
     timeline — reweight, link up/down, arrival, departure — the
     evolved network's oracle and routed traces are bit-identical to a
-    cold rebuild, in both compiled table storages.  Events come from
-    the timeline machinery's own materializer (connectivity-preserving
-    candidates, seeded)."""
-    with forced(storage):
-        net = Network(_grid_graph(18, 16, extra=12), seed=3, store=None)
-        net.oracle()
-        event_docs = (
-            ({"op": "reweight"},),
-            ({"op": "link_up"}, {"op": "link_down"}),
-            ({"op": "arrival"},),
-            ({"op": "departure"},),
-            ({"op": "reweight"},),
-        )
-        for i, docs in enumerate(event_docs):
-            delta = materialize_delta(net.graph, docs, random.Random(f"diff|{i}"))
-            child = net.evolve(delta)
-            fresh = _fresh_like(child)
-            _assert_oracles_identical(child, fresh)
-            pairs = _sample_pairs(child.n, 6)
-            got = child.router("stretch6").route_many(pairs)
-            want = fresh.router("stretch6").route_many(pairs)
-            for a, b in zip(got, want):
-                assert (a.cost, a.hops, a.max_header_bits, a.trace) == (
-                    b.cost, b.hops, b.max_header_bits, b.trace
-                )
-            net = child
+    cold rebuild.  Events come from the timeline machinery's own
+    materializer (connectivity-preserving candidates, seeded)."""
+    net = Network(_grid_graph(18, 16, extra=12), seed=3, store=None)
+    net.oracle()
+    event_docs = (
+        ({"op": "reweight"},),
+        ({"op": "link_up"}, {"op": "link_down"}),
+        ({"op": "arrival"},),
+        ({"op": "departure"},),
+        ({"op": "reweight"},),
+    )
+    for i, docs in enumerate(event_docs):
+        delta = materialize_delta(net.graph, docs, random.Random(f"diff|{i}"))
+        child = net.evolve(delta)
+        fresh = _fresh_like(child)
+        _assert_oracles_identical(child, fresh)
+        pairs = _sample_pairs(child.n, 6)
+        got = child.router("stretch6").route_many(pairs)
+        want = fresh.router("stretch6").route_many(pairs)
+        for a, b in zip(got, want):
+            assert (a.cost, a.hops, a.max_header_bits, a.trace) == (
+                b.cost, b.hops, b.max_header_bits, b.trace
+            )
+        net = child
 
 
 # ----------------------------------------------------------------------

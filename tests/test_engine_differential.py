@@ -7,7 +7,7 @@ same hop counts, same max header bits, same aggregate summaries, same
 hop-limit behaviour.  This suite asserts that claim for every
 registered scheme, every workload kind, and two graph families; for
 the double-tree schemes (ExStretch, PolynomialStretch) on all nine
-graph families and both table storages; plus
+graph families; plus
 :class:`HopLimitExceeded` and :class:`TableLookupError` parity on
 looping schemes, tight hop budgets and deleted table rows.
 """
@@ -50,7 +50,7 @@ from repro.runtime.traffic import (
     run_workload,
 )
 from repro.schemes.shortest_path import ShortestPathScheme
-from table_storage import forced, python_engine
+from python_engine import python_engine
 
 N = 32
 FAMILIES = ("random", "torus")
@@ -386,7 +386,7 @@ def test_mixed_workload_stretch_consistency(net):
 
 
 # ----------------------------------------------------------------------
-# double-tree schemes: all nine families, both table storages
+# double-tree schemes: all nine families
 # ----------------------------------------------------------------------
 #: ExStretch (k, blocks_per_node) and PolynomialStretch k.  A budget of
 #: one block per node makes ExStretch's acknowledgment walk over the
@@ -433,16 +433,14 @@ def test_double_tree_schemes_bit_identical(family, scheme_name, params):
         scheme, workload, oracle=net.oracle(), engine="python",
         shard_size=16,
     )
-    for storage in ("dense", "blocked"):
-        with forced(storage):
-            sim = Simulator(scheme)
-            assert sim.resolve_engine("auto") == "vectorized"
-            assert_traces_equal(py, sim.roundtrip_many(pairs, engine="auto"))
-            vec = run_workload(
-                scheme, workload, oracle=net.oracle(), engine="vectorized",
-                shard_size=16,
-            )
-        assert replace(vec, elapsed_s=0.0) == replace(ref, elapsed_s=0.0)
+    sim = Simulator(scheme)
+    assert sim.resolve_engine("auto") == "vectorized"
+    assert_traces_equal(py, sim.roundtrip_many(pairs, engine="auto"))
+    vec = run_workload(
+        scheme, workload, oracle=net.oracle(), engine="vectorized",
+        shard_size=16,
+    )
+    assert replace(vec, elapsed_s=0.0) == replace(ref, elapsed_s=0.0)
 
 
 def test_exstretch_acknowledgment_ends_on_standing_at_the_source():
@@ -534,13 +532,11 @@ def test_deleted_polystretch_row_changes_both_engines_alike():
 
 def test_deleted_next_hop_raises_on_both_engines():
     """The full-table baseline holds one slot matrix, read by its
-    ``forward`` and by the compiled engine in either storage: an entry
-    cleared after compiling stops the packet on either engine."""
+    ``forward`` and by the compiled engine: an entry cleared after
+    compiling stops the packet on either engine."""
     net = Network.from_family("random", N, seed=3, store=None)
     scheme = net.build_scheme("shortest_path")
     tables = scheme.compiled_routes().tables
-    with forced("blocked"):
-        assert scheme.compiled_routes().tables is tables
     pairs = sample_pairs(net.n, 40, seed=31)
     s, t = pairs[7]
     tables.slots = tables.slots.copy()

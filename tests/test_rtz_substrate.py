@@ -6,12 +6,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from typing import Dict, List
 
 import numpy as np
 import pytest
 
 import repro
+from repro.api import Network
 from repro.exceptions import ConstructionError, TableLookupError
 from repro.graph.generators import (
     FAMILY_NAMES,
@@ -40,10 +42,8 @@ from repro.rtz.spanner import HandshakeSpanner
 from repro.graph.csr import CSRGraph
 from repro.runtime.engine import (
     SubstrateStepTables,
-    _pack_pairs,
     compile_substrate_tables,
 )
-from table_storage import forced
 from tree_references import OutTreeRouter, ToRootPointers
 
 
@@ -414,22 +414,17 @@ class ScalarRTZ:
             path.append(at)
         return path
 
-    def compile(self, storage: str) -> Dict[str, np.ndarray]:
+    def compile(self) -> Dict[str, np.ndarray]:
         """The per-vertex compile walk the array compile replaces, as
         next vertices: :func:`compiled_next_vertices` of the compiled
         tables must equal it."""
         g = self.metric.oracle.graph
         n = g.n
         centers = self.assignment.centers
-
-        def direct():
-            for u in range(n):
-                ports = self.direct[u]
-                yield (
-                    [u * n + v for v in ports],
-                    [g.head_of_port(u, port) for port in ports.values()],
-                )
-
+        direct_next = np.full((n, n), -1, dtype=np.int32)
+        for u in range(n):
+            for v, port in self.direct[u].items():
+                direct_next[u, v] = g.head_of_port(u, port)
         up_next = np.full((n, len(centers)), -1, dtype=np.int32)
         for ci, c in enumerate(centers):
             for u in range(n):
@@ -442,32 +437,26 @@ class ScalarRTZ:
         parents = {
             c: self.metric.oracle.forward_tree_parents(c) for c in centers
         }
-
-        def down():
-            for v, c in enumerate(home):
-                path = [v]
-                while path[-1] != c:
-                    path.append(parents[c][path[-1]])
-                yield [p * n + v for p in path[1:]], path[:-1]
-
-        out = {
+        down_next = np.full((n, n), -1, dtype=np.int32)
+        for v, c in enumerate(home):
+            at = v
+            while at != c:
+                above = parents[c][at]
+                down_next[above, v] = at
+                at = above
+        return {
+            "direct_next": direct_next,
             "up_next": up_next,
+            "down_next": down_next,
             "center_of": np.array(home, dtype=np.int32),
             "center_idx": np.array([cindex[c] for c in home], dtype=np.int32),
         }
-        for leg, chunks in (("direct", direct()), ("down", down())):
-            table = _pack_pairs(n, chunks, storage, np.int32)
-            if not isinstance(table, np.ndarray):
-                out[f"{leg}_keys"] = table.keys
-                table = table.values
-            out[f"{leg}_next"] = table
-        return out
 
 
 def compiled_next_vertices(
     compiled: SubstrateStepTables, graph
 ) -> Dict[str, np.ndarray]:
-    """``compiled.arrays()`` with each ``<leg>_slot`` table read back as
+    """The compiled tables with each ``<leg>_slot`` matrix read back as
     ``<leg>_next``, the next vertex ``out_heads[slot]`` (``-1`` where
     there is no entry), after checking that every slot is an out-edge
     of its entry's own vertex."""
@@ -475,18 +464,12 @@ def compiled_next_vertices(
     n = graph.n
     tail = np.append(np.repeat(np.arange(n), np.diff(csr.out_indptr)), -1)
     head = np.append(csr.out_heads, -1)
-    arrays = compiled.arrays()
-    out = {}
-    for name, arr in arrays.items():
-        leg, _, kind = name.rpartition("_")
-        if kind != "slot":
-            out[name] = arr
-            continue
-        keys = arrays.get(f"{leg}_keys")
-        rows = np.arange(n)[:, None] if keys is None else keys // n
-        rows = np.broadcast_to(rows, arr.shape)
-        assert np.array_equal(tail[arr], np.where(arr >= 0, rows, -1)), name
-        out[f"{leg}_next"] = head[arr].astype(arr.dtype)
+    out = {"center_of": compiled.center_of, "center_idx": compiled.center_idx}
+    for leg in ("direct", "up", "down"):
+        slot = getattr(compiled, f"{leg}_slot")
+        rows = np.broadcast_to(np.arange(n)[:, None], slot.shape)
+        assert np.array_equal(tail[slot], np.where(slot >= 0, rows, -1)), leg
+        out[f"{leg}_next"] = head[slot].astype(slot.dtype)
     return out
 
 
@@ -510,13 +493,12 @@ def assert_matches_reference(rtz: RTZStretch3, ref: ScalarRTZ) -> None:
         for y in range(n):
             assert rtz.has_direct(x, y) == (y in ref.direct[x])
             assert rtz.route_leg(x, y) == ref.route_leg(x, y), (x, y)
-    for storage in ("dense", "blocked"):
-        with forced(storage):
-            compiled = compile_substrate_tables(rtz)
-        assert_same_arrays(
-            compiled_next_vertices(compiled, rtz.metric.oracle.graph),
-            ref.compile(storage),
-        )
+    assert_same_arrays(
+        compiled_next_vertices(
+            compile_substrate_tables(rtz), rtz.metric.oracle.graph
+        ),
+        ref.compile(),
+    )
 
 
 def family_metric(family: str, seed: int, n: int = 30) -> RoundtripMetric:
@@ -571,6 +553,29 @@ class TestArraySubstrate:
         rtz._in_port[label.addr.tree_id, x] = -1
         with pytest.raises(TableLookupError):
             rtz.route_leg(x, 0)
+
+
+def test_schemes_on_one_network_share_one_compiled_substrate():
+    """rtz, stretch-6, its variant and wild names route over one
+    Network's ``rtz`` artifact, so they compile one set of substrate
+    step tables: two ``(n, n)`` int32 matrices in all, not two per
+    scheme, and a repeat ``compiled_routes()`` compiles nothing."""
+    net = Network.from_family("random", 128, seed=1, store=None)
+    schemes = [
+        net.build_scheme(name)
+        for name in ("rtz", "stretch6", "stretch6_via_source", "wild_names")
+    ]
+    tracemalloc.start()
+    try:
+        compiled = [scheme.compiled_routes() for scheme in schemes]
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tables = compiled[0].tables
+    assert isinstance(tables, SubstrateStepTables)
+    assert all(c.tables is tables for c in compiled)
+    assert all(s.compiled_routes() is c for s, c in zip(schemes, compiled))
+    assert held < 3 * 4 * net.n ** 2
 
 
 def drop_closing_entry(rtz: RTZStretch3) -> Dict[str, np.ndarray]:

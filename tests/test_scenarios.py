@@ -13,9 +13,8 @@ Five concerns, bottom-up:
 * **the committed zoo** — every spec under ``scenarios/`` validates,
   its assertions hold at smoke size (what CI's scenario-matrix job
   enforces), and it summarizes identically on the python engine
-  (forced with ``table_storage.python_engine``), on dense tables and
-  on blocked tables; a second hypothesis sweep runs generated specs
-  the same three ways;
+  (forced with ``python_engine.python_engine``) and on the compiled
+  one; a second hypothesis sweep runs generated specs both ways;
 * **CLI plumbing** — ``repro scenario {run,validate,show,list}`` exit
   codes and output;
 * **serve** — the ``WorkloadRequest`` scenario form (round-trip,
@@ -25,6 +24,7 @@ Five concerns, bottom-up:
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,7 @@ from repro.scenarios import (
     summary_fingerprint,
 )
 from repro.serve.protocol import ProtocolError, WorkloadRequest
-from table_storage import forced, python_engine
+from python_engine import python_engine
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -366,15 +366,15 @@ def runnable_docs(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(doc=runnable_docs())
-def test_generated_spec_runs_alike_three_ways(doc):
-    """Each generated spec at smoke size, per scheme: the python engine,
-    dense tables and blocked tables give equal summary fingerprints,
-    and every cell that routed a pair stays within its scheme's
-    claimed stretch bound."""
+def test_generated_spec_runs_alike_on_both_engines(doc):
+    """Each generated spec at smoke size, per scheme: the python engine
+    and the compiled one give equal summary fingerprints, and every
+    cell that routed a pair stays within its scheme's claimed stretch
+    bound."""
     spec = ScenarioSpec.from_doc(doc).smoke()
-    for scheme, cells in run_three_ways(spec).items():
+    for scheme, cells in run_both_engines(spec).items():
         prints = [summary_fingerprint(cell.summary) for cell in cells]
-        assert prints[0] == prints[1] == prints[2], scheme
+        assert prints[0] == prints[1], scheme
         for cell in cells:
             if cell.summary.pairs:
                 assert cell.summary.max_stretch <= cell.bound + 1e-9, (
@@ -533,13 +533,12 @@ def test_flash_crowd_smoke_assertions_hold():
     assert result.ok, result.format()
 
 
-def run_three_ways(spec: ScenarioSpec) -> dict:
+def run_both_engines(spec: ScenarioSpec) -> dict:
     """Run ``spec`` on the python engine (every scheme declining to
-    compile), then on the compiled engine with dense tables and with
-    blocked tables (forced through the size threshold).  Returns each
-    scheme's cells, one per run, in that order."""
+    compile), then on the compiled engine.  Returns each scheme's
+    cells, one per run, in that order."""
     by_scheme = {}
-    for mode in (python_engine(), forced("dense"), forced("blocked")):
+    for mode in (python_engine(), nullcontext()):
         with mode:
             result = run_scenario(spec, store=None)
         for cell in result.cells:
@@ -548,15 +547,15 @@ def run_three_ways(spec: ScenarioSpec) -> dict:
 
 
 @pytest.mark.parametrize("path", ZOO, ids=lambda p: p.stem)
-def test_committed_spec_agrees_across_engines_and_tables(path):
-    """Each committed spec at smoke size, per scheme: the python engine,
-    dense tables and blocked tables give equal summary fingerprints."""
+def test_committed_spec_agrees_across_engines(path):
+    """Each committed spec at smoke size, per scheme: the python engine
+    and the compiled one give equal summary fingerprints."""
     spec = load_scenario(str(path)).smoke()
-    for scheme, cells in run_three_ways(spec).items():
+    for scheme, cells in run_both_engines(spec).items():
         for cell in cells:
             assert cell.ok, cell.format()
         prints = [summary_fingerprint(cell.summary) for cell in cells]
-        assert prints[0] == prints[1] == prints[2], (path.stem, scheme)
+        assert prints[0] == prints[1], (path.stem, scheme)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ from repro.runtime.simulator import Simulator
 from repro.runtime.stats import measure_stretch, measure_tables
 from repro.schemes.rtz_baseline import RTZBaselineScheme
 from repro.schemes.shortest_path import ShortestPathScheme
-from table_storage import forced
 
 
 def build(g, naming_seed=0, rng_seed=1):
@@ -102,8 +101,7 @@ class TestShortestPathTables:
     def assert_matches_next_hop(oracle, naming):
         g = oracle.graph
         scheme = ShortestPathScheme(oracle, naming)
-        with forced("blocked"):
-            slots = scheme.compiled_routes().tables.slots
+        slots = scheme.compiled_routes().tables.slots
         assert slots.dtype == np.int32 and not slots.flags.writeable
         assert slots.shape == (g.n, g.n)
         edges = list(g.edges())  # edge i is CSR out-slot i
@@ -153,25 +151,18 @@ class TestShortestPathTables:
             ShortestPathScheme(broken, identity_naming(g.n))
 
     def test_one_table_held_once(self):
-        """Both storages compile to the table ``forward`` reads, and
-        the scheme plus both compiles hold at most two ``(n, n)`` int32
+        """The compile reads the table ``forward`` reads, and the
+        scheme plus its compile hold at most two ``(n, n)`` int32
         matrices' worth of memory (the matrix itself is one)."""
         net = Network.from_family("random", 256, seed=1, store=None)
         oracle, naming = net.oracle(), net.naming()
-        warm = ShortestPathScheme(oracle, naming)  # caches and imports
-        for storage in ("dense", "blocked"):
-            with forced(storage):
-                warm.compiled_routes()
-        del warm
+        ShortestPathScheme(oracle, naming).compiled_routes()  # caches and imports
         tracemalloc.start()
         try:
             scheme = ShortestPathScheme(oracle, naming)
-            with forced("dense"):
-                dense = scheme.compiled_routes()
-            with forced("blocked"):
-                blocked = scheme.compiled_routes()
+            compiled = scheme.compiled_routes()
             held, _peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert dense.tables is blocked.tables is scheme._next_hop
+        assert compiled.tables is scheme._next_hop
         assert held <= 2 * 4 * net.n ** 2

@@ -4,11 +4,10 @@ A compiled forwarding decision is the slot of the hop's edge in the
 graph's :class:`~repro.graph.csr.CSRGraph` (the compiled form of the
 port the scheme forwards on), so the sweep reads the next vertex and
 the hop's weight as ``out_heads[slot]`` and ``out_weights[slot]``.
-For every registered scheme and both table storages, every compiled
-entry must name an out-edge of the vertex it is stored at, and that
-edge must lead where the scheme's own scalar forwarding sends the
-packet: ``head_of_port(u, port)`` for the port its python-engine
-tables hold.
+For every registered scheme, every compiled entry must name an
+out-edge of the vertex it is stored at, and that edge must lead where
+the scheme's own scalar forwarding sends the packet:
+``head_of_port(u, port)`` for the port its python-engine tables hold.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import pytest
 
 from repro.api import Network, scheme_names
 from repro.exceptions import ConstructionError
-from repro.graph.csr import CSRGraph, PairTable
+from repro.graph.csr import CSRGraph
 from repro.rtz.routing import DIRECT, DOWN_TREE, TO_CENTER
 from repro.runtime.engine import (
     DoubleTreeStepTables,
@@ -27,7 +26,6 @@ from repro.runtime.engine import (
     hop_slots,
 )
 from repro.tree_routing.fixed_port import TreeAddress
-from table_storage import forced
 
 N = 32
 
@@ -37,12 +35,9 @@ def net(request) -> Network:
     return Network.from_family(request.param, N, seed=3, store=None)
 
 
-def table_entries(table, n: int):
-    """``(u, v, slot)`` of every present entry of a ``table[u, v]``
-    step table, dense or sorted-key."""
-    if isinstance(table, PairTable):
-        u, v = np.divmod(table.keys, n)
-        return u, v, table.values
+def table_entries(table: np.ndarray):
+    """``(u, v, slot)`` of every present entry of an ``(n, n)`` step
+    table."""
     u, v = np.nonzero(table >= 0)
     return u, v, table[u, v]
 
@@ -51,12 +46,11 @@ def substrate_entries(scheme, tables: SubstrateStepTables):
     """Every direct, up and down entry with the port ``leg_step``, the
     substrate's scalar decision, forwards on from there."""
     rtz = scheme.rtz
-    n = rtz.metric.n
     centers = rtz.centers
     rows = []
     for table, mode in ((tables.direct_slot, DIRECT),
                         (tables.down_slot, DOWN_TREE)):
-        for u, v, slot in zip(*(a.tolist() for a in table_entries(table, n))):
+        for u, v, slot in zip(*(a.tolist() for a in table_entries(table))):
             rows.append((u, slot, rtz.leg_step(u, rtz.label(v), mode)[0]))
     for u, ci in zip(*np.nonzero(tables.up_slot >= 0)):
         label = rtz.label(centers[ci])
@@ -75,7 +69,7 @@ def next_hop_entries(scheme, tables: NextHopTable):
     n = g.n
     rows = [
         (u, slot, g.port_of(u, oracle.next_hop(u, t)))
-        for u, t, slot in zip(*(a.tolist() for a in table_entries(tables.slots, n)))
+        for u, t, slot in zip(*(a.tolist() for a in table_entries(tables.slots)))
     ]
     assert len(rows) == n * (n - 1)  # full tables: every u != t
     return rows
@@ -128,12 +122,10 @@ def slot_violations(csr: CSRGraph, u, slot, want) -> np.ndarray:
     return np.flatnonzero(~in_row | (heads != want))
 
 
-@pytest.mark.parametrize("storage", ["dense", "blocked"])
 @pytest.mark.parametrize("scheme_name", scheme_names())
-def test_every_compiled_slot_is_the_scalar_hop(net, scheme_name, storage):
+def test_every_compiled_slot_is_the_scalar_hop(net, scheme_name):
     scheme = net.build_scheme(scheme_name)
-    with forced(storage):
-        u, slot, want = compiled_entries(scheme)
+    u, slot, want = compiled_entries(scheme)
     csr = CSRGraph.from_digraph(scheme.graph)
     assert slot_violations(csr, u, slot, want).tolist() == []
 

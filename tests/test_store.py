@@ -43,7 +43,6 @@ from repro.store import (
     store_override,
 )
 from repro.store.npz import read_npz_mapped, write_npz
-from table_storage import forced
 
 
 @pytest.fixture
@@ -554,14 +553,12 @@ class TestStoreIsolation:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(env_root))
         pinned = ArtifactStore(tmp_path / "pinned")
         pairs = [(s, (3 * s + 1) % graph.n) for s in range(graph.n)]
-        for storage in ("dense", "blocked"):
-            for store in (pinned, None):
-                net = Network(graph, seed=5, store=store)
-                with forced(storage):
-                    for name in COMPILED_SCHEMES:
-                        router = net.router(name)
-                        assert router.resolve_engine() == "vectorized", name
-                        assert len(router.route_many(pairs)) == len(pairs)
+        for store in (pinned, None):
+            net = Network(graph, seed=5, store=store)
+            for name in COMPILED_SCHEMES:
+                router = net.router(name)
+                assert router.resolve_engine() == "vectorized", name
+                assert len(router.route_many(pairs)) == len(pairs)
         assert list(env_root.iterdir()) == []
         assert {e.kind for e in pinned.entries()} == {"oracle", "rtz"}
 

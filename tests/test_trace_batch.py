@@ -7,8 +7,8 @@ hop-by-hop legs are built from the sweep log only when some trace's
 legs are first read (once per batch, under a lock).  These tests pin
 that the columns, the legs and every consumer of them (``Router``
 results and stats, ``TrafficSummary``) equal the python engine's eager traces
-bit for bit, for every registered scheme and both table storages, and
-whatever order or threads the legs are read in.
+bit for bit, for every registered scheme, whatever order or threads
+the legs are read in.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.runtime.simulator import (
     TraceBatch,
 )
 from repro.runtime.traffic import generate_workload, run_workload
-from table_storage import forced
 
 N = 32
 PAIRS = 120
@@ -86,18 +85,14 @@ def assert_columns_match(batch: TraceBatch, reference):
     ]
 
 
-@pytest.mark.parametrize("storage", ["dense", "blocked"])
 @pytest.mark.parametrize("scheme_name,params", CASES, ids=CASE_IDS)
 @pytest.mark.parametrize("family", ["random", "torus", "scale-free"])
-def test_columns_and_shuffled_legs_match_python(
-    family, scheme_name, params, storage
-):
+def test_columns_and_shuffled_legs_match_python(family, scheme_name, params):
     net = family_net(family)
     scheme = net.build_scheme(scheme_name, **params)
     pairs = sample_pairs(net.n, PAIRS, seed=7)
     py = Simulator(scheme).roundtrip_many(pairs, engine="python")
-    with forced(storage):
-        vec = Simulator(scheme).roundtrip_many(pairs, engine="vectorized")
+    vec = Simulator(scheme).roundtrip_many(pairs, engine="vectorized")
     assert_columns_match(py, py)
     assert_columns_match(vec, py)
     # totals are answered from the columns, before any path exists
