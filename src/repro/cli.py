@@ -319,26 +319,29 @@ def cmd_store(args: argparse.Namespace) -> int:
     raise SystemExit(f"unknown store command {args.store_command!r}")
 
 
+def _serve_config(args: argparse.Namespace, flags: Sequence[str], **fixed):
+    """A :class:`~repro.serve.ServeConfig` holding each of ``flags``
+    that was given; an omitted flag keeps ServeConfig's default."""
+    from repro.serve import ServeConfig
+
+    given = {name: getattr(args, name) for name in flags}
+    return ServeConfig(
+        **fixed,
+        **{name: value for name, value in given.items() if value is not None},
+    )
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import ServeConfig, serve_forever
+    from repro.serve import serve_forever
 
     _configure_store(args)
     labels = [s.strip() for s in args.scheme.split(",") if s.strip()]
     if not labels:
         raise SystemExit("no scheme given")
-    schemes = [get_spec(label).name for label in labels]
-    given = {
-        "host": args.host,
-        "port": args.port,
-        "max_inflight": args.max_inflight,
-        "max_queue": args.max_queue,
-    }
-    config = ServeConfig(
-        family=args.family,
-        n=args.n,
-        seed=args.seed,
-        schemes=tuple(schemes),
-        **{name: value for name, value in given.items() if value is not None},
+    config = _serve_config(
+        args,
+        ("family", "n", "seed", "host", "port", "max_inflight", "max_queue"),
+        schemes=tuple(get_spec(label).name for label in labels),
     )
     for flag, value in (("--max-inflight", config.max_inflight),
                         ("--max-queue", config.max_queue)):
@@ -494,7 +497,8 @@ def _client_batch(args: argparse.Namespace, client) -> int:
         return 0
     if args.offline:
         _configure_store(args)
-        net = Network.from_family(args.family, args.n, seed=args.seed)
+        graph = _serve_config(args, ("family", "n", "seed"))
+        net = Network.from_family(graph.family, graph.n, seed=graph.seed)
         results = net.router(args.scheme or "stretch6").route_many(pairs)
         for (s, t), route in zip(pairs, results):
             print(_format_route_line(s, t, route))
@@ -565,16 +569,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     scheme_help = "one of: " + ", ".join(scheme_names())
+    family_help = "graph family (" + "/".join(FAMILY_NAMES) + ")"
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, k: bool = True) -> None:
+        """The graph flags and the store flags, plus ``--k`` for the
+        subcommands that read it."""
         p.add_argument("--n", type=int, default=36, help="graph size")
         p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument(
-            "--family",
-            default="random",
-            help="graph family (" + "/".join(FAMILY_NAMES) + ")",
-        )
-        p.add_argument("--k", type=int, default=2, help="tradeoff parameter")
+        p.add_argument("--family", default="random", help=family_help)
+        if k:
+            p.add_argument(
+                "--k", type=int, default=2, help="tradeoff parameter"
+            )
         store_opts(p)
 
     def store_opts(p: argparse.ArgumentParser) -> None:
@@ -617,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "distributed", help="run the distributed construction protocol"
     )
-    common(p)
+    common(p, k=False)
     p.set_defaults(func=cmd_distributed)
 
     p = sub.add_parser(
@@ -741,7 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the long-lived routing daemon (coalescing broker, "
         "warm artifact cache, graceful /reload)",
     )
-    common(p)
     p.add_argument(
         "--scheme",
         default="stretch6",
@@ -750,6 +755,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     # An omitted flag keeps ServeConfig's default (read in cmd_serve,
     # so building the parser does not import the daemon).
+    p.add_argument("--family", help=family_help)
+    p.add_argument("--n", type=int, help="graph size")
+    p.add_argument("--seed", type=int, help="random seed")
+    store_opts(p)
     p.add_argument("--host", help="bind address")
     p.add_argument(
         "--port", type=int, help="bind port (0 picks an ephemeral port)"
@@ -821,12 +830,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the daemon: build the graph locally and route the "
         "same pairs directly (for bit-identity diffs)",
     )
-    sp.add_argument("--family", default="random", help="graph family "
-                    "(--offline only; must match the daemon's)")
-    sp.add_argument("--n", type=int, default=64, help="graph size "
-                    "(--offline only)")
-    sp.add_argument("--seed", type=int, default=0, help="graph seed "
-                    "(--offline only)")
+    # --offline only, and each must match the daemon's: an omitted
+    # flag keeps ServeConfig's default, as on repro serve
+    sp.add_argument("--family", help="graph family")
+    sp.add_argument("--n", type=int, help="graph size")
+    sp.add_argument("--seed", type=int, help="graph seed")
     store_opts(sp)
     client_opts(sp)
     sp = client_sub.add_parser(

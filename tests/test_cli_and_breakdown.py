@@ -246,6 +246,51 @@ class TestCLI:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("command", ["serve", "distributed"])
+    def test_k_is_only_taken_where_it_is_read(self, command, capsys):
+        """Neither the daemon nor the distributed protocol reads
+        ``--k``, so neither accepts it (exit 2)."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--k", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
+
+    def test_omitted_graph_flags_keep_serve_config(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """A bare ``repro serve`` and ``client batch --offline`` both
+        build ServeConfig's graph, so the served-vs-offline diff
+        compares one graph."""
+        import repro.cli as cli
+        import repro.serve
+        from repro.api import Network
+        from repro.serve import ServeConfig
+
+        default = ServeConfig()
+        want = (default.family, default.n, default.seed)
+        configs = []
+        monkeypatch.setattr(
+            repro.serve, "serve_forever",
+            lambda config: configs.append(config) or 0,
+        )
+        assert main(["serve"]) == 0
+        assert [(c.family, c.n, c.seed) for c in configs] == [want]
+
+        built = []
+
+        class Spy:
+            @staticmethod
+            def from_family(family, n, seed):
+                built.append((family, n, seed))
+                return Network.from_family(family, n, seed=seed, store=None)
+
+        monkeypatch.setattr(cli, "Network", Spy)
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("0 1\n")
+        assert main(["client", "batch", "--file", str(pairs), "--offline"]) == 0
+        assert built == [want]
+        assert capsys.readouterr().out.startswith("0 1 cost=")
+
     def test_schemes_subcommand(self, capsys):
         from repro.api import scheme_names
 
