@@ -52,7 +52,6 @@ does exactly that).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -73,37 +72,19 @@ from repro.graph.shortest_paths import DistanceOracle
 
 @dataclass
 class RepairReport:
-    """Accounting for one repair (or one fallback rebuild).
+    """Accounting for one repair.
 
     Attributes:
-        ops: delta ops processed.
         rows_recomputed: source rows recomputed, summed over ops (a row
             touched by two ops counts twice — it was recomputed twice).
         rows_reused: source rows certified unchanged, summed over ops.
         entries_changed: distance entries whose float value actually
             changed across the whole repair.
-        full_rebuild: ``True`` when the repair protocol did not apply
-            and the caller rebuilt from scratch.
-        seconds: wall-clock spent repairing.
     """
 
-    ops: int = 0
     rows_recomputed: int = 0
     rows_reused: int = 0
     entries_changed: int = 0
-    full_rebuild: bool = False
-    seconds: float = 0.0
-
-    def as_dict(self) -> dict:
-        """Plain-dict form (stats/JSON surfaces)."""
-        return {
-            "ops": self.ops,
-            "rows_recomputed": self.rows_recomputed,
-            "rows_reused": self.rows_reused,
-            "entries_changed": self.entries_changed,
-            "full_rebuild": self.full_rebuild,
-            "seconds": self.seconds,
-        }
 
 
 @dataclass
@@ -170,13 +151,12 @@ def repair_apsp(
         graph outside the vectorized engine's safe-weight regime) and
         the caller should rebuild from scratch.
     """
-    t0 = time.perf_counter()
     if not delta_supports_repair(delta):
         return None
     n = graph.n
     d = np.array(d, dtype=np.float64)
     parent = np.array(parent, dtype=np.int64)
-    report = RepairReport(ops=len(delta.ops))
+    report = RepairReport()
     g = graph
     for op in delta.ops:
         g = g.apply_delta(GraphDelta((op,)))
@@ -191,7 +171,6 @@ def repair_apsp(
             report.entries_changed += int(np.count_nonzero(nd != d[rows]))
             d[rows] = nd
             parent[rows] = npar
-    report.seconds = time.perf_counter() - t0
     return RepairedAPSP(graph=g, d=d, parent=parent, report=report)
 
 
