@@ -283,9 +283,11 @@ def compile_substrate_tables(substrate) -> SubstrateStepTables:
     def slot_matrix(keys: np.ndarray, heads) -> np.ndarray:
         """An ``(n, n)`` matrix holding, at each entry ``[u, v]`` keyed
         ``u * n + v``, the slot of the hop from ``u`` to the matching
-        ``heads`` vertex; every other pair reads ``-1``."""
+        ``heads`` vertex; every other pair reads ``-1``.  The slots come
+        first, so their temporaries are freed before the matrix exists."""
+        slots = hop_slots(graph, keys // n, heads)
         mat = np.full((n, n), -1, dtype=np.int32)
-        mat.reshape(-1)[keys] = hop_slots(graph, keys // n, heads)
+        mat.reshape(-1)[keys] = slots
         return mat
 
     # Down-tree entries are only ever consulted on canonical
