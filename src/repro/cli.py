@@ -830,11 +830,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the daemon: build the graph locally and route the "
         "same pairs directly (for bit-identity diffs)",
     )
-    # --offline only, and each must match the daemon's: an omitted
-    # flag keeps ServeConfig's default, as on repro serve
-    sp.add_argument("--family", help="graph family")
-    sp.add_argument("--n", type=int, help="graph size")
-    sp.add_argument("--seed", type=int, help="graph seed")
+    # An omitted flag keeps ServeConfig's default, as on repro serve.
+    sp.add_argument("--family", help="graph family "
+                    "(--offline only; must match the daemon's)")
+    sp.add_argument("--n", type=int, help="graph size (--offline only)")
+    sp.add_argument("--seed", type=int, help="graph seed (--offline only)")
     store_opts(sp)
     client_opts(sp)
     sp = client_sub.add_parser(
